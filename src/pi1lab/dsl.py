@@ -247,14 +247,14 @@ def parse(text: str) -> Script:
         if head == "space":
             m = re.match(r"^space\s+(\w+)\s*=\s*([XY])\(\s*(\d+)\s*\)(?:\s+width=(\S+))?$", stripped)
             if not m:
-                raise DslError(lineno, col, "expected: space <name> = X(<maxhint>)|Y(<maxhint>) [width=default|pow10|cube|uniform:<q>]")
+                raise DslError(lineno, col, "expected: space <name> = X(<hint>)|Y(<hint>) [width=default|pow10|cube|uniform:<q>]")
             name, kind, hint, width = m.group(1), m.group(2), int(m.group(3)), m.group(4) or "pow10"
             if width == "default":
                 width = "pow10"
             if not (width in ("pow10", "cube") or re.match(r"^uniform:-?\d+(/\d+)?$", width)):
                 raise DslError(lineno, col, f"unknown width profile {width!r}")
             if hint < 2:
-                raise DslError(lineno, col, "space maxhint must be at least 2")
+                raise DslError(lineno, col, "space hint must be at least 2")
             decl = SpaceDecl(name, kind, hint, width)
             statements.append(decl)
             spaces.add(name)

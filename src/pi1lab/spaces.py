@@ -6,17 +6,23 @@ The bouquet X is the union of sliver triangles C_n (n >= 2) with vertices
 
 all sharing only the base point p; the default width profile is
 w(n) = 1 / 10**(10*n). The compact space Y adds the vertical segment
-alpha = [(0,0), (0,1)], the Hausdorff limit of the C_n. Circles are
-materialized lazily by index and cached; each new circle is checked
-exactly against all previously materialized ones for pairwise
-intersection at p only.
+alpha = [(0,0), (0,1)], the Hausdorff limit of the C_n.
+
+Circles are materialized lazily and cached. C_n (n >= 3) is accepted only
+if w(n) < w(n-1) and D_n lies strictly left of the ray p -> B_{n-1}, i.e.
+w(n) * (n**3 - n**2 + n) < 1. This cone certificate puts C_n minus p at
+slopes y/x in (n-1, n], so certified circles meet only at p and a point with
+x > 0 can only lie on C_n for n = max(2, ceil(y/x)). It is exact: when it
+fails, the ray p -> B_{n-1} cuts edge B_n D_n below height 1, so C_n meets
+C_{n-1} away from p. No answer depends on which circles are cached.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from . import kernels
 from .exactnum import sqrt_decimal
@@ -166,16 +172,17 @@ OUTSIDE = Membership("outside")
 class SpaceHandle:
     """Lazy handle on X or Y for a fixed width profile.
 
-    Materialization is cached; with ``verify`` on (the default) every new
-    circle is tested exactly against all cached circles for the
-    pairwise-intersection-at-p invariant, and against the profile's
-    positivity/strict-decrease requirements.
+    ``circle(n)`` caches C_n after the local checks of the module docstring
+    (strict width decrease and the cone certificate against C_{n-1}) and
+    raises ``SpaceConsistencyError`` for a circle that fails them. Point
+    queries look at the single candidate circle max(2, ceil(y/x)), so their
+    answers depend neither on the cache nor on ``hint``, which is only the
+    default number of circles a rendering draws.
     """
 
     kind: SpaceKind
     profile: WidthProfile = POW10
     hint: int = 32
-    verify: bool = True
     _circles: Dict[int, Circle] = field(default_factory=dict)
 
     def __eq__(self, other) -> bool:
@@ -200,87 +207,62 @@ class SpaceHandle:
         """The same construction viewed as the other space; shares the cache."""
         if kind == self.kind:
             return self
-        return SpaceHandle(kind, self.profile, self.hint, self.verify, self._circles)
+        return SpaceHandle(kind, self.profile, self.hint, self._circles)
 
     def circle(self, n: int) -> Circle:
         circ = self._circles.get(n)
         if circ is not None:
             return circ
         circ = build_circle(n, self.profile)
-        if self.verify:
-            self._verify_against_cache(circ)
+        if n >= 3:
+            _certify(circ, self.profile)
         self._circles[n] = circ
         return circ
-
-    def _verify_against_cache(self, circ: Circle) -> None:
-        w_new = self.profile(circ.index)
-        for m in sorted(self._circles):
-            other = self._circles[m]
-            w_old = self.profile(m)
-            decreasing = w_old > w_new if m < circ.index else w_old < w_new
-            if not decreasing:
-                raise SpaceConsistencyError(
-                    f"width profile {self.profile.name} is not strictly decreasing "
-                    f"between indices {m} and {circ.index}"
-                )
-            bad = _pair_intersection_violations(circ, other)
-            if bad:
-                raise SpaceConsistencyError(
-                    f"circles C{circ.index} and C{m} intersect beyond the base point: {bad[0]}"
-                )
 
     def materialized_indices(self) -> Tuple[int, ...]:
         return tuple(sorted(self._circles))
 
     # -- point queries -------------------------------------------------------
 
-    def _candidate_indices(self, q: Point2, max_index: Optional[int]) -> Tuple[int, ...]:
+    def _circle_edges_at(self, q: Point2) -> Iterator[EdgeRef]:
+        """Edges through q of the one circle whose cone can hold it."""
         if q.x <= 0:
-            return ()
-        bound = max_index if max_index is not None else self.hint
-        if self.profile.name == "pow10":
-            # every point of C_n off p has y/x in (n-1, n]; ceil recovers n
-            r = q.y / q.x
-            n = -((-r.numerator) // r.denominator)  # ceil
-            return tuple(k for k in (n - 1, n, n + 1) if k >= 2)
-        return tuple(range(2, bound + 1))
+            return
+        circ = self.circle(max(2, math.ceil(q.y / q.x)))
+        for j, e in enumerate(circ.edges):
+            if e.contains(q):
+                yield ("c", circ.index, j)
 
-    def membership(self, q: Point2, max_index: Optional[int] = None) -> Membership:
+    def membership(self, q: Point2) -> Membership:
         """Exact stratum classification of a point."""
         if q == ORIGIN:
             return Membership("base")
         if self.has_alpha and ALPHA_SEGMENT.contains(q):
             return Membership("alpha")
-        for n in self._candidate_indices(q, max_index):
-            circ = self.circle(n)
-            for j, e in enumerate(circ.edges):
-                if e.contains(q):
-                    return Membership("circle", n, j)
-        return OUTSIDE
+        ref = next(self._circle_edges_at(q), None)
+        if ref is None:
+            return OUTSIDE
+        return Membership("circle", ref[1], ref[2])
 
-    def component_of(self, q: Point2, max_index: Optional[int] = None) -> ComponentId:
+    def component_of(self, q: Point2) -> ComponentId:
         """The unique component of (space minus p) containing q; q must not be p."""
         if q == ORIGIN:
             raise OutsideSpaceError("the base point lies in every stratum; no single component")
-        m = self.membership(q, max_index)
+        m = self.membership(q)
         if m.kind == "outside":
             raise OutsideSpaceError(f"point {q} is not in the space")
         if m.kind == "alpha":
             return ALPHA_COMPONENT
         return ComponentId.circle(m.circle_index)
 
-    def edges_containing(self, q: Point2, max_index: Optional[int] = None) -> Tuple[EdgeRef, ...]:
+    def edges_containing(self, q: Point2) -> Tuple[EdgeRef, ...]:
         """All edges through a non-base point (one, or two at a triangle vertex)."""
         if q == ORIGIN:
             raise SpaceError("edges_containing expects a point other than p")
         out = []
         if self.has_alpha and ALPHA_SEGMENT.contains(q):
             out.append(ALPHA_EDGE)
-        for n in self._candidate_indices(q, max_index):
-            circ = self.circle(n)
-            for j, e in enumerate(circ.edges):
-                if e.contains(q):
-                    out.append(("c", n, j))
+        out.extend(self._circle_edges_at(q))
         return tuple(out)
 
     def edge_segment(self, ref: EdgeRef) -> Segment:
@@ -289,12 +271,27 @@ class SpaceHandle:
         return self.circle(ref[1]).edges[ref[2]]
 
 
-def bouquet_x(hint: int = 32, profile: WidthProfile = POW10, verify: bool = True) -> SpaceHandle:
-    return SpaceHandle(SpaceKind.BOUQUET_X, profile, hint, verify)
+def _certify(circ: Circle, profile: WidthProfile) -> None:
+    """Refuse C_n (n >= 3) unless its width decreases and its cone certificate holds."""
+    n = circ.index
+    if not profile(n) < profile(n - 1):
+        raise SpaceConsistencyError(
+            f"width profile {profile.name} is not strictly decreasing between indices {n - 1} and {n}"
+        )
+    prev_apex = Point2(Fraction(1, n - 1), Fraction(1))
+    if kernels.orient(ORIGIN.quad(), prev_apex.quad(), circ.tail.quad()) <= 0:
+        raise SpaceConsistencyError(
+            f"circles C{n} and C{n - 1} intersect beyond the base point: "
+            f"the ray from p through {prev_apex} meets edge {circ.edges[1]}"
+        )
 
 
-def compact_y(hint: int = 32, profile: WidthProfile = POW10, verify: bool = True) -> SpaceHandle:
-    return SpaceHandle(SpaceKind.COMPACT_Y, profile, hint, verify)
+def bouquet_x(hint: int = 32, profile: WidthProfile = POW10) -> SpaceHandle:
+    return SpaceHandle(SpaceKind.BOUQUET_X, profile, hint)
+
+
+def compact_y(hint: int = 32, profile: WidthProfile = POW10) -> SpaceHandle:
+    return SpaceHandle(SpaceKind.COMPACT_Y, profile, hint)
 
 
 _default_x: Optional[SpaceHandle] = None
@@ -315,12 +312,12 @@ def default_y() -> SpaceHandle:
     return _default_y
 
 
-def membership(q: Point2, space: SpaceHandle, max_index: Optional[int] = None) -> Membership:
-    return space.membership(q, max_index)
+def membership(q: Point2, space: SpaceHandle) -> Membership:
+    return space.membership(q)
 
 
-def component_of(q: Point2, space: SpaceHandle, max_index: Optional[int] = None) -> ComponentId:
-    return space.component_of(q, max_index)
+def component_of(q: Point2, space: SpaceHandle) -> ComponentId:
+    return space.component_of(q)
 
 
 def _pair_intersection_violations(c1: Circle, c2: Circle):
@@ -341,9 +338,10 @@ def _pair_intersection_violations(c1: Circle, c2: Circle):
 def verify_disjointness(space: SpaceHandle, up_to: int) -> ProbeReport:
     """Exact pairwise check that C_n meets C_m only at p for 2 <= n < m <= up_to.
 
+    This is the independent cross-check of the handle's cone certificates.
     Violations are report content, not exceptions, so deliberately broken
-    width profiles can be probed; circles are materialized without the
-    handle's eager verification for the same reason.
+    width profiles can be probed; circles are built without the handle's
+    certificate for the same reason.
     """
     if up_to < 3:
         raise SpaceError("up_to must be at least 3 (need at least one pair)")

@@ -18,6 +18,13 @@ space S = X(6) width=uniform:1/2
 probe disjointness up_to=4
 """
 
+# C(12) lies beyond the declared Y(10); the hint must not hide it.
+ABOVE_HINT_SCRIPT = """\
+space S = Y(10) width=cube
+loop a = C(12).once
+classify a
+"""
+
 
 def run_cli(capsys, argv):
     code = main(argv)
@@ -34,6 +41,13 @@ class TestRun:
         assert code == 0, err
         assert "word: g4" in out
         assert out_svg.exists()
+
+    def test_circle_above_hint_classifies(self, capsys, tmp_path):
+        script = tmp_path / "above.pi1"
+        script.write_text(ABOVE_HINT_SCRIPT, encoding="utf-8")
+        code, out, err = run_cli(capsys, ["run", str(script)])
+        assert code == 0, err
+        assert out.strip() == "word: g12"
 
     def test_sabotage_disjointness_fails_nonzero(self, capsys, tmp_path):
         script = tmp_path / "bad.pi1"

@@ -6,10 +6,13 @@ from pi1lab.geometry import point
 from pi1lab.spaces import (
     ALPHA_COMPONENT,
     ComponentId,
+    Membership,
     OutsideSpaceError,
     SpaceConsistencyError,
     SpaceError,
     SpaceKind,
+    WidthProfile,
+    _pair_intersection_violations,
     bouquet_x,
     build_circle,
     compact_y,
@@ -22,6 +25,17 @@ from pi1lab.spaces import (
 )
 
 F = Fraction
+
+# The named profiles, plus strictly decreasing ones whose cone certificate
+# fails from some index on, where the certificate alone decides. With
+# q = 1/111, D_11 lies exactly on the ray from p through B_10.
+CERTIFICATE_PROFILES = [
+    profile_by_name(name)
+    for name in ("cube", "pow10", "uniform:1/2") + tuple(f"uniform:1/{10**k}" for k in range(1, 5))
+] + [
+    WidthProfile(f"harmonic:{q}", lambda n, q=q: q / n)
+    for q in (F(1, 2), F(1, 111)) + tuple(F(1, 10**k) for k in range(1, 5))
+]
 
 
 class TestBuildCircle:
@@ -98,6 +112,13 @@ class TestMembership:
         comps = {component_of(self.y.circle(n).apex, self.y) for n in range(2, 8)}
         assert len(comps) == 6
 
+    def test_hint_does_not_change_membership(self):
+        cube = profile_by_name("cube")
+        small, large = compact_y(hint=4, profile=cube), compact_y(hint=40, profile=cube)
+        assert small == large
+        apex = build_circle(12, cube).apex
+        assert membership(apex, small) == membership(apex, large) == Membership("circle", 12, 0)
+
     def test_edges_containing_vertex(self):
         refs = self.y.edges_containing(self.y.circle(3).apex)
         assert ("c", 3, 0) in refs and ("c", 3, 1) in refs
@@ -115,7 +136,7 @@ class TestDisjointness:
         assert dict(rep.parameters)["pairs_checked"] == "1"
 
     def test_sabotage_profile_fails(self):
-        bad = bouquet_x(hint=6, profile=uniform_profile(F(1, 2)), verify=False)
+        bad = bouquet_x(hint=6, profile=uniform_profile(F(1, 2)))
         rep = verify_disjointness(bad, 4)
         assert not rep.passed
         assert rep.witnesses  # at least one offending pair is reported
@@ -125,6 +146,26 @@ class TestDisjointness:
         bad.circle(2)
         with pytest.raises(SpaceConsistencyError):
             bad.circle(3)
+
+    def test_sabotage_refused_on_fresh_handle(self):
+        bad = bouquet_x(hint=6, profile=uniform_profile(F(1, 2)))
+        with pytest.raises(SpaceConsistencyError):
+            bad.circle(3)
+        assert bad.materialized_indices() == ()
+
+    @pytest.mark.parametrize("profile", CERTIFICATE_PROFILES, ids=lambda p: p.name)
+    def test_certificate_matches_pairwise_check(self, profile):
+        wrong = []
+        for n in range(3, 40):
+            meets = bool(_pair_intersection_violations(build_circle(n, profile), build_circle(n - 1, profile)))
+            try:
+                bouquet_x(profile=profile).circle(n)
+                refused = False
+            except SpaceConsistencyError:
+                refused = True
+            if refused != (meets or not profile(n) < profile(n - 1)):
+                wrong.append(n)
+        assert wrong == []
 
     def test_report_records_profile(self):
         rep = verify_disjointness(compact_y(hint=5), 4)
