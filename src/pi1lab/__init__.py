@@ -35,6 +35,7 @@ from .loops import (
     reverse,
     standard_f,
     standard_fn,
+    subdivide,
     transplant,
     validate,
     winding_degree,

@@ -7,10 +7,22 @@ only at breakpoints, so the decomposition into maximal excursions away from
 p is a pure breakpoint scan. Winding degrees are computed by lifting the
 combinatorial (edge, fraction-along-edge) chart sequence, never by numeric
 arc length.
+
+Every loop carries its chart: the edge each piece lies on (None for a
+constant piece), or the first violation of an invalid loop. A loop made of
+fresh geometry (the standard loops, ``points`` literals, perturbations,
+reparametrizations, any transplant) is located once, breakpoint by
+breakpoint, on first use. Operations that rebuild a loop on points already
+charted carry the chart instead: concatenation, reversal, the inclusion
+X -> Y, ``realize_word``, ``subdivide`` and the collapse into X. If an
+operand is invalid, the result is left uncharted and is located afresh, so
+its violation reads as before. ``validate`` always locates afresh, which
+makes it an independent check of a carried chart.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -48,10 +60,18 @@ class WindingError(LoopError):
 
 @dataclass(frozen=True)
 class Loop:
-    """A based PL loop together with its carrying space."""
+    """A based PL loop together with its carrying space and its chart.
+
+    The chart is the tuple of edges the pieces lie on (None for a constant
+    piece), or the first ``Violation`` of an invalid loop. It is located at
+    most once per Loop, by ``_first_violation`` on first use, unless the
+    operation that built the loop carried it over from its operands. It
+    takes no part in equality.
+    """
 
     path: PLPath
     space: SpaceHandle
+    _chart: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.path, PLPath):
@@ -93,28 +113,12 @@ def _edge_sort_key(ref: EdgeRef):
     return (0, 0, 0) if ref == ALPHA_EDGE else (1, ref[1], ref[2])
 
 
-def _piece_edge(space: SpaceHandle, p0: Point2, p1: Point2) -> Optional[EdgeRef]:
-    """The unique space edge containing the open piece p0 -> p1, or None."""
-    anchor, other = (p0, p1) if p0 != ORIGIN else (p1, p0)
-    candidates = space.edges_containing(anchor)
-    if other == ORIGIN:
-        hits = [ref for ref in candidates if edge_is_base_incident(ref)]
-    else:
-        hits = [ref for ref in candidates if space.edge_segment(ref).contains(other)]
-    if not hits:
-        return None
-    return sorted(hits, key=_edge_sort_key)[0]
-
-
-def _analyze(loop: Loop) -> Tuple[Optional[EdgeRef], ...]:
-    """Per-piece edge assignment; raises InvalidLoopError on the first violation."""
-    v = _first_violation(loop)
-    if isinstance(v, Violation):
-        raise InvalidLoopError(str(v))
-    return v
-
-
 def _first_violation(loop: Loop):
+    """Locate the path from scratch: its piece edges, or its first Violation.
+
+    Each breakpoint other than p is located once, when a piece first needs
+    it; a moving piece lies on the edges through both of its endpoints.
+    """
     bks = loop.path.breakpoints
     if bks[0][1] != ORIGIN:
         return Violation(0, bks[0][0], bks[0][0], f"loop starts at {bks[0][1]}, not at p")
@@ -122,28 +126,78 @@ def _first_violation(loop: Loop):
         return Violation(
             len(bks) - 2, bks[-1][0], bks[-1][0], f"loop ends at {bks[-1][1]}, not at p"
         )
+    located = [None] * len(bks)
+
+    def edges_at(k: int) -> Tuple[EdgeRef, ...]:
+        if located[k] is None:
+            located[k] = loop.space.edges_containing(bks[k][1])
+        return located[k]
+
     edges = []
     for i, ((t0, p0), (t1, p1)) in enumerate(loop.path.pieces()):
         if p0 == p1:
-            if p0 != ORIGIN and loop.space.membership(p0).kind == "outside":
+            if p0 != ORIGIN and not edges_at(i):
                 return Violation(i, t0, t1, f"stationary point {p0} is outside the space")
             edges.append(None)
             continue
-        for q in (p0, p1):
-            if q != ORIGIN and not loop.space.edges_containing(q):
+        for k, q in ((i, p0), (i + 1, p1)):
+            if q != ORIGIN and not edges_at(k):
                 return Violation(i, t0, t1, f"breakpoint {q} is outside the space")
-        ref = _piece_edge(loop.space, p0, p1)
-        if ref is None:
+        if p1 == ORIGIN:
+            hits = [ref for ref in edges_at(i) if edge_is_base_incident(ref)]
+        elif p0 == ORIGIN:
+            hits = [ref for ref in edges_at(i + 1) if edge_is_base_incident(ref)]
+        else:
+            hits = [ref for ref in edges_at(i) if ref in edges_at(i + 1)]
+        if not hits:
             return Violation(
                 i, t0, t1, f"piece {p0} -> {p1} is not contained in a single edge"
             )
-        edges.append(ref)
+        edges.append(min(hits, key=_edge_sort_key))
     return tuple(edges)
 
 
+def _chart(loop: Loop):
+    """The loop's chart, located on first use."""
+    if loop._chart is None:
+        object.__setattr__(loop, "_chart", _first_violation(loop))
+    return loop._chart
+
+
+def _edges_or_none(loop: Loop) -> Optional[Tuple[Optional[EdgeRef], ...]]:
+    """The piece edges of a valid loop; None for an invalid one."""
+    chart = _chart(loop)
+    return None if isinstance(chart, Violation) else chart
+
+
+def _analyze(loop: Loop) -> Tuple[Optional[EdgeRef], ...]:
+    """The piece edges of the loop; raises InvalidLoopError on its violation."""
+    chart = _chart(loop)
+    if isinstance(chart, Violation):
+        raise InvalidLoopError(str(chart))
+    return chart
+
+
+def _charted(path: PLPath, space: SpaceHandle, runs) -> Loop:
+    """A loop on ``path`` whose chart joins ``runs``, piece-edge tuples
+    charted on the same points. A None run, from an invalid operand, leaves
+    the loop uncharted, so it is located afresh when used."""
+    loop = Loop(path, space)
+    if all(run is not None for run in runs):
+        object.__setattr__(loop, "_chart", tuple(ref for run in runs for ref in run))
+    return loop
+
+
 def validate(loop: Loop) -> Optional[Violation]:
-    """None when the loop is valid; otherwise the first violating piece."""
+    """None when the loop is valid; otherwise the first violating piece.
+
+    The path is always located from scratch, never read back from a carried
+    chart, so this is an independent check of the operation that built the
+    loop. The result becomes the chart only of a loop that has none yet.
+    """
     v = _first_violation(loop)
+    if loop._chart is None:
+        object.__setattr__(loop, "_chart", v)
     return v if isinstance(v, Violation) else None
 
 
@@ -161,7 +215,8 @@ def decompose(loop: Loop) -> Tuple[Excursion, ...]:
     """Maximal excursions away from p, in parameter order.
 
     Constant-at-p stretches produce no excursion. Each excursion is tagged
-    with the unique component of (space minus p) carrying it.
+    with the unique component of (space minus p) carrying it, read off the
+    loop's chart, so no point is located unless the loop has no chart yet.
     """
     edges = _analyze(loop)
     bks = loop.path.breakpoints
@@ -276,7 +331,7 @@ def concatenate(a: Loop, b: Loop) -> Loop:
         raise SpaceMismatchError("cannot concatenate loops from different spaces")
     bks = [(t / 2, q) for t, q in a.path.breakpoints]
     bks.extend((Fraction(1, 2) + t / 2, q) for t, q in b.path.breakpoints[1:])
-    return Loop(PLPath(tuple(bks)), a.space)
+    return _charted(PLPath(tuple(bks)), a.space, (_edges_or_none(a), _edges_or_none(b)))
 
 
 def concatenate_all(loops: Sequence[Loop]) -> Loop:
@@ -289,36 +344,59 @@ def concatenate_all(loops: Sequence[Loop]) -> Loop:
 
 
 def reverse(a: Loop) -> Loop:
-    return Loop(a.path.reversed(), a.space)
+    edges = _edges_or_none(a)
+    return _charted(a.path.reversed(), a.space, (edges[::-1] if edges is not None else None,))
+
+
+def subdivide(loop: Loop, extra: Sequence[Fraction]) -> Loop:
+    """The same loop with breakpoints added at the parameters ``extra``.
+
+    Geometry is unchanged and each split piece keeps its edge.
+    """
+    path = loop.path.with_params(extra)
+    edges = _edges_or_none(loop)
+    if edges is not None:
+        old = loop.path.params
+        edges = tuple(edges[bisect_right(old, t) - 1] for t in path.params[:-1])
+    return _charted(path, loop.space, (edges,))
 
 
 def realize_word(w: Word, space: Optional[SpaceHandle] = None) -> Loop:
-    """A loop in X whose excursion sequence spells the word letter by letter."""
+    """A loop in X whose excursion sequence spells the word letter by letter.
+
+    Its chart joins the charts of the standard loops it is made of; the
+    standard loop of each circle is built and located once per call.
+    """
     space = space if space is not None else default_x()
     letters = list(w.letters())
     if not letters:
         return constant_loop(space)
     total = len(letters)
-    bks = [(Fraction(0), ORIGIN)]
+    parts = {}
+    bks, runs = [(Fraction(0), ORIGIN)], []
     for k, (n, sgn) in enumerate(letters):
-        base = standard_fn(n, space).path
-        if sgn < 0:
-            base = base.reversed()
-        for t, q in base.breakpoints[1:]:
+        if n not in parts:
+            parts[n] = standard_fn(n, space)
+        part = parts[n] if sgn > 0 else reverse(parts[n])
+        runs.append(_edges_or_none(part))
+        for t, q in part.path.breakpoints[1:]:
             bks.append((Fraction(k + t, total), q))
-    return Loop(PLPath(tuple(bks)), space)
+    return _charted(PLPath(tuple(bks)), space, runs)
 
 
 def transplant(loop: Loop, space: SpaceHandle) -> Loop:
-    """The same path carried by another space handle (e.g. inclusion X -> Y)."""
+    """The same path carried by another space handle; located afresh there."""
     return Loop(loop.path, space)
 
 
 def include_in_y(loop: Loop) -> Loop:
-    """Inclusion of an X loop into the compactification Y."""
+    """Inclusion of an X loop into the compactification Y.
+
+    Circle edges meet alpha only at p, so the loop's X chart is its Y chart.
+    """
     if loop.space.kind is SpaceKind.COMPACT_Y:
         return loop
-    return transplant(loop, loop.space.sibling(SpaceKind.COMPACT_Y))
+    return _charted(loop.path, loop.space.sibling(SpaceKind.COMPACT_Y), (_edges_or_none(loop),))
 
 
 def reparametrize(loop: Loop, pairs: Sequence) -> Loop:

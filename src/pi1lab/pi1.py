@@ -33,12 +33,14 @@ from .loops import (
     Excursion,
     Loop,
     _analyze,
+    _charted,
     concatenate_all,
     decompose,
     include_in_y,
     realize_word,
     standard_f,
     standard_fn,
+    subdivide,
     validate,
     winding_degree,
 )
@@ -114,8 +116,13 @@ def choose_n(loop: Loop) -> int:
     through the apex, so the apex condition already implies the degree
     condition; both are checked.)
     """
+    return _cutoff(loop, decompose(loop))
+
+
+def _cutoff(loop: Loop, excs: Sequence[Excursion]) -> int:
+    """choose_n of a loop from its excursions."""
     worst = 1
-    for exc in decompose(loop):
+    for exc in excs:
         if exc.component.kind != "circle":
             continue
         n = exc.component.index
@@ -134,13 +141,16 @@ def collapse_with_certificate(loop: Loop) -> Tuple[Loop, Tuple[CollapseAction, .
     excursions into C_n with n >= N (apex-avoiding, degree 0 by the choice
     of N) contract inside the punctured circle, and excursions into C_n with
     n < N are kept verbatim. The output is a valid loop in X covering the
-    same parameter intervals, with collapsed stretches constant at p.
+    same parameter intervals, with collapsed stretches constant at p. Its
+    chart is carried: kept pieces keep their circle edges, and each
+    collapsed stretch is one constant piece.
     """
     excs = decompose(loop)
-    cutoff = choose_n(loop)
+    cutoff = _cutoff(loop, excs)
+    edges = _analyze(loop)
     bks = loop.path.breakpoints
     index_of = {t: i for i, (t, _) in enumerate(bks)}
-    drop = set()
+    stretches = {}  # first breakpoint index of a collapsed stretch -> its last
     actions = []
     for exc in excs:
         comp = exc.component
@@ -154,11 +164,18 @@ def collapse_with_certificate(loop: Loop) -> Tuple[Loop, Tuple[CollapseAction, .
         else:
             reason = "arc in the limit segment; contracts along the segment to p"
         actions.append(CollapseAction(exc.t_start, exc.t_end, str(comp), "collapsed", reason))
-        i, j = index_of[exc.t_start], index_of[exc.t_end]
-        drop.update(range(i + 1, j))
-    new_bks = tuple((t, q) for k, (t, q) in enumerate(bks) if k not in drop)
+        stretches[index_of[exc.t_start]] = index_of[exc.t_end]
+    new_bks, new_edges = [bks[0]], []
+    k = 0
+    while k < len(bks) - 1:
+        if k in stretches:
+            k, ref = stretches[k], None
+        else:
+            k, ref = k + 1, edges[k]
+        new_bks.append(bks[k])
+        new_edges.append(ref)
     x_space = loop.space.sibling(SpaceKind.BOUQUET_X)
-    return Loop(PLPath(new_bks), x_space), tuple(actions)
+    return _charted(PLPath(tuple(new_bks)), x_space, (new_edges,)), tuple(actions)
 
 
 def collapse_to_x(loop: Loop) -> Loop:
@@ -323,18 +340,16 @@ def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
     and bounce tiny degree-0 excursions off p; stays within sup distance
     ``bound`` of the input (verified exactly by the caller)."""
     grid = 64
-    path = loop.path
     # subdivide a few pieces so there is something to slide
     extra = []
-    params = path.params
+    params = loop.path.params
     for _ in range(rng.randint(1, 3)):
         i = rng.randrange(len(params) - 1)
         k = rng.randint(1, grid - 1)
         extra.append(params[i] + (params[i + 1] - params[i]) * Fraction(k, grid))
-    path = path.with_params(extra)
-    work = Loop(path, loop.space)
+    work = subdivide(loop, extra)
     edges = _analyze(work)
-    bks = list(path.breakpoints)
+    bks = list(work.path.breakpoints)
     # slide interior breakpoints along their carrying edge
     for i in _slide_candidates(work, edges):
         if rng.random() < 0.5:
@@ -412,7 +427,7 @@ def probe_discreteness_x(
                 break
             bound = bound / 2
         if cand is None:
-            cand = (Loop(loop.path.with_params([Fraction(1, 3)]), loop.space), None)
+            cand = (subdivide(loop, [Fraction(1, 3)]), None)
         perturbed, dist = cand
         if dist is not None and dist.squared > max_seen:
             max_seen = dist.squared

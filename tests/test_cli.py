@@ -1,4 +1,5 @@
 import re
+import time
 
 from pi1lab.cli import demo_whitehead, main
 
@@ -23,6 +24,15 @@ ABOVE_HINT_SCRIPT = """\
 space S = Y(10) width=cube
 loop a = C(12).once
 classify a
+"""
+
+
+# Its one breakpoint off p can only lie on C_40000, whose pow10 width has a
+# 400,000-digit denominator.
+HUGE_INDEX_SCRIPT = """\
+space S = Y(20) width=pow10
+loop q = points [(0,0,0), (1/2, 1/40000, 1), (1,0,0)]
+classify q
 """
 
 
@@ -62,6 +72,15 @@ class TestRun:
         code, _, err = run_cli(capsys, ["run", str(script)])
         assert code == 2
         assert "parse error" in err
+
+    def test_huge_circle_index_fails_fast(self, capsys, tmp_path):
+        script = tmp_path / "huge.pi1"
+        script.write_text(HUGE_INDEX_SCRIPT, encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["run", str(script)])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: line 2, col 1: ") and "C(40000)" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, ["run", "/nonexistent/script.pi1"])

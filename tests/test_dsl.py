@@ -168,3 +168,45 @@ class TestLoopLiterals:
     def test_bad_literal(self):
         with pytest.raises(dsl.DslError):
             dsl.parse_loop_literal("spiral.updown")
+
+
+class TestCircleIndexLimit:
+    LIMIT = dsl.MAX_CIRCLE_INDEX
+
+    def over(self, body: str):
+        with pytest.raises(dsl.DslError) as err:
+            dsl.parse(f"space S = Y(5)\n  {body}\n")
+        assert err.value.line == 2 and err.value.col == 3
+        assert f"limit {self.LIMIT}" in err.value.message
+        return err.value.message
+
+    def test_limit_value(self):
+        assert self.LIMIT == 1000
+
+    def test_circle(self):
+        dsl.parse(f"space S = Y(5)\nloop c = C({self.LIMIT}).inv\n")
+        assert self.over(f"loop c = C({self.LIMIT + 1}).once").startswith(f"C({self.LIMIT + 1})")
+
+    def test_word_generator(self):
+        dsl.parse(f"space S = Y(5)\nloop w = word g2 g{self.LIMIT}^-3\n")
+        self.over(f"loop w = word g2 g{self.LIMIT + 1}")
+        self.over(f"loop w = word(g{10**6})")
+
+    def test_points_candidate_circle(self):
+        # (1/n, 1) is the apex of C_n: its one candidate circle is C_n
+        ok = f"points [(0, 0, 0), (1/2, 1/{self.LIMIT}, 1), (1, 0, 0)]"
+        dsl.parse(f"space S = Y(5)\nloop q = {ok}\n")
+        msg = self.over("loop q = points [(0,0,0), (1/2, 1/40000, 1), (1,0,0)]")
+        assert "C(40000)" in msg
+        # on alpha, left of it or at slopes below 2 no circle is looked up
+        dsl.parse("space S = Y(5)\nloop q = points [(0,0,0), (1/3,0,1), (1/2,-1,5), (2/3,7,1), (1,0,0)]\n")
+
+    def test_probe_bounds(self):
+        dsl.parse(f"space S = Y(5)\nprobe disjointness up_to={self.LIMIT}\n")
+        self.over(f"probe disjointness up_to={self.LIMIT + 1}")
+        self.over(f"probe hausdorff up_to={self.LIMIT + 1}")
+        self.over(f"probe nondiscreteness n_max={self.LIMIT + 1} epsilon=1/10")
+
+    def test_cli_literal(self):
+        with pytest.raises(dsl.DslError):
+            dsl.parse_loop_literal(f"concat(C(2).once, C({self.LIMIT + 1}).inv)")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from pi1lab.geometry import PLPath, point, sup_distance
 from pi1lab.loops import (
     InvalidLoopError,
+    _first_violation,
     Loop,
     SpaceMismatchError,
     WindingError,
@@ -19,9 +21,11 @@ from pi1lab.loops import (
     reverse,
     standard_f,
     standard_fn,
+    subdivide,
     validate,
     winding_degree,
 )
+from pi1lab.pi1 import random_reduced_word
 from pi1lab.spaces import SpaceKind, compact_y
 from pi1lab.words import parse_word
 
@@ -283,3 +287,71 @@ class TestDecomposeErrors:
         bad = loop_from_breakpoints([(0, 0, 0), ("1/2", 1, 1), (1, 0, 0)], y)
         with pytest.raises(InvalidLoopError):
             decompose(bad)
+
+
+def assert_carried(lp):
+    """The loop was built with its chart, and the chart is what locating
+    its path from scratch gives."""
+    assert lp._chart is not None
+    assert lp._chart == _first_violation(Loop(lp.path, lp.space))
+
+
+class TestCarriedCharts:
+    def test_realize_word_reverse_include(self, x):
+        rng = random.Random(21)
+        for _ in range(60):
+            w = random_reduced_word(rng, 8)
+            lx = realize_word(w, x)
+            if len(w):  # the empty word gives the plain constant loop
+                assert_carried(lx)
+            for lp in (reverse(lx), include_in_y(lx), include_in_y(reverse(lx))):
+                assert_carried(lp)
+
+    def test_concatenate(self, x, y):
+        rng = random.Random(22)
+        for _ in range(40):
+            a = realize_word(random_reduced_word(rng, 6), x)
+            b = realize_word(random_reduced_word(rng, 6), x)
+            assert_carried(concatenate(a, b))
+            ya, f = include_in_y(a), standard_f(y)
+            assert_carried(concatenate_all([f, ya, reverse(f), include_in_y(b)]))
+
+    def test_subdivide(self, x, y):
+        rng = random.Random(23)
+        for _ in range(40):
+            lp = include_in_y(realize_word(random_reduced_word(rng, 6), x))
+            lp = concatenate(standard_f(y), lp) if rng.random() < 0.5 else lp
+            params = lp.path.params
+            extra = []
+            for _ in range(rng.randint(1, 6)):
+                i = rng.randrange(len(params) - 1)
+                extra.append(params[i] + (params[i + 1] - params[i]) * F(rng.randint(1, 63), 64))
+            sub = subdivide(lp, extra)
+            assert sub.path.points != lp.path.points
+            assert_carried(sub)
+
+    def test_invalid_operand_keeps_violation_text(self, y):
+        f = standard_f(y)
+        bad = loop_from_breakpoints([(0, 0, 0), ("1/2", 1, 1), (1, 0, 0)], y)
+        cases = [
+            (concatenate(f, bad), "piece 2 on [1/2, 3/4]: breakpoint (1, 1) is outside the space"),
+            (concatenate(bad, f), "piece 0 on [0, 1/4]: breakpoint (1, 1) is outside the space"),
+            (reverse(bad), "piece 0 on [0, 1/2]: breakpoint (1, 1) is outside the space"),
+            (
+                concatenate_all([f, bad, reverse(bad)]),
+                "piece 2 on [1/4, 3/8]: breakpoint (1, 1) is outside the space",
+            ),
+        ]
+        for lp, text in cases:
+            assert lp._chart is None
+            assert str(validate(lp)) == text
+            with pytest.raises(InvalidLoopError) as err:
+                decompose(lp)
+            assert str(err.value) == text
+
+    def test_include_of_x_invalid_loop_relocates_in_y(self, x):
+        on_alpha = loop_from_breakpoints([(0, 0, 0), ("1/2", 0, "1/2"), (1, 0, 0)], x)
+        assert validate(on_alpha) is not None
+        ly = include_in_y(on_alpha)
+        assert validate(ly) is None
+        assert decompose(ly)[0].component.kind == "alpha"

@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from pi1lab import pi1
+from pi1lab.geometry import ORIGIN
 from pi1lab.loops import (
+    Loop,
+    _first_violation,
     concatenate,
     concatenate_all,
     constant_loop,
@@ -15,6 +19,7 @@ from pi1lab.loops import (
     reverse,
     standard_f,
     standard_fn,
+    subdivide,
     validate,
 )
 from pi1lab.pi1 import (
@@ -36,7 +41,7 @@ from pi1lab.pi1 import (
     random_reduced_word,
     stability_radius,
 )
-from pi1lab.spaces import SpaceKind, compact_y
+from pi1lab.spaces import SpaceHandle, SpaceKind, compact_y
 from pi1lab.words import IDENTITY, invert, multiply, parse_word
 
 F = Fraction
@@ -330,3 +335,92 @@ class TestReportDeterminism:
     def test_fail_reports_carry_witnesses(self, y):
         rep = probe_nondiscreteness_y(3, F(1, 1000), y)
         assert rep.verdict == "FAIL" and len(rep.witnesses) >= 1
+
+
+def assert_carried(lp):
+    """The loop was built with its chart, and the chart is what locating
+    its path from scratch gives."""
+    assert lp._chart is not None
+    assert lp._chart == _first_violation(Loop(lp.path, lp.space))
+
+
+class TestCarriedCharts:
+    def test_collapse(self, y, x):
+        rng = random.Random(31)
+        for _ in range(40):
+            w = random_reduced_word(rng, 8)
+            decorated = alpha_decorate(include_in_y(realize_word(w, x)), rng)
+            assert_carried(decorated)
+            collapsed, _ = collapse_with_certificate(decorated)
+            assert_carried(collapsed)
+            assert classify_x(collapsed).word == w
+
+    def test_perturbation_subdivision(self, x, monkeypatch):
+        subdivided = []
+
+        def recording(loop, extra):
+            out = subdivide(loop, extra)
+            subdivided.append(out)
+            return out
+
+        monkeypatch.setattr(pi1, "subdivide", recording)
+        rng = random.Random(32)
+        for _ in range(20):
+            lp = realize_word(random_reduced_word(rng, 5), x)
+            for _ in range(5):
+                pi1._perturb_once(lp, rng, F(1, 10**6))
+        assert len(subdivided) == 100
+        for lp in subdivided:
+            assert_carried(lp)
+
+
+@pytest.fixture
+def located(monkeypatch):
+    """Every point the space handles are asked to locate, in order."""
+    seen = []
+    for name in ("edges_containing", "membership"):
+        def counted(self, q, _orig=getattr(SpaceHandle, name)):
+            seen.append(q)
+            return _orig(self, q)
+
+        monkeypatch.setattr(SpaceHandle, name, counted)
+    return seen
+
+
+class TestLocateOnce:
+    def test_points_loop(self, y, located):
+        apex, tail = y.circle(3).apex, y.circle(3).tail
+        lp = loop_from_breakpoints(
+            [
+                (0, 0, 0),
+                ("1/8", 0, "1/2"),
+                ("2/8", 0, 0),
+                ("3/8", apex.x, apex.y),
+                ("4/8", apex.x, apex.y),
+                ("5/8", tail.x, tail.y),
+                ("6/8", 0, 0),
+                ("7/8", 0, 0),
+                (1, 0, 0),
+            ],
+            y,
+        )
+        assert classify_y(lp).word == parse_word("g3")
+        assert located == [q for _, q in lp.path.breakpoints if q != ORIGIN]
+
+    def test_realized_word_located_by_its_parts_only(self, x, located):
+        rng = random.Random(33)
+        for _ in range(20):
+            w = random_reduced_word(rng, 8)
+            lx = realize_word(w, x)
+            assert len(located) == 2 * len({n for n, _ in w.syllables})
+            located.clear()
+            assert classify_y(include_in_y(lx)).word == w
+            assert classify_x(lx).word == w
+            assert located == []
+
+    def test_validate_locates_afresh(self, y, x, located):
+        decorated = alpha_decorate(include_in_y(realize_word(parse_word("g2 g3^-1"), x)), random.Random(34))
+        collapsed, _ = collapse_with_certificate(decorated)
+        located.clear()
+        assert validate(collapsed) is None
+        assert located == [q for _, q in collapsed.path.breakpoints if q != ORIGIN]
