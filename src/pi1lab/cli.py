@@ -46,7 +46,7 @@ from .pi1 import (
     probe_nondiscreteness_y,
     probe_slsc_y,
 )
-from .report import FAIL, ProbeReport, report_digits
+from .report import FAIL, ProbeReport, exact_str, report_digits
 from .spaces import (
     SpaceError,
     SpaceHandle,
@@ -126,7 +126,8 @@ class _Runner:
                 a, b = self.loops[st.first], self.loops[st.second]
                 d = sup_distance(a.path, b.path)
                 digits = report_digits()
-                self.emit(f"dist_sq: {d.squared}\ndist_dec({digits}): {d.decimal(digits)}")
+                d_sq = exact_str(d.squared, f"dist {st.first} {st.second}")
+                self.emit(f"dist_sq: {d_sq}\ndist_dec({digits}): {d.decimal(digits)}")
             elif isinstance(st, dsl.ProbeStmt):
                 if self.bindings_only:
                     continue
@@ -227,15 +228,16 @@ def _cmd_dist(args) -> int:
     try:
         a = _one_off_loop(args.first)
         b = _one_off_loop(args.second)
+        d = sup_distance(a.path, b.path)
+        d_sq = exact_str(d.squared, "dist")
     except dsl.DslError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except RunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    d = sup_distance(a.path, b.path)
     digits = report_digits()
-    print(f"dist_sq: {d.squared}")
+    print(f"dist_sq: {d_sq}")
     print(f"dist_dec({digits}): {d.decimal(digits)}")
     return 0
 

@@ -26,7 +26,10 @@ parsed: ``C(n)``, word generators ``gN``, ``n_max`` and ``up_to``, and the
 one circle each ``points`` breakpoint can lie on, ``max(2, ceil(y/x))`` for
 x > 0. The default pow10 width of C_n has a 10n-digit denominator, so the
 cost of a single circle grows with its index; a script over the cap fails
-at once with a parse error instead of running for seconds to hours.
+at once with a parse error instead of running for seconds to hours. Two
+more budgets are checked the same way: no integer literal may have more
+than ``MAX_LITERAL_DIGITS`` digits, and no word literal more than
+``MAX_WORD_LETTERS`` letters.
 """
 from __future__ import annotations
 
@@ -43,6 +46,16 @@ from .words import Word, WordError, format_word, parse_word
 # C_1000 classifies in about 0.01 s, on C_10000 in 0.25 s and on C_40000 in
 # 2.2 s (pure-Python kernels, Python 3.11, one core of a 2-vCPU VM).
 MAX_CIRCLE_INDEX = 1000
+
+# Longest integer literal a script may hold: Python's default limit for
+# converting a decimal string to an int.
+MAX_LITERAL_DIGITS = 4300
+
+# Most letters (the sum of |exponent| over the reduced word) a word literal
+# may have; realizing and classifying a word costs time linear in it.
+MAX_WORD_LETTERS = 10000
+
+_LONG_LITERAL_RE = re.compile(r"(?<!\d)\d{%d,}" % (MAX_LITERAL_DIGITS + 1))
 
 
 class DslError(Exception):
@@ -155,6 +168,15 @@ def parse_rational(text: str, line: int, col: int) -> Fraction:
     return Fraction(text)
 
 
+def _check_literals(text: str, line: int) -> None:
+    """Refuse an integer literal longer than MAX_LITERAL_DIGITS digits, at its column."""
+    m = _LONG_LITERAL_RE.search(text)
+    if m:
+        raise DslError(
+            line, m.start() + 1, f"integer literal exceeds the limit of {MAX_LITERAL_DIGITS} digits"
+        )
+
+
 def _check_index(n: int, what: str, line: int, col: int) -> None:
     """Refuse a circle index above MAX_CIRCLE_INDEX; ``what`` names it."""
     if n > MAX_CIRCLE_INDEX:
@@ -214,7 +236,9 @@ def _parse_loop_expr(text: str, line: int, col: int, known_loops: Optional[set])
                 t, x, y = (parse_rational(m.group(i), line, col) for i in (1, 2, 3))
                 if x > 0:
                     n = max(2, math.ceil(y / x))
-                    _check_index(n, f"breakpoint ({x}, {y}) can only lie on C({n}), which", line, col)
+                    # y/x of two literals can pass the digit limit of str()
+                    circle = f"C({n})" if n.bit_length() < 10000 else "a circle"
+                    _check_index(n, f"breakpoint ({x}, {y}) can only lie on {circle}, which", line, col)
                 triples.append((t, x, y))
         if len(triples) < 2:
             raise DslError(line, col, "points needs at least two (t, x, y) triples")
@@ -232,6 +256,8 @@ def _word_expr(body: str, line: int, col: int) -> WordExpr:
         raise DslError(line, col, msg) from None
     for n, _ in word.syllables:
         _check_index(n, f"g{n}", line, col)
+    if len(word) > MAX_WORD_LETTERS:
+        raise DslError(line, col, f"word exceeds the limit of {MAX_WORD_LETTERS} letters")
     return WordExpr(word)
 
 
@@ -256,6 +282,7 @@ def _split_top_level(text: str):
 
 def parse_loop_literal(text: str) -> LoopExpr:
     """One-off loop literal (CLI form); concat arguments may nest."""
+    _check_literals(text, 1)
     return _parse_loop_expr(text, 1, 1, None)
 
 
@@ -268,6 +295,7 @@ def parse(text: str) -> Script:
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
+        _check_literals(line, lineno)
         col = len(line) - len(line.lstrip()) + 1
         stripped = line.strip()
         head = stripped.split(None, 1)[0]

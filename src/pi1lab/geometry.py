@@ -9,7 +9,7 @@ rationals, with decimal renderings (round-half-even) provided for reports.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Optional, Sequence, Union
@@ -52,20 +52,40 @@ class ExactnessError(GeometryError):
     as a rational; carries a decimal enclosure for diagnosis."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Point2:
-    """An exact planar point."""
+    """An exact planar point.
+
+    Its kernel quad ``(xn, xd, yn, yd)`` is computed once, at construction.
+    Fractions are always in lowest terms, so two points are equal exactly
+    when their quads are, and equality and hashing compare quads.
+    """
 
     x: Fraction
     y: Fraction
+    _q: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
+        x, y = self.x, self.y
+        if type(x) is not Fraction:
+            x = Fraction(x)
+            object.__setattr__(self, "x", x)
+        if type(y) is not Fraction:
+            y = Fraction(y)
+            object.__setattr__(self, "y", y)
+        object.__setattr__(self, "_q", (x.numerator, x.denominator, y.numerator, y.denominator))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._q == other._q
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._q)
 
     def quad(self) -> tuple:
         """Kernel wire format: (xn, xd, yn, yd)."""
-        return (self.x.numerator, self.x.denominator, self.y.numerator, self.y.denominator)
+        return self._q
 
     def dist_sq(self, other: "Point2") -> Fraction:
         n, d = kernels.point_dist_sq(self.quad(), other.quad())
@@ -127,24 +147,26 @@ class PLPath:
     Breakpoints are (t, point) pairs with t strictly increasing from 0 to 1;
     between breakpoints the path is the exact linear interpolation.
     Consecutive equal points are allowed and denote a constant stretch.
+    The tuple of breakpoint parameters is stored once, as ``params``.
     """
 
     breakpoints: tuple
+    params: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bks = tuple((Fraction(t), p) for t, p in self.breakpoints)
+        bks = tuple(
+            (t if type(t) is Fraction else Fraction(t), p) for t, p in self.breakpoints
+        )
         object.__setattr__(self, "breakpoints", bks)
+        ts = tuple(t for t, _ in bks)
+        object.__setattr__(self, "params", ts)
         if len(bks) < 2:
             raise PathInvariantError("a path needs at least two breakpoints")
-        if bks[0][0] != 0 or bks[-1][0] != 1:
+        if ts[0] != 0 or ts[-1] != 1:
             raise PathInvariantError("path parameters must start at 0 and end at 1")
-        for (t0, _), (t1, _) in zip(bks, bks[1:]):
+        for t0, t1 in zip(ts, ts[1:]):
             if not t0 < t1:
                 raise PathInvariantError(f"breakpoint parameters not strictly increasing at t={t1}")
-
-    @property
-    def params(self) -> tuple:
-        return tuple(t for t, _ in self.breakpoints)
 
     @property
     def points(self) -> tuple:
@@ -155,16 +177,7 @@ class PLPath:
         t = Fraction(t)
         if t < 0 or t > 1:
             raise ParameterRangeError(f"parameter {t} outside [0, 1]")
-        ts = self.params
-        i = bisect_right(ts, t) - 1
-        if i == len(ts) - 1:
-            return self.breakpoints[-1][1]
-        t0, p0 = self.breakpoints[i]
-        t1, p1 = self.breakpoints[i + 1]
-        if t == t0:
-            return p0
-        u = (t - t0) / (t1 - t0)
-        return _from_quad(kernels.lerp(p0.quad(), p1.quad(), u.numerator, u.denominator))
+        return _point_on_piece(self.breakpoints, bisect_right(self.params, t) - 1, t)
 
     def pieces(self):
         """Consecutive breakpoint pairs ((t0, p0), (t1, p1))."""
@@ -172,11 +185,36 @@ class PLPath:
 
     def with_params(self, extra: Iterable[Fraction]) -> "PLPath":
         """Same path with additional breakpoints inserted (geometry unchanged)."""
-        ts = sorted(set(self.params) | {Fraction(t) for t in extra})
-        return PLPath(tuple((t, self.at(t)) for t in ts))
+        ts = sorted(set(self.params).union(Fraction(t) for t in extra))
+        if ts[0] < 0 or ts[-1] > 1:
+            bad = ts[0] if ts[0] < 0 else ts[bisect_right(ts, 1)]
+            raise ParameterRangeError(f"parameter {bad} outside [0, 1]")
+        return PLPath(tuple(zip(ts, _walk(self, ts))))
 
     def reversed(self) -> "PLPath":
         return PLPath(tuple((1 - t, p) for t, p in reversed(self.breakpoints)))
+
+
+def _point_on_piece(bks: tuple, i: int, t: Fraction) -> Point2:
+    """The point at t, which lies on piece i (t0 <= t < t1), or t = 1 at the last breakpoint."""
+    t0, p0 = bks[i]
+    if t == t0 or i == len(bks) - 1:
+        return p0
+    t1, p1 = bks[i + 1]
+    u = (t - t0) / (t1 - t0)
+    return _from_quad(kernels.lerp(p0.quad(), p1.quad(), u.numerator, u.denominator))
+
+
+def _walk(path: PLPath, ts: Sequence[Fraction]):
+    """The points of the path at the increasing parameters ``ts`` in [0, 1],
+    found in one pass over its breakpoints."""
+    bks, params = path.breakpoints, path.params
+    last = len(params) - 1
+    i = 0
+    for t in ts:
+        while i < last and params[i + 1] <= t:
+            i += 1
+        yield _point_on_piece(bks, i, t)
 
 
 def pl_path(raw: Sequence) -> PLPath:
@@ -227,8 +265,9 @@ def sup_distance(f: PLPath, g: PLPath) -> ExactDistance:
     """
     best = Fraction(0)
     arg = Fraction(0)
-    for t in common_refinement(f, g):
-        d = f.at(t).dist_sq(g.at(t))
+    ts = common_refinement(f, g)
+    for t, p, q in zip(ts, _walk(f, ts), _walk(g, ts)):
+        d = p.dist_sq(q)
         if d > best:
             best, arg = d, t
     return ExactDistance(best, arg)

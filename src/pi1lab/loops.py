@@ -4,9 +4,11 @@ A loop is a PLPath based at p = (0,0) whose every linear piece lies inside
 a single edge of the carrying space; this is checked exactly. Because every
 edge of the construction has p as an extreme point, a valid loop meets p
 only at breakpoints, so the decomposition into maximal excursions away from
-p is a pure breakpoint scan. Winding degrees are computed by lifting the
-combinatorial (edge, fraction-along-edge) chart sequence, never by numeric
-arc length.
+p is a pure breakpoint scan. An excursion keeps its slice of the loop's
+breakpoints. Winding degrees are read off the chart: the edge changes only
+at a vertex, so each maximal run of pieces on one edge steps between
+vertices, and the degree is an integer sum of those steps, never a
+numeric arc length.
 
 Every loop carries its chart: the edge each piece lies on (None for a
 constant piece), or the first violation of an invalid loop. A loop made of
@@ -24,9 +26,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
-from . import kernels
 from .geometry import ORIGIN, PLPath, Point2, pl_path
 from .spaces import (
     ALPHA_EDGE,
@@ -95,18 +97,25 @@ class Violation:
 class Excursion:
     """A maximal sub-loop away from the base point.
 
-    ``subpath`` is renormalized to [0, 1] and starts and ends at p;
-    ``t_start``/``t_end`` record the original parameter interval. The
-    component tag names the unique component of (space minus p) carrying
-    the excursion's interior.
+    ``breakpoints`` is the loop's own slice of breakpoints, from p to p,
+    with the original parameters; ``t_start``/``t_end`` are its first and
+    last. The piece ``k`` runs from breakpoint ``k`` to ``k + 1`` and lies
+    on ``piece_edges[k]``. ``subpath``, the slice renormalized to [0, 1],
+    is built only when it is read. The component tag names the unique
+    component of (space minus p) carrying the excursion's interior.
     """
 
     t_start: Fraction
     t_end: Fraction
     component: ComponentId
-    subpath: PLPath
+    breakpoints: tuple
     piece_edges: Tuple[Optional[EdgeRef], ...]
     space: SpaceHandle
+
+    @cached_property
+    def subpath(self) -> PLPath:
+        t0, span = self.t_start, self.t_end - self.t_start
+        return PLPath(tuple(((t - t0) / span, q) for t, q in self.breakpoints))
 
 
 def _edge_sort_key(ref: EdgeRef):
@@ -233,52 +242,60 @@ def decompose(loop: Loop) -> Tuple[Excursion, ...]:
             raise InvalidLoopError(
                 f"excursion on [{bks[i][0]}, {bks[j][0]}] spans components {sorted(map(str, comps))}"
             )
-        t0, t1 = bks[i][0], bks[j][0]
-        span = t1 - t0
-        sub = PLPath(tuple(((t - t0) / span, q) for t, q in bks[i : j + 1]))
-        out.append(Excursion(t0, t1, comps.pop(), sub, piece_edges, loop.space))
+        out.append(
+            Excursion(bks[i][0], bks[j][0], comps.pop(), bks[i : j + 1], piece_edges, loop.space)
+        )
     return tuple(out)
 
 
-def _param_on_edge(q: Point2, edge) -> Fraction:
-    n, d = kernels.foot_param(q.quad(), edge.a.quad(), edge.b.quad())
-    return Fraction(n, d)
+# The vertices p, B, D of a circle are numbered 0, 1, 2; edge j runs from
+# vertex j to vertex j + 1 (mod 3), and these are its ends.
+_ENDS = ({0, 1}, {1, 2}, {2, 0})
 
 
 def winding_degree(exc: Excursion) -> int:
     """Signed number of full traversals of the excursion around its circle.
 
-    The excursion's points are charted as j + u, with j the edge index in
-    the positive cycle p -> B -> D -> p and u the exact fraction along that
-    edge; the chart sequence lifts to the real line and the degree is the
-    lifted displacement divided by 3. Everything is rational, so the result
-    depends only on the combinatorial edge-crossing sequence.
+    The chart of an excursion changes edge only at the vertex the two edges
+    share, and the excursion starts and ends at p. So each maximal run of
+    pieces on one edge goes from a vertex of that edge to a vertex of it,
+    and lifts to a step of +1 (along the positive cycle p -> B -> D -> p),
+    -1 or 0 on the vertex numbering. The degree is the sum of the steps
+    divided by 3: integer arithmetic on the chart and exact point equality,
+    so the result depends only on the combinatorial edge-crossing sequence.
     """
     if exc.component.kind != "circle":
         raise WindingError("winding degree is defined only for circle excursions")
-    circ = exc.space.circle(exc.component.index)
-    theta = None
-    start = None
-    for ((_, p0), (_, p1)), ref in zip(exc.subpath.pieces(), exc.piece_edges):
-        if ref is None:
+    vertices = exc.space.circle(exc.component.index).vertices
+    lift = 0
+    at = 0  # the vertex the current run started from
+    run = None  # the edge of the current run
+    for (_, q), ref in zip(exc.breakpoints, exc.piece_edges):
+        if ref is None or ref[2] == run:
             continue
         j = ref[2]
-        edge = circ.edges[j]
-        u0 = _param_on_edge(p0, edge)
-        u1 = _param_on_edge(p1, edge)
-        if theta is None:
-            theta = Fraction(j) + u0
-            start = theta
-        else:
-            if (Fraction(j) + u0 - theta) % 3 != 0:
+        if run is not None:
+            (v,) = _ENDS[run] & _ENDS[j]
+            if q != vertices[v]:
                 raise InvalidLoopError("discontinuous chart sequence in excursion")
-        theta += u1 - u0
-    if theta is None:
+            lift += _step(run, at, v)
+            at = v
+        run = j
+    if run is None:
         return 0
-    disp = theta - start
-    if disp % 3 != 0:
+    lift += _step(run, at, 0)
+    if lift % 3 != 0:
         raise InvalidLoopError("excursion lift does not close up at p")
-    return int(disp / 3)
+    return lift // 3
+
+
+def _step(j: int, a: int, b: int) -> int:
+    """Lifted step of a run on edge j from vertex a to vertex b."""
+    if a == b:
+        return 0
+    if {a, b} != _ENDS[j]:
+        raise InvalidLoopError("excursion lift does not close up at p")
+    return 1 if a == j else -1
 
 
 def loop_from_breakpoints(raw: Sequence, space: SpaceHandle) -> Loop:

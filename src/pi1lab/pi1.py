@@ -44,16 +44,12 @@ from .loops import (
     validate,
     winding_degree,
 )
-from .report import FAIL, PASS, ProbeReport, report_digits
+from .report import FAIL, PASS, ProbeParameterError, ProbeReport, exact_str, report_digits
 from .spaces import SpaceHandle, SpaceKind, default_y
 from .words import Word, format_word, reduce_letters
 
 
 class ClassificationError(Exception):
-    pass
-
-
-class ProbeParameterError(Exception):
     pass
 
 
@@ -95,7 +91,8 @@ def classify_x(loop: Loop) -> HomotopyClass:
 
 
 def _apex_on_excursion(exc: Excursion, apex: Point2) -> bool:
-    for ((_, p0), (_, p1)), ref in zip(exc.subpath.pieces(), exc.piece_edges):
+    bks = exc.breakpoints
+    for (_, p0), (_, p1), ref in zip(bks, bks[1:], exc.piece_edges):
         if ref is None:
             if p0 == apex:
                 return True
@@ -231,6 +228,10 @@ def probe_nondiscreteness_y(
     if not space.has_alpha:
         raise ProbeParameterError("nondiscreteness is probed in the compact space Y")
     digits = report_digits()
+
+    def text(v: Fraction) -> str:
+        return exact_str(v, f"probe nondiscreteness: n_max={n_max}")
+
     f = standard_f(space)
     word_f = classify_y(f).word
     rows = []
@@ -243,14 +244,14 @@ def probe_nondiscreteness_y(
         fn = standard_fn(n, space)
         d = sup_distance(fn.path, f.path)
         w = classify_y(fn).word
-        rows.append((str(n), format_word(w), str(d.squared), d.decimal(digits)))
+        rows.append((str(n), format_word(w), text(d.squared), d.decimal(digits)))
         if w.is_identity:
             words_ok = False
             witnesses.append((("n", str(n)), ("reason", "circle loop classified as identity")))
         if prev is not None and not d.squared < prev:
             decreasing = False
             witnesses.append(
-                (("n", str(n)), ("d_sq", str(d.squared)), ("not_below_previous", str(prev)))
+                (("n", str(n)), ("d_sq", text(d.squared)), ("not_below_previous", text(prev)))
             )
         prev = d.squared
         last_sq = d.squared
@@ -259,7 +260,7 @@ def probe_nondiscreteness_y(
         witnesses.append(
             (
                 ("n", str(n_max)),
-                ("d_sq", str(last_sq)),
+                ("d_sq", text(last_sq)),
                 ("epsilon", str(epsilon)),
                 ("gap", "final sup distance is not yet below epsilon; enlarge n_max"),
             )

@@ -8,6 +8,7 @@ give byte-identical text — so golden-file tests and human diffs both work.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -15,6 +16,10 @@ PASS = "PASS"
 FAIL = "FAIL"
 
 _DIGITS_ENV = "PI1LAB_DIGITS"
+
+
+class ProbeParameterError(Exception):
+    """A probe was given parameters it cannot be run or reported with."""
 
 
 def report_digits(default: int = 40) -> int:
@@ -29,6 +34,24 @@ def report_digits(default: int = 40) -> int:
     if val < 1:
         raise ValueError(f"{_DIGITS_ENV} must be positive, got {val}")
     return val
+
+
+def exact_str(value, where: str) -> str:
+    """``str(value)`` of an exact number a report prints.
+
+    Python refuses to print an int of more than ``sys.get_int_max_str_digits()``
+    digits (4300 by default). Such a value is refused here as a
+    ProbeParameterError, whose message starts with ``where``: the probe and
+    the parameter that made the value this long.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ProbeParameterError(
+            f"{where} gives an exact value longer than {limit} digits, "
+            "the interpreter's limit for printing an integer"
+        ) from None
 
 
 KV = Tuple[str, str]

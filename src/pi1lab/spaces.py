@@ -27,7 +27,7 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 from . import kernels
 from .exactnum import sqrt_decimal
 from .geometry import ORIGIN, Point2, Segment, point, rat, segments_intersect
-from .report import FAIL, PASS, ProbeReport, report_digits
+from .report import FAIL, PASS, ProbeReport, exact_str, report_digits
 
 
 class SpaceError(Exception):
@@ -398,6 +398,7 @@ def hausdorff_convergence(space: SpaceHandle, up_to: int) -> ProbeReport:
     witnesses = []
     for n in range(2, up_to + 1):
         d_sq = circle_alpha_hausdorff_sq(space, n)
+        d_text = exact_str(d_sq, f"probe hausdorff: up_to={up_to}")
         bound_sq = Fraction(4, n * n)
         ok = d_sq <= bound_sq
         decreasing = not values or d_sq < values[-1]
@@ -405,7 +406,7 @@ def hausdorff_convergence(space: SpaceHandle, up_to: int) -> ProbeReport:
         rows.append(
             (
                 str(n),
-                str(d_sq),
+                d_text,
                 sqrt_decimal(d_sq, digits),
                 str(bound_sq),
                 "yes" if ok else "NO",
@@ -413,11 +414,11 @@ def hausdorff_convergence(space: SpaceHandle, up_to: int) -> ProbeReport:
         )
         if not ok:
             witnesses.append(
-                (("n", str(n)), ("d_sq", str(d_sq)), ("exceeds_bound_sq", str(bound_sq)))
+                (("n", str(n)), ("d_sq", d_text), ("exceeds_bound_sq", str(bound_sq)))
             )
         if not decreasing:
             witnesses.append(
-                (("n", str(n)), ("d_sq", str(d_sq)), ("not_below_previous", str(values[-2])))
+                (("n", str(n)), ("d_sq", d_text), ("not_below_previous", rows[-2][1]))
             )
     notes = []
     eps = Fraction(1, 10)

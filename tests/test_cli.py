@@ -1,5 +1,8 @@
 import re
+import sys
 import time
+
+import pytest
 
 from pi1lab.cli import demo_whitehead, main
 
@@ -34,6 +37,34 @@ space S = Y(20) width=pow10
 loop q = points [(0,0,0), (1/2, 1/40000, 1), (1,0,0)]
 classify q
 """
+
+
+# Under pow10 the squared distances of C_n have denominators of about 20n
+# digits, so each of these needs an exact value too long for str().
+LONG_VALUE_SCRIPTS = (
+    ("probe nondiscreteness n_max=215 epsilon=1/10", "probe nondiscreteness: n_max=215"),
+    ("probe hausdorff up_to=300", "probe hausdorff: up_to=300"),
+    ("loop a = C(1000).once\nloop f = alpha.updown\ndist a f", "dist a f"),
+)
+
+NINES = "9" * 5000
+
+# Each line is refused by the parser; the column is that of the offending literal.
+HOSTILE_LINES = (
+    (f"loop w = word g2^{NINES}", 18),
+    (f"loop c = C({NINES}).once", 12),
+    (f"loop q = points [(0,0,0), (1/2, 1/{NINES}, 1), (1,0,0)]", 35),
+    (f"probe slsc radius=1/4 samples={NINES}", 31),
+    ("loop w = word g2^20000", 1),
+    ("loop w = word g2^10000 g3", 1),
+)
+
+
+def too_long(where: str) -> str:
+    return (
+        f"error: {where} gives an exact value longer than {sys.get_int_max_str_digits()} digits, "
+        "the interpreter's limit for printing an integer\n"
+    )
 
 
 def run_cli(capsys, argv):
@@ -82,6 +113,28 @@ class TestRun:
         assert code == 2 and out == ""
         assert err.startswith("parse error: line 2, col 1: ") and "C(40000)" in err
 
+    @pytest.mark.parametrize("body,where", LONG_VALUE_SCRIPTS, ids=("nondiscreteness", "hausdorff", "dist"))
+    def test_value_too_long_to_print_is_one_error_line(self, capsys, tmp_path, body, where):
+        script = tmp_path / "long.pi1"
+        script.write_text(f"space S = Y(32)\n{body}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["run", str(script)])
+        assert code == 1 and out == ""
+        assert err == too_long(where)
+
+    @pytest.mark.parametrize(
+        "line,col",
+        HOSTILE_LINES,
+        ids=("word-exponent", "circle-index", "points-rational", "probe-int", "word-letters", "word-letter-sum"),
+    )
+    def test_hostile_literal_fails_fast(self, capsys, tmp_path, line, col):
+        script = tmp_path / "hostile.pi1"
+        script.write_text(f"space S = Y(20)\n{line}\nclassify w\n", encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["run", str(script)])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith(f"parse error: line 2, col {col}: ") and "exceeds the limit" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, ["run", "/nonexistent/script.pi1"])
         assert code == 1
@@ -111,6 +164,17 @@ class TestOneOffCommands:
         assert out.startswith("dist_sq: ")
         m = re.search(r"dist_dec\(\d+\): ([0-9.]+)", out)
         assert m and m.group(1).startswith("0.5000000000000000000200000")
+
+    def test_dist_too_long_to_print(self, capsys):
+        code, out, err = run_cli(capsys, ["dist", "C(1000).once", "alpha.updown"])
+        assert code == 1 and out == "" and err == too_long("dist")
+
+    def test_word_hostile_literal(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["word", f"C({NINES}).once"])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: line 1, col 3: ")
 
     def test_hausdorff(self, capsys):
         code, out, _ = run_cli(capsys, ["hausdorff", "--upto", "6"])

@@ -210,3 +210,54 @@ class TestCircleIndexLimit:
     def test_cli_literal(self):
         with pytest.raises(dsl.DslError):
             dsl.parse_loop_literal(f"concat(C(2).once, C({self.LIMIT + 1}).inv)")
+
+
+class TestInputBudgets:
+    DIGITS = dsl.MAX_LITERAL_DIGITS
+    LETTERS = dsl.MAX_WORD_LETTERS
+
+    def refused(self, body: str):
+        with pytest.raises(dsl.DslError) as err:
+            dsl.parse(f"space S = Y(5)\n{body}\n")
+        assert err.value.line == 2
+        return err.value
+
+    def test_limit_values(self):
+        assert (self.DIGITS, self.LETTERS) == (4300, 10000)
+
+    def test_every_long_integer_literal_is_refused_at_its_column(self):
+        long = "1" * (self.DIGITS + 1)
+        for body in (
+            f"loop c = C({long}).once",
+            f"loop w = word g{long}",
+            f"loop w = word(g2 g3^-{long})",
+            f"loop q = points [(0, 0, 0), (1/{long}, 0, 1), (1, 0, 0)]",
+            f"probe nondiscreteness n_max=5 epsilon=1/{long}",
+            f"probe slsc radius=1/4 samples=5 seed={long}",
+        ):
+            err = self.refused(body)
+            assert err.col == body.index(long) + 1
+            assert err.message == f"integer literal exceeds the limit of {self.DIGITS} digits"
+        with pytest.raises(dsl.DslError) as err:
+            dsl.parse(f"space S = Y({long})\n")
+        assert (err.value.line, err.value.col) == (1, 13)
+        with pytest.raises(dsl.DslError):
+            dsl.parse_loop_literal(f"concat(C(2).once, word g2^{long})")
+
+    def test_literals_at_the_digit_limit_parse(self):
+        at_limit = "1" * self.DIGITS
+        dsl.parse(f"space S = Y(5)\nprobe slsc radius=1/4 samples=5 seed={at_limit}\n")
+        dsl.parse(f"space S = Y(5)\nprobe nondiscreteness n_max=5 epsilon=1/{at_limit}\n")
+
+    def test_points_breakpoint_far_beyond_any_circle(self):
+        # y/x has about 8000 digits, more than str() prints
+        big = "9" * self.DIGITS
+        err = self.refused(f"loop q = points [(0, 0, 0), (1/2, 1/{big}, {big}), (1, 0, 0)]")
+        assert "can only lie on a circle" in err.message
+
+    def test_word_letter_budget(self):
+        for ok in (f"g2^{self.LETTERS}", f"g2^-{self.LETTERS - 1} g3", f"g2^{self.LETTERS + 1} g2^-1"):
+            dsl.parse(f"space S = Y(5)\nloop w = word {ok}\n")
+        for bad in (f"g2^{self.LETTERS + 1}", f"g2^{self.LETTERS // 2} g3^-{self.LETTERS // 2 + 1}"):
+            err = self.refused(f"loop w = word {bad}")
+            assert err.message == f"word exceeds the limit of {self.LETTERS} letters"

@@ -304,3 +304,64 @@ class TestMetricProperties:
     def test_zero_iff_refinement_matches(self, f):
         g = f.with_params([F(1, 3), F(2, 3)])
         assert sup_distance(f, g).squared == 0
+
+
+class TestNativeQuads:
+    @given(x=small_coord, y=small_coord)
+    @settings(max_examples=60)
+    def test_equal_and_hash_equal_across_input_types(self, x, y):
+        points = [Point2(x, y), Point2(str(x), str(y)), point(str(x), y)]
+        if x.denominator == 1 and y.denominator == 1:
+            points.append(Point2(int(x), int(y)))
+        for q in points:
+            assert q == points[0] and hash(q) == hash(points[0])
+            assert type(q.x) is Fraction and type(q.y) is Fraction
+
+    @given(x=small_coord, y=small_coord)
+    @settings(max_examples=60)
+    def test_quad_is_lowest_terms(self, x, y):
+        q = Point2(x, y)
+        assert q.quad() == (x.numerator, x.denominator, y.numerator, y.denominator)
+        assert q != Point2(x + 1, y) and q != Point2(x, y + F(1, 64))
+
+
+@st.composite
+def longer_pl_paths(draw):
+    n = draw(st.integers(min_value=0, max_value=8))
+    ts = sorted(draw(st.sets(st.fractions(min_value=F(1, 64), max_value=F(63, 64), max_denominator=64), max_size=n)))
+    ts = [F(0)] + ts + [F(1)]
+    return PLPath(tuple((t, point(draw(small_coord), draw(small_coord))) for t in ts))
+
+
+unit_params = st.fractions(min_value=0, max_value=1, max_denominator=64)
+
+
+class TestOnePassWalk:
+    """with_params and sup_distance walk a path once; each point must be
+    the one at() gives for its parameter."""
+
+    @given(f=longer_pl_paths(), extra=st.lists(unit_params, max_size=8), data=st.data())
+    @settings(max_examples=60)
+    def test_with_params_matches_at(self, f, extra, data):
+        extra = extra + data.draw(st.lists(st.sampled_from(f.params), max_size=3))
+        g = f.with_params(extra)
+        ts = sorted(set(f.params) | set(extra))
+        assert g.params == tuple(ts)
+        assert g.breakpoints == tuple((t, f.at(t)) for t in ts)
+
+    @given(f=longer_pl_paths(), g=longer_pl_paths())
+    @settings(max_examples=60)
+    def test_sup_distance_matches_at(self, f, g):
+        best, arg = F(0), F(0)
+        for t in common_refinement(f, g):
+            d = f.at(t).dist_sq(g.at(t))
+            if d > best:
+                best, arg = d, t
+        got = sup_distance(f, g)
+        assert (got.squared, got.attained_at) == (best, arg)
+
+    def test_with_params_out_of_range(self):
+        f = alpha_updown()
+        for bad in (F(3, 2), F(-1, 10)):
+            with pytest.raises(ParameterRangeError):
+                f.with_params([F(1, 2), bad])

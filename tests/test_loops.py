@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from pi1lab import kernels
 from pi1lab.geometry import PLPath, point, sup_distance
 from pi1lab.loops import (
+    Excursion,
     InvalidLoopError,
     _first_violation,
     Loop,
@@ -25,8 +27,15 @@ from pi1lab.loops import (
     validate,
     winding_degree,
 )
-from pi1lab.pi1 import random_reduced_word
-from pi1lab.spaces import SpaceKind, compact_y
+from pi1lab.pi1 import (
+    _perturb_once,
+    alpha_decorate,
+    classify_x,
+    classify_y,
+    collapse_with_certificate,
+    random_reduced_word,
+)
+from pi1lab.spaces import ComponentId, SpaceKind, compact_y
 from pi1lab.words import parse_word
 
 F = Fraction
@@ -133,22 +142,7 @@ class TestWinding:
         assert winding_degree(exc) == 0
 
     def test_backtracking_traversal_still_one(self, x):
-        # forward to the apex, back halfway, then on around: still one loop
-        c = x.circle(2)
-        half_up = c.edges[0].at(F(1, 2))
-        w = F(1, 10**20)
-        lp = loop_from_breakpoints(
-            [
-                (0, 0, 0),
-                (F(1, 4), c.apex.x, c.apex.y),
-                (F(3, 8), half_up.x, half_up.y),
-                (F(1, 2), c.apex.x, c.apex.y),
-                (F(3, 4), c.tail.x, c.tail.y),
-                (1, 0, 0),
-            ],
-            x,
-        )
-        (exc,) = decompose(lp)
+        (exc,) = decompose(backtracking_loop(x))
         assert winding_degree(exc) == 1
 
     def test_alpha_excursion_rejected(self, y):
@@ -355,3 +349,142 @@ class TestCarriedCharts:
         ly = include_in_y(on_alpha)
         assert validate(ly) is None
         assert decompose(ly)[0].component.kind == "alpha"
+
+
+def lifted_degree(exc):
+    """Reference degree: the j + u lift of the excursion, with u the exact
+    fraction along edge j from kernels.foot_param, divided by 3."""
+    circ = exc.space.circle(exc.component.index)
+    theta = start = None
+    for ((_, p0), (_, p1)), ref in zip(exc.subpath.pieces(), exc.piece_edges):
+        if ref is None:
+            continue
+        edge = circ.edges[ref[2]]
+        u0, u1 = (F(*kernels.foot_param(q.quad(), edge.a.quad(), edge.b.quad())) for q in (p0, p1))
+        if theta is None:
+            theta = start = ref[2] + u0
+        assert (ref[2] + u0 - theta) % 3 == 0
+        theta += u1 - u0
+    if theta is None:
+        return 0
+    assert (theta - start) % 3 == 0
+    return int((theta - start) / 3)
+
+
+def backtracking_loop(x):
+    # forward to the apex, back halfway, then on around: still one loop
+    c = x.circle(2)
+    half_up = c.edges[0].at(F(1, 2))
+    return loop_from_breakpoints(
+        [
+            (0, 0, 0),
+            (F(1, 4), c.apex.x, c.apex.y),
+            (F(3, 8), half_up.x, half_up.y),
+            (F(1, 2), c.apex.x, c.apex.y),
+            (F(3, 4), c.tail.x, c.tail.y),
+            (1, 0, 0),
+        ],
+        x,
+    )
+
+
+class TestWindingOracle:
+    """winding_degree, read off vertex runs, equals the j + u lift."""
+
+    def circle_excursions(self, loops):
+        out = []
+        for lp in loops:
+            out.extend(e for e in decompose(lp) if e.component.kind == "circle")
+        return out
+
+    def assert_lift_agrees(self, loops):
+        excs = self.circle_excursions(loops)
+        assert excs
+        for exc in excs:
+            assert winding_degree(exc) == lifted_degree(exc)
+
+    def test_words_reversed_and_concatenated(self, x):
+        rng = random.Random(41)
+        loops = []
+        for _ in range(30):
+            a = realize_word(random_reduced_word(rng, 8), x)
+            b = realize_word(random_reduced_word(rng, 8), x)
+            loops += [a, reverse(a), concatenate(a, reverse(b)), concatenate_all([b, a, b])]
+        self.assert_lift_agrees(loops)
+
+    def test_subdivided(self, x):
+        rng = random.Random(42)
+        loops = []
+        for _ in range(30):
+            lp = realize_word(random_reduced_word(rng, 6), x)
+            params = lp.path.params
+            extra = []
+            for _ in range(rng.randint(1, 8)):
+                i = rng.randrange(len(params) - 1)
+                extra.append(params[i] + (params[i + 1] - params[i]) * F(rng.randint(1, 63), 64))
+            loops.append(subdivide(lp, extra))
+        self.assert_lift_agrees(loops)
+
+    def test_perturbed(self, x):
+        rng = random.Random(43)
+        loops = []
+        for _ in range(30):
+            lp = realize_word(random_reduced_word(rng, 6), x)
+            loops.append(_perturb_once(lp, rng, F(1, 1000)))
+        self.assert_lift_agrees(loops)
+
+    def test_collapsed_decorations(self, x):
+        rng = random.Random(44)
+        loops = []
+        for _ in range(30):
+            ly = include_in_y(realize_word(random_reduced_word(rng, 6), x))
+            loops.append(collapse_with_certificate(alpha_decorate(ly, rng))[0])
+        self.assert_lift_agrees(loops)
+
+    def test_hand_built_loops(self, x):
+        apex = x.circle(4).apex
+        there_and_back = loop_from_breakpoints([(0, 0, 0), ("1/2", apex.x, apex.y), (1, 0, 0)], x)
+        self.assert_lift_agrees([backtracking_loop(x), there_and_back, standard_fn(7, x)])
+
+    def hand_built(self, x, points, edges):
+        n = 2
+        t = [F(k, len(points) - 1) for k in range(len(points))]
+        return Excursion(
+            t[0], t[-1], ComponentId.circle(n), tuple(zip(t, points)),
+            tuple(("c", n, j) for j in edges), x,
+        )
+
+    def test_edge_change_away_from_vertex(self, x):
+        c = x.circle(2)
+        mid = c.edges[0].at(F(1, 2))
+        # the chart claims edge 1 (B -> D) from the middle of edge 0 on
+        exc = self.hand_built(x, [point(0, 0), mid, c.apex, point(0, 0)], [0, 1, 0])
+        with pytest.raises(InvalidLoopError) as err:
+            winding_degree(exc)
+        assert str(err.value) == "discontinuous chart sequence in excursion"
+
+    def test_lift_that_does_not_close(self, x):
+        c = x.circle(2)
+        p = point(0, 0)
+        # "edge 1" (B -> D) cannot end at p, nor start there
+        for points, edges in (([p, c.apex, p], [0, 1]), ([p, c.tail, p], [1, 2])):
+            with pytest.raises(InvalidLoopError) as err:
+                winding_degree(self.hand_built(x, points, edges))
+            assert str(err.value) == "excursion lift does not close up at p"
+
+    def test_classification_makes_no_foot_param_calls(self, x, monkeypatch):
+        calls = []
+        real = kernels.foot_param
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "foot_param", counted)
+        rng = random.Random(45)
+        for _ in range(20):
+            w = random_reduced_word(rng, 8)
+            lx = realize_word(w, x)
+            assert classify_x(lx).word == w
+            assert classify_y(include_in_y(lx)).word == w
+        assert calls == []
