@@ -20,7 +20,6 @@ from .geometry import (
     segments_intersect,
     sup_distance,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 from .loops import (
     Excursion,
     Loop,

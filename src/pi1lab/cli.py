@@ -352,6 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for option in ("nmax", "upto"):
+        value = getattr(args, option, None)
+        if value is not None and value > dsl.MAX_CIRCLE_INDEX:
+            parser.error(f"--{option} {value} exceeds the limit {dsl.MAX_CIRCLE_INDEX} on circle indices")
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "render":

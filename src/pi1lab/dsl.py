@@ -21,15 +21,20 @@ with line and column.
     probe slsc radius=1/4 samples=50 seed=7
     render S f2 f -> scene.svg
 
-Circle indices are capped at ``MAX_CIRCLE_INDEX`` when the script is
-parsed: ``C(n)``, word generators ``gN``, ``n_max`` and ``up_to``, and the
-one circle each ``points`` breakpoint can lie on, ``max(2, ceil(y/x))`` for
-x > 0. The default pow10 width of C_n has a 10n-digit denominator, so the
-cost of a single circle grows with its index; a script over the cap fails
-at once with a parse error instead of running for seconds to hours. Two
-more budgets are checked the same way: no integer literal may have more
-than ``MAX_LITERAL_DIGITS`` digits, and no word literal more than
-``MAX_WORD_LETTERS`` letters.
+Input budgets are checked when the script is parsed, so a script over one
+fails at once with a parse error instead of running for seconds to hours:
+
+- circle indices are capped at ``MAX_CIRCLE_INDEX``: ``C(n)``, word
+  generators ``gN``, a space's hint, ``n_max`` and ``up_to``, and the one
+  circle each ``points`` breakpoint can lie on, ``max(2, ceil(y/x))`` for
+  x > 0. The default pow10 width of C_n has a 10n-digit denominator, so
+  the cost of a single circle grows with its index;
+- ``probe disjointness`` intersects every pair of circles exactly, so its
+  ``up_to`` is capped lower, at ``MAX_PAIRWISE_UP_TO``;
+- no integer literal may have more than ``MAX_LITERAL_DIGITS`` digits;
+- no word literal or ``concat`` may have more than ``MAX_WORD_LETTERS``
+  letters. The parser records a letter count for each bound loop: a
+  word's length, and 1 per circle, alpha or ``points`` piece.
 """
 from __future__ import annotations
 
@@ -47,12 +52,19 @@ from .words import Word, WordError, format_word, parse_word
 # 2.2 s (pure-Python kernels, Python 3.11, one core of a 2-vCPU VM).
 MAX_CIRCLE_INDEX = 1000
 
+# Largest up_to of the pairwise disjointness probe, which intersects every
+# pair of circles 2..up_to exactly. On a fresh pow10 compact_y,
+# verify_disjointness took 1.5 s to 60, 6.7 s to 100, 35.7 s to 150 and
+# 117.7 s to 200 (pure-Python kernels, Python 3.11, one core of a 2-vCPU VM).
+MAX_PAIRWISE_UP_TO = 100
+
 # Longest integer literal a script may hold: Python's default limit for
 # converting a decimal string to an int.
 MAX_LITERAL_DIGITS = 4300
 
 # Most letters (the sum of |exponent| over the reduced word) a word literal
-# may have; realizing and classifying a word costs time linear in it.
+# or a concat may have; realizing and classifying a word costs time linear
+# in it.
 MAX_WORD_LETTERS = 10000
 
 _LONG_LITERAL_RE = re.compile(r"(?<!\d)\d{%d,}" % (MAX_LITERAL_DIGITS + 1))
@@ -180,15 +192,26 @@ def _check_literals(text: str, line: int) -> None:
 def _check_index(n: int, what: str, line: int, col: int) -> None:
     """Refuse a circle index above MAX_CIRCLE_INDEX; ``what`` names it."""
     if n > MAX_CIRCLE_INDEX:
-        raise DslError(line, col, f"{what} exceeds the circle index limit {MAX_CIRCLE_INDEX}")
+        raise DslError(line, col, f"{what} exceeds the limit {MAX_CIRCLE_INDEX} on circle indices")
 
 
-def _parse_loop_expr(text: str, line: int, col: int, known_loops: Optional[set]) -> LoopExpr:
+def _letters(expr: LoopExpr, known_loops: Optional[dict]) -> int:
+    """Letter count of a loop expression, the measure MAX_WORD_LETTERS bounds."""
+    if isinstance(expr, WordExpr):
+        return len(expr.word)
+    if isinstance(expr, ConcatExpr):
+        return sum(known_loops[a] if isinstance(a, str) else _letters(a, known_loops) for a in expr.args)
+    if isinstance(expr, PointsExpr):
+        return len(expr.triples) - 1
+    return 1
+
+
+def _parse_loop_expr(text: str, line: int, col: int, known_loops: Optional[dict]) -> LoopExpr:
     """Loop expression parser.
 
-    With ``known_loops`` given (script mode) concat arguments must be bound
-    names; with ``known_loops=None`` (CLI literal mode) concat arguments are
-    themselves expressions.
+    With ``known_loops`` given (script mode, bound name -> letter count)
+    concat arguments must be bound names; with ``known_loops=None`` (CLI
+    literal mode) concat arguments are themselves expressions.
     """
     text = text.strip()
     if text == "alpha.updown":
@@ -216,7 +239,10 @@ def _parse_loop_expr(text: str, line: int, col: int, known_loops: Optional[set])
                 args.append(part)
             else:
                 args.append(_parse_loop_expr(part, line, col, None))
-        return ConcatExpr(tuple(args))
+        expr = ConcatExpr(tuple(args))
+        if _letters(expr, known_loops) > MAX_WORD_LETTERS:
+            raise DslError(line, col, f"concat exceeds the limit of {MAX_WORD_LETTERS} letters")
+        return expr
     if text.startswith("word(") and text.endswith(")"):
         return _word_expr(text[len("word(") : -1], line, col)
     if text.startswith("word ") or text == "word":
@@ -289,7 +315,7 @@ def parse_loop_literal(text: str) -> LoopExpr:
 def parse(text: str) -> Script:
     statements = []
     spaces: set = set()
-    loops: set = set()
+    loops: dict = {}  # bound loop name -> letter count
     active_space: Optional[SpaceDecl] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -310,6 +336,7 @@ def parse(text: str) -> Script:
                 raise DslError(lineno, col, f"unknown width profile {width!r}")
             if hint < 2:
                 raise DslError(lineno, col, "space hint must be at least 2")
+            _check_index(hint, f"space hint {hint}", lineno, col + m.start(3))
             decl = SpaceDecl(name, kind, hint, width)
             statements.append(decl)
             spaces.add(name)
@@ -325,7 +352,7 @@ def parse(text: str) -> Script:
             if isinstance(expr, AlphaExpr) and active_space.kind != "Y":
                 raise DslError(lineno, col, "alpha.updown needs the compact space Y")
             statements.append(LoopBinding(name, expr))
-            loops.add(name)
+            loops[name] = _letters(expr, loops)
         elif head == "classify":
             m = re.match(r"^classify\s+(\w+)$", stripped)
             if not m:
@@ -369,6 +396,10 @@ def parse(text: str) -> Script:
                         raise DslError(lineno, col, f"{key} must be an integer, got {val!r}")
                     if key in ("n_max", "up_to"):
                         _check_index(int(val), f"{key}={val}", lineno, col)
+                    if kind == "disjointness" and int(val) > MAX_PAIRWISE_UP_TO:
+                        raise DslError(
+                            lineno, col, f"up_to={val} exceeds the limit {MAX_PAIRWISE_UP_TO} of the pairwise check"
+                        )
                     args.append((key, int(val)))
                 elif typ == "rat":
                     args.append((key, parse_rational(val, lineno, col)))

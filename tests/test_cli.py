@@ -57,7 +57,19 @@ HOSTILE_LINES = (
     (f"probe slsc radius=1/4 samples={NINES}", 31),
     ("loop w = word g2^20000", 1),
     ("loop w = word g2^10000 g3", 1),
+    ("space T = Y(100000)", 13),
+    ("probe disjointness up_to=101", 1),
 )
+
+# Each concat doubles the loop; the second line already passes the letter budget.
+DOUBLING_SCRIPT = """\
+space S = Y(20)
+loop a = word g2^10000
+loop b = concat(a, a)
+loop c = concat(b, b)
+loop d = concat(c, c)
+classify d
+"""
 
 
 def too_long(where: str) -> str:
@@ -124,7 +136,16 @@ class TestRun:
     @pytest.mark.parametrize(
         "line,col",
         HOSTILE_LINES,
-        ids=("word-exponent", "circle-index", "points-rational", "probe-int", "word-letters", "word-letter-sum"),
+        ids=(
+            "word-exponent",
+            "circle-index",
+            "points-rational",
+            "probe-int",
+            "word-letters",
+            "word-letter-sum",
+            "space-hint",
+            "pairwise-up-to",
+        ),
     )
     def test_hostile_literal_fails_fast(self, capsys, tmp_path, line, col):
         script = tmp_path / "hostile.pi1"
@@ -134,6 +155,17 @@ class TestRun:
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out == ""
         assert err.startswith(f"parse error: line 2, col {col}: ") and "exceeds the limit" in err
+
+    def test_concat_letter_budget(self, capsys, tmp_path):
+        script = tmp_path / "doubling.pi1"
+        script.write_text(DOUBLING_SCRIPT, encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["run", str(script)])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: line 3, col 1: concat exceeds the limit")
+        code, out, err = run_cli(capsys, ["word", "concat(word g2^10000, C(3).once)"])
+        assert code == 2 and out == "" and "concat exceeds the limit" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, ["run", "/nonexistent/script.pi1"])
@@ -175,6 +207,15 @@ class TestOneOffCommands:
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out == ""
         assert err.startswith("parse error: line 1, col 3: ")
+
+    @pytest.mark.parametrize("argv", (["demo", "whitehead", "--nmax", "1001"], ["hausdorff", "--upto", "1001"]))
+    def test_circle_index_options_capped(self, capsys, argv):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and f"{argv[-2]} 1001 exceeds the limit 1000" in err
 
     def test_hausdorff(self, capsys):
         code, out, _ = run_cli(capsys, ["hausdorff", "--upto", "6"])

@@ -202,7 +202,8 @@ class TestCircleIndexLimit:
         dsl.parse("space S = Y(5)\nloop q = points [(0,0,0), (1/3,0,1), (1/2,-1,5), (2/3,7,1), (1,0,0)]\n")
 
     def test_probe_bounds(self):
-        dsl.parse(f"space S = Y(5)\nprobe disjointness up_to={self.LIMIT}\n")
+        dsl.parse(f"space S = Y(5)\nprobe hausdorff up_to={self.LIMIT}\n")
+        dsl.parse(f"space S = Y(5)\nprobe disjointness up_to={dsl.MAX_PAIRWISE_UP_TO}\n")
         self.over(f"probe disjointness up_to={self.LIMIT + 1}")
         self.over(f"probe hausdorff up_to={self.LIMIT + 1}")
         self.over(f"probe nondiscreteness n_max={self.LIMIT + 1} epsilon=1/10")
@@ -261,3 +262,14 @@ class TestInputBudgets:
         for bad in (f"g2^{self.LETTERS + 1}", f"g2^{self.LETTERS // 2} g3^-{self.LETTERS // 2 + 1}"):
             err = self.refused(f"loop w = word {bad}")
             assert err.message == f"word exceeds the limit of {self.LETTERS} letters"
+
+    def test_concat_letter_budget(self):
+        # a word counts its letters; a circle or alpha 1, a points literal 1 per piece
+        head = (
+            f"space S = Y(5)\nloop w = word g2^{self.LETTERS - 5}\nloop c = C(3).once\n"
+            "loop f = alpha.updown\nloop q = points [(0,0,0), (1/3,0,1), (2/3,0,1/2), (1,0,0)]\n"
+        )
+        dsl.parse(head + "loop k = concat(w, c, f, q)\n")
+        with pytest.raises(dsl.DslError) as err:
+            dsl.parse(head + "loop k = concat(w, c, f, q)\nloop m = concat(k, c)\n")
+        assert (err.value.line, err.value.message) == (7, f"concat exceeds the limit of {self.LETTERS} letters")

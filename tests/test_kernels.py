@@ -1,24 +1,9 @@
-"""Kernel contract tests plus compiled/pure parity.
-
-The compiled twin must agree bit for bit with the pure reference on every
-function; when the extension is not built the parity cases are skipped and
-the contract cases run against the pure backend.
-"""
+"""Contract tests for the integer geometry kernels."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from pi1lab import _kernels_py as pure
-
-try:
-    from pi1lab import _kernels_cy as compiled
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(compiled is None, reason="compiled kernels not built")
-
-BACKENDS = [pure] if compiled is None else [pure, compiled]
+from pi1lab import kernels as k
 
 
 def q(x, y) -> tuple:
@@ -26,48 +11,43 @@ def q(x, y) -> tuple:
     return (fx.numerator, fx.denominator, fy.numerator, fy.denominator)
 
 
-coord = st.fractions(min_value=Fraction(-8), max_value=Fraction(8), max_denominator=64)
-points = st.builds(q, coord, coord)
-
-
-@pytest.mark.parametrize("k", BACKENDS)
 class TestContracts:
-    def test_rred(self, k):
+    def test_rred(self):
         assert k.rred(6, -4) == (-3, 2)
         assert k.rred(0, 7) == (0, 1)
         with pytest.raises(ZeroDivisionError):
             k.rred(1, 0)
 
-    def test_orient(self, k):
+    def test_orient(self):
         assert k.orient(q(0, 0), q(1, 0), q(0, 1)) == 1
         assert k.orient(q(0, 0), q(0, 1), q(1, 0)) == -1
         assert k.orient(q(0, 0), q(1, 1), q(2, 2)) == 0
 
-    def test_point_dist_sq(self, k):
+    def test_point_dist_sq(self):
         assert k.point_dist_sq(q(0, 0), q(3, 4)) == (25, 1)
         assert k.point_dist_sq(q("1/2", 0), q(0, "1/2")) == (1, 2)
 
-    def test_on_segment(self, k):
+    def test_on_segment(self):
         assert k.on_segment(q("1/2", "1/2"), q(0, 0), q(1, 1))
         assert k.on_segment(q(1, 1), q(0, 0), q(1, 1))
         assert not k.on_segment(q(2, 2), q(0, 0), q(1, 1))
         assert not k.on_segment(q("1/2", 0), q(0, 0), q(1, 1))
 
-    def test_lerp(self, k):
+    def test_lerp(self):
         assert k.lerp(q(0, 0), q(1, 2), 1, 2) == (1, 2, 1, 1)
         assert k.lerp(q(1, 1), q(1, 1), 1, 3) == (1, 1, 1, 1)  # constant piece
 
-    def test_foot_param(self, k):
+    def test_foot_param(self):
         assert k.foot_param(q(0, 1), q(0, 0), q(1, 0)) == (0, 1)
         assert k.foot_param(q("1/2", 5), q(0, 0), q(1, 0)) == (1, 2)
         assert k.foot_param(q(2, 0), q(0, 0), q(1, 0)) == (2, 1)  # unclamped
 
-    def test_point_seg_dist_sq(self, k):
+    def test_point_seg_dist_sq(self):
         assert k.point_seg_dist_sq(q(0, 0), q(0, 0), q(0, 1)) == (0, 1)
         assert k.point_seg_dist_sq(q(1, 0), q(0, 0), q(0, 1)) == (1, 1)
         assert k.point_seg_dist_sq(q(0, 2), q(0, 0), q(0, 1)) == (1, 1)  # clamps to endpoint
 
-    def test_seg_intersect_kinds(self, k):
+    def test_seg_intersect_kinds(self):
         assert k.seg_intersect(q(0, 0), q(1, 0), q(0, 1), q(1, 1)) == (k.SEG_NONE,)
         kind, pt = k.seg_intersect(q(0, 0), q(1, 1), q(1, 1), q(2, 0))
         assert kind == k.SEG_POINT and pt == q(1, 1)
@@ -81,45 +61,12 @@ class TestContracts:
         kind, pt = k.seg_intersect(q(0, 0), q(1, 0), q(1, 0), q(2, 0))
         assert kind == k.SEG_POINT and pt == q(1, 0)
 
-    def test_seg_intersect_symmetry(self, k):
+    def test_seg_intersect_symmetry(self):
         a, b, c, d = q(0, 0), q(2, 1), q(1, -1), q(1, 4)
         r1 = k.seg_intersect(a, b, c, d)
         r2 = k.seg_intersect(c, d, a, b)
         assert r1[0] == r2[0] == k.SEG_POINT and r1[1] == r2[1]
 
-    def test_seg_seg_dist_sq(self, k):
+    def test_seg_seg_dist_sq(self):
         assert k.seg_seg_dist_sq(q(0, 0), q(1, 0), q(0, 1), q(1, 1)) == (1, 1)
         assert k.seg_seg_dist_sq(q(0, 0), q(1, 1), q(1, 0), q(0, 1)) == (0, 1)
-
-
-@needs_compiled
-class TestParity:
-    @given(p=points, a=points, b=points)
-    @settings(max_examples=300)
-    def test_point_ops(self, p, a, b):
-        assert pure.point_dist_sq(p, a) == compiled.point_dist_sq(p, a)
-        assert pure.orient(p, a, b) == compiled.orient(p, a, b)
-        if a != b:
-            assert pure.foot_param(p, a, b) == compiled.foot_param(p, a, b)
-            assert pure.point_seg_dist_sq(p, a, b) == compiled.point_seg_dist_sq(p, a, b)
-            assert pure.on_segment(p, a, b) == compiled.on_segment(p, a, b)
-
-    @given(a=points, b=points, c=points, d=points)
-    @settings(max_examples=300)
-    def test_segment_ops(self, a, b, c, d):
-        if a == b or c == d:
-            return
-        assert pure.seg_intersect(a, b, c, d) == compiled.seg_intersect(a, b, c, d)
-        assert pure.seg_seg_dist_sq(a, b, c, d) == compiled.seg_seg_dist_sq(a, b, c, d)
-
-    @given(a=points, b=points, tn=st.integers(0, 64))
-    @settings(max_examples=200)
-    def test_lerp(self, a, b, tn):
-        assert pure.lerp(a, b, tn, 64) == compiled.lerp(a, b, tn, 64)
-
-    @given(n=st.integers(-10**6, 10**6), d=st.integers(-10**6, 10**6))
-    @settings(max_examples=200)
-    def test_rred(self, n, d):
-        if d == 0:
-            return
-        assert pure.rred(n, d) == compiled.rred(n, d)
