@@ -34,7 +34,9 @@ fails at once with a parse error instead of running for seconds to hours:
 - no integer literal may have more than ``MAX_LITERAL_DIGITS`` digits;
 - no word literal or ``concat`` may have more than ``MAX_WORD_LETTERS``
   letters. The parser records a letter count for each bound loop: a
-  word's length, and 1 per circle, alpha or ``points`` piece.
+  word's length, and 1 per circle, alpha or ``points`` piece;
+- ``probe discreteness`` runs at most ``MAX_TRIALS`` trials and ``probe
+  slsc`` at most ``MAX_SAMPLES`` samples.
 """
 from __future__ import annotations
 
@@ -66,6 +68,18 @@ MAX_LITERAL_DIGITS = 4300
 # or a concat may have; realizing and classifying a word costs time linear
 # in it.
 MAX_WORD_LETTERS = 10000
+
+# Most trials of probe discreteness and samples of probe slsc, whose time
+# is linear in the count. A trial of the loop C(2).once took 0.28 ms of CPU,
+# one of a 10-letter word loop 1.1 ms and an slsc sample 0.53 ms, so 10,000
+# take about 3, 11 and 5 s (pure-Python kernels, Python 3.11, one core of a
+# 2-vCPU VM). 100,000 of either ran past 30 s.
+MAX_TRIALS = 10000
+MAX_SAMPLES = 10000
+
+# Count parameters bounded above, checked before any name on the line is
+# resolved.
+_COUNT_BUDGETS = (("trials", MAX_TRIALS), ("samples", MAX_SAMPLES))
 
 _LONG_LITERAL_RE = re.compile(r"(?<!\d)\d{%d,}" % (MAX_LITERAL_DIGITS + 1))
 
@@ -382,6 +396,11 @@ def parse(text: str) -> Script:
             raw_args = dict(
                 kv.split("=", 1) for kv in m.group(2).split() if kv
             )
+            for key, limit in _COUNT_BUDGETS:
+                val = raw_args.get(key, "")
+                if re.fullmatch(r"[0-9]+", val) and int(val) > limit:
+                    at = list(re.finditer(rf"\s{key}=", stripped))[-1].end()
+                    raise DslError(lineno, col + at, f"{key}={val} exceeds the limit {limit}")
             args = []
             for key, typ in PROBE_SIGNATURES[kind]:
                 optional = typ.endswith("?")

@@ -261,16 +261,46 @@ def sup_distance(f: PLPath, g: PLPath) -> ExactDistance:
     On each interval of the common parameter refinement the difference
     f - g is affine, so its norm is convex and maximized at an interval
     endpoint; the sup is therefore the maximum of finitely many exact
-    point distances.
+    point distances. The refinement is one merge of the two breakpoint
+    tuples on integers: parameters are compared by cross-multiplication,
+    a parameter of one path only is interpolated on the other's current
+    piece as a kernel quad, and the running maximum is a reduced int pair.
+    The first parameter attaining the maximum is returned with it.
     """
-    best = Fraction(0)
-    arg = Fraction(0)
-    ts = common_refinement(f, g)
-    for t, p, q in zip(ts, _walk(f, ts), _walk(g, ts)):
-        d = p.dist_sq(q)
-        if d > best:
-            best, arg = d, t
-    return ExactDistance(best, arg)
+    fb, gb = f.breakpoints, g.breakpoints
+    best_n, best_d = 0, 1
+    arg = fb[0][0]
+    i = j = 0
+    while i < len(fb):
+        tf, p = fb[i]
+        tg, q = gb[j]
+        c = tf.numerator * tg.denominator - tg.numerator * tf.denominator
+        if c == 0:
+            t, pq, qq = tf, p._q, q._q
+            i += 1
+            j += 1
+        elif c < 0:
+            t, pq, qq = tf, p._q, _quad_between(gb[j - 1], gb[j], tf)
+            i += 1
+        else:
+            t, pq, qq = tg, _quad_between(fb[i - 1], fb[i], tg), q._q
+            j += 1
+        n, d = kernels.point_dist_sq(pq, qq)
+        if n * best_d > best_n * d:
+            best_n, best_d, arg = n, d, t
+    return ExactDistance(Fraction(best_n, best_d), arg)
+
+
+def _quad_between(lo: tuple, hi: tuple, t: Fraction) -> tuple:
+    """The kernel quad at t of the piece from breakpoint lo to hi, t0 < t < t1."""
+    (t0, p0), (t1, p1) = lo, hi
+    if p0 == p1:
+        return p0._q
+    # u = (t - t0) / (t1 - t0) as an unreduced pair with a positive denominator
+    n, d = t.numerator, t.denominator
+    n0, d0 = t0.numerator, t0.denominator
+    n1, d1 = t1.numerator, t1.denominator
+    return kernels.lerp(p0._q, p1._q, (n * d0 - n0 * d) * d1, d * (n1 * d0 - n0 * d1))
 
 
 def point_segment_distance_sq(q: Point2, s: Segment) -> Fraction:

@@ -11,15 +11,18 @@ vertices, and the degree is an integer sum of those steps, never a
 numeric arc length.
 
 Every loop carries its chart: the edge each piece lies on (None for a
-constant piece), or the first violation of an invalid loop. A loop made of
-fresh geometry (the standard loops, ``points`` literals, perturbations,
-reparametrizations, any transplant) is located once, breakpoint by
-breakpoint, on first use. Operations that rebuild a loop on points already
-charted carry the chart instead: concatenation, reversal, the inclusion
-X -> Y, ``realize_word``, ``subdivide`` and the collapse into X. If an
-operand is invalid, the result is left uncharted and is located afresh, so
-its violation reads as before. ``validate`` always locates afresh, which
-makes it an independent check of a carried chart.
+constant piece), or the first violation of an invalid loop. The standard
+loops (``standard_f``, ``standard_fn``) and the perturbations of the
+discreteness probe are charted by construction: their pieces are put on
+known edges. Operations that rebuild a loop on points already charted
+carry the chart: concatenation, reversal, the inclusion X -> Y,
+``realize_word``, ``subdivide`` and the collapse into X. Only a loop of
+foreign geometry (``points`` literals, the slsc probe's samples,
+reparametrizations, any transplant) is located, once, breakpoint by
+breakpoint, on first use. If an operand is invalid, the result is left
+uncharted and is located afresh, so its violation reads as before.
+``validate`` always locates afresh, which makes it an independent check of
+a carried chart.
 """
 from __future__ import annotations
 
@@ -67,8 +70,8 @@ class Loop:
     The chart is the tuple of edges the pieces lie on (None for a constant
     piece), or the first ``Violation`` of an invalid loop. It is located at
     most once per Loop, by ``_first_violation`` on first use, unless the
-    operation that built the loop carried it over from its operands. It
-    takes no part in equality.
+    operation that built the loop charted it by construction or carried it
+    over from its operands. It takes no part in equality.
     """
 
     path: PLPath
@@ -308,13 +311,17 @@ def constant_loop(space: SpaceHandle) -> Loop:
 
 
 def standard_f(space: Optional[SpaceHandle] = None) -> Loop:
-    """The up-and-down traversal of alpha: p to (0,1) at half time, then back."""
+    """The up-and-down traversal of alpha: p to (0,1) at half time, then back.
+
+    Charted by construction: both pieces lie on alpha."""
     space = space if space is not None else default_y()
     if not space.has_alpha:
         raise SpaceError("the alpha loop lives in the compact space Y")
     top = space.alpha_segment.b
-    return Loop(
-        PLPath(((Fraction(0), ORIGIN), (Fraction(1, 2), top), (Fraction(1), ORIGIN))), space
+    return _charted(
+        PLPath(((Fraction(0), ORIGIN), (Fraction(1, 2), top), (Fraction(1), ORIGIN))),
+        space,
+        ((ALPHA_EDGE, ALPHA_EDGE),),
     )
 
 
@@ -325,11 +332,12 @@ def standard_fn(n: int, space: Optional[SpaceHandle] = None) -> Loop:
     (0,1); the cap B_n -> D_n is crossed on [1/2, (1+w)/2] so that during
     the descent the y-coordinates of this loop and the alpha loop agree
     identically. That makes sup_distance(f_n, f) exactly 1/n + n*w(n).
+    Charted by construction: its pieces are the edges 0, 1, 2 of C_n.
     """
     space = space if space is not None else default_x()
     circ = space.circle(n)
     w = space.profile(n)
-    return Loop(
+    return _charted(
         PLPath(
             (
                 (Fraction(0), ORIGIN),
@@ -339,6 +347,7 @@ def standard_fn(n: int, space: Optional[SpaceHandle] = None) -> Loop:
             )
         ),
         space,
+        (tuple(("c", circ.index, j) for j in range(3)),),
     )
 
 
@@ -381,8 +390,8 @@ def subdivide(loop: Loop, extra: Sequence[Fraction]) -> Loop:
 def realize_word(w: Word, space: Optional[SpaceHandle] = None) -> Loop:
     """A loop in X whose excursion sequence spells the word letter by letter.
 
-    Its chart joins the charts of the standard loops it is made of; the
-    standard loop of each circle is built and located once per call.
+    Its chart joins the charts of the standard loops it is made of, so no
+    point is located; the standard loop of each circle is built once per call.
     """
     space = space if space is not None else default_x()
     letters = list(w.letters())

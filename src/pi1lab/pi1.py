@@ -339,7 +339,13 @@ def _slide_candidates(loop: Loop, edges) -> Tuple[int, ...]:
 def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
     """One random valid perturbation: subdivide, slide along carrying edges,
     and bounce tiny degree-0 excursions off p; stays within sup distance
-    ``bound`` of the input (verified exactly by the caller)."""
+    ``bound`` of the input (verified exactly by the caller).
+
+    The result is charted by construction, so no point is located. A slid
+    breakpoint ``seg.at(u2)`` with u2 in [0, 1] lies on ``seg`` exactly, so
+    its two pieces keep their edge, unless the slide leaves a piece constant
+    (chart None). A bounce replaces a constant piece at p with two pieces on
+    the arm edge it was drawn on."""
     grid = 64
     # subdivide a few pieces so there is something to slide
     extra = []
@@ -364,6 +370,9 @@ def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
         du = max_du * Fraction(rng.randint(-grid, grid), grid)
         u2 = min(max(u + du, Fraction(0)), Fraction(1))
         bks[i] = (t, seg.at(u2))
+    chart = [
+        None if p0 == p1 else ref for (_, p0), (_, p1), ref in zip(bks, bks[1:], edges)
+    ]
     # bounce: replace one constant-at-p piece with a tiny degree-0 excursion
     const_p = [
         i
@@ -375,16 +384,16 @@ def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
         touched = sorted({ref[1] for ref in edges if ref is not None and ref[0] == "c"})
         n = rng.choice(touched or [2])
         circ = loop.space.circle(n)
-        arm_edge, arm_u = (
-            (circ.edges[0], Fraction(0)) if rng.random() < 0.5 else (circ.edges[2], Fraction(1))
-        )
+        arm, arm_u = (0, Fraction(0)) if rng.random() < 0.5 else (2, Fraction(1))
+        arm_edge = circ.edges[arm]
         _, hi_len = dyadic_sqrt_bounds(arm_edge.length_sq)
         du = (bound / (2 * hi_len)) * Fraction(rng.randint(1, grid), grid)
         u2 = arm_u + (du if arm_u == 0 else -du)
         t0, t1 = bks[i][0], bks[i + 1][0]
         tm = (t0 + t1) / 2
         bks.insert(i + 1, (tm, arm_edge.at(u2)))
-    return Loop(PLPath(tuple(bks)), loop.space)
+        chart[i : i + 1] = [("c", n, arm)] * 2
+    return _charted(PLPath(tuple(bks)), loop.space, (chart,))
 
 
 def probe_discreteness_x(
@@ -496,8 +505,10 @@ def alpha_decorate(loop: Loop, rng: random.Random) -> Loop:
     far = choose_n(loop) + rng.randint(0, 3)
     arm = space.circle(far).edges[0]
     mid = arm.at(Fraction(1, 2))
-    bounce = Loop(
-        PLPath(((Fraction(0), ORIGIN), (Fraction(1, 2), mid), (Fraction(1), ORIGIN))), space
+    bounce = _charted(
+        PLPath(((Fraction(0), ORIGIN), (Fraction(1, 2), mid), (Fraction(1), ORIGIN))),
+        space,
+        ((("c", far, 0),) * 2,),
     )
     pattern = rng.choice(
         (

@@ -59,6 +59,8 @@ HOSTILE_LINES = (
     ("loop w = word g2^10000 g3", 1),
     ("space T = Y(100000)", 13),
     ("probe disjointness up_to=101", 1),
+    ("probe slsc radius=1/4 samples=10001", 31),
+    ("probe discreteness loop=w trials=10001 magnitude=1/1000", 34),
 )
 
 # Each concat doubles the loop; the second line already passes the letter budget.
@@ -145,6 +147,8 @@ class TestRun:
             "word-letter-sum",
             "space-hint",
             "pairwise-up-to",
+            "slsc-samples",
+            "discreteness-trials",
         ),
     )
     def test_hostile_literal_fails_fast(self, capsys, tmp_path, line, col):

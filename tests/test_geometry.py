@@ -336,6 +336,14 @@ def longer_pl_paths(draw):
 unit_params = st.fractions(min_value=0, max_value=1, max_denominator=64)
 
 
+def with_constant_stretches(path: PLPath, data) -> PLPath:
+    """The path with some breakpoints moved onto their predecessor's point."""
+    bks = list(path.breakpoints)
+    for k in sorted(data.draw(st.sets(st.integers(1, len(bks) - 1)))):
+        bks[k] = (bks[k][0], bks[k - 1][1])
+    return PLPath(tuple(bks))
+
+
 class TestOnePassWalk:
     """with_params and sup_distance walk a path once; each point must be
     the one at() gives for its parameter."""
@@ -349,9 +357,23 @@ class TestOnePassWalk:
         assert g.params == tuple(ts)
         assert g.breakpoints == tuple((t, f.at(t)) for t in ts)
 
-    @given(f=longer_pl_paths(), g=longer_pl_paths())
-    @settings(max_examples=60)
-    def test_sup_distance_matches_at(self, f, g):
+    @given(f=longer_pl_paths(), data=st.data())
+    @settings(max_examples=100)
+    def test_sup_distance_matches_at(self, f, data):
+        """Also on the merge's edge cases: g a refinement of f, shared
+        interior parameters, constant stretches, and g equal to f."""
+        case = data.draw(st.sampled_from(("apart", "refinement", "shared", "constant", "equal")))
+        if case == "refinement":
+            g = f.with_params(data.draw(st.lists(unit_params, min_size=1, max_size=4)))
+        elif case == "equal":
+            g = f
+        else:
+            g = data.draw(longer_pl_paths())
+        if case == "shared":
+            shared = data.draw(st.lists(unit_params, min_size=1, max_size=3))
+            f, g = f.with_params(shared), g.with_params(shared)
+        elif case == "constant":
+            f, g = with_constant_stretches(f, data), with_constant_stretches(g, data)
         best, arg = F(0), F(0)
         for t in common_refinement(f, g):
             d = f.at(t).dist_sq(g.at(t))
@@ -359,6 +381,8 @@ class TestOnePassWalk:
                 best, arg = d, t
         got = sup_distance(f, g)
         assert (got.squared, got.attained_at) == (best, arg)
+        if case in ("refinement", "equal"):
+            assert (got.squared, got.attained_at) == (0, 0)
 
     def test_with_params_out_of_range(self):
         f = alpha_updown()

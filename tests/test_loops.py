@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pi1lab import kernels
+from pi1lab import kernels, pi1
 from pi1lab.geometry import PLPath, point, sup_distance
 from pi1lab.loops import (
     Excursion,
@@ -35,7 +35,15 @@ from pi1lab.pi1 import (
     collapse_with_certificate,
     random_reduced_word,
 )
-from pi1lab.spaces import ComponentId, SpaceKind, compact_y
+from pi1lab.spaces import (
+    CUBE,
+    POW10,
+    ComponentId,
+    SpaceConsistencyError,
+    SpaceKind,
+    compact_y,
+    uniform_profile,
+)
 from pi1lab.words import parse_word
 
 F = Fraction
@@ -291,6 +299,38 @@ def assert_carried(lp):
 
 
 class TestCarriedCharts:
+    @pytest.mark.parametrize(
+        "profile,top",
+        ((POW10, 40), (CUBE, 40), (uniform_profile(F(1, 1000)), 2)),
+        ids=("pow10", "cube", "uniform"),
+    )
+    def test_charted_by_construction(self, profile, top, monkeypatch):
+        """The standard loops and the decoration's bounce are charted as
+        fresh location charts them. A uniform width refuses C_3 on."""
+        y = compact_y(hint=top, profile=profile)
+        x = y.sibling(SpaceKind.BOUQUET_X)
+        assert_carried(standard_f(y))
+        for n in range(2, top + 1):
+            assert_carried(standard_fn(n, x))
+            assert_carried(standard_fn(n, y))
+        parts = []
+
+        def recording(loops):
+            parts.extend(loops)
+            return concatenate_all(loops)
+
+        monkeypatch.setattr(pi1, "concatenate_all", recording)
+        rng = random.Random(24)
+        for _ in range(20):
+            try:
+                alpha_decorate(constant_loop(y), rng)
+            except SpaceConsistencyError:
+                assert top == 2
+        bounces = [lp for lp in parts if lp.path.breakpoints[1][1].x > 0]
+        assert bounces
+        for lp in bounces:
+            assert_carried(lp)
+
     def test_realize_word_reverse_include(self, x):
         rng = random.Random(21)
         for _ in range(60):

@@ -41,6 +41,7 @@ from pi1lab.pi1 import (
     random_reduced_word,
     stability_radius,
 )
+from pi1lab.report import PASS
 from pi1lab.spaces import SpaceHandle, SpaceKind, compact_y
 from pi1lab.words import IDENTITY, invert, multiply, parse_word
 
@@ -337,6 +338,17 @@ class TestReportDeterminism:
         assert rep.verdict == "FAIL" and len(rep.witnesses) >= 1
 
 
+def demo_corpus(x):
+    """The five loops the demo probes for discreteness."""
+    return [
+        constant_loop(x),
+        standard_fn(2, x),
+        standard_fn(3, x),
+        realize_word(parse_word("g2 g3"), x),
+        realize_word(parse_word("g2^2 g5^-1"), x),
+    ]
+
+
 def assert_carried(lp):
     """The loop was built with its chart, and the chart is what locating
     its path from scratch gives."""
@@ -372,6 +384,29 @@ class TestCarriedCharts:
         assert len(subdivided) == 100
         for lp in subdivided:
             assert_carried(lp)
+
+    def test_perturbation_result(self, x):
+        """The loop _perturb_once returns is charted as fresh location charts
+        it, slides and bounces included: at the probe's magnitude, and at
+        magnitudes large enough that slides clamp at vertices and leave
+        constant pieces."""
+        corpus = demo_corpus(x)
+        rng = random.Random(36)
+        corpus += [realize_word(random_reduced_word(rng, 6), x) for _ in range(10)]
+        corpus += [concatenate_all([corpus[0], lp, corpus[0]]) for lp in corpus[1:5]]
+        bounces = slid_constant = 0
+        for lp in corpus:
+            excursions = len(decompose(lp))
+            for bound in (F(1, 1000), F(1, 10), F(1)):
+                for _ in range(6):
+                    out = pi1._perturb_once(lp, rng, bound)
+                    assert_carried(out)
+                    bounces += len(decompose(out)) > excursions
+                    slid_constant += any(
+                        ref is None and p0 != ORIGIN
+                        for ref, ((_, p0), _) in zip(out._chart, out.path.pieces())
+                    )
+        assert bounces > 0 and slid_constant > 0
 
 
 @pytest.fixture
@@ -412,11 +447,28 @@ class TestLocateOnce:
         for _ in range(20):
             w = random_reduced_word(rng, 8)
             lx = realize_word(w, x)
-            assert len(located) == 2 * len({n for n, _ in w.syllables})
-            located.clear()
             assert classify_y(include_in_y(lx)).word == w
             assert classify_x(lx).word == w
             assert located == []
+
+    def test_discreteness_probe_locates_nothing(self, x, located):
+        for seed, lp in enumerate(demo_corpus(x)):
+            assert probe_discreteness_x(lp, 40, F(1, 1000), seed).verdict == PASS
+        assert located == []
+
+    def test_roundtrip_locates_only_in_validate(self, y, located, monkeypatch):
+        inside = []
+
+        def counted(loop):
+            before = len(located)
+            out = validate(loop)
+            inside.append(len(located) - before)
+            return out
+
+        monkeypatch.setattr(pi1, "validate", counted)
+        assert probe_isomorphism_roundtrip(40, 10, 37, y).verdict == PASS
+        assert len(inside) == 40
+        assert sum(inside) == len(located) > 0
 
     def test_validate_locates_afresh(self, y, x, located):
         decorated = alpha_decorate(include_in_y(realize_word(parse_word("g2 g3^-1"), x)), random.Random(34))
