@@ -27,7 +27,7 @@ fails at once with a parse error instead of running for seconds to hours:
 - circle indices are capped at ``MAX_CIRCLE_INDEX``: ``C(n)``, word
   generators ``gN``, a space's hint, ``n_max`` and ``up_to``, and the one
   circle each ``points`` breakpoint can lie on, ``max(2, ceil(y/x))`` for
-  x > 0. The default pow10 width of C_n has a 10n-digit denominator, so
+  x > 0 (``spaces.candidate_circle``, which point location uses too). The default pow10 width of C_n has a 10n-digit denominator, so
   the cost of a single circle grows with its index;
 - ``probe disjointness`` intersects every pair of circles exactly, so its
   ``up_to`` is capped lower, at ``MAX_PAIRWISE_UP_TO``;
@@ -40,12 +40,12 @@ fails at once with a parse error instead of running for seconds to hours:
 """
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
+from .spaces import candidate_circle
 from .words import Word, WordError, format_word, parse_word
 
 
@@ -275,7 +275,7 @@ def _parse_loop_expr(text: str, line: int, col: int, known_loops: Optional[dict]
                     raise DslError(line, col, f"bad points triple {part!r}")
                 t, x, y = (parse_rational(m.group(i), line, col) for i in (1, 2, 3))
                 if x > 0:
-                    n = max(2, math.ceil(y / x))
+                    n = candidate_circle((x.numerator, x.denominator, y.numerator, y.denominator))
                     # y/x of two literals can pass the digit limit of str()
                     circle = f"C({n})" if n.bit_length() < 10000 else "a circle"
                     _check_index(n, f"breakpoint ({x}, {y}) can only lie on {circle}, which", line, col)

@@ -148,25 +148,31 @@ class PLPath:
     between breakpoints the path is the exact linear interpolation.
     Consecutive equal points are allowed and denote a constant stretch.
     The tuple of breakpoint parameters is stored once, as ``params``.
+    Parameters may be given as ints, strings or Fractions and are stored as
+    Fractions; their order is checked on integers, by cross-multiplying
+    numerators and denominators.
     """
 
     breakpoints: tuple
     params: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bks = tuple(
-            (t if type(t) is Fraction else Fraction(t), p) for t, p in self.breakpoints
-        )
-        object.__setattr__(self, "breakpoints", bks)
+        bks = self.breakpoints
+        if type(bks) is not tuple or any(type(t) is not Fraction for t, _ in bks):
+            bks = tuple((t if type(t) is Fraction else Fraction(t), p) for t, p in bks)
+            object.__setattr__(self, "breakpoints", bks)
         ts = tuple(t for t, _ in bks)
         object.__setattr__(self, "params", ts)
         if len(bks) < 2:
             raise PathInvariantError("a path needs at least two breakpoints")
-        if ts[0] != 0 or ts[-1] != 1:
+        if ts[0].numerator != 0 or ts[-1].numerator != 1 or ts[-1].denominator != 1:
             raise PathInvariantError("path parameters must start at 0 and end at 1")
-        for t0, t1 in zip(ts, ts[1:]):
-            if not t0 < t1:
-                raise PathInvariantError(f"breakpoint parameters not strictly increasing at t={t1}")
+        n0, d0 = 0, 1
+        for t in ts[1:]:
+            n, d = t.numerator, t.denominator
+            if n * d0 <= n0 * d:
+                raise PathInvariantError(f"breakpoint parameters not strictly increasing at t={t}")
+            n0, d0 = n, d
 
     @property
     def points(self) -> tuple:
@@ -184,15 +190,20 @@ class PLPath:
         return tuple(zip(self.breakpoints, self.breakpoints[1:]))
 
     def with_params(self, extra: Iterable[Fraction]) -> "PLPath":
-        """Same path with additional breakpoints inserted (geometry unchanged)."""
-        ts = sorted(set(self.params).union(Fraction(t) for t in extra))
-        if ts[0] < 0 or ts[-1] > 1:
-            bad = ts[0] if ts[0] < 0 else ts[bisect_right(ts, 1)]
-            raise ParameterRangeError(f"parameter {bad} outside [0, 1]")
-        return PLPath(tuple(zip(ts, _walk(self, ts))))
+        """Same path with additional breakpoints inserted (geometry unchanged).
+
+        One merge of the sorted extras into ``params``, compared on
+        integers; a new point is interpolated on its piece as a kernel quad.
+        """
+        return _refine(self, extra)[0]
 
     def reversed(self) -> "PLPath":
-        return PLPath(tuple((1 - t, p) for t, p in reversed(self.breakpoints)))
+        return PLPath(
+            tuple(
+                (Fraction(t.denominator - t.numerator, t.denominator), p)
+                for t, p in reversed(self.breakpoints)
+            )
+        )
 
 
 def _point_on_piece(bks: tuple, i: int, t: Fraction) -> Point2:
@@ -205,16 +216,41 @@ def _point_on_piece(bks: tuple, i: int, t: Fraction) -> Point2:
     return _from_quad(kernels.lerp(p0.quad(), p1.quad(), u.numerator, u.denominator))
 
 
-def _walk(path: PLPath, ts: Sequence[Fraction]):
-    """The points of the path at the increasing parameters ``ts`` in [0, 1],
-    found in one pass over its breakpoints."""
-    bks, params = path.breakpoints, path.params
-    last = len(params) - 1
-    i = 0
-    for t in ts:
-        while i < last and params[i + 1] <= t:
+def _refine(path: PLPath, extra: Iterable) -> tuple:
+    """``path.with_params(extra)``, and for each of its pieces the index of
+    the piece of ``path`` it lies on.
+
+    The sorted extras are merged into the breakpoints in one pass, compared
+    by integer cross-multiplication; an extra equal to a breakpoint or to an
+    earlier extra adds nothing.
+    """
+    ex = sorted(Fraction(t) for t in extra)
+    if ex and (ex[0] < 0 or ex[-1] > 1):
+        bad = ex[0] if ex[0] < 0 else ex[bisect_right(ex, 1)]
+        raise ParameterRangeError(f"parameter {bad} outside [0, 1]")
+    bks = path.breakpoints
+    out, owner = [bks[0]], [0]
+    i = 1  # the next breakpoint of the path; the current piece is i - 1
+    for t in ex:
+        n, d = t.numerator, t.denominator
+        ti = bks[i][0]
+        c = n * ti.denominator - ti.numerator * d
+        while c > 0:
+            out.append(bks[i])
+            owner.append(i)
             i += 1
-        yield _point_on_piece(bks, i, t)
+            ti = bks[i][0]
+            c = n * ti.denominator - ti.numerator * d
+        prev = out[-1][0]
+        if c == 0 or (prev.numerator == n and prev.denominator == d):
+            continue
+        lo, hi = bks[i - 1], bks[i]
+        p = lo[1] if lo[1] == hi[1] else _from_quad(_quad_between(lo, hi, t))
+        out.append((t, p))
+        owner.append(i - 1)
+    out.extend(bks[i:])
+    owner.extend(range(i, len(bks) - 1))
+    return PLPath(tuple(out)), tuple(owner)
 
 
 def pl_path(raw: Sequence) -> PLPath:

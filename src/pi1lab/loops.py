@@ -12,27 +12,31 @@ numeric arc length.
 
 Every loop carries its chart: the edge each piece lies on (None for a
 constant piece), or the first violation of an invalid loop. The standard
-loops (``standard_f``, ``standard_fn``) and the perturbations of the
-discreteness probe are charted by construction: their pieces are put on
-known edges. Operations that rebuild a loop on points already charted
-carry the chart: concatenation, reversal, the inclusion X -> Y,
-``realize_word``, ``subdivide`` and the collapse into X. Only a loop of
-foreign geometry (``points`` literals, the slsc probe's samples,
+loops (``standard_f``, ``standard_fn``), the perturbations of the
+discreteness probe and the samples of the slsc probe are charted by
+construction: their pieces are put on known edges. Operations that
+rebuild a loop on points already charted carry the chart: concatenation,
+reversal, the inclusion X -> Y, ``realize_word``, ``subdivide`` and the
+collapse into X. Only a loop of foreign geometry (``points`` literals,
 reparametrizations, any transplant) is located, once, breakpoint by
 breakpoint, on first use. If an operand is invalid, the result is left
 uncharted and is located afresh, so its violation reads as before.
 ``validate`` always locates afresh, which makes it an independent check of
 a carried chart.
+
+Path parameters are rebuilt on integers: concatenation halves a parameter
+n/d to n/(2d) or (n + d)/(2d), ``realize_word`` places it at
+(k*d + n)/(total*d), and ``subdivide`` merges its new parameters in one
+pass that also names each new piece's old piece.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
-from .geometry import ORIGIN, PLPath, Point2, pl_path
+from .geometry import ORIGIN, PLPath, _refine, pl_path
 from .spaces import (
     ALPHA_EDGE,
     ComponentId,
@@ -102,9 +106,10 @@ class Excursion:
 
     ``breakpoints`` is the loop's own slice of breakpoints, from p to p,
     with the original parameters; ``t_start``/``t_end`` are its first and
-    last. The piece ``k`` runs from breakpoint ``k`` to ``k + 1`` and lies
-    on ``piece_edges[k]``. ``subpath``, the slice renormalized to [0, 1],
-    is built only when it is read. The component tag names the unique
+    last, and ``first`` is the index of its first in the loop's
+    breakpoints. The piece ``k`` runs from breakpoint ``k`` to ``k + 1`` and
+    lies on ``piece_edges[k]``. ``subpath``, the slice renormalized to
+    [0, 1], is built only when it is read. The component tag names the unique
     component of (space minus p) carrying the excursion's interior.
     """
 
@@ -114,6 +119,7 @@ class Excursion:
     breakpoints: tuple
     piece_edges: Tuple[Optional[EdgeRef], ...]
     space: SpaceHandle
+    first: int
 
     @cached_property
     def subpath(self) -> PLPath:
@@ -213,10 +219,6 @@ def validate(loop: Loop) -> Optional[Violation]:
     return v if isinstance(v, Violation) else None
 
 
-def is_valid(loop: Loop) -> bool:
-    return validate(loop) is None
-
-
 def _component_of_edge(ref: EdgeRef) -> ComponentId:
     if ref == ALPHA_EDGE:
         return ComponentId.alpha()
@@ -246,7 +248,7 @@ def decompose(loop: Loop) -> Tuple[Excursion, ...]:
                 f"excursion on [{bks[i][0]}, {bks[j][0]}] spans components {sorted(map(str, comps))}"
             )
         out.append(
-            Excursion(bks[i][0], bks[j][0], comps.pop(), bks[i : j + 1], piece_edges, loop.space)
+            Excursion(bks[i][0], bks[j][0], comps.pop(), bks[i : j + 1], piece_edges, loop.space, i)
         )
     return tuple(out)
 
@@ -355,8 +357,11 @@ def concatenate(a: Loop, b: Loop) -> Loop:
     """Half-speed concatenation: a on [0, 1/2], b on [1/2, 1]."""
     if a.space != b.space:
         raise SpaceMismatchError("cannot concatenate loops from different spaces")
-    bks = [(t / 2, q) for t, q in a.path.breakpoints]
-    bks.extend((Fraction(1, 2) + t / 2, q) for t, q in b.path.breakpoints[1:])
+    bks = [(Fraction(t.numerator, 2 * t.denominator), q) for t, q in a.path.breakpoints]
+    bks.extend(
+        (Fraction(t.numerator + t.denominator, 2 * t.denominator), q)
+        for t, q in b.path.breakpoints[1:]
+    )
     return _charted(PLPath(tuple(bks)), a.space, (_edges_or_none(a), _edges_or_none(b)))
 
 
@@ -377,13 +382,13 @@ def reverse(a: Loop) -> Loop:
 def subdivide(loop: Loop, extra: Sequence[Fraction]) -> Loop:
     """The same loop with breakpoints added at the parameters ``extra``.
 
-    Geometry is unchanged and each split piece keeps its edge.
+    Geometry is unchanged and each split piece keeps its edge: the merge
+    that inserts the parameters also names the old piece of each new one.
     """
-    path = loop.path.with_params(extra)
+    path, owner = _refine(loop.path, extra)
     edges = _edges_or_none(loop)
     if edges is not None:
-        old = loop.path.params
-        edges = tuple(edges[bisect_right(old, t) - 1] for t in path.params[:-1])
+        edges = tuple(edges[i] for i in owner)
     return _charted(path, loop.space, (edges,))
 
 
@@ -406,7 +411,7 @@ def realize_word(w: Word, space: Optional[SpaceHandle] = None) -> Loop:
         part = parts[n] if sgn > 0 else reverse(parts[n])
         runs.append(_edges_or_none(part))
         for t, q in part.path.breakpoints[1:]:
-            bks.append((Fraction(k + t, total), q))
+            bks.append((Fraction(k * t.denominator + t.numerator, total * t.denominator), q))
     return _charted(PLPath(tuple(bks)), space, runs)
 
 

@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import kernels
 from .exactnum import dyadic_sqrt_bounds, rational_decimal
-from .geometry import ORIGIN, PLPath, Point2, Segment, sup_distance
+from .geometry import ORIGIN, PLPath, Point2, Segment, _from_quad, sup_distance
 from .loops import (
     Excursion,
     Loop,
@@ -45,7 +45,7 @@ from .loops import (
     winding_degree,
 )
 from .report import FAIL, PASS, ProbeParameterError, ProbeReport, exact_str, report_digits
-from .spaces import SpaceHandle, SpaceKind, default_y
+from .spaces import ALPHA_EDGE, SpaceHandle, SpaceKind, default_y
 from .words import Word, format_word, reduce_letters
 
 
@@ -146,7 +146,6 @@ def collapse_with_certificate(loop: Loop) -> Tuple[Loop, Tuple[CollapseAction, .
     cutoff = _cutoff(loop, excs)
     edges = _analyze(loop)
     bks = loop.path.breakpoints
-    index_of = {t: i for i, (t, _) in enumerate(bks)}
     stretches = {}  # first breakpoint index of a collapsed stretch -> its last
     actions = []
     for exc in excs:
@@ -161,7 +160,7 @@ def collapse_with_certificate(loop: Loop) -> Tuple[Loop, Tuple[CollapseAction, .
         else:
             reason = "arc in the limit segment; contracts along the segment to p"
         actions.append(CollapseAction(exc.t_start, exc.t_end, str(comp), "collapsed", reason))
-        stretches[index_of[exc.t_start]] = index_of[exc.t_end]
+        stretches[exc.first] = exc.first + len(exc.breakpoints) - 1
     new_bks, new_edges = [bks[0]], []
     k = 0
     while k < len(bks) - 1:
@@ -342,10 +341,11 @@ def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
     ``bound`` of the input (verified exactly by the caller).
 
     The result is charted by construction, so no point is located. A slid
-    breakpoint ``seg.at(u2)`` with u2 in [0, 1] lies on ``seg`` exactly, so
-    its two pieces keep their edge, unless the slide leaves a piece constant
+    breakpoint is the point of ``seg`` at a parameter u2 in [0, 1], so its
+    two pieces keep their edge, unless the slide leaves a piece constant
     (chart None). A bounce replaces a constant piece at p with two pieces on
-    the arm edge it was drawn on."""
+    the arm edge it was drawn on. The subdivision parameters and each slid
+    parameter u2, with its clamp to [0, 1], are computed as int pairs."""
     grid = 64
     # subdivide a few pieces so there is something to slide
     extra = []
@@ -353,10 +353,14 @@ def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
     for _ in range(rng.randint(1, 3)):
         i = rng.randrange(len(params) - 1)
         k = rng.randint(1, grid - 1)
-        extra.append(params[i] + (params[i + 1] - params[i]) * Fraction(k, grid))
+        t0, t1 = params[i], params[i + 1]
+        n0, d0, n1, d1 = t0.numerator, t0.denominator, t1.numerator, t1.denominator
+        # t0 + (t1 - t0) * k / grid
+        extra.append(Fraction(n0 * d1 * grid + (n1 * d0 - n0 * d1) * k, d0 * d1 * grid))
     work = subdivide(loop, extra)
     edges = _analyze(work)
     bks = list(work.path.breakpoints)
+    bn, bd = bound.numerator, bound.denominator
     # slide interior breakpoints along their carrying edge
     for i in _slide_candidates(work, edges):
         if rng.random() < 0.5:
@@ -364,12 +368,18 @@ def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
         ref = edges[i - 1]
         seg = loop.space.edge_segment(ref)
         _, hi_len = dyadic_sqrt_bounds(seg.length_sq)
-        max_du = bound / (2 * hi_len)
         t, q = bks[i]
-        u = Fraction(*kernels.foot_param(q.quad(), seg.a.quad(), seg.b.quad()))
-        du = max_du * Fraction(rng.randint(-grid, grid), grid)
-        u2 = min(max(u + du, Fraction(0)), Fraction(1))
-        bks[i] = (t, seg.at(u2))
+        a, b = seg.a.quad(), seg.b.quad()
+        un, ud = kernels.foot_param(q.quad(), a, b)
+        # u + bound * r / (2 * hi_len * grid), clamped to [0, 1]
+        dd = bd * 2 * hi_len.numerator * grid
+        n = un * dd + bn * hi_len.denominator * rng.randint(-grid, grid) * ud
+        d = ud * dd
+        if n <= 0:
+            n, d = 0, 1
+        elif n >= d:
+            n, d = 1, 1
+        bks[i] = (t, _from_quad(kernels.lerp(a, b, n, d)))
     chart = [
         None if p0 == p1 else ref for (_, p0), (_, p1), ref in zip(bks, bks[1:], edges)
     ]
@@ -599,18 +609,24 @@ def _sample_small_loop(
     Arms are the limit segment and the two p-incident edges of low circles;
     every excursion stays on one arm, hence has degree 0 — completing any
     circuit would require passing the apex at height 1, outside the ball.
+    The sample is charted by construction, so no point is located: every
+    piece of a group runs between two distinct points of the group's arm
+    (alpha, or edge 0 or 2 of a circle).
     """
     grid = 64
     bks = [(Fraction(0), ORIGIN)]
+    chart = []
     groups = rng.randint(1, 3)
     for g in range(groups):
         kind = rng.choice(["alpha", "arm0", "arm2"])
         if kind == "alpha" and space.has_alpha:
             direction = space.alpha_segment.b
+            ref = ALPHA_EDGE
         else:
             n = rng.randint(2, 9)
             circ = space.circle(n)
             direction = circ.apex if kind != "arm2" else circ.tail
+            ref = ("c", n, 2 if kind == "arm2" else 0)
         _, hi = dyadic_sqrt_bounds(direction.dist_sq(ORIGIN))
         s_max = Fraction(radius) / hi
         wiggles = rng.randint(1, 4)
@@ -624,10 +640,10 @@ def _sample_small_loop(
             if bks[-1][1] == q:
                 continue
             bks.append((t, q))
+            chart.append(ref)
         bks.append((t1, ORIGIN))
-    if bks[-1][0] != 1:
-        bks.append((Fraction(1), ORIGIN))
-    return Loop(PLPath(tuple(bks)), space)
+        chart.append(ref)
+    return _charted(PLPath(tuple(bks)), space, (chart,))
 
 
 def probe_slsc_y(

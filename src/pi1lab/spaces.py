@@ -18,7 +18,6 @@ C_{n-1} away from p. No answer depends on which circles are cached.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -127,6 +126,13 @@ EdgeRef = tuple
 ALPHA_EDGE: EdgeRef = ("alpha",)
 
 
+def candidate_circle(q: tuple) -> int:
+    """The one circle index a point with kernel quad ``q`` and x > 0 can
+    lie on: max(2, ceil(y/x)), by integer floor division."""
+    xn, xd, yn, yd = q
+    return max(2, -((-yn * xd) // (xn * yd)))
+
+
 def edge_is_base_incident(ref: EdgeRef) -> bool:
     return ref == ALPHA_EDGE or ref[2] in (0, 2)
 
@@ -226,9 +232,10 @@ class SpaceHandle:
 
     def _circle_edges_at(self, q: Point2) -> Iterator[EdgeRef]:
         """Edges through q of the one circle whose cone can hold it."""
-        if q.x <= 0:
+        qq = q.quad()
+        if qq[0] <= 0:
             return
-        circ = self.circle(max(2, math.ceil(q.y / q.x)))
+        circ = self.circle(candidate_circle(qq))
         for j, e in enumerate(circ.edges):
             if e.contains(q):
                 yield ("c", circ.index, j)

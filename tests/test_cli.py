@@ -1,9 +1,12 @@
+import os
 import re
+import subprocess
 import sys
 import time
 
 import pytest
 
+import pi1lab
 from pi1lab.cli import demo_whitehead, main
 
 GOOD_SCRIPT = """\
@@ -61,6 +64,24 @@ HOSTILE_LINES = (
     ("probe disjointness up_to=101", 1),
     ("probe slsc radius=1/4 samples=10001", 31),
     ("probe discreteness loop=w trials=10001 magnitude=1/1000", 34),
+)
+
+# Each probe line passes the parser, whose budgets exit 2, and is refused by
+# the probe itself: one error line, exit 1.
+PROBE_REFUSALS = (
+    ("Y", "probe slsc radius=1/4 samples=0", "samples must be positive"),
+    ("Y", "probe slsc radius=1/2 samples=3", "radius must lie strictly between 0 and 1/2"),
+    ("X", "probe discreteness loop=f2 trials=0 magnitude=1/1000", "trials must be positive"),
+    (
+        "X",
+        "probe discreteness loop=f2 trials=3 magnitude=1",
+        "magnitude 1 is not below the stability radius 1/32; "
+        "the word-stability claim is only certified below the radius",
+    ),
+    ("Y", "probe nondiscreteness n_max=1 epsilon=1/10", "n_max must be at least 2"),
+    ("Y", "probe nondiscreteness n_max=4 epsilon=0", "epsilon must be positive"),
+    ("Y", "probe disjointness up_to=2", "up_to must be at least 3 (need at least one pair)"),
+    ("Y", "probe hausdorff up_to=1", "up_to must be at least 2"),
 )
 
 # Each concat doubles the loop; the second line already passes the letter budget.
@@ -160,6 +181,27 @@ class TestRun:
         assert code == 2 and out == ""
         assert err.startswith(f"parse error: line 2, col {col}: ") and "exceeds the limit" in err
 
+    @pytest.mark.parametrize(
+        "kind,line,message",
+        PROBE_REFUSALS,
+        ids=(
+            "slsc-samples",
+            "slsc-radius",
+            "discreteness-trials",
+            "discreteness-magnitude",
+            "nondiscreteness-n-max",
+            "nondiscreteness-epsilon",
+            "disjointness-up-to",
+            "hausdorff-up-to",
+        ),
+    )
+    def test_probe_refusal_exits_1(self, capsys, tmp_path, kind, line, message):
+        script = tmp_path / "refused.pi1"
+        script.write_text(f"space S = {kind}(32)\nloop f2 = C(2).once\n{line}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["run", str(script)])
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_concat_letter_budget(self, capsys, tmp_path):
         script = tmp_path / "doubling.pi1"
         script.write_text(DOUBLING_SCRIPT, encoding="utf-8")
@@ -226,6 +268,16 @@ class TestOneOffCommands:
         assert code == 0
         assert "== probe: hausdorff-convergence ==" in out
         assert "verdict: PASS" in out
+
+
+class TestModuleEntryPoint:
+    def test_python_m_pi1lab(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pi1lab.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "pi1lab", "word", "C(4).once"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "word: g4\n", "")
 
 
 class TestRender:

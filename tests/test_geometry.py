@@ -1,3 +1,5 @@
+import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from pi1lab.geometry import (
     PLPath,
     Point2,
     Segment,
+    _refine,
     common_refinement,
     hausdorff_distance_sq,
     pl_path,
@@ -21,6 +24,7 @@ from pi1lab.geometry import (
     segments_intersect,
     sup_distance,
 )
+from pi1lab.spaces import candidate_circle
 
 F = Fraction
 
@@ -389,3 +393,87 @@ class TestOnePassWalk:
         for bad in (F(3, 2), F(-1, 10)):
             with pytest.raises(ParameterRangeError):
                 f.with_params([F(1, 2), bad])
+
+
+def increasing_check_message(ts):
+    """The PathInvariantError text of the Fraction order check, or None."""
+    for t0, t1 in zip(ts, ts[1:]):
+        if not t0 < t1:
+            return f"breakpoint parameters not strictly increasing at t={t1}"
+    return None
+
+
+class TestIntegerParams:
+    """Parameters are compared, refined, halved and reversed on integers;
+    each result must equal the Fraction formula it replaces."""
+
+    @given(f=longer_pl_paths(), extra=st.lists(unit_params, max_size=8), data=st.data())
+    @settings(max_examples=60)
+    def test_refine_piece_map(self, f, extra, data):
+        extra = extra + data.draw(st.lists(st.sampled_from(f.params + (F(0), F(1))), max_size=4))
+        g, owner = _refine(f, extra)
+        assert g == f.with_params(extra)
+        assert owner == tuple(bisect_right(f.params, t) - 1 for t in g.params[:-1])
+
+    @given(f=longer_pl_paths())
+    @settings(max_examples=50)
+    def test_reversed_params(self, f):
+        assert f.reversed().params == tuple(1 - t for t in reversed(f.params))
+        assert f.reversed().points == f.points[::-1]
+
+    @given(ts=st.lists(unit_params, min_size=1, max_size=6))
+    @settings(max_examples=60)
+    def test_order_check_message(self, ts):
+        """Equal and decreasing parameters get the Fraction check's text."""
+        ts = [F(0)] + ts + [F(1)]
+        message = increasing_check_message(ts)
+        bks = tuple((t, point(0, 0)) for t in ts)
+        if message is None:
+            assert PLPath(bks).params == tuple(ts)
+            return
+        with pytest.raises(PathInvariantError) as err:
+            PLPath(bks)
+        assert str(err.value) == message
+
+    def test_order_check_equal_and_decreasing(self):
+        p = point(0, 0)
+        for ts, bad in (((0, "1/2", "1/2", 1), "1/2"), ((0, "2/3", "1/3", 1), "1/3")):
+            with pytest.raises(PathInvariantError) as err:
+                PLPath(tuple((t, p) for t in ts))
+            assert str(err.value) == f"breakpoint parameters not strictly increasing at t={bad}"
+
+    def test_parameter_types(self):
+        p, q = point(0, 0), point(1, 2)
+        paths = [
+            PLPath(((0, p), (F(1, 3), q), (1, p))),
+            PLPath((("0", p), ("1/3", q), ("1", p))),
+            PLPath(((F(0), p), (F(1, 3), q), (F(1), p))),
+            PLPath([(0, p), ("1/3", q), (F(1), p)]),
+        ]
+        for path in paths:
+            assert path == paths[0]
+            assert all(type(t) is Fraction for t in path.params)
+            assert isinstance(path.breakpoints, tuple)
+
+    @given(
+        xn=st.integers(1, 10**6),
+        xd=st.integers(1, 10**6),
+        yn=st.integers(-(10**6), 10**6),
+        yd=st.integers(1, 10**6),
+        k=st.integers(-50, 50),
+    )
+    def test_candidate_circle(self, xn, xd, yn, yd, k):
+        x, y = F(xn, xd), F(yn, yd)
+        for yy in (y, k * x):  # the second has an integer ratio y/x = k
+            q = (x.numerator, x.denominator, yy.numerator, yy.denominator)
+            assert candidate_circle(q) == max(2, math.ceil(yy / x))
+
+    @given(digits=st.integers(1000, 1001), data=st.data())
+    @settings(max_examples=20)
+    def test_candidate_circle_long_operands(self, digits, data):
+        big = st.integers(10 ** (digits - 1), 10**digits - 1)
+        x = F(data.draw(big), data.draw(big))
+        y = F(data.draw(big) * data.draw(st.sampled_from((1, -1))), data.draw(big))
+        for yy in (y, x * data.draw(big)):
+            q = (x.numerator, x.denominator, yy.numerator, yy.denominator)
+            assert candidate_circle(q) == max(2, math.ceil(yy / x))

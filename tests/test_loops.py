@@ -241,6 +241,18 @@ class TestCombinators:
         (exc,) = decompose(lp)
         assert winding_degree(exc) == -1
 
+    def test_concat_params_oracle(self, x):
+        """The int-pair halving equals t/2 and 1/2 + t/2 on Fractions."""
+        rng = random.Random(46)
+        loops = [constant_loop(x), standard_fn(2, x), reverse(standard_fn(5, x))]
+        loops += [realize_word(random_reduced_word(rng, 6), x) for _ in range(8)]
+        for a in loops:
+            for b in loops:
+                got = concatenate(a, b).path.params
+                want = tuple(t / 2 for t in a.path.params)
+                want += tuple(F(1, 2) + t / 2 for t in b.path.params[1:])
+                assert got == want
+
 
 class TestRealizeWord:
     def test_identity_constant(self, x):
@@ -262,6 +274,19 @@ class TestRealizeWord:
     def test_exponents_expand(self, x):
         excs = decompose(realize_word(parse_word("g4^3"), x))
         assert [(e.component.index, winding_degree(e)) for e in excs] == [(4, 1)] * 3
+
+    def test_params_oracle(self, x):
+        """The int-pair placement equals (k + t) / total on Fractions."""
+        rng = random.Random(47)
+        for _ in range(30):
+            w = random_reduced_word(rng, 10)
+            letters = list(w.letters())
+            want = [F(0)]
+            for k, (n, sgn) in enumerate(letters):
+                part = standard_fn(n, x) if sgn > 0 else reverse(standard_fn(n, x))
+                want.extend((k + t) / len(letters) for t in part.path.params[1:])
+            got = realize_word(w, x).path.params
+            assert got == (tuple(want) if letters else (F(0), F(1)))
 
 
 class TestReparametrization:
@@ -491,7 +516,7 @@ class TestWindingOracle:
         t = [F(k, len(points) - 1) for k in range(len(points))]
         return Excursion(
             t[0], t[-1], ComponentId.circle(n), tuple(zip(t, points)),
-            tuple(("c", n, j) for j in edges), x,
+            tuple(("c", n, j) for j in edges), x, 0,
         )
 
     def test_edge_change_away_from_vertex(self, x):

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from pi1lab import pi1
-from pi1lab.geometry import ORIGIN
+from pi1lab import kernels, pi1
+from pi1lab.exactnum import dyadic_sqrt_bounds
+from pi1lab.geometry import ORIGIN, PLPath
 from pi1lab.loops import (
     Loop,
+    _analyze,
     _first_violation,
     concatenate,
     concatenate_all,
@@ -408,6 +410,80 @@ class TestCarriedCharts:
                     )
         assert bounces > 0 and slid_constant > 0
 
+    def test_slsc_samples(self, y, x):
+        """Each group of an slsc sample is charted on its arm: alpha, or edge
+        0 or 2 of a circle; in X an alpha group falls back to edge 0."""
+        arms = set()
+        for space in (y, x):
+            for seed in range(40):
+                rng = random.Random(seed)
+                for radius in (F(1, 4), F(1, 3), F(1, 1000), F(49, 100)):
+                    lp = pi1._sample_small_loop(space, radius, rng)
+                    assert_carried(lp)
+                    arms.update(ref[::2] for ref in lp._chart)
+        assert arms == {("alpha",), ("c", 0), ("c", 2)}
+
+
+def perturb_once_fraction(loop, rng, bound, clamps):
+    """_perturb_once's breakpoints by the Fraction formulas it replaced:
+    subdivision parameters, and each slid parameter with its clamp to
+    [0, 1]. ``clamps`` counts the slides clamped at 0 and at 1."""
+    grid = 64
+    extra = []
+    params = loop.path.params
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(params) - 1)
+        k = rng.randint(1, grid - 1)
+        extra.append(params[i] + (params[i + 1] - params[i]) * Fraction(k, grid))
+    work = subdivide(loop, extra)
+    edges = _analyze(work)
+    bks = list(work.path.breakpoints)
+    for i in pi1._slide_candidates(work, edges):
+        if rng.random() < 0.5:
+            continue
+        seg = loop.space.edge_segment(edges[i - 1])
+        _, hi_len = dyadic_sqrt_bounds(seg.length_sq)
+        max_du = bound / (2 * hi_len)
+        t, q = bks[i]
+        u = Fraction(*kernels.foot_param(q.quad(), seg.a.quad(), seg.b.quad()))
+        du = max_du * Fraction(rng.randint(-grid, grid), grid)
+        clamps[0] += u + du < 0
+        clamps[1] += u + du > 1
+        u2 = min(max(u + du, Fraction(0)), Fraction(1))
+        bks[i] = (t, seg.at(u2))
+    const_p = [
+        i
+        for i, ((_, p0), (_, p1)) in enumerate(zip(bks, bks[1:]))
+        if p0 == ORIGIN and p1 == ORIGIN
+    ]
+    if const_p and rng.random() < 0.75:
+        i = rng.choice(const_p)
+        touched = sorted({ref[1] for ref in edges if ref is not None and ref[0] == "c"})
+        n = rng.choice(touched or [2])
+        circ = loop.space.circle(n)
+        arm, arm_u = (0, Fraction(0)) if rng.random() < 0.5 else (2, Fraction(1))
+        arm_edge = circ.edges[arm]
+        _, hi_len = dyadic_sqrt_bounds(arm_edge.length_sq)
+        du = (bound / (2 * hi_len)) * Fraction(rng.randint(1, grid), grid)
+        u2 = arm_u + (du if arm_u == 0 else -du)
+        t0, t1 = bks[i][0], bks[i + 1][0]
+        bks.insert(i + 1, ((t0 + t1) / 2, arm_edge.at(u2)))
+    return PLPath(tuple(bks)).breakpoints
+
+
+class TestPerturbOracle:
+    def test_slides_match_fraction_formula(self, x):
+        """Same rng, same breakpoints, over the demo corpus at magnitudes
+        where no slide clamps and where slides clamp at both ends."""
+        clamps = [0, 0]
+        for k, lp in enumerate(demo_corpus(x)):
+            for bound in (F(1, 1000), F(1, 10), F(1)):
+                for seed in range(12):
+                    want = perturb_once_fraction(lp, random.Random(seed), bound, clamps)
+                    got = pi1._perturb_once(lp, random.Random(seed), bound)
+                    assert got.path.breakpoints == want, (k, bound, seed)
+        assert clamps[0] > 0 and clamps[1] > 0
+
 
 @pytest.fixture
 def located(monkeypatch):
@@ -469,6 +545,11 @@ class TestLocateOnce:
         assert probe_isomorphism_roundtrip(40, 10, 37, y).verdict == PASS
         assert len(inside) == 40
         assert sum(inside) == len(located) > 0
+
+    def test_slsc_probe_locates_nothing(self, y, located):
+        for seed in range(4):
+            assert probe_slsc_y(F(1, 4), 50, seed, y).verdict == PASS
+        assert located == []
 
     def test_validate_locates_afresh(self, y, x, located):
         decorated = alpha_decorate(include_in_y(realize_word(parse_word("g2 g3^-1"), x)), random.Random(34))
