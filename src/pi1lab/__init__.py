@@ -5,13 +5,9 @@ that the loop-space topologies of their fundamental groups differ.
 
 from .geometry import (
     ExactDistance,
-    ExactnessError,
     PLPath,
     Point2,
-    Rational,
     Segment,
-    evaluate,
-    hausdorff_distance_sq,
     pl_path,
     point,
     point_segment_distance_sq,

@@ -1,25 +1,15 @@
-"""Exact scalar values beyond the rationals.
+"""Exact renderings of rationals and of their square roots.
 
-Everything decision-relevant in this package is a rational number, but two
-kinds of derived values need care:
-
-* decimal renderings for reports (a rational, or the square root of a
-  rational, printed to a fixed number of places with round-half-even), and
-* values of the form a + b*sqrt(r) that appear transiently when a distance
-  envelope changes its nearest feature at a quadratic-irrational parameter.
-
-:class:`SqrtExt` models a + b*sqrt(r) with exact sign and order comparisons;
-no floating point is involved anywhere.
+Everything decision-relevant in this package is a rational number. Reports
+print a rational, or the square root of a rational, to a fixed number of
+places with round-half-even, and probes that need a length as a rational
+bound take an exact dyadic bracket around its square root. No floating
+point is involved anywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
 
 
 def _round_half_even(num: int, den: int) -> int:
@@ -89,144 +79,3 @@ def dyadic_sqrt_bounds(q: Fraction, bits: int = 40) -> tuple:
         hi = lo
     return lo, hi
 
-
-def sqrt_leq_sqrt_plus_sqrt(a: Fraction, b: Fraction, c: Fraction) -> bool:
-    """Decide sqrt(a) <= sqrt(b) + sqrt(c) exactly, for nonnegative rationals.
-
-    Used for triangle-inequality checks on squared distances. Equivalent to
-    a - b - c <= 2*sqrt(b*c), squared once after a sign check.
-    """
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("arguments must be nonnegative")
-    t = a - b - c
-    if t <= 0:
-        return True
-    return t * t <= 4 * b * c
-
-
-@dataclass(frozen=True)
-class SqrtExt:
-    """The exact real number a + b*sqrt(r), with a, b rational and r >= 0.
-
-    Normalized so that r is 0 or a non-square positive integer and b == 0
-    iff r == 0. Supports exact sign determination and total-order comparison
-    against rationals and other SqrtExt values (including values written
-    over different radicands).
-    """
-
-    a: Fraction
-    b: Fraction
-    r: int
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("radicand must be nonnegative")
-        a, b, r = self.a, self.b, self.r
-        if b == 0 or r == 0:
-            a, b, r = a, Fraction(0), 0
-        else:
-            root = isqrt(r)
-            if root * root == r:
-                a, b, r = a + b * root, Fraction(0), 0
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "r", r)
-
-    @classmethod
-    def from_rational(cls, q) -> "SqrtExt":
-        return cls(Fraction(q), Fraction(0), 0)
-
-    @classmethod
-    def sqrt_of(cls, q) -> "SqrtExt":
-        """sqrt of a nonnegative rational: sqrt(n/d) = sqrt(n*d)/d."""
-        q = Fraction(q)
-        if q < 0:
-            raise ValueError("cannot take the square root of a negative value")
-        return cls(Fraction(0), Fraction(1, q.denominator), q.numerator * q.denominator)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.r == 0
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("value is irrational")
-        return self.a
-
-    def sign(self) -> int:
-        if self.r == 0:
-            return _sign(self.a)
-        if self.a == 0:
-            return _sign(self.b)
-        sa, sb = _sign(self.a), _sign(self.b)
-        if sa == sb:
-            return sa
-        t = self.a * self.a - self.b * self.b * self.r
-        if t == 0:
-            return 0
-        return sa if t > 0 else sb
-
-    def cmp_rational(self, q) -> int:
-        return SqrtExt(self.a - Fraction(q), self.b, self.r).sign()
-
-    def cmp(self, other: "SqrtExt") -> int:
-        if self.r == other.r or other.r == 0:
-            return SqrtExt(self.a - other.a, self.b - other.b, self.r).sign()
-        if self.r == 0:
-            return -other.cmp(self)
-        # compare L = (a1-a2) + b1*sqrt(r1) against R = b2*sqrt(r2)
-        left = SqrtExt(self.a - other.a, self.b, self.r)
-        sl, sr = left.sign(), _sign(other.b)
-        if sr == 0:
-            return sl
-        if sl == 0:
-            return -sr
-        if sl != sr:
-            return sl
-        # both sides share a sign; compare squares (order flips if negative)
-        lsq = SqrtExt(
-            left.a * left.a + left.b * left.b * left.r,
-            2 * left.a * left.b,
-            left.r,
-        )
-        d = lsq.cmp_rational(other.b * other.b * other.r)
-        return d if sl > 0 else -d
-
-    def __lt__(self, other: "SqrtExt") -> bool:
-        return self.cmp(other) < 0
-
-    def __le__(self, other: "SqrtExt") -> bool:
-        return self.cmp(other) <= 0
-
-    def _floor_scaled(self, digits: int) -> int:
-        """floor(value * 10**digits), exact via bracketed integer search."""
-        scale = 10**digits
-        av = self.a * scale
-        if self.r == 0:
-            return av.numerator // av.denominator
-        bv = self.b * scale
-        root_hi = isqrt(self.r) + 1
-        mag = abs(av.numerator) // av.denominator + 1
-        mag += (abs(bv.numerator) // bv.denominator + 1) * root_hi
-        lo, hi = -mag - 1, mag + 1
-        # invariant: lo <= value*scale < hi is false only before first shrink
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            scaled = SqrtExt(self.a * scale - mid, self.b * scale, self.r)
-            if scaled.sign() >= 0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    def decimal(self, digits: int) -> str:
-        """Fixed-point rendering with round-half-even, exact tie handling."""
-        if self.r == 0:
-            return rational_decimal(self.a, digits)
-        scale = 10**digits
-        fl = self._floor_scaled(digits)
-        # compare value*scale with fl + 1/2
-        d = SqrtExt(self.a * scale - (Fraction(2 * fl + 1, 2)), self.b * scale, self.r).sign()
-        if d > 0 or (d == 0 and fl % 2 == 1):
-            fl += 1
-        return _format_scaled(fl, digits)

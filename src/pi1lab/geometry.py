@@ -1,23 +1,20 @@
 """Exact rational planar primitives.
 
 Points, segments and piecewise-linear paths over arbitrary-precision
-rationals; the sup metric between parametrized paths; exact squared
-Hausdorff distance between compact PL sets. No floating point participates
-in any predicate or returned value — distances are carried as exact squared
-rationals, with decimal renderings (round-half-even) provided for reports.
+rationals, and the sup metric between parametrized paths. No floating point
+participates in any predicate or returned value — distances are carried as
+exact squared rationals, with decimal renderings (round-half-even) provided
+for reports.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from . import kernels
-from .exactnum import SqrtExt, rational_decimal, sqrt_decimal
-
-Rational = Fraction
+from .exactnum import sqrt_decimal
 
 DEFAULT_DIGITS = 40
 
@@ -45,11 +42,6 @@ class ParameterRangeError(GeometryError):
 
 class PathInvariantError(GeometryError):
     """A PLPath violated its breakpoint invariants."""
-
-
-class ExactnessError(GeometryError):
-    """The exact answer is a quadratic irrational and cannot be returned
-    as a rational; carries a decimal enclosure for diagnosis."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,11 +250,6 @@ def pl_path(raw: Sequence) -> PLPath:
     return PLPath(tuple((rat(t), point(x, y)) for t, x, y in raw))
 
 
-def evaluate(path: PLPath, t) -> Point2:
-    """Exact point of the path at parameter t."""
-    return path.at(t)
-
-
 @dataclass(frozen=True)
 class ExactDistance:
     """A certified distance: exact squared rational plus decimal renderings."""
@@ -272,9 +259,6 @@ class ExactDistance:
 
     def decimal(self, digits: int = DEFAULT_DIGITS) -> str:
         return sqrt_decimal(self.squared, digits)
-
-    def squared_decimal(self, digits: int = DEFAULT_DIGITS) -> str:
-        return rational_decimal(self.squared, digits)
 
     def less_than(self, bound: Fraction) -> bool:
         """Exactly decide distance < bound for a nonnegative rational bound."""
@@ -367,162 +351,3 @@ def segment_segment_distance_sq(s1: Segment, s2: Segment) -> Fraction:
     n, den = kernels.seg_seg_dist_sq(a, b, c, d)
     return Fraction(n, den)
 
-
-# -- exact Hausdorff distance ------------------------------------------------
-#
-# The directed distance from a source segment to a target set is the maximum
-# of the lower envelope of finitely many convex quadratics of the source
-# parameter (one per active target feature). The envelope is piecewise
-# convex, so its maximum sits at an interval endpoint or at a crossing where
-# the nearest feature changes. Crossing parameters can be quadratic
-# irrationals; those are handled exactly through SqrtExt and only ever
-# surface as an error if the final answer itself is irrational.
-
-
-def _quad_at(c2: Fraction, c1: Fraction, c0: Fraction, t: Fraction) -> Fraction:
-    return c2 * t * t + c1 * t + c0
-
-
-def _quad_at_surd(c2, c1, c0, ta: Fraction, tb: Fraction, r: int) -> SqrtExt:
-    # value at t = ta + tb*sqrt(r):  c2*t^2 + c1*t + c0
-    a = c2 * (ta * ta + tb * tb * r) + c1 * ta + c0
-    b = c2 * 2 * ta * tb + c1 * tb
-    return SqrtExt(a, b, r)
-
-
-def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _feature_quads(p: Point2, v: tuple, target: Segment):
-    """Quadratic coefficient triples for distance^2 from p + t*v to the
-    target's three features (endpoint a, interior line, endpoint b)."""
-    vx, vy = v
-    c, d = target.a, target.b
-    wx, wy = d.x - c.x, d.y - c.y
-    ww = wx * wx + wy * wy
-
-    def point_quad(e: Point2):
-        dx, dy = p.x - e.x, p.y - e.y
-        return (vx * vx + vy * vy, 2 * (vx * dx + vy * dy), dx * dx + dy * dy)
-
-    cv = vx * wy - vy * wx
-    c0 = (p.x - c.x) * wy - (p.y - c.y) * wx
-    line_quad = (cv * cv / ww, 2 * cv * c0 / ww, c0 * c0 / ww)
-    return point_quad(c), line_quad, point_quad(d)
-
-
-def _directed_candidates(sources, targets):
-    """All maximum candidates for the directed distance^2 from the union of
-    ``sources`` to the union of ``targets``: (rational_max, irrational_list)."""
-    best = Fraction(0)
-    irrational = []
-    targets = tuple(targets)
-    for s in sources:
-        p = s.a
-        v = (s.b.x - s.a.x, s.b.y - s.a.y)
-        feature_data = []
-        cuts = {Fraction(0), Fraction(1)}
-        for tg in targets:
-            wx, wy = tg.b.x - tg.a.x, tg.b.y - tg.a.y
-            ww = wx * wx + wy * wy
-            alpha = (v[0] * wx + v[1] * wy) / ww
-            beta = ((p.x - tg.a.x) * wx + (p.y - tg.a.y) * wy) / ww
-            if alpha != 0:
-                for target_u in (0, 1):
-                    t = (target_u - beta) / alpha
-                    if 0 < t < 1:
-                        cuts.add(t)
-            feature_data.append((alpha, beta, _feature_quads(p, v, tg)))
-        ts = sorted(cuts)
-        for ta, tb in zip(ts, ts[1:]):
-            tm = (ta + tb) / 2
-            quads = []
-            for alpha, beta, (qa, ql, qb) in feature_data:
-                u = alpha * tm + beta
-                quads.append(qa if u <= 0 else (qb if u >= 1 else ql))
-            env_at = lambda t: min(_quad_at(*q, t) for q in quads)
-            for t in (ta, tb):
-                val = env_at(t)
-                if val > best:
-                    best = val
-            for i in range(len(quads)):
-                for j in range(i + 1, len(quads)):
-                    a2 = quads[i][0] - quads[j][0]
-                    a1 = quads[i][1] - quads[j][1]
-                    a0 = quads[i][2] - quads[j][2]
-                    roots_rational = []
-                    roots_surd = []
-                    if a2 == 0:
-                        if a1 != 0:
-                            roots_rational.append(-a0 / a1)
-                    else:
-                        disc = a1 * a1 - 4 * a2 * a0
-                        if disc < 0:
-                            continue
-                        root = _fraction_sqrt(disc)
-                        if root is not None:
-                            roots_rational.extend(
-                                [(-a1 + root) / (2 * a2), (-a1 - root) / (2 * a2)]
-                            )
-                        else:
-                            # t = -a1/(2*a2) +- (1/(2*a2)) * sqrt(disc)
-                            base = -a1 / (2 * a2)
-                            coef = Fraction(1, 2) / a2
-                            rad = disc
-                            for sgn in (1, -1):
-                                roots_surd.append((base, sgn * coef, rad))
-                    for t in roots_rational:
-                        if ta < t < tb:
-                            val = env_at(t)
-                            if val > best:
-                                best = val
-                    for base, coef, rad in roots_surd:
-                        # rad is a positive non-square rational; normalize to
-                        # an integer radicand: sqrt(n/d) = sqrt(n*d)/d
-                        rint = rad.numerator * rad.denominator
-                        coef2 = coef / rad.denominator
-                        tval = SqrtExt(base, coef2, rint)
-                        if not (
-                            tval.cmp_rational(ta) > 0 and tval.cmp_rational(tb) < 0
-                        ):
-                            continue
-                        vstar = _quad_at_surd(*quads[i], base, coef2, rint)
-                        on_envelope = all(
-                            _quad_at_surd(*q, base, coef2, rint).cmp(vstar) >= 0
-                            for q in quads
-                        )
-                        if on_envelope:
-                            irrational.append(vstar)
-    return best, irrational
-
-
-def hausdorff_distance_sq(a_set: Iterable[Segment], b_set: Iterable[Segment]) -> Fraction:
-    """Exact squared Hausdorff distance between two nonempty closed PL sets.
-
-    Raises :class:`ExactnessError` in the (measure-zero) configurations where
-    the true value is a quadratic irrational and therefore not expressible as
-    a rational; none of the spaces this package constructs trigger it.
-    """
-    a_set, b_set = tuple(a_set), tuple(b_set)
-    if not a_set or not b_set:
-        raise GeometryError("Hausdorff distance needs nonempty segment sets")
-    best_ab, irr_ab = _directed_candidates(a_set, b_set)
-    best_ba, irr_ba = _directed_candidates(b_set, a_set)
-    best = max(best_ab, best_ba)
-    beating = [x for x in irr_ab + irr_ba if x.cmp_rational(best) > 0]
-    if beating:
-        top = beating[0]
-        for x in beating[1:]:
-            if x.cmp(top) > 0:
-                top = x
-        raise ExactnessError(
-            "exact Hausdorff distance^2 is irrational; enclosure "
-            f"~{top.decimal(50)}"
-        )
-    return best

@@ -381,11 +381,21 @@ def verify_disjointness(space: SpaceHandle, up_to: int) -> ProbeReport:
 
 
 def circle_alpha_hausdorff_sq(space: SpaceHandle, n: int) -> Fraction:
-    """Exact squared Hausdorff distance between C_n and alpha."""
-    from .geometry import hausdorff_distance_sq
+    """Exact squared Hausdorff distance between C_n and alpha, in closed form:
+    d_H(C_n, alpha) = dist(D_n, alpha), for every width w(n) > 0.
 
+    From C_n to alpha: dist(., alpha) is convex, so on each edge of C_n it
+    peaks at a vertex. The vertex p lies on alpha, B_n = (1/n, 1) is at
+    distance 1/n, and D_n is farther: at least its x = 1/n + n*w(n).
+    From alpha to C_n: the point (0, s) of alpha is within s/n <= 1/n of the
+    point (s/n, s) on edge p B_n. Both directed distances are therefore at
+    most dist(D_n, alpha), and the first attains it.
+
+    The circle is built without the handle's certificate, so uncertified
+    profiles still get their (FAIL) tables.
+    """
     circ = build_circle(n, space.profile)
-    return hausdorff_distance_sq(circ.edges, (ALPHA_SEGMENT,))
+    return Fraction(*kernels.point_seg_dist_sq(circ.tail.quad(), *ALPHA_SEGMENT.quads()))
 
 
 def hausdorff_convergence(space: SpaceHandle, up_to: int) -> ProbeReport:

@@ -1,0 +1,331 @@
+"""Independent reference implementations that tests check the package against.
+
+* :func:`hausdorff_distance_sq`, the exact squared Hausdorff distance between
+  two arbitrary finite sets of segments, by the lower envelope of the
+  distance quadratics. The package computes d_H(C_n, alpha) by a closed form
+  that holds only for its triangles; this general routine is the oracle for
+  that closed form.
+* :class:`SqrtExt`, exact numbers a + b*sqrt(r), which the envelope needs
+  where the nearest feature changes at a quadratic-irrational parameter.
+* :func:`sqrt_leq_sqrt_plus_sqrt`, an exact triangle-inequality check on
+  squared distances.
+
+No floating point is involved anywhere. Tests import this module as
+``oracles``; ``tests/`` has no ``__init__.py``, so pytest puts it on the path.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import isqrt
+from typing import Iterable, Optional
+
+from pi1lab.exactnum import _format_scaled, rational_decimal
+from pi1lab.geometry import GeometryError, Point2, Segment
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def sqrt_leq_sqrt_plus_sqrt(a: Fraction, b: Fraction, c: Fraction) -> bool:
+    """Decide sqrt(a) <= sqrt(b) + sqrt(c) exactly, for nonnegative rationals.
+
+    Used for triangle-inequality checks on squared distances. Equivalent to
+    a - b - c <= 2*sqrt(b*c), squared once after a sign check.
+    """
+    if a < 0 or b < 0 or c < 0:
+        raise ValueError("arguments must be nonnegative")
+    t = a - b - c
+    if t <= 0:
+        return True
+    return t * t <= 4 * b * c
+
+
+@dataclass(frozen=True)
+class SqrtExt:
+    """The exact real number a + b*sqrt(r), with a, b rational and r >= 0.
+
+    Normalized so that r is 0 or a non-square positive integer and b == 0
+    iff r == 0. Supports exact sign determination and total-order comparison
+    against rationals and other SqrtExt values (including values written
+    over different radicands).
+    """
+
+    a: Fraction
+    b: Fraction
+    r: int
+
+    def __post_init__(self):
+        if self.r < 0:
+            raise ValueError("radicand must be nonnegative")
+        a, b, r = self.a, self.b, self.r
+        if b == 0 or r == 0:
+            a, b, r = a, Fraction(0), 0
+        else:
+            root = isqrt(r)
+            if root * root == r:
+                a, b, r = a + b * root, Fraction(0), 0
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "r", r)
+
+    @classmethod
+    def sqrt_of(cls, q) -> "SqrtExt":
+        """sqrt of a nonnegative rational: sqrt(n/d) = sqrt(n*d)/d."""
+        q = Fraction(q)
+        if q < 0:
+            raise ValueError("cannot take the square root of a negative value")
+        return cls(Fraction(0), Fraction(1, q.denominator), q.numerator * q.denominator)
+
+    @property
+    def is_rational(self) -> bool:
+        return self.r == 0
+
+    def rational_value(self) -> Fraction:
+        if not self.is_rational:
+            raise ValueError("value is irrational")
+        return self.a
+
+    def sign(self) -> int:
+        if self.r == 0:
+            return _sign(self.a)
+        if self.a == 0:
+            return _sign(self.b)
+        sa, sb = _sign(self.a), _sign(self.b)
+        if sa == sb:
+            return sa
+        t = self.a * self.a - self.b * self.b * self.r
+        if t == 0:
+            return 0
+        return sa if t > 0 else sb
+
+    def cmp_rational(self, q) -> int:
+        return SqrtExt(self.a - Fraction(q), self.b, self.r).sign()
+
+    def cmp(self, other: "SqrtExt") -> int:
+        if self.r == other.r or other.r == 0:
+            return SqrtExt(self.a - other.a, self.b - other.b, self.r).sign()
+        if self.r == 0:
+            return -other.cmp(self)
+        # compare L = (a1-a2) + b1*sqrt(r1) against R = b2*sqrt(r2)
+        left = SqrtExt(self.a - other.a, self.b, self.r)
+        sl, sr = left.sign(), _sign(other.b)
+        if sr == 0:
+            return sl
+        if sl == 0:
+            return -sr
+        if sl != sr:
+            return sl
+        # both sides share a sign; compare squares (order flips if negative)
+        lsq = SqrtExt(
+            left.a * left.a + left.b * left.b * left.r,
+            2 * left.a * left.b,
+            left.r,
+        )
+        d = lsq.cmp_rational(other.b * other.b * other.r)
+        return d if sl > 0 else -d
+
+    def __lt__(self, other: "SqrtExt") -> bool:
+        return self.cmp(other) < 0
+
+    def __le__(self, other: "SqrtExt") -> bool:
+        return self.cmp(other) <= 0
+
+    def _floor_scaled(self, digits: int) -> int:
+        """floor(value * 10**digits), exact via bracketed integer search."""
+        scale = 10**digits
+        av = self.a * scale
+        if self.r == 0:
+            return av.numerator // av.denominator
+        bv = self.b * scale
+        root_hi = isqrt(self.r) + 1
+        mag = abs(av.numerator) // av.denominator + 1
+        mag += (abs(bv.numerator) // bv.denominator + 1) * root_hi
+        lo, hi = -mag - 1, mag + 1
+        # invariant: lo <= value*scale < hi is false only before first shrink
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            scaled = SqrtExt(self.a * scale - mid, self.b * scale, self.r)
+            if scaled.sign() >= 0:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    def decimal(self, digits: int) -> str:
+        """Fixed-point rendering with round-half-even, exact tie handling."""
+        if self.r == 0:
+            return rational_decimal(self.a, digits)
+        scale = 10**digits
+        fl = self._floor_scaled(digits)
+        # compare value*scale with fl + 1/2
+        d = SqrtExt(self.a * scale - (Fraction(2 * fl + 1, 2)), self.b * scale, self.r).sign()
+        if d > 0 or (d == 0 and fl % 2 == 1):
+            fl += 1
+        return _format_scaled(fl, digits)
+
+
+# -- exact Hausdorff distance ------------------------------------------------
+#
+# The directed distance from a source segment to a target set is the maximum
+# of the lower envelope of finitely many convex quadratics of the source
+# parameter (one per active target feature). The envelope is piecewise
+# convex, so its maximum sits at an interval endpoint or at a crossing where
+# the nearest feature changes. Crossing parameters can be quadratic
+# irrationals; those are handled exactly through SqrtExt and only ever
+# surface as an error if the final answer itself is irrational.
+
+
+class ExactnessError(GeometryError):
+    """The exact answer is a quadratic irrational and cannot be returned
+    as a rational; carries a decimal enclosure for diagnosis."""
+
+
+def _quad_at(c2: Fraction, c1: Fraction, c0: Fraction, t: Fraction) -> Fraction:
+    return c2 * t * t + c1 * t + c0
+
+
+def _quad_at_surd(c2, c1, c0, ta: Fraction, tb: Fraction, r: int) -> SqrtExt:
+    # value at t = ta + tb*sqrt(r):  c2*t^2 + c1*t + c0
+    a = c2 * (ta * ta + tb * tb * r) + c1 * ta + c0
+    b = c2 * 2 * ta * tb + c1 * tb
+    return SqrtExt(a, b, r)
+
+
+def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
+    if q < 0:
+        return None
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def _feature_quads(p: Point2, v: tuple, target: Segment):
+    """Quadratic coefficient triples for distance^2 from p + t*v to the
+    target's three features (endpoint a, interior line, endpoint b)."""
+    vx, vy = v
+    c, d = target.a, target.b
+    wx, wy = d.x - c.x, d.y - c.y
+    ww = wx * wx + wy * wy
+
+    def point_quad(e: Point2):
+        dx, dy = p.x - e.x, p.y - e.y
+        return (vx * vx + vy * vy, 2 * (vx * dx + vy * dy), dx * dx + dy * dy)
+
+    cv = vx * wy - vy * wx
+    c0 = (p.x - c.x) * wy - (p.y - c.y) * wx
+    line_quad = (cv * cv / ww, 2 * cv * c0 / ww, c0 * c0 / ww)
+    return point_quad(c), line_quad, point_quad(d)
+
+
+def _directed_candidates(sources, targets):
+    """All maximum candidates for the directed distance^2 from the union of
+    ``sources`` to the union of ``targets``: (rational_max, irrational_list)."""
+    best = Fraction(0)
+    irrational = []
+    targets = tuple(targets)
+    for s in sources:
+        p = s.a
+        v = (s.b.x - s.a.x, s.b.y - s.a.y)
+        feature_data = []
+        cuts = {Fraction(0), Fraction(1)}
+        for tg in targets:
+            wx, wy = tg.b.x - tg.a.x, tg.b.y - tg.a.y
+            ww = wx * wx + wy * wy
+            alpha = (v[0] * wx + v[1] * wy) / ww
+            beta = ((p.x - tg.a.x) * wx + (p.y - tg.a.y) * wy) / ww
+            if alpha != 0:
+                for target_u in (0, 1):
+                    t = (target_u - beta) / alpha
+                    if 0 < t < 1:
+                        cuts.add(t)
+            feature_data.append((alpha, beta, _feature_quads(p, v, tg)))
+        ts = sorted(cuts)
+        for ta, tb in zip(ts, ts[1:]):
+            tm = (ta + tb) / 2
+            quads = []
+            for alpha, beta, (qa, ql, qb) in feature_data:
+                u = alpha * tm + beta
+                quads.append(qa if u <= 0 else (qb if u >= 1 else ql))
+            env_at = lambda t: min(_quad_at(*q, t) for q in quads)
+            for t in (ta, tb):
+                val = env_at(t)
+                if val > best:
+                    best = val
+            for i in range(len(quads)):
+                for j in range(i + 1, len(quads)):
+                    a2 = quads[i][0] - quads[j][0]
+                    a1 = quads[i][1] - quads[j][1]
+                    a0 = quads[i][2] - quads[j][2]
+                    roots_rational = []
+                    roots_surd = []
+                    if a2 == 0:
+                        if a1 != 0:
+                            roots_rational.append(-a0 / a1)
+                    else:
+                        disc = a1 * a1 - 4 * a2 * a0
+                        if disc < 0:
+                            continue
+                        root = _fraction_sqrt(disc)
+                        if root is not None:
+                            roots_rational.extend(
+                                [(-a1 + root) / (2 * a2), (-a1 - root) / (2 * a2)]
+                            )
+                        else:
+                            # t = -a1/(2*a2) +- (1/(2*a2)) * sqrt(disc)
+                            base = -a1 / (2 * a2)
+                            coef = Fraction(1, 2) / a2
+                            rad = disc
+                            for sgn in (1, -1):
+                                roots_surd.append((base, sgn * coef, rad))
+                    for t in roots_rational:
+                        if ta < t < tb:
+                            val = env_at(t)
+                            if val > best:
+                                best = val
+                    for base, coef, rad in roots_surd:
+                        # rad is a positive non-square rational; normalize to
+                        # an integer radicand: sqrt(n/d) = sqrt(n*d)/d
+                        rint = rad.numerator * rad.denominator
+                        coef2 = coef / rad.denominator
+                        tval = SqrtExt(base, coef2, rint)
+                        if not (
+                            tval.cmp_rational(ta) > 0 and tval.cmp_rational(tb) < 0
+                        ):
+                            continue
+                        vstar = _quad_at_surd(*quads[i], base, coef2, rint)
+                        on_envelope = all(
+                            _quad_at_surd(*q, base, coef2, rint).cmp(vstar) >= 0
+                            for q in quads
+                        )
+                        if on_envelope:
+                            irrational.append(vstar)
+    return best, irrational
+
+
+def hausdorff_distance_sq(a_set: Iterable[Segment], b_set: Iterable[Segment]) -> Fraction:
+    """Exact squared Hausdorff distance between two nonempty closed PL sets.
+
+    Raises :class:`ExactnessError` in the (measure-zero) configurations where
+    the true value is a quadratic irrational and therefore not expressible as
+    a rational.
+    """
+    a_set, b_set = tuple(a_set), tuple(b_set)
+    if not a_set or not b_set:
+        raise GeometryError("Hausdorff distance needs nonempty segment sets")
+    best_ab, irr_ab = _directed_candidates(a_set, b_set)
+    best_ba, irr_ba = _directed_candidates(b_set, a_set)
+    best = max(best_ab, best_ba)
+    beating = [x for x in irr_ab + irr_ba if x.cmp_rational(best) > 0]
+    if beating:
+        top = beating[0]
+        for x in beating[1:]:
+            if x.cmp(top) > 0:
+                top = x
+        raise ExactnessError(
+            "exact Hausdorff distance^2 is irrational; enclosure "
+            f"~{top.decimal(50)}"
+        )
+    return best

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -268,6 +269,33 @@ class TestOneOffCommands:
         assert code == 0
         assert "== probe: hausdorff-convergence ==" in out
         assert "verdict: PASS" in out
+
+
+HAUSDORFF_SCRIPT = "space S = Y(5) width={width}\nprobe hausdorff up_to={up_to}\n"
+
+
+class TestHausdorffReportBytes:
+    # sha256 of stdout, recorded with the general envelope routine the
+    # closed form replaced; the FAIL tables come from uncertified profiles.
+    @pytest.mark.parametrize(
+        "source, code, digest",
+        [
+            (["hausdorff", "--upto", "120"], 0, "19c02b6869ab29cb884188fc3007c4a69d60722c25609bd763476ffcd968e55e"),
+            (HAUSDORFF_SCRIPT.format(width="cube", up_to=1000), 0, "d826f41b57a45f8f0f2b0dabffeb9da0ee87f516fadad17270989c4cda80ecf8"),
+            (HAUSDORFF_SCRIPT.format(width="uniform:1/2", up_to=40), 1, "dd17407b155b073a83094c235db429805070fe72c42452217bff90c51ce48ffd"),
+            (HAUSDORFF_SCRIPT.format(width="uniform:3", up_to=30), 1, "ebb59c91a678e7e564c8efbaa17617ffd70bc227e3bc6ee955826ac9693b604c"),
+        ],
+        ids=["upto-120", "cube-1000", "uniform-1/2-40", "uniform-3-30"],
+    )
+    def test_pinned_digest(self, capsys, tmp_path, source, code, digest):
+        argv = source
+        if isinstance(source, str):
+            path = tmp_path / "hausdorff.pi1"
+            path.write_text(source, encoding="utf-8")
+            argv = ["run", str(path)]
+        got, out, err = run_cli(capsys, argv)
+        assert got == code, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestModuleEntryPoint:

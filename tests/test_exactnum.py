@@ -3,13 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from pi1lab.exactnum import (
-    SqrtExt,
-    dyadic_sqrt_bounds,
-    rational_decimal,
-    sqrt_decimal,
-    sqrt_leq_sqrt_plus_sqrt,
-)
+from oracles import SqrtExt, sqrt_leq_sqrt_plus_sqrt
+from pi1lab.exactnum import dyadic_sqrt_bounds, rational_decimal, sqrt_decimal
 
 rationals = st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=1000)
 nonneg = st.fractions(min_value=Fraction(0), max_value=Fraction(50), max_denominator=1000)

@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pi1lab.exactnum import sqrt_leq_sqrt_plus_sqrt
+from oracles import ExactnessError, hausdorff_distance_sq, sqrt_leq_sqrt_plus_sqrt
 from pi1lab.geometry import (
     DegenerateSegmentError,
-    ExactnessError,
     ParameterRangeError,
     PathInvariantError,
     PLPath,
@@ -16,7 +15,6 @@ from pi1lab.geometry import (
     Segment,
     _refine,
     common_refinement,
-    hausdorff_distance_sq,
     pl_path,
     point,
     point_segment_distance_sq,
@@ -24,7 +22,7 @@ from pi1lab.geometry import (
     segments_intersect,
     sup_distance,
 )
-from pi1lab.spaces import candidate_circle
+from pi1lab.spaces import candidate_circle, circle_alpha_hausdorff_sq, compact_y, uniform_profile
 
 F = Fraction
 
@@ -242,6 +240,10 @@ class TestHausdorff:
         )
         assert sampled <= exact
         assert sqrt_leq_sqrt_plus_sqrt(exact, sampled, F(1, 1000) ** 2)
+        # the probe's closed form, on the same circle, meets the same bounds
+        closed = circle_alpha_hausdorff_sq(compact_y(profile=uniform_profile(w)), 5)
+        assert sampled <= closed
+        assert sqrt_leq_sqrt_plus_sqrt(closed, sampled, F(1, 1000) ** 2)
 
     def test_empty_rejected(self):
         with pytest.raises(Exception):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import sqrt_leq_sqrt_plus_sqrt
 from pi1lab import kernels, pi1
 from pi1lab.geometry import PLPath, point, sup_distance
 from pi1lab.loops import (
@@ -202,8 +203,6 @@ class TestStandardLoops:
             f2.path.at(F(k, grid)).dist_sq(f.path.at(F(k, grid))) for k in range(grid + 1)
         )
         assert sampled <= exact
-        from pi1lab.exactnum import sqrt_leq_sqrt_plus_sqrt
-
         assert sqrt_leq_sqrt_plus_sqrt(exact, sampled, F(1, 1000) ** 2)
 
     def test_fn_index_validation(self, x):

@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import hausdorff_distance_sq
 from pi1lab.geometry import point
 from pi1lab.spaces import (
     ALPHA_COMPONENT,
+    ALPHA_SEGMENT,
     ComponentId,
     Membership,
     OutsideSpaceError,
@@ -15,6 +18,7 @@ from pi1lab.spaces import (
     _pair_intersection_violations,
     bouquet_x,
     build_circle,
+    circle_alpha_hausdorff_sq,
     compact_y,
     component_of,
     hausdorff_convergence,
@@ -197,6 +201,32 @@ class TestHausdorffConvergence:
     def test_requires_y(self):
         with pytest.raises(SpaceError):
             hausdorff_convergence(bouquet_x(hint=5), 5)
+
+
+def oracle_hausdorff_sq(n, profile):
+    return hausdorff_distance_sq(build_circle(n, profile).edges, (ALPHA_SEGMENT,))
+
+
+class TestHausdorffClosedForm:
+    # Under uniform:3, D_n lies below the x-axis, so its nearest point on
+    # alpha is p rather than a foot on the segment's interior.
+    @pytest.mark.parametrize(
+        "profile", CERTIFICATE_PROFILES + [profile_by_name("uniform:3")], ids=lambda p: p.name
+    )
+    def test_matches_envelope_oracle(self, profile):
+        y = compact_y(profile=profile)
+        wrong = [n for n in range(2, 41) if circle_alpha_hausdorff_sq(y, n) != oracle_hausdorff_sq(n, profile)]
+        assert wrong == []
+
+    @given(
+        num=st.integers(min_value=1, max_value=10**8),
+        den=st.integers(min_value=1, max_value=10**8),
+        n=st.integers(min_value=2, max_value=60),
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_random_widths_match_envelope_oracle(self, num, den, n):
+        profile = uniform_profile(F(num, den))
+        assert circle_alpha_hausdorff_sq(compact_y(profile=profile), n) == oracle_hausdorff_sq(n, profile)
 
 
 class TestProfiles:
