@@ -43,7 +43,6 @@ from .pi1 import (
     classify_x,
     classify_y,
     collapse_to_x,
-    collapse_with_certificate,
     induced_map,
     loop_in_ball,
     probe_discreteness_x,

@@ -14,7 +14,7 @@ Subcommands:
 Exit codes: 0 success / all PASS, 1 any FAIL verdict or runtime error,
 2 usage or parse errors. One-off literals are evaluated in the compact
 space Y with the default width profile. PI1LAB_DIGITS sets report decimal
-places (default 40).
+places (default 40), from 1 to 4300; any other value exits 2.
 """
 from __future__ import annotations
 
@@ -356,6 +356,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         value = getattr(args, option, None)
         if value is not None and value > dsl.MAX_CIRCLE_INDEX:
             parser.error(f"--{option} {value} exceeds the limit {dsl.MAX_CIRCLE_INDEX} on circle indices")
+    try:
+        report_digits()
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "render":

@@ -17,8 +17,10 @@ with line and column.
     probe disjointness up_to=10
     probe hausdorff up_to=20
     probe nondiscreteness n_max=32 epsilon=1/10
-    probe discreteness loop=f2 trials=100 magnitude=1/1000 seed=7
     probe slsc radius=1/4 samples=50 seed=7
+    space T = X(20) width=pow10
+    loop h2 = C(2).once
+    probe discreteness loop=h2 trials=100 magnitude=1/1000 seed=7
     render S f2 f -> scene.svg
 
 Input budgets are checked when the script is parsed, so a script over one

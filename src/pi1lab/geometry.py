@@ -260,19 +260,8 @@ class ExactDistance:
     def decimal(self, digits: int = DEFAULT_DIGITS) -> str:
         return sqrt_decimal(self.squared, digits)
 
-    def less_than(self, bound: Fraction) -> bool:
-        """Exactly decide distance < bound for a nonnegative rational bound."""
-        bound = Fraction(bound)
-        if bound < 0:
-            return False
-        return self.squared < bound * bound
-
     def __str__(self) -> str:
         return f"sqrt({self.squared})"
-
-
-def common_refinement(f: PLPath, g: PLPath) -> tuple:
-    return tuple(sorted(set(f.params) | set(g.params)))
 
 
 def sup_distance(f: PLPath, g: PLPath) -> ExactDistance:

@@ -1,12 +1,16 @@
 """Loop classification and the topological probes.
 
-Classification in the bouquet X reads the free-group word off the excursion
+Classification in both spaces reads the free-group word off the excursion
 decomposition: an excursion of winding degree d in circle n contributes
-g_n^d. Classification in the compactification Y first collapses the loop
-into X — every alpha excursion, and every apex-avoiding excursion into a
-circle beyond the cutoff index, contracts to the base point inside its own
-arm — and then classifies the collapsed loop. Distinct reduced words name
-distinct classes in both spaces, so word equality decides homotopy.
+g_n^d. In the bouquet X an excursion into the limit segment is an error;
+in the compactification Y it contributes nothing, because the deformation
+into X contracts it along its arm. That deformation, ``collapse_to_x``,
+also contracts every apex-avoiding excursion into a circle beyond the
+cutoff index; such excursions have degree 0, so they spell no letter
+either. Classification in Y therefore never builds the collapsed loop; the
+isomorphism round trip builds it and checks that it spells the same word.
+Distinct reduced words name distinct classes in both spaces, so word
+equality decides homotopy.
 
 The probes turn the headline facts into exact certificates:
 
@@ -24,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence, Tuple
 
 from . import kernels
@@ -64,30 +69,30 @@ class HomotopyClass:
         return f"{format_word(self.word)} in pi1({self.space_kind})"
 
 
-@dataclass(frozen=True)
-class CollapseAction:
-    """Per-excursion record of what the collapse did and why it is sound."""
+def _classify(loop: Loop, kind: SpaceKind) -> HomotopyClass:
+    """Word of the loop's circle excursions, as a class of the space ``kind``.
 
-    t_start: Fraction
-    t_end: Fraction
-    component: str
-    action: str  # "kept" | "collapsed"
-    reason: str
+    An excursion of winding degree d in C_n gives the letter g_n^d. An
+    excursion into the limit segment gives none in Y and is an error in X.
+    """
+    letters = []
+    for exc in decompose(loop):
+        if exc.component.kind != "circle":
+            if kind is SpaceKind.BOUQUET_X:
+                raise ClassificationError(
+                    "loop leaves the bouquet: excursion into the limit segment "
+                    f"on [{exc.t_start}, {exc.t_end}]"
+                )
+            continue
+        d = winding_degree(exc)
+        if d != 0:
+            letters.append((exc.component.index, d))
+    return HomotopyClass(reduce_letters(letters), kind)
 
 
 def classify_x(loop: Loop) -> HomotopyClass:
     """Word of a loop that stays in the bouquet X."""
-    letters = []
-    for exc in decompose(loop):
-        if exc.component.kind != "circle":
-            raise ClassificationError(
-                "loop leaves the bouquet: excursion into the limit segment "
-                f"on [{exc.t_start}, {exc.t_end}]"
-            )
-        d = winding_degree(exc)
-        if d != 0:
-            letters.append((exc.component.index, d))
-    return HomotopyClass(reduce_letters(letters), SpaceKind.BOUQUET_X)
+    return _classify(loop, SpaceKind.BOUQUET_X)
 
 
 def _apex_on_excursion(exc: Excursion, apex: Point2) -> bool:
@@ -131,8 +136,8 @@ def _cutoff(loop: Loop, excs: Sequence[Excursion]) -> int:
     return max(2, worst + 1)
 
 
-def collapse_with_certificate(loop: Loop) -> Tuple[Loop, Tuple[CollapseAction, ...]]:
-    """End loop of the deformation into X, plus per-excursion justifications.
+def collapse_to_x(loop: Loop) -> Loop:
+    """End loop of the deformation of a Y loop into X.
 
     With N = choose_n(loop): alpha excursions contract along their own arm,
     excursions into C_n with n >= N (apex-avoiding, degree 0 by the choice
@@ -147,20 +152,10 @@ def collapse_with_certificate(loop: Loop) -> Tuple[Loop, Tuple[CollapseAction, .
     edges = _analyze(loop)
     bks = loop.path.breakpoints
     stretches = {}  # first breakpoint index of a collapsed stretch -> its last
-    actions = []
     for exc in excs:
         comp = exc.component
-        if comp.kind == "circle" and comp.index < cutoff:
-            actions.append(
-                CollapseAction(exc.t_start, exc.t_end, str(comp), "kept", f"circle index below N = {cutoff}")
-            )
-            continue
-        if comp.kind == "circle":
-            reason = f"degree-0 arc in C{comp.index} avoiding the apex; contracts inside the punctured circle"
-        else:
-            reason = "arc in the limit segment; contracts along the segment to p"
-        actions.append(CollapseAction(exc.t_start, exc.t_end, str(comp), "collapsed", reason))
-        stretches[exc.first] = exc.first + len(exc.breakpoints) - 1
+        if comp.kind != "circle" or comp.index >= cutoff:
+            stretches[exc.first] = exc.first + len(exc.breakpoints) - 1
     new_bks, new_edges = [bks[0]], []
     k = 0
     while k < len(bks) - 1:
@@ -171,23 +166,20 @@ def collapse_with_certificate(loop: Loop) -> Tuple[Loop, Tuple[CollapseAction, .
         new_bks.append(bks[k])
         new_edges.append(ref)
     x_space = loop.space.sibling(SpaceKind.BOUQUET_X)
-    return _charted(PLPath(tuple(new_bks)), x_space, (new_edges,)), tuple(actions)
-
-
-def collapse_to_x(loop: Loop) -> Loop:
-    return collapse_with_certificate(loop)[0]
+    return _charted(PLPath(tuple(new_bks)), x_space, (new_edges,))
 
 
 def classify_y(loop: Loop) -> HomotopyClass:
-    """Word of a loop in the compactification Y: collapse into X, classify there.
+    """Word of a loop in the compactification Y, read off its own excursions.
 
-    Accepts loops carried by X as well (the inclusion is a homeomorphism
-    onto its image).
+    This is the word of ``collapse_to_x(loop)`` in X: the collapse keeps the
+    excursions into C_n with n < N verbatim and contracts the rest, and
+    ``_cutoff`` puts every excursion of nonzero degree below N, so the
+    contracted excursions (alpha arcs and the degree-0 arcs beyond N) spell
+    no letter in either loop. Accepts loops carried by X as well (the
+    inclusion is a homeomorphism onto its image).
     """
-    loop = include_in_y(loop)
-    collapsed, _ = collapse_with_certificate(loop)
-    cls = classify_x(collapsed)
-    return HomotopyClass(cls.word, SpaceKind.COMPACT_Y)
+    return _classify(include_in_y(loop), SpaceKind.COMPACT_Y)
 
 
 def induced_map(c: HomotopyClass) -> HomotopyClass:
@@ -540,10 +532,12 @@ def probe_isomorphism_roundtrip(
     """Round-trip evidence that inclusion induces an isomorphism on classes.
 
     For random reduced words w: the loop realizing w classifies back to w in
-    Y (surjectivity side, via the collapse), the inclusion-induced map agrees
-    with direct classification, and collapsing an alpha-decorated homotopic
-    variant lands in X with the same word (collapse soundness). Injectivity
-    is word normal-form uniqueness, exercised by the word comparisons.
+    Y (surjectivity side; classification in Y reads the loop's excursions),
+    the inclusion-induced map agrees with direct classification, and
+    collapsing an alpha-decorated homotopic variant lands in X with the same
+    word (collapse soundness). The collapse is built only here, so its word
+    is computed independently of classification in Y. Injectivity is word
+    normal-form uniqueness, exercised by the word comparisons.
     """
     if count < 1:
         raise ProbeParameterError("count must be positive")
@@ -561,7 +555,7 @@ def probe_isomorphism_roundtrip(
         w_y = classify_y(ly).word
         w_ind = induced_map(classify_x(lx)).word
         decorated = alpha_decorate(ly, rng)
-        collapsed, _ = collapse_with_certificate(decorated)
+        collapsed = collapse_to_x(decorated)
         w_dec = classify_x(collapsed).word
         collapsed_ok = (
             collapsed.space.kind is SpaceKind.BOUQUET_X and validate(collapsed) is None
@@ -674,38 +668,27 @@ def probe_slsc_y(
     witnesses = []
     rejected = 0
     trivial = 0
-    checked = 0
-    for k in range(samples):
-        lp = _sample_small_loop(space, radius, rng)
+    nontrivial = 0
+    sampled = (("sample", k, _sample_small_loop(space, radius, rng)) for k in range(samples))
+    submitted = (("extra_loop", k, lp) for k, lp in enumerate(extra_loops))
+    for label, k, lp in chain(sampled, submitted):
         if not loop_in_ball(lp, radius):
-            raise AssertionError("sampler produced an out-of-ball loop")
-        checked += 1
-        w = classify_y(lp).word
-        if w.is_identity:
-            trivial += 1
-        else:
-            witnesses.append(
-                (("sample", str(k)), ("word", format_word(w)), ("reason", "nontrivial small loop"))
-            )
-    for k, lp in enumerate(extra_loops):
-        if not loop_in_ball(lp, radius):
+            if label == "sample":
+                raise AssertionError("sampler produced an out-of-ball loop")
             rejected += 1
-            witnesses_note = (
-                ("extra_loop", str(k)),
-                ("status", "rejected: image leaves the ball; not classified"),
+            witnesses.append(
+                ((label, str(k)), ("status", "rejected: image leaves the ball; not classified"))
             )
-            witnesses.append(witnesses_note)
             continue
-        checked += 1
         w = classify_y(lp).word
         if w.is_identity:
             trivial += 1
         else:
+            nontrivial += 1
             witnesses.append(
-                (("extra_loop", str(k)), ("word", format_word(w)), ("reason", "nontrivial small loop"))
+                ((label, str(k)), ("word", format_word(w)), ("reason", "nontrivial small loop"))
             )
-    failing = [w for w in witnesses if dict(w).get("reason") == "nontrivial small loop"]
-    verdict = PASS if not failing else FAIL
+    verdict = PASS if nontrivial == 0 else FAIL
     return ProbeReport(
         probe="slsc-Y",
         claim=(
@@ -719,7 +702,7 @@ def probe_slsc_y(
             ("radius", str(radius)),
             ("samples", str(samples)),
             ("seed", str(seed)),
-            ("classified", str(checked)),
+            ("classified", str(trivial + nontrivial)),
             ("trivial", str(trivial)),
             ("rejected_out_of_ball", str(rejected)),
         ),

@@ -17,13 +17,18 @@ FAIL = "FAIL"
 
 _DIGITS_ENV = "PI1LAB_DIGITS"
 
+# Most decimal places a report prints: Python's default limit on the digits
+# of an int it converts to a string. Fractional parts are printed as one int.
+MAX_REPORT_DIGITS = 4300
+
 
 class ProbeParameterError(Exception):
     """A probe was given parameters it cannot be run or reported with."""
 
 
 def report_digits(default: int = 40) -> int:
-    """Decimal places used in report renderings; override with PI1LAB_DIGITS."""
+    """Decimal places used in report renderings; override with PI1LAB_DIGITS,
+    an integer from 1 to MAX_REPORT_DIGITS."""
     raw = os.environ.get(_DIGITS_ENV)
     if raw is None:
         return default
@@ -31,8 +36,8 @@ def report_digits(default: int = 40) -> int:
         val = int(raw)
     except ValueError as exc:
         raise ValueError(f"{_DIGITS_ENV} must be an integer, got {raw!r}") from exc
-    if val < 1:
-        raise ValueError(f"{_DIGITS_ENV} must be positive, got {val}")
+    if not 1 <= val <= MAX_REPORT_DIGITS:
+        raise ValueError(f"{_DIGITS_ENV} must lie between 1 and {MAX_REPORT_DIGITS}, got {val}")
     return val
 
 

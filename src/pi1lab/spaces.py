@@ -100,10 +100,6 @@ class Circle:
     def vertices(self) -> Tuple[Point2, Point2, Point2]:
         return (ORIGIN, self.apex, self.tail)
 
-    @property
-    def edge_length_sq(self) -> Tuple[Fraction, Fraction, Fraction]:
-        return tuple(e.length_sq for e in self.edges)
-
 
 def build_circle(n: int, width_profile: WidthProfile = POW10) -> Circle:
     """Exact triangle for index n: vertices p, (1/n, 1) and the cap point."""

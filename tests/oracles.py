@@ -9,6 +9,9 @@
   where the nearest feature changes at a quadratic-irrational parameter.
 * :func:`sqrt_leq_sqrt_plus_sqrt`, an exact triangle-inequality check on
   squared distances.
+* :func:`common_refinement`, the sorted union of two paths' parameters: the
+  sup distance, evaluated pointwise on it, checks the package's one-pass
+  merge.
 
 No floating point is involved anywhere. Tests import this module as
 ``oracles``; ``tests/`` has no ``__init__.py``, so pytest puts it on the path.
@@ -21,7 +24,7 @@ from math import isqrt
 from typing import Iterable, Optional
 
 from pi1lab.exactnum import _format_scaled, rational_decimal
-from pi1lab.geometry import GeometryError, Point2, Segment
+from pi1lab.geometry import GeometryError, PLPath, Point2, Segment
 
 
 def _sign(x) -> int:
@@ -40,6 +43,10 @@ def sqrt_leq_sqrt_plus_sqrt(a: Fraction, b: Fraction, c: Fraction) -> bool:
     if t <= 0:
         return True
     return t * t <= 4 * b * c
+
+
+def common_refinement(f: PLPath, g: PLPath) -> tuple:
+    return tuple(sorted(set(f.params) | set(g.params)))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import pi1lab
+from pi1lab import dsl
 from pi1lab.cli import demo_whitehead, main
 
 GOOD_SCRIPT = """\
@@ -96,6 +98,19 @@ classify d
 """
 
 
+def readme_script() -> str:
+    """The script block of the README's "Script language" section."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Script language", 1)[1]
+    return section.split("```", 2)[1].split("\n", 1)[1]
+
+
+def dsl_docstring_script() -> str:
+    """The indented example script of the dsl module docstring."""
+    lines = dsl.__doc__.split("\n\n")[2].split("\n")
+    return "".join(line[4:] + "\n" for line in lines)
+
+
 def too_long(where: str) -> str:
     return (
         f"error: {where} gives an exact value longer than {sys.get_int_max_str_digits()} digits, "
@@ -118,6 +133,16 @@ class TestRun:
         assert code == 0, err
         assert "word: g4" in out
         assert out_svg.exists()
+
+    @pytest.mark.parametrize("source", [readme_script, dsl_docstring_script], ids=["readme", "dsl-docstring"])
+    def test_documented_script_runs(self, capsys, tmp_path, monkeypatch, source):
+        script = tmp_path / "example.pi1"
+        script.write_text(source(), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, ["run", str(script)])
+        assert code == 0, err
+        assert out.count("verdict: PASS") == 5
+        assert (tmp_path / "scene.svg").exists()
 
     def test_circle_above_hint_classifies(self, capsys, tmp_path):
         script = tmp_path / "above.pi1"
@@ -263,6 +288,21 @@ class TestOneOffCommands:
         assert time.perf_counter() - start < 0.5
         err = capsys.readouterr().err
         assert exc.value.code == 2 and f"{argv[-2]} 1001 exceeds the limit 1000" in err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "5000", "3000000"])
+    def test_report_digits_validated_up_front(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("PI1LAB_DIGITS", value)
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["hausdorff", "--upto", "3"])
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "error: PI1LAB_DIGITS must" in err
+
+    def test_report_digits_at_limit(self, capsys, monkeypatch):
+        monkeypatch.setenv("PI1LAB_DIGITS", "4300")
+        code, out, _ = run_cli(capsys, ["hausdorff", "--upto", "3"])
+        assert code == 0 and "d_dec(4300)" in out
 
     def test_hausdorff(self, capsys):
         code, out, _ = run_cli(capsys, ["hausdorff", "--upto", "6"])

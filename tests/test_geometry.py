@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import ExactnessError, hausdorff_distance_sq, sqrt_leq_sqrt_plus_sqrt
+from oracles import ExactnessError, common_refinement, hausdorff_distance_sq, sqrt_leq_sqrt_plus_sqrt
 from pi1lab.geometry import (
     DegenerateSegmentError,
     ParameterRangeError,
@@ -14,7 +14,6 @@ from pi1lab.geometry import (
     Point2,
     Segment,
     _refine,
-    common_refinement,
     pl_path,
     point,
     point_segment_distance_sq,
@@ -99,12 +98,6 @@ class TestSupDistance:
             d_ac = sup_distance(a, c).squared
             d_cb = sup_distance(c, b).squared
             assert sqrt_leq_sqrt_plus_sqrt(d_ab, d_ac, d_cb)
-
-    def test_less_than_bound(self):
-        d = sup_distance(constant_path(), alpha_updown())
-        assert d.less_than(F(11, 10))
-        assert not d.less_than(F(1))  # distance is exactly 1
-        assert not d.less_than(F(-1))
 
     def test_sampling_oracle(self):
         # oracle: a dense parameter grid can only undershoot the true sup,

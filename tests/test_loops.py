@@ -33,7 +33,7 @@ from pi1lab.pi1 import (
     alpha_decorate,
     classify_x,
     classify_y,
-    collapse_with_certificate,
+    collapse_to_x,
     random_reduced_word,
 )
 from pi1lab.spaces import (
@@ -502,7 +502,7 @@ class TestWindingOracle:
         loops = []
         for _ in range(30):
             ly = include_in_y(realize_word(random_reduced_word(rng, 6), x))
-            loops.append(collapse_with_certificate(alpha_decorate(ly, rng))[0])
+            loops.append(collapse_to_x(alpha_decorate(ly, rng)))
         self.assert_lift_agrees(loops)
 
     def test_hand_built_loops(self, x):

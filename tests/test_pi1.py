@@ -33,7 +33,6 @@ from pi1lab.pi1 import (
     classify_x,
     classify_y,
     collapse_to_x,
-    collapse_with_certificate,
     induced_map,
     loop_in_ball,
     probe_discreteness_x,
@@ -124,12 +123,13 @@ class TestCollapse:
         assert validate(out) is None
         assert classify_x(out).word == parse_word("g2")
 
-    def test_certificate_records_actions(self, y, x):
+    def test_alpha_collapsed_c2_kept_verbatim(self, y, x):
         lp = concatenate(standard_f(y), include_in_y(standard_fn(2, x)))
-        out, cert = collapse_with_certificate(lp)
-        actions = {(a.component, a.action) for a in cert}
-        assert ("alpha", "collapsed") in actions
-        assert ("C2", "kept") in actions
+        out = collapse_to_x(lp)
+        (kept,) = decompose(out)
+        (c2,) = [exc for exc in decompose(lp) if exc.component.kind == "circle"]
+        assert str(kept.component) == "C2"
+        assert (kept.breakpoints, kept.piece_edges) == (c2.breakpoints, c2.piece_edges)
 
     def test_collapse_output_validates_in_x(self, y):
         rng = random.Random(5)
@@ -234,6 +234,34 @@ class TestCollapseSoundness:
         mid = far.edges[0].at(F(1, 2))
         bounce = loop_from_breakpoints([(0, 0, 0), ("1/2", mid.x, mid.y), (1, 0, 0)], y)
         assert classify_y(concatenate_all([bounce, base, bounce])).word == w
+
+    def test_direct_word_matches_collapsed_word(self, y, x):
+        # Oracle: classify_y reads the word off the loop's own excursions;
+        # collapsing into X first and classifying there must agree.
+        rng = random.Random(47)
+        decorated = [
+            alpha_decorate(include_in_y(realize_word(random_reduced_word(rng, 6), x)), rng)
+            for _ in range(20)
+        ]
+        bounces = []
+        for n, arm, u in ((2, 0, F(1, 3)), (5, 2, F(1, 2)), (9, 0, F(7, 8)), (30, 2, F(1, 5))):
+            q = y.circle(n).edges[arm].at(u)
+            bounces.append(loop_from_breakpoints([(0, 0, 0), ("1/2", q.x, q.y), (1, 0, 0)], y))
+        samples = [pi1._sample_small_loop(y, F(1, 4), rng) for _ in range(20)]
+        for lp in decorated + bounces:
+            circles = [exc for exc in decompose(lp) if exc.component.kind == "circle"]
+            assert len(decompose(collapse_to_x(lp))) < len(circles)
+        # every small loop collapses to the constant loop, circle arms included
+        assert all(decompose(collapse_to_x(lp)) == () for lp in samples)
+        assert any(exc.component.kind == "circle" for lp in samples for exc in decompose(lp))
+        fns = [standard_fn(n, y) for n in range(2, 12)]
+        words = []
+        for _ in range(10):
+            a = include_in_y(realize_word(random_reduced_word(rng, 5), x))
+            b = alpha_decorate(include_in_y(realize_word(random_reduced_word(rng, 5), x)), rng)
+            words += [reverse(a), concatenate(a, b), concatenate(reverse(b), bounces[rng.randrange(4)])]
+        for lp in decorated + bounces + samples + fns + words:
+            assert classify_y(lp).word == classify_x(collapse_to_x(lp)).word
 
 
 class TestNondiscretenessProbe:
@@ -365,7 +393,7 @@ class TestCarriedCharts:
             w = random_reduced_word(rng, 8)
             decorated = alpha_decorate(include_in_y(realize_word(w, x)), rng)
             assert_carried(decorated)
-            collapsed, _ = collapse_with_certificate(decorated)
+            collapsed = collapse_to_x(decorated)
             assert_carried(collapsed)
             assert classify_x(collapsed).word == w
 
@@ -553,7 +581,7 @@ class TestLocateOnce:
 
     def test_validate_locates_afresh(self, y, x, located):
         decorated = alpha_decorate(include_in_y(realize_word(parse_word("g2 g3^-1"), x)), random.Random(34))
-        collapsed, _ = collapse_with_certificate(decorated)
+        collapsed = collapse_to_x(decorated)
         located.clear()
         assert validate(collapsed) is None
         assert located == [q for _, q in collapsed.path.breakpoints if q != ORIGIN]

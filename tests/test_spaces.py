@@ -66,7 +66,7 @@ class TestBuildCircle:
         assert c.edges[0].a == point(0, 0) and c.edges[0].b == c.apex
         assert c.edges[1].a == c.apex and c.edges[1].b == c.tail
         assert c.edges[2].a == c.tail and c.edges[2].b == point(0, 0)
-        assert len(c.edge_length_sq) == 3 and all(v > 0 for v in c.edge_length_sq)
+        assert all(e.length_sq > 0 for e in c.edges)
 
     def test_vertices_in_unit_strip(self):
         for n in range(2, 21):
