@@ -44,28 +44,45 @@ class PathInvariantError(GeometryError):
     """A PLPath violated its breakpoint invariants."""
 
 
-@dataclass(frozen=True, eq=False)
 class Point2:
-    """An exact planar point.
+    """An exact planar point, stored as its kernel quad ``(xn, xd, yn, yd)``.
 
-    Its kernel quad ``(xn, xd, yn, yd)`` is computed once, at construction.
-    Fractions are always in lowest terms, so two points are equal exactly
-    when their quads are, and equality and hashing compare quads.
+    The quad is the point: both coordinates are in lowest terms with a
+    positive denominator, so two points are equal exactly when their quads
+    are, and equality and hashing compare quads. ``Point2(x, y)`` takes
+    ints, strings or Fractions. The coordinates ``x`` and ``y`` are
+    Fractions built from the quad the first time they are read and kept;
+    a point made from Fractions keeps those. A point made from a kernel
+    result (``_from_quad``), such as an interpolated breakpoint, builds no
+    Fraction unless one is read.
     """
 
-    x: Fraction
-    y: Fraction
-    _q: tuple = field(init=False, repr=False)
+    __slots__ = ("_q", "_x", "_y")
 
-    def __post_init__(self):
-        x, y = self.x, self.y
+    def __init__(self, x, y):
         if type(x) is not Fraction:
             x = Fraction(x)
-            object.__setattr__(self, "x", x)
         if type(y) is not Fraction:
             y = Fraction(y)
-            object.__setattr__(self, "y", y)
-        object.__setattr__(self, "_q", (x.numerator, x.denominator, y.numerator, y.denominator))
+        self._x = x
+        self._y = y
+        self._q = (x.numerator, x.denominator, y.numerator, y.denominator)
+
+    @property
+    def x(self) -> Fraction:
+        try:
+            return self._x
+        except AttributeError:
+            self._x = x = Fraction(self._q[0], self._q[1])
+            return x
+
+    @property
+    def y(self) -> Fraction:
+        try:
+            return self._y
+        except AttributeError:
+            self._y = y = Fraction(self._q[2], self._q[3])
+            return y
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -75,12 +92,15 @@ class Point2:
     def __hash__(self):
         return hash(self._q)
 
+    def __repr__(self) -> str:
+        return f"Point2(x={self.x!r}, y={self.y!r})"
+
     def quad(self) -> tuple:
         """Kernel wire format: (xn, xd, yn, yd)."""
         return self._q
 
     def dist_sq(self, other: "Point2") -> Fraction:
-        n, d = kernels.point_dist_sq(self.quad(), other.quad())
+        n, d = kernels.point_dist_sq(self._q, other._q)
         return Fraction(n, d)
 
     def __str__(self) -> str:
@@ -95,7 +115,10 @@ ORIGIN = point(0, 0)
 
 
 def _from_quad(q) -> Point2:
-    return Point2(Fraction(q[0], q[1]), Fraction(q[2], q[3]))
+    """The point of a reduced kernel quad, without building its Fractions."""
+    pt = object.__new__(Point2)
+    pt._q = q
+    return pt
 
 
 @dataclass(frozen=True)
@@ -110,19 +133,18 @@ class Segment:
             raise DegenerateSegmentError(f"degenerate segment at {self.a}")
 
     def quads(self) -> tuple:
-        return self.a.quad(), self.b.quad()
+        return self.a._q, self.b._q
 
     @property
     def length_sq(self) -> Fraction:
         return self.a.dist_sq(self.b)
 
     def contains(self, q: Point2) -> bool:
-        aq, bq = self.quads()
-        return kernels.on_segment(q.quad(), aq, bq)
+        return kernels.on_segment(q._q, self.a._q, self.b._q)
 
     def at(self, t: Fraction) -> Point2:
         t = Fraction(t)
-        return _from_quad(kernels.lerp(self.a.quad(), self.b.quad(), t.numerator, t.denominator))
+        return _from_quad(kernels.lerp(self.a._q, self.b._q, t.numerator, t.denominator))
 
     def __str__(self) -> str:
         return f"[{self.a} -> {self.b}]"
@@ -205,7 +227,7 @@ def _point_on_piece(bks: tuple, i: int, t: Fraction) -> Point2:
         return p0
     t1, p1 = bks[i + 1]
     u = (t - t0) / (t1 - t0)
-    return _from_quad(kernels.lerp(p0.quad(), p1.quad(), u.numerator, u.denominator))
+    return _from_quad(kernels.lerp(p0._q, p1._q, u.numerator, u.denominator))
 
 
 def _refine(path: PLPath, extra: Iterable) -> tuple:
@@ -314,8 +336,7 @@ def _quad_between(lo: tuple, hi: tuple, t: Fraction) -> tuple:
 
 def point_segment_distance_sq(q: Point2, s: Segment) -> Fraction:
     """Exact squared distance from a point to a closed segment."""
-    aq, bq = s.quads()
-    n, d = kernels.point_seg_dist_sq(q.quad(), aq, bq)
+    n, d = kernels.point_seg_dist_sq(q._q, s.a._q, s.b._q)
     return Fraction(n, d)
 
 
@@ -324,9 +345,7 @@ SegIntersection = Union[None, Point2, Segment]
 
 def segments_intersect(s1: Segment, s2: Segment) -> SegIntersection:
     """Exact intersection classification: None, a single Point2, or a Segment."""
-    a, b = s1.quads()
-    c, d = s2.quads()
-    res = kernels.seg_intersect(a, b, c, d)
+    res = kernels.seg_intersect(s1.a._q, s1.b._q, s2.a._q, s2.b._q)
     if res[0] == kernels.SEG_NONE:
         return None
     if res[0] == kernels.SEG_POINT:
@@ -335,8 +354,6 @@ def segments_intersect(s1: Segment, s2: Segment) -> SegIntersection:
 
 
 def segment_segment_distance_sq(s1: Segment, s2: Segment) -> Fraction:
-    a, b = s1.quads()
-    c, d = s2.quads()
-    n, den = kernels.seg_seg_dist_sq(a, b, c, d)
+    n, den = kernels.seg_seg_dist_sq(s1.a._q, s1.b._q, s2.a._q, s2.b._q)
     return Fraction(n, den)
 

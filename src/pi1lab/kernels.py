@@ -5,6 +5,31 @@ functions here. Points cross this boundary as 4-tuples ``(xn, xd, yn, yd)``
 of ints with positive denominators and each coordinate in lowest terms;
 scalar rationals are reduced ``(n, d)`` pairs with ``d > 0``. Working on
 plain ints keeps the hot loops free of Fraction object churn.
+
+The kernels are flat: each unpacks its quads once and computes on the ints
+inline, with no call per coordinate difference. A coordinate difference
+q.x - p.x is carried as the numerator ``qxn*pxd - pxn*qxd`` over
+``pxd*qxd``, and a positive denominator common to every term of a result is
+cancelled before multiplying:
+
+* ``orient(p, q, r)``: the cross product over its common denominator is
+  ``pxd*pyd`` times the determinant computed, so only the smaller one is
+  formed;
+* ``lerp``: numerator and denominator of the x coordinate share the factor
+  ``axd`` (of the y coordinate, ``ayd``);
+* ``foot_param``: dot product and squared length share the denominators
+  of b - a, which cancel, and ``axd*ayd`` then cancels against the
+  denominators of q - a;
+* ``point_seg_dist_sq``: likewise for cross product and squared length,
+  with ``(axd*ayd)**2``; its endpoint cases compare the unreduced foot
+  parameter with 0 and 1.
+
+A positive factor changes no sign, and a reduced pair is unique, so the
+results are those of the unflattened formulas; ``tests/oracles.py`` keeps
+those as the reference. ``on_segment`` tests its bounding box by the signs
+of q - a and q - b, and the y range only for a vertical (or degenerate)
+segment: off one, a point on the line with its x in range lies between a
+and b.
 """
 from math import gcd
 
@@ -28,64 +53,70 @@ def rred(n, d):
     return n // g, d // g
 
 
-def rcmp(n1, d1, n2, d2):
-    """Sign of n1/d1 - n2/d2 (positive denominators assumed)."""
-    t = n1 * d2 - n2 * d1
-    return (t > 0) - (t < 0)
-
-
-def rdiv(n1, d1, n2, d2):
-    return rred(n1 * d2, d1 * n2)
-
-
-def _dx(p, q):
-    # q.x - p.x as an unreduced pair
-    return q[0] * p[1] - p[0] * q[1], p[1] * q[1]
-
-
-def _dy(p, q):
-    return q[2] * p[3] - p[2] * q[3], p[3] * q[3]
-
-
 def orient(p, q, r):
     """Sign of the cross product (q - p) x (r - p): +1 left turn, -1 right, 0 collinear."""
-    a1, b1 = _dx(p, q)
-    a2, b2 = _dy(p, r)
-    a3, b3 = _dy(p, q)
-    a4, b4 = _dx(p, r)
-    t = a1 * a2 * b3 * b4 - a3 * a4 * b1 * b2
+    pxn, pxd, pyn, pyd = p
+    qxn, qxd, qyn, qyd = q
+    rxn, rxd, ryn, ryd = r
+    t = (qxn * pxd - pxn * qxd) * (ryn * pyd - pyn * ryd) * qyd * rxd - (
+        qyn * pyd - pyn * qyd
+    ) * (rxn * pxd - pxn * rxd) * qxd * ryd
     return (t > 0) - (t < 0)
 
 
 def point_dist_sq(p, q):
     """Exact squared Euclidean distance between two points, as a reduced pair."""
-    dxn, dxd = _dx(p, q)
-    dyn, dyd = _dy(p, q)
-    num = dxn * dxn * dyd * dyd + dyn * dyn * dxd * dxd
-    den = dxd * dxd * dyd * dyd
-    return rred(num, den)
+    pxn, pxd, pyn, pyd = p
+    qxn, qxd, qyn, qyd = q
+    xd = pxd * qxd
+    yd = pyd * qyd
+    u = (qxn * pxd - pxn * qxd) * yd
+    v = (qyn * pyd - pyn * qyd) * xd
+    num = u * u + v * v
+    den = xd * yd
+    den *= den
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def on_segment(q, a, b):
     """True iff q lies on the closed segment [a, b]."""
-    if orient(a, b, q) != 0:
+    qxn, qxd, qyn, qyd = q
+    axn, axd, ayn, ayd = a
+    bxn, bxd, byn, byd = b
+    wx = qxn * axd - axn * qxd  # sign of q.x - a.x
+    vx = qxn * bxd - bxn * qxd  # sign of q.x - b.x
+    if wx and vx and (wx > 0) == (vx > 0):
         return False
-    lox, hix = (a, b) if rcmp(a[0], a[1], b[0], b[1]) <= 0 else (b, a)
-    if rcmp(q[0], q[1], lox[0], lox[1]) < 0 or rcmp(q[0], q[1], hix[0], hix[1]) > 0:
+    ux = bxn * axd - axn * bxd
+    uy = byn * ayd - ayn * byd
+    wy = qyn * ayd - ayn * qyd
+    # orient(a, b, q) == 0, its determinant divided by axd*ayd
+    if ux * wy * byd * qxd != uy * wx * bxd * qyd:
         return False
-    loy, hiy = (a, b) if rcmp(a[2], a[3], b[2], b[3]) <= 0 else (b, a)
-    if rcmp(q[2], q[3], loy[2], loy[3]) < 0 or rcmp(q[2], q[3], hiy[2], hiy[3]) > 0:
-        return False
-    return True
+    if ux:
+        return True
+    vy = qyn * byd - byn * qyd
+    return not (wy and vy and (wy > 0) == (vy > 0))
 
 
 def lerp(a, b, tn, td):
     """Point a + t*(b - a) for t = tn/td, coordinates reduced."""
-    xn, xd = _dx(a, b)
-    yn, yd = _dy(a, b)
-    rxn, rxd = rred(a[0] * xd * td + tn * xn * a[1], a[1] * xd * td)
-    ryn, ryd = rred(a[2] * yd * td + tn * yn * a[3], a[3] * yd * td)
-    return rxn, rxd, ryn, ryd
+    if td <= 0:
+        if td == 0:
+            raise ZeroDivisionError("rational with zero denominator")
+        tn, td = -tn, -td
+    axn, axd, ayn, ayd = a
+    bxn, bxd, byn, byd = b
+    s = axn * bxd
+    xn = s * td + tn * (bxn * axd - s)
+    xd = axd * bxd * td
+    g = gcd(xn, xd)
+    s = ayn * byd
+    yn = s * td + tn * (byn * ayd - s)
+    yd = ayd * byd * td
+    h = gcd(yn, yd)
+    return xn // g, xd // g, yn // h, yd // h
 
 
 def foot_param(q, a, b):
@@ -93,34 +124,48 @@ def foot_param(q, a, b):
 
     Returns t with foot = a + t*(b - a); b must differ from a.
     """
-    vxn, vxd = _dx(a, b)
-    vyn, vyd = _dy(a, b)
-    wxn, wxd = _dx(a, q)
-    wyn, wyd = _dy(a, q)
-    dot_n = wxn * vxn * wyd * vyd + wyn * vyn * wxd * vxd
-    dot_d = wxd * vxd * wyd * vyd
-    vv_n = vxn * vxn * vyd * vyd + vyn * vyn * vxd * vxd
-    vv_d = vxd * vxd * vyd * vyd
-    return rdiv(dot_n, dot_d, vv_n, vv_d)
+    qxn, qxd, qyn, qyd = q
+    axn, axd, ayn, ayd = a
+    bxn, bxd, byn, byd = b
+    wx = qxn * axd - axn * qxd
+    wy = qyn * ayd - ayn * qyd
+    vx = (bxn * axd - axn * bxd) * ayd * byd
+    vy = (byn * ayd - ayn * byd) * axd * bxd
+    num = (wx * ayd * qyd * vx + wy * axd * qxd * vy) * bxd * byd
+    den = (vx * vx + vy * vy) * qxd * qyd
+    if den == 0:
+        raise ZeroDivisionError("rational with zero denominator")
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def point_seg_dist_sq(q, a, b):
     """Exact squared distance from q to the closed segment [a, b]."""
-    tn, td = foot_param(q, a, b)
-    if tn <= 0:
+    qxn, qxd, qyn, qyd = q
+    axn, axd, ayn, ayd = a
+    bxn, bxd, byn, byd = b
+    wx = qxn * axd - axn * qxd
+    wy = qyn * ayd - ayn * qyd
+    ux = bxn * axd - axn * bxd
+    uy = byn * ayd - ayn * byd
+    vx = ux * ayd * byd
+    vy = uy * axd * bxd
+    vv = vx * vx + vy * vy
+    if vv == 0:
+        raise ZeroDivisionError("rational with zero denominator")
+    # the foot parameter is dot / (vv * qxd * qyd)
+    dot = (wx * ayd * qyd * vx + wy * axd * qxd * vy) * bxd * byd
+    if dot <= 0:
         return point_dist_sq(q, a)
-    if tn >= td:
+    dd = qxd * qyd
+    if dot >= vv * dd:
         return point_dist_sq(q, b)
-    # perpendicular case: cross(w, v)^2 / |v|^2
-    vxn, vxd = _dx(a, b)
-    vyn, vyd = _dy(a, b)
-    wxn, wxd = _dx(a, q)
-    wyn, wyd = _dy(a, q)
-    cr_n = wxn * vyn * wyd * vxd - wyn * vxn * wxd * vyd
-    cr_d = wxd * vyd * wyd * vxd
-    vv_n = vxn * vxn * vyd * vyd + vyn * vyn * vxd * vxd
-    vv_d = vxd * vxd * vyd * vyd
-    return rdiv(cr_n * cr_n, cr_d * cr_d, vv_n, vv_d)
+    # perpendicular case: cross(w, v)^2 / |v|^2, the factor (axd*ayd)^2 cancelled
+    c = wx * qyd * uy * bxd - wy * qxd * ux * byd
+    num = c * c
+    den = dd * dd * vv
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def seg_intersect(a, b, c, d):
@@ -137,10 +182,10 @@ def seg_intersect(a, b, c, d):
         # collinear: overlap interval in [a,b]-parameters
         tc = foot_param(c, a, b)
         td_ = foot_param(d, a, b)
-        lo, hi = (tc, td_) if rcmp(*tc, *td_) <= 0 else (td_, tc)
-        lo = lo if rcmp(*lo, 0, 1) > 0 else (0, 1)
-        hi = hi if rcmp(*hi, 1, 1) < 0 else (1, 1)
-        s = rcmp(*lo, *hi)
+        lo, hi = (tc, td_) if tc[0] * td_[1] <= td_[0] * tc[1] else (td_, tc)
+        lo = lo if lo[0] > 0 else (0, 1)
+        hi = hi if hi[0] < hi[1] else (1, 1)
+        s = lo[0] * hi[1] - hi[0] * lo[1]
         if s > 0:
             return (SEG_NONE,)
         if s == 0:
@@ -150,7 +195,7 @@ def seg_intersect(a, b, c, d):
         # proper crossing: t = cross(c-a, d-c) / cross(b-a, d-c) along [a,b]
         num = _cross_of_diffs(a, c, c, d)
         den = _cross_of_diffs(a, b, c, d)
-        t = rdiv(num[0], num[1], den[0], den[1])
+        t = rred(num[0] * den[1], num[1] * den[0])
         return (SEG_POINT, lerp(a, b, *t))
     # touching configurations: a single shared point if any
     for q, s0, s1 in ((c, a, b), (d, a, b), (a, c, d), (b, c, d)):
@@ -161,13 +206,18 @@ def seg_intersect(a, b, c, d):
 
 def _cross_of_diffs(p1, p2, p3, p4):
     # cross(p2 - p1, p4 - p3) as an unreduced pair
-    axn, axd = _dx(p1, p2)
-    ayn, ayd = _dy(p1, p2)
-    bxn, bxd = _dx(p3, p4)
-    byn, byd = _dy(p3, p4)
-    num = axn * byn * ayd * bxd - ayn * bxn * axd * byd
-    den = axd * byd * ayd * bxd
-    return num, den
+    p1xn, p1xd, p1yn, p1yd = p1
+    p2xn, p2xd, p2yn, p2yd = p2
+    p3xn, p3xd, p3yn, p3yd = p3
+    p4xn, p4xd, p4yn, p4yd = p4
+    axd = p1xd * p2xd
+    ayd = p1yd * p2yd
+    bxd = p3xd * p4xd
+    byd = p3yd * p4yd
+    num = (p2xn * p1xd - p1xn * p2xd) * (p4yn * p3yd - p3yn * p4yd) * ayd * bxd - (
+        p2yn * p1yd - p1yn * p2yd
+    ) * (p4xn * p3xd - p3xn * p4xd) * axd * byd
+    return num, axd * byd * ayd * bxd
 
 
 def seg_seg_dist_sq(a, b, c, d):
@@ -180,6 +230,6 @@ def seg_seg_dist_sq(a, b, c, d):
         point_seg_dist_sq(c, a, b),
         point_seg_dist_sq(d, a, b),
     ):
-        if rcmp(*cand, *best) < 0:
+        if cand[0] * best[1] < best[0] * cand[1]:
             best = cand
     return best

@@ -75,12 +75,14 @@ class Loop:
     piece), or the first ``Violation`` of an invalid loop. It is located at
     most once per Loop, by ``_first_violation`` on first use, unless the
     operation that built the loop charted it by construction or carried it
-    over from its operands. It takes no part in equality.
+    over from its operands. Its excursions are stored the same way, by
+    ``decompose`` on its first call. Neither takes part in equality.
     """
 
     path: PLPath
     space: SpaceHandle
     _chart: object = field(default=None, init=False, repr=False, compare=False)
+    _excursions: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.path, PLPath):
@@ -110,7 +112,9 @@ class Excursion:
     breakpoints. The piece ``k`` runs from breakpoint ``k`` to ``k + 1`` and
     lies on ``piece_edges[k]``. ``subpath``, the slice renormalized to
     [0, 1], is built only when it is read. The component tag names the unique
-    component of (space minus p) carrying the excursion's interior.
+    component of (space minus p) carrying the excursion's interior. The
+    winding degree of a circle excursion is stored on its first computation;
+    it takes no part in equality.
     """
 
     t_start: Fraction
@@ -120,6 +124,7 @@ class Excursion:
     piece_edges: Tuple[Optional[EdgeRef], ...]
     space: SpaceHandle
     first: int
+    _degree: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def subpath(self) -> PLPath:
@@ -230,26 +235,35 @@ def decompose(loop: Loop) -> Tuple[Excursion, ...]:
 
     Constant-at-p stretches produce no excursion. Each excursion is tagged
     with the unique component of (space minus p) carrying it, read off the
-    loop's chart, so no point is located unless the loop has no chart yet.
+    loop's chart: the first two entries of an edge name its circle (or
+    alpha), so no point is located unless the loop has no chart yet.
+    Computed at most once per Loop and stored on it.
     """
+    excs = loop._excursions
+    if excs is None:
+        excs = _excursions(loop)
+        object.__setattr__(loop, "_excursions", excs)
+    return excs
+
+
+def _excursions(loop: Loop) -> Tuple[Excursion, ...]:
     edges = _analyze(loop)
     bks = loop.path.breakpoints
-    p_idx = [i for i, (_, q) in enumerate(bks) if q == ORIGIN]
+    base = ORIGIN.quad()
+    p_idx = [i for i, (_, q) in enumerate(bks) if q._q == base]
     out = []
     for i, j in zip(p_idx, p_idx[1:]):
         if j == i + 1:
             continue
         piece_edges = edges[i:j]
-        comps = {
-            _component_of_edge(ref) for ref in piece_edges if ref is not None
-        }
-        if len(comps) != 1:
+        keys = {ref[:2] for ref in piece_edges if ref is not None}
+        if len(keys) != 1:
+            comps = {_component_of_edge(ref) for ref in piece_edges if ref is not None}
             raise InvalidLoopError(
                 f"excursion on [{bks[i][0]}, {bks[j][0]}] spans components {sorted(map(str, comps))}"
             )
-        out.append(
-            Excursion(bks[i][0], bks[j][0], comps.pop(), bks[i : j + 1], piece_edges, loop.space, i)
-        )
+        comp = _component_of_edge(keys.pop())
+        out.append(Excursion(bks[i][0], bks[j][0], comp, bks[i : j + 1], piece_edges, loop.space, i))
     return tuple(out)
 
 
@@ -268,9 +282,16 @@ def winding_degree(exc: Excursion) -> int:
     -1 or 0 on the vertex numbering. The degree is the sum of the steps
     divided by 3: integer arithmetic on the chart and exact point equality,
     so the result depends only on the combinatorial edge-crossing sequence.
+    Computed at most once per Excursion and stored on it.
     """
     if exc.component.kind != "circle":
         raise WindingError("winding degree is defined only for circle excursions")
+    if exc._degree is None:
+        object.__setattr__(exc, "_degree", _lift_degree(exc))
+    return exc._degree
+
+
+def _lift_degree(exc: Excursion) -> int:
     vertices = exc.space.circle(exc.component.index).vertices
     lift = 0
     at = 0  # the vertex the current run started from

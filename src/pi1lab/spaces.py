@@ -324,18 +324,22 @@ def component_of(q: Point2, space: SpaceHandle) -> ComponentId:
 
 
 def _pair_intersection_violations(c1: Circle, c2: Circle):
-    """Exact witnesses that C_n and C_m meet anywhere besides p."""
+    """Exact witnesses that C_n and C_m meet anywhere besides p: triples of
+    two edges and their intersection, a point other than p or a Segment."""
     bad = []
     for e1 in c1.edges:
         for e2 in c2.edges:
             hit = segments_intersect(e1, e2)
-            if hit is None:
-                continue
-            if isinstance(hit, Segment):
-                bad.append(f"edges {e1} and {e2} overlap along {hit}")
-            elif hit != ORIGIN:
-                bad.append(f"edges {e1} and {e2} meet at {hit}")
+            if hit is not None and hit != ORIGIN:
+                bad.append((e1, e2, hit))
     return bad
+
+
+def _violation_text(e1: Segment, e2: Segment, hit, where: str) -> str:
+    """A witness of ``_pair_intersection_violations`` as report text; a
+    value too long to print is refused with a ProbeParameterError naming ``where``."""
+    how = "overlap along" if isinstance(hit, Segment) else "meet at"
+    return f"edges {exact_str(e1, where)} and {exact_str(e2, where)} {how} {exact_str(hit, where)}"
 
 
 def verify_disjointness(space: SpaceHandle, up_to: int) -> ProbeReport:
@@ -359,7 +363,7 @@ def verify_disjointness(space: SpaceHandle, up_to: int) -> ProbeReport:
                 witnesses.append(
                     (
                         ("pair", f"C{n}, C{m}"),
-                        ("violation", bad[0]),
+                        ("violation", _violation_text(*bad[0], f"probe disjointness: up_to={up_to}")),
                     )
                 )
     return ProbeReport(

@@ -55,6 +55,13 @@ LONG_VALUE_SCRIPTS = (
 
 NINES = "9" * 5000
 
+# A uniform width of two 4300-digit literals: every circle meets the next one,
+# at a point whose coordinates have more than 4300 digits.
+LONG_WITNESS_SCRIPT = (
+    f"space S = Y(5) width=uniform:1{'0' * 4299}/1{'0' * 4298}1\n"
+    "probe disjointness up_to=4\n"
+)
+
 # Each line is refused by the parser; the column is that of the offending literal.
 HOSTILE_LINES = (
     (f"loop w = word g2^{NINES}", 18),
@@ -181,6 +188,13 @@ class TestRun:
         code, out, err = run_cli(capsys, ["run", str(script)])
         assert code == 1 and out == ""
         assert err == too_long(where)
+
+    def test_disjointness_witness_too_long_to_print_is_one_error_line(self, capsys, tmp_path):
+        script = tmp_path / "long.pi1"
+        script.write_text(LONG_WITNESS_SCRIPT, encoding="utf-8")
+        code, out, err = run_cli(capsys, ["run", str(script)])
+        assert code == 1 and out == ""
+        assert err == too_long("probe disjointness: up_to=4")
 
     @pytest.mark.parametrize(
         "line,col",
@@ -338,6 +352,29 @@ class TestHausdorffReportBytes:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+DISJOINTNESS_SCRIPT = "space S = Y(20) width={width}\nprobe disjointness up_to={up_to}\n"
+
+
+class TestDisjointnessReportBytes:
+    # sha256 of stdout, recorded before the kernels were flattened; the
+    # uniform profile fails with a witness for every pair.
+    @pytest.mark.parametrize(
+        "width, up_to, code, digest",
+        [
+            ("pow10", 60, 0, "844f6e21de417c524c2c7ed078621bd2ab5f86e537673d7752bf978ea4aef19f"),
+            ("cube", 100, 0, "88ef7dfccbcf38bcf247d9a8a9abe64ebd95d718bc232e5d83207a7f8a87e5e8"),
+            ("uniform:1/2", 30, 1, "5c2d0da3031121196685050646927fd69128e41f3966cf9e50231d807492391f"),
+        ],
+        ids=["pow10-60", "cube-100", "uniform-1/2-30"],
+    )
+    def test_pinned_digest(self, capsys, tmp_path, width, up_to, code, digest):
+        path = tmp_path / "disjointness.pi1"
+        path.write_text(DISJOINTNESS_SCRIPT.format(width=width, up_to=up_to), encoding="utf-8")
+        got, out, err = run_cli(capsys, ["run", str(path)])
+        assert got == code, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 class TestModuleEntryPoint:
     def test_python_m_pi1lab(self):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pi1lab.__file__)))
@@ -369,7 +406,27 @@ class TestRender:
         assert code == 2 and "render directive" in err
 
 
+# sha256 of the report of `demo whitehead --nmax 32 --seed s` with its out-dir
+# replaced by "@", and of the SVG it writes (the scene does not depend on the
+# seed). The same values pin the benchmark's demo workload.
+DEMO_REPORT_SHA256 = {
+    0: "a96d15be7a4b4473761d94c75c25ebb0436a124e7c99b6dbc4839a9ce96c99a6",
+    1: "90b0ec600a7afb0f922375b28ce9b7060f374585e99d3a4e78990e92fc194776",
+    7: "3df33de794012a3b45e64bda314f6176b53348cd9d078a335ef7e1a083c03282",
+}
+DEMO_SVG_SHA256 = "aec7b7a3294458b2d059ba6bdb31cd0c15783081edc60afedae3dfea0d2b1f49"
+
+
 class TestDemo:
+    @pytest.mark.parametrize("seed", sorted(DEMO_REPORT_SHA256))
+    def test_pinned_bytes(self, tmp_path, seed):
+        code, text = demo_whitehead(nmax=32, seed=seed, out_dir=str(tmp_path))
+        assert code == 0
+        report = (text + "\n").replace(str(tmp_path), "@").encode()
+        assert hashlib.sha256(report).hexdigest() == DEMO_REPORT_SHA256[seed]
+        svg = (tmp_path / "whitehead.svg").read_bytes()
+        assert hashlib.sha256(svg).hexdigest() == DEMO_SVG_SHA256
+
     def test_unknown_demo(self, capsys):
         code, _, err = run_cli(capsys, ["demo", "mystery"])
         assert code == 2 and "unknown demo" in err

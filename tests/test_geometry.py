@@ -323,6 +323,16 @@ class TestNativeQuads:
         assert q.quad() == (x.numerator, x.denominator, y.numerator, y.denominator)
         assert q != Point2(x + 1, y) and q != Point2(x, y + F(1, 64))
 
+    def test_kernel_point_builds_coordinates_on_first_read(self):
+        q = segment(0, 0, 1, 3).at(F(1, 2))
+        assert q.quad() == (1, 2, 3, 2)
+        assert not hasattr(q, "_x") and not hasattr(q, "_y")
+        assert q == Point2("1/2", "3/2") and hash(q) == hash(Point2("1/2", "3/2"))
+        assert (q.x, q.y) == (F(1, 2), F(3, 2))
+        assert q.x is q.x and str(q) == "(1/2, 3/2)"
+        with pytest.raises(AttributeError):
+            q.x = F(0)
+
 
 @st.composite
 def longer_pl_paths(draw):

@@ -1,9 +1,12 @@
 """Contract tests for the integer geometry kernels."""
 from fractions import Fraction
 
+import oracles
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pi1lab import kernels as k
+from pi1lab.spaces import build_circle
 
 
 def q(x, y) -> tuple:
@@ -70,3 +73,94 @@ class TestContracts:
     def test_seg_seg_dist_sq(self):
         assert k.seg_seg_dist_sq(q(0, 0), q(1, 0), q(0, 1), q(1, 1)) == (1, 1)
         assert k.seg_seg_dist_sq(q(0, 0), q(1, 1), q(1, 0), q(0, 1)) == (0, 1)
+
+
+# -- the flat kernels against the helper-based ones ----------------------------
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+PARAM = st.fractions(min_value=-1, max_value=2, max_denominator=6)
+
+# Coordinates of the pow10 circles C_88..C_90 (operands of about 900 digits)
+# and a few small ones to mix with them.
+POW10_COORDS = st.sampled_from(
+    sorted(
+        {c for n in (88, 89, 90) for v in build_circle(n).vertices for c in (v.x, v.y)}
+        | {Fraction(0), Fraction(1), Fraction(-1, 2)}
+    )
+)
+
+
+@st.composite
+def configurations(draw, coord):
+    """Four points; each after the first is fresh, equal to an earlier one,
+    on a vertical or horizontal line through one, or on the line through
+    two earlier ones."""
+    pts = []
+    for _ in range(4):
+        kinds = ["fresh"]
+        if pts:
+            kinds += ["copy", "vertical", "horizontal"]
+        if len(pts) >= 2:
+            kinds.append("collinear")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "fresh":
+            pt = (draw(coord), draw(coord))
+        elif kind == "copy":
+            pt = draw(st.sampled_from(pts))
+        elif kind == "vertical":
+            pt = (draw(st.sampled_from(pts))[0], draw(coord))
+        elif kind == "horizontal":
+            pt = (draw(coord), draw(st.sampled_from(pts))[1])
+        else:
+            i, j = draw(st.lists(st.integers(0, len(pts) - 1), min_size=2, max_size=2, unique=True))
+            t = draw(PARAM)
+            (ax, ay), (bx, by) = pts[i], pts[j]
+            pt = (ax + t * (bx - ax), ay + t * (by - ay))
+        pts.append(pt)
+    return tuple(q(x, y) for x, y in pts)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def assert_flat_matches_oracle(pts, tn, td):
+    a, b, c, d = pts
+    for name, args in (
+        ("orient", (a, b, c)),
+        ("orient", (c, d, a)),
+        ("on_segment", (c, a, b)),
+        ("on_segment", (d, a, b)),
+        ("point_dist_sq", (a, b)),
+        ("lerp", (a, b, tn, td)),
+        ("foot_param", (c, a, b)),
+        ("point_seg_dist_sq", (c, a, b)),
+        ("point_seg_dist_sq", (d, a, b)),
+        ("_cross_of_diffs", (a, b, c, d)),
+        ("seg_intersect", (a, b, c, d)),
+        ("seg_seg_dist_sq", (a, b, c, d)),
+    ):
+        got = outcome(getattr(k, name), *args)
+        want = outcome(getattr(oracles, name), *args)
+        assert got == want, (name, args)
+
+
+class TestFlatKernelsMatchOracle:
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(configurations(SMALL), st.integers(-4, 4), st.integers(-3, 6))
+    # a vertical segment with a collinear point above it, and below
+    @example((q(0, 0), q(0, 1), q(0, 2), q(0, -1)), 1, 2)
+    # a horizontal segment with a collinear point beyond either end
+    @example((q(-1, 2), q(1, 2), q(2, 2), q(-2, 2)), -1, 3)
+    # a degenerate segment: a point equal to it, and one on its vertical
+    @example((q("1/2", 1), q("1/2", 1), q("1/2", 1), q("1/2", -1)), 0, 1)
+    def test_small_rationals(self, pts, tn, td):
+        assert_flat_matches_oracle(pts, tn, td)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(configurations(POW10_COORDS), st.integers(-4, 4), st.integers(1, 6))
+    def test_pow10_vertices(self, pts, tn, td):
+        assert_flat_matches_oracle(pts, tn, td)

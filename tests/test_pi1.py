@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pi1lab import kernels, pi1
+from pi1lab import kernels, loops, pi1
 from pi1lab.exactnum import dyadic_sqrt_bounds
 from pi1lab.geometry import ORIGIN, PLPath
 from pi1lab.loops import (
@@ -585,3 +585,50 @@ class TestLocateOnce:
         located.clear()
         assert validate(collapsed) is None
         assert located == [q for _, q in collapsed.path.breakpoints if q != ORIGIN]
+
+
+@pytest.fixture
+def excursions_built(monkeypatch):
+    """Every excursion the loops module builds, in order."""
+    built = []
+
+    def counted(*args, _orig=loops.Excursion):
+        exc = _orig(*args)
+        built.append(exc)
+        return exc
+
+    monkeypatch.setattr(loops, "Excursion", counted)
+    return built
+
+
+class TestDecomposeOnce:
+    def test_alpha_decorate_after_classify_y_does_not_decompose_again(self, x, excursions_built):
+        rng = random.Random(51)
+        for _ in range(10):
+            w = random_reduced_word(rng, 8)
+            ly = include_in_y(realize_word(w, x))
+            assert classify_y(ly).word == w
+            before = len(excursions_built)
+            alpha_decorate(ly, rng)
+            assert len(excursions_built) == before
+
+    def test_decompose_returns_the_stored_excursions(self, x, excursions_built):
+        lx = realize_word(parse_word("g2 g3^-2 g5"), x)
+        first = decompose(lx)
+        assert len(excursions_built) == 4  # one per letter: g3^-2 is two
+        assert decompose(lx) is first
+        assert len(excursions_built) == 4
+
+    def test_winding_degree_once_per_excursion(self, x, monkeypatch):
+        lifts = []
+
+        def counted(exc, _orig=loops._lift_degree):
+            lifts.append(exc)
+            return _orig(exc)
+
+        monkeypatch.setattr(loops, "_lift_degree", counted)
+        lx = realize_word(parse_word("g2 g3^-2 g5"), x)
+        assert classify_x(lx).word == parse_word("g2 g3^-2 g5")
+        assert choose_n(lx) == 6
+        assert [loops.winding_degree(e) for e in decompose(lx)] == [1, -1, -1, 1]
+        assert lifts == list(decompose(lx))
