@@ -31,7 +31,6 @@ from .loops import (
     standard_f,
     standard_fn,
     subdivide,
-    transplant,
     validate,
     winding_degree,
 )

@@ -38,7 +38,9 @@ fails at once with a parse error instead of running for seconds to hours:
   letters. The parser records a letter count for each bound loop: a
   word's length, and 1 per circle, alpha or ``points`` piece;
 - ``probe discreteness`` runs at most ``MAX_TRIALS`` trials and ``probe
-  slsc`` at most ``MAX_SAMPLES`` samples.
+  slsc`` at most ``MAX_SAMPLES`` samples;
+- ``probe discreteness`` runs at most ``MAX_TRIAL_LETTERS`` letter-trials:
+  its ``trials`` times the letter count of its loop.
 """
 from __future__ import annotations
 
@@ -78,6 +80,15 @@ MAX_WORD_LETTERS = 10000
 # 2-vCPU VM). 100,000 of either ran past 30 s.
 MAX_TRIALS = 10000
 MAX_SAMPLES = 10000
+
+# Most letter-trials of probe discreteness: its trials times the letter
+# count of its loop. A trial perturbs, measures and reclassifies the whole
+# loop, so its time is linear in the letters, and MAX_TRIALS alone let a
+# 10,000-letter word run 10,000 trials (about 40 minutes). A letter-trial of
+# g2^1000 or g2^10000 under pow10 took 12-21 us of CPU, and the probe on
+# g2^10000 at 10 trials 1.6 s (pure-Python kernels, Python 3.11, one core of
+# a 2-vCPU VM). The documented scripts run 100.
+MAX_TRIAL_LETTERS = 100000
 
 # Count parameters bounded above, checked before any name on the line is
 # resolved.
@@ -209,6 +220,20 @@ def _check_index(n: int, what: str, line: int, col: int) -> None:
     """Refuse a circle index above MAX_CIRCLE_INDEX; ``what`` names it."""
     if n > MAX_CIRCLE_INDEX:
         raise DslError(line, col, f"{what} exceeds the limit {MAX_CIRCLE_INDEX} on circle indices")
+
+
+def _check_trial_letters(args: dict, loops: dict, line_text: str, line: int, col: int) -> None:
+    """Refuse a discreteness probe whose trials times its loop's letters
+    exceed MAX_TRIAL_LETTERS, at the column of the trials value."""
+    trials, letters = args["trials"], loops[args["loop"]]
+    if trials * letters > MAX_TRIAL_LETTERS:
+        at = list(re.finditer(r"\strials=", line_text))[-1].end()
+        raise DslError(
+            line,
+            col + at,
+            f"trials={trials} times the {letters} letters of loop {args['loop']} "
+            f"exceeds the limit of {MAX_TRIAL_LETTERS} letter-trials",
+        )
 
 
 def _letters(expr: LoopExpr, known_loops: Optional[dict]) -> int:
@@ -431,6 +456,8 @@ def parse(text: str) -> Script:
             if raw_args:
                 stray = sorted(raw_args)[0]
                 raise DslError(lineno, col, f"probe {kind} does not take {stray!r}")
+            if kind == "discreteness":
+                _check_trial_letters(dict(args), loops, stripped, lineno, col)
             statements.append(ProbeStmt(kind, tuple(args)))
         elif head == "render":
             m = re.match(r"^render\s+((?:\w+\s+)*\w+)\s*->\s*(\S+)$", stripped)

@@ -9,8 +9,10 @@ for reports.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd
 from typing import Iterable, Sequence, Union
 
 from . import kernels
@@ -154,117 +156,172 @@ def segment(ax, ay, bx, by) -> Segment:
     return Segment(point(ax, ay), point(bx, by))
 
 
-@dataclass(frozen=True)
 class PLPath:
     """A parametrized piecewise-linear path on [0, 1].
 
-    Breakpoints are (t, point) pairs with t strictly increasing from 0 to 1;
-    between breakpoints the path is the exact linear interpolation.
-    Consecutive equal points are allowed and denote a constant stretch.
-    The tuple of breakpoint parameters is stored once, as ``params``.
-    Parameters may be given as ints, strings or Fractions and are stored as
-    Fractions; their order is checked on integers, by cross-multiplying
-    numerators and denominators.
+    The path is its breakpoint parameters and its points. Each parameter is
+    stored as a reduced int pair ``(n, d)`` with d > 0; the pairs strictly
+    increase from 0 to 1. Between breakpoints the path is the exact linear
+    interpolation, and consecutive equal points denote a constant stretch.
+    Equality and hashing compare the pairs and the points.
+
+    ``PLPath(breakpoints)`` takes (t, point) pairs with t an int, string or
+    Fraction. Builders that compute their parameters as int pairs call
+    ``_path(ts, pts)`` and build no Fraction. Both run the same checks; the
+    order is checked by cross-multiplying the pairs. ``params`` and
+    ``breakpoints`` are Fractions built the first time they are read and
+    kept; a path made from Fractions keeps those.
     """
 
-    breakpoints: tuple
-    params: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("_ts", "_pts", "_params", "_bks")
 
-    def __post_init__(self):
-        bks = self.breakpoints
-        if type(bks) is not tuple or any(type(t) is not Fraction for t, _ in bks):
-            bks = tuple((t if type(t) is Fraction else Fraction(t), p) for t, p in bks)
-            object.__setattr__(self, "breakpoints", bks)
-        ts = tuple(t for t, _ in bks)
-        object.__setattr__(self, "params", ts)
-        if len(bks) < 2:
-            raise PathInvariantError("a path needs at least two breakpoints")
-        if ts[0].numerator != 0 or ts[-1].numerator != 1 or ts[-1].denominator != 1:
-            raise PathInvariantError("path parameters must start at 0 and end at 1")
-        n0, d0 = 0, 1
-        for t in ts[1:]:
-            n, d = t.numerator, t.denominator
-            if n * d0 <= n0 * d:
-                raise PathInvariantError(f"breakpoint parameters not strictly increasing at t={t}")
-            n0, d0 = n, d
+    def __init__(self, breakpoints):
+        bks = tuple(breakpoints)
+        params = tuple(t if type(t) is Fraction else Fraction(t) for t, _ in bks)
+        _fill(self, tuple((t.numerator, t.denominator) for t in params), tuple(p for _, p in bks))
+        self._params = params
+
+    @property
+    def params(self) -> tuple:
+        """The breakpoint parameters as Fractions."""
+        try:
+            return self._params
+        except AttributeError:
+            self._params = ps = tuple(Fraction(n, d) for n, d in self._ts)
+            return ps
+
+    @property
+    def breakpoints(self) -> tuple:
+        """The (t, point) pairs, t a Fraction."""
+        try:
+            return self._bks
+        except AttributeError:
+            self._bks = bks = tuple(zip(self.params, self._pts))
+            return bks
 
     @property
     def points(self) -> tuple:
-        return tuple(p for _, p in self.breakpoints)
+        return self._pts
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._ts == other._ts and self._pts == other._pts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self._ts, self._pts))
+
+    def __repr__(self) -> str:
+        return f"PLPath(breakpoints={self.breakpoints!r})"
 
     def at(self, t) -> Point2:
         """Exact evaluation by linear interpolation; t must lie in [0, 1]."""
         t = Fraction(t)
         if t < 0 or t > 1:
             raise ParameterRangeError(f"parameter {t} outside [0, 1]")
-        return _point_on_piece(self.breakpoints, bisect_right(self.params, t) - 1, t)
+        i = bisect_right(self.params, t) - 1
+        ts, pts = self._ts, self._pts
+        tq = (t.numerator, t.denominator)
+        if i == len(ts) - 1 or ts[i] == tq:
+            return pts[i]
+        return _from_quad(_quad_between(ts[i], pts[i], ts[i + 1], pts[i + 1], tq))
 
     def pieces(self):
         """Consecutive breakpoint pairs ((t0, p0), (t1, p1))."""
-        return tuple(zip(self.breakpoints, self.breakpoints[1:]))
+        bks = self.breakpoints
+        return tuple(zip(bks, bks[1:]))
 
-    def with_params(self, extra: Iterable[Fraction]) -> "PLPath":
+    def with_params(self, extra: Iterable) -> "PLPath":
         """Same path with additional breakpoints inserted (geometry unchanged).
 
-        One merge of the sorted extras into ``params``, compared on
+        ``extra`` holds rationals or int pairs ``(n, d)`` with d > 0. One
+        merge of the sorted extras into the parameters, compared on
         integers; a new point is interpolated on its piece as a kernel quad.
         """
         return _refine(self, extra)[0]
 
     def reversed(self) -> "PLPath":
-        return PLPath(
-            tuple(
-                (Fraction(t.denominator - t.numerator, t.denominator), p)
-                for t, p in reversed(self.breakpoints)
+        """The path run backwards: t = n/d goes to (d - n)/d, still reduced."""
+        return _path(tuple((d - n, d) for n, d in reversed(self._ts)), self._pts[::-1])
+
+
+def _fill(path: PLPath, ts: tuple, pts: tuple) -> None:
+    """Check reduced parameter pairs and store them with their points: the
+    one construction path of PLPath."""
+    if len(ts) < 2:
+        raise PathInvariantError("a path needs at least two breakpoints")
+    if ts[0][0] != 0 or ts[-1] != (1, 1):
+        raise PathInvariantError("path parameters must start at 0 and end at 1")
+    n0, d0 = 0, 1
+    for n, d in ts[1:]:
+        if n * d0 <= n0 * d:
+            raise PathInvariantError(
+                f"breakpoint parameters not strictly increasing at t={Fraction(n, d)}"
             )
-        )
+        n0, d0 = n, d
+    path._ts = ts
+    path._pts = pts
 
 
-def _point_on_piece(bks: tuple, i: int, t: Fraction) -> Point2:
-    """The point at t, which lies on piece i (t0 <= t < t1), or t = 1 at the last breakpoint."""
-    t0, p0 = bks[i]
-    if t == t0 or i == len(bks) - 1:
-        return p0
-    t1, p1 = bks[i + 1]
-    u = (t - t0) / (t1 - t0)
-    return _from_quad(kernels.lerp(p0._q, p1._q, u.numerator, u.denominator))
+def _path(ts: tuple, pts: tuple) -> PLPath:
+    """The path on reduced parameter pairs ``ts`` (d > 0) and points ``pts``."""
+    path = object.__new__(PLPath)
+    _fill(path, ts, pts)
+    return path
+
+
+def _pair(t) -> tuple:
+    """A rational (int, string or Fraction) or an int pair (n, d) with d > 0,
+    as a reduced int pair."""
+    if type(t) is tuple:
+        n, d = t
+        g = gcd(n, d)
+        return n // g, d // g
+    if type(t) is not Fraction:
+        t = Fraction(t)
+    return t.numerator, t.denominator
+
+
+def _pair_cmp(a: tuple, b: tuple) -> int:
+    return a[0] * b[1] - b[0] * a[1]
 
 
 def _refine(path: PLPath, extra: Iterable) -> tuple:
     """``path.with_params(extra)``, and for each of its pieces the index of
     the piece of ``path`` it lies on.
 
-    The sorted extras are merged into the breakpoints in one pass, compared
+    The sorted extras are merged into the parameters in one pass, compared
     by integer cross-multiplication; an extra equal to a breakpoint or to an
     earlier extra adds nothing.
     """
-    ex = sorted(Fraction(t) for t in extra)
-    if ex and (ex[0] < 0 or ex[-1] > 1):
-        bad = ex[0] if ex[0] < 0 else ex[bisect_right(ex, 1)]
-        raise ParameterRangeError(f"parameter {bad} outside [0, 1]")
-    bks = path.breakpoints
-    out, owner = [bks[0]], [0]
+    ex = sorted(map(_pair, extra), key=cmp_to_key(_pair_cmp))
+    if ex and (ex[0][0] < 0 or ex[-1][0] > ex[-1][1]):
+        bad = ex[0] if ex[0][0] < 0 else next(t for t in ex if t[0] > t[1])
+        raise ParameterRangeError(f"parameter {Fraction(*bad)} outside [0, 1]")
+    ts, pts = path._ts, path._pts
+    out_t, out_p, owner = [ts[0]], [pts[0]], [0]
     i = 1  # the next breakpoint of the path; the current piece is i - 1
     for t in ex:
-        n, d = t.numerator, t.denominator
-        ti = bks[i][0]
-        c = n * ti.denominator - ti.numerator * d
+        n, d = t
+        ni, di = ts[i]
+        c = n * di - ni * d
         while c > 0:
-            out.append(bks[i])
+            out_t.append(ts[i])
+            out_p.append(pts[i])
             owner.append(i)
             i += 1
-            ti = bks[i][0]
-            c = n * ti.denominator - ti.numerator * d
-        prev = out[-1][0]
-        if c == 0 or (prev.numerator == n and prev.denominator == d):
+            ni, di = ts[i]
+            c = n * di - ni * d
+        if c == 0 or out_t[-1] == t:
             continue
-        lo, hi = bks[i - 1], bks[i]
-        p = lo[1] if lo[1] == hi[1] else _from_quad(_quad_between(lo, hi, t))
-        out.append((t, p))
+        p0, p1 = pts[i - 1], pts[i]
+        out_t.append(t)
+        out_p.append(p0 if p0 == p1 else _from_quad(_quad_between(ts[i - 1], p0, ts[i], p1, t)))
         owner.append(i - 1)
-    out.extend(bks[i:])
-    owner.extend(range(i, len(bks) - 1))
-    return PLPath(tuple(out)), tuple(owner)
+    out_t.extend(ts[i:])
+    out_p.extend(pts[i:])
+    owner.extend(range(i, len(ts) - 1))
+    return _path(tuple(out_t), tuple(out_p)), tuple(owner)
 
 
 def pl_path(raw: Sequence) -> PLPath:
@@ -298,39 +355,38 @@ def sup_distance(f: PLPath, g: PLPath) -> ExactDistance:
     piece as a kernel quad, and the running maximum is a reduced int pair.
     The first parameter attaining the maximum is returned with it.
     """
-    fb, gb = f.breakpoints, g.breakpoints
+    fts, fps, gts, gps = f._ts, f._pts, g._ts, g._pts
     best_n, best_d = 0, 1
-    arg = fb[0][0]
+    arg = (0, 1)
     i = j = 0
-    while i < len(fb):
-        tf, p = fb[i]
-        tg, q = gb[j]
-        c = tf.numerator * tg.denominator - tg.numerator * tf.denominator
+    while i < len(fts):
+        tf, tg = fts[i], gts[j]
+        c = tf[0] * tg[1] - tg[0] * tf[1]
         if c == 0:
-            t, pq, qq = tf, p._q, q._q
+            t, pq, qq = tf, fps[i]._q, gps[j]._q
             i += 1
             j += 1
         elif c < 0:
-            t, pq, qq = tf, p._q, _quad_between(gb[j - 1], gb[j], tf)
+            t, pq, qq = tf, fps[i]._q, _quad_between(gts[j - 1], gps[j - 1], tg, gps[j], tf)
             i += 1
         else:
-            t, pq, qq = tg, _quad_between(fb[i - 1], fb[i], tg), q._q
+            t, pq, qq = tg, _quad_between(fts[i - 1], fps[i - 1], tf, fps[i], tg), gps[j]._q
             j += 1
         n, d = kernels.point_dist_sq(pq, qq)
         if n * best_d > best_n * d:
             best_n, best_d, arg = n, d, t
-    return ExactDistance(Fraction(best_n, best_d), arg)
+    return ExactDistance(Fraction(best_n, best_d), Fraction(*arg))
 
 
-def _quad_between(lo: tuple, hi: tuple, t: Fraction) -> tuple:
-    """The kernel quad at t of the piece from breakpoint lo to hi, t0 < t < t1."""
-    (t0, p0), (t1, p1) = lo, hi
+def _quad_between(t0: tuple, p0: Point2, t1: tuple, p1: Point2, t: tuple) -> tuple:
+    """The kernel quad at t of the piece from (t0, p0) to (t1, p1), t0 < t < t1,
+    all three parameters int pairs."""
     if p0 == p1:
         return p0._q
     # u = (t - t0) / (t1 - t0) as an unreduced pair with a positive denominator
-    n, d = t.numerator, t.denominator
-    n0, d0 = t0.numerator, t0.denominator
-    n1, d1 = t1.numerator, t1.denominator
+    n, d = t
+    n0, d0 = t0
+    n1, d1 = t1
     return kernels.lerp(p0._q, p1._q, (n * d0 - n0 * d) * d1, d * (n1 * d0 - n0 * d1))
 
 

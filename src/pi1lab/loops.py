@@ -18,25 +18,32 @@ construction: their pieces are put on known edges. Operations that
 rebuild a loop on points already charted carry the chart: concatenation,
 reversal, the inclusion X -> Y, ``realize_word``, ``subdivide`` and the
 collapse into X. Only a loop of foreign geometry (``points`` literals,
-reparametrizations, any transplant) is located, once, breakpoint by
+reparametrizations) is located, once, breakpoint by
 breakpoint, on first use. If an operand is invalid, the result is left
 uncharted and is located afresh, so its violation reads as before.
 ``validate`` always locates afresh, which makes it an independent check of
 a carried chart.
 
-Path parameters are rebuilt on integers: concatenation halves a parameter
-n/d to n/(2d) or (n + d)/(2d), ``realize_word`` places it at
-(k*d + n)/(total*d), and ``subdivide`` merges its new parameters in one
-pass that also names each new piece's old piece.
+Paths keep their parameters as reduced int pairs, and the builders here
+emit pairs, with no Fraction: concatenation halves n/d to n/(2d) or
+(n + d)/(2d) and reduces by 2 when the numerator is even; reversal maps
+n/d to (d - n)/d; ``realize_word`` places it at (k*d + n)/(total*d),
+reduced by gcd(k*d + n, total); ``subdivide`` merges its new parameters in
+one pass that also names each new piece's old piece; an excursion keeps
+its slice of the loop's pairs. Fractions are built only for text, such as
+a Violation or an excursion error, and when ``breakpoints`` or ``params``
+is read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from math import gcd
 from typing import Optional, Sequence, Tuple
 
-from .geometry import ORIGIN, PLPath, _refine, pl_path
+from .geometry import ORIGIN, PLPath, _path, _refine, pl_path
 from .spaces import (
     ALPHA_EDGE,
     ComponentId,
@@ -106,30 +113,49 @@ class Violation:
 class Excursion:
     """A maximal sub-loop away from the base point.
 
-    ``breakpoints`` is the loop's own slice of breakpoints, from p to p,
-    with the original parameters; ``t_start``/``t_end`` are its first and
-    last, and ``first`` is the index of its first in the loop's
-    breakpoints. The piece ``k`` runs from breakpoint ``k`` to ``k + 1`` and
-    lies on ``piece_edges[k]``. ``subpath``, the slice renormalized to
-    [0, 1], is built only when it is read. The component tag names the unique
-    component of (space minus p) carrying the excursion's interior. The
-    winding degree of a circle excursion is stored on its first computation;
-    it takes no part in equality.
+    ``ts`` and ``points`` are the loop's own slice of breakpoints, from p to
+    p: the parameters as reduced int pairs and the points at them. ``first``
+    is the index of the first in the loop's breakpoints. The piece ``k``
+    runs from breakpoint ``k`` to ``k + 1`` and lies on ``piece_edges[k]``.
+    ``t_start``, ``t_end`` and ``breakpoints`` read the slice as Fractions,
+    and ``subpath``, the slice renormalized to [0, 1], is built from the
+    pairs; each is built only when it is read. The component tag names the
+    unique component of (space minus p) carrying the excursion's interior.
+    The winding degree of a circle excursion is stored on its first
+    computation; it takes no part in equality.
     """
 
-    t_start: Fraction
-    t_end: Fraction
     component: ComponentId
-    breakpoints: tuple
+    ts: tuple
+    points: tuple
     piece_edges: Tuple[Optional[EdgeRef], ...]
     space: SpaceHandle
     first: int
     _degree: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
+    @property
+    def t_start(self) -> Fraction:
+        return Fraction(*self.ts[0])
+
+    @property
+    def t_end(self) -> Fraction:
+        return Fraction(*self.ts[-1])
+
+    @property
+    def breakpoints(self) -> tuple:
+        return tuple((Fraction(n, d), q) for (n, d), q in zip(self.ts, self.points))
+
     @cached_property
     def subpath(self) -> PLPath:
-        t0, span = self.t_start, self.t_end - self.t_start
-        return PLPath(tuple(((t - t0) / span, q) for t, q in self.breakpoints))
+        # (t - t0) / (t1 - t0) for t = n/d, reduced
+        (n0, d0), (n1, d1) = self.ts[0], self.ts[-1]
+        span_n, span_d = n1 * d0 - n0 * d1, d1 * d0
+        ts = []
+        for n, d in self.ts:
+            un, ud = (n * d0 - n0 * d) * span_d, d * d0 * span_n
+            g = gcd(un, ud)
+            ts.append((un // g, ud // g))
+        return _path(tuple(ts), self.points)
 
 
 def _edge_sort_key(ref: EdgeRef):
@@ -142,30 +168,32 @@ def _first_violation(loop: Loop):
     Each breakpoint other than p is located once, when a piece first needs
     it; a moving piece lies on the edges through both of its endpoints.
     """
-    bks = loop.path.breakpoints
-    if bks[0][1] != ORIGIN:
-        return Violation(0, bks[0][0], bks[0][0], f"loop starts at {bks[0][1]}, not at p")
-    if bks[-1][1] != ORIGIN:
-        return Violation(
-            len(bks) - 2, bks[-1][0], bks[-1][0], f"loop ends at {bks[-1][1]}, not at p"
-        )
-    located = [None] * len(bks)
+    ts, pts = loop.path._ts, loop.path.points
+
+    def t(k: int) -> Fraction:
+        return Fraction(*ts[k])
+
+    if pts[0] != ORIGIN:
+        return Violation(0, t(0), t(0), f"loop starts at {pts[0]}, not at p")
+    if pts[-1] != ORIGIN:
+        return Violation(len(pts) - 2, t(-1), t(-1), f"loop ends at {pts[-1]}, not at p")
+    located = [None] * len(pts)
 
     def edges_at(k: int) -> Tuple[EdgeRef, ...]:
         if located[k] is None:
-            located[k] = loop.space.edges_containing(bks[k][1])
+            located[k] = loop.space.edges_containing(pts[k])
         return located[k]
 
     edges = []
-    for i, ((t0, p0), (t1, p1)) in enumerate(loop.path.pieces()):
+    for i, (p0, p1) in enumerate(zip(pts, pts[1:])):
         if p0 == p1:
             if p0 != ORIGIN and not edges_at(i):
-                return Violation(i, t0, t1, f"stationary point {p0} is outside the space")
+                return Violation(i, t(i), t(i + 1), f"stationary point {p0} is outside the space")
             edges.append(None)
             continue
         for k, q in ((i, p0), (i + 1, p1)):
             if q != ORIGIN and not edges_at(k):
-                return Violation(i, t0, t1, f"breakpoint {q} is outside the space")
+                return Violation(i, t(i), t(i + 1), f"breakpoint {q} is outside the space")
         if p1 == ORIGIN:
             hits = [ref for ref in edges_at(i) if edge_is_base_incident(ref)]
         elif p0 == ORIGIN:
@@ -173,9 +201,7 @@ def _first_violation(loop: Loop):
         else:
             hits = [ref for ref in edges_at(i) if ref in edges_at(i + 1)]
         if not hits:
-            return Violation(
-                i, t0, t1, f"piece {p0} -> {p1} is not contained in a single edge"
-            )
+            return Violation(i, t(i), t(i + 1), f"piece {p0} -> {p1} is not contained in a single edge")
         edges.append(min(hits, key=_edge_sort_key))
     return tuple(edges)
 
@@ -206,8 +232,8 @@ def _charted(path: PLPath, space: SpaceHandle, runs) -> Loop:
     charted on the same points. A None run, from an invalid operand, leaves
     the loop uncharted, so it is located afresh when used."""
     loop = Loop(path, space)
-    if all(run is not None for run in runs):
-        object.__setattr__(loop, "_chart", tuple(ref for run in runs for ref in run))
+    if None not in runs:
+        object.__setattr__(loop, "_chart", tuple(chain.from_iterable(runs)))
     return loop
 
 
@@ -248,9 +274,9 @@ def decompose(loop: Loop) -> Tuple[Excursion, ...]:
 
 def _excursions(loop: Loop) -> Tuple[Excursion, ...]:
     edges = _analyze(loop)
-    bks = loop.path.breakpoints
+    ts, pts = loop.path._ts, loop.path.points
     base = ORIGIN.quad()
-    p_idx = [i for i, (_, q) in enumerate(bks) if q._q == base]
+    p_idx = [i for i, q in enumerate(pts) if q._q == base]
     out = []
     for i, j in zip(p_idx, p_idx[1:]):
         if j == i + 1:
@@ -260,10 +286,11 @@ def _excursions(loop: Loop) -> Tuple[Excursion, ...]:
         if len(keys) != 1:
             comps = {_component_of_edge(ref) for ref in piece_edges if ref is not None}
             raise InvalidLoopError(
-                f"excursion on [{bks[i][0]}, {bks[j][0]}] spans components {sorted(map(str, comps))}"
+                f"excursion on [{Fraction(*ts[i])}, {Fraction(*ts[j])}] spans components "
+                f"{sorted(map(str, comps))}"
             )
         comp = _component_of_edge(keys.pop())
-        out.append(Excursion(bks[i][0], bks[j][0], comp, bks[i : j + 1], piece_edges, loop.space, i))
+        out.append(Excursion(comp, ts[i : j + 1], pts[i : j + 1], piece_edges, loop.space, i))
     return tuple(out)
 
 
@@ -296,7 +323,7 @@ def _lift_degree(exc: Excursion) -> int:
     lift = 0
     at = 0  # the vertex the current run started from
     run = None  # the edge of the current run
-    for (_, q), ref in zip(exc.breakpoints, exc.piece_edges):
+    for q, ref in zip(exc.points, exc.piece_edges):
         if ref is None or ref[2] == run:
             continue
         j = ref[2]
@@ -330,7 +357,7 @@ def loop_from_breakpoints(raw: Sequence, space: SpaceHandle) -> Loop:
 
 
 def constant_loop(space: SpaceHandle) -> Loop:
-    return Loop(PLPath(((Fraction(0), ORIGIN), (Fraction(1), ORIGIN))), space)
+    return Loop(_path(((0, 1), (1, 1)), (ORIGIN, ORIGIN)), space)
 
 
 def standard_f(space: Optional[SpaceHandle] = None) -> Loop:
@@ -342,9 +369,7 @@ def standard_f(space: Optional[SpaceHandle] = None) -> Loop:
         raise SpaceError("the alpha loop lives in the compact space Y")
     top = space.alpha_segment.b
     return _charted(
-        PLPath(((Fraction(0), ORIGIN), (Fraction(1, 2), top), (Fraction(1), ORIGIN))),
-        space,
-        ((ALPHA_EDGE, ALPHA_EDGE),),
+        _path(((0, 1), (1, 2), (1, 1)), (ORIGIN, top, ORIGIN)), space, ((ALPHA_EDGE, ALPHA_EDGE),)
     )
 
 
@@ -356,34 +381,42 @@ def standard_fn(n: int, space: Optional[SpaceHandle] = None) -> Loop:
     the descent the y-coordinates of this loop and the alpha loop agree
     identically. That makes sup_distance(f_n, f) exactly 1/n + n*w(n).
     Charted by construction: its pieces are the edges 0, 1, 2 of C_n.
+
+    The tail D_n sits at height 1 - w = yn/yd, where the alpha loop is at
+    t = (2 - yn/yd)/2 = (2*yd - yn)/(2*yd). That pair shares no odd factor,
+    since gcd(2*yd - yn, yd) = gcd(yn, yd) = 1, so it is reduced by 2 when
+    yn is even.
     """
     space = space if space is not None else default_x()
     circ = space.circle(n)
-    w = space.profile(n)
+    _, _, yn, yd = circ.tail.quad()
+    tn, td = 2 * yd - yn, 2 * yd
+    if not yn & 1:
+        tn, td = tn >> 1, yd
     return _charted(
-        PLPath(
-            (
-                (Fraction(0), ORIGIN),
-                (Fraction(1, 2), circ.apex),
-                (Fraction(1 + w, 2), circ.tail),
-                (Fraction(1), ORIGIN),
-            )
-        ),
+        _path(((0, 1), (1, 2), (tn, td), (1, 1)), (ORIGIN, circ.apex, circ.tail, ORIGIN)),
         space,
         (tuple(("c", circ.index, j) for j in range(3)),),
     )
 
 
 def concatenate(a: Loop, b: Loop) -> Loop:
-    """Half-speed concatenation: a on [0, 1/2], b on [1/2, 1]."""
+    """Half-speed concatenation: a on [0, 1/2], b on [1/2, 1].
+
+    A reduced n/d goes to n/(2d) or (n + d)/(2d); the new numerator shares
+    no odd factor with 2d, so the pair is reduced by 2 when it is even.
+    """
     if a.space != b.space:
         raise SpaceMismatchError("cannot concatenate loops from different spaces")
-    bks = [(Fraction(t.numerator, 2 * t.denominator), q) for t, q in a.path.breakpoints]
-    bks.extend(
-        (Fraction(t.numerator + t.denominator, 2 * t.denominator), q)
-        for t, q in b.path.breakpoints[1:]
-    )
-    return _charted(PLPath(tuple(bks)), a.space, (_edges_or_none(a), _edges_or_none(b)))
+    ts = [_half(n, d) for n, d in a.path._ts]
+    ts.extend(_half(n + d, d) for n, d in b.path._ts[1:])
+    pts = a.path.points + b.path.points[1:]
+    return _charted(_path(tuple(ts), pts), a.space, (_edges_or_none(a), _edges_or_none(b)))
+
+
+def _half(n: int, d: int) -> tuple:
+    """n/(2d) reduced, for n coprime to d."""
+    return (n >> 1, d) if not n & 1 else (n, d << 1)
 
 
 def concatenate_all(loops: Sequence[Loop]) -> Loop:
@@ -425,20 +458,19 @@ def realize_word(w: Word, space: Optional[SpaceHandle] = None) -> Loop:
         return constant_loop(space)
     total = len(letters)
     parts = {}
-    bks, runs = [(Fraction(0), ORIGIN)], []
+    ts, pts, runs = [(0, 1)], [ORIGIN], []
     for k, (n, sgn) in enumerate(letters):
         if n not in parts:
             parts[n] = standard_fn(n, space)
         part = parts[n] if sgn > 0 else reverse(parts[n])
         runs.append(_edges_or_none(part))
-        for t, q in part.path.breakpoints[1:]:
-            bks.append((Fraction(k * t.denominator + t.numerator, total * t.denominator), q))
-    return _charted(PLPath(tuple(bks)), space, runs)
-
-
-def transplant(loop: Loop, space: SpaceHandle) -> Loop:
-    """The same path carried by another space handle; located afresh there."""
-    return Loop(loop.path, space)
+        # (k + t)/total = (k*d + tn)/(total*d); gcd(k*d + tn, d) = 1
+        for tn, d in part.path._ts[1:]:
+            num = k * d + tn
+            g = gcd(num, total)
+            ts.append((num // g, total // g * d))
+        pts.extend(part.path.points[1:])
+    return _charted(_path(tuple(ts), tuple(pts)), space, runs)
 
 
 def include_in_y(loop: Loop) -> Loop:

@@ -29,11 +29,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 from typing import Optional, Sequence, Tuple
 
 from . import kernels
 from .exactnum import dyadic_sqrt_bounds, rational_decimal
-from .geometry import ORIGIN, PLPath, Point2, Segment, _from_quad, sup_distance
+from .geometry import ORIGIN, Point2, Segment, _from_quad, _path, sup_distance
 from .loops import (
     Excursion,
     Loop,
@@ -96,8 +97,8 @@ def classify_x(loop: Loop) -> HomotopyClass:
 
 
 def _apex_on_excursion(exc: Excursion, apex: Point2) -> bool:
-    bks = exc.breakpoints
-    for (_, p0), (_, p1), ref in zip(bks, bks[1:], exc.piece_edges):
+    pts = exc.points
+    for p0, p1, ref in zip(pts, pts[1:], exc.piece_edges):
         if ref is None:
             if p0 == apex:
                 return True
@@ -150,23 +151,25 @@ def collapse_to_x(loop: Loop) -> Loop:
     excs = decompose(loop)
     cutoff = _cutoff(loop, excs)
     edges = _analyze(loop)
-    bks = loop.path.breakpoints
-    stretches = {}  # first breakpoint index of a collapsed stretch -> its last
+    ts, pts = loop.path._ts, loop.path.points
+    new_ts, new_pts, new_edges = [], [], []
+    k = 0  # the first breakpoint of the current kept run
     for exc in excs:
         comp = exc.component
-        if comp.kind != "circle" or comp.index >= cutoff:
-            stretches[exc.first] = exc.first + len(exc.breakpoints) - 1
-    new_bks, new_edges = [bks[0]], []
-    k = 0
-    while k < len(bks) - 1:
-        if k in stretches:
-            k, ref = stretches[k], None
-        else:
-            k, ref = k + 1, edges[k]
-        new_bks.append(bks[k])
-        new_edges.append(ref)
+        if comp.kind == "circle" and comp.index < cutoff:
+            continue
+        # keep breakpoints k..a, then one constant piece at p from a to b
+        a, b = exc.first, exc.first + len(exc.ts) - 1
+        new_ts += ts[k : a + 1]
+        new_pts += pts[k : a + 1]
+        new_edges += edges[k:a]
+        new_edges.append(None)
+        k = b
+    new_ts += ts[k:]
+    new_pts += pts[k:]
+    new_edges += edges[k:]
     x_space = loop.space.sibling(SpaceKind.BOUQUET_X)
-    return _charted(PLPath(tuple(new_bks)), x_space, (new_edges,))
+    return _charted(_path(tuple(new_ts), tuple(new_pts)), x_space, (new_edges,))
 
 
 def classify_y(loop: Loop) -> HomotopyClass:
@@ -320,7 +323,7 @@ def stability_radius(loop: Loop) -> Fraction:
 def _slide_candidates(loop: Loop, edges) -> Tuple[int, ...]:
     """Interior breakpoints whose two adjacent pieces share one edge."""
     out = []
-    for i in range(1, len(loop.path.breakpoints) - 1):
+    for i in range(1, len(loop.path.points) - 1):
         before, after = edges[i - 1], edges[i]
         if before is not None and before == after:
             out.append(i)
@@ -336,22 +339,22 @@ def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
     breakpoint is the point of ``seg`` at a parameter u2 in [0, 1], so its
     two pieces keep their edge, unless the slide leaves a piece constant
     (chart None). A bounce replaces a constant piece at p with two pieces on
-    the arm edge it was drawn on. The subdivision parameters and each slid
-    parameter u2, with its clamp to [0, 1], are computed as int pairs."""
+    the arm edge it was drawn on. The subdivision parameters, each slid
+    parameter u2 with its clamp to [0, 1], and the bounce's parameter and
+    its point on the arm are computed as int pairs."""
     grid = 64
     # subdivide a few pieces so there is something to slide
     extra = []
-    params = loop.path.params
+    ts = loop.path._ts
     for _ in range(rng.randint(1, 3)):
-        i = rng.randrange(len(params) - 1)
+        i = rng.randrange(len(ts) - 1)
         k = rng.randint(1, grid - 1)
-        t0, t1 = params[i], params[i + 1]
-        n0, d0, n1, d1 = t0.numerator, t0.denominator, t1.numerator, t1.denominator
+        (n0, d0), (n1, d1) = ts[i], ts[i + 1]
         # t0 + (t1 - t0) * k / grid
-        extra.append(Fraction(n0 * d1 * grid + (n1 * d0 - n0 * d1) * k, d0 * d1 * grid))
+        extra.append((n0 * d1 * grid + (n1 * d0 - n0 * d1) * k, d0 * d1 * grid))
     work = subdivide(loop, extra)
     edges = _analyze(work)
-    bks = list(work.path.breakpoints)
+    pts = list(work.path.points)
     bn, bd = bound.numerator, bound.denominator
     # slide interior breakpoints along their carrying edge
     for i in _slide_candidates(work, edges):
@@ -360,9 +363,8 @@ def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
         ref = edges[i - 1]
         seg = loop.space.edge_segment(ref)
         _, hi_len = dyadic_sqrt_bounds(seg.length_sq)
-        t, q = bks[i]
         a, b = seg.a.quad(), seg.b.quad()
-        un, ud = kernels.foot_param(q.quad(), a, b)
+        un, ud = kernels.foot_param(pts[i].quad(), a, b)
         # u + bound * r / (2 * hi_len * grid), clamped to [0, 1]
         dd = bd * 2 * hi_len.numerator * grid
         n = un * dd + bn * hi_len.denominator * rng.randint(-grid, grid) * ud
@@ -371,31 +373,31 @@ def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
             n, d = 0, 1
         elif n >= d:
             n, d = 1, 1
-        bks[i] = (t, _from_quad(kernels.lerp(a, b, n, d)))
-    chart = [
-        None if p0 == p1 else ref for (_, p0), (_, p1), ref in zip(bks, bks[1:], edges)
-    ]
+        pts[i] = _from_quad(kernels.lerp(a, b, n, d))
+    chart = [None if p0 == p1 else ref for p0, p1, ref in zip(pts, pts[1:], edges)]
+    ts = list(work.path._ts)
     # bounce: replace one constant-at-p piece with a tiny degree-0 excursion
-    const_p = [
-        i
-        for i, ((_, p0), (_, p1)) in enumerate(zip(bks, bks[1:]))
-        if p0 == ORIGIN and p1 == ORIGIN
-    ]
+    const_p = [i for i, (p0, p1) in enumerate(zip(pts, pts[1:])) if p0 == ORIGIN and p1 == ORIGIN]
     if const_p and rng.random() < 0.75:
         i = rng.choice(const_p)
         touched = sorted({ref[1] for ref in edges if ref is not None and ref[0] == "c"})
         n = rng.choice(touched or [2])
         circ = loop.space.circle(n)
-        arm, arm_u = (0, Fraction(0)) if rng.random() < 0.5 else (2, Fraction(1))
+        arm = 0 if rng.random() < 0.5 else 2
         arm_edge = circ.edges[arm]
         _, hi_len = dyadic_sqrt_bounds(arm_edge.length_sq)
-        du = (bound / (2 * hi_len)) * Fraction(rng.randint(1, grid), grid)
-        u2 = arm_u + (du if arm_u == 0 else -du)
-        t0, t1 = bks[i][0], bks[i + 1][0]
-        tm = (t0 + t1) / 2
-        bks.insert(i + 1, (tm, arm_edge.at(u2)))
+        # du = bound / (2 * hi_len) * r / grid from the arm's end at p: u2 = du or 1 - du
+        dd = bd * 2 * hi_len.numerator * grid
+        du = bn * hi_len.denominator * rng.randint(1, grid)
+        u2 = (du, dd) if arm == 0 else (dd - du, dd)
+        (n0, d0), (n1, d1) = ts[i], ts[i + 1]
+        # the midpoint (t0 + t1) / 2
+        mn, md = n0 * d1 + n1 * d0, 2 * d0 * d1
+        g = gcd(mn, md)
+        ts.insert(i + 1, (mn // g, md // g))
+        pts.insert(i + 1, _from_quad(kernels.lerp(arm_edge.a.quad(), arm_edge.b.quad(), *u2)))
         chart[i : i + 1] = [("c", n, arm)] * 2
-    return _charted(PLPath(tuple(bks)), loop.space, (chart,))
+    return _charted(_path(tuple(ts), tuple(pts)), loop.space, (chart,))
 
 
 def probe_discreteness_x(
@@ -507,11 +509,7 @@ def alpha_decorate(loop: Loop, rng: random.Random) -> Loop:
     far = choose_n(loop) + rng.randint(0, 3)
     arm = space.circle(far).edges[0]
     mid = arm.at(Fraction(1, 2))
-    bounce = _charted(
-        PLPath(((Fraction(0), ORIGIN), (Fraction(1, 2), mid), (Fraction(1), ORIGIN))),
-        space,
-        ((("c", far, 0),) * 2,),
-    )
+    bounce = _charted(_path(((0, 1), (1, 2), (1, 1)), (ORIGIN, mid, ORIGIN)), space, ((("c", far, 0),) * 2,))
     pattern = rng.choice(
         (
             (f, loop, bounce),
@@ -591,8 +589,10 @@ def probe_isomorphism_roundtrip(
 
 def loop_in_ball(loop: Loop, radius: Fraction) -> bool:
     """Exactly decide whether the loop's image lies in the closed ball at p."""
-    r_sq = Fraction(radius) ** 2
-    return all(q.dist_sq(ORIGIN) <= r_sq for _, q in loop.path.breakpoints)
+    r = Fraction(radius)
+    rn, rd = r.numerator**2, r.denominator**2
+    base = ORIGIN.quad()
+    return all(n * rd <= rn * d for n, d in (kernels.point_dist_sq(q.quad(), base) for q in loop.path.points))
 
 
 def _sample_small_loop(
@@ -608,8 +608,9 @@ def _sample_small_loop(
     (alpha, or edge 0 or 2 of a circle).
     """
     grid = 64
-    bks = [(Fraction(0), ORIGIN)]
+    ts, pts = [(0, 1)], [ORIGIN]
     chart = []
+    rn, rd = radius.numerator, radius.denominator
     groups = rng.randint(1, 3)
     for g in range(groups):
         kind = rng.choice(["alpha", "arm0", "arm2"])
@@ -622,22 +623,26 @@ def _sample_small_loop(
             direction = circ.apex if kind != "arm2" else circ.tail
             ref = ("c", n, 2 if kind == "arm2" else 0)
         _, hi = dyadic_sqrt_bounds(direction.dist_sq(ORIGIN))
-        s_max = Fraction(radius) / hi
         wiggles = rng.randint(1, 4)
-        heights = [s_max * Fraction(rng.randint(1, grid), grid) for _ in range(wiggles)]
-        t0 = Fraction(g, groups)
-        t1 = Fraction(g + 1, groups)
+        # the point at s = radius / hi * r / grid along the direction from p
+        sn, sd = rn * hi.denominator, rd * hi.numerator * grid
+        heights = [rng.randint(1, grid) for _ in range(wiggles)]
         inner = len(heights)
-        for k, s in enumerate(heights):
-            t = t0 + (t1 - t0) * Fraction(k + 1, inner + 1)
-            q = Point2(direction.x * s, direction.y * s)
-            if bks[-1][1] == q:
+        for k, r in enumerate(heights):
+            q = _from_quad(kernels.lerp(ORIGIN.quad(), direction.quad(), sn * r, sd))
+            if pts[-1] == q:
                 continue
-            bks.append((t, q))
+            # (g + (k + 1) / (inner + 1)) / groups
+            tn, td = g * (inner + 1) + k + 1, groups * (inner + 1)
+            h = gcd(tn, td)
+            ts.append((tn // h, td // h))
+            pts.append(q)
             chart.append(ref)
-        bks.append((t1, ORIGIN))
+        h = gcd(g + 1, groups)
+        ts.append(((g + 1) // h, groups // h))
+        pts.append(ORIGIN)
         chart.append(ref)
-    return _charted(PLPath(tuple(bks)), space, (chart,))
+    return _charted(_path(tuple(ts), tuple(pts)), space, (chart,))
 
 
 def probe_slsc_y(

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -62,7 +63,8 @@ LONG_WITNESS_SCRIPT = (
     "probe disjointness up_to=4\n"
 )
 
-# Each line is refused by the parser; the column is that of the offending literal.
+# Each entry is refused by the parser on its last line; the column is that of
+# the offending literal.
 HOSTILE_LINES = (
     (f"loop w = word g2^{NINES}", 18),
     (f"loop c = C({NINES}).once", 12),
@@ -74,6 +76,13 @@ HOSTILE_LINES = (
     ("probe disjointness up_to=101", 1),
     ("probe slsc radius=1/4 samples=10001", 31),
     ("probe discreteness loop=w trials=10001 magnitude=1/1000", 34),
+    # each budget holds alone; the product of trials and letters did not
+    (
+        "space T = X(20) width=pow10\n"
+        "loop a = word g2^10000\n"
+        "probe discreteness loop=a trials=20 magnitude=1/1000",
+        34,
+    ),
 )
 
 # Each probe line passes the parser, whose budgets exit 2, and is refused by
@@ -210,6 +219,7 @@ class TestRun:
             "pairwise-up-to",
             "slsc-samples",
             "discreteness-trials",
+            "discreteness-trial-letters",
         ),
     )
     def test_hostile_literal_fails_fast(self, capsys, tmp_path, line, col):
@@ -219,7 +229,8 @@ class TestRun:
         code, out, err = run_cli(capsys, ["run", str(script)])
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out == ""
-        assert err.startswith(f"parse error: line 2, col {col}: ") and "exceeds the limit" in err
+        lineno = 2 + line.count("\n")
+        assert err.startswith(f"parse error: line {lineno}, col {col}: ") and "exceeds the limit" in err
 
     @pytest.mark.parametrize(
         "kind,line,message",
@@ -426,6 +437,24 @@ class TestDemo:
         assert hashlib.sha256(report).hexdigest() == DEMO_REPORT_SHA256[seed]
         svg = (tmp_path / "whitehead.svg").read_bytes()
         assert hashlib.sha256(svg).hexdigest() == DEMO_SVG_SHA256
+
+    def test_fraction_count(self, tmp_path, monkeypatch):
+        """A warmed seed-1 demo builds at most 12,000 Fractions. Paths keep
+        their parameters as int pairs, so builders wrap none; when every
+        builder did, the count was 21,236."""
+        demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
+        built = [0]
+        real = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built[0] += 1
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        code, _ = demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
+        monkeypatch.undo()
+        assert code == 0
+        assert 0 < built[0] <= 12000
 
     def test_unknown_demo(self, capsys):
         code, _, err = run_cli(capsys, ["demo", "mystery"])

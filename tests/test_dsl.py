@@ -273,3 +273,26 @@ class TestInputBudgets:
         with pytest.raises(dsl.DslError) as err:
             dsl.parse(head + "loop k = concat(w, c, f, q)\nloop m = concat(k, c)\n")
         assert (err.value.line, err.value.message) == (7, f"concat exceeds the limit of {self.LETTERS} letters")
+
+    def test_trial_letter_budget(self):
+        """trials times the loop's letters: at the limit parses, one over is
+        refused at the trials value, naming both values and the limit."""
+        limit = dsl.MAX_TRIAL_LETTERS
+        assert limit == 100000
+        head = (
+            "space T = X(20)\nloop a = word g2^1000\nloop b = word g3^10\n"
+            "loop q = points [(0,0,0), (1/3,0,1), (2/3,0,1/2), (1,0,0)]\nloop k = concat(a, q)\n"
+        )
+        for ok in ("loop=a trials=100", "loop=b trials=10000", "loop=a trials=-5", "trials=99 loop=k"):
+            dsl.parse(head + f"probe discreteness {ok} magnitude=1/1000\n")
+        for line, name, letters, trials in (
+            ("probe discreteness loop=a trials=101 magnitude=1/1000", "a", 1000, 101),
+            ("  probe discreteness magnitude=1/1000 trials=100 loop=k seed=1", "k", 1003, 100),
+        ):
+            with pytest.raises(dsl.DslError) as err:
+                dsl.parse(head + line + "\n")
+            assert (err.value.line, err.value.col) == (6, line.index("trials=") + len("trials=") + 1)
+            assert err.value.message == (
+                f"trials={trials} times the {letters} letters of loop {name} "
+                f"exceeds the limit of {limit} letter-trials"
+            )

@@ -513,10 +513,12 @@ class TestWindingOracle:
     def hand_built(self, x, points, edges):
         n = 2
         t = [F(k, len(points) - 1) for k in range(len(points))]
-        return Excursion(
-            t[0], t[-1], ComponentId.circle(n), tuple(zip(t, points)),
-            tuple(("c", n, j) for j in edges), x, 0,
+        exc = Excursion(
+            ComponentId.circle(n), tuple((s.numerator, s.denominator) for s in t),
+            tuple(points), tuple(("c", n, j) for j in edges), x, 0,
         )
+        assert (exc.t_start, exc.t_end, exc.breakpoints) == (t[0], t[-1], tuple(zip(t, points)))
+        return exc
 
     def test_edge_change_away_from_vertex(self, x):
         c = x.circle(2)

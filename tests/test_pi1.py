@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pi1lab import kernels, loops, pi1
 from pi1lab.exactnum import dyadic_sqrt_bounds
@@ -43,8 +45,8 @@ from pi1lab.pi1 import (
     stability_radius,
 )
 from pi1lab.report import PASS
-from pi1lab.spaces import SpaceHandle, SpaceKind, compact_y
-from pi1lab.words import IDENTITY, invert, multiply, parse_word
+from pi1lab.spaces import CUBE, SpaceHandle, SpaceKind, compact_y, uniform_profile
+from pi1lab.words import IDENTITY, invert, multiply, parse_word, reduce_letters
 
 F = Fraction
 
@@ -511,6 +513,72 @@ class TestPerturbOracle:
                     got = pi1._perturb_once(lp, random.Random(seed), bound)
                     assert got.path.breakpoints == want, (k, bound, seed)
         assert clamps[0] > 0 and clamps[1] > 0
+
+
+def assert_reduced_increasing(path):
+    """Every parameter pair is reduced with a positive denominator, the
+    pairs strictly increase from 0 to 1, and the public constructor, fed the
+    parameters as Fractions, gives the same path."""
+    ts = path._ts
+    assert all(d > 0 and math.gcd(n, d) == 1 for n, d in ts)
+    assert ts[0] == (0, 1) and ts[-1] == (1, 1)
+    assert all(n0 * d1 < n1 * d0 for (n0, d0), (n1, d1) in zip(ts, ts[1:]))
+    assert PLPath(path.breakpoints) == path
+
+
+class TestParameterPairs:
+    """Builders that emit parameter pairs directly keep them reduced and in
+    order, over the demo corpus and random words."""
+
+    @given(
+        letters=st.lists(st.tuples(st.integers(2, 9), st.sampled_from((1, -1))), max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def test_builders(self, x, letters, seed):
+        rng = random.Random(seed)
+        word_loop = realize_word(reduce_letters(letters), x)
+        corpus = demo_corpus(x) + [word_loop, concatenate(word_loop, standard_fn(3, x))]
+        paths = []
+        for lp in corpus:
+            extra = [F(rng.randint(0, 64), 64), F(rng.randint(0, 9), 9)]
+            pair = (rng.randint(0, 96), 96)
+            built = (
+                lp,
+                reverse(lp),
+                concatenate(lp, reverse(lp)),
+                subdivide(lp, extra),
+                subdivide(lp, [pair]),
+                pi1._perturb_once(lp, rng, F(1, 1000)),
+                pi1._perturb_once(lp, rng, F(1, 10)),
+            )
+            paths += [b.path for b in built]
+            paths += [exc.subpath for b in built for exc in decompose(b)]
+            decorated = alpha_decorate(include_in_y(lp), rng)
+            paths += [decorated.path, collapse_to_x(decorated).path]
+            paths += [exc.subpath for exc in decompose(decorated)]
+        for path in paths:
+            assert_reduced_increasing(path)
+
+    def test_standard_loops(self, x, y):
+        """standard_fn reads (1 + w)/2 off the tail; under uniform:1/3 its
+        numerator is even and the pair is halved."""
+        third = compact_y(hint=2, profile=uniform_profile(F(1, 3)))
+        built = [standard_f(y), standard_f(third), constant_loop(x), standard_fn(2, third)]
+        built += [standard_fn(n, space) for n in range(2, 12) for space in (x, y)]
+        built += [standard_fn(n, compact_y(hint=12, profile=CUBE)) for n in range(2, 12)]
+        for lp in built:
+            assert_reduced_increasing(lp.path)
+        assert standard_fn(2, third).path.params == (0, F(1, 2), F(2, 3), 1)
+        for n in range(2, 12):
+            w = x.profile(n)
+            assert standard_fn(n, x).path.params[2] == (1 + w) / 2
+
+    def test_slsc_samples(self, y):
+        rng = random.Random(7)
+        for radius in (F(1, 4), F(1, 1000), F(49, 100)):
+            for _ in range(30):
+                assert_reduced_increasing(pi1._sample_small_loop(y, radius, rng).path)
 
 
 @pytest.fixture
