@@ -40,7 +40,13 @@ fails at once with a parse error instead of running for seconds to hours:
 - ``probe discreteness`` runs at most ``MAX_TRIALS`` trials and ``probe
   slsc`` at most ``MAX_SAMPLES`` samples;
 - ``probe discreteness`` runs at most ``MAX_TRIAL_LETTERS`` letter-trials:
-  its ``trials`` times the letter count of its loop.
+  its ``trials`` times the letter count of its loop;
+- ``probe discreteness`` first computes its loop's stability radius, at
+  most ``MAX_RADIUS_WORK`` units of work: the pairs of circles the loop
+  touches times the square of the largest index. The parser records the
+  circles each bound loop can touch: a word's generators, ``C(n)``'s n,
+  the candidate circle of each ``points`` breakpoint with x > 0, and the
+  union over a ``concat``.
 """
 from __future__ import annotations
 
@@ -89,6 +95,16 @@ MAX_SAMPLES = 10000
 # g2^10000 at 10 trials 1.6 s (pure-Python kernels, Python 3.11, one core of
 # a 2-vCPU VM). The documented scripts run 100.
 MAX_TRIAL_LETTERS = 100000
+
+# Most units of stability-radius work of probe discreteness: the pairs of
+# distinct circles its loop touches times the square of the largest index.
+# The radius takes 9 exact segment distances per pair, before the magnitude
+# is checked, on operands whose digits grow with the index. A unit took
+# 3-6 us of CPU under pow10: g2 ... g21 (84k units) 0.4 s, g40 ... g55 (363k)
+# 2.1 s, g999 g1000 (1M) 3.1 s (pure-Python kernels, Python 3.11, one core
+# of a 2-vCPU VM). The demo's loops need at most 25 units (g2^2 g5^-1), and
+# the documented scripts none.
+MAX_RADIUS_WORK = 350000
 
 # Count parameters bounded above, checked before any name on the line is
 # resolved.
@@ -236,6 +252,44 @@ def _check_trial_letters(args: dict, loops: dict, line_text: str, line: int, col
         )
 
 
+def _check_radius_work(args: dict, touched: dict, line_text: str, line: int, col: int) -> None:
+    """Refuse a discreteness probe whose loop's stability radius would
+    exceed MAX_RADIUS_WORK units, at the column of the loop value."""
+    circles = touched[args["loop"]]
+    k = len(circles)
+    if k < 2:
+        return
+    top = max(circles)
+    pairs = k * (k - 1) // 2
+    if pairs * top * top > MAX_RADIUS_WORK:
+        at = list(re.finditer(r"\sloop=", line_text))[-1].end()
+        raise DslError(
+            line,
+            col + at,
+            f"the stability radius of loop {args['loop']}, through {k} circles up to C({top}), "
+            f"needs {pairs * top * top} units of work (pairs of circles times {top}^2), "
+            f"which exceeds the limit of {MAX_RADIUS_WORK}",
+        )
+
+
+def _circles(expr: LoopExpr, touched: dict) -> frozenset:
+    """The circle indices a loop expression can touch, the set
+    MAX_RADIUS_WORK is measured on; ``touched`` maps bound names to theirs."""
+    if isinstance(expr, WordExpr):
+        return frozenset(n for n, _ in expr.word.syllables)
+    if isinstance(expr, CircleExpr):
+        return frozenset((expr.index,))
+    if isinstance(expr, ConcatExpr):
+        return frozenset().union(*(touched[a] for a in expr.args))
+    if isinstance(expr, PointsExpr):
+        return frozenset(
+            candidate_circle((x.numerator, x.denominator, y.numerator, y.denominator))
+            for _, x, y in expr.triples
+            if x > 0
+        )
+    return frozenset()
+
+
 def _letters(expr: LoopExpr, known_loops: Optional[dict]) -> int:
     """Letter count of a loop expression, the measure MAX_WORD_LETTERS bounds."""
     if isinstance(expr, WordExpr):
@@ -357,6 +411,7 @@ def parse(text: str) -> Script:
     statements = []
     spaces: set = set()
     loops: dict = {}  # bound loop name -> letter count
+    touched: dict = {}  # bound loop name -> the circle indices it can touch
     active_space: Optional[SpaceDecl] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -394,6 +449,7 @@ def parse(text: str) -> Script:
                 raise DslError(lineno, col, "alpha.updown needs the compact space Y")
             statements.append(LoopBinding(name, expr))
             loops[name] = _letters(expr, loops)
+            touched[name] = _circles(expr, touched)
         elif head == "classify":
             m = re.match(r"^classify\s+(\w+)$", stripped)
             if not m:
@@ -458,6 +514,7 @@ def parse(text: str) -> Script:
                 raise DslError(lineno, col, f"probe {kind} does not take {stray!r}")
             if kind == "discreteness":
                 _check_trial_letters(dict(args), loops, stripped, lineno, col)
+                _check_radius_work(dict(args), touched, stripped, lineno, col)
             statements.append(ProbeStmt(kind, tuple(args)))
         elif head == "render":
             m = re.match(r"^render\s+((?:\w+\s+)*\w+)\s*->\s*(\S+)$", stripped)

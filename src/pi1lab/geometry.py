@@ -11,12 +11,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from math import gcd
 from typing import Iterable, Sequence, Union
 
 from . import kernels
-from .exactnum import sqrt_decimal
+from .exactnum import dyadic_sqrt_bounds, sqrt_decimal
 
 DEFAULT_DIGITS = 40
 
@@ -125,7 +125,11 @@ def _from_quad(q) -> Point2:
 
 @dataclass(frozen=True)
 class Segment:
-    """A nondegenerate closed segment; coincident endpoints are rejected."""
+    """A nondegenerate closed segment; coincident endpoints are rejected.
+
+    ``length_bracket`` is computed the first time it is read and kept, so
+    an edge of a cached circle brackets its length once.
+    """
 
     a: Point2
     b: Point2
@@ -140,6 +144,11 @@ class Segment:
     @property
     def length_sq(self) -> Fraction:
         return self.a.dist_sq(self.b)
+
+    @cached_property
+    def length_bracket(self) -> tuple:
+        """Exact dyadic (lo, hi) around the length, at most 2**-40 apart."""
+        return dyadic_sqrt_bounds(self.length_sq)
 
     def contains(self, q: Point2) -> bool:
         return kernels.on_segment(q._q, self.a._q, self.b._q)

@@ -33,18 +33,26 @@ one pass that also names each new piece's old piece; an excursion keeps
 its slice of the loop's pairs. Fractions are built only for text, such as
 a Violation or an excursion error, and when ``breakpoints`` or ``params``
 is read.
+
+A ``Loop`` and an ``Excursion`` are plain records with ``__slots__``:
+their fields are set once in the constructor, what is computed later (the
+chart, the excursions, the degree, the subpath) is assigned to its own
+slot in place, and equality and hashing read only the constructor's
+fields. The excursions into one circle share one ``ComponentId``. The lift
+of a winding degree compares vertex quads and reads each run's shared
+vertex and its step of +1, -1 or 0 from small tables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from math import gcd
 from typing import Optional, Sequence, Tuple
 
 from .geometry import ORIGIN, PLPath, _path, _refine, pl_path
 from .spaces import (
+    ALPHA_COMPONENT,
     ALPHA_EDGE,
     ComponentId,
     EdgeRef,
@@ -74,26 +82,40 @@ class WindingError(LoopError):
     """Winding degree was requested for a non-circle excursion."""
 
 
-@dataclass(frozen=True)
 class Loop:
     """A based PL loop together with its carrying space and its chart.
 
-    The chart is the tuple of edges the pieces lie on (None for a constant
-    piece), or the first ``Violation`` of an invalid loop. It is located at
-    most once per Loop, by ``_first_violation`` on first use, unless the
-    operation that built the loop charted it by construction or carried it
-    over from its operands. Its excursions are stored the same way, by
-    ``decompose`` on its first call. Neither takes part in equality.
+    A plain record: ``Loop(path, space)`` checks that the path is a PLPath,
+    and equality and hashing compare ``(path, space)`` only. The chart is
+    the tuple of edges the pieces lie on (None for a constant piece), or the
+    first ``Violation`` of an invalid loop. It is located at most once per
+    Loop, by ``_first_violation`` on first use, unless the operation that
+    built the loop charted it by construction or carried it over from its
+    operands. Its excursions are stored the same way, by ``decompose`` on
+    its first call. Both are slots assigned in place; neither takes part in
+    equality.
     """
 
-    path: PLPath
-    space: SpaceHandle
-    _chart: object = field(default=None, init=False, repr=False, compare=False)
-    _excursions: object = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("path", "space", "_chart", "_excursions")
 
-    def __post_init__(self):
-        if not isinstance(self.path, PLPath):
+    def __init__(self, path: PLPath, space: SpaceHandle):
+        if not isinstance(path, PLPath):
             raise LoopError("Loop.path must be a PLPath")
+        self.path = path
+        self.space = space
+        self._chart = None
+        self._excursions = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.path == other.path and self.space == other.space
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.path, self.space))
+
+    def __repr__(self) -> str:
+        return f"Loop(path={self.path!r}, space={self.space!r})"
 
 
 @dataclass(frozen=True)
@@ -109,29 +131,51 @@ class Violation:
         return f"piece {self.piece_index} on [{self.t_start}, {self.t_end}]: {self.reason}"
 
 
-@dataclass(frozen=True)
 class Excursion:
     """A maximal sub-loop away from the base point.
 
+    A plain record built by ``Excursion(component, ts, points, piece_edges,
+    space, first)``; equality and hashing compare those six fields.
     ``ts`` and ``points`` are the loop's own slice of breakpoints, from p to
     p: the parameters as reduced int pairs and the points at them. ``first``
     is the index of the first in the loop's breakpoints. The piece ``k``
     runs from breakpoint ``k`` to ``k + 1`` and lies on ``piece_edges[k]``.
     ``t_start``, ``t_end`` and ``breakpoints`` read the slice as Fractions,
     and ``subpath``, the slice renormalized to [0, 1], is built from the
-    pairs; each is built only when it is read. The component tag names the
-    unique component of (space minus p) carrying the excursion's interior.
-    The winding degree of a circle excursion is stored on its first
-    computation; it takes no part in equality.
+    pairs the first time it is read and kept. The component tag names the
+    unique component of (space minus p) carrying the excursion's interior;
+    excursions into one circle share one tag. The winding degree of a
+    circle excursion is stored on its first computation; it takes no part
+    in equality.
     """
 
-    component: ComponentId
-    ts: tuple
-    points: tuple
-    piece_edges: Tuple[Optional[EdgeRef], ...]
-    space: SpaceHandle
-    first: int
-    _degree: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("component", "ts", "points", "piece_edges", "space", "first", "_degree", "_subpath")
+
+    def __init__(self, component, ts, points, piece_edges, space, first):
+        self.component = component
+        self.ts = ts
+        self.points = points
+        self.piece_edges = piece_edges
+        self.space = space
+        self.first = first
+        self._degree = None
+
+    def _key(self) -> tuple:
+        return (self.component, self.ts, self.points, self.piece_edges, self.space, self.first)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Excursion(component={self.component!r}, ts={self.ts!r}, "
+            f"piece_edges={self.piece_edges!r}, first={self.first!r})"
+        )
 
     @property
     def t_start(self) -> Fraction:
@@ -145,8 +189,12 @@ class Excursion:
     def breakpoints(self) -> tuple:
         return tuple((Fraction(n, d), q) for (n, d), q in zip(self.ts, self.points))
 
-    @cached_property
+    @property
     def subpath(self) -> PLPath:
+        try:
+            return self._subpath
+        except AttributeError:
+            pass
         # (t - t0) / (t1 - t0) for t = n/d, reduced
         (n0, d0), (n1, d1) = self.ts[0], self.ts[-1]
         span_n, span_d = n1 * d0 - n0 * d1, d1 * d0
@@ -155,7 +203,8 @@ class Excursion:
             un, ud = (n * d0 - n0 * d) * span_d, d * d0 * span_n
             g = gcd(un, ud)
             ts.append((un // g, ud // g))
-        return _path(tuple(ts), self.points)
+        self._subpath = path = _path(tuple(ts), self.points)
+        return path
 
 
 def _edge_sort_key(ref: EdgeRef):
@@ -208,9 +257,10 @@ def _first_violation(loop: Loop):
 
 def _chart(loop: Loop):
     """The loop's chart, located on first use."""
-    if loop._chart is None:
-        object.__setattr__(loop, "_chart", _first_violation(loop))
-    return loop._chart
+    chart = loop._chart
+    if chart is None:
+        chart = loop._chart = _first_violation(loop)
+    return chart
 
 
 def _edges_or_none(loop: Loop) -> Optional[Tuple[Optional[EdgeRef], ...]]:
@@ -233,7 +283,7 @@ def _charted(path: PLPath, space: SpaceHandle, runs) -> Loop:
     the loop uncharted, so it is located afresh when used."""
     loop = Loop(path, space)
     if None not in runs:
-        object.__setattr__(loop, "_chart", tuple(chain.from_iterable(runs)))
+        loop._chart = tuple(chain.from_iterable(runs))
     return loop
 
 
@@ -246,14 +296,22 @@ def validate(loop: Loop) -> Optional[Violation]:
     """
     v = _first_violation(loop)
     if loop._chart is None:
-        object.__setattr__(loop, "_chart", v)
+        loop._chart = v
     return v if isinstance(v, Violation) else None
 
 
-def _component_of_edge(ref: EdgeRef) -> ComponentId:
-    if ref == ALPHA_EDGE:
-        return ComponentId.alpha()
-    return ComponentId.circle(ref[1])
+# The component of each edge key, an edge's first two entries: one shared
+# ComponentId per circle index, built the first time the circle is met. A
+# ComponentId is immutable and names only the index, so one table serves
+# every space handle, including those a run builds afresh.
+_COMPONENTS = {ALPHA_EDGE: ALPHA_COMPONENT}
+
+
+def _component_of_key(key: tuple) -> ComponentId:
+    comp = _COMPONENTS.get(key)
+    if comp is None:
+        comp = _COMPONENTS[key] = ComponentId.circle(key[1])
+    return comp
 
 
 def decompose(loop: Loop) -> Tuple[Excursion, ...]:
@@ -262,20 +320,20 @@ def decompose(loop: Loop) -> Tuple[Excursion, ...]:
     Constant-at-p stretches produce no excursion. Each excursion is tagged
     with the unique component of (space minus p) carrying it, read off the
     loop's chart: the first two entries of an edge name its circle (or
-    alpha), so no point is located unless the loop has no chart yet.
-    Computed at most once per Loop and stored on it.
+    alpha), so no point is located unless the loop has no chart yet. The
+    tag is shared: one ComponentId per circle, and ``ALPHA_COMPONENT``.
+    Computed at most once per Loop and stored in its ``_excursions`` slot.
     """
     excs = loop._excursions
     if excs is None:
-        excs = _excursions(loop)
-        object.__setattr__(loop, "_excursions", excs)
+        excs = loop._excursions = _excursions(loop)
     return excs
 
 
 def _excursions(loop: Loop) -> Tuple[Excursion, ...]:
     edges = _analyze(loop)
-    ts, pts = loop.path._ts, loop.path.points
-    base = ORIGIN.quad()
+    ts, pts, space = loop.path._ts, loop.path.points, loop.space
+    base = ORIGIN._q
     p_idx = [i for i, q in enumerate(pts) if q._q == base]
     out = []
     for i, j in zip(p_idx, p_idx[1:]):
@@ -284,19 +342,21 @@ def _excursions(loop: Loop) -> Tuple[Excursion, ...]:
         piece_edges = edges[i:j]
         keys = {ref[:2] for ref in piece_edges if ref is not None}
         if len(keys) != 1:
-            comps = {_component_of_edge(ref) for ref in piece_edges if ref is not None}
+            comps = {_component_of_key(ref[:2]) for ref in piece_edges if ref is not None}
             raise InvalidLoopError(
                 f"excursion on [{Fraction(*ts[i])}, {Fraction(*ts[j])}] spans components "
                 f"{sorted(map(str, comps))}"
             )
-        comp = _component_of_edge(keys.pop())
-        out.append(Excursion(comp, ts[i : j + 1], pts[i : j + 1], piece_edges, loop.space, i))
+        comp = _component_of_key(keys.pop())
+        out.append(Excursion(comp, ts[i : j + 1], pts[i : j + 1], piece_edges, space, i))
     return tuple(out)
 
 
 # The vertices p, B, D of a circle are numbered 0, 1, 2; edge j runs from
-# vertex j to vertex j + 1 (mod 3), and these are its ends.
-_ENDS = ({0, 1}, {1, 2}, {2, 0})
+# vertex j to vertex _NEXT[j], and _SHARED[j][k] is the one vertex that the
+# distinct edges j and k share.
+_NEXT = (1, 2, 0)
+_SHARED = ((None, 1, 0), (1, None, 2), (0, 2, None))
 
 
 def winding_degree(exc: Excursion) -> int:
@@ -309,13 +369,16 @@ def winding_degree(exc: Excursion) -> int:
     -1 or 0 on the vertex numbering. The degree is the sum of the steps
     divided by 3: integer arithmetic on the chart and exact point equality,
     so the result depends only on the combinatorial edge-crossing sequence.
-    Computed at most once per Excursion and stored on it.
+    Each edge change compares the point with the shared vertex by quads,
+    and the shared vertex and the step are table lookups.
+    Computed at most once per Excursion and stored in its ``_degree`` slot.
     """
     if exc.component.kind != "circle":
         raise WindingError("winding degree is defined only for circle excursions")
-    if exc._degree is None:
-        object.__setattr__(exc, "_degree", _lift_degree(exc))
-    return exc._degree
+    d = exc._degree
+    if d is None:
+        d = exc._degree = _lift_degree(exc)
+    return d
 
 
 def _lift_degree(exc: Excursion) -> int:
@@ -328,8 +391,8 @@ def _lift_degree(exc: Excursion) -> int:
             continue
         j = ref[2]
         if run is not None:
-            (v,) = _ENDS[run] & _ENDS[j]
-            if q != vertices[v]:
+            v = _SHARED[run][j]
+            if q._q != vertices[v]._q:
                 raise InvalidLoopError("discontinuous chart sequence in excursion")
             lift += _step(run, at, v)
             at = v
@@ -346,9 +409,11 @@ def _step(j: int, a: int, b: int) -> int:
     """Lifted step of a run on edge j from vertex a to vertex b."""
     if a == b:
         return 0
-    if {a, b} != _ENDS[j]:
-        raise InvalidLoopError("excursion lift does not close up at p")
-    return 1 if a == j else -1
+    if a == j and b == _NEXT[j]:
+        return 1
+    if b == j and a == _NEXT[j]:
+        return -1
+    raise InvalidLoopError("excursion lift does not close up at p")
 
 
 def loop_from_breakpoints(raw: Sequence, space: SpaceHandle) -> Loop:

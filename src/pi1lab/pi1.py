@@ -362,7 +362,7 @@ def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
             continue
         ref = edges[i - 1]
         seg = loop.space.edge_segment(ref)
-        _, hi_len = dyadic_sqrt_bounds(seg.length_sq)
+        _, hi_len = seg.length_bracket
         a, b = seg.a.quad(), seg.b.quad()
         un, ud = kernels.foot_param(pts[i].quad(), a, b)
         # u + bound * r / (2 * hi_len * grid), clamped to [0, 1]
@@ -385,7 +385,7 @@ def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
         circ = loop.space.circle(n)
         arm = 0 if rng.random() < 0.5 else 2
         arm_edge = circ.edges[arm]
-        _, hi_len = dyadic_sqrt_bounds(arm_edge.length_sq)
+        _, hi_len = arm_edge.length_bracket
         # du = bound / (2 * hi_len) * r / grid from the arm's end at p: u2 = du or 1 - du
         dd = bd * 2 * hi_len.numerator * grid
         du = bn * hi_len.denominator * rng.randint(1, grid)
@@ -615,14 +615,18 @@ def _sample_small_loop(
     for g in range(groups):
         kind = rng.choice(["alpha", "arm0", "arm2"])
         if kind == "alpha" and space.has_alpha:
-            direction = space.alpha_segment.b
+            arm = space.alpha_segment
+            direction = arm.b
             ref = ALPHA_EDGE
         else:
             n = rng.randint(2, 9)
             circ = space.circle(n)
-            direction = circ.apex if kind != "arm2" else circ.tail
-            ref = ("c", n, 2 if kind == "arm2" else 0)
-        _, hi = dyadic_sqrt_bounds(direction.dist_sq(ORIGIN))
+            j = 2 if kind == "arm2" else 0
+            arm = circ.edges[j]
+            direction = circ.apex if j == 0 else circ.tail
+            ref = ("c", n, j)
+        # |direction| is the length of its arm, the edge from p to it
+        _, hi = arm.length_bracket
         wiggles = rng.randint(1, 4)
         # the point at s = radius / hi * r / grid along the direction from p
         sn, sd = rn * hi.denominator, rd * hi.numerator * grid

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pi1lab
-from pi1lab import dsl
+from pi1lab import dsl, exactnum, geometry, loops, pi1, spaces
 from pi1lab.cli import demo_whitehead, main
 
 GOOD_SCRIPT = """\
@@ -82,6 +82,13 @@ HOSTILE_LINES = (
         "loop a = word g2^10000\n"
         "probe discreteness loop=a trials=20 magnitude=1/1000",
         34,
+    ),
+    # each budget holds alone; the stability radius over two high circles did not
+    (
+        "space T = X(20) width=pow10\n"
+        "loop a = word g999 g1000\n"
+        "probe discreteness loop=a trials=1 magnitude=1/1000",
+        25,
     ),
 )
 
@@ -220,6 +227,7 @@ class TestRun:
             "slsc-samples",
             "discreteness-trials",
             "discreteness-trial-letters",
+            "discreteness-radius",
         ),
     )
     def test_hostile_literal_fails_fast(self, capsys, tmp_path, line, col):
@@ -439,9 +447,10 @@ class TestDemo:
         assert hashlib.sha256(svg).hexdigest() == DEMO_SVG_SHA256
 
     def test_fraction_count(self, tmp_path, monkeypatch):
-        """A warmed seed-1 demo builds at most 12,000 Fractions. Paths keep
-        their parameters as int pairs, so builders wrap none; when every
-        builder did, the count was 21,236."""
+        """A warmed seed-1 demo builds at most 4,000 Fractions. Paths keep
+        their parameters as int pairs, so builders wrap none, and each edge
+        brackets its length once; when every builder wrapped its pairs the
+        count was 21,236, and when every slide bracketed its edge, 5,119."""
         demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
         built = [0]
         real = Fraction.__new__
@@ -454,7 +463,46 @@ class TestDemo:
         code, _ = demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
         monkeypatch.undo()
         assert code == 0
-        assert 0 < built[0] <= 12000
+        assert 0 < built[0] <= 4000
+
+    def test_work_counts(self, tmp_path, monkeypatch):
+        """A warmed seed-1 demo makes at most 60 dyadic_sqrt_bounds calls,
+        since each edge brackets its length once (598 when every slide and
+        bounce bracketed its edge again); builds no ComponentId, since the
+        excursions into one circle share one; and lifts no excursion twice."""
+        demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
+        brackets, components, built, lifted = [0], [0], [], []
+
+        def bounds(*args, _orig=exactnum.dyadic_sqrt_bounds):
+            brackets[0] += 1
+            return _orig(*args)
+
+        def component(self, *args, _orig=spaces.ComponentId.__init__):
+            components[0] += 1
+            _orig(self, *args)
+
+        def excursion(*args, _orig=loops.Excursion):
+            exc = _orig(*args)
+            built.append(exc)
+            return exc
+
+        def lift(exc, _orig=loops._lift_degree):
+            lifted.append(exc)
+            return _orig(exc)
+
+        for mod in (geometry, pi1):
+            monkeypatch.setattr(mod, "dyadic_sqrt_bounds", bounds)
+        monkeypatch.setattr(spaces.ComponentId, "__init__", component)
+        monkeypatch.setattr(loops, "Excursion", excursion)
+        monkeypatch.setattr(loops, "_lift_degree", lift)
+        code, _ = demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
+        monkeypatch.undo()
+        assert code == 0
+        assert 0 < brackets[0] <= 60
+        assert components[0] == 0
+        assert 0 < len(lifted) <= len(built)
+        assert len({id(exc) for exc in lifted}) == len(lifted)
+        assert {id(exc) for exc in lifted} <= {id(exc) for exc in built}
 
     def test_unknown_demo(self, capsys):
         code, _, err = run_cli(capsys, ["demo", "mystery"])

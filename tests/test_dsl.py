@@ -296,3 +296,36 @@ class TestInputBudgets:
                 f"trials={trials} times the {letters} letters of loop {name} "
                 f"exceeds the limit of {limit} letter-trials"
             )
+
+    def test_radius_work_budget(self):
+        """Pairs of touched circles times the largest index squared: a loop
+        through C(2) ... C(21) parses, and two circles near the index cap are
+        refused at the loop value, whether bound as a word, a concat or
+        points, naming the circle count, the largest index and the limit."""
+        limit = dsl.MAX_RADIUS_WORK
+        assert limit == 350000
+        through = " ".join(f"g{n}" for n in range(2, 22))  # 190 pairs times 21^2
+        head = (
+            f"space T = X(20)\nloop a = word {through}\nloop b = word g1000^3 g2^-1000\n"
+            "loop c = C(999).once\nloop d = C(1000).inv\nloop k = concat(c, d)\n"
+            "loop q = points [(0,0,0), (1/4,1/999,1), (1/2,0,0), (3/4,1/1000,1), (1,0,0)]\n"
+            "loop h = word g590 g591\nloop i = word g591 g592\nloop e = concat(c, c, a)\n"
+        )
+        for ok in ("loop=a trials=3", "loop=c trials=3", "trials=2 loop=h"):
+            dsl.parse(head + f"probe discreteness {ok} magnitude=1/1000\n")
+        for line, name, k, top in (
+            ("probe discreteness loop=b trials=1 magnitude=1/1000", "b", 2, 1000),
+            ("probe discreteness loop=k trials=1 magnitude=1/1000", "k", 2, 1000),
+            ("  probe discreteness magnitude=1/1000 loop=q seed=1 trials=1", "q", 2, 1000),
+            ("probe discreteness loop=i trials=1 magnitude=1/1000", "i", 2, 592),
+            ("probe discreteness loop=e trials=1 magnitude=1/1000", "e", 21, 999),
+        ):
+            with pytest.raises(dsl.DslError) as err:
+                dsl.parse(head + line + "\n")
+            assert (err.value.line, err.value.col) == (11, line.index("loop=") + len("loop=") + 1)
+            pairs = k * (k - 1) // 2
+            assert err.value.message == (
+                f"the stability radius of loop {name}, through {k} circles up to C({top}), "
+                f"needs {pairs * top * top} units of work (pairs of circles times {top}^2), "
+                f"which exceeds the limit of {limit}"
+            )

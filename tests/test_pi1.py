@@ -581,6 +581,46 @@ class TestParameterPairs:
                 assert_reduced_increasing(pi1._sample_small_loop(y, radius, rng).path)
 
 
+class TestRecords:
+    """Loops and excursions are slotted records whose equality and hash
+    ignore what is stored on them: a chart, excursions or a degree."""
+
+    @given(
+        letters=st.lists(st.tuples(st.integers(2, 9), st.sampled_from((1, -1))), max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    def test_equality_ignores_stored_state(self, x, letters, seed):
+        rng = random.Random(seed)
+        word_loop = realize_word(reduce_letters(letters), x)
+        ly = include_in_y(word_loop)
+        corpus = demo_corpus(x) + [
+            word_loop,
+            ly,
+            alpha_decorate(ly, rng),
+            pi1._perturb_once(word_loop, rng, F(1, 1000)),
+        ]
+        assert word_loop != ly
+        for lp in corpus:
+            fresh = Loop(lp.path, lp.space)
+            assert fresh._chart is None and fresh._excursions is None
+            assert lp == fresh and hash(lp) == hash(fresh)
+            excs = decompose(lp)
+            again = decompose(fresh)
+            assert lp._excursions is excs and fresh._chart is not None
+            assert lp == fresh and hash(lp) == hash(fresh)
+            assert excs == again and list(map(hash, excs)) == list(map(hash, again))
+            for exc, other in zip(excs, again):
+                if exc.component.kind == "circle":
+                    loops.winding_degree(exc)
+                    assert exc._degree is not None and other._degree is None
+                assert exc == other and hash(exc) == hash(other)
+                assert exc.component is other.component
+                assert exc.subpath is exc.subpath
+            for obj in (lp, fresh, *excs):
+                assert not hasattr(obj, "__dict__")
+
+
 @pytest.fixture
 def located(monkeypatch):
     """Every point the space handles are asked to locate, in order."""
