@@ -36,7 +36,6 @@ from .loops import (
     reverse,
     standard_f,
     standard_fn,
-    validate,
 )
 from .pi1 import (
     ProbeParameterError,
@@ -98,11 +97,7 @@ class _Runner:
         if isinstance(expr, dsl.WordExpr):
             return realize_word(expr.word, space)
         if isinstance(expr, dsl.PointsExpr):
-            lp = loop_from_breakpoints(expr.triples, space)
-            violation = validate(lp)
-            if violation is not None:
-                raise LoopError(f"invalid loop: {violation}")
-            return lp
+            return loop_from_breakpoints(expr.triples, space)
         raise TypeError(f"not a loop expression: {expr!r}")
 
     def run(self, script: dsl.Script) -> int:

@@ -37,6 +37,9 @@ fails at once with a parse error instead of running for seconds to hours:
 - no word literal or ``concat`` may have more than ``MAX_WORD_LETTERS``
   letters. The parser records a letter count for each bound loop: a
   word's length, and 1 per circle, alpha or ``points`` piece;
+- the loops bound in one script may have at most ``MAX_SCRIPT_LETTERS``
+  letters in all: the sum of the letter counts of its bindings, each
+  rebinding counted again;
 - ``probe discreteness`` runs at most ``MAX_TRIALS`` trials and ``probe
   slsc`` at most ``MAX_SAMPLES`` samples;
 - ``probe discreteness`` runs at most ``MAX_TRIAL_LETTERS`` letter-trials:
@@ -51,9 +54,9 @@ fails at once with a parse error instead of running for seconds to hours:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import FrozenSet, Optional, Tuple, Union
 
 from .spaces import candidate_circle
 from .words import Word, WordError, format_word, parse_word
@@ -78,6 +81,17 @@ MAX_LITERAL_DIGITS = 4300
 # or a concat may have; realizing and classifying a word costs time linear
 # in it.
 MAX_WORD_LETTERS = 10000
+
+# Most letters the bindings of one script may have in all. Building a loop
+# takes time linear in its letters, and MAX_WORD_LETTERS bounds only one
+# binding, so before this budget a script's work grew with its line count.
+# `pi1lab run` on 40,000 letters took 0.25 s as words of 10,000 letters,
+# 0.75 s as one-letter C(2).once lines, and 1.3 s and 1.8 s as points pieces
+# through the apex of C_2 and of C_1000, the costliest letters (fresh
+# process, pure-Python kernels, Python 3.11, one core of a 2-vCPU VM).
+# Before, 50 lines of 10,000-letter words took 1.7 s, and 500 lines of a
+# 10,000-letter concat 12 s. The documented scripts bind under 100 letters.
+MAX_SCRIPT_LETTERS = 40000
 
 # Most trials of probe discreteness and samples of probe slsc, whose time
 # is linear in the count. A trial of the loop C(2).once took 0.28 ms of CPU,
@@ -157,6 +171,8 @@ class WordExpr:
 @dataclass(frozen=True)
 class PointsExpr:
     triples: Tuple[Tuple[Fraction, Fraction, Fraction], ...]
+    # the candidate circle of each breakpoint with x > 0, found by the parser
+    circles: FrozenSet[int] = field(default=frozenset(), compare=False, repr=False)
 
 
 LoopExpr = Union[AlphaExpr, CircleExpr, ConcatExpr, WordExpr, PointsExpr]
@@ -282,11 +298,7 @@ def _circles(expr: LoopExpr, touched: dict) -> frozenset:
     if isinstance(expr, ConcatExpr):
         return frozenset().union(*(touched[a] for a in expr.args))
     if isinstance(expr, PointsExpr):
-        return frozenset(
-            candidate_circle((x.numerator, x.denominator, y.numerator, y.denominator))
-            for _, x, y in expr.triples
-            if x > 0
-        )
+        return expr.circles
     return frozenset()
 
 
@@ -346,7 +358,7 @@ def _parse_loop_expr(text: str, line: int, col: int, known_loops: Optional[dict]
         body = text[len("points") :].strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise DslError(line, col, "points expects a bracketed list of (t, x, y) triples")
-        triples = []
+        triples, circles = [], set()
         inner = body[1:-1].strip()
         if inner:
             for part in _split_top_level(inner):
@@ -360,10 +372,11 @@ def _parse_loop_expr(text: str, line: int, col: int, known_loops: Optional[dict]
                     # y/x of two literals can pass the digit limit of str()
                     circle = f"C({n})" if n.bit_length() < 10000 else "a circle"
                     _check_index(n, f"breakpoint ({x}, {y}) can only lie on {circle}, which", line, col)
+                    circles.add(n)
                 triples.append((t, x, y))
         if len(triples) < 2:
             raise DslError(line, col, "points needs at least two (t, x, y) triples")
-        return PointsExpr(tuple(triples))
+        return PointsExpr(tuple(triples), frozenset(circles))
     raise DslError(line, col, f"unrecognized loop expression {text!r}")
 
 
@@ -412,6 +425,7 @@ def parse(text: str) -> Script:
     spaces: set = set()
     loops: dict = {}  # bound loop name -> letter count
     touched: dict = {}  # bound loop name -> the circle indices it can touch
+    script_letters = 0  # the letters of every binding so far
     active_space: Optional[SpaceDecl] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -447,8 +461,16 @@ def parse(text: str) -> Script:
             expr = _parse_loop_expr(m.group(2), lineno, col, loops)
             if isinstance(expr, AlphaExpr) and active_space.kind != "Y":
                 raise DslError(lineno, col, "alpha.updown needs the compact space Y")
-            statements.append(LoopBinding(name, expr))
             loops[name] = _letters(expr, loops)
+            script_letters += loops[name]
+            if script_letters > MAX_SCRIPT_LETTERS:
+                raise DslError(
+                    lineno,
+                    col,
+                    f"loop {name} brings the script to {script_letters} letters, "
+                    f"which exceeds the limit of {MAX_SCRIPT_LETTERS} letters per script",
+                )
+            statements.append(LoopBinding(name, expr))
             touched[name] = _circles(expr, touched)
         elif head == "classify":
             m = re.match(r"^classify\s+(\w+)$", stripped)

@@ -10,19 +10,19 @@ at a vertex, so each maximal run of pieces on one edge steps between
 vertices, and the degree is an integer sum of those steps, never a
 numeric arc length.
 
-Every loop carries its chart: the edge each piece lies on (None for a
-constant piece), or the first violation of an invalid loop. The standard
-loops (``standard_f``, ``standard_fn``), the perturbations of the
+A loop is charted when built, or refused. Its chart is the edge each
+piece lies on (None for a constant piece). A loop of foreign geometry
+(``Loop(path, space)``, hence ``points`` literals and
+reparametrizations) is located once, breakpoint by breakpoint, when it is
+built; an invalid path raises ``InvalidLoopError`` with its first
+violation, so no invalid loop exists. The standard loops (``standard_f``,
+``standard_fn``), the constant loop, the perturbations of the
 discreteness probe and the samples of the slsc probe are charted by
 construction: their pieces are put on known edges. Operations that
 rebuild a loop on points already charted carry the chart: concatenation,
 reversal, the inclusion X -> Y, ``realize_word``, ``subdivide`` and the
-collapse into X. Only a loop of foreign geometry (``points`` literals,
-reparametrizations) is located, once, breakpoint by
-breakpoint, on first use. If an operand is invalid, the result is left
-uncharted and is located afresh, so its violation reads as before.
-``validate`` always locates afresh, which makes it an independent check of
-a carried chart.
+collapse into X. ``validate`` always locates afresh, which makes it an
+independent check of a carried chart.
 
 Paths keep their parameters as reduced int pairs, and the builders here
 emit pairs, with no Fraction: concatenation halves n/d to n/(2d) or
@@ -36,17 +36,17 @@ is read.
 
 A ``Loop`` and an ``Excursion`` are plain records with ``__slots__``:
 their fields are set once in the constructor, what is computed later (the
-chart, the excursions, the degree, the subpath) is assigned to its own
-slot in place, and equality and hashing read only the constructor's
-fields. The excursions into one circle share one ``ComponentId``. The lift
-of a winding degree compares vertex quads and reads each run's shared
-vertex and its step of +1, -1 or 0 from small tables.
+excursions, the degree, the subpath) is assigned to its own slot in place,
+and equality and hashing read only the constructor's fields (a loop's
+chart is fixed by its path and space). The excursions into one circle
+share one ``ComponentId``. The lift of a winding degree compares vertex
+quads and reads each run's shared vertex and its step of +1, -1 or 0 from
+small tables.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd
 from typing import Optional, Sequence, Tuple
 
@@ -71,7 +71,7 @@ class LoopError(Exception):
 
 
 class InvalidLoopError(LoopError):
-    """Raised by operations that require a valid loop."""
+    """Raised for geometry that is not a valid loop of its space."""
 
 
 class SpaceMismatchError(LoopError):
@@ -85,15 +85,14 @@ class WindingError(LoopError):
 class Loop:
     """A based PL loop together with its carrying space and its chart.
 
-    A plain record: ``Loop(path, space)`` checks that the path is a PLPath,
-    and equality and hashing compare ``(path, space)`` only. The chart is
-    the tuple of edges the pieces lie on (None for a constant piece), or the
-    first ``Violation`` of an invalid loop. It is located at most once per
-    Loop, by ``_first_violation`` on first use, unless the operation that
-    built the loop charted it by construction or carried it over from its
-    operands. Its excursions are stored the same way, by ``decompose`` on
-    its first call. Both are slots assigned in place; neither takes part in
-    equality.
+    ``Loop(path, space)`` checks that the path is a PLPath and locates it
+    once, by ``_first_violation``: the chart is the tuple of edges the
+    pieces lie on (None for a constant piece), and an invalid path raises
+    ``InvalidLoopError`` with the text ``invalid loop: <Violation>``. The
+    builders of this module and of ``pi1`` chart their loops by
+    construction and go through ``_charted``, which locates nothing. The
+    excursions are stored by ``decompose`` on its first call, in a slot
+    assigned in place. Equality and hashing compare ``(path, space)`` only.
     """
 
     __slots__ = ("path", "space", "_chart", "_excursions")
@@ -103,7 +102,10 @@ class Loop:
             raise LoopError("Loop.path must be a PLPath")
         self.path = path
         self.space = space
-        self._chart = None
+        chart = _first_violation(self)
+        if isinstance(chart, Violation):
+            raise InvalidLoopError(f"invalid loop: {chart}")
+        self._chart = chart
         self._excursions = None
 
     def __eq__(self, other):
@@ -216,15 +218,17 @@ def _first_violation(loop: Loop):
 
     Each breakpoint other than p is located once, when a piece first needs
     it; a moving piece lies on the edges through both of its endpoints.
+    Points are compared by their quads.
     """
     ts, pts = loop.path._ts, loop.path.points
+    base = ORIGIN._q
 
     def t(k: int) -> Fraction:
         return Fraction(*ts[k])
 
-    if pts[0] != ORIGIN:
+    if pts[0]._q != base:
         return Violation(0, t(0), t(0), f"loop starts at {pts[0]}, not at p")
-    if pts[-1] != ORIGIN:
+    if pts[-1]._q != base:
         return Violation(len(pts) - 2, t(-1), t(-1), f"loop ends at {pts[-1]}, not at p")
     located = [None] * len(pts)
 
@@ -235,17 +239,18 @@ def _first_violation(loop: Loop):
 
     edges = []
     for i, (p0, p1) in enumerate(zip(pts, pts[1:])):
-        if p0 == p1:
-            if p0 != ORIGIN and not edges_at(i):
+        q0, q1 = p0._q, p1._q
+        if q0 == q1:
+            if q0 != base and not edges_at(i):
                 return Violation(i, t(i), t(i + 1), f"stationary point {p0} is outside the space")
             edges.append(None)
             continue
         for k, q in ((i, p0), (i + 1, p1)):
-            if q != ORIGIN and not edges_at(k):
+            if q._q != base and not edges_at(k):
                 return Violation(i, t(i), t(i + 1), f"breakpoint {q} is outside the space")
-        if p1 == ORIGIN:
+        if q1 == base:
             hits = [ref for ref in edges_at(i) if edge_is_base_incident(ref)]
-        elif p0 == ORIGIN:
+        elif q0 == base:
             hits = [ref for ref in edges_at(i + 1) if edge_is_base_incident(ref)]
         else:
             hits = [ref for ref in edges_at(i) if ref in edges_at(i + 1)]
@@ -255,48 +260,25 @@ def _first_violation(loop: Loop):
     return tuple(edges)
 
 
-def _chart(loop: Loop):
-    """The loop's chart, located on first use."""
-    chart = loop._chart
-    if chart is None:
-        chart = loop._chart = _first_violation(loop)
-    return chart
-
-
-def _edges_or_none(loop: Loop) -> Optional[Tuple[Optional[EdgeRef], ...]]:
-    """The piece edges of a valid loop; None for an invalid one."""
-    chart = _chart(loop)
-    return None if isinstance(chart, Violation) else chart
-
-
-def _analyze(loop: Loop) -> Tuple[Optional[EdgeRef], ...]:
-    """The piece edges of the loop; raises InvalidLoopError on its violation."""
-    chart = _chart(loop)
-    if isinstance(chart, Violation):
-        raise InvalidLoopError(str(chart))
-    return chart
-
-
-def _charted(path: PLPath, space: SpaceHandle, runs) -> Loop:
-    """A loop on ``path`` whose chart joins ``runs``, piece-edge tuples
-    charted on the same points. A None run, from an invalid operand, leaves
-    the loop uncharted, so it is located afresh when used."""
-    loop = Loop(path, space)
-    if None not in runs:
-        loop._chart = tuple(chain.from_iterable(runs))
+def _charted(path: PLPath, space: SpaceHandle, chart: Tuple[Optional[EdgeRef], ...]) -> Loop:
+    """A loop on ``path`` whose pieces lie on the edges of ``chart``, one
+    per piece, as the builder put them there. Nothing is located: the
+    builder vouches for the chart, and ``validate`` checks it afresh."""
+    loop = object.__new__(Loop)
+    loop.path = path
+    loop.space = space
+    loop._chart = chart
+    loop._excursions = None
     return loop
 
 
 def validate(loop: Loop) -> Optional[Violation]:
-    """None when the loop is valid; otherwise the first violating piece.
+    """None when the loop's path is valid; otherwise its first violating piece.
 
-    The path is always located from scratch, never read back from a carried
-    chart, so this is an independent check of the operation that built the
-    loop. The result becomes the chart only of a loop that has none yet.
+    The path is located from scratch, never read back from the chart, so
+    this is an independent check of the builder that charted the loop.
     """
     v = _first_violation(loop)
-    if loop._chart is None:
-        loop._chart = v
     return v if isinstance(v, Violation) else None
 
 
@@ -320,9 +302,8 @@ def decompose(loop: Loop) -> Tuple[Excursion, ...]:
     Constant-at-p stretches produce no excursion. Each excursion is tagged
     with the unique component of (space minus p) carrying it, read off the
     loop's chart: the first two entries of an edge name its circle (or
-    alpha), so no point is located unless the loop has no chart yet. The
-    tag is shared: one ComponentId per circle, and ``ALPHA_COMPONENT``.
-    Computed at most once per Loop and stored in its ``_excursions`` slot.
+    alpha), so no point is located. The tag is shared: one ComponentId per
+    circle, and ``ALPHA_COMPONENT``. Computed at most once per Loop and stored in its ``_excursions`` slot.
     """
     excs = loop._excursions
     if excs is None:
@@ -331,7 +312,7 @@ def decompose(loop: Loop) -> Tuple[Excursion, ...]:
 
 
 def _excursions(loop: Loop) -> Tuple[Excursion, ...]:
-    edges = _analyze(loop)
+    edges = loop._chart
     ts, pts, space = loop.path._ts, loop.path.points, loop.space
     base = ORIGIN._q
     p_idx = [i for i, q in enumerate(pts) if q._q == base]
@@ -417,12 +398,12 @@ def _step(j: int, a: int, b: int) -> int:
 
 
 def loop_from_breakpoints(raw: Sequence, space: SpaceHandle) -> Loop:
-    """Loop from (t, x, y) rational triples."""
+    """Loop from (t, x, y) rational triples; raises InvalidLoopError off the space."""
     return Loop(pl_path(raw), space)
 
 
 def constant_loop(space: SpaceHandle) -> Loop:
-    return Loop(_path(((0, 1), (1, 1)), (ORIGIN, ORIGIN)), space)
+    return _charted(_path(((0, 1), (1, 1)), (ORIGIN, ORIGIN)), space, (None,))
 
 
 def standard_f(space: Optional[SpaceHandle] = None) -> Loop:
@@ -434,7 +415,7 @@ def standard_f(space: Optional[SpaceHandle] = None) -> Loop:
         raise SpaceError("the alpha loop lives in the compact space Y")
     top = space.alpha_segment.b
     return _charted(
-        _path(((0, 1), (1, 2), (1, 1)), (ORIGIN, top, ORIGIN)), space, ((ALPHA_EDGE, ALPHA_EDGE),)
+        _path(((0, 1), (1, 2), (1, 1)), (ORIGIN, top, ORIGIN)), space, (ALPHA_EDGE, ALPHA_EDGE)
     )
 
 
@@ -461,7 +442,7 @@ def standard_fn(n: int, space: Optional[SpaceHandle] = None) -> Loop:
     return _charted(
         _path(((0, 1), (1, 2), (tn, td), (1, 1)), (ORIGIN, circ.apex, circ.tail, ORIGIN)),
         space,
-        (tuple(("c", circ.index, j) for j in range(3)),),
+        tuple(("c", circ.index, j) for j in range(3)),
     )
 
 
@@ -476,7 +457,7 @@ def concatenate(a: Loop, b: Loop) -> Loop:
     ts = [_half(n, d) for n, d in a.path._ts]
     ts.extend(_half(n + d, d) for n, d in b.path._ts[1:])
     pts = a.path.points + b.path.points[1:]
-    return _charted(_path(tuple(ts), pts), a.space, (_edges_or_none(a), _edges_or_none(b)))
+    return _charted(_path(tuple(ts), pts), a.space, a._chart + b._chart)
 
 
 def _half(n: int, d: int) -> tuple:
@@ -494,8 +475,7 @@ def concatenate_all(loops: Sequence[Loop]) -> Loop:
 
 
 def reverse(a: Loop) -> Loop:
-    edges = _edges_or_none(a)
-    return _charted(a.path.reversed(), a.space, (edges[::-1] if edges is not None else None,))
+    return _charted(a.path.reversed(), a.space, a._chart[::-1])
 
 
 def subdivide(loop: Loop, extra: Sequence[Fraction]) -> Loop:
@@ -505,10 +485,8 @@ def subdivide(loop: Loop, extra: Sequence[Fraction]) -> Loop:
     that inserts the parameters also names the old piece of each new one.
     """
     path, owner = _refine(loop.path, extra)
-    edges = _edges_or_none(loop)
-    if edges is not None:
-        edges = tuple(edges[i] for i in owner)
-    return _charted(path, loop.space, (edges,))
+    edges = loop._chart
+    return _charted(path, loop.space, tuple(edges[i] for i in owner))
 
 
 def realize_word(w: Word, space: Optional[SpaceHandle] = None) -> Loop:
@@ -523,19 +501,19 @@ def realize_word(w: Word, space: Optional[SpaceHandle] = None) -> Loop:
         return constant_loop(space)
     total = len(letters)
     parts = {}
-    ts, pts, runs = [(0, 1)], [ORIGIN], []
+    ts, pts, chart = [(0, 1)], [ORIGIN], []
     for k, (n, sgn) in enumerate(letters):
         if n not in parts:
             parts[n] = standard_fn(n, space)
         part = parts[n] if sgn > 0 else reverse(parts[n])
-        runs.append(_edges_or_none(part))
+        chart += part._chart
         # (k + t)/total = (k*d + tn)/(total*d); gcd(k*d + tn, d) = 1
         for tn, d in part.path._ts[1:]:
             num = k * d + tn
             g = gcd(num, total)
             ts.append((num // g, total // g * d))
         pts.extend(part.path.points[1:])
-    return _charted(_path(tuple(ts), tuple(pts)), space, runs)
+    return _charted(_path(tuple(ts), tuple(pts)), space, tuple(chart))
 
 
 def include_in_y(loop: Loop) -> Loop:
@@ -545,7 +523,7 @@ def include_in_y(loop: Loop) -> Loop:
     """
     if loop.space.kind is SpaceKind.COMPACT_Y:
         return loop
-    return _charted(loop.path, loop.space.sibling(SpaceKind.COMPACT_Y), (_edges_or_none(loop),))
+    return _charted(loop.path, loop.space.sibling(SpaceKind.COMPACT_Y), loop._chart)
 
 
 def reparametrize(loop: Loop, pairs: Sequence) -> Loop:
@@ -554,7 +532,7 @@ def reparametrize(loop: Loop, pairs: Sequence) -> Loop:
     ``pairs`` lists (s, t) breakpoints of the bijection s -> t with both
     coordinates increasing from 0 to 1; the result traverses the same image
     with the same orientation, so excursion components and winding degrees
-    are unchanged.
+    are unchanged. The new path is located afresh, as by ``Loop``.
     """
     pairs = [(Fraction(s), Fraction(t)) for s, t in pairs]
     if pairs[0] != (0, 0) or pairs[-1] != (1, 1):

@@ -38,7 +38,6 @@ from .geometry import ORIGIN, Point2, Segment, _from_quad, _path, sup_distance
 from .loops import (
     Excursion,
     Loop,
-    _analyze,
     _charted,
     concatenate_all,
     decompose,
@@ -150,7 +149,7 @@ def collapse_to_x(loop: Loop) -> Loop:
     """
     excs = decompose(loop)
     cutoff = _cutoff(loop, excs)
-    edges = _analyze(loop)
+    edges = loop._chart
     ts, pts = loop.path._ts, loop.path.points
     new_ts, new_pts, new_edges = [], [], []
     k = 0  # the first breakpoint of the current kept run
@@ -169,7 +168,7 @@ def collapse_to_x(loop: Loop) -> Loop:
     new_pts += pts[k:]
     new_edges += edges[k:]
     x_space = loop.space.sibling(SpaceKind.BOUQUET_X)
-    return _charted(_path(tuple(new_ts), tuple(new_pts)), x_space, (new_edges,))
+    return _charted(_path(tuple(new_ts), tuple(new_pts)), x_space, tuple(new_edges))
 
 
 def classify_y(loop: Loop) -> HomotopyClass:
@@ -353,7 +352,7 @@ def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
         # t0 + (t1 - t0) * k / grid
         extra.append((n0 * d1 * grid + (n1 * d0 - n0 * d1) * k, d0 * d1 * grid))
     work = subdivide(loop, extra)
-    edges = _analyze(work)
+    edges = work._chart
     pts = list(work.path.points)
     bn, bd = bound.numerator, bound.denominator
     # slide interior breakpoints along their carrying edge
@@ -374,10 +373,12 @@ def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
         elif n >= d:
             n, d = 1, 1
         pts[i] = _from_quad(kernels.lerp(a, b, n, d))
-    chart = [None if p0 == p1 else ref for p0, p1, ref in zip(pts, pts[1:], edges)]
+    qs = [q._q for q in pts]
+    chart = [None if q0 == q1 else ref for q0, q1, ref in zip(qs, qs[1:], edges)]
     ts = list(work.path._ts)
     # bounce: replace one constant-at-p piece with a tiny degree-0 excursion
-    const_p = [i for i, (p0, p1) in enumerate(zip(pts, pts[1:])) if p0 == ORIGIN and p1 == ORIGIN]
+    base = ORIGIN._q
+    const_p = [i for i, (q0, q1) in enumerate(zip(qs, qs[1:])) if q0 == base == q1]
     if const_p and rng.random() < 0.75:
         i = rng.choice(const_p)
         touched = sorted({ref[1] for ref in edges if ref is not None and ref[0] == "c"})
@@ -397,7 +398,7 @@ def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
         ts.insert(i + 1, (mn // g, md // g))
         pts.insert(i + 1, _from_quad(kernels.lerp(arm_edge.a.quad(), arm_edge.b.quad(), *u2)))
         chart[i : i + 1] = [("c", n, arm)] * 2
-    return _charted(_path(tuple(ts), tuple(pts)), loop.space, (chart,))
+    return _charted(_path(tuple(ts), tuple(pts)), loop.space, tuple(chart))
 
 
 def probe_discreteness_x(
@@ -509,7 +510,7 @@ def alpha_decorate(loop: Loop, rng: random.Random) -> Loop:
     far = choose_n(loop) + rng.randint(0, 3)
     arm = space.circle(far).edges[0]
     mid = arm.at(Fraction(1, 2))
-    bounce = _charted(_path(((0, 1), (1, 2), (1, 1)), (ORIGIN, mid, ORIGIN)), space, ((("c", far, 0),) * 2,))
+    bounce = _charted(_path(((0, 1), (1, 2), (1, 1)), (ORIGIN, mid, ORIGIN)), space, (("c", far, 0),) * 2)
     pattern = rng.choice(
         (
             (f, loop, bounce),
@@ -646,7 +647,7 @@ def _sample_small_loop(
         ts.append(((g + 1) // h, groups // h))
         pts.append(ORIGIN)
         chart.append(ref)
-    return _charted(_path(tuple(ts), tuple(pts)), space, (chart,))
+    return _charted(_path(tuple(ts), tuple(pts)), space, tuple(chart))
 
 
 def probe_slsc_y(

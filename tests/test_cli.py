@@ -90,10 +90,20 @@ HOSTILE_LINES = (
         "probe discreteness loop=a trials=1 magnitude=1/1000",
         25,
     ),
+    # each binding holds alone; the letters bound across the script did not
+    (
+        "loop a = word g2^5000\n"
+        "loop b = concat(a, a)\n"
+        "loop c = concat(a, a)\n"
+        "loop d = concat(a, a)\n"
+        "loop e = concat(a, a)",
+        1,
+    ),
 )
 
-# Each probe line passes the parser, whose budgets exit 2, and is refused by
-# the probe itself: one error line, exit 1.
+# Each line passes the parser, whose budgets exit 2, and is refused when it
+# runs: a probe by the probe itself, a points loop off the space when it is
+# built. One error line, exit 1.
 PROBE_REFUSALS = (
     ("Y", "probe slsc radius=1/4 samples=0", "samples must be positive"),
     ("Y", "probe slsc radius=1/2 samples=3", "radius must lie strictly between 0 and 1/2"),
@@ -108,6 +118,22 @@ PROBE_REFUSALS = (
     ("Y", "probe nondiscreteness n_max=4 epsilon=0", "epsilon must be positive"),
     ("Y", "probe disjointness up_to=2", "up_to must be at least 3 (need at least one pair)"),
     ("Y", "probe hausdorff up_to=1", "up_to must be at least 2"),
+    (
+        "Y",
+        "loop q = points [(0,0,0), (1/2,1,1), (1,0,0)]",
+        "invalid loop: piece 0 on [0, 1/2]: breakpoint (1, 1) is outside the space",
+    ),
+    (
+        "X",
+        "loop q = points [(0,0,0), (1/2,0,1/2), (1,0,0)]",
+        "invalid loop: piece 0 on [0, 1/2]: breakpoint (0, 1/2) is outside the space",
+    ),
+    (
+        "Y",
+        "loop q = points [(0,0,0), (1/4,0,1/2), (1/2,1/4,1/2), (1,0,0)]",
+        "invalid loop: piece 1 on [1/4, 1/2]: piece (0, 1/2) -> (1/4, 1/2) "
+        "is not contained in a single edge",
+    ),
 )
 
 # Each concat doubles the loop; the second line already passes the letter budget.
@@ -228,6 +254,7 @@ class TestRun:
             "discreteness-trials",
             "discreteness-trial-letters",
             "discreteness-radius",
+            "script-letters",
         ),
     )
     def test_hostile_literal_fails_fast(self, capsys, tmp_path, line, col):
@@ -252,6 +279,9 @@ class TestRun:
             "nondiscreteness-epsilon",
             "disjointness-up-to",
             "hausdorff-up-to",
+            "points-outside-y",
+            "points-on-alpha-in-x",
+            "points-chord-off-y",
         ),
     )
     def test_probe_refusal_exits_1(self, capsys, tmp_path, kind, line, message):

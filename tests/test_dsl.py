@@ -201,6 +201,22 @@ class TestCircleIndexLimit:
         # on alpha, left of it or at slopes below 2 no circle is looked up
         dsl.parse("space S = Y(5)\nloop q = points [(0,0,0), (1/3,0,1), (1/2,-1,5), (2/3,7,1), (1,0,0)]\n")
 
+    def test_points_candidate_circle_found_once(self, monkeypatch):
+        """The parser looks up each breakpoint's candidate circle once, for
+        the index cap, and the circles a points loop touches are those."""
+        calls = []
+
+        def counted(q, _orig=dsl.candidate_circle):
+            calls.append(q)
+            return _orig(q)
+
+        monkeypatch.setattr(dsl, "candidate_circle", counted)
+        script = dsl.parse(
+            "space S = Y(5)\nloop q = points [(0,0,0), (1/5,1/3,1), (2/5,0,1), (3/5,1/7,1), (4/5,1/3,1), (1,0,0)]\n"
+        )
+        assert len(calls) == 3
+        assert script.statements[1].expr.circles == {3, 7}
+
     def test_probe_bounds(self):
         dsl.parse(f"space S = Y(5)\nprobe hausdorff up_to={self.LIMIT}\n")
         dsl.parse(f"space S = Y(5)\nprobe disjointness up_to={dsl.MAX_PAIRWISE_UP_TO}\n")
@@ -273,6 +289,27 @@ class TestInputBudgets:
         with pytest.raises(dsl.DslError) as err:
             dsl.parse(head + "loop k = concat(w, c, f, q)\nloop m = concat(k, c)\n")
         assert (err.value.line, err.value.message) == (7, f"concat exceeds the limit of {self.LETTERS} letters")
+
+    def test_script_letter_budget(self):
+        """The letters of every binding add up, rebindings included: a script
+        at the limit parses, and the binding that passes it is refused at its
+        line, naming the script's total and the limit."""
+        limit = dsl.MAX_SCRIPT_LETTERS
+        assert limit == 40000
+        words = f"loop w = word g2^{self.LETTERS}\n" * (limit // self.LETTERS)
+        dsl.parse(f"space S = Y(5)\n{words}")
+        for line, name, total in (
+            ("loop c = C(3).once", "c", limit + 1),
+            ("  loop q = points [(0,0,0), (1/3,0,1), (2/3,0,0), (1,0,0)]", "q", limit + 3),
+            ("loop w = concat(w)", "w", limit + self.LETTERS),
+        ):
+            with pytest.raises(dsl.DslError) as err:
+                dsl.parse(f"space S = Y(5)\n{words}{line}\n")
+            assert (err.value.line, err.value.col) == (6, line.index("loop") + 1)
+            assert err.value.message == (
+                f"loop {name} brings the script to {total} letters, "
+                f"which exceeds the limit of {limit} letters per script"
+            )
 
     def test_trial_letter_budget(self):
         """trials times the loop's letters: at the limit parses, one over is

@@ -61,26 +61,30 @@ def x(y):
 
 
 class TestValidate:
+    """``validate`` accepts the loops every constructor builds; an invalid
+    path is refused when the loop is built, with its first violation."""
+
     def test_standard_f_ok(self, y):
         assert validate(standard_f(y)) is None
 
     def test_breakpoint_outside(self, y):
-        bad = loop_from_breakpoints([(0, 0, 0), ("1/2", 1, 1), (1, 0, 0)], y)
-        v = validate(bad)
-        assert v is not None and "outside" in v.reason
+        with pytest.raises(InvalidLoopError) as err:
+            loop_from_breakpoints([(0, 0, 0), ("1/2", 1, 1), (1, 0, 0)], y)
+        assert str(err.value) == "invalid loop: piece 0 on [0, 1/2]: breakpoint (1, 1) is outside the space"
 
     def test_chord_not_in_space(self, y):
         # both endpoints lie in Y but the straight piece between them does not
-        bad = loop_from_breakpoints(
-            [(0, 0, 0), ("1/4", 0, "1/2"), ("1/2", "1/4", "1/2"), (1, 0, 0)], y
+        with pytest.raises(InvalidLoopError) as err:
+            loop_from_breakpoints([(0, 0, 0), ("1/4", 0, "1/2"), ("1/2", "1/4", "1/2"), (1, 0, 0)], y)
+        assert str(err.value) == (
+            "invalid loop: piece 1 on [1/4, 1/2]: piece (0, 1/2) -> (1/4, 1/2) "
+            "is not contained in a single edge"
         )
-        v = validate(bad)
-        assert v is not None and "single edge" in v.reason
 
     def test_wrong_basepoint(self, y):
-        bad = Loop(PLPath(((F(0), point(0, "1/2")), (F(1), point(0, "1/2")))), y)
-        v = validate(bad)
-        assert v is not None and "not at p" in v.reason
+        with pytest.raises(InvalidLoopError) as err:
+            Loop(PLPath(((F(0), point(0, "1/2")), (F(1), point(0, "1/2")))), y)
+        assert str(err.value) == "invalid loop: piece 0 on [0, 0]: loop starts at (0, 1/2), not at p"
 
     def test_accepts_all_constructors(self, x, y):
         w = parse_word("g2 g3^-1 g2^2")
@@ -308,13 +312,6 @@ class TestReparametrization:
             reparametrize(lp, [(0, 0), ("1/2", "1/2"), (1, "3/4")])
 
 
-class TestDecomposeErrors:
-    def test_invalid_loop_raises(self, y):
-        bad = loop_from_breakpoints([(0, 0, 0), ("1/2", 1, 1), (1, 0, 0)], y)
-        with pytest.raises(InvalidLoopError):
-            decompose(bad)
-
-
 def assert_carried(lp):
     """The loop was built with its chart, and the chart is what locating
     its path from scratch gives."""
@@ -388,31 +385,14 @@ class TestCarriedCharts:
             assert sub.path.points != lp.path.points
             assert_carried(sub)
 
-    def test_invalid_operand_keeps_violation_text(self, y):
-        f = standard_f(y)
-        bad = loop_from_breakpoints([(0, 0, 0), ("1/2", 1, 1), (1, 0, 0)], y)
-        cases = [
-            (concatenate(f, bad), "piece 2 on [1/2, 3/4]: breakpoint (1, 1) is outside the space"),
-            (concatenate(bad, f), "piece 0 on [0, 1/4]: breakpoint (1, 1) is outside the space"),
-            (reverse(bad), "piece 0 on [0, 1/2]: breakpoint (1, 1) is outside the space"),
-            (
-                concatenate_all([f, bad, reverse(bad)]),
-                "piece 2 on [1/4, 3/8]: breakpoint (1, 1) is outside the space",
-            ),
-        ]
-        for lp, text in cases:
-            assert lp._chart is None
-            assert str(validate(lp)) == text
-            with pytest.raises(InvalidLoopError) as err:
-                decompose(lp)
-            assert str(err.value) == text
-
-    def test_include_of_x_invalid_loop_relocates_in_y(self, x):
-        on_alpha = loop_from_breakpoints([(0, 0, 0), ("1/2", 0, "1/2"), (1, 0, 0)], x)
-        assert validate(on_alpha) is not None
-        ly = include_in_y(on_alpha)
-        assert validate(ly) is None
-        assert decompose(ly)[0].component.kind == "alpha"
+    def test_points_on_alpha_refused_in_x_accepted_in_y(self, x, y):
+        triples = [(0, 0, 0), ("1/2", 0, "1/2"), (1, 0, 0)]
+        with pytest.raises(InvalidLoopError) as err:
+            loop_from_breakpoints(triples, x)
+        assert str(err.value) == "invalid loop: piece 0 on [0, 1/2]: breakpoint (0, 1/2) is outside the space"
+        ly = loop_from_breakpoints(triples, y)
+        assert_carried(ly)
+        assert [e.component.kind for e in decompose(ly)] == ["alpha"]
 
 
 def lifted_degree(exc):

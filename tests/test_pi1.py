@@ -10,7 +10,6 @@ from pi1lab.exactnum import dyadic_sqrt_bounds
 from pi1lab.geometry import ORIGIN, PLPath
 from pi1lab.loops import (
     Loop,
-    _analyze,
     _first_violation,
     concatenate,
     concatenate_all,
@@ -466,7 +465,7 @@ def perturb_once_fraction(loop, rng, bound, clamps):
         k = rng.randint(1, grid - 1)
         extra.append(params[i] + (params[i + 1] - params[i]) * Fraction(k, grid))
     work = subdivide(loop, extra)
-    edges = _analyze(work)
+    edges = work._chart
     bks = list(work.path.breakpoints)
     for i in pi1._slide_candidates(work, edges):
         if rng.random() < 0.5:
@@ -603,7 +602,7 @@ class TestRecords:
         assert word_loop != ly
         for lp in corpus:
             fresh = Loop(lp.path, lp.space)
-            assert fresh._chart is None and fresh._excursions is None
+            assert fresh._chart == lp._chart and fresh._excursions is None
             assert lp == fresh and hash(lp) == hash(fresh)
             excs = decompose(lp)
             again = decompose(fresh)
