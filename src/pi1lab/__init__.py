@@ -53,7 +53,7 @@ from .pi1 import (
 )
 from .report import ProbeReport
 from .spaces import (
-    ComponentId,
+    ALPHA,
     Membership,
     SpaceHandle,
     SpaceKind,
@@ -61,6 +61,7 @@ from .spaces import (
     bouquet_x,
     build_circle,
     compact_y,
+    component_name,
     component_of,
     default_x,
     default_y,

@@ -47,6 +47,7 @@ from .pi1 import (
 )
 from .report import FAIL, ProbeReport, exact_str, report_digits
 from .spaces import (
+    Circle,
     SpaceError,
     SpaceHandle,
     SpaceKind,
@@ -67,6 +68,8 @@ class _Runner:
 
     def __init__(self, bindings_only: bool = False):
         self.spaces: Dict[str, SpaceHandle] = {}
+        # one circle cache per width profile, shared by every space of the script
+        self.circles: Dict[str, Dict[int, Circle]] = {}
         self.loops: Dict[str, Loop] = {}
         self.active: Optional[SpaceHandle] = None
         self.out: List[str] = []
@@ -105,7 +108,8 @@ class _Runner:
             if isinstance(st, dsl.SpaceDecl):
                 profile = profile_by_name(st.width)
                 kind = SpaceKind.BOUQUET_X if st.kind == "X" else SpaceKind.COMPACT_Y
-                handle = SpaceHandle(kind, profile, st.hint)
+                circles = self.circles.setdefault(profile.name, {})
+                handle = SpaceHandle(kind, profile, st.hint, circles)
                 self.spaces[st.name] = handle
                 self.active = handle
             elif isinstance(st, dsl.LoopBinding):
@@ -164,19 +168,26 @@ class _Runner:
         raise ValueError(f"unhandled probe kind {st.kind!r}")
 
 
-def _read_script(path: str) -> str:
+def _read_script(path: str) -> bytes:
+    """The script's first MAX_SCRIPT_BYTES + 1 bytes: enough to tell an
+    over-long script without reading it all."""
+    limit = dsl.MAX_SCRIPT_BYTES + 1
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        return sys.stdin.buffer.read(limit)
+    with open(path, "rb") as fh:
+        return fh.read(limit)
 
 
 def _cmd_run(args, bindings_only: bool = False) -> int:
     try:
-        text = _read_script(args.script)
+        data = _read_script(args.script)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if len(data) > dsl.MAX_SCRIPT_BYTES:
+        print(f"error: script exceeds the limit of {dsl.MAX_SCRIPT_BYTES} bytes", file=sys.stderr)
+        return 2
+    text = data.decode("utf-8")
     try:
         script = dsl.parse(text)
     except dsl.DslError as exc:
@@ -249,7 +260,7 @@ def _cmd_hausdorff(args) -> int:
 
 def demo_whitehead(nmax: int = 32, seed: int = 0, out_dir: str = ".") -> Tuple[int, str]:
     """The full pipeline; returns (exit_code, report_text) and writes the scene SVG."""
-    y = compact_y(hint=max(nmax, 20))
+    y = compact_y()
     x = y.sibling(SpaceKind.BOUQUET_X)
     blocks: List[str] = []
     summary: List[Tuple[str, bool]] = []

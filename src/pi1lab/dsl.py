@@ -37,9 +37,9 @@ fails at once with a parse error instead of running for seconds to hours:
 - no word literal or ``concat`` may have more than ``MAX_WORD_LETTERS``
   letters. The parser records a letter count for each bound loop: a
   word's length, and 1 per circle, alpha or ``points`` piece;
-- the loops bound in one script may have at most ``MAX_SCRIPT_LETTERS``
-  letters in all: the sum of the letter counts of its bindings, each
-  rebinding counted again;
+- one script may spend at most ``MAX_SCRIPT_LETTERS`` letters in all: each
+  binding adds its letter count (a rebinding counts again), each
+  ``classify`` its loop's and each ``dist`` both loops';
 - ``probe discreteness`` runs at most ``MAX_TRIALS`` trials and ``probe
   slsc`` at most ``MAX_SAMPLES`` samples;
 - ``probe discreteness`` runs at most ``MAX_TRIAL_LETTERS`` letter-trials:
@@ -82,15 +82,17 @@ MAX_LITERAL_DIGITS = 4300
 # in it.
 MAX_WORD_LETTERS = 10000
 
-# Most letters the bindings of one script may have in all. Building a loop
-# takes time linear in its letters, and MAX_WORD_LETTERS bounds only one
+# Most letters one script may spend in all: each binding's letters, and the
+# letters of the loops each classify and dist reads. Building or reading a
+# loop takes time linear in its letters, and MAX_WORD_LETTERS bounds only one
 # binding, so before this budget a script's work grew with its line count.
 # `pi1lab run` on 40,000 letters took 0.25 s as words of 10,000 letters,
 # 0.75 s as one-letter C(2).once lines, and 1.3 s and 1.8 s as points pieces
 # through the apex of C_2 and of C_1000, the costliest letters (fresh
 # process, pure-Python kernels, Python 3.11, one core of a 2-vCPU VM).
 # Before, 50 lines of 10,000-letter words took 1.7 s, and 500 lines of a
-# 10,000-letter concat 12 s. The documented scripts bind under 100 letters.
+# 10,000-letter concat 12 s, and 200 lines of classify a on a 10,000-letter
+# word 1.3-1.6 s. The documented scripts spend under 100 letters.
 MAX_SCRIPT_LETTERS = 40000
 
 # Most trials of probe discreteness and samples of probe slsc, whose time
@@ -119,6 +121,15 @@ MAX_TRIAL_LETTERS = 100000
 # of a 2-vCPU VM). The demo's loops need at most 25 units (g2^2 g5^-1), and
 # the documented scripts none.
 MAX_RADIUS_WORK = 350000
+
+# Longest script, in bytes, that `pi1lab run` and `pi1lab render` read; a
+# longer one is refused before it is parsed. MAX_SCRIPT_LETTERS counts a
+# points piece as one letter whatever its digits: points pieces cost 0.29 s
+# per MB through the tail of C_100 and 0.36 s per MB with 4,300-digit
+# coordinates on C_2, so a script at the cap ran 1.1-1.4 s, and 10 lines of
+# 4,000 pieces through C_100 (80 MB) ran 23 s (fresh process, pure-Python
+# kernels, Python 3.11, one core of a 2-vCPU VM).
+MAX_SCRIPT_BYTES = 4000000
 
 # Count parameters bounded above, checked before any name on the line is
 # resolved.
@@ -288,6 +299,20 @@ def _check_radius_work(args: dict, touched: dict, line_text: str, line: int, col
         )
 
 
+def _spend_letters(total: int, letters: int, what: str, line: int, col: int) -> int:
+    """The script's letter total once the statement ``what`` adds
+    ``letters``; refused at its line and column past MAX_SCRIPT_LETTERS."""
+    total += letters
+    if total > MAX_SCRIPT_LETTERS:
+        raise DslError(
+            line,
+            col,
+            f"{what} brings the script to {total} letters, "
+            f"which exceeds the limit of {MAX_SCRIPT_LETTERS} letters per script",
+        )
+    return total
+
+
 def _circles(expr: LoopExpr, touched: dict) -> frozenset:
     """The circle indices a loop expression can touch, the set
     MAX_RADIUS_WORK is measured on; ``touched`` maps bound names to theirs."""
@@ -425,7 +450,7 @@ def parse(text: str) -> Script:
     spaces: set = set()
     loops: dict = {}  # bound loop name -> letter count
     touched: dict = {}  # bound loop name -> the circle indices it can touch
-    script_letters = 0  # the letters of every binding so far
+    script_letters = 0  # the letters of every binding, classify and dist so far
     active_space: Optional[SpaceDecl] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -462,31 +487,30 @@ def parse(text: str) -> Script:
             if isinstance(expr, AlphaExpr) and active_space.kind != "Y":
                 raise DslError(lineno, col, "alpha.updown needs the compact space Y")
             loops[name] = _letters(expr, loops)
-            script_letters += loops[name]
-            if script_letters > MAX_SCRIPT_LETTERS:
-                raise DslError(
-                    lineno,
-                    col,
-                    f"loop {name} brings the script to {script_letters} letters, "
-                    f"which exceeds the limit of {MAX_SCRIPT_LETTERS} letters per script",
-                )
+            script_letters = _spend_letters(script_letters, loops[name], f"loop {name}", lineno, col)
             statements.append(LoopBinding(name, expr))
             touched[name] = _circles(expr, touched)
         elif head == "classify":
             m = re.match(r"^classify\s+(\w+)$", stripped)
             if not m:
                 raise DslError(lineno, col, "expected: classify <loop-name>")
-            if m.group(1) not in loops:
-                raise DslError(lineno, col, f"unbound loop name {m.group(1)!r}")
-            statements.append(ClassifyStmt(m.group(1)))
+            name = m.group(1)
+            if name not in loops:
+                raise DslError(lineno, col, f"unbound loop name {name!r}")
+            script_letters = _spend_letters(script_letters, loops[name], f"classify {name}", lineno, col)
+            statements.append(ClassifyStmt(name))
         elif head == "dist":
             m = re.match(r"^dist\s+(\w+)\s+(\w+)$", stripped)
             if not m:
                 raise DslError(lineno, col, "expected: dist <loop-name> <loop-name>")
-            for nm in (m.group(1), m.group(2)):
+            first, second = m.groups()
+            for nm in (first, second):
                 if nm not in loops:
                     raise DslError(lineno, col, f"unbound loop name {nm!r}")
-            statements.append(DistStmt(m.group(1), m.group(2)))
+            script_letters = _spend_letters(
+                script_letters, loops[first] + loops[second], f"dist {first} {second}", lineno, col
+            )
+            statements.append(DistStmt(first, second))
         elif head == "probe":
             m = re.match(r"^probe\s+(\w+)((?:\s+\w+=\S+)*)$", stripped)
             if not m:

@@ -38,10 +38,12 @@ A ``Loop`` and an ``Excursion`` are plain records with ``__slots__``:
 their fields are set once in the constructor, what is computed later (the
 excursions, the degree, the subpath) is assigned to its own slot in place,
 and equality and hashing read only the constructor's fields (a loop's
-chart is fixed by its path and space). The excursions into one circle
-share one ``ComponentId``. The lift of a winding degree compares vertex
-quads and reads each run's shared vertex and its step of +1, -1 or 0 from
-small tables.
+chart is fixed by its path and space). A chart's edges are the int pairs
+of ``spaces``, (n, j) for edge j of C_n or ``ALPHA_EDGE``, so an
+excursion's component is the first entry of its edges, the circle index n
+or ``ALPHA``, and the least edge through a point is the least pair. The
+lift of a winding degree compares vertex quads and reads each run's shared
+vertex and its step of +1, -1 or 0 from small tables.
 """
 from __future__ import annotations
 
@@ -52,16 +54,15 @@ from typing import Optional, Sequence, Tuple
 
 from .geometry import ORIGIN, PLPath, _path, _refine, pl_path
 from .spaces import (
-    ALPHA_COMPONENT,
+    ALPHA,
     ALPHA_EDGE,
-    ComponentId,
     EdgeRef,
     SpaceError,
     SpaceHandle,
     SpaceKind,
+    component_name,
     default_x,
     default_y,
-    edge_is_base_incident,
 )
 from .words import Word
 
@@ -144,9 +145,9 @@ class Excursion:
     runs from breakpoint ``k`` to ``k + 1`` and lies on ``piece_edges[k]``.
     ``t_start``, ``t_end`` and ``breakpoints`` read the slice as Fractions,
     and ``subpath``, the slice renormalized to [0, 1], is built from the
-    pairs the first time it is read and kept. The component tag names the
-    unique component of (space minus p) carrying the excursion's interior;
-    excursions into one circle share one tag. The winding degree of a
+    pairs the first time it is read and kept. ``component`` is the unique
+    component of (space minus p) carrying the excursion's interior: the
+    index n of its circle C_n, or ``ALPHA``. The winding degree of a
     circle excursion is stored on its first computation; it takes no part
     in equality.
     """
@@ -209,16 +210,12 @@ class Excursion:
         return path
 
 
-def _edge_sort_key(ref: EdgeRef):
-    return (0, 0, 0) if ref == ALPHA_EDGE else (1, ref[1], ref[2])
-
-
 def _first_violation(loop: Loop):
     """Locate the path from scratch: its piece edges, or its first Violation.
 
     Each breakpoint other than p is located once, when a piece first needs
-    it; a moving piece lies on the edges through both of its endpoints.
-    Points are compared by their quads.
+    it; a moving piece lies on the edges through both of its endpoints, and
+    on the least of them. Points are compared by their quads.
     """
     ts, pts = loop.path._ts, loop.path.points
     base = ORIGIN._q
@@ -249,14 +246,14 @@ def _first_violation(loop: Loop):
             if q._q != base and not edges_at(k):
                 return Violation(i, t(i), t(i + 1), f"breakpoint {q} is outside the space")
         if q1 == base:
-            hits = [ref for ref in edges_at(i) if edge_is_base_incident(ref)]
+            hits = [ref for ref in edges_at(i) if ref[1] != 1]
         elif q0 == base:
-            hits = [ref for ref in edges_at(i + 1) if edge_is_base_incident(ref)]
+            hits = [ref for ref in edges_at(i + 1) if ref[1] != 1]
         else:
             hits = [ref for ref in edges_at(i) if ref in edges_at(i + 1)]
         if not hits:
             return Violation(i, t(i), t(i + 1), f"piece {p0} -> {p1} is not contained in a single edge")
-        edges.append(min(hits, key=_edge_sort_key))
+        edges.append(min(hits))
     return tuple(edges)
 
 
@@ -282,28 +279,14 @@ def validate(loop: Loop) -> Optional[Violation]:
     return v if isinstance(v, Violation) else None
 
 
-# The component of each edge key, an edge's first two entries: one shared
-# ComponentId per circle index, built the first time the circle is met. A
-# ComponentId is immutable and names only the index, so one table serves
-# every space handle, including those a run builds afresh.
-_COMPONENTS = {ALPHA_EDGE: ALPHA_COMPONENT}
-
-
-def _component_of_key(key: tuple) -> ComponentId:
-    comp = _COMPONENTS.get(key)
-    if comp is None:
-        comp = _COMPONENTS[key] = ComponentId.circle(key[1])
-    return comp
-
-
 def decompose(loop: Loop) -> Tuple[Excursion, ...]:
     """Maximal excursions away from p, in parameter order.
 
     Constant-at-p stretches produce no excursion. Each excursion is tagged
     with the unique component of (space minus p) carrying it, read off the
-    loop's chart: the first two entries of an edge name its circle (or
-    alpha), so no point is located. The tag is shared: one ComponentId per
-    circle, and ``ALPHA_COMPONENT``. Computed at most once per Loop and stored in its ``_excursions`` slot.
+    loop's chart: the first entry of an edge is its circle index (or
+    ``ALPHA``), so no point is located. Computed at most once per Loop and
+    stored in its ``_excursions`` slot.
     """
     excs = loop._excursions
     if excs is None:
@@ -321,15 +304,13 @@ def _excursions(loop: Loop) -> Tuple[Excursion, ...]:
         if j == i + 1:
             continue
         piece_edges = edges[i:j]
-        keys = {ref[:2] for ref in piece_edges if ref is not None}
-        if len(keys) != 1:
-            comps = {_component_of_key(ref[:2]) for ref in piece_edges if ref is not None}
+        comps = {ref[0] for ref in piece_edges if ref is not None}
+        if len(comps) != 1:
             raise InvalidLoopError(
                 f"excursion on [{Fraction(*ts[i])}, {Fraction(*ts[j])}] spans components "
-                f"{sorted(map(str, comps))}"
+                f"{sorted(map(component_name, comps))}"
             )
-        comp = _component_of_key(keys.pop())
-        out.append(Excursion(comp, ts[i : j + 1], pts[i : j + 1], piece_edges, space, i))
+        out.append(Excursion(comps.pop(), ts[i : j + 1], pts[i : j + 1], piece_edges, space, i))
     return tuple(out)
 
 
@@ -354,7 +335,7 @@ def winding_degree(exc: Excursion) -> int:
     and the shared vertex and the step are table lookups.
     Computed at most once per Excursion and stored in its ``_degree`` slot.
     """
-    if exc.component.kind != "circle":
+    if exc.component == ALPHA:
         raise WindingError("winding degree is defined only for circle excursions")
     d = exc._degree
     if d is None:
@@ -363,14 +344,14 @@ def winding_degree(exc: Excursion) -> int:
 
 
 def _lift_degree(exc: Excursion) -> int:
-    vertices = exc.space.circle(exc.component.index).vertices
+    vertices = exc.space.circle(exc.component).vertices
     lift = 0
     at = 0  # the vertex the current run started from
     run = None  # the edge of the current run
     for q, ref in zip(exc.points, exc.piece_edges):
-        if ref is None or ref[2] == run:
+        if ref is None or ref[1] == run:
             continue
-        j = ref[2]
+        j = ref[1]
         if run is not None:
             v = _SHARED[run][j]
             if q._q != vertices[v]._q:
@@ -442,7 +423,7 @@ def standard_fn(n: int, space: Optional[SpaceHandle] = None) -> Loop:
     return _charted(
         _path(((0, 1), (1, 2), (tn, td), (1, 1)), (ORIGIN, circ.apex, circ.tail, ORIGIN)),
         space,
-        tuple(("c", circ.index, j) for j in range(3)),
+        ((n, 0), (n, 1), (n, 2)),
     )
 
 

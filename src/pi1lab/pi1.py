@@ -34,7 +34,15 @@ from typing import Optional, Sequence, Tuple
 
 from . import kernels
 from .exactnum import dyadic_sqrt_bounds, rational_decimal
-from .geometry import ORIGIN, Point2, Segment, _from_quad, _path, sup_distance
+from .geometry import (
+    ORIGIN,
+    Point2,
+    Segment,
+    _from_quad,
+    _path,
+    segment_segment_distance_sq,
+    sup_distance,
+)
 from .loops import (
     Excursion,
     Loop,
@@ -50,7 +58,7 @@ from .loops import (
     winding_degree,
 )
 from .report import FAIL, PASS, ProbeParameterError, ProbeReport, exact_str, report_digits
-from .spaces import ALPHA_EDGE, SpaceHandle, SpaceKind, default_y
+from .spaces import ALPHA, ALPHA_EDGE, SpaceHandle, SpaceKind, default_y
 from .words import Word, format_word, reduce_letters
 
 
@@ -77,7 +85,7 @@ def _classify(loop: Loop, kind: SpaceKind) -> HomotopyClass:
     """
     letters = []
     for exc in decompose(loop):
-        if exc.component.kind != "circle":
+        if exc.component == ALPHA:
             if kind is SpaceKind.BOUQUET_X:
                 raise ClassificationError(
                     "loop leaves the bouquet: excursion into the limit segment "
@@ -86,7 +94,7 @@ def _classify(loop: Loop, kind: SpaceKind) -> HomotopyClass:
             continue
         d = winding_degree(exc)
         if d != 0:
-            letters.append((exc.component.index, d))
+            letters.append((exc.component, d))
     return HomotopyClass(reduce_letters(letters), kind)
 
 
@@ -102,7 +110,7 @@ def _apex_on_excursion(exc: Excursion, apex: Point2) -> bool:
             if p0 == apex:
                 return True
             continue
-        if ref[2] not in (0, 1):
+        if ref[1] == 2:
             continue
         if p0 == apex or p1 == apex or Segment(p0, p1).contains(apex):
             return True
@@ -125,10 +133,8 @@ def _cutoff(loop: Loop, excs: Sequence[Excursion]) -> int:
     """choose_n of a loop from its excursions."""
     worst = 1
     for exc in excs:
-        if exc.component.kind != "circle":
-            continue
-        n = exc.component.index
-        if n <= worst:
+        n = exc.component
+        if n <= worst:  # ALPHA is 0, below every circle index
             continue
         apex = loop.space.circle(n).apex
         if winding_degree(exc) != 0 or _apex_on_excursion(exc, apex):
@@ -155,7 +161,7 @@ def collapse_to_x(loop: Loop) -> Loop:
     k = 0  # the first breakpoint of the current kept run
     for exc in excs:
         comp = exc.component
-        if comp.kind == "circle" and comp.index < cutoff:
+        if comp != ALPHA and comp < cutoff:
             continue
         # keep breakpoints k..a, then one constant piece at p from a to b
         a, b = exc.first, exc.first + len(exc.ts) - 1
@@ -297,13 +303,9 @@ def stability_radius(loop: Loop) -> Fraction:
     distance between p-distal edge halves of distinct touched circles. The
     1/N^2 term reflects the angular separation of the arms at p.
     """
-    touched = sorted(
-        {exc.component.index for exc in decompose(loop) if exc.component.kind == "circle"}
-    )
+    touched = sorted({exc.component for exc in decompose(loop)} - {ALPHA})
     n_top = touched[-1] if touched else 2
     best = Fraction(1, n_top * n_top)
-    from .geometry import segment_segment_distance_sq
-
     for i, n in enumerate(touched):
         cn = loop.space.circle(n)
         for m in touched[i + 1 :]:
@@ -381,7 +383,7 @@ def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
     const_p = [i for i, (q0, q1) in enumerate(zip(qs, qs[1:])) if q0 == base == q1]
     if const_p and rng.random() < 0.75:
         i = rng.choice(const_p)
-        touched = sorted({ref[1] for ref in edges if ref is not None and ref[0] == "c"})
+        touched = sorted({ref[0] for ref in edges if ref is not None} - {ALPHA})
         n = rng.choice(touched or [2])
         circ = loop.space.circle(n)
         arm = 0 if rng.random() < 0.5 else 2
@@ -397,7 +399,7 @@ def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
         g = gcd(mn, md)
         ts.insert(i + 1, (mn // g, md // g))
         pts.insert(i + 1, _from_quad(kernels.lerp(arm_edge.a.quad(), arm_edge.b.quad(), *u2)))
-        chart[i : i + 1] = [("c", n, arm)] * 2
+        chart[i : i + 1] = [(n, arm)] * 2
     return _charted(_path(tuple(ts), tuple(pts)), loop.space, tuple(chart))
 
 
@@ -510,7 +512,7 @@ def alpha_decorate(loop: Loop, rng: random.Random) -> Loop:
     far = choose_n(loop) + rng.randint(0, 3)
     arm = space.circle(far).edges[0]
     mid = arm.at(Fraction(1, 2))
-    bounce = _charted(_path(((0, 1), (1, 2), (1, 1)), (ORIGIN, mid, ORIGIN)), space, (("c", far, 0),) * 2)
+    bounce = _charted(_path(((0, 1), (1, 2), (1, 1)), (ORIGIN, mid, ORIGIN)), space, ((far, 0),) * 2)
     pattern = rng.choice(
         (
             (f, loop, bounce),
@@ -625,7 +627,7 @@ def _sample_small_loop(
             j = 2 if kind == "arm2" else 0
             arm = circ.edges[j]
             direction = circ.apex if j == 0 else circ.tail
-            ref = ("c", n, j)
+            ref = (n, j)
         # |direction| is the length of its arm, the edge from p to it
         _, hi = arm.length_bracket
         wiggles = rng.randint(1, 4)

@@ -116,10 +116,14 @@ def build_circle(n: int, width_profile: WidthProfile = POW10) -> Circle:
     return Circle(n, apex, tail, edges)
 
 
-# An edge reference is ("alpha",) or ("c", n, j) with j in {0: p->B, 1: B->D, 2: D->p}.
-EdgeRef = tuple
+# An edge is the int pair (n, j): edge j of C_n, with j in {0: p->B, 1: B->D,
+# 2: D->p}, or ALPHA_EDGE for the limit segment. Its first entry is its
+# component of (space minus p): the circle index, or ALPHA, which no circle
+# has. Every edge but a cap (j == 1) meets p, and tuple order puts alpha first.
+EdgeRef = Tuple[int, int]
 
-ALPHA_EDGE: EdgeRef = ("alpha",)
+ALPHA = 0
+ALPHA_EDGE: EdgeRef = (ALPHA, 0)
 
 
 def candidate_circle(q: tuple) -> int:
@@ -129,30 +133,9 @@ def candidate_circle(q: tuple) -> int:
     return max(2, -((-yn * xd) // (xn * yd)))
 
 
-def edge_is_base_incident(ref: EdgeRef) -> bool:
-    return ref == ALPHA_EDGE or ref[2] in (0, 2)
-
-
-@dataclass(frozen=True)
-class ComponentId:
-    """A path component of (space minus the base point)."""
-
-    kind: str  # "circle" | "alpha"
-    index: Optional[int] = None
-
-    @classmethod
-    def circle(cls, n: int) -> "ComponentId":
-        return cls("circle", n)
-
-    @classmethod
-    def alpha(cls) -> "ComponentId":
-        return cls("alpha", None)
-
-    def __str__(self) -> str:
-        return "alpha" if self.kind == "alpha" else f"C{self.index}"
-
-
-ALPHA_COMPONENT = ComponentId.alpha()
+def component_name(comp: int) -> str:
+    """A component of (space minus p) as text: alpha, or C<n>."""
+    return "alpha" if comp == ALPHA else f"C{comp}"
 
 
 @dataclass(frozen=True)
@@ -176,7 +159,9 @@ class SpaceHandle:
 
     ``circle(n)`` caches C_n after the local checks of the module docstring
     (strict width decrease and the cone certificate against C_{n-1}) and
-    raises ``SpaceConsistencyError`` for a circle that fails them. Point
+    raises ``SpaceConsistencyError`` for a circle that fails them. The cache
+    ``_circles`` may be shared by handles of one profile: ``sibling`` passes
+    it on, and a script's spaces of one profile share one. Point
     queries look at the single candidate circle max(2, ceil(y/x)), so their
     answers depend neither on the cache nor on ``hint``, which is only the
     default number of circles a rendering draws.
@@ -234,7 +219,7 @@ class SpaceHandle:
         circ = self.circle(candidate_circle(qq))
         for j, e in enumerate(circ.edges):
             if e.contains(q):
-                yield ("c", circ.index, j)
+                yield (circ.index, j)
 
     def membership(self, q: Point2) -> Membership:
         """Exact stratum classification of a point."""
@@ -245,18 +230,17 @@ class SpaceHandle:
         ref = next(self._circle_edges_at(q), None)
         if ref is None:
             return OUTSIDE
-        return Membership("circle", ref[1], ref[2])
+        return Membership("circle", *ref)
 
-    def component_of(self, q: Point2) -> ComponentId:
-        """The unique component of (space minus p) containing q; q must not be p."""
+    def component_of(self, q: Point2) -> int:
+        """The unique component of (space minus p) containing q, its circle
+        index or ALPHA; q must not be p."""
         if q == ORIGIN:
             raise OutsideSpaceError("the base point lies in every stratum; no single component")
         m = self.membership(q)
         if m.kind == "outside":
             raise OutsideSpaceError(f"point {q} is not in the space")
-        if m.kind == "alpha":
-            return ALPHA_COMPONENT
-        return ComponentId.circle(m.circle_index)
+        return ALPHA if m.kind == "alpha" else m.circle_index
 
     def edges_containing(self, q: Point2) -> Tuple[EdgeRef, ...]:
         """All edges through a non-base point (one, or two at a triangle vertex)."""
@@ -269,9 +253,8 @@ class SpaceHandle:
         return tuple(out)
 
     def edge_segment(self, ref: EdgeRef) -> Segment:
-        if ref == ALPHA_EDGE:
-            return self.alpha_segment
-        return self.circle(ref[1]).edges[ref[2]]
+        n, j = ref
+        return self.alpha_segment if n == ALPHA else self.circle(n).edges[j]
 
 
 def _certify(circ: Circle, profile: WidthProfile) -> None:
@@ -319,7 +302,7 @@ def membership(q: Point2, space: SpaceHandle) -> Membership:
     return space.membership(q)
 
 
-def component_of(q: Point2, space: SpaceHandle) -> ComponentId:
+def component_of(q: Point2, space: SpaceHandle) -> int:
     return space.component_of(q)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import os
 import re
 import subprocess
@@ -99,6 +100,15 @@ HOSTILE_LINES = (
         "loop e = concat(a, a)",
         1,
     ),
+    # each line holds alone; the letters classify reads again did not
+    (
+        "loop a = word g2^10000\n"
+        "classify a\n"
+        "classify a\n"
+        "classify a\n"
+        "classify a",
+        1,
+    ),
 )
 
 # Each line passes the parser, whose budgets exit 2, and is refused when it
@@ -134,6 +144,12 @@ PROBE_REFUSALS = (
         "invalid loop: piece 1 on [1/4, 1/2]: piece (0, 1/2) -> (1/4, 1/2) "
         "is not contained in a single edge",
     ),
+)
+
+# Three spaces of one width profile, each with a word through C_2 ... C_1000.
+REPEATED_SPACE_SCRIPT = "".join(
+    f"space S = Y(20)\nloop w{k} = word {' '.join(f'g{n}' for n in range(2, 1001))}\nclassify w{k}\n"
+    for k in range(3)
 )
 
 # Each concat doubles the loop; the second line already passes the letter budget.
@@ -255,6 +271,7 @@ class TestRun:
             "discreteness-trial-letters",
             "discreteness-radius",
             "script-letters",
+            "classify-letters",
         ),
     )
     def test_hostile_literal_fails_fast(self, capsys, tmp_path, line, col):
@@ -301,6 +318,54 @@ class TestRun:
         assert err.startswith("parse error: line 3, col 1: concat exceeds the limit")
         code, out, err = run_cli(capsys, ["word", "concat(word g2^10000, C(3).once)"])
         assert code == 2 and out == "" and "concat exceeds the limit" in err
+
+    def test_spaces_of_one_profile_share_circles(self, capsys, tmp_path, monkeypatch):
+        """Each space statement used to start an empty circle cache, so
+        three spaces building C_2 ... C_1000 built 2,997 circles."""
+        script = tmp_path / "spaces.pi1"
+        script.write_text(REPEATED_SPACE_SCRIPT, encoding="utf-8")
+        built = []
+
+        def counted(n, profile, _orig=spaces.build_circle):
+            built.append(n)
+            return _orig(n, profile)
+
+        monkeypatch.setattr(spaces, "build_circle", counted)
+        code, out, err = run_cli(capsys, ["run", str(script)])
+        word = " ".join(f"g{n}" for n in range(2, 1001))
+        assert code == 0 and err == ""
+        assert out == "\n\n".join([f"word: {word}"] * 3) + "\n"
+        assert sorted(built) == list(range(2, 1001))
+
+    @pytest.mark.parametrize("command", ["run", "render"])
+    def test_script_byte_cap(self, capsys, tmp_path, monkeypatch, command):
+        """A script over MAX_SCRIPT_BYTES, from a file or stdin, exits 2
+        before it is parsed; one at the cap is parsed."""
+        limit = dsl.MAX_SCRIPT_BYTES
+        assert limit == 4000000
+        head = f"space S = Y(5)\nrender S -> {tmp_path / 'cap.svg'}\n"
+        at_cap = head + "#" * (limit - len(head) - 1) + "\n"
+        assert len(at_cap.encode()) == limit
+        parsed = []
+
+        def parse(text, _orig=dsl.parse):
+            parsed.append(len(text))
+            return _orig(text)
+
+        monkeypatch.setattr(dsl, "parse", parse)
+        script = tmp_path / "cap.pi1"
+        script.write_text(at_cap, encoding="utf-8")
+        assert run_cli(capsys, [command, str(script)])[0] == 0
+        assert parsed == [limit]
+        script.write_text(at_cap + "\n", encoding="utf-8")
+        assert run_cli(capsys, [command, str(script)]) == (
+            2, "", f"error: script exceeds the limit of {limit} bytes\n"
+        )
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\n" * (limit + 1))))
+        assert run_cli(capsys, [command, "-"]) == (
+            2, "", f"error: script exceeds the limit of {limit} bytes\n"
+        )
+        assert parsed == [limit]
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, ["run", "/nonexistent/script.pi1"])
@@ -498,18 +563,13 @@ class TestDemo:
     def test_work_counts(self, tmp_path, monkeypatch):
         """A warmed seed-1 demo makes at most 60 dyadic_sqrt_bounds calls,
         since each edge brackets its length once (598 when every slide and
-        bounce bracketed its edge again); builds no ComponentId, since the
-        excursions into one circle share one; and lifts no excursion twice."""
+        bounce bracketed its edge again); and lifts no excursion twice."""
         demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
-        brackets, components, built, lifted = [0], [0], [], []
+        brackets, built, lifted = [0], [], []
 
         def bounds(*args, _orig=exactnum.dyadic_sqrt_bounds):
             brackets[0] += 1
             return _orig(*args)
-
-        def component(self, *args, _orig=spaces.ComponentId.__init__):
-            components[0] += 1
-            _orig(self, *args)
 
         def excursion(*args, _orig=loops.Excursion):
             exc = _orig(*args)
@@ -522,14 +582,12 @@ class TestDemo:
 
         for mod in (geometry, pi1):
             monkeypatch.setattr(mod, "dyadic_sqrt_bounds", bounds)
-        monkeypatch.setattr(spaces.ComponentId, "__init__", component)
         monkeypatch.setattr(loops, "Excursion", excursion)
         monkeypatch.setattr(loops, "_lift_degree", lift)
         code, _ = demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
         monkeypatch.undo()
         assert code == 0
         assert 0 < brackets[0] <= 60
-        assert components[0] == 0
         assert 0 < len(lifted) <= len(built)
         assert len({id(exc) for exc in lifted}) == len(lifted)
         assert {id(exc) for exc in lifted} <= {id(exc) for exc in built}

@@ -311,6 +311,25 @@ class TestInputBudgets:
                 f"which exceeds the limit of {limit} letters per script"
             )
 
+    def test_classify_and_dist_spend_letters(self):
+        """classify adds its loop's letters to the script's total and dist
+        both loops': at the limit parses, and the statement that passes it
+        is refused at its line and column, naming the total and the limit."""
+        limit = dsl.MAX_SCRIPT_LETTERS
+        head = f"space S = Y(5)\nloop a = word g2^{self.LETTERS}\n"
+        dsl.parse(head + "classify a\ndist a a\n")
+        for body, line, what, total in (
+            ("classify a\ndist a a\n  classify a", "  classify a", "classify a", limit + self.LETTERS),
+            ("loop c = C(3).once\nclassify a\nclassify a\ndist c a", "dist c a", "dist c a", limit + 2),
+        ):
+            with pytest.raises(dsl.DslError) as err:
+                dsl.parse(head + body + "\n")
+            assert (err.value.line, err.value.col) == (3 + body.count("\n"), line.index(what) + 1)
+            assert err.value.message == (
+                f"{what} brings the script to {total} letters, "
+                f"which exceeds the limit of {limit} letters per script"
+            )
+
     def test_trial_letter_budget(self):
         """trials times the loop's letters: at the limit parses, one over is
         refused at the trials value, naming both values and the limit."""

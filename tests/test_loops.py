@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import sqrt_leq_sqrt_plus_sqrt
-from pi1lab import kernels, pi1
+from pi1lab import kernels, loops, pi1
 from pi1lab.geometry import PLPath, point, sup_distance
 from pi1lab.loops import (
     Excursion,
@@ -38,8 +38,9 @@ from pi1lab.pi1 import (
 )
 from pi1lab.spaces import (
     CUBE,
+    ALPHA,
+    ALPHA_EDGE,
     POW10,
-    ComponentId,
     SpaceConsistencyError,
     SpaceKind,
     compact_y,
@@ -109,14 +110,39 @@ class TestDecompose:
     def test_alpha_single_excursion(self, y):
         excs = decompose(standard_f(y))
         assert len(excs) == 1
-        assert excs[0].component.kind == "alpha"
+        assert excs[0].component == ALPHA
         assert excs[0].t_start == 0 and excs[0].t_end == 1
 
     def test_two_excursions_in_order(self, x):
         lp = concatenate(standard_fn(2, x), standard_fn(3, x))
         excs = decompose(lp)
-        assert [e.component.index for e in excs] == [2, 3]
+        assert [e.component for e in excs] == [2, 3]
         assert excs[0].t_end == F(1, 2) and excs[1].t_start == F(1, 2)
+
+    def test_edges_are_int_pairs_and_components_circle_indices(self, y, x):
+        """An edge is the int pair (n, j) and alpha's is (0, 0), so tuple
+        order lists the edges through a point; an excursion's component is
+        its circle's index, so a realized word's are its generator indices."""
+        c3 = y.circle(3)
+        assert y.edges_containing(c3.apex) == ((3, 0), (3, 1))
+        assert y.edges_containing(c3.tail) == ((3, 1), (3, 2))
+        assert y.edges_containing(point(0, 1)) == (ALPHA_EDGE,) == ((ALPHA, 0),) == ((0, 0),)
+        assert y.edges_containing(point(0, F(1, 3))) == ((0, 0),)
+        rng = random.Random(46)
+        for _ in range(20):
+            w = random_reduced_word(rng, 8)
+            comps = [e.component for e in decompose(realize_word(w, x))]
+            assert comps == [n for n, _ in w.letters()]
+
+    def test_chart_across_components_is_refused(self, y):
+        """An excursion whose chart names two components is refused, naming
+        them sorted as text."""
+        apex = y.circle(2).apex
+        path = PLPath(((F(0), point(0, 0)), (F(1, 2), apex), (F(1), point(0, 0))))
+        for chart, names in ((((2, 0), (10, 2)), "['C10', 'C2']"), ((ALPHA_EDGE, (3, 0)), "['C3', 'alpha']")):
+            with pytest.raises(InvalidLoopError) as err:
+                decompose(loops._charted(path, y, chart))
+            assert str(err.value) == f"excursion on [0, 1] spans components {names}"
 
     def test_subpath_normalized(self, x):
         lp = concatenate(standard_fn(2, x), standard_fn(3, x))
@@ -181,7 +207,7 @@ class TestStandardLoops:
 
     def test_fn_single_positive_excursion(self, x):
         (exc,) = decompose(standard_fn(2, x))
-        assert exc.component.index == 2 and winding_degree(exc) == 1
+        assert exc.component == 2 and winding_degree(exc) == 1
 
     def test_sup_distance_exact_and_bounded(self, y):
         # exact closed form: max deviation is the cap vertex offset 1/n + n*w,
@@ -219,7 +245,7 @@ class TestCombinators:
         f = standard_f(y)
         lp = concatenate(constant_loop(y), f)
         excs = decompose(lp)
-        assert len(excs) == 1 and excs[0].component.kind == "alpha"
+        assert len(excs) == 1 and excs[0].component == ALPHA
 
     def test_concat_rescales_decompositions(self, x):
         a, b = standard_fn(2, x), reverse(standard_fn(3, x))
@@ -264,11 +290,11 @@ class TestRealizeWord:
 
     def test_single_generator(self, x):
         (exc,) = decompose(realize_word(parse_word("g2"), x))
-        assert exc.component.index == 2 and winding_degree(exc) == 1
+        assert exc.component == 2 and winding_degree(exc) == 1
 
     def test_mixed_word(self, x):
         excs = decompose(realize_word(parse_word("g2 g3^-1 g2"), x))
-        assert [(e.component.index, winding_degree(e)) for e in excs] == [
+        assert [(e.component, winding_degree(e)) for e in excs] == [
             (2, 1),
             (3, -1),
             (2, 1),
@@ -276,7 +302,7 @@ class TestRealizeWord:
 
     def test_exponents_expand(self, x):
         excs = decompose(realize_word(parse_word("g4^3"), x))
-        assert [(e.component.index, winding_degree(e)) for e in excs] == [(4, 1)] * 3
+        assert [(e.component, winding_degree(e)) for e in excs] == [(4, 1)] * 3
 
     def test_params_oracle(self, x):
         """The int-pair placement equals (k + t) / total on Fractions."""
@@ -392,22 +418,22 @@ class TestCarriedCharts:
         assert str(err.value) == "invalid loop: piece 0 on [0, 1/2]: breakpoint (0, 1/2) is outside the space"
         ly = loop_from_breakpoints(triples, y)
         assert_carried(ly)
-        assert [e.component.kind for e in decompose(ly)] == ["alpha"]
+        assert [e.component for e in decompose(ly)] == [ALPHA]
 
 
 def lifted_degree(exc):
     """Reference degree: the j + u lift of the excursion, with u the exact
     fraction along edge j from kernels.foot_param, divided by 3."""
-    circ = exc.space.circle(exc.component.index)
+    circ = exc.space.circle(exc.component)
     theta = start = None
     for ((_, p0), (_, p1)), ref in zip(exc.subpath.pieces(), exc.piece_edges):
         if ref is None:
             continue
-        edge = circ.edges[ref[2]]
+        edge = circ.edges[ref[1]]
         u0, u1 = (F(*kernels.foot_param(q.quad(), edge.a.quad(), edge.b.quad())) for q in (p0, p1))
         if theta is None:
-            theta = start = ref[2] + u0
-        assert (ref[2] + u0 - theta) % 3 == 0
+            theta = start = ref[1] + u0
+        assert (ref[1] + u0 - theta) % 3 == 0
         theta += u1 - u0
     if theta is None:
         return 0
@@ -438,7 +464,7 @@ class TestWindingOracle:
     def circle_excursions(self, loops):
         out = []
         for lp in loops:
-            out.extend(e for e in decompose(lp) if e.component.kind == "circle")
+            out.extend(e for e in decompose(lp) if e.component != ALPHA)
         return out
 
     def assert_lift_agrees(self, loops):
@@ -494,8 +520,8 @@ class TestWindingOracle:
         n = 2
         t = [F(k, len(points) - 1) for k in range(len(points))]
         exc = Excursion(
-            ComponentId.circle(n), tuple((s.numerator, s.denominator) for s in t),
-            tuple(points), tuple(("c", n, j) for j in edges), x, 0,
+            n, tuple((s.numerator, s.denominator) for s in t),
+            tuple(points), tuple((n, j) for j in edges), x, 0,
         )
         assert (exc.t_start, exc.t_end, exc.breakpoints) == (t[0], t[-1], tuple(zip(t, points)))
         return exc

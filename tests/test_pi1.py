@@ -44,7 +44,16 @@ from pi1lab.pi1 import (
     stability_radius,
 )
 from pi1lab.report import PASS
-from pi1lab.spaces import CUBE, SpaceHandle, SpaceKind, compact_y, uniform_profile
+from pi1lab.spaces import (
+    ALPHA,
+    ALPHA_EDGE,
+    CUBE,
+    SpaceHandle,
+    SpaceKind,
+    compact_y,
+    component_name,
+    uniform_profile,
+)
 from pi1lab.words import IDENTITY, invert, multiply, parse_word, reduce_letters
 
 F = Fraction
@@ -128,8 +137,8 @@ class TestCollapse:
         lp = concatenate(standard_f(y), include_in_y(standard_fn(2, x)))
         out = collapse_to_x(lp)
         (kept,) = decompose(out)
-        (c2,) = [exc for exc in decompose(lp) if exc.component.kind == "circle"]
-        assert str(kept.component) == "C2"
+        (c2,) = [exc for exc in decompose(lp) if exc.component != ALPHA]
+        assert component_name(kept.component) == "C2"
         assert (kept.breakpoints, kept.piece_edges) == (c2.breakpoints, c2.piece_edges)
 
     def test_collapse_output_validates_in_x(self, y):
@@ -250,11 +259,11 @@ class TestCollapseSoundness:
             bounces.append(loop_from_breakpoints([(0, 0, 0), ("1/2", q.x, q.y), (1, 0, 0)], y))
         samples = [pi1._sample_small_loop(y, F(1, 4), rng) for _ in range(20)]
         for lp in decorated + bounces:
-            circles = [exc for exc in decompose(lp) if exc.component.kind == "circle"]
+            circles = [exc for exc in decompose(lp) if exc.component != ALPHA]
             assert len(decompose(collapse_to_x(lp))) < len(circles)
         # every small loop collapses to the constant loop, circle arms included
         assert all(decompose(collapse_to_x(lp)) == () for lp in samples)
-        assert any(exc.component.kind == "circle" for lp in samples for exc in decompose(lp))
+        assert any(exc.component != ALPHA for lp in samples for exc in decompose(lp))
         fns = [standard_fn(n, y) for n in range(2, 12)]
         words = []
         for _ in range(10):
@@ -449,8 +458,8 @@ class TestCarriedCharts:
                 for radius in (F(1, 4), F(1, 3), F(1, 1000), F(49, 100)):
                     lp = pi1._sample_small_loop(space, radius, rng)
                     assert_carried(lp)
-                    arms.update(ref[::2] for ref in lp._chart)
-        assert arms == {("alpha",), ("c", 0), ("c", 2)}
+                    arms.update(ref if ref == ALPHA_EDGE else ("circle", ref[1]) for ref in lp._chart)
+        assert arms == {ALPHA_EDGE, ("circle", 0), ("circle", 2)}
 
 
 def perturb_once_fraction(loop, rng, bound, clamps):
@@ -487,7 +496,7 @@ def perturb_once_fraction(loop, rng, bound, clamps):
     ]
     if const_p and rng.random() < 0.75:
         i = rng.choice(const_p)
-        touched = sorted({ref[1] for ref in edges if ref is not None and ref[0] == "c"})
+        touched = sorted({ref[0] for ref in edges if ref is not None} - {ALPHA})
         n = rng.choice(touched or [2])
         circ = loop.space.circle(n)
         arm, arm_u = (0, Fraction(0)) if rng.random() < 0.5 else (2, Fraction(1))
@@ -610,11 +619,11 @@ class TestRecords:
             assert lp == fresh and hash(lp) == hash(fresh)
             assert excs == again and list(map(hash, excs)) == list(map(hash, again))
             for exc, other in zip(excs, again):
-                if exc.component.kind == "circle":
+                if exc.component != ALPHA:
                     loops.winding_degree(exc)
                     assert exc._degree is not None and other._degree is None
                 assert exc == other and hash(exc) == hash(other)
-                assert exc.component is other.component
+                assert exc.component == other.component
                 assert exc.subpath is exc.subpath
             for obj in (lp, fresh, *excs):
                 assert not hasattr(obj, "__dict__")

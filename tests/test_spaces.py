@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import hausdorff_distance_sq
 from pi1lab.geometry import point
 from pi1lab.spaces import (
-    ALPHA_COMPONENT,
+    ALPHA,
     ALPHA_SEGMENT,
-    ComponentId,
     Membership,
     OutsideSpaceError,
     SpaceConsistencyError,
@@ -95,8 +94,8 @@ class TestMembership:
         assert membership(point(0, "1/2"), self.x).kind == "outside"
 
     def test_component_examples(self):
-        assert component_of(point(0, "1/2"), self.y) == ALPHA_COMPONENT
-        assert component_of(point("1/4", "1/2"), self.y) == ComponentId.circle(2)
+        assert component_of(point(0, "1/2"), self.y) == ALPHA
+        assert component_of(point("1/4", "1/2"), self.y) == 2
         with pytest.raises(OutsideSpaceError):
             component_of(point(0, "1/2"), self.x)
         with pytest.raises(OutsideSpaceError):
@@ -110,7 +109,7 @@ class TestMembership:
                     q = e.at(F(k, 10))
                     if q == point(0, 0):
                         continue
-                    assert component_of(q, self.y) == ComponentId.circle(n)
+                    assert component_of(q, self.y) == n
 
     def test_distinct_circles_distinct_components(self):
         comps = {component_of(self.y.circle(n).apex, self.y) for n in range(2, 8)}
@@ -125,7 +124,7 @@ class TestMembership:
 
     def test_edges_containing_vertex(self):
         refs = self.y.edges_containing(self.y.circle(3).apex)
-        assert ("c", 3, 0) in refs and ("c", 3, 1) in refs
+        assert (3, 0) in refs and (3, 1) in refs
 
 
 class TestDisjointness:
