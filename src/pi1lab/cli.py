@@ -187,7 +187,11 @@ def _cmd_run(args, bindings_only: bool = False) -> int:
     if len(data) > dsl.MAX_SCRIPT_BYTES:
         print(f"error: script exceeds the limit of {dsl.MAX_SCRIPT_BYTES} bytes", file=sys.stderr)
         return 2
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        print(f"error: script is not valid UTF-8: {exc}", file=sys.stderr)
+        return 2
     try:
         script = dsl.parse(text)
     except dsl.DslError as exc:

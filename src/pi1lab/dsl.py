@@ -54,10 +54,10 @@ fails at once with a parse error instead of running for seconds to hours:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import FrozenSet, Optional, Tuple, Union
 
+from .records import Record
 from .spaces import candidate_circle
 from .words import Word, WordError, format_word, parse_word
 
@@ -149,81 +149,109 @@ class DslError(Exception):
 # -- AST ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpaceDecl:
-    name: str
-    kind: str  # "X" | "Y"
-    hint: int
-    width: str
+class SpaceDecl(Record):
+    __slots__ = _fields = ("name", "kind", "hint", "width")
+
+    def __init__(self, name: str, kind: str, hint: int, width: str):
+        self.name = name
+        self.kind = kind  # "X" | "Y"
+        self.hint = hint
+        self.width = width
 
 
-@dataclass(frozen=True)
-class AlphaExpr:
-    pass
+class AlphaExpr(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CircleExpr:
-    index: int
-    inverse: bool
+class CircleExpr(Record):
+    __slots__ = _fields = ("index", "inverse")
+
+    def __init__(self, index: int, inverse: bool):
+        self.index = index
+        self.inverse = inverse
 
 
-@dataclass(frozen=True)
-class ConcatExpr:
-    # script form uses bound names; the CLI literal form allows nested exprs
-    args: Tuple[Union[str, "LoopExpr"], ...]
+class ConcatExpr(Record):
+    __slots__ = _fields = ("args",)
+
+    def __init__(self, args: Tuple[Union[str, "LoopExpr"], ...]):
+        # script form uses bound names; the CLI literal form allows nested exprs
+        self.args = args
 
 
-@dataclass(frozen=True)
-class WordExpr:
-    word: Word
+class WordExpr(Record):
+    __slots__ = _fields = ("word",)
+
+    def __init__(self, word: Word):
+        self.word = word
 
 
-@dataclass(frozen=True)
-class PointsExpr:
-    triples: Tuple[Tuple[Fraction, Fraction, Fraction], ...]
-    # the candidate circle of each breakpoint with x > 0, found by the parser
-    circles: FrozenSet[int] = field(default=frozenset(), compare=False, repr=False)
+class PointsExpr(Record):
+    """Equality, hashing and the repr read ``triples`` only."""
+
+    __slots__ = ("triples", "circles")
+    _fields = ("triples",)
+
+    def __init__(
+        self,
+        triples: Tuple[Tuple[Fraction, Fraction, Fraction], ...],
+        circles: FrozenSet[int] = frozenset(),
+    ):
+        self.triples = triples
+        # the candidate circle of each breakpoint with x > 0, found by the parser
+        self.circles = circles
 
 
 LoopExpr = Union[AlphaExpr, CircleExpr, ConcatExpr, WordExpr, PointsExpr]
 
 
-@dataclass(frozen=True)
-class LoopBinding:
-    name: str
-    expr: LoopExpr
+class LoopBinding(Record):
+    __slots__ = _fields = ("name", "expr")
+
+    def __init__(self, name: str, expr: LoopExpr):
+        self.name = name
+        self.expr = expr
 
 
-@dataclass(frozen=True)
-class ClassifyStmt:
-    name: str
+class ClassifyStmt(Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class DistStmt:
-    first: str
-    second: str
+class DistStmt(Record):
+    __slots__ = _fields = ("first", "second")
+
+    def __init__(self, first: str, second: str):
+        self.first = first
+        self.second = second
 
 
-@dataclass(frozen=True)
-class ProbeStmt:
-    kind: str
-    args: Tuple[Tuple[str, object], ...]
+class ProbeStmt(Record):
+    __slots__ = _fields = ("kind", "args")
+
+    def __init__(self, kind: str, args: Tuple[Tuple[str, object], ...]):
+        self.kind = kind
+        self.args = args
 
 
-@dataclass(frozen=True)
-class RenderStmt:
-    names: Tuple[str, ...]
-    out: str
+class RenderStmt(Record):
+    __slots__ = _fields = ("names", "out")
+
+    def __init__(self, names: Tuple[str, ...], out: str):
+        self.names = names
+        self.out = out
 
 
 Statement = Union[SpaceDecl, LoopBinding, ClassifyStmt, DistStmt, ProbeStmt, RenderStmt]
 
 
-@dataclass(frozen=True)
-class Script:
-    statements: Tuple[Statement, ...]
+class Script(Record):
+    __slots__ = _fields = ("statements",)
+
+    def __init__(self, statements: Tuple[Statement, ...]):
+        self.statements = statements
 
 
 # -- parsing ------------------------------------------------------------------

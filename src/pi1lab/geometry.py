@@ -9,14 +9,14 @@ for reports.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 from math import gcd
 from typing import Iterable, Sequence, Union
 
 from . import kernels
 from .exactnum import dyadic_sqrt_bounds, sqrt_decimal
+from .records import Record
 
 DEFAULT_DIGITS = 40
 
@@ -123,20 +123,21 @@ def _from_quad(q) -> Point2:
     return pt
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Record):
     """A nondegenerate closed segment; coincident endpoints are rejected.
 
     ``length_bracket`` is computed the first time it is read and kept, so
     an edge of a cached circle brackets its length once.
     """
 
-    a: Point2
-    b: Point2
+    __slots__ = ("a", "b", "_length_bracket")
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise DegenerateSegmentError(f"degenerate segment at {self.a}")
+    def __init__(self, a: Point2, b: Point2):
+        if a == b:
+            raise DegenerateSegmentError(f"degenerate segment at {a}")
+        self.a = a
+        self.b = b
 
     def quads(self) -> tuple:
         return self.a._q, self.b._q
@@ -145,10 +146,14 @@ class Segment:
     def length_sq(self) -> Fraction:
         return self.a.dist_sq(self.b)
 
-    @cached_property
+    @property
     def length_bracket(self) -> tuple:
         """Exact dyadic (lo, hi) around the length, at most 2**-40 apart."""
-        return dyadic_sqrt_bounds(self.length_sq)
+        try:
+            return self._length_bracket
+        except AttributeError:
+            self._length_bracket = bracket = dyadic_sqrt_bounds(self.length_sq)
+            return bracket
 
     def contains(self, q: Point2) -> bool:
         return kernels.on_segment(q._q, self.a._q, self.b._q)
@@ -165,7 +170,7 @@ def segment(ax, ay, bx, by) -> Segment:
     return Segment(point(ax, ay), point(bx, by))
 
 
-class PLPath:
+class PLPath(Record):
     """A parametrized piecewise-linear path on [0, 1].
 
     The path is its breakpoint parameters and its points. Each parameter is
@@ -183,6 +188,7 @@ class PLPath:
     """
 
     __slots__ = ("_ts", "_pts", "_params", "_bks")
+    _fields = ("_ts", "_pts")
 
     def __init__(self, breakpoints):
         bks = tuple(breakpoints)
@@ -211,14 +217,6 @@ class PLPath:
     @property
     def points(self) -> tuple:
         return self._pts
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._ts == other._ts and self._pts == other._pts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._ts, self._pts))
 
     def __repr__(self) -> str:
         return f"PLPath(breakpoints={self.breakpoints!r})"
@@ -338,12 +336,14 @@ def pl_path(raw: Sequence) -> PLPath:
     return PLPath(tuple((rat(t), point(x, y)) for t, x, y in raw))
 
 
-@dataclass(frozen=True)
-class ExactDistance:
+class ExactDistance(Record):
     """A certified distance: exact squared rational plus decimal renderings."""
 
-    squared: Fraction
-    attained_at: Fraction
+    __slots__ = _fields = ("squared", "attained_at")
+
+    def __init__(self, squared: Fraction, attained_at: Fraction):
+        self.squared = squared
+        self.attained_at = attained_at
 
     def decimal(self, digits: int = DEFAULT_DIGITS) -> str:
         return sqrt_decimal(self.squared, digits)

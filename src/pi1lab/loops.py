@@ -47,12 +47,12 @@ vertex and its step of +1, -1 or 0 from small tables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence, Tuple
 
 from .geometry import ORIGIN, PLPath, _path, _refine, pl_path
+from .records import Record
 from .spaces import (
     ALPHA,
     ALPHA_EDGE,
@@ -83,7 +83,7 @@ class WindingError(LoopError):
     """Winding degree was requested for a non-circle excursion."""
 
 
-class Loop:
+class Loop(Record):
     """A based PL loop together with its carrying space and its chart.
 
     ``Loop(path, space)`` checks that the path is a PLPath and locates it
@@ -97,6 +97,7 @@ class Loop:
     """
 
     __slots__ = ("path", "space", "_chart", "_excursions")
+    _fields = ("path", "space")
 
     def __init__(self, path: PLPath, space: SpaceHandle):
         if not isinstance(path, PLPath):
@@ -109,32 +110,23 @@ class Loop:
         self._chart = chart
         self._excursions = None
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.path == other.path and self.space == other.space
-        return NotImplemented
 
-    def __hash__(self):
-        return hash((self.path, self.space))
-
-    def __repr__(self) -> str:
-        return f"Loop(path={self.path!r}, space={self.space!r})"
-
-
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """First offending piece of an invalid loop, with its parameter interval."""
 
-    piece_index: int
-    t_start: Fraction
-    t_end: Fraction
-    reason: str
+    __slots__ = _fields = ("piece_index", "t_start", "t_end", "reason")
+
+    def __init__(self, piece_index: int, t_start: Fraction, t_end: Fraction, reason: str):
+        self.piece_index = piece_index
+        self.t_start = t_start
+        self.t_end = t_end
+        self.reason = reason
 
     def __str__(self) -> str:
         return f"piece {self.piece_index} on [{self.t_start}, {self.t_end}]: {self.reason}"
 
 
-class Excursion:
+class Excursion(Record):
     """A maximal sub-loop away from the base point.
 
     A plain record built by ``Excursion(component, ts, points, piece_edges,
@@ -153,6 +145,7 @@ class Excursion:
     """
 
     __slots__ = ("component", "ts", "points", "piece_edges", "space", "first", "_degree", "_subpath")
+    _fields = ("component", "ts", "points", "piece_edges", "space", "first")
 
     def __init__(self, component, ts, points, piece_edges, space, first):
         self.component = component
@@ -162,17 +155,6 @@ class Excursion:
         self.space = space
         self.first = first
         self._degree = None
-
-    def _key(self) -> tuple:
-        return (self.component, self.ts, self.points, self.piece_edges, self.space, self.first)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return (

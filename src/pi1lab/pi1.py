@@ -26,7 +26,6 @@ The probes turn the headline facts into exact certificates:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -57,6 +56,7 @@ from .loops import (
     validate,
     winding_degree,
 )
+from .records import Record
 from .report import FAIL, PASS, ProbeParameterError, ProbeReport, exact_str, report_digits
 from .spaces import ALPHA, ALPHA_EDGE, SpaceHandle, SpaceKind, default_y
 from .words import Word, format_word, reduce_letters
@@ -66,12 +66,14 @@ class ClassificationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class HomotopyClass:
+class HomotopyClass(Record):
     """A based homotopy class, named by its reduced word and space."""
 
-    word: Word
-    space_kind: SpaceKind
+    __slots__ = _fields = ("word", "space_kind")
+
+    def __init__(self, word: Word, space_kind: SpaceKind):
+        self.word = word
+        self.space_kind = space_kind
 
     def __str__(self) -> str:
         return f"{format_word(self.word)} in pi1({self.space_kind})"

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Tuple
+
+from .records import Record
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -62,22 +63,41 @@ def exact_str(value, where: str) -> str:
 KV = Tuple[str, str]
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    probe: str
-    claim: str
-    verdict: str
-    parameters: Tuple[KV, ...] = ()
-    table_header: Tuple[str, ...] = ()
-    table_rows: Tuple[Tuple[str, ...], ...] = ()
-    witnesses: Tuple[Tuple[KV, ...], ...] = ()
-    notes: Tuple[str, ...] = field(default=())
+class ProbeReport(Record):
+    __slots__ = _fields = (
+        "probe",
+        "claim",
+        "verdict",
+        "parameters",
+        "table_header",
+        "table_rows",
+        "witnesses",
+        "notes",
+    )
 
-    def __post_init__(self):
-        if self.verdict not in (PASS, FAIL):
-            raise ValueError(f"verdict must be PASS or FAIL, got {self.verdict!r}")
-        if self.verdict == FAIL and not self.witnesses:
+    def __init__(
+        self,
+        probe: str,
+        claim: str,
+        verdict: str,
+        parameters: Tuple[KV, ...] = (),
+        table_header: Tuple[str, ...] = (),
+        table_rows: Tuple[Tuple[str, ...], ...] = (),
+        witnesses: Tuple[Tuple[KV, ...], ...] = (),
+        notes: Tuple[str, ...] = (),
+    ):
+        if verdict not in (PASS, FAIL):
+            raise ValueError(f"verdict must be PASS or FAIL, got {verdict!r}")
+        if verdict == FAIL and not witnesses:
             raise ValueError("a FAIL report must carry at least one counter-witness")
+        self.probe = probe
+        self.claim = claim
+        self.verdict = verdict
+        self.parameters = parameters
+        self.table_header = table_header
+        self.table_rows = table_rows
+        self.witnesses = witnesses
+        self.notes = notes
 
     @property
     def passed(self) -> bool:

@@ -18,7 +18,6 @@ C_{n-1} away from p. No answer depends on which circles are cached.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, Optional, Tuple
@@ -26,6 +25,7 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 from . import kernels
 from .exactnum import sqrt_decimal
 from .geometry import ORIGIN, Point2, Segment, point, rat, segments_intersect
+from .records import Record
 from .report import FAIL, PASS, ProbeReport, exact_str, report_digits
 
 
@@ -50,12 +50,14 @@ class SpaceKind(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class WidthProfile:
+class WidthProfile(Record):
     """Positive, strictly decreasing cap-width sequence for the triangles."""
 
-    name: str
-    fn: Callable[[int], Fraction]
+    __slots__ = _fields = ("name", "fn")
+
+    def __init__(self, name: str, fn: Callable[[int], Fraction]):
+        self.name = name
+        self.fn = fn
 
     def __call__(self, n: int) -> Fraction:
         return Fraction(self.fn(n))
@@ -83,18 +85,20 @@ def profile_by_name(name: str) -> WidthProfile:
 ALPHA_SEGMENT = Segment(ORIGIN, point(0, 1))
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(Record):
     """Triangle C_n with edges oriented p -> B_n -> D_n -> p.
 
     The orientation fixes the sign convention: one positive traversal of
     the edge cycle is the generator g_n.
     """
 
-    index: int
-    apex: Point2
-    tail: Point2
-    edges: Tuple[Segment, Segment, Segment]
+    __slots__ = _fields = ("index", "apex", "tail", "edges")
+
+    def __init__(self, index: int, apex: Point2, tail: Point2, edges: Tuple[Segment, Segment, Segment]):
+        self.index = index
+        self.apex = apex
+        self.tail = tail
+        self.edges = edges
 
     @property
     def vertices(self) -> Tuple[Point2, Point2, Point2]:
@@ -138,11 +142,13 @@ def component_name(comp: int) -> str:
     return "alpha" if comp == ALPHA else f"C{comp}"
 
 
-@dataclass(frozen=True)
-class Membership:
-    kind: str  # "outside" | "base" | "alpha" | "circle"
-    circle_index: Optional[int] = None
-    edge_index: Optional[int] = None
+class Membership(Record):
+    __slots__ = _fields = ("kind", "circle_index", "edge_index")
+
+    def __init__(self, kind: str, circle_index: Optional[int] = None, edge_index: Optional[int] = None):
+        self.kind = kind  # "outside" | "base" | "alpha" | "circle"
+        self.circle_index = circle_index
+        self.edge_index = edge_index
 
     def __str__(self) -> str:
         if self.kind == "circle":
@@ -153,8 +159,7 @@ class Membership:
 OUTSIDE = Membership("outside")
 
 
-@dataclass(eq=False)
-class SpaceHandle:
+class SpaceHandle(Record):
     """Lazy handle on X or Y for a fixed width profile.
 
     ``circle(n)`` caches C_n after the local checks of the module docstring
@@ -164,13 +169,24 @@ class SpaceHandle:
     it on, and a script's spaces of one profile share one. Point
     queries look at the single candidate circle max(2, ceil(y/x)), so their
     answers depend neither on the cache nor on ``hint``, which is only the
-    default number of circles a rendering draws.
+    default number of circles a rendering draws. Two handles are equal
+    when their kinds and profile names are; the hint and the cache take no
+    part.
     """
 
-    kind: SpaceKind
-    profile: WidthProfile = POW10
-    hint: int = 32
-    _circles: Dict[int, Circle] = field(default_factory=dict)
+    __slots__ = _fields = ("kind", "profile", "hint", "_circles")
+
+    def __init__(
+        self,
+        kind: SpaceKind,
+        profile: WidthProfile = POW10,
+        hint: int = 32,
+        _circles: Optional[Dict[int, Circle]] = None,
+    ):
+        self.kind = kind
+        self.profile = profile
+        self.hint = hint
+        self._circles = {} if _circles is None else _circles
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpaceHandle):

@@ -8,8 +8,9 @@ circle indexing of the spaces module; there is no g0 or g1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Tuple
+
+from .records import Record
 
 Syllable = Tuple[int, int]
 
@@ -18,15 +19,13 @@ class WordError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """A fully reduced free-group word; the empty tuple is the identity."""
 
-    syllables: Tuple[Syllable, ...] = ()
+    __slots__ = _fields = ("syllables",)
 
-    def __post_init__(self):
-        syl = tuple((int(n), int(e)) for n, e in self.syllables)
-        object.__setattr__(self, "syllables", syl)
+    def __init__(self, syllables: Tuple[Syllable, ...] = ()):
+        self.syllables = syl = tuple((int(n), int(e)) for n, e in syllables)
         for n, e in syl:
             if n < 2:
                 raise WordError(f"generator index must be >= 2, got g{n}")

@@ -367,6 +367,22 @@ class TestRun:
         )
         assert parsed == [limit]
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("command", ["run", "render"])
+    def test_script_not_utf8(self, capsys, tmp_path, monkeypatch, command, source):
+        """A script holding bytes that are not UTF-8 ended in a
+        UnicodeDecodeError traceback and exit 1."""
+        data = b"space S = Y(20)\n# \xff\xfe\n"
+        if source == "file":
+            script = tmp_path / "bad.pi1"
+            script.write_bytes(data)
+            arg = str(script)
+        else:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            arg = "-"
+        reason = "'utf-8' codec can't decode byte 0xff in position 18: invalid start byte"
+        assert run_cli(capsys, [command, arg]) == (2, "", f"error: script is not valid UTF-8: {reason}\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, ["run", "/nonexistent/script.pi1"])
         assert code == 1
@@ -497,6 +513,16 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "word: g4\n", "")
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        """Records were dataclasses, whose import loads inspect, ast, dis
+        and tokenize: about a third of the package's import time."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pi1lab.__file__)))
+        code = "import sys, pi1lab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 class TestRender:
