@@ -381,6 +381,8 @@ def sup_distance(f: PLPath, g: PLPath) -> ExactDistance:
         else:
             t, pq, qq = tg, _quad_between(fts[i - 1], fps[i - 1], tf, fps[i], tg), gps[j]._q
             j += 1
+        if pq == qq:  # distance 0 never raises the maximum
+            continue
         n, d = kernels.point_dist_sq(pq, qq)
         if n * best_d > best_n * d:
             best_n, best_d, arg = n, d, t

@@ -4,11 +4,10 @@ A loop is a PLPath based at p = (0,0) whose every linear piece lies inside
 a single edge of the carrying space; this is checked exactly. Because every
 edge of the construction has p as an extreme point, a valid loop meets p
 only at breakpoints, so the decomposition into maximal excursions away from
-p is a pure breakpoint scan. An excursion keeps its slice of the loop's
-breakpoints. Winding degrees are read off the chart: the edge changes only
-at a vertex, so each maximal run of pieces on one edge steps between
-vertices, and the degree is an integer sum of those steps, never a
-numeric arc length.
+p is a pure breakpoint scan. Winding degrees are read off the chart: the
+edge changes only at a vertex, so each maximal run of pieces on one edge
+steps between vertices, and the degree is an integer sum of those steps,
+never a numeric arc length.
 
 A loop is charted when built, or refused. Its chart is the edge each
 piece lies on (None for a constant piece). A loop of foreign geometry
@@ -24,6 +23,12 @@ reversal, the inclusion X -> Y, ``realize_word``, ``subdivide`` and the
 collapse into X. ``validate`` always locates afresh, which makes it an
 independent check of a carried chart.
 
+Excursions are read by one integer scan of the chart, ``_scan``: each
+maximal excursion is a span ``(component, first, last, degree)`` between
+the breakpoints ``first`` and ``last`` at p. A loop's spans are computed
+once and kept in its ``_spans`` slot. The readers in ``pi1`` build no
+``Excursion``; ``decompose`` builds them from the spans on each call.
+
 Paths keep their parameters as reduced int pairs, and the builders here
 emit pairs, with no Fraction: concatenation halves n/d to n/(2d) or
 (n + d)/(2d) and reduces by 2 when the numerator is even; reversal maps
@@ -36,14 +41,14 @@ is read.
 
 A ``Loop`` and an ``Excursion`` are plain records with ``__slots__``:
 their fields are set once in the constructor, what is computed later (the
-excursions, the degree, the subpath) is assigned to its own slot in place,
-and equality and hashing read only the constructor's fields (a loop's
-chart is fixed by its path and space). A chart's edges are the int pairs
-of ``spaces``, (n, j) for edge j of C_n or ``ALPHA_EDGE``, so an
-excursion's component is the first entry of its edges, the circle index n
-or ``ALPHA``, and the least edge through a point is the least pair. The
-lift of a winding degree compares vertex quads and reads each run's shared
-vertex and its step of +1, -1 or 0 from small tables.
+spans, the degree) is assigned to its own slot in place, and equality and
+hashing read only the constructor's fields (a loop's chart is fixed by its
+path and space). A chart's edges are the int pairs of ``spaces``, (n, j)
+for edge j of C_n or ``ALPHA_EDGE``, so an excursion's component is the
+first entry of its edges, the circle index n or ``ALPHA``, and the least
+edge through a point is the least pair. The lift of a winding degree
+compares vertex quads and reads each run's shared vertex and its step of
++1, -1 or 0 from small tables.
 """
 from __future__ import annotations
 
@@ -92,11 +97,11 @@ class Loop(Record):
     ``InvalidLoopError`` with the text ``invalid loop: <Violation>``. The
     builders of this module and of ``pi1`` chart their loops by
     construction and go through ``_charted``, which locates nothing. The
-    excursions are stored by ``decompose`` on its first call, in a slot
-    assigned in place. Equality and hashing compare ``(path, space)`` only.
+    spans are kept by ``_spans`` on its first call, in a slot assigned in
+    place. Equality and hashing compare ``(path, space)`` only.
     """
 
-    __slots__ = ("path", "space", "_chart", "_excursions")
+    __slots__ = ("path", "space", "_chart", "_spans")
     _fields = ("path", "space")
 
     def __init__(self, path: PLPath, space: SpaceHandle):
@@ -108,7 +113,7 @@ class Loop(Record):
         if isinstance(chart, Violation):
             raise InvalidLoopError(f"invalid loop: {chart}")
         self._chart = chart
-        self._excursions = None
+        self._spans = None
 
 
 class Violation(Record):
@@ -127,7 +132,7 @@ class Violation(Record):
 
 
 class Excursion(Record):
-    """A maximal sub-loop away from the base point.
+    """A maximal sub-loop away from the base point, as ``decompose`` slices it.
 
     A plain record built by ``Excursion(component, ts, points, piece_edges,
     space, first)``; equality and hashing compare those six fields.
@@ -135,16 +140,14 @@ class Excursion(Record):
     p: the parameters as reduced int pairs and the points at them. ``first``
     is the index of the first in the loop's breakpoints. The piece ``k``
     runs from breakpoint ``k`` to ``k + 1`` and lies on ``piece_edges[k]``.
-    ``t_start``, ``t_end`` and ``breakpoints`` read the slice as Fractions,
-    and ``subpath``, the slice renormalized to [0, 1], is built from the
-    pairs the first time it is read and kept. ``component`` is the unique
-    component of (space minus p) carrying the excursion's interior: the
-    index n of its circle C_n, or ``ALPHA``. The winding degree of a
-    circle excursion is stored on its first computation; it takes no part
-    in equality.
+    ``t_start`` and ``t_end`` read the ends as Fractions. ``component`` is
+    the unique component of (space minus p) carrying the excursion's
+    interior: the index n of its circle C_n, or ``ALPHA``. ``decompose``
+    stores the degree of its span; a hand-built excursion's is scanned on
+    the first ``winding_degree``. It takes no part in equality.
     """
 
-    __slots__ = ("component", "ts", "points", "piece_edges", "space", "first", "_degree", "_subpath")
+    __slots__ = ("component", "ts", "points", "piece_edges", "space", "first", "_degree")
     _fields = ("component", "ts", "points", "piece_edges", "space", "first")
 
     def __init__(self, component, ts, points, piece_edges, space, first):
@@ -169,27 +172,6 @@ class Excursion(Record):
     @property
     def t_end(self) -> Fraction:
         return Fraction(*self.ts[-1])
-
-    @property
-    def breakpoints(self) -> tuple:
-        return tuple((Fraction(n, d), q) for (n, d), q in zip(self.ts, self.points))
-
-    @property
-    def subpath(self) -> PLPath:
-        try:
-            return self._subpath
-        except AttributeError:
-            pass
-        # (t - t0) / (t1 - t0) for t = n/d, reduced
-        (n0, d0), (n1, d1) = self.ts[0], self.ts[-1]
-        span_n, span_d = n1 * d0 - n0 * d1, d1 * d0
-        ts = []
-        for n, d in self.ts:
-            un, ud = (n * d0 - n0 * d) * span_d, d * d0 * span_n
-            g = gcd(un, ud)
-            ts.append((un // g, ud // g))
-        self._subpath = path = _path(tuple(ts), self.points)
-        return path
 
 
 def _first_violation(loop: Loop):
@@ -247,7 +229,7 @@ def _charted(path: PLPath, space: SpaceHandle, chart: Tuple[Optional[EdgeRef], .
     loop.path = path
     loop.space = space
     loop._chart = chart
-    loop._excursions = None
+    loop._spans = None
     return loop
 
 
@@ -264,100 +246,118 @@ def validate(loop: Loop) -> Optional[Violation]:
 def decompose(loop: Loop) -> Tuple[Excursion, ...]:
     """Maximal excursions away from p, in parameter order.
 
-    Constant-at-p stretches produce no excursion. Each excursion is tagged
-    with the unique component of (space minus p) carrying it, read off the
-    loop's chart: the first entry of an edge is its circle index (or
-    ``ALPHA``), so no point is located. Computed at most once per Loop and
-    stored in its ``_excursions`` slot.
+    Constant-at-p stretches produce no excursion. The records are built on
+    each call from the loop's spans, each with its component and its
+    degree, so neither is computed again.
     """
-    excs = loop._excursions
-    if excs is None:
-        excs = loop._excursions = _excursions(loop)
-    return excs
-
-
-def _excursions(loop: Loop) -> Tuple[Excursion, ...]:
-    edges = loop._chart
-    ts, pts, space = loop.path._ts, loop.path.points, loop.space
-    base = ORIGIN._q
-    p_idx = [i for i, q in enumerate(pts) if q._q == base]
+    path, chart, space = loop.path, loop._chart, loop.space
+    ts, pts = path._ts, path.points
     out = []
-    for i, j in zip(p_idx, p_idx[1:]):
-        if j == i + 1:
-            continue
-        piece_edges = edges[i:j]
-        comps = {ref[0] for ref in piece_edges if ref is not None}
-        if len(comps) != 1:
-            raise InvalidLoopError(
-                f"excursion on [{Fraction(*ts[i])}, {Fraction(*ts[j])}] spans components "
-                f"{sorted(map(component_name, comps))}"
-            )
-        out.append(Excursion(comps.pop(), ts[i : j + 1], pts[i : j + 1], piece_edges, space, i))
+    for n, a, b, degree in _spans(loop):
+        exc = Excursion(n, ts[a : b + 1], pts[a : b + 1], chart[a:b], space, a)
+        exc._degree = degree
+        out.append(exc)
     return tuple(out)
 
 
-# The vertices p, B, D of a circle are numbered 0, 1, 2; edge j runs from
-# vertex j to vertex _NEXT[j], and _SHARED[j][k] is the one vertex that the
-# distinct edges j and k share.
-_NEXT = (1, 2, 0)
+def _spans(loop: Loop) -> Tuple[tuple, ...]:
+    """The loop's ``_scan``, computed at most once and kept in ``_spans``."""
+    spans = loop._spans
+    if spans is None:
+        path = loop.path
+        spans = loop._spans = _scan(path._ts, path.points, loop._chart, loop.space)
+    return spans
+
+
+# The vertices p, B, D of a circle are numbered 0, 1, 2, and edge j runs
+# from vertex j to vertex j + 1 mod 3. _SHARED[j][k] is the one vertex that
+# the distinct edges j and k share. _STEP[j][a][b] is the lifted step of a
+# run on edge j from vertex a to vertex b: +1 forward along the edge, -1
+# back, 0 when a == b, and None when edge j does not join a to b.
 _SHARED = ((None, 1, 0), (1, None, 2), (0, 2, None))
+_STEP = (
+    ((0, 1, None), (-1, 0, None), (None, None, 0)),
+    ((0, None, None), (None, 0, 1), (None, -1, 0)),
+    ((0, None, -1), (None, 0, None), (1, None, 0)),
+)
+
+
+def _scan(ts, pts, chart, space) -> Tuple[tuple, ...]:
+    """The span ``(component, first, last, degree)`` of each maximal
+    excursion of the charted breakpoints ``pts``, in order.
+
+    ``first`` and ``last`` index the breakpoints at p that bound the
+    excursion; its component is the one first entry of its edges. Its
+    winding degree is the lift of its chart: the chart changes edge only at
+    the vertex the two edges share, and the excursion starts and ends at p,
+    so each maximal run of pieces on one edge goes from a vertex of that
+    edge to a vertex of it and lifts to a step of +1 (along the positive
+    cycle p -> B -> D -> p), -1 or 0 on the vertex numbering. The degree is
+    the sum of the steps divided by 3, so it depends only on the
+    combinatorial edge-crossing sequence. Each edge change compares the
+    point with the shared vertex by quads, and the shared vertex and the
+    step are lookups in ``_SHARED`` and ``_STEP``. An alpha excursion has
+    degree 0. A chart that names two components, changes edge away from
+    the shared vertex or whose lift does not close raises
+    ``InvalidLoopError``.
+    """
+    base = ORIGIN._q
+    at_p = [i for i, q in enumerate(pts) if q._q == base]
+    out = []
+    for first, last in zip(at_p, at_p[1:]):
+        if last == first + 1:
+            continue
+        edges = chart[first:last]
+        comps = {ref[0] for ref in edges if ref is not None}
+        if len(comps) != 1:
+            raise InvalidLoopError(
+                f"excursion on [{Fraction(*ts[first])}, {Fraction(*ts[last])}] spans components "
+                f"{sorted(map(component_name, comps))}"
+            )
+        n = comps.pop()
+        if n == ALPHA:
+            out.append((n, first, last, 0))
+            continue
+        circ = space.circle(n)
+        vertex = (base, circ.apex._q, circ.tail._q)
+        lift = 0
+        at = 0  # the vertex the current run started from
+        run = None  # the edge of the current run
+        k = first  # the breakpoint where the piece of ref starts
+        for ref in edges:
+            if ref is not None and ref[1] != run:
+                j = ref[1]
+                if run is not None:
+                    v = _SHARED[run][j]
+                    if pts[k]._q != vertex[v]:
+                        raise InvalidLoopError("discontinuous chart sequence in excursion")
+                    step = _STEP[run][at][v]
+                    if step is None:
+                        raise InvalidLoopError("excursion lift does not close up at p")
+                    lift += step
+                    at = v
+                run = j
+            k += 1
+        step = _STEP[run][at][0]
+        if step is None or (lift + step) % 3 != 0:
+            raise InvalidLoopError("excursion lift does not close up at p")
+        out.append((n, first, last, (lift + step) // 3))
+    return tuple(out)
 
 
 def winding_degree(exc: Excursion) -> int:
     """Signed number of full traversals of the excursion around its circle.
 
-    The chart of an excursion changes edge only at the vertex the two edges
-    share, and the excursion starts and ends at p. So each maximal run of
-    pieces on one edge goes from a vertex of that edge to a vertex of it,
-    and lifts to a step of +1 (along the positive cycle p -> B -> D -> p),
-    -1 or 0 on the vertex numbering. The degree is the sum of the steps
-    divided by 3: integer arithmetic on the chart and exact point equality,
-    so the result depends only on the combinatorial edge-crossing sequence.
-    Each edge change compares the point with the shared vertex by quads,
-    and the shared vertex and the step are table lookups.
-    Computed at most once per Excursion and stored in its ``_degree`` slot.
+    The degree ``_scan`` lifts off the excursion's own slice of the chart:
+    stored by ``decompose``, and scanned once for a hand-built excursion.
     """
     if exc.component == ALPHA:
         raise WindingError("winding degree is defined only for circle excursions")
     d = exc._degree
     if d is None:
-        d = exc._degree = _lift_degree(exc)
+        spans = _scan(exc.ts, exc.points, exc.piece_edges, exc.space)
+        d = exc._degree = sum(span[3] for span in spans)
     return d
-
-
-def _lift_degree(exc: Excursion) -> int:
-    vertices = exc.space.circle(exc.component).vertices
-    lift = 0
-    at = 0  # the vertex the current run started from
-    run = None  # the edge of the current run
-    for q, ref in zip(exc.points, exc.piece_edges):
-        if ref is None or ref[1] == run:
-            continue
-        j = ref[1]
-        if run is not None:
-            v = _SHARED[run][j]
-            if q._q != vertices[v]._q:
-                raise InvalidLoopError("discontinuous chart sequence in excursion")
-            lift += _step(run, at, v)
-            at = v
-        run = j
-    if run is None:
-        return 0
-    lift += _step(run, at, 0)
-    if lift % 3 != 0:
-        raise InvalidLoopError("excursion lift does not close up at p")
-    return lift // 3
-
-
-def _step(j: int, a: int, b: int) -> int:
-    """Lifted step of a run on edge j from vertex a to vertex b."""
-    if a == b:
-        return 0
-    if a == j and b == _NEXT[j]:
-        return 1
-    if b == j and a == _NEXT[j]:
-        return -1
-    raise InvalidLoopError("excursion lift does not close up at p")
 
 
 def loop_from_breakpoints(raw: Sequence, space: SpaceHandle) -> Loop:

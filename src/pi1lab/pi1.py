@@ -1,16 +1,18 @@
 """Loop classification and the topological probes.
 
-Classification in both spaces reads the free-group word off the excursion
-decomposition: an excursion of winding degree d in circle n contributes
-g_n^d. In the bouquet X an excursion into the limit segment is an error;
-in the compactification Y it contributes nothing, because the deformation
-into X contracts it along its arm. That deformation, ``collapse_to_x``,
-also contracts every apex-avoiding excursion into a circle beyond the
-cutoff index; such excursions have degree 0, so they spell no letter
-either. Classification in Y therefore never builds the collapsed loop; the
-isomorphism round trip builds it and checks that it spells the same word.
-Distinct reduced words name distinct classes in both spaces, so word
-equality decides homotopy.
+Classification in both spaces reads the free-group word off the loop's
+excursion spans, one integer scan of its chart (``loops._scan``): an
+excursion of winding degree d in circle n contributes g_n^d. The cutoff,
+the collapse and the stability radius read the same spans, and none of
+them builds an ``Excursion``. In the bouquet X an excursion into the limit
+segment is an error; in the compactification Y it contributes nothing,
+because the deformation into X contracts it along its arm. That
+deformation, ``collapse_to_x``, also contracts every apex-avoiding
+excursion into a circle beyond the cutoff index; such excursions have
+degree 0, so they spell no letter either. Classification in Y therefore
+never builds the collapsed loop; the isomorphism round trip builds it and
+checks that it spells the same word. Distinct reduced words name distinct
+classes in both spaces, so word equality decides homotopy.
 
 The probes turn the headline facts into exact certificates:
 
@@ -35,7 +37,6 @@ from . import kernels
 from .exactnum import dyadic_sqrt_bounds, rational_decimal
 from .geometry import (
     ORIGIN,
-    Point2,
     Segment,
     _from_quad,
     _path,
@@ -43,18 +44,16 @@ from .geometry import (
     sup_distance,
 )
 from .loops import (
-    Excursion,
     Loop,
     _charted,
+    _spans,
     concatenate_all,
-    decompose,
     include_in_y,
     realize_word,
     standard_f,
     standard_fn,
     subdivide,
     validate,
-    winding_degree,
 )
 from .records import Record
 from .report import FAIL, PASS, ProbeParameterError, ProbeReport, exact_str, report_digits
@@ -83,40 +82,24 @@ def _classify(loop: Loop, kind: SpaceKind) -> HomotopyClass:
     """Word of the loop's circle excursions, as a class of the space ``kind``.
 
     An excursion of winding degree d in C_n gives the letter g_n^d. An
-    excursion into the limit segment gives none in Y and is an error in X.
+    excursion into the limit segment has degree 0, so it gives none in Y;
+    in X it is an error.
     """
-    letters = []
-    for exc in decompose(loop):
-        if exc.component == ALPHA:
-            if kind is SpaceKind.BOUQUET_X:
+    spans = _spans(loop)
+    if kind is SpaceKind.BOUQUET_X:
+        for n, a, b, _ in spans:
+            if n == ALPHA:
+                ts = loop.path._ts
                 raise ClassificationError(
                     "loop leaves the bouquet: excursion into the limit segment "
-                    f"on [{exc.t_start}, {exc.t_end}]"
+                    f"on [{Fraction(*ts[a])}, {Fraction(*ts[b])}]"
                 )
-            continue
-        d = winding_degree(exc)
-        if d != 0:
-            letters.append((exc.component, d))
-    return HomotopyClass(reduce_letters(letters), kind)
+    return HomotopyClass(reduce_letters([(n, d) for n, _, _, d in spans if d]), kind)
 
 
 def classify_x(loop: Loop) -> HomotopyClass:
     """Word of a loop that stays in the bouquet X."""
     return _classify(loop, SpaceKind.BOUQUET_X)
-
-
-def _apex_on_excursion(exc: Excursion, apex: Point2) -> bool:
-    pts = exc.points
-    for p0, p1, ref in zip(pts, pts[1:], exc.piece_edges):
-        if ref is None:
-            if p0 == apex:
-                return True
-            continue
-        if ref[1] == 2:
-            continue
-        if p0 == apex or p1 == apex or Segment(p0, p1).contains(apex):
-            return True
-    return False
 
 
 def choose_n(loop: Loop) -> int:
@@ -126,21 +109,32 @@ def choose_n(loop: Loop) -> int:
     excursion into C_n has winding degree 0; finite PL loops touch finitely
     many circles, so N exists. (A nonzero degree forces a full traversal
     through the apex, so the apex condition already implies the degree
-    condition; both are checked.)
+    condition; both are checked.) Both are read off the loop's spans.
     """
-    return _cutoff(loop, decompose(loop))
+    return _cutoff(loop, _spans(loop))
 
 
-def _cutoff(loop: Loop, excs: Sequence[Excursion]) -> int:
-    """choose_n of a loop from its excursions."""
+def _cutoff(loop: Loop, spans: Sequence[tuple]) -> int:
+    """choose_n of a loop from its spans.
+
+    An excursion into C_n meets the apex B_n only at one of its
+    breakpoints, so the apex test compares quads. Each of its pieces lies on
+    one edge of C_n or is constant at a breakpoint. B_n is an end vertex of
+    edges 0 and 1, hence an extreme point of each, and a sub-segment of an
+    edge contains an extreme point of the edge only as one of its
+    endpoints; B_n does not lie on edge 2, as the triangle is not
+    degenerate. So a piece contains B_n only if one of its endpoints is B_n.
+    """
     worst = 1
-    for exc in excs:
-        n = exc.component
+    pts = loop.path.points
+    for n, a, b, d in spans:
         if n <= worst:  # ALPHA is 0, below every circle index
             continue
-        apex = loop.space.circle(n).apex
-        if winding_degree(exc) != 0 or _apex_on_excursion(exc, apex):
-            worst = n
+        if d == 0:
+            apex = loop.space.circle(n).apex._q
+            if all(q._q != apex for q in pts[a + 1 : b]):
+                continue
+        worst = n
     return max(2, worst + 1)
 
 
@@ -155,18 +149,16 @@ def collapse_to_x(loop: Loop) -> Loop:
     chart is carried: kept pieces keep their circle edges, and each
     collapsed stretch is one constant piece.
     """
-    excs = decompose(loop)
-    cutoff = _cutoff(loop, excs)
+    spans = _spans(loop)
+    cutoff = _cutoff(loop, spans)
     edges = loop._chart
     ts, pts = loop.path._ts, loop.path.points
     new_ts, new_pts, new_edges = [], [], []
     k = 0  # the first breakpoint of the current kept run
-    for exc in excs:
-        comp = exc.component
-        if comp != ALPHA and comp < cutoff:
+    for n, a, b, _ in spans:
+        if n != ALPHA and n < cutoff:
             continue
         # keep breakpoints k..a, then one constant piece at p from a to b
-        a, b = exc.first, exc.first + len(exc.ts) - 1
         new_ts += ts[k : a + 1]
         new_pts += pts[k : a + 1]
         new_edges += edges[k:a]
@@ -180,7 +172,7 @@ def collapse_to_x(loop: Loop) -> Loop:
 
 
 def classify_y(loop: Loop) -> HomotopyClass:
-    """Word of a loop in the compactification Y, read off its own excursions.
+    """Word of a loop in the compactification Y, read off its own spans.
 
     This is the word of ``collapse_to_x(loop)`` in X: the collapse keeps the
     excursions into C_n with n < N verbatim and contracts the rest, and
@@ -305,7 +297,7 @@ def stability_radius(loop: Loop) -> Fraction:
     distance between p-distal edge halves of distinct touched circles. The
     1/N^2 term reflects the angular separation of the arms at p.
     """
-    touched = sorted({exc.component for exc in decompose(loop)} - {ALPHA})
+    touched = sorted({span[0] for span in _spans(loop)} - {ALPHA})
     n_top = touched[-1] if touched else 2
     best = Fraction(1, n_top * n_top)
     for i, n in enumerate(touched):
@@ -423,10 +415,15 @@ def probe_discreteness_x(
     magnitude = Fraction(magnitude)
     if magnitude <= 0:
         raise ProbeParameterError("magnitude must be positive")
+
+    def text(v: Fraction, name: str) -> str:
+        return exact_str(v, f"probe discreteness: {name}")
+
     rho = stability_radius(loop)
     if magnitude >= rho:
         raise ProbeParameterError(
-            f"magnitude {magnitude} is not below the stability radius {rho}; "
+            f"magnitude {magnitude} is not below the stability radius "
+            f"{text(rho, 'stability_radius')}; "
             "the word-stability claim is only certified below the radius"
         )
     digits = report_digits()
@@ -459,7 +456,7 @@ def probe_discreteness_x(
                     ("trial", str(trial)),
                     ("expected", format_word(base_word)),
                     ("got", format_word(w)),
-                    ("sup_dist_sq", str(dist.squared) if dist else "0"),
+                    ("sup_dist_sq", text(dist.squared, "sup_dist_sq") if dist else "0"),
                 )
             )
     verdict = PASS if not witnesses else FAIL
@@ -476,10 +473,10 @@ def probe_discreteness_x(
             ("word", format_word(base_word)),
             ("trials", str(trials)),
             ("magnitude", str(magnitude)),
-            ("stability_radius", str(rho)),
+            ("stability_radius", text(rho, "stability_radius")),
             ("stability_radius_dec", rational_decimal(rho, digits)),
             ("seed", str(seed)),
-            ("max_perturbation_sq_seen", str(max_seen)),
+            ("max_perturbation_sq_seen", text(max_seen, "max_perturbation_sq_seen")),
             ("agreeing_trials", str(agree)),
         ),
         witnesses=tuple(witnesses),

@@ -171,7 +171,7 @@ class SpaceHandle(Record):
     answers depend neither on the cache nor on ``hint``, which is only the
     default number of circles a rendering draws. Two handles are equal
     when their kinds and profile names are; the hint and the cache take no
-    part.
+    part. The repr shows the count of cached circles, not the circles.
     """
 
     __slots__ = _fields = ("kind", "profile", "hint", "_circles")
@@ -195,6 +195,12 @@ class SpaceHandle(Record):
 
     def __hash__(self):
         return hash((self.kind, self.profile.name))
+
+    def __repr__(self) -> str:
+        return (
+            f"SpaceHandle(kind={self.kind!r}, profile={self.profile!r}, "
+            f"hint={self.hint!r}, cached_circles={len(self._circles)})"
+        )
 
     @property
     def has_alpha(self) -> bool:

@@ -87,7 +87,11 @@ def reduce_letters(raw: Iterable[Syllable]) -> Word:
                 stack.pop()
         else:
             stack.append([n, e])
-    return Word(tuple((n, e) for n, e in stack))
+    # the stack is in normal form: indices >= 2, no zero exponent, and no two
+    # adjacent syllables on one generator; so the Word's checks are skipped
+    word = object.__new__(Word)
+    word.syllables = tuple(map(tuple, stack))
+    return word
 
 
 def multiply(u: Word, v: Word) -> Word:

@@ -18,6 +18,14 @@
   written with a ``_dx``/``_dy`` call per coordinate difference and no
   cancelled factor: the reference for the flat kernels of
   ``pi1lab.kernels``, which must give the same signs and reduced results.
+* the excursion records as ``pi1lab.loops`` built them before it read
+  excursions as spans of one chart scan: :func:`excursions` slices a
+  loop's breakpoints into ``Excursion`` records, :func:`lift_degree` lifts
+  each one's degree, :func:`apex_on_excursion` tests its pieces with
+  ``Segment.contains``, and :func:`breakpoints` and :func:`subpath` read
+  its slice. On them, :func:`spans`, :func:`classify`, :func:`cutoff` and
+  :func:`collapse_to_x` are the reference for the span readers of
+  ``pi1lab.pi1``.
 
 No floating point is involved anywhere. Tests import this module as
 ``oracles``; ``tests/`` has no ``__init__.py``, so pytest puts it on the path.
@@ -30,7 +38,11 @@ from math import gcd, isqrt
 from typing import Iterable, Optional
 
 from pi1lab.exactnum import _format_scaled, rational_decimal
-from pi1lab.geometry import GeometryError, PLPath, Point2, Segment
+from pi1lab.geometry import ORIGIN, GeometryError, PLPath, Point2, Segment, _path
+from pi1lab.loops import Excursion, InvalidLoopError, _charted
+from pi1lab.pi1 import ClassificationError
+from pi1lab.spaces import ALPHA, SpaceKind, component_name
+from pi1lab.words import reduce_letters
 
 
 def _sign(x) -> int:
@@ -517,3 +529,165 @@ def seg_seg_dist_sq(a, b, c, d):
         if rcmp(*cand, *best) < 0:
             best = cand
     return best
+
+
+# -- excursion records ---------------------------------------------------------
+
+
+def excursions(loop):
+    """The loop's maximal excursions away from p, as ``Excursion`` records."""
+    edges = loop._chart
+    ts, pts, space = loop.path._ts, loop.path.points, loop.space
+    base = ORIGIN._q
+    p_idx = [i for i, q in enumerate(pts) if q._q == base]
+    out = []
+    for i, j in zip(p_idx, p_idx[1:]):
+        if j == i + 1:
+            continue
+        piece_edges = edges[i:j]
+        comps = {ref[0] for ref in piece_edges if ref is not None}
+        if len(comps) != 1:
+            raise InvalidLoopError(
+                f"excursion on [{Fraction(*ts[i])}, {Fraction(*ts[j])}] spans components "
+                f"{sorted(map(component_name, comps))}"
+            )
+        out.append(Excursion(comps.pop(), ts[i : j + 1], pts[i : j + 1], piece_edges, space, i))
+    return tuple(out)
+
+
+# The vertices p, B, D of a circle are numbered 0, 1, 2; edge j runs from
+# vertex j to vertex _NEXT[j], and _SHARED[j][k] is the one vertex that the
+# distinct edges j and k share.
+_NEXT = (1, 2, 0)
+_SHARED = ((None, 1, 0), (1, None, 2), (0, 2, None))
+
+
+def _step(j, a, b):
+    if a == b:
+        return 0
+    if a == j and b == _NEXT[j]:
+        return 1
+    if b == j and a == _NEXT[j]:
+        return -1
+    raise InvalidLoopError("excursion lift does not close up at p")
+
+
+def lift_degree(exc):
+    """The winding degree of a circle excursion: the steps of its vertex
+    runs summed and divided by 3."""
+    vertices = exc.space.circle(exc.component).vertices
+    lift = 0
+    at = 0
+    run = None
+    for q, ref in zip(exc.points, exc.piece_edges):
+        if ref is None or ref[1] == run:
+            continue
+        j = ref[1]
+        if run is not None:
+            v = _SHARED[run][j]
+            if q._q != vertices[v]._q:
+                raise InvalidLoopError("discontinuous chart sequence in excursion")
+            lift += _step(run, at, v)
+            at = v
+        run = j
+    if run is None:
+        return 0
+    lift += _step(run, at, 0)
+    if lift % 3 != 0:
+        raise InvalidLoopError("excursion lift does not close up at p")
+    return lift // 3
+
+
+def apex_on_excursion(exc, apex):
+    """Whether some piece of the excursion contains the point ``apex``."""
+    pts = exc.points
+    for p0, p1, ref in zip(pts, pts[1:], exc.piece_edges):
+        if ref is None:
+            if p0 == apex:
+                return True
+            continue
+        if ref[1] == 2:
+            continue
+        if p0 == apex or p1 == apex or Segment(p0, p1).contains(apex):
+            return True
+    return False
+
+
+def breakpoints(exc):
+    """The excursion's (t, point) breakpoints, t as a Fraction."""
+    return tuple((Fraction(n, d), q) for (n, d), q in zip(exc.ts, exc.points))
+
+
+def subpath(exc):
+    """The excursion's slice of its loop, renormalized to [0, 1]."""
+    (n0, d0), (n1, d1) = exc.ts[0], exc.ts[-1]
+    span_n, span_d = n1 * d0 - n0 * d1, d1 * d0
+    ts = []
+    for n, d in exc.ts:
+        un, ud = (n * d0 - n0 * d) * span_d, d * d0 * span_n
+        g = gcd(un, ud)
+        ts.append((un // g, ud // g))
+    return _path(tuple(ts), exc.points)
+
+
+def spans(loop):
+    """``(component, first, last, degree)`` of each excursion; alpha's is 0."""
+    return tuple(
+        (e.component, e.first, e.first + len(e.ts) - 1, 0 if e.component == ALPHA else lift_degree(e))
+        for e in excursions(loop)
+    )
+
+
+def classify(loop, kind):
+    """The word of the loop's circle excursions; an alpha excursion is an
+    error in X."""
+    letters = []
+    for exc in excursions(loop):
+        if exc.component == ALPHA:
+            if kind is SpaceKind.BOUQUET_X:
+                raise ClassificationError(
+                    "loop leaves the bouquet: excursion into the limit segment "
+                    f"on [{exc.t_start}, {exc.t_end}]"
+                )
+            continue
+        d = lift_degree(exc)
+        if d != 0:
+            letters.append((exc.component, d))
+    return reduce_letters(letters)
+
+
+def cutoff(loop):
+    """choose_n: one past the largest circle whose excursion has a nonzero
+    degree or meets its apex, and at least 2."""
+    worst = 1
+    for exc in excursions(loop):
+        n = exc.component
+        if n <= worst:
+            continue
+        if lift_degree(exc) != 0 or apex_on_excursion(exc, loop.space.circle(n).apex):
+            worst = n
+    return max(2, worst + 1)
+
+
+def collapse_to_x(loop):
+    """The loop with its alpha excursions and its excursions at or past the
+    cutoff replaced by one constant piece at p each, charted in X."""
+    n_cut = cutoff(loop)
+    edges = loop._chart
+    ts, pts = loop.path._ts, loop.path.points
+    new_ts, new_pts, new_edges = [], [], []
+    k = 0
+    for exc in excursions(loop):
+        if exc.component != ALPHA and exc.component < n_cut:
+            continue
+        a, b = exc.first, exc.first + len(exc.ts) - 1
+        new_ts += ts[k : a + 1]
+        new_pts += pts[k : a + 1]
+        new_edges += edges[k:a]
+        new_edges.append(None)
+        k = b
+    new_ts += ts[k:]
+    new_pts += pts[k:]
+    new_edges += edges[k:]
+    x_space = loop.space.sibling(SpaceKind.BOUQUET_X)
+    return _charted(_path(tuple(new_ts), tuple(new_pts)), x_space, tuple(new_edges))

@@ -55,6 +55,14 @@ LONG_VALUE_SCRIPTS = (
     ("loop a = C(1000).once\nloop f = alpha.updown\ndist a f", "dist a f"),
 )
 
+# The loop runs through C_590 and C_591, whose pow10 coordinates have about
+# 6,000 digits; the squared sup distance of a perturbation has more than 4300.
+LONG_PERTURBATION_SCRIPT = """\
+space T = X(20)
+loop a = word g590 g591
+probe discreteness loop=a trials=1 magnitude=1/10000000 seed={seed}
+"""
+
 NINES = "9" * 5000
 
 # A uniform width of two 4300-digit literals: every circle meets the next one,
@@ -246,6 +254,16 @@ class TestRun:
         code, out, err = run_cli(capsys, ["run", str(script)])
         assert code == 1 and out == ""
         assert err == too_long(where)
+
+    def test_perturbation_too_long_to_print_is_one_error_line(self, capsys, tmp_path):
+        """It ended in a ValueError traceback from str() of the largest
+        squared perturbation, on seeds 0, 1 and 4; each run takes about a
+        second, so one seed is run here."""
+        script = tmp_path / "long.pi1"
+        script.write_text(LONG_PERTURBATION_SCRIPT.format(seed=0), encoding="utf-8")
+        code, out, err = run_cli(capsys, ["run", str(script)])
+        assert code == 1 and out == ""
+        assert err == too_long("probe discreteness: max_perturbation_sq_seen")
 
     def test_disjointness_witness_too_long_to_print_is_one_error_line(self, capsys, tmp_path):
         script = tmp_path / "long.pi1"
@@ -589,34 +607,35 @@ class TestDemo:
     def test_work_counts(self, tmp_path, monkeypatch):
         """A warmed seed-1 demo makes at most 60 dyadic_sqrt_bounds calls,
         since each edge brackets its length once (598 when every slide and
-        bounce bracketed its edge again); and lifts no excursion twice."""
+        bounce bracketed its edge again). It builds no Excursion, as every
+        reader takes the spans of one chart scan (3,325 when each loop was
+        sliced into records), and makes at most 3,282 Segment.contains
+        calls (3,482 when the apex test ran on the pieces)."""
         demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
-        brackets, built, lifted = [0], [], []
+        brackets, built, contains = [0], [0], [0]
 
         def bounds(*args, _orig=exactnum.dyadic_sqrt_bounds):
             brackets[0] += 1
             return _orig(*args)
 
         def excursion(*args, _orig=loops.Excursion):
-            exc = _orig(*args)
-            built.append(exc)
-            return exc
+            built[0] += 1
+            return _orig(*args)
 
-        def lift(exc, _orig=loops._lift_degree):
-            lifted.append(exc)
-            return _orig(exc)
+        def contained(self, q, _orig=geometry.Segment.contains):
+            contains[0] += 1
+            return _orig(self, q)
 
         for mod in (geometry, pi1):
             monkeypatch.setattr(mod, "dyadic_sqrt_bounds", bounds)
         monkeypatch.setattr(loops, "Excursion", excursion)
-        monkeypatch.setattr(loops, "_lift_degree", lift)
+        monkeypatch.setattr(geometry.Segment, "contains", contained)
         code, _ = demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
         monkeypatch.undo()
         assert code == 0
         assert 0 < brackets[0] <= 60
-        assert 0 < len(lifted) <= len(built)
-        assert len({id(exc) for exc in lifted}) == len(lifted)
-        assert {id(exc) for exc in lifted} <= {id(exc) for exc in built}
+        assert built[0] == 0
+        assert 0 < contains[0] <= 3282
 
     def test_unknown_demo(self, capsys):
         code, _, err = run_cli(capsys, ["demo", "mystery"])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import sqrt_leq_sqrt_plus_sqrt
+from oracles import breakpoints, sqrt_leq_sqrt_plus_sqrt, subpath
 from pi1lab import kernels, loops, pi1
 from pi1lab.geometry import PLPath, point, sup_distance
 from pi1lab.loops import (
@@ -135,22 +135,23 @@ class TestDecompose:
             assert comps == [n for n, _ in w.letters()]
 
     def test_chart_across_components_is_refused(self, y):
-        """An excursion whose chart names two components is refused, naming
-        them sorted as text."""
+        """An excursion whose chart names two components is refused by the
+        scan, naming them sorted as text."""
         apex = y.circle(2).apex
         path = PLPath(((F(0), point(0, 0)), (F(1, 2), apex), (F(1), point(0, 0))))
         for chart, names in ((((2, 0), (10, 2)), "['C10', 'C2']"), ((ALPHA_EDGE, (3, 0)), "['C3', 'alpha']")):
             with pytest.raises(InvalidLoopError) as err:
-                decompose(loops._charted(path, y, chart))
+                classify_x(loops._charted(path, y, chart))
             assert str(err.value) == f"excursion on [0, 1] spans components {names}"
 
     def test_subpath_normalized(self, x):
         lp = concatenate(standard_fn(2, x), standard_fn(3, x))
         for exc in decompose(lp):
-            assert exc.subpath.breakpoints[0][0] == 0
-            assert exc.subpath.breakpoints[-1][0] == 1
-            assert exc.subpath.at(0) == point(0, 0)
-            assert exc.subpath.at(1) == point(0, 0)
+            path = subpath(exc)
+            assert path.breakpoints[0][0] == 0
+            assert path.breakpoints[-1][0] == 1
+            assert path.at(0) == point(0, 0)
+            assert path.at(1) == point(0, 0)
 
     def test_coverage_of_unit_interval(self, x):
         lp = concatenate_all([standard_fn(2, x), constant_loop(x), standard_fn(5, x)])
@@ -426,7 +427,7 @@ def lifted_degree(exc):
     fraction along edge j from kernels.foot_param, divided by 3."""
     circ = exc.space.circle(exc.component)
     theta = start = None
-    for ((_, p0), (_, p1)), ref in zip(exc.subpath.pieces(), exc.piece_edges):
+    for ((_, p0), (_, p1)), ref in zip(subpath(exc).pieces(), exc.piece_edges):
         if ref is None:
             continue
         edge = circ.edges[ref[1]]
@@ -517,32 +518,47 @@ class TestWindingOracle:
         self.assert_lift_agrees([backtracking_loop(x), there_and_back, standard_fn(7, x)])
 
     def hand_built(self, x, points, edges):
+        """A chart of C_2 that no builder makes, both as a ``_charted`` loop
+        and as a hand-built excursion: each is read by the one scan."""
         n = 2
         t = [F(k, len(points) - 1) for k in range(len(points))]
-        exc = Excursion(
-            n, tuple((s.numerator, s.denominator) for s in t),
-            tuple(points), tuple((n, j) for j in edges), x, 0,
-        )
-        assert (exc.t_start, exc.t_end, exc.breakpoints) == (t[0], t[-1], tuple(zip(t, points)))
-        return exc
+        chart = tuple((n, j) for j in edges)
+        lp = loops._charted(PLPath(tuple(zip(t, points))), x, chart)
+        exc = Excursion(n, lp.path._ts, tuple(points), chart, x, 0)
+        assert (exc.t_start, exc.t_end, breakpoints(exc)) == (t[0], t[-1], tuple(zip(t, points)))
+        return lp, exc
+
+    def assert_refused(self, built, message):
+        lp, exc = built
+        for read in (lambda: classify_x(lp), lambda: winding_degree(exc)):
+            with pytest.raises(InvalidLoopError) as err:
+                read()
+            assert str(err.value) == message
 
     def test_edge_change_away_from_vertex(self, x):
         c = x.circle(2)
         mid = c.edges[0].at(F(1, 2))
         # the chart claims edge 1 (B -> D) from the middle of edge 0 on
-        exc = self.hand_built(x, [point(0, 0), mid, c.apex, point(0, 0)], [0, 1, 0])
-        with pytest.raises(InvalidLoopError) as err:
-            winding_degree(exc)
-        assert str(err.value) == "discontinuous chart sequence in excursion"
+        built = self.hand_built(x, [point(0, 0), mid, c.apex, point(0, 0)], [0, 1, 0])
+        self.assert_refused(built, "discontinuous chart sequence in excursion")
 
     def test_lift_that_does_not_close(self, x):
         c = x.circle(2)
         p = point(0, 0)
         # "edge 1" (B -> D) cannot end at p, nor start there
         for points, edges in (([p, c.apex, p], [0, 1]), ([p, c.tail, p], [1, 2])):
-            with pytest.raises(InvalidLoopError) as err:
-                winding_degree(self.hand_built(x, points, edges))
-            assert str(err.value) == "excursion lift does not close up at p"
+            built = self.hand_built(x, points, edges)
+            self.assert_refused(built, "excursion lift does not close up at p")
+
+    def test_hand_built_excursion_scans_its_own_slice(self, x):
+        """winding_degree of an excursion that decompose did not build scans
+        its slice once and keeps the degree."""
+        for n, sign in ((2, 1), (5, -1)):
+            lp = standard_fn(n, x) if sign > 0 else reverse(standard_fn(n, x))
+            (made,) = decompose(lp)
+            exc = Excursion(n, made.ts, made.points, made.piece_edges, x, made.first)
+            assert exc == made and exc._degree is None
+            assert winding_degree(exc) == sign == exc._degree
 
     def test_classification_makes_no_foot_param_calls(self, x, monkeypatch):
         calls = []

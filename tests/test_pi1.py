@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from pi1lab import kernels, loops, pi1
 from pi1lab.exactnum import dyadic_sqrt_bounds
 from pi1lab.geometry import ORIGIN, PLPath
@@ -139,7 +140,7 @@ class TestCollapse:
         (kept,) = decompose(out)
         (c2,) = [exc for exc in decompose(lp) if exc.component != ALPHA]
         assert component_name(kept.component) == "C2"
-        assert (kept.breakpoints, kept.piece_edges) == (c2.breakpoints, c2.piece_edges)
+        assert (oracles.breakpoints(kept), kept.piece_edges) == (oracles.breakpoints(c2), c2.piece_edges)
 
     def test_collapse_output_validates_in_x(self, y):
         rng = random.Random(5)
@@ -561,10 +562,10 @@ class TestParameterPairs:
                 pi1._perturb_once(lp, rng, F(1, 10)),
             )
             paths += [b.path for b in built]
-            paths += [exc.subpath for b in built for exc in decompose(b)]
+            paths += [oracles.subpath(exc) for b in built for exc in decompose(b)]
             decorated = alpha_decorate(include_in_y(lp), rng)
             paths += [decorated.path, collapse_to_x(decorated).path]
-            paths += [exc.subpath for exc in decompose(decorated)]
+            paths += [oracles.subpath(exc) for exc in decompose(decorated)]
         for path in paths:
             assert_reduced_increasing(path)
 
@@ -591,7 +592,7 @@ class TestParameterPairs:
 
 class TestRecords:
     """Loops and excursions are slotted records whose equality and hash
-    ignore what is stored on them: a chart, excursions or a degree."""
+    ignore what is stored on them: a chart, spans or a degree."""
 
     @given(
         letters=st.lists(st.tuples(st.integers(2, 9), st.sampled_from((1, -1))), max_size=8),
@@ -611,20 +612,20 @@ class TestRecords:
         assert word_loop != ly
         for lp in corpus:
             fresh = Loop(lp.path, lp.space)
-            assert fresh._chart == lp._chart and fresh._excursions is None
+            assert fresh._chart == lp._chart and fresh._spans is None
+            assert lp == fresh and hash(lp) == hash(fresh)
+            spans = loops._spans(lp)
+            assert lp._spans is spans and fresh._spans is None
             assert lp == fresh and hash(lp) == hash(fresh)
             excs = decompose(lp)
             again = decompose(fresh)
-            assert lp._excursions is excs and fresh._chart is not None
-            assert lp == fresh and hash(lp) == hash(fresh)
             assert excs == again and list(map(hash, excs)) == list(map(hash, again))
             for exc, other in zip(excs, again):
+                other._degree = None
                 if exc.component != ALPHA:
-                    loops.winding_degree(exc)
-                    assert exc._degree is not None and other._degree is None
+                    assert exc._degree == loops.winding_degree(other) == other._degree
                 assert exc == other and hash(exc) == hash(other)
                 assert exc.component == other.component
-                assert exc.subpath is exc.subpath
             for obj in (lp, fresh, *excs):
                 assert not hasattr(obj, "__dict__")
 
@@ -717,34 +718,87 @@ def excursions_built(monkeypatch):
     return built
 
 
+@pytest.fixture
+def scans(monkeypatch):
+    """The breakpoints of every chart the loops module scans for spans."""
+    seen = []
+
+    def counted(ts, pts, chart, space, _orig=loops._scan):
+        seen.append(pts)
+        return _orig(ts, pts, chart, space)
+
+    monkeypatch.setattr(loops, "_scan", counted)
+    return seen
+
+
 class TestDecomposeOnce:
-    def test_alpha_decorate_after_classify_y_does_not_decompose_again(self, x, excursions_built):
+    def test_alpha_decorate_after_classify_y_does_not_decompose_again(self, x, excursions_built, scans):
         rng = random.Random(51)
         for _ in range(10):
             w = random_reduced_word(rng, 8)
             ly = include_in_y(realize_word(w, x))
             assert classify_y(ly).word == w
-            before = len(excursions_built)
+            before = len(scans)
             alpha_decorate(ly, rng)
-            assert len(excursions_built) == before
+            assert len(scans) == before
+        assert excursions_built == []
 
-    def test_decompose_returns_the_stored_excursions(self, x, excursions_built):
+    def test_decompose_builds_from_the_stored_spans(self, x, excursions_built, scans):
         lx = realize_word(parse_word("g2 g3^-2 g5"), x)
         first = decompose(lx)
         assert len(excursions_built) == 4  # one per letter: g3^-2 is two
-        assert decompose(lx) is first
-        assert len(excursions_built) == 4
+        again = decompose(lx)
+        assert again == first and again is not first
+        assert len(excursions_built) == 8 and scans == [lx.path.points]
+        assert [exc._degree for exc in first] == [1, -1, -1, 1]
 
-    def test_winding_degree_once_per_excursion(self, x, monkeypatch):
-        lifts = []
-
-        def counted(exc, _orig=loops._lift_degree):
-            lifts.append(exc)
-            return _orig(exc)
-
-        monkeypatch.setattr(loops, "_lift_degree", counted)
+    def test_winding_degree_once_per_excursion(self, x, scans):
         lx = realize_word(parse_word("g2 g3^-2 g5"), x)
         assert classify_x(lx).word == parse_word("g2 g3^-2 g5")
         assert choose_n(lx) == 6
         assert [loops.winding_degree(e) for e in decompose(lx)] == [1, -1, -1, 1]
-        assert lifts == list(decompose(lx))
+        assert stability_radius(lx) > 0 and collapse_to_x(include_in_y(lx)) == lx
+        assert scans == [lx.path.points, lx.path.points]
+
+
+def _outcome(read, *args):
+    """What ``read(*args)`` returns, or the type and text of its error."""
+    try:
+        return read(*args)
+    except Exception as exc:  # compared, not swallowed
+        return (type(exc), str(exc))
+
+
+class TestSpansOracle:
+    """The span readers equal the excursion records they replaced."""
+
+    @given(
+        letters=st.lists(st.tuples(st.integers(2, 9), st.sampled_from((1, -1))), max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    def test_readers_match_the_oracle(self, x, y, letters, seed):
+        rng = random.Random(seed)
+        word_loop = realize_word(reduce_letters(letters), x)
+        corpus = demo_corpus(x) + [word_loop]
+        corpus += [reverse(word_loop), concatenate(word_loop, reverse(corpus[4]))]
+        corpus += [concatenate_all([corpus[3], word_loop, corpus[1]])]
+        params = word_loop.path.params
+        corpus += [subdivide(word_loop, [F(rng.randint(0, 64), 64), params[rng.randrange(len(params))] / 3])]
+        corpus += [pi1._perturb_once(lp, rng, bound) for lp in corpus[1:6] for bound in (F(1, 1000), F(1))]
+        decorated = [alpha_decorate(include_in_y(lp), rng) for lp in (word_loop, corpus[4], corpus[1])]
+        corpus += decorated + [collapse_to_x(lp) for lp in decorated]
+        corpus += [pi1._sample_small_loop(space, F(1, 4), rng) for space in (x, y)]
+        # points loops, located when built: a there-and-back to a point of an
+        # edge (the apex at u = 1 on edge 0), and a decorated loop relocated
+        n, j = rng.randint(2, 12), rng.choice((0, 2))
+        q = y.circle(n).edges[j].at(F(rng.choice((1, 2, 3)), 3))
+        corpus += [loop_from_breakpoints([(0, 0, 0), ("1/2", q.x, q.y), (1, 0, 0)], y)]
+        corpus += [Loop(decorated[0].path, y), Loop(corpus[5].path, x)]
+        for lp in corpus:
+            assert loops._spans(lp) == oracles.spans(lp)
+            assert _outcome(lambda: classify_x(lp).word) == _outcome(oracles.classify, lp, SpaceKind.BOUQUET_X)
+            assert classify_y(lp).word == oracles.classify(include_in_y(lp), SpaceKind.COMPACT_Y)
+            assert choose_n(lp) == oracles.cutoff(lp)
+            out, want = collapse_to_x(lp), oracles.collapse_to_x(lp)
+            assert (out, out._chart) == (want, want._chart)

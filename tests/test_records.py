@@ -6,7 +6,7 @@ import pytest
 
 from pi1lab import dsl
 from pi1lab.geometry import DegenerateSegmentError, ExactDistance, Segment, point
-from pi1lab.loops import Violation
+from pi1lab.loops import Violation, standard_fn
 from pi1lab.pi1 import HomotopyClass
 from pi1lab.report import FAIL, PASS, ProbeReport
 from pi1lab.spaces import (
@@ -200,7 +200,18 @@ class TestSpaceHandle:
 
     def test_repr(self):
         y = SpaceHandle(SpaceKind.COMPACT_Y, CUBE, 8)
-        assert repr(y) == f"SpaceHandle(kind={SpaceKind.COMPACT_Y!r}, profile={CUBE!r}, hint=8, _circles={{}})"
+        want = f"SpaceHandle(kind={SpaceKind.COMPACT_Y!r}, profile={CUBE!r}, hint=8, cached_circles={{}})"
+        assert repr(y) == want.format(0)
+        y.circle(2), y.circle(3)
+        assert repr(y) == want.format(2)
+
+    def test_loop_repr_does_not_print_the_circles(self):
+        """The repr printed the whole circle cache: 76,568 characters for
+        pow10 C_2 ... C_32, in every loop's repr."""
+        y = compact_y(hint=32)
+        for n in range(2, 33):
+            y.circle(n)
+        assert len(repr(standard_fn(2, y))) < 1000
 
 
 def test_built_circle_equals_its_record():
