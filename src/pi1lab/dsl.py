@@ -23,42 +23,35 @@ with line and column.
     probe discreteness loop=h2 trials=100 magnitude=1/1000 seed=7
     render S f2 f -> scene.svg
 
-Input budgets are checked when the script is parsed, so a script over one
+Input limits are checked when the script is parsed, so a script over one
 fails at once with a parse error instead of running for seconds to hours:
 
 - circle indices are capped at ``MAX_CIRCLE_INDEX``: ``C(n)``, word
   generators ``gN``, a space's hint, ``n_max`` and ``up_to``, and the one
   circle each ``points`` breakpoint can lie on, ``max(2, ceil(y/x))`` for
-  x > 0 (``spaces.candidate_circle``, which point location uses too). The default pow10 width of C_n has a 10n-digit denominator, so
-  the cost of a single circle grows with its index;
-- ``probe disjointness`` intersects every pair of circles exactly, so its
-  ``up_to`` is capped lower, at ``MAX_PAIRWISE_UP_TO``;
+  x > 0 (``spaces.candidate_circle``, which point location uses too);
 - no integer literal may have more than ``MAX_LITERAL_DIGITS`` digits;
-- no word literal or ``concat`` may have more than ``MAX_WORD_LETTERS``
-  letters. The parser records a letter count for each bound loop: a
-  word's length, and 1 per circle, alpha or ``points`` piece;
-- one script may spend at most ``MAX_SCRIPT_LETTERS`` letters in all: each
-  binding adds its letter count (a rebinding counts again), each
-  ``classify`` its loop's and each ``dist`` both loops';
-- ``probe discreteness`` runs at most ``MAX_TRIALS`` trials and ``probe
-  slsc`` at most ``MAX_SAMPLES`` samples;
-- ``probe discreteness`` runs at most ``MAX_TRIAL_LETTERS`` letter-trials:
-  its ``trials`` times the letter count of its loop;
-- ``probe discreteness`` first computes its loop's stability radius, at
-  most ``MAX_RADIUS_WORK`` units of work: the pairs of circles the loop
-  touches times the square of the largest index. The parser records the
-  circles each bound loop can touch: a word's generators, ``C(n)``'s n,
-  the candidate circle of each ``points`` breakpoint with x > 0, and the
-  union over a ``concat``.
+- every statement has a price in units of work (``_PRICES``), and one
+  script may spend at most ``MAX_SCRIPT_WORK`` units: the statement that
+  passes the limit is refused at its line. A price is a closed form in what
+  the parser knows: a loop's letters (a word's length, 1 per circle or
+  alpha, 1 per ``points`` piece, the sum over a ``concat``) and its weight
+  (the circle price p(n) of each letter's circle), ``trials``, ``samples``,
+  ``up_to``, ``n_max``, a space's hint, the digits of a radius or
+  magnitude, and the circles a loop can touch. p(n) is the squared bit size
+  of C_n's width under the space's width profile, in units of 2**16: the
+  default pow10 width of C_n has a 10n-digit denominator, and exact
+  arithmetic on C_n costs about p(n) times more than on a small circle.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache, partial
 from typing import FrozenSet, Optional, Tuple, Union
 
 from .records import Record
-from .spaces import candidate_circle
+from .spaces import candidate_circle, profile_by_name
 from .words import Word, WordError, format_word, parse_word
 
 
@@ -67,73 +60,41 @@ from .words import Word, WordError, format_word, parse_word
 # 2.2 s (pure-Python kernels, Python 3.11, one core of a 2-vCPU VM).
 MAX_CIRCLE_INDEX = 1000
 
-# Largest up_to of the pairwise disjointness probe, which intersects every
-# pair of circles 2..up_to exactly. On a fresh pow10 compact_y,
-# verify_disjointness took 1.5 s to 60, 6.7 s to 100, 35.7 s to 150 and
-# 117.7 s to 200 (pure-Python kernels, Python 3.11, one core of a 2-vCPU VM).
-MAX_PAIRWISE_UP_TO = 100
-
 # Longest integer literal a script may hold: Python's default limit for
 # converting a decimal string to an int.
 MAX_LITERAL_DIGITS = 4300
 
-# Most letters (the sum of |exponent| over the reduced word) a word literal
-# or a concat may have; realizing and classifying a word costs time linear
-# in it.
-MAX_WORD_LETTERS = 10000
-
-# Most letters one script may spend in all: each binding's letters, and the
-# letters of the loops each classify and dist reads. Building or reading a
-# loop takes time linear in its letters, and MAX_WORD_LETTERS bounds only one
-# binding, so before this budget a script's work grew with its line count.
-# `pi1lab run` on 40,000 letters took 0.25 s as words of 10,000 letters,
-# 0.75 s as one-letter C(2).once lines, and 1.3 s and 1.8 s as points pieces
-# through the apex of C_2 and of C_1000, the costliest letters (fresh
-# process, pure-Python kernels, Python 3.11, one core of a 2-vCPU VM).
-# Before, 50 lines of 10,000-letter words took 1.7 s, and 500 lines of a
-# 10,000-letter concat 12 s, and 200 lines of classify a on a 10,000-letter
-# word 1.3-1.6 s. The documented scripts spend under 100 letters.
-MAX_SCRIPT_LETTERS = 40000
-
-# Most trials of probe discreteness and samples of probe slsc, whose time
-# is linear in the count. A trial of the loop C(2).once took 0.28 ms of CPU,
-# one of a 10-letter word loop 1.1 ms and an slsc sample 0.53 ms, so 10,000
-# take about 3, 11 and 5 s (pure-Python kernels, Python 3.11, one core of a
-# 2-vCPU VM). 100,000 of either ran past 30 s.
-MAX_TRIALS = 10000
-MAX_SAMPLES = 10000
-
-# Most letter-trials of probe discreteness: its trials times the letter
-# count of its loop. A trial perturbs, measures and reclassifies the whole
-# loop, so its time is linear in the letters, and MAX_TRIALS alone let a
-# 10,000-letter word run 10,000 trials (about 40 minutes). A letter-trial of
-# g2^1000 or g2^10000 under pow10 took 12-21 us of CPU, and the probe on
-# g2^10000 at 10 trials 1.6 s (pure-Python kernels, Python 3.11, one core of
-# a 2-vCPU VM). The documented scripts run 100.
-MAX_TRIAL_LETTERS = 100000
-
-# Most units of stability-radius work of probe discreteness: the pairs of
-# distinct circles its loop touches times the square of the largest index.
-# The radius takes 9 exact segment distances per pair, before the magnitude
-# is checked, on operands whose digits grow with the index. A unit took
-# 3-6 us of CPU under pow10: g2 ... g21 (84k units) 0.4 s, g40 ... g55 (363k)
-# 2.1 s, g999 g1000 (1M) 3.1 s (pure-Python kernels, Python 3.11, one core
-# of a 2-vCPU VM). The demo's loops need at most 25 units (g2^2 g5^-1), and
-# the documented scripts none.
-MAX_RADIUS_WORK = 350000
-
 # Longest script, in bytes, that `pi1lab run` and `pi1lab render` read; a
-# longer one is refused before it is parsed. MAX_SCRIPT_LETTERS counts a
-# points piece as one letter whatever its digits: points pieces cost 0.29 s
-# per MB through the tail of C_100 and 0.36 s per MB with 4,300-digit
+# longer one is refused before it is parsed. Points pieces cost 0.29 s per
+# MB through the tail of C_100 and 0.36 s per MB with 4,300-digit
 # coordinates on C_2, so a script at the cap ran 1.1-1.4 s, and 10 lines of
 # 4,000 pieces through C_100 (80 MB) ran 23 s (fresh process, pure-Python
 # kernels, Python 3.11, one core of a 2-vCPU VM).
 MAX_SCRIPT_BYTES = 4000000
 
-# Count parameters bounded above, checked before any name on the line is
-# resolved.
-_COUNT_BUDGETS = (("trials", MAX_TRIALS), ("samples", MAX_SAMPLES))
+# Most units of work one script may spend. A unit is about a microsecond of
+# CPU (pure-Python kernels, Python 3.11, one core of a 2-vCPU VM), and each
+# price is at or above the measured cost of its work. Circles are not
+# priced: a script builds each circle once per width profile, and all 999
+# of pow10 take 1.1 s, which the limit leaves room for.
+MAX_SCRIPT_WORK = 3000000
+
+# Prices in units of work; (a, b) prices an item on circle n at a + b * p(n).
+_PRICES = {
+    "statement": 100,  # every statement, once
+    "letter": 70,  # a binding, per letter
+    "classify": 30,  # per letter of the loop
+    "dist": (150, 18),  # per letter of both loops
+    "pair": (120, 15),  # disjointness, per pair of circles, on the larger
+    "hausdorff": (50, 9),  # per circle up to up_to
+    "nondiscreteness": (90, 15),  # per circle up to n_max
+    "radius": (2500, 450),  # discreteness, per pair of touched circles, on the larger
+    "trial": 130,  # discreteness, per trial
+    "trial_letter": (15, 10),  # per trial and letter, plus the magnitude's bits / 4
+    "sample": 100,  # slsc, per sample, plus the radius's bits
+    "draw": 200,  # render, per circle of a space up to its hint
+    "draw_letter": 100,  # render, per letter of a loop
+}
 
 _LONG_LITERAL_RE = re.compile(r"(?<!\d)\d{%d,}" % (MAX_LITERAL_DIGITS + 1))
 
@@ -275,6 +236,9 @@ PROBE_SIGNATURES = {
 def parse_rational(text: str, line: int, col: int) -> Fraction:
     if not _RAT_RE.match(text):
         raise DslError(line, col, f"expected a rational like 3 or 1/10, got {text!r}")
+    _, slash, den = text.partition("/")
+    if slash and not den.strip("0"):
+        raise DslError(line, col, f"zero denominator in {text!r}")
     return Fraction(text)
 
 
@@ -293,57 +257,36 @@ def _check_index(n: int, what: str, line: int, col: int) -> None:
         raise DslError(line, col, f"{what} exceeds the limit {MAX_CIRCLE_INDEX} on circle indices")
 
 
-def _check_trial_letters(args: dict, loops: dict, line_text: str, line: int, col: int) -> None:
-    """Refuse a discreteness probe whose trials times its loop's letters
-    exceed MAX_TRIAL_LETTERS, at the column of the trials value."""
-    trials, letters = args["trials"], loops[args["loop"]]
-    if trials * letters > MAX_TRIAL_LETTERS:
-        at = list(re.finditer(r"\strials=", line_text))[-1].end()
-        raise DslError(
-            line,
-            col + at,
-            f"trials={trials} times the {letters} letters of loop {args['loop']} "
-            f"exceeds the limit of {MAX_TRIAL_LETTERS} letter-trials",
-        )
-
-
-def _check_radius_work(args: dict, touched: dict, line_text: str, line: int, col: int) -> None:
-    """Refuse a discreteness probe whose loop's stability radius would
-    exceed MAX_RADIUS_WORK units, at the column of the loop value."""
-    circles = touched[args["loop"]]
-    k = len(circles)
-    if k < 2:
-        return
-    top = max(circles)
-    pairs = k * (k - 1) // 2
-    if pairs * top * top > MAX_RADIUS_WORK:
-        at = list(re.finditer(r"\sloop=", line_text))[-1].end()
-        raise DslError(
-            line,
-            col + at,
-            f"the stability radius of loop {args['loop']}, through {k} circles up to C({top}), "
-            f"needs {pairs * top * top} units of work (pairs of circles times {top}^2), "
-            f"which exceeds the limit of {MAX_RADIUS_WORK}",
-        )
-
-
-def _spend_letters(total: int, letters: int, what: str, line: int, col: int) -> int:
-    """The script's letter total once the statement ``what`` adds
-    ``letters``; refused at its line and column past MAX_SCRIPT_LETTERS."""
-    total += letters
-    if total > MAX_SCRIPT_LETTERS:
+def _spend(total: int, cost: int, what: str, line: int, col: int) -> int:
+    """The script's work once the statement ``what`` adds its price
+    ``cost``; refused at its line and column past MAX_SCRIPT_WORK."""
+    total += cost
+    if total > MAX_SCRIPT_WORK:
         raise DslError(
             line,
             col,
-            f"{what} brings the script to {total} letters, "
-            f"which exceeds the limit of {MAX_SCRIPT_LETTERS} letters per script",
+            f"{what} costs {cost} units of work, which brings the script to {total} "
+            f"and exceeds the limit of {MAX_SCRIPT_WORK}",
         )
     return total
 
 
+def _bits(q: Fraction) -> int:
+    """The bit size of q: its numerator's and its denominator's."""
+    return q.numerator.bit_length() + q.denominator.bit_length()
+
+
+@lru_cache(maxsize=4096)
+def _circle_price(width: str, n: int) -> int:
+    """p(n): the squared bit size of C_n's width under ``width``, kept for
+    the 4096 (width, n) pairs last asked for."""
+    bits = _bits(profile_by_name(width).fn(n))
+    return bits * bits >> 16
+
+
 def _circles(expr: LoopExpr, touched: dict) -> frozenset:
-    """The circle indices a loop expression can touch, the set
-    MAX_RADIUS_WORK is measured on; ``touched`` maps bound names to theirs."""
+    """The circle indices a loop expression can touch, the set the price of
+    its stability radius reads; ``touched`` maps bound names to theirs."""
     if isinstance(expr, WordExpr):
         return frozenset(n for n, _ in expr.word.syllables)
     if isinstance(expr, CircleExpr):
@@ -355,21 +298,55 @@ def _circles(expr: LoopExpr, touched: dict) -> frozenset:
     return frozenset()
 
 
-def _letters(expr: LoopExpr, known_loops: Optional[dict]) -> int:
-    """Letter count of a loop expression, the measure MAX_WORD_LETTERS bounds."""
+def _measure(expr: LoopExpr, loops: dict, p) -> Tuple[int, int]:
+    """(letters, weight) of a loop expression: its letter count and the sum
+    of the circle price ``p`` over its letters. A points piece weighs the
+    largest price of its circles plus the squared bit size of its longest
+    point, in the same units. ``loops`` maps bound names to their
+    (letters, weight, width)."""
     if isinstance(expr, WordExpr):
-        return len(expr.word)
+        return len(expr.word), sum(abs(e) * p(n) for n, e in expr.word.syllables)
+    if isinstance(expr, CircleExpr):
+        return 1, p(expr.index)
     if isinstance(expr, ConcatExpr):
-        return sum(known_loops[a] if isinstance(a, str) else _letters(a, known_loops) for a in expr.args)
+        parts = [loops[a][:2] if isinstance(a, str) else _measure(a, loops, p) for a in expr.args]
+        return sum(q[0] for q in parts), sum(q[1] for q in parts)
     if isinstance(expr, PointsExpr):
-        return len(expr.triples) - 1
-    return 1
+        pieces = len(expr.triples) - 1
+        bits = max(_bits(x) + _bits(y) for _, x, y in expr.triples)
+        return pieces, pieces * (max(map(p, expr.circles), default=0) + (bits * bits >> 16))
+    return 1, 0
+
+
+def _probe_price(kind: str, args: dict, loops: dict, touched: dict, width: str) -> int:
+    """The price of a probe in a space of ``width``. A count past
+    MAX_SCRIPT_WORK is priced as MAX_SCRIPT_WORK, which alone passes the
+    limit, so that no price outgrows what str() prints."""
+    p = partial(_circle_price, width)
+    if kind in ("hausdorff", "nondiscreteness"):
+        a, b = _PRICES[kind]
+        top = args.get("up_to", args.get("n_max"))
+        return sum(a + b * p(n) for n in range(2, top + 1))
+    if kind == "disjointness":
+        a, b = _PRICES["pair"]
+        return sum((n - 2) * (a + b * p(n)) for n in range(3, args["up_to"] + 1))
+    if kind == "slsc":
+        samples = min(max(args["samples"], 0), MAX_SCRIPT_WORK)
+        return samples * (_PRICES["sample"] + _bits(args["radius"]))
+    # discreteness: the stability radius of the loop, then its trials
+    letters, weight, width = loops[args["loop"]]
+    a, b = _PRICES["radius"]
+    p = partial(_circle_price, width)
+    radius = sum(i * (a + b * p(n)) for i, n in enumerate(sorted(touched[args["loop"]])))
+    a, b = _PRICES["trial_letter"]
+    trial = _PRICES["trial"] + letters * (a + _bits(args["magnitude"]) // 4) + b * weight
+    return radius + min(max(args["trials"], 0), MAX_SCRIPT_WORK) * trial
 
 
 def _parse_loop_expr(text: str, line: int, col: int, known_loops: Optional[dict]) -> LoopExpr:
     """Loop expression parser.
 
-    With ``known_loops`` given (script mode, bound name -> letter count)
+    With ``known_loops`` given (script mode, the bound names)
     concat arguments must be bound names; with ``known_loops=None`` (CLI
     literal mode) concat arguments are themselves expressions.
     """
@@ -399,10 +376,7 @@ def _parse_loop_expr(text: str, line: int, col: int, known_loops: Optional[dict]
                 args.append(part)
             else:
                 args.append(_parse_loop_expr(part, line, col, None))
-        expr = ConcatExpr(tuple(args))
-        if _letters(expr, known_loops) > MAX_WORD_LETTERS:
-            raise DslError(line, col, f"concat exceeds the limit of {MAX_WORD_LETTERS} letters")
-        return expr
+        return ConcatExpr(tuple(args))
     if text.startswith("word(") and text.endswith(")"):
         return _word_expr(text[len("word(") : -1], line, col)
     if text.startswith("word ") or text == "word":
@@ -443,8 +417,6 @@ def _word_expr(body: str, line: int, col: int) -> WordExpr:
         raise DslError(line, col, msg) from None
     for n, _ in word.syllables:
         _check_index(n, f"g{n}", line, col)
-    if len(word) > MAX_WORD_LETTERS:
-        raise DslError(line, col, f"word exceeds the limit of {MAX_WORD_LETTERS} letters")
     return WordExpr(word)
 
 
@@ -468,17 +440,21 @@ def _split_top_level(text: str):
 
 
 def parse_loop_literal(text: str) -> LoopExpr:
-    """One-off loop literal (CLI form); concat arguments may nest."""
+    """One-off loop literal (CLI form); concat arguments may nest. It is
+    priced as a binding, from a fresh total."""
     _check_literals(text, 1)
-    return _parse_loop_expr(text, 1, 1, None)
+    expr = _parse_loop_expr(text, 1, 1, None)
+    letters, _ = _measure(expr, {}, partial(_circle_price, "pow10"))
+    _spend(0, _PRICES["statement"] + _PRICES["letter"] * letters, "the loop literal", 1, 1)
+    return expr
 
 
 def parse(text: str) -> Script:
     statements = []
-    spaces: set = set()
-    loops: dict = {}  # bound loop name -> letter count
+    spaces: dict = {}  # space name -> its SpaceDecl
+    loops: dict = {}  # bound loop name -> (letters, weight, width)
     touched: dict = {}  # bound loop name -> the circle indices it can touch
-    script_letters = 0  # the letters of every binding, classify and dist so far
+    work = 0  # the price of every statement so far
     active_space: Optional[SpaceDecl] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -488,6 +464,7 @@ def parse(text: str) -> Script:
         col = len(line) - len(line.lstrip()) + 1
         stripped = line.strip()
         head = stripped.split(None, 1)[0]
+        what, cost = head, 0
         if head == "space":
             m = re.match(r"^space\s+(\w+)\s*=\s*([XY])\(\s*(\d+)\s*\)(?:\s+width=(\S+))?$", stripped)
             if not m:
@@ -497,13 +474,13 @@ def parse(text: str) -> Script:
                 width = "pow10"
             if not (width in ("pow10", "cube") or re.match(r"^uniform:-?\d+(/\d+)?$", width)):
                 raise DslError(lineno, col, f"unknown width profile {width!r}")
+            if width.startswith("uniform:"):
+                parse_rational(width[len("uniform:") :], lineno, col)
             if hint < 2:
                 raise DslError(lineno, col, "space hint must be at least 2")
             _check_index(hint, f"space hint {hint}", lineno, col + m.start(3))
-            decl = SpaceDecl(name, kind, hint, width)
-            statements.append(decl)
-            spaces.add(name)
-            active_space = decl
+            st = active_space = spaces[name] = SpaceDecl(name, kind, hint, width)
+            what = f"space {name}"
         elif head == "loop":
             m = re.match(r"^loop\s+(\w+)\s*=\s*(.+)$", stripped)
             if not m:
@@ -514,10 +491,11 @@ def parse(text: str) -> Script:
             expr = _parse_loop_expr(m.group(2), lineno, col, loops)
             if isinstance(expr, AlphaExpr) and active_space.kind != "Y":
                 raise DslError(lineno, col, "alpha.updown needs the compact space Y")
-            loops[name] = _letters(expr, loops)
-            script_letters = _spend_letters(script_letters, loops[name], f"loop {name}", lineno, col)
-            statements.append(LoopBinding(name, expr))
+            width = active_space.width
+            letters, weight = _measure(expr, loops, partial(_circle_price, width))
             touched[name] = _circles(expr, touched)
+            loops[name] = (letters, weight, width)
+            st, what, cost = LoopBinding(name, expr), f"loop {name}", _PRICES["letter"] * letters
         elif head == "classify":
             m = re.match(r"^classify\s+(\w+)$", stripped)
             if not m:
@@ -525,8 +503,7 @@ def parse(text: str) -> Script:
             name = m.group(1)
             if name not in loops:
                 raise DslError(lineno, col, f"unbound loop name {name!r}")
-            script_letters = _spend_letters(script_letters, loops[name], f"classify {name}", lineno, col)
-            statements.append(ClassifyStmt(name))
+            st, what, cost = ClassifyStmt(name), f"classify {name}", _PRICES["classify"] * loops[name][0]
         elif head == "dist":
             m = re.match(r"^dist\s+(\w+)\s+(\w+)$", stripped)
             if not m:
@@ -535,10 +512,9 @@ def parse(text: str) -> Script:
             for nm in (first, second):
                 if nm not in loops:
                     raise DslError(lineno, col, f"unbound loop name {nm!r}")
-            script_letters = _spend_letters(
-                script_letters, loops[first] + loops[second], f"dist {first} {second}", lineno, col
-            )
-            statements.append(DistStmt(first, second))
+            a, b = _PRICES["dist"]
+            cost = sum(a * loops[nm][0] + b * loops[nm][1] for nm in (first, second))
+            st, what = DistStmt(first, second), f"dist {first} {second}"
         elif head == "probe":
             m = re.match(r"^probe\s+(\w+)((?:\s+\w+=\S+)*)$", stripped)
             if not m:
@@ -553,11 +529,6 @@ def parse(text: str) -> Script:
             raw_args = dict(
                 kv.split("=", 1) for kv in m.group(2).split() if kv
             )
-            for key, limit in _COUNT_BUDGETS:
-                val = raw_args.get(key, "")
-                if re.fullmatch(r"[0-9]+", val) and int(val) > limit:
-                    at = list(re.finditer(rf"\s{key}=", stripped))[-1].end()
-                    raise DslError(lineno, col + at, f"{key}={val} exceeds the limit {limit}")
             args = []
             for key, typ in PROBE_SIGNATURES[kind]:
                 optional = typ.endswith("?")
@@ -572,10 +543,6 @@ def parse(text: str) -> Script:
                         raise DslError(lineno, col, f"{key} must be an integer, got {val!r}")
                     if key in ("n_max", "up_to"):
                         _check_index(int(val), f"{key}={val}", lineno, col)
-                    if kind == "disjointness" and int(val) > MAX_PAIRWISE_UP_TO:
-                        raise DslError(
-                            lineno, col, f"up_to={val} exceeds the limit {MAX_PAIRWISE_UP_TO} of the pairwise check"
-                        )
                     args.append((key, int(val)))
                 elif typ == "rat":
                     args.append((key, parse_rational(val, lineno, col)))
@@ -586,21 +553,25 @@ def parse(text: str) -> Script:
             if raw_args:
                 stray = sorted(raw_args)[0]
                 raise DslError(lineno, col, f"probe {kind} does not take {stray!r}")
-            if kind == "discreteness":
-                _check_trial_letters(dict(args), loops, stripped, lineno, col)
-                _check_radius_work(dict(args), touched, stripped, lineno, col)
-            statements.append(ProbeStmt(kind, tuple(args)))
+            cost = _probe_price(kind, dict(args), loops, touched, active_space.width)
+            st, what = ProbeStmt(kind, tuple(args)), f"probe {kind}"
         elif head == "render":
             m = re.match(r"^render\s+((?:\w+\s+)*\w+)\s*->\s*(\S+)$", stripped)
             if not m:
                 raise DslError(lineno, col, "expected: render <names> -> <file>")
             names = tuple(m.group(1).split())
             for nm in names:
-                if nm not in loops and nm not in spaces:
+                if nm in spaces:
+                    cost += _PRICES["draw"] * (spaces[nm].hint - 1)
+                elif nm in loops:
+                    cost += _PRICES["draw_letter"] * loops[nm][0]
+                else:
                     raise DslError(lineno, col, f"unbound name {nm!r}")
-            statements.append(RenderStmt(names, m.group(2)))
+            st = RenderStmt(names, m.group(2))
         else:
             raise DslError(lineno, col, f"unrecognized statement {head!r}")
+        work = _spend(work, _PRICES["statement"] + cost, what, lineno, col)
+        statements.append(st)
     return Script(tuple(statements))
 
 

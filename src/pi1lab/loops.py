@@ -177,9 +177,10 @@ class Excursion(Record):
 def _first_violation(loop: Loop):
     """Locate the path from scratch: its piece edges, or its first Violation.
 
-    Each breakpoint other than p is located once, when a piece first needs
-    it; a moving piece lies on the edges through both of its endpoints, and
-    on the least of them. Points are compared by their quads.
+    Each point other than p is located once, when a piece first needs it,
+    however often the path passes it; a moving piece lies on the edges
+    through both of its endpoints, and on the least of them. Points are
+    compared and remembered by their quads.
     """
     ts, pts = loop.path._ts, loop.path.points
     base = ORIGIN._q
@@ -191,12 +192,13 @@ def _first_violation(loop: Loop):
         return Violation(0, t(0), t(0), f"loop starts at {pts[0]}, not at p")
     if pts[-1]._q != base:
         return Violation(len(pts) - 2, t(-1), t(-1), f"loop ends at {pts[-1]}, not at p")
-    located = [None] * len(pts)
+    located: dict = {}  # quad -> the edges through that point
 
     def edges_at(k: int) -> Tuple[EdgeRef, ...]:
-        if located[k] is None:
-            located[k] = loop.space.edges_containing(pts[k])
-        return located[k]
+        refs = located.get(pts[k]._q)
+        if refs is None:
+            refs = located[pts[k]._q] = loop.space.edges_containing(pts[k])
+        return refs
 
     edges = []
     for i, (p0, p1) in enumerate(zip(pts, pts[1:])):

@@ -73,50 +73,64 @@ LONG_WITNESS_SCRIPT = (
 )
 
 # Each entry is refused by the parser on its last line; the column is that of
-# the offending literal.
+# the offending literal, or of the statement whose price passes the work limit.
+# The parser stops at the refused line, so the acceptance scripts that repeat
+# a statement end there; CI runs them whole.
+THROUGH_C21 = " ".join(f"g{n}" for n in range(2, 22))
 HOSTILE_LINES = (
     (f"loop w = word g2^{NINES}", 18),
     (f"loop c = C({NINES}).once", 12),
     (f"loop q = points [(0,0,0), (1/2, 1/{NINES}, 1), (1,0,0)]", 35),
     (f"probe slsc radius=1/4 samples={NINES}", 31),
-    ("loop w = word g2^20000", 1),
-    ("loop w = word g2^10000 g3", 1),
+    ("loop w = word g2^1000000", 1),
+    ("loop w = word g2^500000 g3^500000", 1),
     ("space T = Y(100000)", 13),
     ("probe disjointness up_to=101", 1),
-    ("probe slsc radius=1/4 samples=10001", 31),
-    ("probe discreteness loop=w trials=10001 magnitude=1/1000", 34),
-    # each budget holds alone; the product of trials and letters did not
+    ("probe slsc radius=1/4 samples=40000", 1),
+    ("loop w = C(2).once\nprobe discreteness loop=w trials=30000 magnitude=1/1000", 1),
+    # the product of trials and letters
     (
         "space T = X(20) width=pow10\n"
         "loop a = word g2^10000\n"
         "probe discreteness loop=a trials=20 magnitude=1/1000",
-        34,
+        1,
     ),
-    # each budget holds alone; the stability radius over two high circles did not
+    # the stability radius over two high circles
     (
         "space T = X(20) width=pow10\n"
         "loop a = word g999 g1000\n"
         "probe discreteness loop=a trials=1 magnitude=1/1000",
-        25,
-    ),
-    # each binding holds alone; the letters bound across the script did not
-    (
-        "loop a = word g2^5000\n"
-        "loop b = concat(a, a)\n"
-        "loop c = concat(a, a)\n"
-        "loop d = concat(a, a)\n"
-        "loop e = concat(a, a)",
         1,
     ),
-    # each line holds alone; the letters classify reads again did not
+    # each binding holds alone; the letters bound across the script do not
+    ("loop a = word g2^5000\n" + "loop b = concat(a, a)\n" * 3 + "loop b = concat(a, a)", 1),
+    # each line holds alone; the letters classify reads again do not
+    ("loop a = word g2^10000\n" + "classify a\n" * 7 + "classify a", 1),
+    # trials priced by their circles: 8.9 s at the parent
     (
-        "loop a = word g2^10000\n"
-        "classify a\n"
-        "classify a\n"
-        "classify a\n"
-        "classify a",
+        "space T = X(20)\n"
+        "loop a = word g590 g591\n"
+        "probe discreteness loop=a trials=100 magnitude=1/100000000",
         1,
     ),
+    # probes spend the script's budget: 20 of these ran 8.9 s at the parent
+    (
+        f"space T = X(20)\nloop a = word {THROUGH_C21}\n"
+        + "probe discreteness loop=a trials=100 magnitude=1/100000000\n" * 3
+        + "probe discreteness loop=a trials=100 magnitude=1/100000000",
+        1,
+    ),
+    # 10 of these ran 12.7 s at the parent
+    (
+        "space T = X(20)\nloop a = word g2^5000\n"
+        "probe discreteness loop=a trials=20 magnitude=1/1000\n"
+        "probe discreteness loop=a trials=20 magnitude=1/1000",
+        1,
+    ),
+    # 3 of these ran 3.8 s each at the parent
+    ("probe disjointness up_to=100", 1),
+    # renders spend the script's budget: 30 of these ran 4.5 s at the parent
+    ("space S = Y(1000)\n" + "render S -> x.svg\n" * 15 + "render S -> x.svg", 1),
 )
 
 # Each line passes the parser, whose budgets exit 2, and is refused when it
@@ -160,7 +174,7 @@ REPEATED_SPACE_SCRIPT = "".join(
     for k in range(3)
 )
 
-# Each concat doubles the loop; the second line already passes the letter budget.
+# Each concat doubles the loop; the third line already passes the work limit.
 DOUBLING_SCRIPT = """\
 space S = Y(20)
 loop a = word g2^10000
@@ -290,9 +304,15 @@ class TestRun:
             "discreteness-radius",
             "script-letters",
             "classify-letters",
+            "discreteness-high-circles",
+            "repeated-discreteness",
+            "repeated-discreteness-long-word",
+            "disjointness-up-to-100",
+            "repeated-render",
         ),
     )
-    def test_hostile_literal_fails_fast(self, capsys, tmp_path, line, col):
+    def test_hostile_literal_fails_fast(self, capsys, tmp_path, monkeypatch, line, col):
+        monkeypatch.chdir(tmp_path)
         script = tmp_path / "hostile.pi1"
         script.write_text(f"space S = Y(20)\n{line}\nclassify w\n", encoding="utf-8")
         start = time.perf_counter()
@@ -333,9 +353,12 @@ class TestRun:
         code, out, err = run_cli(capsys, ["run", str(script)])
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out == ""
-        assert err.startswith("parse error: line 3, col 1: concat exceeds the limit")
-        code, out, err = run_cli(capsys, ["word", "concat(word g2^10000, C(3).once)"])
-        assert code == 2 and out == "" and "concat exceeds the limit" in err
+        assert err == (
+            "parse error: line 4, col 1: loop c costs 2800100 units of work, "
+            "which brings the script to 4900400 and exceeds the limit of 3000000\n"
+        )
+        code, out, err = run_cli(capsys, ["word", "concat(word g2^100000, C(3).once)"])
+        assert code == 2 and out == "" and "the loop literal costs 7000170 units of work" in err
 
     def test_spaces_of_one_profile_share_circles(self, capsys, tmp_path, monkeypatch):
         """Each space statement used to start an empty circle cache, so

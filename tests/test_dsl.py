@@ -127,6 +127,22 @@ class TestDiagnostics:
         with pytest.raises(dsl.DslError):
             dsl.parse("space S = Y(5)\nrender ghost -> out.svg\n")
 
+    @pytest.mark.parametrize(
+        "body,literal",
+        [
+            ("probe nondiscreteness n_max=5 epsilon=1/0", "1/0"),
+            ("loop q = points [(0,0,0), (1/2,0,1/000), (1,0,0)]", "1/000"),
+            ("space T = Y(5) width=uniform:3/0", "3/0"),
+        ],
+        ids=["epsilon", "points", "width"],
+    )
+    def test_zero_denominator(self, body, literal):
+        """A zero denominator ended in a ZeroDivisionError traceback, from the
+        parser or, for a width, when the space was built."""
+        with pytest.raises(dsl.DslError) as err:
+            dsl.parse(f"space S = Y(5)\n{body}\n")
+        assert (err.value.line, err.value.message) == (2, f"zero denominator in {literal!r}")
+
 
 class TestRoundTrip:
     def test_parse_format_parse(self):
@@ -218,8 +234,7 @@ class TestCircleIndexLimit:
         assert script.statements[1].expr.circles == {3, 7}
 
     def test_probe_bounds(self):
-        dsl.parse(f"space S = Y(5)\nprobe hausdorff up_to={self.LIMIT}\n")
-        dsl.parse(f"space S = Y(5)\nprobe disjointness up_to={dsl.MAX_PAIRWISE_UP_TO}\n")
+        dsl.parse(f"space S = Y(5) width=cube\nprobe hausdorff up_to={self.LIMIT}\n")
         self.over(f"probe disjointness up_to={self.LIMIT + 1}")
         self.over(f"probe hausdorff up_to={self.LIMIT + 1}")
         self.over(f"probe nondiscreteness n_max={self.LIMIT + 1} epsilon=1/10")
@@ -229,9 +244,89 @@ class TestCircleIndexLimit:
             dsl.parse_loop_literal(f"concat(C(2).once, C({self.LIMIT + 1}).inv)")
 
 
+def p10(n: int) -> int:
+    """The circle price of C_n under pow10, whose width is 1/10**(10n): the
+    squared bit size of the width in units of 2**16."""
+    bits = 1 + (10 ** (10 * n)).bit_length()
+    return bits * bits >> 16
+
+
+def filler(units: int) -> str:
+    """Three statements that cost exactly ``units`` (at least 402): a space,
+    a word of K letters (100 + 70K) and an slsc probe of one sample at
+    radius 1/2**k, whose k + 2 bits make it cost 202 + k."""
+    k_letters, k = divmod(units - 402, 70)
+    return f"space F = Y(5)\nloop z = word g2^{k_letters}\nprobe slsc radius=1/{2**k} samples=1\n"
+
+
+# (prefix, its price, statement, its name in the message, its price) for
+# each statement kind, the prices worked out from the table in dsl._PRICES.
+WORK_CASES = {
+    "space": ("", 0, "space T = X(20) width=cube", "space T", 100),
+    "loop-word": ("space T = Y(5)\n", 100, "loop w = word g2^3 g5^-2 g7", "loop w", 100 + 70 * 6),
+    "loop-points": (
+        "space T = Y(5)\n",
+        100,
+        "loop q = points [(0,0,0), (1/3,0,1), (2/3,0,1/2), (1,0,0)]",
+        "loop q",
+        100 + 70 * 3,
+    ),
+    "loop-concat": (
+        "space T = Y(5)\nloop w = word g2^3\nloop f = alpha.updown\n",
+        100 + 310 + 170,
+        "loop k = concat(w, f, w)",
+        "loop k",
+        100 + 70 * 7,
+    ),
+    "classify": ("space T = Y(5)\nloop w = word g2^3\n", 410, "classify w", "classify w", 100 + 30 * 3),
+    "dist": (
+        "space T = Y(5)\nloop h = C(100).once\nloop f = alpha.updown\n",
+        440,
+        "dist h f",
+        "dist h f",
+        100 + 150 * 2 + 18 * p10(100),
+    ),
+    "disjointness": (
+        "space T = Y(5)\n",
+        100,
+        "probe disjointness up_to=20",
+        "probe disjointness",
+        100 + sum((n - 2) * (120 + 15 * p10(n)) for n in range(3, 21)),
+    ),
+    "hausdorff": (
+        "space T = Y(5)\n",
+        100,
+        "probe hausdorff up_to=30",
+        "probe hausdorff",
+        100 + sum(50 + 9 * p10(n) for n in range(2, 31)),
+    ),
+    "nondiscreteness": (
+        "space T = Y(5)\n",
+        100,
+        "probe nondiscreteness n_max=30 epsilon=1/10",
+        "probe nondiscreteness",
+        100 + sum(90 + 15 * p10(n) for n in range(2, 31)),
+    ),
+    # the radius prices the pair (20, 30) on C_30; a trial prices each of
+    # the 3 letters, with the 11 bits of the magnitude 1/1000, and the weight
+    "discreteness": (
+        "space T = X(20)\nloop a = word g20 g30^2\n",
+        410,
+        "probe discreteness loop=a trials=7 magnitude=1/1000",
+        "probe discreteness",
+        100 + (2500 + 450 * p10(30)) + 7 * (130 + 3 * (15 + 11 // 4) + 10 * (p10(20) + 2 * p10(30))),
+    ),
+    # radius 1/4 has 1 + 3 bits
+    "slsc": ("space T = Y(5)\n", 100, "probe slsc radius=1/4 samples=9 seed=3", "probe slsc", 100 + 9 * (100 + 4)),
+    "render": (
+        "space T = Y(12)\nloop w = word g2^3\n", 410, "render T w -> x.svg", "render", 100 + 200 * 11 + 100 * 3
+    ),
+}
+
+
 class TestInputBudgets:
     DIGITS = dsl.MAX_LITERAL_DIGITS
-    LETTERS = dsl.MAX_WORD_LETTERS
+    LIMIT = dsl.MAX_SCRIPT_WORK
 
     def refused(self, body: str):
         with pytest.raises(dsl.DslError) as err:
@@ -240,7 +335,53 @@ class TestInputBudgets:
         return err.value
 
     def test_limit_values(self):
-        assert (self.DIGITS, self.LETTERS) == (4300, 10000)
+        assert (self.DIGITS, self.LIMIT) == (4300, 3000000)
+        assert sorted(name for name in vars(dsl) if name.startswith("MAX_")) == [
+            "MAX_CIRCLE_INDEX", "MAX_LITERAL_DIGITS", "MAX_SCRIPT_BYTES", "MAX_SCRIPT_WORK"
+        ]
+
+    @pytest.mark.parametrize("case", list(WORK_CASES))
+    def test_work_limit(self, case):
+        """Every statement adds its price to one total per script: a script
+        whose last statement reaches the limit parses, and one unit more
+        refuses that statement at its line and column, naming its price,
+        the script's total and the limit."""
+        prefix, prefix_cost, statement, what, cost = WORK_CASES[case]
+        line = 4 + prefix.count("\n")
+        at_limit = filler(self.LIMIT - prefix_cost - cost) + prefix + "  " + statement + "\n"
+        assert dsl.parse(at_limit).statements[-1] is not None
+        with pytest.raises(dsl.DslError) as err:
+            dsl.parse(filler(self.LIMIT - prefix_cost - cost + 1) + prefix + "  " + statement + "\n")
+        assert (err.value.line, err.value.col) == (line, 3)
+        assert err.value.message == (
+            f"{what} costs {cost} units of work, which brings the script to {self.LIMIT + 1} "
+            f"and exceeds the limit of {self.LIMIT}"
+        )
+
+    def test_loop_literal_spends_a_fresh_total(self):
+        """A CLI loop literal is priced as a binding, from a fresh total."""
+        letters = (self.LIMIT - 100) // 70
+        dsl.parse_loop_literal(f"concat(word g2^{letters - 1}, C(3).once)")
+        with pytest.raises(dsl.DslError) as err:
+            dsl.parse_loop_literal(f"concat(word g2^{letters}, C(3).once)")
+        assert (err.value.line, err.value.col) == (1, 1)
+        cost = 100 + 70 * (letters + 1)
+        assert cost > self.LIMIT
+        assert err.value.message == (
+            f"the loop literal costs {cost} units of work, which brings the script to "
+            f"{cost} and exceeds the limit of {self.LIMIT}"
+        )
+
+    def test_counts_past_the_limit_are_priced_as_the_limit(self):
+        """trials and samples of 4300 digits give a price str() can print."""
+        many = "9" * self.DIGITS
+        for body in (
+            f"probe slsc radius=1/4 samples={many}",
+            f"space T = X(5)\nloop a = C(2).once\nprobe discreteness loop=a trials={many} magnitude=1/1000",
+        ):
+            with pytest.raises(dsl.DslError) as err:
+                dsl.parse(f"space S = Y(5)\n{body}\n")
+            assert "exceeds the limit" in err.value.message
 
     def test_every_long_integer_literal_is_refused_at_its_column(self):
         long = "1" * (self.DIGITS + 1)
@@ -271,117 +412,3 @@ class TestInputBudgets:
         big = "9" * self.DIGITS
         err = self.refused(f"loop q = points [(0, 0, 0), (1/2, 1/{big}, {big}), (1, 0, 0)]")
         assert "can only lie on a circle" in err.message
-
-    def test_word_letter_budget(self):
-        for ok in (f"g2^{self.LETTERS}", f"g2^-{self.LETTERS - 1} g3", f"g2^{self.LETTERS + 1} g2^-1"):
-            dsl.parse(f"space S = Y(5)\nloop w = word {ok}\n")
-        for bad in (f"g2^{self.LETTERS + 1}", f"g2^{self.LETTERS // 2} g3^-{self.LETTERS // 2 + 1}"):
-            err = self.refused(f"loop w = word {bad}")
-            assert err.message == f"word exceeds the limit of {self.LETTERS} letters"
-
-    def test_concat_letter_budget(self):
-        # a word counts its letters; a circle or alpha 1, a points literal 1 per piece
-        head = (
-            f"space S = Y(5)\nloop w = word g2^{self.LETTERS - 5}\nloop c = C(3).once\n"
-            "loop f = alpha.updown\nloop q = points [(0,0,0), (1/3,0,1), (2/3,0,1/2), (1,0,0)]\n"
-        )
-        dsl.parse(head + "loop k = concat(w, c, f, q)\n")
-        with pytest.raises(dsl.DslError) as err:
-            dsl.parse(head + "loop k = concat(w, c, f, q)\nloop m = concat(k, c)\n")
-        assert (err.value.line, err.value.message) == (7, f"concat exceeds the limit of {self.LETTERS} letters")
-
-    def test_script_letter_budget(self):
-        """The letters of every binding add up, rebindings included: a script
-        at the limit parses, and the binding that passes it is refused at its
-        line, naming the script's total and the limit."""
-        limit = dsl.MAX_SCRIPT_LETTERS
-        assert limit == 40000
-        words = f"loop w = word g2^{self.LETTERS}\n" * (limit // self.LETTERS)
-        dsl.parse(f"space S = Y(5)\n{words}")
-        for line, name, total in (
-            ("loop c = C(3).once", "c", limit + 1),
-            ("  loop q = points [(0,0,0), (1/3,0,1), (2/3,0,0), (1,0,0)]", "q", limit + 3),
-            ("loop w = concat(w)", "w", limit + self.LETTERS),
-        ):
-            with pytest.raises(dsl.DslError) as err:
-                dsl.parse(f"space S = Y(5)\n{words}{line}\n")
-            assert (err.value.line, err.value.col) == (6, line.index("loop") + 1)
-            assert err.value.message == (
-                f"loop {name} brings the script to {total} letters, "
-                f"which exceeds the limit of {limit} letters per script"
-            )
-
-    def test_classify_and_dist_spend_letters(self):
-        """classify adds its loop's letters to the script's total and dist
-        both loops': at the limit parses, and the statement that passes it
-        is refused at its line and column, naming the total and the limit."""
-        limit = dsl.MAX_SCRIPT_LETTERS
-        head = f"space S = Y(5)\nloop a = word g2^{self.LETTERS}\n"
-        dsl.parse(head + "classify a\ndist a a\n")
-        for body, line, what, total in (
-            ("classify a\ndist a a\n  classify a", "  classify a", "classify a", limit + self.LETTERS),
-            ("loop c = C(3).once\nclassify a\nclassify a\ndist c a", "dist c a", "dist c a", limit + 2),
-        ):
-            with pytest.raises(dsl.DslError) as err:
-                dsl.parse(head + body + "\n")
-            assert (err.value.line, err.value.col) == (3 + body.count("\n"), line.index(what) + 1)
-            assert err.value.message == (
-                f"{what} brings the script to {total} letters, "
-                f"which exceeds the limit of {limit} letters per script"
-            )
-
-    def test_trial_letter_budget(self):
-        """trials times the loop's letters: at the limit parses, one over is
-        refused at the trials value, naming both values and the limit."""
-        limit = dsl.MAX_TRIAL_LETTERS
-        assert limit == 100000
-        head = (
-            "space T = X(20)\nloop a = word g2^1000\nloop b = word g3^10\n"
-            "loop q = points [(0,0,0), (1/3,0,1), (2/3,0,1/2), (1,0,0)]\nloop k = concat(a, q)\n"
-        )
-        for ok in ("loop=a trials=100", "loop=b trials=10000", "loop=a trials=-5", "trials=99 loop=k"):
-            dsl.parse(head + f"probe discreteness {ok} magnitude=1/1000\n")
-        for line, name, letters, trials in (
-            ("probe discreteness loop=a trials=101 magnitude=1/1000", "a", 1000, 101),
-            ("  probe discreteness magnitude=1/1000 trials=100 loop=k seed=1", "k", 1003, 100),
-        ):
-            with pytest.raises(dsl.DslError) as err:
-                dsl.parse(head + line + "\n")
-            assert (err.value.line, err.value.col) == (6, line.index("trials=") + len("trials=") + 1)
-            assert err.value.message == (
-                f"trials={trials} times the {letters} letters of loop {name} "
-                f"exceeds the limit of {limit} letter-trials"
-            )
-
-    def test_radius_work_budget(self):
-        """Pairs of touched circles times the largest index squared: a loop
-        through C(2) ... C(21) parses, and two circles near the index cap are
-        refused at the loop value, whether bound as a word, a concat or
-        points, naming the circle count, the largest index and the limit."""
-        limit = dsl.MAX_RADIUS_WORK
-        assert limit == 350000
-        through = " ".join(f"g{n}" for n in range(2, 22))  # 190 pairs times 21^2
-        head = (
-            f"space T = X(20)\nloop a = word {through}\nloop b = word g1000^3 g2^-1000\n"
-            "loop c = C(999).once\nloop d = C(1000).inv\nloop k = concat(c, d)\n"
-            "loop q = points [(0,0,0), (1/4,1/999,1), (1/2,0,0), (3/4,1/1000,1), (1,0,0)]\n"
-            "loop h = word g590 g591\nloop i = word g591 g592\nloop e = concat(c, c, a)\n"
-        )
-        for ok in ("loop=a trials=3", "loop=c trials=3", "trials=2 loop=h"):
-            dsl.parse(head + f"probe discreteness {ok} magnitude=1/1000\n")
-        for line, name, k, top in (
-            ("probe discreteness loop=b trials=1 magnitude=1/1000", "b", 2, 1000),
-            ("probe discreteness loop=k trials=1 magnitude=1/1000", "k", 2, 1000),
-            ("  probe discreteness magnitude=1/1000 loop=q seed=1 trials=1", "q", 2, 1000),
-            ("probe discreteness loop=i trials=1 magnitude=1/1000", "i", 2, 592),
-            ("probe discreteness loop=e trials=1 magnitude=1/1000", "e", 21, 999),
-        ):
-            with pytest.raises(dsl.DslError) as err:
-                dsl.parse(head + line + "\n")
-            assert (err.value.line, err.value.col) == (11, line.index("loop=") + len("loop=") + 1)
-            pairs = k * (k - 1) // 2
-            assert err.value.message == (
-                f"the stability radius of loop {name}, through {k} circles up to C({top}), "
-                f"needs {pairs * top * top} units of work (pairs of circles times {top}^2), "
-                f"which exceeds the limit of {limit}"
-            )
