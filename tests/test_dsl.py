@@ -358,6 +358,58 @@ class TestInputBudgets:
             f"and exceeds the limit of {self.LIMIT}"
         )
 
+    def test_trial_letter_budget(self):
+        """A discreteness probe pays for each trial by the letters of its
+        loop: the most trials the limit allows shrink as the loop grows,
+        letters reached through a concat count, and negative trials cost
+        nothing. g2 and g3 have a circle price of 0, and magnitude 1/1000
+        has 11 bits, so a trial costs 130 + 17 per letter."""
+        head = (
+            "space T = X(20)\nloop a = word g2^1000\nloop b = word g3^10\n"
+            "loop q = points [(0,0,0), (1/3,0,1), (2/3,0,1/2), (1,0,0)]\nloop k = concat(a, q)\n"
+        )
+        spent = 100 + (100 + 70 * 1000) + (100 + 70 * 10) + (100 + 70 * 3) + (100 + 70 * 1003)
+        dsl.parse(head + "probe discreteness loop=a trials=-5 magnitude=1/1000\n")
+        most = {}
+        for name, letters in (("a", 1000), ("b", 10), ("k", 1003)):
+            trial = 130 + 17 * letters
+            trials = (self.LIMIT - spent - 100) // trial
+            most[name] = trials
+            dsl.parse(head + f"probe discreteness loop={name} trials={trials} magnitude=1/1000\n")
+            with pytest.raises(dsl.DslError) as err:
+                dsl.parse(head + f"probe discreteness trials={trials + 1} loop={name} magnitude=1/1000\n")
+            cost = 100 + (trials + 1) * trial
+            assert (err.value.line, err.value.col) == (6, 1)
+            assert err.value.message == (
+                f"probe discreteness costs {cost} units of work, which brings the script to "
+                f"{spent + cost} and exceeds the limit of {self.LIMIT}"
+            )
+        assert most["b"] > 50 * most["a"] >= 50 * most["k"]
+
+    def test_radius_work_budget(self):
+        """The stability radius costs, for each pair of circles a loop can
+        touch, a price on the larger of the two: a loop through C(2) ...
+        C(21) parses with no trials, a loop on one circle pays nothing for
+        its radius, and the pair C(999), C(1000) is refused alike whether
+        bound as a word, a concat or points."""
+        through = " ".join(f"g{n}" for n in range(2, 22))
+        head = (
+            f"space T = X(20)\nloop a = word {through}\nloop b = word g1000^3 g999^-2\n"
+            "loop c = C(999).once\nloop d = C(1000).inv\nloop k = concat(c, d)\n"
+            "loop q = points [(0,0,0), (1/4,1/999,1), (1/2,0,0), (3/4,1/1000,1), (1,0,0)]\n"
+        )
+        dsl.parse(head + "probe discreteness loop=a trials=0 magnitude=1/1000\n")
+        dsl.parse(head + "probe discreteness loop=d trials=0 magnitude=1/1000\n")
+        radius = sum(i * (2500 + 450 * p10(n)) for i, n in enumerate(range(2, 22)))
+        assert 0 < radius < self.LIMIT
+        for name in ("b", "k", "q"):
+            with pytest.raises(dsl.DslError) as err:
+                dsl.parse(head + f"probe discreteness loop={name} trials=0 magnitude=1/1000\n")
+            assert (err.value.line, err.value.col) == (8, 1)
+            cost = 100 + 2500 + 450 * p10(1000)
+            assert err.value.message.startswith(f"probe discreteness costs {cost} units of work")
+            assert err.value.message.endswith(f"exceeds the limit of {self.LIMIT}")
+
     def test_loop_literal_spends_a_fresh_total(self):
         """A CLI loop literal is priced as a binding, from a fresh total."""
         letters = (self.LIMIT - 100) // 70
