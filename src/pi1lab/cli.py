@@ -213,16 +213,16 @@ def _cmd_run(args, bindings_only: bool = False) -> int:
     return code
 
 
-def _one_off_loop(literal: str) -> Loop:
-    expr = dsl.parse_loop_literal(literal)
+def _one_off_loops(*literals: str) -> List[Loop]:
+    exprs = dsl.parse_loop_literals(literals)
     runner = _Runner()
-    return runner.eval_expr(expr, default_y())
+    return [runner.eval_expr(expr, default_y()) for expr in exprs]
 
 
 def _cmd_word(args) -> int:
     literal = " ".join(args.literal)
     try:
-        lp = _one_off_loop(literal)
+        (lp,) = _one_off_loops(literal)
         cls = classify(lp)
     except dsl.DslError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -236,8 +236,7 @@ def _cmd_word(args) -> int:
 
 def _cmd_dist(args) -> int:
     try:
-        a = _one_off_loop(args.first)
-        b = _one_off_loop(args.second)
+        a, b = _one_off_loops(args.first, args.second)
         d = sup_distance(a.path, b.path)
         d_sq = exact_str(d.squared, "dist")
     except dsl.DslError as exc:

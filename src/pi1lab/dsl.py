@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import FrozenSet, Optional, Tuple, Union
 
 from .records import Record
@@ -74,9 +74,14 @@ MAX_SCRIPT_BYTES = 4000000
 
 # Most units of work one script may spend. A unit is about a microsecond of
 # CPU (pure-Python kernels, Python 3.11, one core of a 2-vCPU VM), and each
-# price is at or above the measured cost of its work. Circles are not
-# priced: a script builds each circle once per width profile, and all 999
-# of pow10 take 1.1 s, which the limit leaves room for.
+# price is at or above the measured cost of its work but one: binding a
+# points piece with 4,300-digit coordinates costs about 220 us against 70
+# units, which MAX_SCRIPT_BYTES bounds (about 460 such pieces, 0.1 s, per
+# script). Building a circle is not priced: a script caches circles per
+# width profile, only pow10 and cube certify circles past C_2 (a uniform
+# width is not decreasing, so C_3 fails), and all 999 of pow10 take 1.1 s,
+# which the limit leaves room for. Hausdorff and disjointness build their
+# circles afresh, within their prices.
 MAX_SCRIPT_WORK = 3000000
 
 # Prices in units of work; (a, b) prices an item on circle n at a + b * p(n).
@@ -85,8 +90,8 @@ _PRICES = {
     "letter": 70,  # a binding, per letter
     "classify": 30,  # per letter of the loop
     "dist": (150, 18),  # per letter of both loops
-    "pair": (120, 15),  # disjointness, per pair of circles, on the larger
-    "hausdorff": (50, 9),  # per circle up to up_to
+    "pair": (200, 15),  # disjointness, per pair of circles, on the larger
+    "hausdorff": (120, 9),  # per circle up to up_to
     "nondiscreteness": (90, 15),  # per circle up to n_max
     "radius": (2500, 450),  # discreteness, per pair of touched circles, on the larger
     "trial": 130,  # discreteness, per trial
@@ -236,10 +241,12 @@ PROBE_SIGNATURES = {
 def parse_rational(text: str, line: int, col: int) -> Fraction:
     if not _RAT_RE.match(text):
         raise DslError(line, col, f"expected a rational like 3 or 1/10, got {text!r}")
-    _, slash, den = text.partition("/")
-    if slash and not den.strip("0"):
-        raise DslError(line, col, f"zero denominator in {text!r}")
-    return Fraction(text)
+    # from two ints, which the pattern has checked: quicker than from the text
+    num, _, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den or 1))
+    except ZeroDivisionError:
+        raise DslError(line, col, f"zero denominator in {text!r}") from None
 
 
 def _check_literals(text: str, line: int) -> None:
@@ -276,12 +283,13 @@ def _bits(q: Fraction) -> int:
     return q.numerator.bit_length() + q.denominator.bit_length()
 
 
-@lru_cache(maxsize=4096)
-def _circle_price(width: str, n: int) -> int:
-    """p(n): the squared bit size of C_n's width under ``width``, kept for
-    the 4096 (width, n) pairs last asked for."""
-    bits = _bits(profile_by_name(width).fn(n))
-    return bits * bits >> 16
+@lru_cache(maxsize=64)
+def _circle_prices(width: str):
+    """n -> p(n) under the profile named ``width``, each computed once: the
+    squared bit size of C_n's width, in units of 2**16. Kept for the 64
+    profiles last asked for."""
+    profile = profile_by_name(width)
+    return lru_cache(maxsize=None)(lambda n: _bits(profile(n)) ** 2 >> 16)
 
 
 def _circles(expr: LoopExpr, touched: dict) -> frozenset:
@@ -303,9 +311,11 @@ def _measure(expr: LoopExpr, loops: dict, p) -> Tuple[int, int]:
     of the circle price ``p`` over its letters. A points piece weighs the
     largest price of its circles plus the squared bit size of its longest
     point, in the same units. ``loops`` maps bound names to their
-    (letters, weight, width)."""
+    (letters, weight, width). An exponent past MAX_SCRIPT_WORK counts as
+    MAX_SCRIPT_WORK letters, which alone pass the limit."""
     if isinstance(expr, WordExpr):
-        return len(expr.word), sum(abs(e) * p(n) for n, e in expr.word.syllables)
+        counts = [(n, min(abs(e), MAX_SCRIPT_WORK)) for n, e in expr.word.syllables]
+        return sum(k for _, k in counts), sum(k * p(n) for n, k in counts)
     if isinstance(expr, CircleExpr):
         return 1, p(expr.index)
     if isinstance(expr, ConcatExpr):
@@ -322,7 +332,7 @@ def _probe_price(kind: str, args: dict, loops: dict, touched: dict, width: str) 
     """The price of a probe in a space of ``width``. A count past
     MAX_SCRIPT_WORK is priced as MAX_SCRIPT_WORK, which alone passes the
     limit, so that no price outgrows what str() prints."""
-    p = partial(_circle_price, width)
+    p = _circle_prices(width)
     if kind in ("hausdorff", "nondiscreteness"):
         a, b = _PRICES[kind]
         top = args.get("up_to", args.get("n_max"))
@@ -336,7 +346,7 @@ def _probe_price(kind: str, args: dict, loops: dict, touched: dict, width: str) 
     # discreteness: the stability radius of the loop, then its trials
     letters, weight, width = loops[args["loop"]]
     a, b = _PRICES["radius"]
-    p = partial(_circle_price, width)
+    p = _circle_prices(width)
     radius = sum(i * (a + b * p(n)) for i, n in enumerate(sorted(touched[args["loop"]])))
     a, b = _PRICES["trial_letter"]
     trial = _PRICES["trial"] + letters * (a + _bits(args["magnitude"]) // 4) + b * weight
@@ -439,14 +449,25 @@ def _split_top_level(text: str):
     return parts
 
 
-def parse_loop_literal(text: str) -> LoopExpr:
-    """One-off loop literal (CLI form); concat arguments may nest. It is
-    priced as a binding, from a fresh total."""
-    _check_literals(text, 1)
-    expr = _parse_loop_expr(text, 1, 1, None)
-    letters, _ = _measure(expr, {}, partial(_circle_price, "pow10"))
-    _spend(0, _PRICES["statement"] + _PRICES["letter"] * letters, "the loop literal", 1, 1)
-    return expr
+def parse_loop_literals(texts: Tuple[str, ...]) -> Tuple[LoopExpr, ...]:
+    """One-off loop literals (CLI form, concat arguments may nest) and the
+    statement that reads them: one literal is classified, two are measured
+    against each other. They are priced as a script's bindings followed by
+    its ``classify`` or ``dist``, from a fresh total, in pow10."""
+    p = _circle_prices("pow10")
+    exprs, sizes, work = [], [], 0
+    for text in texts:
+        _check_literals(text, 1)
+        exprs.append(_parse_loop_expr(text, 1, 1, None))
+        sizes.append(_measure(exprs[-1], {}, p))
+        work = _spend(work, _PRICES["statement"] + _PRICES["letter"] * sizes[-1][0], "the loop literal", 1, 1)
+    if len(sizes) == 1:
+        what, cost = "classify", _PRICES["classify"] * sizes[0][0]
+    else:
+        a, b = _PRICES["dist"]
+        what, cost = "dist", sum(a * letters + b * weight for letters, weight in sizes)
+    _spend(work, _PRICES["statement"] + cost, what, 1, 1)
+    return tuple(exprs)
 
 
 def parse(text: str) -> Script:
@@ -492,7 +513,7 @@ def parse(text: str) -> Script:
             if isinstance(expr, AlphaExpr) and active_space.kind != "Y":
                 raise DslError(lineno, col, "alpha.updown needs the compact space Y")
             width = active_space.width
-            letters, weight = _measure(expr, loops, partial(_circle_price, width))
+            letters, weight = _measure(expr, loops, _circle_prices(width))
             touched[name] = _circles(expr, touched)
             loops[name] = (letters, weight, width)
             st, what, cost = LoopBinding(name, expr), f"loop {name}", _PRICES["letter"] * letters

@@ -79,6 +79,8 @@ LONG_WITNESS_SCRIPT = (
 THROUGH_C21 = " ".join(f"g{n}" for n in range(2, 22))
 HOSTILE_LINES = (
     (f"loop w = word g2^{NINES}", 18),
+    # an exponent at the digit limit counts as the work limit in letters
+    (f"loop w = word g2^{NINES[:4300]}", 1),
     (f"loop c = C({NINES}).once", 12),
     (f"loop q = points [(0,0,0), (1/2, 1/{NINES}, 1), (1,0,0)]", 35),
     (f"probe slsc radius=1/4 samples={NINES}", 31),
@@ -291,6 +293,7 @@ class TestRun:
         HOSTILE_LINES,
         ids=(
             "word-exponent",
+            "word-exponent-at-digit-limit",
             "circle-index",
             "points-rational",
             "probe-int",
@@ -457,6 +460,25 @@ class TestOneOffCommands:
     def test_dist_too_long_to_print(self, capsys):
         code, out, err = run_cli(capsys, ["dist", "C(1000).once", "alpha.updown"])
         assert code == 1 and out == "" and err == too_long("dist")
+
+    @pytest.mark.parametrize(
+        "argv,what",
+        (
+            (["word", f"word g2^{NINES[:4300]}"], "the loop literal"),
+            (["dist", "C(2).once", f"word g3^-{NINES[:4300]}"], "the loop literal"),
+            (["word", "word g2^29999"], "classify"),
+            (["dist", "word g2^6818", "word g3^6818"], "dist"),
+        ),
+        ids=("word-exponent", "dist-exponent", "word-classify", "dist-both-literals"),
+    )
+    def test_loop_literals_spend_one_total(self, capsys, argv, what):
+        """A literal is priced as a binding, and the classify of ``word`` or
+        the dist of ``dist`` adds its price to the same total."""
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"parse error: line 1, col 1: {what} costs ") and "exceeds the limit" in err
 
     def test_word_hostile_literal(self, capsys):
         start = time.perf_counter()

@@ -168,22 +168,22 @@ class TestRoundTrip:
 
 class TestLoopLiterals:
     def test_simple(self):
-        assert isinstance(dsl.parse_loop_literal("alpha.updown"), dsl.AlphaExpr)
-        expr = dsl.parse_loop_literal("C(4).once")
+        alpha, expr = dsl.parse_loop_literals(("alpha.updown", "C(4).once"))
+        assert isinstance(alpha, dsl.AlphaExpr)
         assert expr.index == 4 and not expr.inverse
 
     def test_nested_concat(self):
-        expr = dsl.parse_loop_literal("concat(C(2).once, concat(C(3).inv, alpha.updown))")
+        (expr,) = dsl.parse_loop_literals(("concat(C(2).once, concat(C(3).inv, alpha.updown))",))
         assert isinstance(expr, dsl.ConcatExpr)
         assert isinstance(expr.args[1], dsl.ConcatExpr)
 
     def test_word_paren_form(self):
-        expr = dsl.parse_loop_literal("word(g2 g3^-1)")
+        (expr,) = dsl.parse_loop_literals(("word(g2 g3^-1)",))
         assert expr.word == parse_word("g2 g3^-1")
 
     def test_bad_literal(self):
         with pytest.raises(dsl.DslError):
-            dsl.parse_loop_literal("spiral.updown")
+            dsl.parse_loop_literals(("spiral.updown",))
 
 
 class TestCircleIndexLimit:
@@ -241,7 +241,7 @@ class TestCircleIndexLimit:
 
     def test_cli_literal(self):
         with pytest.raises(dsl.DslError):
-            dsl.parse_loop_literal(f"concat(C(2).once, C({self.LIMIT + 1}).inv)")
+            dsl.parse_loop_literals((f"concat(C(2).once, C({self.LIMIT + 1}).inv)",))
 
 
 def p10(n: int) -> int:
@@ -291,14 +291,14 @@ WORK_CASES = {
         100,
         "probe disjointness up_to=20",
         "probe disjointness",
-        100 + sum((n - 2) * (120 + 15 * p10(n)) for n in range(3, 21)),
+        100 + sum((n - 2) * (200 + 15 * p10(n)) for n in range(3, 21)),
     ),
     "hausdorff": (
         "space T = Y(5)\n",
         100,
         "probe hausdorff up_to=30",
         "probe hausdorff",
-        100 + sum(50 + 9 * p10(n) for n in range(2, 31)),
+        100 + sum(120 + 9 * p10(n) for n in range(2, 31)),
     ),
     "nondiscreteness": (
         "space T = Y(5)\n",
@@ -410,30 +410,55 @@ class TestInputBudgets:
             assert err.value.message.startswith(f"probe discreteness costs {cost} units of work")
             assert err.value.message.endswith(f"exceeds the limit of {self.LIMIT}")
 
-    def test_loop_literal_spends_a_fresh_total(self):
-        """A CLI loop literal is priced as a binding, from a fresh total."""
-        letters = (self.LIMIT - 100) // 70
-        dsl.parse_loop_literal(f"concat(word g2^{letters - 1}, C(3).once)")
+    def test_loop_literals_spend_one_fresh_total(self):
+        """The literals of ``pi1lab word`` and ``pi1lab dist`` are priced as
+        bindings followed by the classify or dist that reads them, from one
+        fresh total: a binding costs 100 + 70 per letter, a classify 100 + 30
+        per letter, a dist 100 + 150 per letter of both loops plus 18 times
+        their weight. g2 and g3 have a circle price of 0."""
+        letters = (self.LIMIT - 200) // 100
+        dsl.parse_loop_literals((f"concat(word g2^{letters - 1}, C(3).once)",))
         with pytest.raises(dsl.DslError) as err:
-            dsl.parse_loop_literal(f"concat(word g2^{letters}, C(3).once)")
+            dsl.parse_loop_literals((f"concat(word g2^{letters}, C(3).once)",))
         assert (err.value.line, err.value.col) == (1, 1)
-        cost = 100 + 70 * (letters + 1)
-        assert cost > self.LIMIT
         assert err.value.message == (
-            f"the loop literal costs {cost} units of work, which brings the script to "
-            f"{cost} and exceeds the limit of {self.LIMIT}"
+            f"classify costs {100 + 30 * (letters + 1)} units of work, which brings the script to "
+            f"{200 + 100 * (letters + 1)} and exceeds the limit of {self.LIMIT}"
         )
+        each = (self.LIMIT - 300) // 440
+        dsl.parse_loop_literals((f"word g2^{each}", f"word g3^{each}"))
+        with pytest.raises(dsl.DslError) as err:
+            dsl.parse_loop_literals((f"word g2^{each + 1}", f"word g3^{each + 1}"))
+        assert err.value.message == (
+            f"dist costs {100 + 300 * (each + 1)} units of work, which brings the script to "
+            f"{300 + 440 * (each + 1)} and exceeds the limit of {self.LIMIT}"
+        )
+        # two short literals on C_1000 pass as bindings and are refused by their weight
+        with pytest.raises(dsl.DslError) as err:
+            dsl.parse_loop_literals(("word g1000^100", "word g999^100"))
+        cost = 100 + 2 * 150 * 100 + 18 * 100 * (p10(1000) + p10(999))
+        assert err.value.message.startswith(f"dist costs {cost} units of work")
 
     def test_counts_past_the_limit_are_priced_as_the_limit(self):
-        """trials and samples of 4300 digits give a price str() can print."""
+        """trials, samples and exponents of 4300 digits give a price str()
+        can print: each counts as the limit."""
         many = "9" * self.DIGITS
         for body in (
             f"probe slsc radius=1/4 samples={many}",
             f"space T = X(5)\nloop a = C(2).once\nprobe discreteness loop=a trials={many} magnitude=1/1000",
+            f"loop w = word g2^{many}",
+            f"loop w = word g1000^-{many} g2^{many}",
         ):
             with pytest.raises(dsl.DslError) as err:
                 dsl.parse(f"space S = Y(5)\n{body}\n")
-            assert "exceeds the limit" in err.value.message
+            assert "exceeds the limit" in str(err.value)
+        for literals in ((f"word g2^{many}",), ("C(2).once", f"word(g3^-{many})")):
+            with pytest.raises(dsl.DslError) as err:
+                dsl.parse_loop_literals(literals)
+            assert err.value.message == (
+                f"the loop literal costs {100 + 70 * self.LIMIT} units of work, which brings the script to "
+                f"{100 * len(literals) + 70 * (self.LIMIT + len(literals) - 1)} and exceeds the limit of {self.LIMIT}"
+            )
 
     def test_every_long_integer_literal_is_refused_at_its_column(self):
         long = "1" * (self.DIGITS + 1)
@@ -452,7 +477,7 @@ class TestInputBudgets:
             dsl.parse(f"space S = Y({long})\n")
         assert (err.value.line, err.value.col) == (1, 13)
         with pytest.raises(dsl.DslError):
-            dsl.parse_loop_literal(f"concat(C(2).once, word g2^{long})")
+            dsl.parse_loop_literals((f"concat(C(2).once, word g2^{long})",))
 
     def test_literals_at_the_digit_limit_parse(self):
         at_limit = "1" * self.DIGITS

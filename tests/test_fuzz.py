@@ -2,9 +2,10 @@
 
 The strategy covers every statement kind and width profile, values at and
 across the limits, ``points`` on and off the complex, ``concat`` chains,
-repeated statements on one binding and high circle indices with few
-letters. Each script must exit 0, 1 or 2 with no other exception, end a
-failed run in one error line, print the same bytes twice, and cost at most
+repeated statements on one binding, a new width profile for each of
+many statements, and high circle indices with few letters. Each script
+must exit 0, 1 or 2 with no other exception, end a failed run in one
+error line, print the same bytes twice, and cost at most
 ``dsl.MAX_SCRIPT_WORK`` when the parser accepts it.
 """
 import contextlib
@@ -101,6 +102,18 @@ statement = st.one_of(
 )
 # a statement, repeated as a script repeats probes of one binding
 repeated = st.builds(lambda line, k: [line] * k, statement, st.sampled_from((1, 1, 1, 2, 30)))
+# a new uniform width profile for each repeat, each with its own circle cache,
+# followed by a statement that builds circles in it
+new_profiles = st.builds(
+    lambda digits, line, k: [
+        f"space U{i} = Y(1000) width=uniform:1/{10 ** digits + i}\n{line.format(i)}" for i in range(k)
+    ],
+    st.sampled_from((4, 99, 399)),
+    st.sampled_from(
+        ("render U{} -> out.svg", "probe hausdorff up_to=200", "probe disjointness up_to=20", "loop a = C(2).once")
+    ),
+    st.sampled_from((2, 8)),
+)
 
 
 @st.composite
@@ -114,7 +127,7 @@ def scripts(draw):
         f"loop a = {draw(valid.filter(lambda e: 'concat' not in e))}",
         f"loop b = {draw(valid)}",
     ]
-    for group in draw(st.lists(repeated, min_size=1, max_size=6)):
+    for group in draw(st.lists(st.one_of(repeated, repeated, repeated, new_profiles), min_size=1, max_size=6)):
         lines += group
     return "\n".join(lines) + "\n"
 
