@@ -353,16 +353,21 @@ class ExactDistance(Record):
 
 
 def sup_distance(f: PLPath, g: PLPath) -> ExactDistance:
-    """Exact sup-metric distance between two parametrized paths.
+    """Exact sup-metric distance between two paths, and where it is first attained."""
+    n, d, arg = _sup_distance_sq(f, g)
+    return ExactDistance(Fraction(n, d), Fraction(*arg))
 
-    On each interval of the common parameter refinement the difference
-    f - g is affine, so its norm is convex and maximized at an interval
-    endpoint; the sup is therefore the maximum of finitely many exact
-    point distances. The refinement is one merge of the two breakpoint
-    tuples on integers: parameters are compared by cross-multiplication,
-    a parameter of one path only is interpolated on the other's current
-    piece as a kernel quad, and the running maximum is a reduced int pair.
-    The first parameter attaining the maximum is returned with it.
+
+def _sup_distance_sq(f: PLPath, g: PLPath) -> tuple:
+    """``sup_distance`` as ints ``(n, d, t)``: squared distance n/d, d > 0,
+    first attained at the parameter pair t. On each interval of the common
+    parameter refinement the difference f - g is affine, so its norm is
+    convex and maximized at an interval endpoint; the sup is the maximum of
+    finitely many exact point distances. The refinement is one merge of the
+    two breakpoint tuples on integers: parameters are compared by
+    cross-multiplication, a parameter of one path only is interpolated on
+    the other's current piece as a kernel quad, and the running maximum is
+    a reduced int pair.
     """
     fts, fps, gts, gps = f._ts, f._pts, g._ts, g._pts
     best_n, best_d = 0, 1
@@ -386,7 +391,7 @@ def sup_distance(f: PLPath, g: PLPath) -> ExactDistance:
         n, d = kernels.point_dist_sq(pq, qq)
         if n * best_d > best_n * d:
             best_n, best_d, arg = n, d, t
-    return ExactDistance(Fraction(best_n, best_d), Fraction(*arg))
+    return best_n, best_d, arg
 
 
 def _quad_between(t0: tuple, p0: Point2, t1: tuple, p1: Point2, t: tuple) -> tuple:

@@ -20,7 +20,8 @@ The probes turn the headline facts into exact certificates:
   alpha loop while their classes stay away from the identity, so the
   identity class of Y has no uniform-metric neighborhood of its own.
 * ``probe_discreteness_x``: random on-complex perturbations below an
-  explicit stability radius never change a loop's word in X.
+  explicit stability radius never change a loop's word in X. A trial is
+  one perturbation, within the magnitude by construction.
 * ``probe_slsc_y``: every sampled loop inside a small ball about p is
   trivial in Y — small loops cannot complete any circle circuit because
   every circuit passes the apex at height 1.
@@ -31,7 +32,7 @@ import random
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from . import kernels
 from .exactnum import dyadic_sqrt_bounds, rational_decimal
@@ -40,6 +41,7 @@ from .geometry import (
     Segment,
     _from_quad,
     _path,
+    _sup_distance_sq,
     segment_segment_distance_sq,
     sup_distance,
 )
@@ -52,7 +54,6 @@ from .loops import (
     realize_word,
     standard_f,
     standard_fn,
-    subdivide,
     validate,
 )
 from .records import Record
@@ -315,51 +316,49 @@ def stability_radius(loop: Loop) -> Fraction:
     return best / 8
 
 
-def _slide_candidates(loop: Loop, edges) -> Tuple[int, ...]:
-    """Interior breakpoints whose two adjacent pieces share one edge."""
-    out = []
-    for i in range(1, len(loop.path.points) - 1):
-        before, after = edges[i - 1], edges[i]
-        if before is not None and before == after:
-            out.append(i)
-    return out
-
-
 def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
-    """One random valid perturbation: subdivide, slide along carrying edges,
-    and bounce tiny degree-0 excursions off p; stays within sup distance
-    ``bound`` of the input (verified exactly by the caller).
+    """One random valid perturbation, built in one walk and within sup
+    distance ``bound`` of the loop by construction.
 
-    The result is charted by construction, so no point is located. A slid
-    breakpoint is the point of ``seg`` at a parameter u2 in [0, 1], so its
-    two pieces keep their edge, unless the slide leaves a piece constant
-    (chart None). A bounce replaces a constant piece at p with two pieces on
-    the arm edge it was drawn on. The subdivision parameters, each slid
-    parameter u2 with its clamp to [0, 1], and the bounce's parameter and
-    its point on the arm are computed as int pairs."""
+    It draws 1 to 3 picks (piece i, k) and splits piece i at k/64 of its
+    way, keeping its edge; a pick's parameter increases with (i, k), so the
+    picks sort and dedupe as plain tuples. Each interior breakpoint whose
+    two pieces lie on one edge may slide along it, clamped to the edge, and
+    one constant piece at p may bounce into two pieces on an arm at p. The
+    loop is charted by construction and every parameter is an int pair.
+
+    The bound: a slide moves its point along its edge by at most bound/2; a
+    bounce point lies within bound/2 of p, where the loop is p or the
+    midpoint of breakpoints slid onto p. Every point of X but p has x > 0,
+    so no two of them are opposite from p, and the two points at one
+    parameter differ by strictly less than bound. Between the perturbed
+    breakpoints, which include the loop's, the paths' difference is affine.
+    """
     grid = 64
-    # subdivide a few pieces so there is something to slide
-    extra = []
-    ts = loop.path._ts
-    for _ in range(rng.randint(1, 3)):
-        i = rng.randrange(len(ts) - 1)
-        k = rng.randint(1, grid - 1)
-        (n0, d0), (n1, d1) = ts[i], ts[i + 1]
+    ts0, pts0 = loop.path._ts, loop.path.points
+    ts, pts, edges = list(ts0), list(pts0), list(loop._chart)
+    draws = range(rng.randint(1, 3))
+    picks = {(rng.randrange(len(ts0) - 1), rng.randint(1, grid - 1)) for _ in draws}
+    # the last pick first, so each piece keeps its index
+    for i, k in sorted(picks, reverse=True):
+        (n0, d0), (n1, d1) = ts0[i], ts0[i + 1]
+        p0, p1 = pts0[i], pts0[i + 1]
         # t0 + (t1 - t0) * k / grid
-        extra.append((n0 * d1 * grid + (n1 * d0 - n0 * d1) * k, d0 * d1 * grid))
-    work = subdivide(loop, extra)
-    edges = work._chart
-    pts = list(work.path.points)
+        n, d = n0 * d1 * grid + (n1 * d0 - n0 * d1) * k, d0 * d1 * grid
+        g = gcd(n, d)
+        ts.insert(i + 1, (n // g, d // g))
+        pts.insert(i + 1, p0 if p0 == p1 else _from_quad(kernels.lerp(p0._q, p1._q, k, grid)))
+        edges.insert(i, edges[i])
     bn, bd = bound.numerator, bound.denominator
     # slide interior breakpoints along their carrying edge
-    for i in _slide_candidates(work, edges):
-        if rng.random() < 0.5:
-            continue
+    for i in range(1, len(pts) - 1):
         ref = edges[i - 1]
+        if ref is None or ref != edges[i] or rng.random() < 0.5:
+            continue
         seg = loop.space.edge_segment(ref)
         _, hi_len = seg.length_bracket
-        a, b = seg.a.quad(), seg.b.quad()
-        un, ud = kernels.foot_param(pts[i].quad(), a, b)
+        a, b = seg.a._q, seg.b._q
+        un, ud = kernels.foot_param(pts[i]._q, a, b)
         # u + bound * r / (2 * hi_len * grid), clamped to [0, 1]
         dd = bd * 2 * hi_len.numerator * grid
         n = un * dd + bn * hi_len.denominator * rng.randint(-grid, grid) * ud
@@ -371,7 +370,6 @@ def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
         pts[i] = _from_quad(kernels.lerp(a, b, n, d))
     qs = [q._q for q in pts]
     chart = [None if q0 == q1 else ref for q0, q1, ref in zip(qs, qs[1:], edges)]
-    ts = list(work.path._ts)
     # bounce: replace one constant-at-p piece with a tiny degree-0 excursion
     base = ORIGIN._q
     const_p = [i for i, (q0, q1) in enumerate(zip(qs, qs[1:])) if q0 == base == q1]
@@ -379,9 +377,8 @@ def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
         i = rng.choice(const_p)
         touched = sorted({ref[0] for ref in edges if ref is not None} - {ALPHA})
         n = rng.choice(touched or [2])
-        circ = loop.space.circle(n)
         arm = 0 if rng.random() < 0.5 else 2
-        arm_edge = circ.edges[arm]
+        arm_edge = loop.space.circle(n).edges[arm]
         _, hi_len = arm_edge.length_bracket
         # du = bound / (2 * hi_len) * r / grid from the arm's end at p: u2 = du or 1 - du
         dd = bd * 2 * hi_len.numerator * grid
@@ -402,11 +399,15 @@ def probe_discreteness_x(
 ) -> ProbeReport:
     """Word stability of an X loop under random on-complex perturbations.
 
-    Every trial perturbs the loop without leaving the 1-complex (breakpoints
-    slide along their carrying edges; tiny degree-0 bounces may sprout at p),
-    keeps the exact sup distance below min(magnitude, rho), and re-classifies.
-    PASS means the word never changed. Magnitudes at or above the stability
-    radius rho are rejected: the claim is only certified below it.
+    Every trial perturbs the loop once without leaving the 1-complex
+    (breakpoints slide along their carrying edges; tiny degree-0 bounces may
+    sprout at p) and re-classifies it. PASS means the word never changed.
+    Magnitudes at or above the stability radius rho are rejected: the claim
+    is only certified below it. A perturbation is within the magnitude by
+    construction: slides and bounces move points by at most magnitude/2,
+    and no two points of X are opposite from p (``_perturb_once``). Each
+    trial still checks its squared sup distance against magnitude**2 on
+    int pairs, and one past it raises ``AssertionError`` naming the trial.
     """
     if loop.space.kind is not SpaceKind.BOUQUET_X:
         raise ProbeParameterError("discreteness is probed in the bouquet X")
@@ -429,24 +430,17 @@ def probe_discreteness_x(
     digits = report_digits()
     base_word = classify_x(loop).word
     rng = random.Random(seed)
-    bound = magnitude
+    mn, md = magnitude.numerator ** 2, magnitude.denominator ** 2
+    max_n, max_d = 0, 1
     witnesses = []
-    max_seen = Fraction(0)
     agree = 0
     for trial in range(trials):
-        cand = None
-        for _ in range(8):
-            attempt = _perturb_once(loop, rng, bound)
-            d = sup_distance(attempt.path, loop.path)
-            if d.squared < bound * bound:
-                cand = (attempt, d)
-                break
-            bound = bound / 2
-        if cand is None:
-            cand = (subdivide(loop, [Fraction(1, 3)]), None)
-        perturbed, dist = cand
-        if dist is not None and dist.squared > max_seen:
-            max_seen = dist.squared
+        perturbed = _perturb_once(loop, rng, magnitude)
+        n, d, _ = _sup_distance_sq(perturbed.path, loop.path)
+        if n * md >= mn * d:
+            raise AssertionError(f"trial {trial}: perturbation not within the magnitude")
+        if n * max_d > max_n * d:
+            max_n, max_d = n, d
         w = classify_x(perturbed).word
         if w == base_word:
             agree += 1
@@ -456,7 +450,7 @@ def probe_discreteness_x(
                     ("trial", str(trial)),
                     ("expected", format_word(base_word)),
                     ("got", format_word(w)),
-                    ("sup_dist_sq", text(dist.squared, "sup_dist_sq") if dist else "0"),
+                    ("sup_dist_sq", text(Fraction(n, d), "sup_dist_sq")),
                 )
             )
     verdict = PASS if not witnesses else FAIL
@@ -476,7 +470,7 @@ def probe_discreteness_x(
             ("stability_radius", text(rho, "stability_radius")),
             ("stability_radius_dec", rational_decimal(rho, digits)),
             ("seed", str(seed)),
-            ("max_perturbation_sq_seen", text(max_seen, "max_perturbation_sq_seen")),
+            ("max_perturbation_sq_seen", text(Fraction(max_n, max_d), "max_perturbation_sq_seen")),
             ("agreeing_trials", str(agree)),
         ),
         witnesses=tuple(witnesses),

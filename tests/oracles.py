@@ -26,6 +26,10 @@
   its slice. On them, :func:`spans`, :func:`classify`, :func:`cutoff` and
   :func:`collapse_to_x` are the reference for the span readers of
   ``pi1lab.pi1``.
+* the discreteness perturbation in two steps, as ``pi1lab.pi1`` built it
+  before its one walk: :func:`perturb_once` subdivides the loop with
+  ``subdivide``, then slides the :func:`slide_candidates` of the subdivided
+  loop and bounces off p, with the same random draws in the same order.
 
 No floating point is involved anywhere. Tests import this module as
 ``oracles``; ``tests/`` has no ``__init__.py``, so pytest puts it on the path.
@@ -38,8 +42,8 @@ from math import gcd, isqrt
 from typing import Iterable, Optional
 
 from pi1lab.exactnum import _format_scaled, rational_decimal
-from pi1lab.geometry import ORIGIN, GeometryError, PLPath, Point2, Segment, _path
-from pi1lab.loops import Excursion, InvalidLoopError, _charted
+from pi1lab.geometry import ORIGIN, GeometryError, PLPath, Point2, Segment, _from_quad, _path
+from pi1lab.loops import Excursion, InvalidLoopError, _charted, subdivide
 from pi1lab.pi1 import ClassificationError
 from pi1lab.spaces import ALPHA, SpaceKind, component_name
 from pi1lab.words import reduce_letters
@@ -691,3 +695,69 @@ def collapse_to_x(loop):
     new_edges += edges[k:]
     x_space = loop.space.sibling(SpaceKind.BOUQUET_X)
     return _charted(_path(tuple(new_ts), tuple(new_pts)), x_space, tuple(new_edges))
+
+
+def slide_candidates(loop):
+    """Interior breakpoints whose two adjacent pieces share one edge."""
+    edges = loop._chart
+    return [
+        i
+        for i in range(1, len(loop.path.points) - 1)
+        if edges[i - 1] is not None and edges[i - 1] == edges[i]
+    ]
+
+
+def perturb_once(loop, rng, bound):
+    """The perturbation of ``pi1lab.pi1._perturb_once`` in two steps: a
+    subdivided copy of the loop at 1 to 3 drawn parameters, then slides of
+    its candidates along their edges and one bounce at p, all on int
+    pairs, with the reference kernels of this module."""
+    grid = 64
+    extra = []
+    ts = loop.path._ts
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(ts) - 1)
+        k = rng.randint(1, grid - 1)
+        (n0, d0), (n1, d1) = ts[i], ts[i + 1]
+        extra.append((n0 * d1 * grid + (n1 * d0 - n0 * d1) * k, d0 * d1 * grid))
+    work = subdivide(loop, extra)
+    edges = work._chart
+    pts = list(work.path.points)
+    bn, bd = bound.numerator, bound.denominator
+    for i in slide_candidates(work):
+        if rng.random() < 0.5:
+            continue
+        seg = loop.space.edge_segment(edges[i - 1])
+        _, hi_len = seg.length_bracket
+        a, b = seg.a.quad(), seg.b.quad()
+        un, ud = foot_param(pts[i].quad(), a, b)
+        dd = bd * 2 * hi_len.numerator * grid
+        n = un * dd + bn * hi_len.denominator * rng.randint(-grid, grid) * ud
+        d = ud * dd
+        if n <= 0:
+            n, d = 0, 1
+        elif n >= d:
+            n, d = 1, 1
+        pts[i] = _from_quad(lerp(a, b, n, d))
+    qs = [q._q for q in pts]
+    chart = [None if q0 == q1 else ref for q0, q1, ref in zip(qs, qs[1:], edges)]
+    ts = list(work.path._ts)
+    base = ORIGIN._q
+    const_p = [i for i, (q0, q1) in enumerate(zip(qs, qs[1:])) if q0 == base == q1]
+    if const_p and rng.random() < 0.75:
+        i = rng.choice(const_p)
+        touched = sorted({ref[0] for ref in edges if ref is not None} - {ALPHA})
+        n = rng.choice(touched or [2])
+        arm = 0 if rng.random() < 0.5 else 2
+        arm_edge = loop.space.circle(n).edges[arm]
+        _, hi_len = arm_edge.length_bracket
+        dd = bd * 2 * hi_len.numerator * grid
+        du = bn * hi_len.denominator * rng.randint(1, grid)
+        u2 = (du, dd) if arm == 0 else (dd - du, dd)
+        (n0, d0), (n1, d1) = ts[i], ts[i + 1]
+        mn, md = n0 * d1 + n1 * d0, 2 * d0 * d1
+        g = gcd(mn, md)
+        ts.insert(i + 1, (mn // g, md // g))
+        pts.insert(i + 1, _from_quad(lerp(arm_edge.a.quad(), arm_edge.b.quad(), *u2)))
+        chart[i : i + 1] = [(n, arm)] * 2
+    return _charted(_path(tuple(ts), tuple(pts)), loop.space, tuple(chart))

@@ -568,6 +568,37 @@ class TestDisjointnessReportBytes:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+DISCRETENESS_SCRIPT = "space T = X(20) width={width}\nloop a = word {word}\n"
+DISCRETENESS_PROBE = "probe discreteness loop=a trials=40 magnitude={magnitude} seed={seed}\n"
+
+
+class TestDiscretenessReportBytes:
+    # sha256 of stdout, recorded when each trial subdivided the loop before
+    # sliding and retried a perturbation past the bound with half of it.
+    # Each magnitude but 1/1000 lies just below the loop's stability radius.
+    @pytest.mark.parametrize(
+        "width, word, magnitude, seeds, digest",
+        [
+            ("pow10", "g2 g3", "49/5000", (0, 1, 2, 3), "393e02c1651c753037d47cc47b4662a05374eae6f766d25947e6313c26cf97b4"),
+            ("pow10", "g7 g3^-2 g4", "51/20000", (4, 5, 6), "b9d44cace740b2dc9fc3666b96e79b4dddd4d4ffad921fa6affb81a45ce4fcc0"),
+            ("pow10", "g2^2 g5^-1", "1/1000", (7, 8), "7ddf3ed9ed9ccc5682c4a52bd9e923f66af9c7af641233d48811dba952fad65b"),
+            ("cube", "g2 g3", "91/10000", (0, 1, 2), "a36a125fcc5d9c24b4aa085a1feb5b38b8c59f68380104c84ca8bdc084e18fa4"),
+            ("cube", "g2^2 g5^-1", "499/100000", (3, 4, 5), "3ee3194f9f27ca31a2f8b862a777fc4348739f4e2034cfe2a45d0553217acf2d"),
+            ("uniform:1/2", "g2^2", "311/10000", (0, 1, 2), "b11e62285ac0c798cb3e7544f82467515d3715cb102b1085296eecfd028e642d"),
+            ("uniform:1/2", "g2 g2^-1", "31/1000", (3, 4), "70a255988a86809ad42e56a0a766ecadce3a96197e8cb7c1b8e16f64031cacc4"),
+        ],
+        ids=["pow10-g2g3", "pow10-g7g3g4", "pow10-g2g5-1/1000", "cube-g2g3", "cube-g2g5", "uniform-g2^2", "uniform-1"],
+    )
+    def test_pinned_digest(self, capsys, tmp_path, width, word, magnitude, seeds, digest):
+        script = DISCRETENESS_SCRIPT.format(width=width, word=word)
+        script += "".join(DISCRETENESS_PROBE.format(magnitude=magnitude, seed=s) for s in seeds)
+        path = tmp_path / "discreteness.pi1"
+        path.write_text(script, encoding="utf-8")
+        got, out, err = run_cli(capsys, ["run", str(path)])
+        assert got == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 class TestModuleEntryPoint:
     def test_python_m_pi1lab(self):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pi1lab.__file__)))
@@ -631,10 +662,12 @@ class TestDemo:
         assert hashlib.sha256(svg).hexdigest() == DEMO_SVG_SHA256
 
     def test_fraction_count(self, tmp_path, monkeypatch):
-        """A warmed seed-1 demo builds at most 4,000 Fractions. Paths keep
-        their parameters as int pairs, so builders wrap none, and each edge
-        brackets its length once; when every builder wrapped its pairs the
-        count was 21,236, and when every slide bracketed its edge, 5,119."""
+        """A warmed seed-1 demo builds at most 1,400 Fractions. Paths keep
+        their parameters as int pairs, so builders wrap none, each edge
+        brackets its length once, and a discreteness trial compares its
+        squared distance as an int pair; when every builder wrapped its
+        pairs the count was 21,236, when every slide bracketed its edge
+        5,119, and when each trial built its distance as Fractions 2,875."""
         demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
         built = [0]
         real = Fraction.__new__
@@ -647,17 +680,19 @@ class TestDemo:
         code, _ = demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
         monkeypatch.undo()
         assert code == 0
-        assert 0 < built[0] <= 4000
+        assert 0 < built[0] <= 1400
 
     def test_work_counts(self, tmp_path, monkeypatch):
         """A warmed seed-1 demo makes at most 60 dyadic_sqrt_bounds calls,
         since each edge brackets its length once (598 when every slide and
         bounce bracketed its edge again). It builds no Excursion, as every
         reader takes the spans of one chart scan (3,325 when each loop was
-        sliced into records), and makes at most 3,282 Segment.contains
-        calls (3,482 when the apex test ran on the pieces)."""
+        sliced into records), makes at most 3,282 Segment.contains calls
+        (3,482 when the apex test ran on the pieces) and builds at most 1,890
+        paths: one per discreteness trial, with no subdivided copy of the
+        loop first (2,390)."""
         demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
-        brackets, built, contains = [0], [0], [0]
+        brackets, built, contains, paths = [0], [0], [0], [0]
 
         def bounds(*args, _orig=exactnum.dyadic_sqrt_bounds):
             brackets[0] += 1
@@ -671,8 +706,13 @@ class TestDemo:
             contains[0] += 1
             return _orig(self, q)
 
+        def fill(*args, _orig=geometry._fill):
+            paths[0] += 1
+            return _orig(*args)
+
         for mod in (geometry, pi1):
             monkeypatch.setattr(mod, "dyadic_sqrt_bounds", bounds)
+        monkeypatch.setattr(geometry, "_fill", fill)
         monkeypatch.setattr(loops, "Excursion", excursion)
         monkeypatch.setattr(geometry.Segment, "contains", contained)
         code, _ = demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
@@ -681,6 +721,7 @@ class TestDemo:
         assert 0 < brackets[0] <= 60
         assert built[0] == 0
         assert 0 < contains[0] <= 3282
+        assert 0 < paths[0] <= 1890
 
     def test_unknown_demo(self, capsys):
         code, _, err = run_cli(capsys, ["demo", "mystery"])

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from pi1lab import kernels, loops, pi1
 from pi1lab.exactnum import dyadic_sqrt_bounds
-from pi1lab.geometry import ORIGIN, PLPath
+from pi1lab.geometry import ORIGIN, PLPath, Segment, _path, sup_distance
 from pi1lab.loops import (
     Loop,
+    _charted,
     _first_violation,
     concatenate,
     concatenate_all,
@@ -51,8 +52,10 @@ from pi1lab.spaces import (
     CUBE,
     SpaceHandle,
     SpaceKind,
+    bouquet_x,
     compact_y,
     component_name,
+    profile_by_name,
     uniform_profile,
 )
 from pi1lab.words import IDENTITY, invert, multiply, parse_word, reduce_letters
@@ -408,24 +411,6 @@ class TestCarriedCharts:
             assert_carried(collapsed)
             assert classify_x(collapsed).word == w
 
-    def test_perturbation_subdivision(self, x, monkeypatch):
-        subdivided = []
-
-        def recording(loop, extra):
-            out = subdivide(loop, extra)
-            subdivided.append(out)
-            return out
-
-        monkeypatch.setattr(pi1, "subdivide", recording)
-        rng = random.Random(32)
-        for _ in range(20):
-            lp = realize_word(random_reduced_word(rng, 5), x)
-            for _ in range(5):
-                pi1._perturb_once(lp, rng, F(1, 10**6))
-        assert len(subdivided) == 100
-        for lp in subdivided:
-            assert_carried(lp)
-
     def test_perturbation_result(self, x):
         """The loop _perturb_once returns is charted as fresh location charts
         it, slides and bounces included: at the probe's magnitude, and at
@@ -477,7 +462,7 @@ def perturb_once_fraction(loop, rng, bound, clamps):
     work = subdivide(loop, extra)
     edges = work._chart
     bks = list(work.path.breakpoints)
-    for i in pi1._slide_candidates(work, edges):
+    for i in oracles.slide_candidates(work):
         if rng.random() < 0.5:
             continue
         seg = loop.space.edge_segment(edges[i - 1])
@@ -522,6 +507,65 @@ class TestPerturbOracle:
                     got = pi1._perturb_once(lp, random.Random(seed), bound)
                     assert got.path.breakpoints == want, (k, bound, seed)
         assert clamps[0] > 0 and clamps[1] > 0
+
+    def test_one_walk_matches_two_steps(self, x):
+        """The one walk gives the parameters, point quads and chart of the
+        subdivide-then-slide construction, and leaves the generator in the
+        same state, over the demo corpus, random words and constant-padded
+        concatenations."""
+        rng = random.Random(37)
+        corpus = demo_corpus(x)
+        corpus += [realize_word(random_reduced_word(rng, 8), x) for _ in range(30)]
+        const = corpus[0]
+        corpus += [concatenate_all([const, lp, const]) for lp in corpus[1:12]]
+        corpus += [concatenate(lp, const) for lp in corpus[12:18]]
+        for k, lp in enumerate(corpus):
+            for bound in (F(1, 1000), F(1, 10), F(1)):
+                for seed in range(40):
+                    r_want, r_got = random.Random(seed), random.Random(seed)
+                    want = oracles.perturb_once(lp, r_want, bound)
+                    got = pi1._perturb_once(lp, r_got, bound)
+                    assert got.path._ts == want.path._ts, (k, bound, seed)
+                    assert [q._q for q in got.path.points] == [q._q for q in want.path.points]
+                    assert got._chart == want._chart
+                    assert r_got.getstate() == r_want.getstate()
+
+
+class TestPerturbationBound:
+    """A perturbation stays strictly within its magnitude in the sup
+    metric, by construction, at magnitudes below and above the stability
+    radius; the probe checks it exactly for every trial."""
+
+    @pytest.mark.parametrize("width", ["pow10", "cube", "uniform:1/2"])
+    def test_below_magnitude(self, width):
+        space = bouquet_x(20, profile_by_name(width))
+        if width.startswith("uniform"):  # its circles meet past C_2
+            corpus = [realize_word(parse_word(w), space) for w in ("1", "g2", "g2^2", "g2^-1")]
+        else:
+            corpus = demo_corpus(space)
+        rng = random.Random(38)
+        for lp in corpus:
+            for bound in (F(1, 1000), F(1, 10), F(1), F(3)):
+                for _ in range(20):
+                    out = pi1._perturb_once(lp, rng, bound)
+                    d = sup_distance(out.path, lp.path)
+                    assert d.squared < bound * bound
+
+    def test_probe_refuses_a_perturbation_past_the_magnitude(self, x, monkeypatch):
+        """A perturbation that moves the apex of C_2 halfway to p is far
+        past the magnitude: the probe raises, naming the trial, instead of
+        retrying with a smaller bound."""
+        real = pi1._perturb_once
+
+        def halfway(loop, rng, bound):
+            real(loop, rng, bound)
+            pts = list(loop.path.points)
+            pts[1] = Segment(ORIGIN, pts[1]).at(F(1, 2))
+            return _charted(_path(loop.path._ts, tuple(pts)), loop.space, loop._chart)
+
+        monkeypatch.setattr(pi1, "_perturb_once", halfway)
+        with pytest.raises(AssertionError, match="trial 0"):
+            probe_discreteness_x(standard_fn(2, x), 5, F(1, 1000), seed=1)
 
 
 def assert_reduced_increasing(path):
