@@ -36,7 +36,8 @@ fails at once with a parse error instead of running for seconds to hours:
   passes the limit is refused at its line. A price is a closed form in what
   the parser knows: a loop's letters (a word's length, 1 per circle or
   alpha, 1 per ``points`` piece, the sum over a ``concat``) and its weight
-  (the circle price p(n) of each letter's circle), ``trials``, ``samples``,
+  (the circle price p(n) of each letter's circle, and the digits of a
+  ``points`` literal), ``trials``, ``samples``,
   ``up_to``, ``n_max``, a space's hint, the digits of a radius or
   magnitude, and the circles a loop can touch. p(n) is the squared bit size
   of C_n's width under the space's width profile, in units of 2**16: the
@@ -65,29 +66,29 @@ MAX_CIRCLE_INDEX = 1000
 MAX_LITERAL_DIGITS = 4300
 
 # Longest script, in bytes, that `pi1lab run` and `pi1lab render` read; a
-# longer one is refused before it is parsed. Points pieces cost 0.29 s per
-# MB through the tail of C_100 and 0.36 s per MB with 4,300-digit
-# coordinates on C_2, so a script at the cap ran 1.1-1.4 s, and 10 lines of
-# 4,000 pieces through C_100 (80 MB) ran 23 s (fresh process, pure-Python
-# kernels, Python 3.11, one core of a 2-vCPU VM).
+# longer one is refused before it is parsed. A points line is parsed whole
+# before its price refuses it: a line at the cap of pieces through the tail
+# of C_100 is refused in 0.4 s, and one of pieces whose t, x and y have
+# 4,300-digit parts in 0.5 s (it ran 1.4 s when a piece was priced whatever
+# its digits), and 10 lines of 4,000 pieces through C_100 (80 MB) ran 23 s
+# (pure-Python kernels, Python 3.11, one core of a 2-vCPU VM).
 MAX_SCRIPT_BYTES = 4000000
 
 # Most units of work one script may spend. A unit is about a microsecond of
 # CPU (pure-Python kernels, Python 3.11, one core of a 2-vCPU VM), and each
-# price is at or above the measured cost of its work but one: binding a
-# points piece with 4,300-digit coordinates costs about 220 us against 70
-# units, which MAX_SCRIPT_BYTES bounds (about 460 such pieces, 0.1 s, per
-# script). Building a circle is not priced: a script caches circles per
-# width profile, only pow10 and cube certify circles past C_2 (a uniform
-# width is not decreasing, so C_3 fails), and all 999 of pow10 take 1.1 s,
-# which the limit leaves room for. Hausdorff and disjointness build their
-# circles afresh, within their prices.
+# price is at or above the measured cost of its work; a points binding pays
+# for the digits of its breakpoints through the weight of its literals.
+# Building a circle is not priced: a script caches circles per width
+# profile, only pow10 and cube certify circles past C_2 (a uniform width is
+# not decreasing, so C_3 fails), and all 999 of pow10 take 0.2 s, which the
+# limit leaves room for. Hausdorff and disjointness build their circles
+# afresh, within their prices.
 MAX_SCRIPT_WORK = 3000000
 
 # Prices in units of work; (a, b) prices an item on circle n at a + b * p(n).
 _PRICES = {
     "statement": 100,  # every statement, once
-    "letter": 70,  # a binding, per letter
+    "letter": (70, 2),  # a binding, per letter, plus 2 x the weight of its points literals
     "classify": 30,  # per letter of the loop
     "dist": (150, 18),  # per letter of both loops
     "pair": (200, 15),  # disjointness, per pair of circles, on the larger
@@ -102,6 +103,7 @@ _PRICES = {
 }
 
 _LONG_LITERAL_RE = re.compile(r"(?<!\d)\d{%d,}" % (MAX_LITERAL_DIGITS + 1))
+_DELIMITER_RE = re.compile(r"[(),\[\]]")
 
 
 class DslError(Exception):
@@ -310,9 +312,10 @@ def _measure(expr: LoopExpr, loops: dict, p) -> Tuple[int, int]:
     """(letters, weight) of a loop expression: its letter count and the sum
     of the circle price ``p`` over its letters. A points piece weighs the
     largest price of its circles plus the squared bit size of its longest
-    point, in the same units. ``loops`` maps bound names to their
-    (letters, weight, width). An exponent past MAX_SCRIPT_WORK counts as
-    MAX_SCRIPT_WORK letters, which alone pass the limit."""
+    breakpoint, in the same units (``_literal_weight``). ``loops`` maps
+    bound names to their (letters, weight, width). An exponent past
+    MAX_SCRIPT_WORK counts as MAX_SCRIPT_WORK letters, which alone pass the
+    limit."""
     if isinstance(expr, WordExpr):
         counts = [(n, min(abs(e), MAX_SCRIPT_WORK)) for n, e in expr.word.syllables]
         return sum(k for _, k in counts), sum(k * p(n) for n, k in counts)
@@ -323,9 +326,26 @@ def _measure(expr: LoopExpr, loops: dict, p) -> Tuple[int, int]:
         return sum(q[0] for q in parts), sum(q[1] for q in parts)
     if isinstance(expr, PointsExpr):
         pieces = len(expr.triples) - 1
-        bits = max(_bits(x) + _bits(y) for _, x, y in expr.triples)
-        return pieces, pieces * (max(map(p, expr.circles), default=0) + (bits * bits >> 16))
+        return pieces, pieces * max(map(p, expr.circles), default=0) + _literal_weight(expr)
     return 1, 0
+
+
+def _literal_weight(expr: LoopExpr) -> int:
+    """The weight of the ``points`` literals an expression holds, which its
+    binding pays for too: per piece, the squared bit size of the longest
+    breakpoint (t, x, y), in units of 2**16."""
+    if isinstance(expr, PointsExpr):
+        bits = max(_bits(t) + _bits(x) + _bits(y) for t, x, y in expr.triples)
+        return (len(expr.triples) - 1) * (bits * bits >> 16)
+    if isinstance(expr, ConcatExpr):
+        return sum(_literal_weight(a) for a in expr.args if not isinstance(a, str))
+    return 0
+
+
+def _binding_price(expr: LoopExpr, letters: int) -> int:
+    """The price of binding a loop expression of ``letters`` letters."""
+    a, b = _PRICES["letter"]
+    return a * letters + b * _literal_weight(expr)
 
 
 def _probe_price(kind: str, args: dict, loops: dict, touched: dict, width: str) -> int:
@@ -406,9 +426,10 @@ def _parse_loop_expr(text: str, line: int, col: int, known_loops: Optional[dict]
                 t, x, y = (parse_rational(m.group(i), line, col) for i in (1, 2, 3))
                 if x > 0:
                     n = candidate_circle((x.numerator, x.denominator, y.numerator, y.denominator))
-                    # y/x of two literals can pass the digit limit of str()
-                    circle = f"C({n})" if n.bit_length() < 10000 else "a circle"
-                    _check_index(n, f"breakpoint ({x}, {y}) can only lie on {circle}, which", line, col)
+                    if n > MAX_CIRCLE_INDEX:
+                        # y/x of two literals can pass the digit limit of str()
+                        circle = f"C({n})" if n.bit_length() < 10000 else "a circle"
+                        _check_index(n, f"breakpoint ({x}, {y}) can only lie on {circle}, which", line, col)
                     circles.add(n)
                 triples.append((t, x, y))
         if len(triples) < 2:
@@ -431,19 +452,19 @@ def _word_expr(body: str, line: int, col: int) -> WordExpr:
 
 
 def _split_top_level(text: str):
-    """Split on commas not nested in parentheses or brackets."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
+    """Split on commas not nested in parentheses or brackets. Only the
+    delimiters are visited, so the digits between them cost no Python step."""
+    parts, depth, start = [], 0, 0
+    for m in _DELIMITER_RE.finditer(text):
+        ch = m.group()
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
+        elif depth == 0:
+            parts.append(text[start : m.start()])
+            start = m.end()
+    tail = text[start:].strip()
     if tail:
         parts.append(tail)
     return parts
@@ -460,7 +481,8 @@ def parse_loop_literals(texts: Tuple[str, ...]) -> Tuple[LoopExpr, ...]:
         _check_literals(text, 1)
         exprs.append(_parse_loop_expr(text, 1, 1, None))
         sizes.append(_measure(exprs[-1], {}, p))
-        work = _spend(work, _PRICES["statement"] + _PRICES["letter"] * sizes[-1][0], "the loop literal", 1, 1)
+        cost = _binding_price(exprs[-1], sizes[-1][0])
+        work = _spend(work, _PRICES["statement"] + cost, "the loop literal", 1, 1)
     if len(sizes) == 1:
         what, cost = "classify", _PRICES["classify"] * sizes[0][0]
     else:
@@ -516,7 +538,8 @@ def parse(text: str) -> Script:
             letters, weight = _measure(expr, loops, _circle_prices(width))
             touched[name] = _circles(expr, touched)
             loops[name] = (letters, weight, width)
-            st, what, cost = LoopBinding(name, expr), f"loop {name}", _PRICES["letter"] * letters
+            cost = _binding_price(expr, letters)
+            st, what = LoopBinding(name, expr), f"loop {name}"
         elif head == "classify":
             m = re.match(r"^classify\s+(\w+)$", stripped)
             if not m:

@@ -8,23 +8,30 @@ all sharing only the base point p; the default width profile is
 w(n) = 1 / 10**(10*n). The compact space Y adds the vertical segment
 alpha = [(0,0), (0,1)], the Hausdorff limit of the C_n.
 
-Circles are materialized lazily and cached. C_n (n >= 3) is accepted only
-if w(n) < w(n-1) and D_n lies strictly left of the ray p -> B_{n-1}, i.e.
-w(n) * (n**3 - n**2 + n) < 1. This cone certificate puts C_n minus p at
-slopes y/x in (n-1, n], so certified circles meet only at p and a point with
-x > 0 can only lie on C_n for n = max(2, ceil(y/x)). It is exact: when it
-fails, the ray p -> B_{n-1} cuts edge B_n D_n below height 1, so C_n meets
-C_{n-1} away from p. No answer depends on which circles are cached.
+Circles are materialized lazily and cached, on int quads: with w(n) the
+reduced pair wn/wd, D_n is ((wd + n**2*wn) / (n*wd), (wd - wn) / wd), so
+its height keeps w(n) as wn = yd - yn and wd = yd. C_n (n >= 3) is accepted
+only if w(n) < w(n-1) and D_n lies strictly left of the ray p -> B_{n-1}.
+The cross product (B_{n-1} - p) x (D_n - p) is (1 - w)/(n-1) - (1/n + n*w),
+and n*(n-1) times it is 1 - w(n) * (n**3 - n**2 + n), so the test is the
+closed form wn * (n**3 - n**2 + n) < wd on ints. This cone certificate puts
+C_n minus p at slopes y/x in (n-1, n], so certified circles meet only at p
+and a point with x > 0 can only lie on C_n for n = max(2, ceil(y/x)). It is
+exact: when it fails, the ray p -> B_{n-1} cuts edge B_n D_n below height
+1, so C_n meets C_{n-1} away from p. No answer depends on which circles are
+cached. A point located on C_n is first compared with the quads of B_n and
+D_n, the points on two edges; any other point of C_n lies on one edge only.
 """
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from math import gcd
+from typing import Callable, Dict, Optional, Tuple
 
 from . import kernels
 from .exactnum import sqrt_decimal
-from .geometry import ORIGIN, Point2, Segment, point, rat, segments_intersect
+from .geometry import ORIGIN, Point2, Segment, _from_quad, point, rat, segments_intersect
 from .records import Record
 from .report import FAIL, PASS, ProbeReport, exact_str, report_digits
 
@@ -60,7 +67,8 @@ class WidthProfile(Record):
         self.fn = fn
 
     def __call__(self, n: int) -> Fraction:
-        return Fraction(self.fn(n))
+        w = self.fn(n)
+        return w if type(w) is Fraction else Fraction(w)
 
 
 POW10 = WidthProfile("pow10", lambda n: Fraction(1, 10 ** (10 * n)))
@@ -106,16 +114,24 @@ class Circle(Record):
 
 
 def build_circle(n: int, width_profile: WidthProfile = POW10) -> Circle:
-    """Exact triangle for index n: vertices p, (1/n, 1) and the cap point."""
+    """Exact triangle for index n: vertices p, (1/n, 1) and the cap point,
+    as int quads built from the reduced width pair wn/wd.
+
+    The vertices are never collinear: D_n - B_n = w(n) * (n, -1) and
+    B_n - p = (1/n, 1) have cross product -w(n) * (1/n + n), which is not 0
+    for w(n) > 0.
+    """
     if n < 2:
         raise SpaceError(f"circle index must be >= 2, got {n}")
     w = width_profile(n)
-    if w <= 0:
+    wn, wd = w.numerator, w.denominator
+    if wn <= 0:
         raise SpaceConsistencyError(f"width profile {width_profile.name} gave w({n}) = {w} <= 0")
-    apex = Point2(Fraction(1, n), Fraction(1))
-    tail = Point2(apex.x + w * n, apex.y - w)
-    if kernels.orient(ORIGIN.quad(), apex.quad(), tail.quad()) == 0:
-        raise SpaceConsistencyError(f"degenerate circle {n}: vertices collinear")
+    xn, xd = wd + n * n * wn, n * wd
+    g = gcd(xn, xd)
+    # gcd(wd - wn, wd) = gcd(wn, wd) = 1, so the height is reduced
+    apex = _from_quad((1, n, 1, 1))
+    tail = _from_quad((xn // g, xd // g, wd - wn, wd))
     edges = (Segment(ORIGIN, apex), Segment(apex, tail), Segment(tail, ORIGIN))
     return Circle(n, apex, tail, edges)
 
@@ -233,15 +249,22 @@ class SpaceHandle(Record):
 
     # -- point queries -------------------------------------------------------
 
-    def _circle_edges_at(self, q: Point2) -> Iterator[EdgeRef]:
-        """Edges through q of the one circle whose cone can hold it."""
-        qq = q.quad()
+    def _circle_edges_at(self, q: Point2) -> Tuple[EdgeRef, ...]:
+        """Edges through q of the one circle whose cone can hold it: two at
+        B_n or D_n, found by their quads, else the first edge that holds q."""
+        qq = q._q
         if qq[0] <= 0:
-            return
+            return ()
         circ = self.circle(candidate_circle(qq))
+        n = circ.index
+        if qq == circ.apex._q:
+            return ((n, 0), (n, 1))
+        if qq == circ.tail._q:
+            return ((n, 1), (n, 2))
         for j, e in enumerate(circ.edges):
             if e.contains(q):
-                yield (circ.index, j)
+                return ((n, j),)
+        return ()
 
     def membership(self, q: Point2) -> Membership:
         """Exact stratum classification of a point."""
@@ -249,10 +272,10 @@ class SpaceHandle(Record):
             return Membership("base")
         if self.has_alpha and ALPHA_SEGMENT.contains(q):
             return Membership("alpha")
-        ref = next(self._circle_edges_at(q), None)
-        if ref is None:
+        refs = self._circle_edges_at(q)
+        if not refs:
             return OUTSIDE
-        return Membership("circle", *ref)
+        return Membership("circle", *refs[0])
 
     def component_of(self, q: Point2) -> int:
         """The unique component of (space minus p) containing q, its circle
@@ -265,14 +288,13 @@ class SpaceHandle(Record):
         return ALPHA if m.kind == "alpha" else m.circle_index
 
     def edges_containing(self, q: Point2) -> Tuple[EdgeRef, ...]:
-        """All edges through a non-base point (one, or two at a triangle vertex)."""
+        """All edges through a non-base point (one, or two at a triangle
+        vertex); alpha and the circles share only p."""
         if q == ORIGIN:
             raise SpaceError("edges_containing expects a point other than p")
-        out = []
         if self.has_alpha and ALPHA_SEGMENT.contains(q):
-            out.append(ALPHA_EDGE)
-        out.extend(self._circle_edges_at(q))
-        return tuple(out)
+            return (ALPHA_EDGE,)
+        return self._circle_edges_at(q)
 
     def edge_segment(self, ref: EdgeRef) -> Segment:
         n, j = ref
@@ -280,14 +302,20 @@ class SpaceHandle(Record):
 
 
 def _certify(circ: Circle, profile: WidthProfile) -> None:
-    """Refuse C_n (n >= 3) unless its width decreases and its cone certificate holds."""
+    """Refuse C_n (n >= 3) unless its width decreases and its cone certificate
+    holds. w(n) = wn/wd is read back from the height of D_n, compared with
+    w(n-1) by cross-multiplying, and the cone certificate is the closed form
+    wn * (n**3 - n**2 + n) < wd of the module docstring."""
     n = circ.index
-    if not profile(n) < profile(n - 1):
+    _, _, yn, yd = circ.tail._q
+    wn, wd = yd - yn, yd
+    prev = profile(n - 1)
+    if not wn * prev.denominator < prev.numerator * wd:
         raise SpaceConsistencyError(
             f"width profile {profile.name} is not strictly decreasing between indices {n - 1} and {n}"
         )
-    prev_apex = Point2(Fraction(1, n - 1), Fraction(1))
-    if kernels.orient(ORIGIN.quad(), prev_apex.quad(), circ.tail.quad()) <= 0:
+    if wn * (n * n * n - n * n + n) >= wd:
+        prev_apex = Point2(Fraction(1, n - 1), Fraction(1))
         raise SpaceConsistencyError(
             f"circles C{n} and C{n - 1} intersect beyond the base point: "
             f"the ray from p through {prev_apex} meets edge {circ.edges[1]}"

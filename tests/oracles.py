@@ -30,6 +30,12 @@
   before its one walk: :func:`perturb_once` subdivides the loop with
   ``subdivide``, then slides the :func:`slide_candidates` of the subdivided
   loop and bounces off p, with the same random draws in the same order.
+* the circles as ``pi1lab.spaces`` built them before it worked on int
+  quads: :func:`build_circle` computes the vertices as Fractions and refuses
+  collinear ones with ``orient``, and :func:`certify` reads both widths from
+  the profile and tests the cone certificate with ``orient``.
+  :func:`edges_containing` and :func:`membership` locate a point by testing
+  alpha and all three edges of its candidate circle with :func:`on_segment`.
 
 No floating point is involved anywhere. Tests import this module as
 ``oracles``; ``tests/`` has no ``__init__.py``, so pytest puts it on the path.
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Optional
 
@@ -45,7 +52,19 @@ from pi1lab.exactnum import _format_scaled, rational_decimal
 from pi1lab.geometry import ORIGIN, GeometryError, PLPath, Point2, Segment, _from_quad, _path
 from pi1lab.loops import Excursion, InvalidLoopError, _charted, subdivide
 from pi1lab.pi1 import ClassificationError
-from pi1lab.spaces import ALPHA, SpaceKind, component_name
+from pi1lab.spaces import (
+    ALPHA,
+    ALPHA_EDGE,
+    ALPHA_SEGMENT,
+    POW10,
+    Circle,
+    Membership,
+    SpaceConsistencyError,
+    SpaceError,
+    SpaceKind,
+    candidate_circle,
+    component_name,
+)
 from pi1lab.words import reduce_letters
 
 
@@ -761,3 +780,68 @@ def perturb_once(loop, rng, bound):
         pts.insert(i + 1, _from_quad(lerp(arm_edge.a.quad(), arm_edge.b.quad(), *u2)))
         chart[i : i + 1] = [(n, arm)] * 2
     return _charted(_path(tuple(ts), tuple(pts)), loop.space, tuple(chart))
+
+
+# -- circles -------------------------------------------------------------------
+
+
+def build_circle(n, width_profile=POW10):
+    """Exact triangle for index n: vertices p, (1/n, 1) and the cap point."""
+    if n < 2:
+        raise SpaceError(f"circle index must be >= 2, got {n}")
+    w = width_profile(n)
+    if w <= 0:
+        raise SpaceConsistencyError(f"width profile {width_profile.name} gave w({n}) = {w} <= 0")
+    apex = Point2(Fraction(1, n), Fraction(1))
+    tail = Point2(apex.x + w * n, apex.y - w)
+    if orient(ORIGIN.quad(), apex.quad(), tail.quad()) == 0:
+        raise SpaceConsistencyError(f"degenerate circle {n}: vertices collinear")
+    edges = (Segment(ORIGIN, apex), Segment(apex, tail), Segment(tail, ORIGIN))
+    return Circle(n, apex, tail, edges)
+
+
+def certify(circ, profile):
+    """Refuse C_n (n >= 3) unless its width decreases and its cone certificate holds."""
+    n = circ.index
+    if not profile(n) < profile(n - 1):
+        raise SpaceConsistencyError(
+            f"width profile {profile.name} is not strictly decreasing between indices {n - 1} and {n}"
+        )
+    prev_apex = Point2(Fraction(1, n - 1), Fraction(1))
+    if orient(ORIGIN.quad(), prev_apex.quad(), circ.tail.quad()) <= 0:
+        raise SpaceConsistencyError(
+            f"circles C{n} and C{n - 1} intersect beyond the base point: "
+            f"the ray from p through {prev_apex} meets edge {circ.edges[1]}"
+        )
+
+
+@lru_cache(maxsize=None)
+def _cached_circle(n, profile):
+    return build_circle(n, profile)
+
+
+@lru_cache(maxsize=None)
+def edges_containing(space, q):
+    """Every edge through q, a point other than p: alpha in Y, then each of
+    the three edges of its candidate circle, all tested with on_segment.
+    Kept per space and point, so ``membership`` reads it again for free."""
+    qq = q.quad()
+    out = []
+    if space.has_alpha and on_segment(qq, *ALPHA_SEGMENT.quads()):
+        out.append(ALPHA_EDGE)
+    if qq[0] > 0:
+        circ = _cached_circle(candidate_circle(qq), space.profile)
+        out.extend((circ.index, j) for j, e in enumerate(circ.edges) if on_segment(qq, *e.quads()))
+    return tuple(out)
+
+
+def membership(space, q):
+    """The stratum of q: p, alpha, the first edge through it, or outside."""
+    if q == ORIGIN:
+        return Membership("base")
+    refs = edges_containing(space, q)
+    if not refs:
+        return Membership("outside")
+    if refs[0] == ALPHA_EDGE:
+        return Membership("alpha")
+    return Membership("circle", *refs[0])

@@ -72,6 +72,19 @@ LONG_WITNESS_SCRIPT = (
     "probe disjointness up_to=4\n"
 )
 
+# 14 pieces on edge p -> B_2 whose t, x and y have 4300-digit parts. Binding
+# them ran 0.15 s at a price of 1,150 when a piece cost 70 whatever its
+# digits; each piece now adds twice its weight, about 224,000 units.
+_D = 10**4298
+HEAVY_POINTS = (
+    "loop w = points [(0, 0, 0), "
+    + ", ".join(
+        f"({Fraction(i * _D + 1, 16 * _D + 1)}, {Fraction(i * _D + 3, 32 * _D + 2)}, {Fraction(i * _D + 3, 16 * _D + 1)})"
+        for i in range(1, 15)
+    )
+    + ", (1, 0, 0)]"
+)
+
 # Each entry is refused by the parser on its last line; the column is that of
 # the offending literal, or of the statement whose price passes the work limit.
 # The parser stops at the refused line, so the acceptance scripts that repeat
@@ -133,6 +146,8 @@ HOSTILE_LINES = (
     ("probe disjointness up_to=100", 1),
     # renders spend the script's budget: 30 of these ran 4.5 s at the parent
     ("space S = Y(1000)\n" + "render S -> x.svg\n" * 15 + "render S -> x.svg", 1),
+    # a points binding pays for the digits of its breakpoints
+    (HEAVY_POINTS, 1),
 )
 
 # Each line passes the parser, whose budgets exit 2, and is refused when it
@@ -312,6 +327,7 @@ class TestRun:
             "repeated-discreteness-long-word",
             "disjointness-up-to-100",
             "repeated-render",
+            "points-digits",
         ),
     )
     def test_hostile_literal_fails_fast(self, capsys, tmp_path, monkeypatch, line, col):
@@ -662,12 +678,14 @@ class TestDemo:
         assert hashlib.sha256(svg).hexdigest() == DEMO_SVG_SHA256
 
     def test_fraction_count(self, tmp_path, monkeypatch):
-        """A warmed seed-1 demo builds at most 1,400 Fractions. Paths keep
+        """A warmed seed-1 demo builds at most 850 Fractions. Paths keep
         their parameters as int pairs, so builders wrap none, each edge
-        brackets its length once, and a discreteness trial compares its
-        squared distance as an int pair; when every builder wrapped its
-        pairs the count was 21,236, when every slide bracketed its edge
-        5,119, and when each trial built its distance as Fractions 2,875."""
+        brackets its length once, a discreteness trial compares its
+        squared distance as an int pair, and circles are built on int
+        quads; when every builder wrapped its pairs the count was 21,236,
+        when every slide bracketed its edge 5,119, when each trial built its
+        distance as Fractions 2,875, and when each circle built its
+        vertices as Fractions 1,375."""
         demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
         built = [0]
         real = Fraction.__new__
@@ -680,19 +698,21 @@ class TestDemo:
         code, _ = demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
         monkeypatch.undo()
         assert code == 0
-        assert 0 < built[0] <= 1400
+        assert 0 < built[0] <= 850
 
     def test_work_counts(self, tmp_path, monkeypatch):
         """A warmed seed-1 demo makes at most 60 dyadic_sqrt_bounds calls,
         since each edge brackets its length once (598 when every slide and
         bounce bracketed its edge again). It builds no Excursion, as every
         reader takes the spans of one chart scan (3,325 when each loop was
-        sliced into records), makes at most 3,282 Segment.contains calls
-        (3,482 when the apex test ran on the pieces) and builds at most 1,890
-        paths: one per discreteness trial, with no subdivided copy of the
-        loop first (2,390)."""
+        sliced into records), makes no Segment.contains call, as every point
+        it locates is a circle vertex, found by its quad (2,382 when each
+        point was tested against the edges, 3,482 when the apex test ran on
+        the pieces), builds 69 circles, and builds at most 1,890 paths: one
+        per discreteness trial, with no subdivided copy of the loop first
+        (2,390)."""
         demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
-        brackets, built, contains, paths = [0], [0], [0], [0]
+        brackets, built, contains, paths, circles = [0], [0], [0], [0], [0]
 
         def bounds(*args, _orig=exactnum.dyadic_sqrt_bounds):
             brackets[0] += 1
@@ -710,17 +730,23 @@ class TestDemo:
             paths[0] += 1
             return _orig(*args)
 
+        def build(*args, _orig=spaces.build_circle):
+            circles[0] += 1
+            return _orig(*args)
+
         for mod in (geometry, pi1):
             monkeypatch.setattr(mod, "dyadic_sqrt_bounds", bounds)
         monkeypatch.setattr(geometry, "_fill", fill)
         monkeypatch.setattr(loops, "Excursion", excursion)
         monkeypatch.setattr(geometry.Segment, "contains", contained)
+        monkeypatch.setattr(spaces, "build_circle", build)
         code, _ = demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
         monkeypatch.undo()
         assert code == 0
         assert 0 < brackets[0] <= 60
         assert built[0] == 0
-        assert 0 < contains[0] <= 3282
+        assert contains[0] == 0
+        assert circles[0] == 69
         assert 0 < paths[0] <= 1890
 
     def test_unknown_demo(self, capsys):

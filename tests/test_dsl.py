@@ -271,6 +271,15 @@ WORK_CASES = {
         "loop q",
         100 + 70 * 3,
     ),
+    # each piece pays twice the squared bit size of the longest breakpoint,
+    # (1/3, 1/(2 * 10**999), 1/10**999), in units of 2**16
+    "loop-points-digits": (
+        "space T = Y(5)\n",
+        100,
+        f"loop q = points [(0,0,0), (1/3, 1/{2 * 10**999}, 1/{10**999}), (2/3,0,1/2), (1,0,0)]",
+        "loop q",
+        100 + 70 * 3 + 2 * 3 * ((1 + 2 + 1 + (2 * 10**999).bit_length() + 1 + (10**999).bit_length()) ** 2 >> 16),
+    ),
     "loop-concat": (
         "space T = Y(5)\nloop w = word g2^3\nloop f = alpha.updown\n",
         100 + 310 + 170,

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import hausdorff_distance_sq
-from pi1lab.geometry import point
+from pi1lab import kernels
+from pi1lab.geometry import ORIGIN, point
 from pi1lab.spaces import (
     ALPHA,
     ALPHA_SEGMENT,
@@ -14,8 +17,10 @@ from pi1lab.spaces import (
     SpaceError,
     SpaceKind,
     WidthProfile,
+    _certify,
     _pair_intersection_violations,
     bouquet_x,
+    candidate_circle,
     build_circle,
     circle_alpha_hausdorff_sq,
     compact_y,
@@ -71,6 +76,127 @@ class TestBuildCircle:
         for n in range(2, 21):
             for v in build_circle(n).vertices:
                 assert 0 <= v.y <= 1
+
+
+def _refusal(build, certify, n, profile):
+    """The circle of a build and certify pair, or the text it is refused with."""
+    try:
+        circ = build(n, profile)
+        if n >= 3:
+            certify(circ, profile)
+    except SpaceConsistencyError as exc:
+        return str(exc)
+    return circ
+
+
+class TestCircleOracle:
+    """The int-quad build and certificate against the Fraction and orient
+    construction of ``oracles``: equal vertices and edges, and refusals at
+    the same n with the same text."""
+
+    @pytest.mark.parametrize(
+        "profile,ns",
+        [(p, range(2, 91)) for p in CERTIFICATE_PROFILES]
+        + [(profile_by_name(name), range(2, 91)) for name in ("uniform:1", "uniform:3")]
+        + [(profile_by_name(name), (500, 1000)) for name in ("pow10", "cube")]
+        + [
+            (WidthProfile("three-tenths", lambda n: F(3, 10 ** (n + 2))), range(2, 91)),
+            (WidthProfile("zero-from-5", lambda n: F(max(5 - n, 0), 10 * n)), range(2, 8)),
+            (WidthProfile("negative", lambda n: F(-1, n)), range(2, 4)),
+        ],
+        ids=lambda v: v.name if isinstance(v, WidthProfile) else f"n{min(v)}-{max(v)}",
+    )
+    def test_matches_fraction_construction(self, profile, ns):
+        """Circles compare their apex and tail quads and their edges."""
+        wrong = []
+        for n in ns:
+            got = _refusal(build_circle, _certify, n, profile)
+            on_handle = _refusal(lambda n, p: bouquet_x(profile=p).circle(n), lambda c, p: None, n, profile)
+            if got != _refusal(oracles.build_circle, oracles.certify, n, profile) or on_handle != got:
+                wrong.append(n)
+            elif not isinstance(got, str) and kernels.orient(ORIGIN.quad(), got.apex.quad(), got.tail.quad()) == 0:
+                wrong.append(n)
+        assert wrong == []
+
+    def test_refusal_texts(self):
+        """Each refusal of the module, byte for byte."""
+        half = profile_by_name("uniform:1/2")
+        harmonic = WidthProfile("harmonic:1/111", lambda n: F(1, 111 * n))
+        zero = WidthProfile("zero", lambda n: F(0))
+        w = F(1, 1221)
+        assert _refusal(build_circle, _certify, 3, half) == (
+            "width profile uniform:1/2 is not strictly decreasing between indices 2 and 3"
+        )
+        assert _refusal(build_circle, _certify, 11, harmonic) == (
+            "circles C11 and C10 intersect beyond the base point: the ray from p through "
+            f"(1/10, 1) meets edge [(1/11, 1) -> ({F(1, 11) + 11 * w}, {1 - w})]"
+        )
+        assert _refusal(build_circle, _certify, 2, zero) == "width profile zero gave w(2) = 0 <= 0"
+
+    def test_builds_no_fraction_and_calls_no_kernel(self, monkeypatch):
+        """On the success path only the profile's own values are Fractions."""
+        profile = WidthProfile("pow10", lambda n, w={n: F(1, 10 ** (10 * n)) for n in (39, 40)}: w[n])
+        calls = []
+        real = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return real(cls, *args, **kwargs)
+
+        for name in ("orient", "on_segment", "lerp", "point_dist_sq"):
+            monkeypatch.setattr(kernels, name, lambda *a, name=name: calls.append(name))
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        _certify(build_circle(40, profile), profile)
+        monkeypatch.undo()
+        assert calls == []
+
+
+@lru_cache(maxsize=None)
+def _location_points(name):
+    """Points near C_2 ... C_40 of a profile: every vertex, k/64 along each
+    edge, points off each edge by 1/10^j in four directions, and points on
+    and off alpha. A point with a tiny x > 0, such as (1/10, 1) off
+    B_10 D_10 under pow10, could only lie on a circle of index about 1/x,
+    so points whose candidate circle is past C_1000 are left out."""
+    y = compact_y(profile=profile_by_name(name))
+    pts = [point(0, F(k, 64)) for k in range(1, 65)] + [point(F(1, 10), F(1, 2)), point(F(1, 1000), F(1, 2))]
+    for j in (1, 3, 10, 30):
+        eps = F(1, 10**j)
+        pts += [point(-eps, F(1, 2)), point(0, 1 + eps), point(0, -eps)]
+    for n in range(2, 41):
+        circ = y.circle(n)
+        pts += [circ.apex, circ.tail]
+        for e in circ.edges:
+            on = [e.at(F(k, 64)) for k in range(1, 64)]
+            pts += on
+            for q in on[::21]:
+                for j in (1, 3, 10, 30):
+                    eps = F(1, 10**j)
+                    pts += [point(q.x + dx, q.y + dy) for dx, dy in ((eps, 0), (-eps, 0), (0, eps), (0, -eps))]
+    return tuple(q for q in pts if q.x <= 0 or candidate_circle(q.quad()) <= 1000)
+
+
+class TestLocationOracle:
+    """Point location against a scan of alpha and all three edges of the
+    candidate circle with the reference on_segment. X differs from Y only
+    on alpha, so it is checked on the points with x <= 0 and the vertices."""
+
+    @pytest.mark.parametrize("name", ["pow10", "cube"])
+    @pytest.mark.parametrize("kind", [SpaceKind.COMPACT_Y, SpaceKind.BOUQUET_X])
+    def test_matches_scan(self, name, kind):
+        space = compact_y(profile=profile_by_name(name)).sibling(kind)
+        pts = _location_points(name)
+        if kind is SpaceKind.BOUQUET_X:
+            vertices = {v for n in range(2, 41) for v in space.circle(n).vertices}
+            pts = [q for q in pts if q.x <= 0 or q in vertices]
+        wrong = [
+            q
+            for q in pts
+            if space.edges_containing(q) != oracles.edges_containing(space, q)
+            or space.membership(q) != oracles.membership(space, q)
+        ]
+        assert wrong == []
+        assert space.membership(ORIGIN) == oracles.membership(space, ORIGIN)
 
 
 class TestMembership:
