@@ -15,6 +15,12 @@ Exit codes: 0 success / all PASS, 1 any FAIL verdict or runtime error,
 2 usage or parse errors. One-off literals are evaluated in the compact
 space Y with the default width profile. PI1LAB_DIGITS sets report decimal
 places (default 40), from 1 to 4300; any other value exits 2.
+
+``main(argv)`` may be called repeatedly in one process and returns the exit
+code; a usage error or ``--help`` raises ``SystemExit`` as argparse does.
+The argument parser is built on the first call and kept for the process.
+The environment (``PI1LAB_DIGITS``, ``COLUMNS``) and the standard streams
+are read on every call, so each call prints what a fresh process would.
 """
 from __future__ import annotations
 
@@ -358,8 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser of main, built by its first call and kept for the process.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     args = parser.parse_args(argv)
     for option in ("nmax", "upto"):
         value = getattr(args, option, None)
@@ -379,10 +392,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_word(args)
     if args.command == "dist":
         return _cmd_dist(args)
-    if args.command == "hausdorff":
-        return _cmd_hausdorff(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    # the subparsers are required, so argparse admits no other command
+    return _cmd_hausdorff(args)
 
 
 if __name__ == "__main__":

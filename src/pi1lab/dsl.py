@@ -31,6 +31,9 @@ fails at once with a parse error instead of running for seconds to hours:
   circle each ``points`` breakpoint can lie on, ``max(2, ceil(y/x))`` for
   x > 0 (``spaces.candidate_circle``, which point location uses too);
 - no integer literal may have more than ``MAX_LITERAL_DIGITS`` digits;
+- a one-off literal (``parse_loop_literals``) nests ``concat`` at most
+  ``MAX_NESTING`` levels deep, which bounds the recursion of every walk
+  over its tree: the parser, the price and the evaluation;
 - every statement has a price in units of work (``_PRICES``), and one
   script may spend at most ``MAX_SCRIPT_WORK`` units: the statement that
   passes the limit is refused at its line. A price is a closed form in what
@@ -53,7 +56,7 @@ from typing import FrozenSet, Optional, Tuple, Union
 
 from .records import Record
 from .spaces import candidate_circle, profile_by_name
-from .words import Word, WordError, format_word, parse_word
+from .words import QUOTE_CHARS, Word, WordError, format_word, parse_word, quote
 
 
 # Largest circle index a script may reach. Under pow10, a points loop on
@@ -64,6 +67,11 @@ MAX_CIRCLE_INDEX = 1000
 # Longest integer literal a script may hold: Python's default limit for
 # converting a decimal string to an int.
 MAX_LITERAL_DIGITS = 4300
+
+# Deepest nesting of ``concat`` in a one-off literal. The parser, the price
+# and the evaluation each recurse once per level; 1,000 levels passed the
+# interpreter's recursion limit and ended in a RecursionError traceback.
+MAX_NESTING = 100
 
 # Longest script, in bytes, that `pi1lab run` and `pi1lab render` read; a
 # longer one is refused before it is parsed. A points line is parsed whole
@@ -242,13 +250,13 @@ PROBE_SIGNATURES = {
 
 def parse_rational(text: str, line: int, col: int) -> Fraction:
     if not _RAT_RE.match(text):
-        raise DslError(line, col, f"expected a rational like 3 or 1/10, got {text!r}")
+        raise DslError(line, col, f"expected a rational like 3 or 1/10, got {quote(text)}")
     # from two ints, which the pattern has checked: quicker than from the text
     num, _, den = text.partition("/")
     try:
         return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
-        raise DslError(line, col, f"zero denominator in {text!r}") from None
+        raise DslError(line, col, f"zero denominator in {quote(text)}") from None
 
 
 def _check_literals(text: str, line: int) -> None:
@@ -268,9 +276,12 @@ def _check_index(n: int, what: str, line: int, col: int) -> None:
 
 def _spend(total: int, cost: int, what: str, line: int, col: int) -> int:
     """The script's work once the statement ``what`` adds its price
-    ``cost``; refused at its line and column past MAX_SCRIPT_WORK."""
+    ``cost``; refused at its line and column past MAX_SCRIPT_WORK, with
+    ``what`` cut as ``quote`` cuts its input."""
     total += cost
     if total > MAX_SCRIPT_WORK:
+        if len(what) > QUOTE_CHARS:
+            what = what[:QUOTE_CHARS] + "..."
         raise DslError(
             line,
             col,
@@ -373,12 +384,15 @@ def _probe_price(kind: str, args: dict, loops: dict, touched: dict, width: str) 
     return radius + min(max(args["trials"], 0), MAX_SCRIPT_WORK) * trial
 
 
-def _parse_loop_expr(text: str, line: int, col: int, known_loops: Optional[dict]) -> LoopExpr:
+def _parse_loop_expr(
+    text: str, line: int, col: int, known_loops: Optional[dict], depth: int = 0
+) -> LoopExpr:
     """Loop expression parser.
 
     With ``known_loops`` given (script mode, the bound names)
     concat arguments must be bound names; with ``known_loops=None`` (CLI
-    literal mode) concat arguments are themselves expressions.
+    literal mode) concat arguments are themselves expressions, inside
+    ``depth`` enclosing concats, at most MAX_NESTING.
     """
     text = text.strip()
     if text == "alpha.updown":
@@ -391,6 +405,8 @@ def _parse_loop_expr(text: str, line: int, col: int, known_loops: Optional[dict]
         _check_index(idx, f"C({idx})", line, col)
         return CircleExpr(idx, m.group(2) == "inv")
     if text.startswith("concat(") and text.endswith(")"):
+        if depth == MAX_NESTING:
+            raise DslError(line, col, f"concat nesting exceeds the limit of {MAX_NESTING} levels")
         inner = text[len("concat(") : -1]
         parts = _split_top_level(inner)
         if not parts:
@@ -400,12 +416,12 @@ def _parse_loop_expr(text: str, line: int, col: int, known_loops: Optional[dict]
             part = part.strip()
             if known_loops is not None:
                 if not re.match(r"^\w+$", part):
-                    raise DslError(line, col, f"concat arguments must be loop names, got {part!r}")
+                    raise DslError(line, col, f"concat arguments must be loop names, got {quote(part)}")
                 if part not in known_loops:
-                    raise DslError(line, col, f"unbound loop name {part!r}")
+                    raise DslError(line, col, f"unbound loop name {quote(part)}")
                 args.append(part)
             else:
-                args.append(_parse_loop_expr(part, line, col, None))
+                args.append(_parse_loop_expr(part, line, col, None, depth + 1))
         return ConcatExpr(tuple(args))
     if text.startswith("word(") and text.endswith(")"):
         return _word_expr(text[len("word(") : -1], line, col)
@@ -422,7 +438,7 @@ def _parse_loop_expr(text: str, line: int, col: int, known_loops: Optional[dict]
                 part = part.strip()
                 m = re.match(r"^\(\s*([^\s,]+)\s*,\s*([^\s,]+)\s*,\s*([^\s,]+)\s*\)$", part)
                 if not m:
-                    raise DslError(line, col, f"bad points triple {part!r}")
+                    raise DslError(line, col, f"bad points triple {quote(part)}")
                 t, x, y = (parse_rational(m.group(i), line, col) for i in (1, 2, 3))
                 if x > 0:
                     n = candidate_circle((x.numerator, x.denominator, y.numerator, y.denominator))
@@ -435,7 +451,7 @@ def _parse_loop_expr(text: str, line: int, col: int, known_loops: Optional[dict]
         if len(triples) < 2:
             raise DslError(line, col, "points needs at least two (t, x, y) triples")
         return PointsExpr(tuple(triples), frozenset(circles))
-    raise DslError(line, col, f"unrecognized loop expression {text!r}")
+    raise DslError(line, col, f"unrecognized loop expression {quote(text)}")
 
 
 def _word_expr(body: str, line: int, col: int) -> WordExpr:
@@ -516,7 +532,7 @@ def parse(text: str) -> Script:
             if width == "default":
                 width = "pow10"
             if not (width in ("pow10", "cube") or re.match(r"^uniform:-?\d+(/\d+)?$", width)):
-                raise DslError(lineno, col, f"unknown width profile {width!r}")
+                raise DslError(lineno, col, f"unknown width profile {quote(width)}")
             if width.startswith("uniform:"):
                 parse_rational(width[len("uniform:") :], lineno, col)
             if hint < 2:
@@ -546,7 +562,7 @@ def parse(text: str) -> Script:
                 raise DslError(lineno, col, "expected: classify <loop-name>")
             name = m.group(1)
             if name not in loops:
-                raise DslError(lineno, col, f"unbound loop name {name!r}")
+                raise DslError(lineno, col, f"unbound loop name {quote(name)}")
             st, what, cost = ClassifyStmt(name), f"classify {name}", _PRICES["classify"] * loops[name][0]
         elif head == "dist":
             m = re.match(r"^dist\s+(\w+)\s+(\w+)$", stripped)
@@ -555,7 +571,7 @@ def parse(text: str) -> Script:
             first, second = m.groups()
             for nm in (first, second):
                 if nm not in loops:
-                    raise DslError(lineno, col, f"unbound loop name {nm!r}")
+                    raise DslError(lineno, col, f"unbound loop name {quote(nm)}")
             a, b = _PRICES["dist"]
             cost = sum(a * loops[nm][0] + b * loops[nm][1] for nm in (first, second))
             st, what = DistStmt(first, second), f"dist {first} {second}"
@@ -566,7 +582,7 @@ def parse(text: str) -> Script:
             kind = m.group(1)
             if kind not in PROBE_SIGNATURES:
                 raise DslError(
-                    lineno, col, f"unknown probe {kind!r}; known: {', '.join(sorted(PROBE_SIGNATURES))}"
+                    lineno, col, f"unknown probe {quote(kind)}; known: {', '.join(sorted(PROBE_SIGNATURES))}"
                 )
             if active_space is None:
                 raise DslError(lineno, col, "no active space: declare one with 'space' first")
@@ -584,7 +600,7 @@ def parse(text: str) -> Script:
                 val = raw_args.pop(key)
                 if typ == "int":
                     if not re.match(r"^-?\d+$", val):
-                        raise DslError(lineno, col, f"{key} must be an integer, got {val!r}")
+                        raise DslError(lineno, col, f"{key} must be an integer, got {quote(val)}")
                     if key in ("n_max", "up_to"):
                         _check_index(int(val), f"{key}={val}", lineno, col)
                     args.append((key, int(val)))
@@ -592,11 +608,11 @@ def parse(text: str) -> Script:
                     args.append((key, parse_rational(val, lineno, col)))
                 else:  # name
                     if val not in loops:
-                        raise DslError(lineno, col, f"unbound loop name {val!r}")
+                        raise DslError(lineno, col, f"unbound loop name {quote(val)}")
                     args.append((key, val))
             if raw_args:
                 stray = sorted(raw_args)[0]
-                raise DslError(lineno, col, f"probe {kind} does not take {stray!r}")
+                raise DslError(lineno, col, f"probe {kind} does not take {quote(stray)}")
             cost = _probe_price(kind, dict(args), loops, touched, active_space.width)
             st, what = ProbeStmt(kind, tuple(args)), f"probe {kind}"
         elif head == "render":
@@ -610,10 +626,10 @@ def parse(text: str) -> Script:
                 elif nm in loops:
                     cost += _PRICES["draw_letter"] * loops[nm][0]
                 else:
-                    raise DslError(lineno, col, f"unbound name {nm!r}")
+                    raise DslError(lineno, col, f"unbound name {quote(nm)}")
             st = RenderStmt(names, m.group(2))
         else:
-            raise DslError(lineno, col, f"unrecognized statement {head!r}")
+            raise DslError(lineno, col, f"unrecognized statement {quote(head)}")
         work = _spend(work, _PRICES["statement"] + cost, what, lineno, col)
         statements.append(st)
     return Script(tuple(statements))

@@ -19,6 +19,18 @@ class WordError(Exception):
     pass
 
 
+# Most characters of its input that an error message quotes.
+QUOTE_CHARS = 80
+
+
+def quote(text: str) -> str:
+    """repr(text) for an error message, of at most QUOTE_CHARS characters of
+    ``text``: a longer text is cut there and marked by an ellipsis."""
+    if len(text) <= QUOTE_CHARS:
+        return repr(text)
+    return repr(text[:QUOTE_CHARS]) + "..."
+
+
 class Word(Record):
     """A fully reduced free-group word; the empty tuple is the identity."""
 
@@ -114,7 +126,7 @@ def parse_word(text: str) -> Word:
     for tok in text.split():
         m = _LETTER_RE.match(tok)
         if not m:
-            raise WordError(f"bad word token {tok!r}; expected e.g. g2 or g3^-1")
+            raise WordError(f"bad word token {quote(tok)}; expected e.g. g2 or g3^-1")
         n = int(m.group(1))
         e = int(m.group(2)) if m.group(2) is not None else 1
         if n < 2:

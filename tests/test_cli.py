@@ -5,13 +5,14 @@ import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import pi1lab
-from pi1lab import dsl, exactnum, geometry, loops, pi1, spaces
+from pi1lab import cli, dsl, exactnum, geometry, loops, pi1, spaces
 from pi1lab.cli import demo_whitehead, main
 
 GOOD_SCRIPT = """\
@@ -223,7 +224,12 @@ def too_long(where: str) -> str:
 
 
 def run_cli(capsys, argv):
-    code = main(argv)
+    """(exit code, stdout, stderr) of one main call; a SystemExit from
+    argparse gives its code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -448,6 +454,23 @@ class TestRun:
         assert code == 1
         assert "error" in err
 
+    def test_parse_error_quotes_a_long_name_cut(self, capsys, tmp_path):
+        """The whole 300 KB name was echoed: a 300,060-byte stderr line."""
+        script = tmp_path / "long.pi1"
+        script.write_text(f"space S = Y(20)\nloop b = {'b' * 300000}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["run", str(script)])
+        assert code == 2 and out == ""
+        assert err == f"parse error: line 2, col 1: unrecognized loop expression {'b' * 80!r}...\n"
+        assert len(err.encode()) < 200
+
+    def test_parse_error_quotes_a_long_triple_cut(self, capsys, tmp_path):
+        triple = f"(1/2, 1/{'7' * 100})"
+        script = tmp_path / "triple.pi1"
+        script.write_text(f"space S = Y(20)\nloop q = points [(0,0,0), {triple}, (1,0,0)]\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["run", str(script)])
+        assert code == 2 and out == ""
+        assert err == f"parse error: line 2, col 1: bad points triple {triple[:80]!r}...\n"
+
 
 class TestOneOffCommands:
     def test_word_circle(self, capsys):
@@ -502,6 +525,24 @@ class TestOneOffCommands:
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out == ""
         assert err.startswith("parse error: line 1, col 3: ")
+
+    @pytest.mark.parametrize("command", ["word", "dist"])
+    def test_nested_concat_literal_refused(self, capsys, command):
+        """1,000 nested concats ended in a RecursionError traceback, exit 1;
+        MAX_NESTING levels still parse."""
+
+        def nested(depth):
+            return "concat(" * depth + "C(2).once" + ")" * depth
+
+        extra = ["C(3).once"] if command == "dist" else []
+        for depth in (1000, dsl.MAX_NESTING + 1):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, [command, *extra, nested(depth)])
+            assert time.perf_counter() - start < 0.5
+            assert (code, out) == (2, "")
+            assert err == f"parse error: line 1, col 1: concat nesting exceeds the limit of {dsl.MAX_NESTING} levels\n"
+        code, out, err = run_cli(capsys, [command, *extra, nested(dsl.MAX_NESTING)])
+        assert code == 0 and err == ""
 
     @pytest.mark.parametrize("argv", (["demo", "whitehead", "--nmax", "1001"], ["hausdorff", "--upto", "1001"]))
     def test_circle_index_options_capped(self, capsys, argv):
@@ -633,6 +674,87 @@ class TestModuleEntryPoint:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+class TestRepeatedCalls:
+    """main builds its parser once per process; everything else is read per call."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self, monkeypatch):
+        monkeypatch.setattr(cli, "_parser", None, raising=False)
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+
+        def counted(_orig=cli.build_parser):
+            built.append(1)
+            return _orig()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for argv in (["word", "C(4).once"], ["hausdorff", "--upto", "3"], ["word", "C(5).once"]):
+            assert run_cli(capsys, argv)[0] == 0
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        (
+            (["run", "{script}"], 0),
+            (["render", "{script}"], 0),
+            (["word", "word g2 g3^-1"], 0),
+            (["dist", "C(2).once", "alpha.updown"], 0),
+            (["hausdorff", "--upto", "4"], 0),
+            (["wrod", "C(4).once"], 2),
+            (["dist", "C(2).once"], 2),
+            (["demo", "whitehead", "--nmax", "1001"], 2),
+            (["--help"], 0),
+        ),
+        ids=("run", "render", "word", "dist", "hausdorff", "unknown-command", "missing-argument", "nmax", "help"),
+    )
+    def test_two_calls_agree(self, capsys, tmp_path, argv, code):
+        script = tmp_path / "scene.pi1"
+        script.write_text(GOOD_SCRIPT.format(out=tmp_path / "scene.svg"), encoding="utf-8")
+        argv = [a.format(script=script) for a in argv]
+        first = run_cli(capsys, argv)
+        assert run_cli(capsys, argv) == first
+        assert first[0] == code
+        if argv == ["--help"]:
+            assert first[1].startswith("usage: pi1lab") and first[2] == ""
+        elif code == 2:
+            assert first[1] == "" and first[2].startswith("usage: pi1lab")
+        else:
+            assert first[1] and first[2] == ""
+
+    def test_digits_read_per_call(self, capsys, monkeypatch):
+        argv = ["dist", "C(2).once", "alpha.updown"]
+        monkeypatch.setenv("PI1LAB_DIGITS", "5")
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and "dist_dec(5): 0.50000\n" in out
+        monkeypatch.delenv("PI1LAB_DIGITS")
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and "dist_dec(40): 0.5000000000000000000200000" in out
+
+    @pytest.mark.parametrize("argv", (["--help"], ["run", "--help"]), ids=("help", "run-help"))
+    def test_help_follows_columns(self, capsys, monkeypatch, argv):
+        """The cached parser wraps help at the width of each call."""
+        helps = {}
+        for columns in ("200", "40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, err = run_cli(capsys, argv)
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args(argv)
+            assert (code, out, err) == (0, capsys.readouterr().out, "")
+            assert helps.setdefault(columns, out) == out
+        assert helps["40"] != helps["200"]
+
+    def test_usage_error_follows_stderr(self, capsys):
+        assert run_cli(capsys, ["word", "C(4).once"])[0] == 0
+        assert cli._parser is not None
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(["wrod"])
+        assert exc.value.code == 2
+        assert err.getvalue().startswith("usage: pi1lab") and "invalid choice: 'wrod'" in err.getvalue()
+        assert capsys.readouterr() == ("", "")
 
 
 class TestRender:

@@ -346,8 +346,9 @@ class TestInputBudgets:
     def test_limit_values(self):
         assert (self.DIGITS, self.LIMIT) == (4300, 3000000)
         assert sorted(name for name in vars(dsl) if name.startswith("MAX_")) == [
-            "MAX_CIRCLE_INDEX", "MAX_LITERAL_DIGITS", "MAX_SCRIPT_BYTES", "MAX_SCRIPT_WORK"
+            "MAX_CIRCLE_INDEX", "MAX_LITERAL_DIGITS", "MAX_NESTING", "MAX_SCRIPT_BYTES", "MAX_SCRIPT_WORK"
         ]
+        assert dsl.MAX_NESTING == 100
 
     @pytest.mark.parametrize("case", list(WORK_CASES))
     def test_work_limit(self, case):
