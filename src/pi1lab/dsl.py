@@ -50,13 +50,14 @@ fails at once with a parse error instead of running for seconds to hours:
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from typing import FrozenSet, Optional, Tuple, Union
 
 from .records import Record
 from .spaces import candidate_circle, profile_by_name
-from .words import QUOTE_CHARS, Word, WordError, format_word, parse_word, quote
+from .words import QUOTE_CHARS, Word, WordError, cut, format_word, parse_word, quote
 
 
 # Largest circle index a script may reach. Under pow10, a points loop on
@@ -88,9 +89,9 @@ MAX_SCRIPT_BYTES = 4000000
 # for the digits of its breakpoints through the weight of its literals.
 # Building a circle is not priced: a script caches circles per width
 # profile, only pow10 and cube certify circles past C_2 (a uniform width is
-# not decreasing, so C_3 fails), and all 999 of pow10 take 0.2 s, which the
-# limit leaves room for. Hausdorff and disjointness build their circles
-# afresh, within their prices.
+# not decreasing, so C_3 fails), and all 999 of pow10 take 0.1 s in a fresh
+# process, which the limit leaves room for. Hausdorff and disjointness build
+# the circles the script has not, within their prices.
 MAX_SCRIPT_WORK = 3000000
 
 # Prices in units of work; (a, b) prices an item on circle n at a + b * p(n).
@@ -268,9 +269,12 @@ def _check_literals(text: str, line: int) -> None:
         )
 
 
-def _check_index(n: int, what: str, line: int, col: int) -> None:
-    """Refuse a circle index above MAX_CIRCLE_INDEX; ``what`` names it."""
+def _check_index(n: int, what: str, line: int, col: int, shown: Optional[str] = None) -> None:
+    """Refuse a circle index above MAX_CIRCLE_INDEX. ``what`` names it, with
+    ``{}`` for ``shown`` (by default n), cut as ``cut`` cuts; the text is
+    built on refusal only."""
     if n > MAX_CIRCLE_INDEX:
+        what = what.format(cut(str(n) if shown is None else shown))
         raise DslError(line, col, f"{what} exceeds the limit {MAX_CIRCLE_INDEX} on circle indices")
 
 
@@ -280,12 +284,10 @@ def _spend(total: int, cost: int, what: str, line: int, col: int) -> int:
     ``what`` cut as ``quote`` cuts its input."""
     total += cost
     if total > MAX_SCRIPT_WORK:
-        if len(what) > QUOTE_CHARS:
-            what = what[:QUOTE_CHARS] + "..."
         raise DslError(
             line,
             col,
-            f"{what} costs {cost} units of work, which brings the script to {total} "
+            f"{cut(what)} costs {cost} units of work, which brings the script to {total} "
             f"and exceeds the limit of {MAX_SCRIPT_WORK}",
         )
     return total
@@ -298,11 +300,17 @@ def _bits(q: Fraction) -> int:
 
 @lru_cache(maxsize=64)
 def _circle_prices(width: str):
-    """n -> p(n) under the profile named ``width``, each computed once: the
-    squared bit size of C_n's width, in units of 2**16. Kept for the 64
-    profiles last asked for."""
-    profile = profile_by_name(width)
-    return lru_cache(maxsize=None)(lambda n: _bits(profile(n)) ** 2 >> 16)
+    """n -> p(n) under the profile named ``width``: the squared bit size of
+    C_n's width, in units of 2**16, read off the profile's width pairs,
+    which it evaluates once per index. Kept for the 64 profiles last asked
+    for."""
+    pair = profile_by_name(width).pair
+
+    def price(n: int) -> int:
+        wn, wd = pair(n)
+        return (wn.bit_length() + wd.bit_length()) ** 2 >> 16
+
+    return price
 
 
 def _circles(expr: LoopExpr, touched: dict) -> frozenset:
@@ -384,45 +392,60 @@ def _probe_price(kind: str, args: dict, loops: dict, touched: dict, width: str) 
     return radius + min(max(args["trials"], 0), MAX_SCRIPT_WORK) * trial
 
 
-def _parse_loop_expr(
-    text: str, line: int, col: int, known_loops: Optional[dict], depth: int = 0
-) -> LoopExpr:
+def _parse_loop_expr(text: str, line: int, col: int, known_loops: Optional[dict]) -> LoopExpr:
     """Loop expression parser.
 
     With ``known_loops`` given (script mode, the bound names)
     concat arguments must be bound names; with ``known_loops=None`` (CLI
-    literal mode) concat arguments are themselves expressions, inside
-    ``depth`` enclosing concats, at most MAX_NESTING.
+    literal mode) concat arguments are themselves expressions, nested at
+    most MAX_NESTING deep. The first concat scans the delimiters of
+    ``text`` once (``_CommaScan``); every level reads its top-level commas
+    off that scan and passes its arguments on as spans of ``text``, so
+    parsing takes time linear in the text at any nesting.
     """
-    text = text.strip()
+    return _parse_span(text, 0, len(text), line, col, known_loops, 0, None)
+
+
+def _parse_span(
+    text: str, start: int, end: int, line: int, col: int, known_loops: Optional[dict], depth: int, scan
+) -> LoopExpr:
+    """The loop expression text[start:end], inside ``depth`` enclosing
+    concats; ``scan`` is the ``_CommaScan`` of ``text`` once built."""
+    start, end = _strip_span(text, start, end)
+    if not (text.startswith("concat(", start, end) and text[end - 1] == ")"):
+        return _parse_leaf(text[start:end], line, col)
+    if depth == MAX_NESTING:
+        raise DslError(line, col, f"concat nesting exceeds the limit of {MAX_NESTING} levels")
+    if scan is None:
+        scan = _CommaScan(text)
+    spans = scan.split(text, start + len("concat("), end - 1)
+    if not spans:
+        raise DslError(line, col, "concat needs at least one argument")
+    args = []
+    for a, b in spans:
+        if known_loops is not None:
+            part = text[a:b].strip()
+            if not re.match(r"^\w+$", part):
+                raise DslError(line, col, f"concat arguments must be loop names, got {quote(part)}")
+            if part not in known_loops:
+                raise DslError(line, col, f"unbound loop name {quote(part)}")
+            args.append(part)
+        else:
+            args.append(_parse_span(text, a, b, line, col, None, depth + 1, scan))
+    return ConcatExpr(tuple(args))
+
+
+def _parse_leaf(text: str, line: int, col: int) -> LoopExpr:
+    """A loop expression other than a concat, stripped."""
     if text == "alpha.updown":
         return AlphaExpr()
     m = re.match(r"^C\(\s*(-?\d+)\s*\)\.(once|inv)$", text)
     if m:
         idx = int(m.group(1))
         if idx < 2:
-            raise DslError(line, col, f"circle index must be >= 2, got C({idx})")
-        _check_index(idx, f"C({idx})", line, col)
+            raise DslError(line, col, f"circle index must be >= 2, got C({cut(str(idx))})")
+        _check_index(idx, "C({})", line, col)
         return CircleExpr(idx, m.group(2) == "inv")
-    if text.startswith("concat(") and text.endswith(")"):
-        if depth == MAX_NESTING:
-            raise DslError(line, col, f"concat nesting exceeds the limit of {MAX_NESTING} levels")
-        inner = text[len("concat(") : -1]
-        parts = _split_top_level(inner)
-        if not parts:
-            raise DslError(line, col, "concat needs at least one argument")
-        args = []
-        for part in parts:
-            part = part.strip()
-            if known_loops is not None:
-                if not re.match(r"^\w+$", part):
-                    raise DslError(line, col, f"concat arguments must be loop names, got {quote(part)}")
-                if part not in known_loops:
-                    raise DslError(line, col, f"unbound loop name {quote(part)}")
-                args.append(part)
-            else:
-                args.append(_parse_loop_expr(part, line, col, None, depth + 1))
-        return ConcatExpr(tuple(args))
     if text.startswith("word(") and text.endswith(")"):
         return _word_expr(text[len("word(") : -1], line, col)
     if text.startswith("word ") or text == "word":
@@ -443,9 +466,10 @@ def _parse_loop_expr(
                 if x > 0:
                     n = candidate_circle((x.numerator, x.denominator, y.numerator, y.denominator))
                     if n > MAX_CIRCLE_INDEX:
-                        # y/x of two literals can pass the digit limit of str()
-                        circle = f"C({n})" if n.bit_length() < 10000 else "a circle"
-                        _check_index(n, f"breakpoint ({x}, {y}) can only lie on {circle}, which", line, col)
+                        # y/x of two literals can pass the digit limit of str(), and
+                        # an index longer than a quote is not named
+                        circle = f"C({n})" if n < 10**QUOTE_CHARS else "a circle"
+                        _check_index(n, f"breakpoint {{}} can only lie on {circle}, which", line, col, f"({x}, {y})")
                     circles.add(n)
                 triples.append((t, x, y))
         if len(triples) < 2:
@@ -463,13 +487,61 @@ def _word_expr(body: str, line: int, col: int) -> WordExpr:
             msg = msg.replace("generator index", "circle index")
         raise DslError(line, col, msg) from None
     for n, _ in word.syllables:
-        _check_index(n, f"g{n}", line, col)
+        _check_index(n, "g{}", line, col)
     return WordExpr(word)
+
+
+def _strip_span(text: str, start: int, end: int) -> Tuple[int, int]:
+    """The span text[start:end] without its leading and trailing whitespace,
+    as str.strip() would strip it, by moving its ends."""
+    while start < end and text[start].isspace():
+        start += 1
+    while end > start and text[end - 1].isspace():
+        end -= 1
+    return start, end
+
+
+class _CommaScan:
+    """One pass over the delimiters of a text: the depth after each opening
+    delimiter, and the positions of the commas at each depth, ascending.
+    The top-level commas of a span just inside an opening delimiter are
+    then the commas of the span at that delimiter's depth, found by
+    bisection without scanning the span again."""
+
+    __slots__ = ("opened", "commas")
+
+    def __init__(self, text: str):
+        opened, commas, depth = {}, {}, 0
+        for m in _DELIMITER_RE.finditer(text):
+            ch = m.group()
+            if ch in "([":
+                depth += 1
+                opened[m.start()] = depth
+            elif ch in ")]":
+                depth -= 1
+            else:
+                commas.setdefault(depth, []).append(m.start())
+        self.opened = opened
+        self.commas = commas
+
+    def split(self, text: str, start: int, end: int):
+        """text[start:end] split as ``_split_top_level`` splits it, as spans;
+        text[start - 1] is an opening delimiter."""
+        at = self.commas.get(self.opened[start - 1], [])
+        spans = []
+        for c in at[bisect_left(at, start) : bisect_left(at, end)]:
+            spans.append((start, c))
+            start = c + 1
+        if _strip_span(text, start, end)[0] < end:
+            spans.append((start, end))
+        return spans
 
 
 def _split_top_level(text: str):
     """Split on commas not nested in parentheses or brackets. Only the
-    delimiters are visited, so the digits between them cost no Python step."""
+    delimiters are visited, so the digits between them cost no Python step.
+    A points list is split once, so it needs no ``_CommaScan``, whose table
+    costs more per delimiter."""
     parts, depth, start = [], 0, 0
     for m in _DELIMITER_RE.finditer(text):
         ch = m.group()
@@ -537,7 +609,7 @@ def parse(text: str) -> Script:
                 parse_rational(width[len("uniform:") :], lineno, col)
             if hint < 2:
                 raise DslError(lineno, col, "space hint must be at least 2")
-            _check_index(hint, f"space hint {hint}", lineno, col + m.start(3))
+            _check_index(hint, "space hint {}", lineno, col + m.start(3))
             st = active_space = spaces[name] = SpaceDecl(name, kind, hint, width)
             what = f"space {name}"
         elif head == "loop":
@@ -602,7 +674,7 @@ def parse(text: str) -> Script:
                     if not re.match(r"^-?\d+$", val):
                         raise DslError(lineno, col, f"{key} must be an integer, got {quote(val)}")
                     if key in ("n_max", "up_to"):
-                        _check_index(int(val), f"{key}={val}", lineno, col)
+                        _check_index(int(val), key + "={}", lineno, col, val)
                     args.append((key, int(val)))
                 elif typ == "rat":
                     args.append((key, parse_rational(val, lineno, col)))

@@ -31,6 +31,12 @@ def quote(text: str) -> str:
     return repr(text[:QUOTE_CHARS]) + "..."
 
 
+def cut(text: str) -> str:
+    """``text`` for an error message, unquoted, such as a number: cut at
+    QUOTE_CHARS characters and marked as ``quote`` marks a cut."""
+    return text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "..."
+
+
 class Word(Record):
     """A fully reduced free-group word; the empty tuple is the identity."""
 

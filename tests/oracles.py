@@ -785,11 +785,18 @@ def perturb_once(loop, rng, bound):
 # -- circles -------------------------------------------------------------------
 
 
+def width(profile, n):
+    """w(n) as a Fraction, from the profile's ``fn`` itself: the oracles
+    read no width pair the profile keeps."""
+    w = profile.fn(n)
+    return w if type(w) is Fraction else Fraction(w)
+
+
 def build_circle(n, width_profile=POW10):
     """Exact triangle for index n: vertices p, (1/n, 1) and the cap point."""
     if n < 2:
         raise SpaceError(f"circle index must be >= 2, got {n}")
-    w = width_profile(n)
+    w = width(width_profile, n)
     if w <= 0:
         raise SpaceConsistencyError(f"width profile {width_profile.name} gave w({n}) = {w} <= 0")
     apex = Point2(Fraction(1, n), Fraction(1))
@@ -803,7 +810,7 @@ def build_circle(n, width_profile=POW10):
 def certify(circ, profile):
     """Refuse C_n (n >= 3) unless its width decreases and its cone certificate holds."""
     n = circ.index
-    if not profile(n) < profile(n - 1):
+    if not width(profile, n) < width(profile, n - 1):
         raise SpaceConsistencyError(
             f"width profile {profile.name} is not strictly decreasing between indices {n - 1} and {n}"
         )

@@ -471,6 +471,36 @@ class TestRun:
         assert code == 2 and out == ""
         assert err == f"parse error: line 2, col 1: bad points triple {triple[:80]!r}...\n"
 
+    @pytest.mark.parametrize(
+        "line, shown",
+        (
+            (f"loop c = C({NINES[:4300]}).once", f"C({NINES[:80]}...) exceeds the limit 1000"),
+            (f"loop c = C(-{NINES[:4300]}).once", f"got C(-{NINES[:79]}...)\n"),
+            (f"loop w = word g2 g{NINES[:4300]}", f"g{NINES[:80]}... exceeds the limit 1000"),
+            (f"space T = Y({NINES[:4300]})", f"space hint {NINES[:80]}... exceeds the limit 1000"),
+            (f"probe hausdorff up_to={NINES[:4300]}", f"up_to={NINES[:80]}... exceeds the limit 1000"),
+            (
+                f"probe nondiscreteness n_max={NINES[:4300]} epsilon=1/10",
+                f"n_max={NINES[:80]}... exceeds the limit 1000",
+            ),
+            (
+                f"loop q = points [(0,0,0), (1/2, 1/{'7' * 4300}, {NINES[:4300]}/3), (1,0,0)]",
+                f"breakpoint (1/{'7' * 77}... can only lie on a circle, which exceeds the limit 1000",
+            ),
+        ),
+        ids=("circle", "negative-circle", "generator", "space-hint", "up_to", "n_max", "breakpoint"),
+    )
+    def test_parse_error_cuts_a_long_number(self, capsys, tmp_path, line, shown):
+        """A number in a parse error is cut as a quote is; each was echoed
+        whole, up to 4,300 digits, and the breakpoint's (x, y) gave an
+        8,719-byte line."""
+        script = tmp_path / "number.pi1"
+        script.write_text(f"space S = Y(20)\n{line}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["run", str(script)])
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: line 2, col ") and err.count("\n") == 1 and err.endswith("\n")
+        assert shown in err and len(err.encode()) < 200
+
 
 class TestOneOffCommands:
     def test_word_circle(self, capsys):
@@ -800,14 +830,16 @@ class TestDemo:
         assert hashlib.sha256(svg).hexdigest() == DEMO_SVG_SHA256
 
     def test_fraction_count(self, tmp_path, monkeypatch):
-        """A warmed seed-1 demo builds at most 850 Fractions. Paths keep
+        """A warmed seed-1 demo builds at most 740 Fractions. Paths keep
         their parameters as int pairs, so builders wrap none, each edge
         brackets its length once, a discreteness trial compares its
-        squared distance as an int pair, and circles are built on int
-        quads; when every builder wrapped its pairs the count was 21,236,
-        when every slide bracketed its edge 5,119, when each trial built its
-        distance as Fractions 2,875, and when each circle built its
-        vertices as Fractions 1,375."""
+        squared distance as an int pair, circles are built on int quads,
+        and each width is read as the pair its profile keeps; when every
+        builder wrapped its pairs the count was 21,236, when every slide
+        bracketed its edge 5,119, when each trial built its distance as
+        Fractions 2,875, when each circle built its vertices as Fractions
+        1,375, and when each build and certificate evaluated its widths
+        afresh 839."""
         demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
         built = [0]
         real = Fraction.__new__
@@ -820,7 +852,7 @@ class TestDemo:
         code, _ = demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
         monkeypatch.undo()
         assert code == 0
-        assert 0 < built[0] <= 850
+        assert 0 < built[0] <= 740
 
     def test_work_counts(self, tmp_path, monkeypatch):
         """A warmed seed-1 demo makes at most 60 dyadic_sqrt_bounds calls,

@@ -185,6 +185,31 @@ class TestLoopLiterals:
         with pytest.raises(dsl.DslError):
             dsl.parse_loop_literals(("spiral.updown",))
 
+    def test_nested_concats_scan_the_literal_once(self, monkeypatch):
+        """Every concat level scanned the rest of the literal again: about
+        100 times its length for 100 levels around a 25 KB points literal.
+        Characters scanned are counted at the delimiter pattern, the one
+        scanner of concat arguments and points triples."""
+        points = "points [" + ", ".join(f"({k}/1200, 1/{2 + k % 990}, 1)" for k in range(1200)) + "]"
+        assert len(points) > 25000
+        real = dsl._DELIMITER_RE
+        scanned = [0]
+
+        class Counting:
+            def finditer(self, text, pos=0, endpos=None):
+                end = len(text) if endpos is None else min(endpos, len(text))
+                scanned[0] += end - pos
+                return real.finditer(text, pos, end)
+
+        monkeypatch.setattr(dsl, "_DELIMITER_RE", Counting())
+        expr = dsl._parse_loop_expr("concat(" * 100 + points + ")" * 100, 1, 1, None)
+        monkeypatch.undo()
+        assert 0 < scanned[0] < 3 * len(points)
+        for _ in range(100):
+            assert isinstance(expr, dsl.ConcatExpr) and len(expr.args) == 1
+            (expr,) = expr.args
+        assert expr == dsl._parse_loop_expr(points, 1, 1, None)
+
 
 class TestCircleIndexLimit:
     LIMIT = dsl.MAX_CIRCLE_INDEX

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import hausdorff_distance_sq
-from pi1lab import kernels
+from pi1lab import dsl, kernels, spaces
 from pi1lab.geometry import ORIGIN, point
 from pi1lab.spaces import (
     ALPHA,
@@ -149,6 +151,60 @@ class TestCircleOracle:
         _certify(build_circle(40, profile), profile)
         monkeypatch.undo()
         assert calls == []
+
+
+class TestWidthPairs:
+    """A profile evaluates w(n) once per index and keeps it as the reduced
+    int pair that every build, certificate and script price reads."""
+
+    def test_fn_called_once_per_index(self, monkeypatch):
+        """Each certified circle called fn twice, for w(n) in its build and
+        w(n - 1) in its certificate, and a script's price once more."""
+        calls = Counter()
+
+        def counted(n, fn=profile_by_name("pow10").fn):
+            calls[n] += 1
+            return fn(n)
+
+        profile = WidthProfile("pow10", counted)
+        order = list(range(2, 41))
+        for seed in (1, 2):
+            random.Random(seed).shuffle(order)
+            handle = compact_y(profile=profile)
+            for n in order:
+                handle.circle(n)
+        for y in (handle, compact_y(profile=profile)):
+            assert hausdorff_convergence(y, 40).passed
+            assert verify_disjointness(y, 40).passed
+        monkeypatch.setattr(dsl, "profile_by_name", lambda name: profile)
+        dsl._circle_prices.cache_clear()
+        try:
+            dsl.parse(
+                "space S = Y(40) width=pow10\nloop a = word g2 g40\nprobe hausdorff up_to=40\n"
+                "probe disjointness up_to=40\nprobe nondiscreteness n_max=40 epsilon=1/10\n"
+            )
+        finally:
+            dsl._circle_prices.cache_clear()
+        assert calls == Counter(range(2, 41))
+
+    @pytest.mark.parametrize(
+        "profile",
+        CERTIFICATE_PROFILES
+        + [profile_by_name(name) for name in ("uniform:1", "uniform:3", "uniform:-1/2", "uniform:0")]
+        + [
+            WidthProfile("ints", lambda n: 5 - n),
+            WidthProfile("strs", lambda n: f"{6 - n}/{2 * n}"),
+            WidthProfile("zero-from-5", lambda n: F(max(5 - n, 0), 10 * n)),
+            WidthProfile("negative", lambda n: F(-1, n)),
+        ],
+        ids=lambda p: p.name,
+    )
+    def test_pair_is_the_reduced_width(self, profile):
+        for n in range(2, 41):
+            w = oracles.width(profile, n)
+            assert profile.pair(n) == (w.numerator, w.denominator)
+            got = profile(n)
+            assert type(got) is Fraction and (got.numerator, got.denominator) == profile.pair(n)
 
 
 @lru_cache(maxsize=None)
@@ -326,6 +382,23 @@ class TestHausdorffConvergence:
     def test_requires_y(self):
         with pytest.raises(SpaceError):
             hausdorff_convergence(bouquet_x(hint=5), 5)
+
+    def test_rows_read_the_handles_circles(self, monkeypatch):
+        """Only the rows whose circle the handle lacks build one, and the
+        report is the one of a fresh handle."""
+        want = hausdorff_convergence(compact_y(), 20)
+        y = compact_y()
+        for n in range(2, 11):
+            y.circle(n)
+        built = []
+
+        def build(n, profile, _orig=build_circle):
+            built.append(n)
+            return _orig(n, profile)
+
+        monkeypatch.setattr(spaces, "build_circle", build)
+        assert hausdorff_convergence(y, 20) == want
+        assert built == list(range(11, 21))
 
 
 def oracle_hausdorff_sq(n, profile):
