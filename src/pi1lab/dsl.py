@@ -269,13 +269,12 @@ def _check_literals(text: str, line: int) -> None:
         )
 
 
-def _check_index(n: int, what: str, line: int, col: int, shown: Optional[str] = None) -> None:
+def _check_index(n: int, what: str, line: int, col: int) -> None:
     """Refuse a circle index above MAX_CIRCLE_INDEX. ``what`` names it, with
-    ``{}`` for ``shown`` (by default n), cut as ``cut`` cuts; the text is
-    built on refusal only."""
+    ``{}`` where n goes, cut as ``cut`` cuts; the text is built on refusal
+    only."""
     if n > MAX_CIRCLE_INDEX:
-        what = what.format(cut(str(n) if shown is None else shown))
-        raise DslError(line, col, f"{what} exceeds the limit {MAX_CIRCLE_INDEX} on circle indices")
+        raise DslError(line, col, f"{what.format(cut(str(n)))} exceeds the limit {MAX_CIRCLE_INDEX} on circle indices")
 
 
 def _spend(total: int, cost: int, what: str, line: int, col: int) -> int:
@@ -398,10 +397,10 @@ def _parse_loop_expr(text: str, line: int, col: int, known_loops: Optional[dict]
     With ``known_loops`` given (script mode, the bound names)
     concat arguments must be bound names; with ``known_loops=None`` (CLI
     literal mode) concat arguments are themselves expressions, nested at
-    most MAX_NESTING deep. The first concat scans the delimiters of
-    ``text`` once (``_CommaScan``); every level reads its top-level commas
-    off that scan and passes its arguments on as spans of ``text``, so
-    parsing takes time linear in the text at any nesting.
+    most MAX_NESTING deep. The first concat or points list scans the
+    delimiters of ``text`` once (``_CommaScan``); every level reads its
+    top-level commas off that scan and passes its arguments on as spans of
+    ``text``, so parsing takes time linear in the text at any nesting.
     """
     return _parse_span(text, 0, len(text), line, col, known_loops, 0, None)
 
@@ -410,15 +409,18 @@ def _parse_span(
     text: str, start: int, end: int, line: int, col: int, known_loops: Optional[dict], depth: int, scan
 ) -> LoopExpr:
     """The loop expression text[start:end], inside ``depth`` enclosing
-    concats; ``scan`` is the ``_CommaScan`` of ``text`` once built."""
+    concats, so at delimiter depth ``depth`` of ``text``; ``scan`` is the
+    ``_CommaScan`` of ``text`` once built."""
     start, end = _strip_span(text, start, end)
+    if text.startswith("points", start, end):
+        return _parse_points(text, start, end, line, col, depth, scan)
     if not (text.startswith("concat(", start, end) and text[end - 1] == ")"):
         return _parse_leaf(text[start:end], line, col)
     if depth == MAX_NESTING:
         raise DslError(line, col, f"concat nesting exceeds the limit of {MAX_NESTING} levels")
     if scan is None:
         scan = _CommaScan(text)
-    spans = scan.split(text, start + len("concat("), end - 1)
+    spans = scan.split(text, start + len("concat("), end - 1, depth + 1)
     if not spans:
         raise DslError(line, col, "concat needs at least one argument")
     args = []
@@ -436,7 +438,7 @@ def _parse_span(
 
 
 def _parse_leaf(text: str, line: int, col: int) -> LoopExpr:
-    """A loop expression other than a concat, stripped."""
+    """A loop expression other than a concat or a points list, stripped."""
     if text == "alpha.updown":
         return AlphaExpr()
     m = re.match(r"^C\(\s*(-?\d+)\s*\)\.(once|inv)$", text)
@@ -450,32 +452,41 @@ def _parse_leaf(text: str, line: int, col: int) -> LoopExpr:
         return _word_expr(text[len("word(") : -1], line, col)
     if text.startswith("word ") or text == "word":
         return _word_expr(text[4:], line, col)
-    if text.startswith("points"):
-        body = text[len("points") :].strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise DslError(line, col, "points expects a bracketed list of (t, x, y) triples")
-        triples, circles = [], set()
-        inner = body[1:-1].strip()
-        if inner:
-            for part in _split_top_level(inner):
-                part = part.strip()
-                m = re.match(r"^\(\s*([^\s,]+)\s*,\s*([^\s,]+)\s*,\s*([^\s,]+)\s*\)$", part)
-                if not m:
-                    raise DslError(line, col, f"bad points triple {quote(part)}")
-                t, x, y = (parse_rational(m.group(i), line, col) for i in (1, 2, 3))
-                if x > 0:
-                    n = candidate_circle((x.numerator, x.denominator, y.numerator, y.denominator))
-                    if n > MAX_CIRCLE_INDEX:
-                        # y/x of two literals can pass the digit limit of str(), and
-                        # an index longer than a quote is not named
-                        circle = f"C({n})" if n < 10**QUOTE_CHARS else "a circle"
-                        _check_index(n, f"breakpoint {{}} can only lie on {circle}, which", line, col, f"({x}, {y})")
-                    circles.add(n)
-                triples.append((t, x, y))
-        if len(triples) < 2:
-            raise DslError(line, col, "points needs at least two (t, x, y) triples")
-        return PointsExpr(tuple(triples), frozenset(circles))
     raise DslError(line, col, f"unrecognized loop expression {quote(text)}")
+
+
+def _parse_points(text: str, start: int, end: int, line: int, col: int, depth: int, scan) -> PointsExpr:
+    """The points literal text[start:end], stripped, at delimiter depth
+    ``depth``; its triples are split on ``scan``, built here if None."""
+    start, _ = _strip_span(text, start + len("points"), end)
+    if not (start < end and text[start] == "[" and text[end - 1] == "]"):
+        raise DslError(line, col, "points expects a bracketed list of (t, x, y) triples")
+    if scan is None:
+        scan = _CommaScan(text)
+    triples, circles = [], set()
+    for a, b in scan.split(text, start + 1, end - 1, depth + 1):
+        part = text[a:b].strip()
+        m = re.match(r"^\(\s*([^\s,]+)\s*,\s*([^\s,]+)\s*,\s*([^\s,]+)\s*\)$", part)
+        if not m:
+            raise DslError(line, col, f"bad points triple {quote(part)}")
+        t, x, y = (parse_rational(m.group(i), line, col) for i in (1, 2, 3))
+        if x > 0:
+            n = candidate_circle((x.numerator, x.denominator, y.numerator, y.denominator))
+            if n > MAX_CIRCLE_INDEX:
+                # y/x of two literals can pass the digit limit of str(), and
+                # an index longer than a quote is not named
+                circle = f"C({n})" if n < 10**QUOTE_CHARS else "a circle"
+                raise DslError(
+                    line,
+                    col,
+                    f"breakpoint {cut(f'({x}, {y})')} can only lie on {circle}, which exceeds "
+                    f"the limit {MAX_CIRCLE_INDEX} on circle indices",
+                )
+            circles.add(n)
+        triples.append((t, x, y))
+    if len(triples) < 2:
+        raise DslError(line, col, "points needs at least two (t, x, y) triples")
+    return PointsExpr(tuple(triples), frozenset(circles))
 
 
 def _word_expr(body: str, line: int, col: int) -> WordExpr:
@@ -502,32 +513,32 @@ def _strip_span(text: str, start: int, end: int) -> Tuple[int, int]:
 
 
 class _CommaScan:
-    """One pass over the delimiters of a text: the depth after each opening
-    delimiter, and the positions of the commas at each depth, ascending.
-    The top-level commas of a span just inside an opening delimiter are
-    then the commas of the span at that delimiter's depth, found by
-    bisection without scanning the span again."""
+    """One pass over the delimiters of a text: the positions of its commas
+    at each delimiter depth, ascending. The top-level commas of a span just
+    inside an opening delimiter at depth d are then the span's commas at
+    depth d, found by bisection without scanning the span again. Only the
+    delimiters are visited, so the digits between them cost no Python
+    step."""
 
-    __slots__ = ("opened", "commas")
+    __slots__ = ("commas",)
 
     def __init__(self, text: str):
-        opened, commas, depth = {}, {}, 0
+        commas, depth = {}, 0
         for m in _DELIMITER_RE.finditer(text):
             ch = m.group()
             if ch in "([":
                 depth += 1
-                opened[m.start()] = depth
             elif ch in ")]":
                 depth -= 1
             else:
                 commas.setdefault(depth, []).append(m.start())
-        self.opened = opened
         self.commas = commas
 
-    def split(self, text: str, start: int, end: int):
-        """text[start:end] split as ``_split_top_level`` splits it, as spans;
-        text[start - 1] is an opening delimiter."""
-        at = self.commas.get(self.opened[start - 1], [])
+    def split(self, text: str, start: int, end: int, depth: int):
+        """text[start:end], which text[start - 1] opens at ``depth``, split
+        on its commas not nested in parentheses or brackets, as spans; an
+        empty or blank last part is dropped."""
+        at = self.commas.get(depth, [])
         spans = []
         for c in at[bisect_left(at, start) : bisect_left(at, end)]:
             spans.append((start, c))
@@ -535,27 +546,6 @@ class _CommaScan:
         if _strip_span(text, start, end)[0] < end:
             spans.append((start, end))
         return spans
-
-
-def _split_top_level(text: str):
-    """Split on commas not nested in parentheses or brackets. Only the
-    delimiters are visited, so the digits between them cost no Python step.
-    A points list is split once, so it needs no ``_CommaScan``, whose table
-    costs more per delimiter."""
-    parts, depth, start = [], 0, 0
-    for m in _DELIMITER_RE.finditer(text):
-        ch = m.group()
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif depth == 0:
-            parts.append(text[start : m.start()])
-            start = m.end()
-    tail = text[start:].strip()
-    if tail:
-        parts.append(tail)
-    return parts
 
 
 def parse_loop_literals(texts: Tuple[str, ...]) -> Tuple[LoopExpr, ...]:
@@ -674,7 +664,7 @@ def parse(text: str) -> Script:
                     if not re.match(r"^-?\d+$", val):
                         raise DslError(lineno, col, f"{key} must be an integer, got {quote(val)}")
                     if key in ("n_max", "up_to"):
-                        _check_index(int(val), key + "={}", lineno, col, val)
+                        _check_index(int(val), f"{key}={cut(val)}", lineno, col)
                     args.append((key, int(val)))
                 elif typ == "rat":
                     args.append((key, parse_rational(val, lineno, col)))

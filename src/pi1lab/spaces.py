@@ -9,10 +9,12 @@ w(n) = 1 / 10**(10*n). The compact space Y adds the vertical segment
 alpha = [(0,0), (0,1)], the Hausdorff limit of the C_n.
 
 A width is read as the reduced int pair (wn, wd) of w(n) = wn/wd, which
-its profile evaluates once per index and keeps (``WidthProfile.pair``):
-every build, certificate and script price of a profile reads the same
-pairs. Measured with tracemalloc, the pairs of pow10 hold 25 KiB through
-n = 90 and 2.2 MiB through n = 1000, and those of cube 7 KiB and 90 KiB.
+its profile evaluates once per index up to KEPT_PAIR_INDEX and keeps
+(``WidthProfile.pair``): every build, certificate and script price of a
+profile reads the same pairs. Measured with tracemalloc, the pairs of
+pow10 hold 25 KiB through n = 90 and 2.2 MiB through n = 1000, and those of
+cube 7 KiB and 90 KiB. They are never freed, so the cap bounds them; a
+width past it is evaluated on each request and not kept.
 
 Circles are materialized lazily and cached, on int quads: with w(n) the
 reduced pair wn/wd, D_n is ((wd + n**2*wn) / (n*wd), (wd - wn) / wd), so
@@ -63,14 +65,20 @@ class SpaceKind(str, Enum):
         return self.value
 
 
+# Largest index whose width pair a profile keeps: the largest circle index a
+# script or a CLI loop literal reaches (dsl.MAX_CIRCLE_INDEX).
+KEPT_PAIR_INDEX = 1000
+
+
 class WidthProfile(Record):
     """Positive, strictly decreasing cap-width sequence for the triangles.
 
     ``fn`` must be a pure function of n, as a width sequence is: the
-    profile calls it at most once per index and keeps w(n) as its reduced
-    int pair (``pair``) for the profile's lifetime: one pair per index
-    asked for, about 4.4 * n bytes at index n under pow10 (the module
-    docstring gives the totals).
+    profile calls it at most once per index n <= KEPT_PAIR_INDEX and keeps
+    w(n) as its reduced int pair (``pair``) for the profile's lifetime: one
+    pair per index asked for, about 4.4 * n bytes at index n under pow10
+    (the module docstring gives the totals). A larger index calls ``fn`` on
+    every request, so the pairs held stay bounded whatever index is asked.
     """
 
     __slots__ = ("name", "fn", "_pairs")
@@ -82,14 +90,16 @@ class WidthProfile(Record):
         self._pairs: Dict[int, Tuple[int, int]] = {}
 
     def pair(self, n: int) -> Tuple[int, int]:
-        """w(n) as the reduced pair (wn, wd), wd > 0; ``fn`` is called on
-        the first request for n only."""
+        """w(n) as the reduced pair (wn, wd), wd > 0; for n <= KEPT_PAIR_INDEX
+        ``fn`` is called on the first request for n only."""
         wp = self._pairs.get(n)
         if wp is None:
             w = self.fn(n)
             if type(w) is not Fraction:
                 w = Fraction(w)
-            wp = self._pairs[n] = (w.numerator, w.denominator)
+            wp = (w.numerator, w.denominator)
+            if n <= KEPT_PAIR_INDEX:
+                self._pairs[n] = wp
         return wp
 
     def __call__(self, n: int) -> Fraction:

@@ -187,6 +187,24 @@ class TestWidthPairs:
             dsl._circle_prices.cache_clear()
         assert calls == Counter(range(2, 41))
 
+    def test_pairs_kept_up_to_the_script_cap(self):
+        """Kept pairs are never freed, so only indices a script or the CLI
+        reaches are kept: a pow10 pair past the cap would hold about
+        4.4 * n bytes for good."""
+        assert spaces.KEPT_PAIR_INDEX == dsl.MAX_CIRCLE_INDEX
+        calls = Counter()
+
+        def counted(n, fn=profile_by_name("pow10").fn):
+            calls[n] += 1
+            return fn(n)
+
+        profile = WidthProfile("pow10", counted)
+        cap = spaces.KEPT_PAIR_INDEX
+        for n in (cap, cap + 1, cap, cap + 1):
+            assert profile.pair(n) == (1, 10 ** (10 * n))
+        assert calls == {cap: 1, cap + 1: 2}
+        assert sorted(profile._pairs) == [cap]
+
     @pytest.mark.parametrize(
         "profile",
         CERTIFICATE_PROFILES
