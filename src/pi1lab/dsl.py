@@ -2,9 +2,11 @@
 
 Line-oriented; ``#`` starts a comment. Rational literals are ``num`` or
 ``num/den`` — decimal floats are rejected so no precision is ever lost
-silently. The parser resolves names eagerly: using a name before binding
-it, or binding a loop before any space is active, is a parse diagnostic
-with line and column.
+silently. The values of a ``points`` literal are parsed to reduced int
+pairs and kept as such (``PointsExpr``), so the literal is weighed and
+pathed without a Fraction; the other rationals are Fractions. The parser
+resolves names eagerly: using a name before binding it, or binding a loop
+before any space is active, is a parse diagnostic with line and column.
 
     space S = Y(20) width=pow10
     loop f = alpha.updown
@@ -53,8 +55,10 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import FrozenSet, Optional, Tuple, Union
 
+from .geometry import _pair
 from .records import Record
 from .spaces import candidate_circle, profile_by_name
 from .words import QUOTE_CHARS, Word, WordError, cut, format_word, parse_word, quote
@@ -164,9 +168,23 @@ class WordExpr(Record):
 
 
 class PointsExpr(Record):
-    """Equality, hashing and the repr read ``triples`` only."""
+    """A ``points`` literal: its breakpoints (t, x, y) as reduced ints.
 
-    __slots__ = ("triples", "circles")
+    ``_ts`` holds each t as an int pair (n, d) and ``_quads`` each (x, y)
+    as a kernel quad (xn, xd, yn, yd), both in lowest terms with d > 0, so
+    the path and the points are built from them without a Fraction.
+    ``weight`` is what the literal adds to its binding's weight: per piece,
+    the squared bit size of its longest breakpoint, in units of 2**16.
+    ``circles`` is the candidate circle of each breakpoint with x > 0.
+
+    The parser builds its literals from ints (``_points_expr``), and their
+    ``triples`` are Fractions built the first time they are read, and kept.
+    ``PointsExpr(triples, circles)`` takes (t, x, y) triples of rationals
+    and keeps them as ``triples``. Equality, hashing and the repr read
+    ``triples`` only.
+    """
+
+    __slots__ = ("_ts", "_quads", "_triples", "weight", "circles")
     _fields = ("triples",)
 
     def __init__(
@@ -174,9 +192,37 @@ class PointsExpr(Record):
         triples: Tuple[Tuple[Fraction, Fraction, Fraction], ...],
         circles: FrozenSet[int] = frozenset(),
     ):
-        self.triples = triples
-        # the candidate circle of each breakpoint with x > 0, found by the parser
-        self.circles = circles
+        pairs = [tuple(map(_pair, triple)) for triple in triples]
+        _fill_points(self, tuple(t for t, _, _ in pairs), tuple(x + y for _, x, y in pairs), circles)
+        self._triples = triples
+
+    @property
+    def triples(self) -> Tuple[Tuple[Fraction, Fraction, Fraction], ...]:
+        try:
+            return self._triples
+        except AttributeError:
+            self._triples = triples = tuple(
+                (Fraction(*t), Fraction(xn, xd), Fraction(yn, yd))
+                for t, (xn, xd, yn, yd) in zip(self._ts, self._quads)
+            )
+            return triples
+
+
+def _fill_points(expr: PointsExpr, ts: tuple, quads: tuple, circles: FrozenSet[int]) -> None:
+    """Store reduced breakpoints, their weight and their circles: the one
+    construction path of PointsExpr."""
+    bits = max((sum(map(int.bit_length, t + q)) for t, q in zip(ts, quads)), default=0)
+    expr._ts = ts
+    expr._quads = quads
+    expr.weight = (len(ts) - 1) * (bits * bits >> 16)
+    expr.circles = circles
+
+
+def _points_expr(ts: tuple, quads: tuple, circles: FrozenSet[int]) -> PointsExpr:
+    """The literal on reduced pairs ``ts`` and quads ``quads`` (d > 0)."""
+    expr = object.__new__(PointsExpr)
+    _fill_points(expr, ts, quads, circles)
+    return expr
 
 
 LoopExpr = Union[AlphaExpr, CircleExpr, ConcatExpr, WordExpr, PointsExpr]
@@ -234,6 +280,17 @@ class Script(Record):
 # -- parsing ------------------------------------------------------------------
 
 _RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
+_INT_RE = re.compile(r"^-?\d+$")
+_NAME_RE = re.compile(r"^\w+$")
+_CIRCLE_RE = re.compile(r"^C\(\s*(-?\d+)\s*\)\.(once|inv)$")
+_TRIPLE_RE = re.compile(r"^\(\s*([^\s,]+)\s*,\s*([^\s,]+)\s*,\s*([^\s,]+)\s*\)$")
+_SPACE_RE = re.compile(r"^space\s+(\w+)\s*=\s*([XY])\(\s*(\d+)\s*\)(?:\s+width=(\S+))?$")
+_UNIFORM_RE = re.compile(r"^uniform:-?\d+(/\d+)?$")
+_LOOP_RE = re.compile(r"^loop\s+(\w+)\s*=\s*(.+)$")
+_CLASSIFY_RE = re.compile(r"^classify\s+(\w+)$")
+_DIST_RE = re.compile(r"^dist\s+(\w+)\s+(\w+)$")
+_PROBE_RE = re.compile(r"^probe\s+(\w+)((?:\s+\w+=\S+)*)$")
+_RENDER_RE = re.compile(r"^render\s+((?:\w+\s+)*\w+)\s*->\s*(\S+)$")
 
 PROBE_SIGNATURES = {
     "disjointness": (("up_to", "int"),),
@@ -250,14 +307,23 @@ PROBE_SIGNATURES = {
 
 
 def parse_rational(text: str, line: int, col: int) -> Fraction:
+    return Fraction(*_rational_pair(text, line, col))
+
+
+def _rational_pair(text: str, line: int, col: int) -> Tuple[int, int]:
+    """The rational literal ``text`` as a reduced int pair (n, d), d > 0;
+    refused with the texts of ``parse_rational``."""
     if not _RAT_RE.match(text):
         raise DslError(line, col, f"expected a rational like 3 or 1/10, got {quote(text)}")
-    # from two ints, which the pattern has checked: quicker than from the text
+    # from two ints, which the pattern has checked: the denominator has no sign
     num, _, den = text.partition("/")
-    try:
-        return Fraction(int(num), int(den or 1))
-    except ZeroDivisionError:
-        raise DslError(line, col, f"zero denominator in {quote(text)}") from None
+    n, d = int(num), int(den or 1)
+    if d == 1:
+        return n, 1
+    if d == 0:
+        raise DslError(line, col, f"zero denominator in {quote(text)}")
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 def _check_literals(text: str, line: int) -> None:
@@ -330,7 +396,7 @@ def _measure(expr: LoopExpr, loops: dict, p) -> Tuple[int, int]:
     """(letters, weight) of a loop expression: its letter count and the sum
     of the circle price ``p`` over its letters. A points piece weighs the
     largest price of its circles plus the squared bit size of its longest
-    breakpoint, in the same units (``_literal_weight``). ``loops`` maps
+    breakpoint, in the same units (``PointsExpr.weight``). ``loops`` maps
     bound names to their (letters, weight, width). An exponent past
     MAX_SCRIPT_WORK counts as MAX_SCRIPT_WORK letters, which alone pass the
     limit."""
@@ -343,18 +409,16 @@ def _measure(expr: LoopExpr, loops: dict, p) -> Tuple[int, int]:
         parts = [loops[a][:2] if isinstance(a, str) else _measure(a, loops, p) for a in expr.args]
         return sum(q[0] for q in parts), sum(q[1] for q in parts)
     if isinstance(expr, PointsExpr):
-        pieces = len(expr.triples) - 1
-        return pieces, pieces * max(map(p, expr.circles), default=0) + _literal_weight(expr)
+        pieces = len(expr._ts) - 1
+        return pieces, pieces * max(map(p, expr.circles), default=0) + expr.weight
     return 1, 0
 
 
 def _literal_weight(expr: LoopExpr) -> int:
     """The weight of the ``points`` literals an expression holds, which its
-    binding pays for too: per piece, the squared bit size of the longest
-    breakpoint (t, x, y), in units of 2**16."""
+    binding pays for too (``PointsExpr.weight``)."""
     if isinstance(expr, PointsExpr):
-        bits = max(_bits(t) + _bits(x) + _bits(y) for t, x, y in expr.triples)
-        return (len(expr.triples) - 1) * (bits * bits >> 16)
+        return expr.weight
     if isinstance(expr, ConcatExpr):
         return sum(_literal_weight(a) for a in expr.args if not isinstance(a, str))
     return 0
@@ -427,7 +491,7 @@ def _parse_span(
     for a, b in spans:
         if known_loops is not None:
             part = text[a:b].strip()
-            if not re.match(r"^\w+$", part):
+            if not _NAME_RE.match(part):
                 raise DslError(line, col, f"concat arguments must be loop names, got {quote(part)}")
             if part not in known_loops:
                 raise DslError(line, col, f"unbound loop name {quote(part)}")
@@ -441,7 +505,7 @@ def _parse_leaf(text: str, line: int, col: int) -> LoopExpr:
     """A loop expression other than a concat or a points list, stripped."""
     if text == "alpha.updown":
         return AlphaExpr()
-    m = re.match(r"^C\(\s*(-?\d+)\s*\)\.(once|inv)$", text)
+    m = _CIRCLE_RE.match(text)
     if m:
         idx = int(m.group(1))
         if idx < 2:
@@ -463,19 +527,21 @@ def _parse_points(text: str, start: int, end: int, line: int, col: int, depth: i
         raise DslError(line, col, "points expects a bracketed list of (t, x, y) triples")
     if scan is None:
         scan = _CommaScan(text)
-    triples, circles = [], set()
+    ts, quads, circles = [], [], set()
     for a, b in scan.split(text, start + 1, end - 1, depth + 1):
         part = text[a:b].strip()
-        m = re.match(r"^\(\s*([^\s,]+)\s*,\s*([^\s,]+)\s*,\s*([^\s,]+)\s*\)$", part)
+        m = _TRIPLE_RE.match(part)
         if not m:
             raise DslError(line, col, f"bad points triple {quote(part)}")
-        t, x, y = (parse_rational(m.group(i), line, col) for i in (1, 2, 3))
-        if x > 0:
-            n = candidate_circle((x.numerator, x.denominator, y.numerator, y.denominator))
+        t, (xn, xd), (yn, yd) = (_rational_pair(m.group(i), line, col) for i in (1, 2, 3))
+        q = (xn, xd, yn, yd)
+        if xn > 0:
+            n = candidate_circle(q)
             if n > MAX_CIRCLE_INDEX:
                 # y/x of two literals can pass the digit limit of str(), and
                 # an index longer than a quote is not named
                 circle = f"C({n})" if n < 10**QUOTE_CHARS else "a circle"
+                x, y = Fraction(xn, xd), Fraction(yn, yd)
                 raise DslError(
                     line,
                     col,
@@ -483,10 +549,11 @@ def _parse_points(text: str, start: int, end: int, line: int, col: int, depth: i
                     f"the limit {MAX_CIRCLE_INDEX} on circle indices",
                 )
             circles.add(n)
-        triples.append((t, x, y))
-    if len(triples) < 2:
+        ts.append(t)
+        quads.append(q)
+    if len(ts) < 2:
         raise DslError(line, col, "points needs at least two (t, x, y) triples")
-    return PointsExpr(tuple(triples), frozenset(circles))
+    return _points_expr(tuple(ts), tuple(quads), frozenset(circles))
 
 
 def _word_expr(body: str, line: int, col: int) -> WordExpr:
@@ -587,13 +654,13 @@ def parse(text: str) -> Script:
         head = stripped.split(None, 1)[0]
         what, cost = head, 0
         if head == "space":
-            m = re.match(r"^space\s+(\w+)\s*=\s*([XY])\(\s*(\d+)\s*\)(?:\s+width=(\S+))?$", stripped)
+            m = _SPACE_RE.match(stripped)
             if not m:
                 raise DslError(lineno, col, "expected: space <name> = X(<hint>)|Y(<hint>) [width=default|pow10|cube|uniform:<q>]")
             name, kind, hint, width = m.group(1), m.group(2), int(m.group(3)), m.group(4) or "pow10"
             if width == "default":
                 width = "pow10"
-            if not (width in ("pow10", "cube") or re.match(r"^uniform:-?\d+(/\d+)?$", width)):
+            if not (width in ("pow10", "cube") or _UNIFORM_RE.match(width)):
                 raise DslError(lineno, col, f"unknown width profile {quote(width)}")
             if width.startswith("uniform:"):
                 parse_rational(width[len("uniform:") :], lineno, col)
@@ -603,7 +670,7 @@ def parse(text: str) -> Script:
             st = active_space = spaces[name] = SpaceDecl(name, kind, hint, width)
             what = f"space {name}"
         elif head == "loop":
-            m = re.match(r"^loop\s+(\w+)\s*=\s*(.+)$", stripped)
+            m = _LOOP_RE.match(stripped)
             if not m:
                 raise DslError(lineno, col, "expected: loop <name> = <expression>")
             if active_space is None:
@@ -619,7 +686,7 @@ def parse(text: str) -> Script:
             cost = _binding_price(expr, letters)
             st, what = LoopBinding(name, expr), f"loop {name}"
         elif head == "classify":
-            m = re.match(r"^classify\s+(\w+)$", stripped)
+            m = _CLASSIFY_RE.match(stripped)
             if not m:
                 raise DslError(lineno, col, "expected: classify <loop-name>")
             name = m.group(1)
@@ -627,7 +694,7 @@ def parse(text: str) -> Script:
                 raise DslError(lineno, col, f"unbound loop name {quote(name)}")
             st, what, cost = ClassifyStmt(name), f"classify {name}", _PRICES["classify"] * loops[name][0]
         elif head == "dist":
-            m = re.match(r"^dist\s+(\w+)\s+(\w+)$", stripped)
+            m = _DIST_RE.match(stripped)
             if not m:
                 raise DslError(lineno, col, "expected: dist <loop-name> <loop-name>")
             first, second = m.groups()
@@ -638,7 +705,7 @@ def parse(text: str) -> Script:
             cost = sum(a * loops[nm][0] + b * loops[nm][1] for nm in (first, second))
             st, what = DistStmt(first, second), f"dist {first} {second}"
         elif head == "probe":
-            m = re.match(r"^probe\s+(\w+)((?:\s+\w+=\S+)*)$", stripped)
+            m = _PROBE_RE.match(stripped)
             if not m:
                 raise DslError(lineno, col, "expected: probe <kind> key=value ...")
             kind = m.group(1)
@@ -661,7 +728,7 @@ def parse(text: str) -> Script:
                     raise DslError(lineno, col, f"probe {kind} needs {key}=...")
                 val = raw_args.pop(key)
                 if typ == "int":
-                    if not re.match(r"^-?\d+$", val):
+                    if not _INT_RE.match(val):
                         raise DslError(lineno, col, f"{key} must be an integer, got {quote(val)}")
                     if key in ("n_max", "up_to"):
                         _check_index(int(val), f"{key}={cut(val)}", lineno, col)
@@ -678,7 +745,7 @@ def parse(text: str) -> Script:
             cost = _probe_price(kind, dict(args), loops, touched, active_space.width)
             st, what = ProbeStmt(kind, tuple(args)), f"probe {kind}"
         elif head == "render":
-            m = re.match(r"^render\s+((?:\w+\s+)*\w+)\s*->\s*(\S+)$", stripped)
+            m = _RENDER_RE.match(stripped)
             if not m:
                 raise DslError(lineno, col, "expected: render <names> -> <file>")
             names = tuple(m.group(1).split())

@@ -36,18 +36,24 @@
   the profile and tests the cone certificate with ``orient``.
   :func:`edges_containing` and :func:`membership` locate a point by testing
   alpha and all three edges of its candidate circle with :func:`on_segment`.
+* a ``points`` literal as ``pi1lab.dsl`` parsed it before it kept int
+  pairs: :func:`points_literal` parses each t, x and y to a Fraction with
+  :func:`parse_rational` and weighs the triples over Fractions; the loop
+  is then ``loop_from_breakpoints`` of the triples.
 
 No floating point is involved anywhere. Tests import this module as
 ``oracles``; ``tests/`` has no ``__init__.py``, so pytest puts it on the path.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Optional
 
+from pi1lab.dsl import MAX_CIRCLE_INDEX, DslError
 from pi1lab.exactnum import _format_scaled, rational_decimal
 from pi1lab.geometry import ORIGIN, GeometryError, PLPath, Point2, Segment, _from_quad, _path
 from pi1lab.loops import Excursion, InvalidLoopError, _charted, subdivide
@@ -65,7 +71,7 @@ from pi1lab.spaces import (
     candidate_circle,
     component_name,
 )
-from pi1lab.words import reduce_letters
+from pi1lab.words import QUOTE_CHARS, cut, quote, reduce_letters
 
 
 def _sign(x) -> int:
@@ -852,3 +858,50 @@ def membership(space, q):
     if refs[0] == ALPHA_EDGE:
         return Membership("alpha")
     return Membership("circle", *refs[0])
+
+
+# -- points literals -------------------------------------------------------------
+
+_RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
+
+
+def parse_rational(text, line, col):
+    """A rational literal as a Fraction, or the DslError that refuses it."""
+    if not _RAT_RE.match(text):
+        raise DslError(line, col, f"expected a rational like 3 or 1/10, got {quote(text)}")
+    num, _, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den or 1))
+    except ZeroDivisionError:
+        raise DslError(line, col, f"zero denominator in {quote(text)}") from None
+
+
+def _bits(q):
+    return q.numerator.bit_length() + q.denominator.bit_length()
+
+
+def points_literal(parts, line=1, col=1):
+    """(triples, circles, weight) of the points literal whose triples are
+    the text triples ``parts``, or the DslError that refuses it: three
+    ``parse_rational`` per triple, the candidate circle of each breakpoint
+    with x > 0 under the index cap, and per piece the squared bit size of
+    the longest breakpoint, in units of 2**16."""
+    triples, circles = [], set()
+    for texts in parts:
+        t, x, y = (parse_rational(text, line, col) for text in texts)
+        if x > 0:
+            n = candidate_circle((x.numerator, x.denominator, y.numerator, y.denominator))
+            if n > MAX_CIRCLE_INDEX:
+                circle = f"C({n})" if n < 10**QUOTE_CHARS else "a circle"
+                raise DslError(
+                    line,
+                    col,
+                    f"breakpoint {cut(f'({x}, {y})')} can only lie on {circle}, which exceeds "
+                    f"the limit {MAX_CIRCLE_INDEX} on circle indices",
+                )
+            circles.add(n)
+        triples.append((t, x, y))
+    if len(triples) < 2:
+        raise DslError(line, col, "points needs at least two (t, x, y) triples")
+    bits = max(_bits(t) + _bits(x) + _bits(y) for t, x, y in triples)
+    return tuple(triples), frozenset(circles), (len(triples) - 1) * (bits * bits >> 16)

@@ -1,8 +1,13 @@
 from fractions import Fraction
 
+import oracles
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from pi1lab import dsl
+from pi1lab import cli, dsl
+from pi1lab.geometry import GeometryError
+from pi1lab.loops import LoopError, loop_from_breakpoints
+from pi1lab.spaces import compact_y, profile_by_name
 from pi1lab.words import parse_word
 
 GOOD = """\
@@ -524,3 +529,138 @@ class TestInputBudgets:
         big = "9" * self.DIGITS
         err = self.refused(f"loop q = points [(0, 0, 0), (1/2, 1/{big}, {big}), (1, 0, 0)]")
         assert "can only lie on a circle" in err.message
+
+
+# -- points literals: int pairs against the Fraction route ---------------------
+
+CUBE = profile_by_name("cube")
+# a part of MAX_LITERAL_DIGITS (4,300) digits
+_BIG = 10 ** (dsl.MAX_LITERAL_DIGITS - 1)
+
+
+def _cube_tail(m: int) -> tuple:
+    w = Fraction(1, 10 * m**3)
+    return Fraction(1, m) + m * w, 1 - w
+
+
+def _text(draw, q) -> str:
+    """A Fraction as literal text, often unreduced, or as a bare integer."""
+    k = draw(st.sampled_from((1, 1, 2, 3)))
+    if q.denominator == 1 and k == 1 and draw(st.booleans()):
+        return str(q.numerator)
+    return f"{q.numerator * k}/{q.denominator * k}"
+
+
+# texts that are not the reduced form of a breakpoint in the space
+_ODD_TEXTS = ["1/0", "0/0", "0/5", "2/2", "-1", "-3/6", "1.5", "x", "1/-2", "7/1", f"1/{_BIG}", f"{_BIG}/{_BIG + 1}"]
+# points off the space, past C_1000, or past any circle a quote names
+_ODD_POINTS = [
+    (Fraction(1, 2), Fraction(1, 3)),
+    (Fraction(-1), Fraction(5)),
+    (Fraction(1, 2000), Fraction(1)),
+    (Fraction(1, 3000), Fraction(2, 3)),
+    (Fraction(1, 10**90), Fraction(1)),
+    (Fraction(1, _BIG), Fraction(_BIG)),
+    (Fraction(0), Fraction(_BIG, _BIG + 1)),
+]
+
+
+@st.composite
+def points_parts(draw):
+    """The text triples of a points literal: loops through C_2 ... C_40 of a
+    cube Y and alpha, then perhaps odd points, odd texts, parameters out of
+    order or not ending at 1, and parts of 4,300 digits."""
+    pts = [(Fraction(0), Fraction(0))]
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(2, 40))
+        kind = draw(st.sampled_from(("circuit", "arm", "alpha", "odd")))
+        if kind == "circuit":
+            apex, tail = (Fraction(1, m), Fraction(1)), _cube_tail(m)
+            pts += [apex, tail] if draw(st.booleans()) else [tail, apex]
+        elif kind == "arm":
+            u = Fraction(draw(st.integers(1, 15)), 16)
+            pts.append((u / m, u))
+        elif kind == "alpha":
+            pts.append((Fraction(0), Fraction(draw(st.integers(1, 16)), 16)))
+        else:
+            pts.append(draw(st.sampled_from(_ODD_POINTS)))
+        pts.append((Fraction(0), Fraction(0)))
+    pts = pts[: draw(st.integers(1, len(pts)))] if draw(st.integers(0, 9)) == 0 else pts
+    k = len(pts) - 1
+    ts = [Fraction(i, max(k, 1)) for i in range(k + 1)]
+    if k and draw(st.booleans()):
+        ts[1] = Fraction(1, _BIG)
+    parts = [[_text(draw, t), _text(draw, x), _text(draw, y)] for t, (x, y) in zip(ts, pts)]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        i, j = draw(st.integers(0, k)), draw(st.integers(0, 2))
+        parts[i][j] = draw(st.sampled_from(_ODD_TEXTS))
+    if k > 1 and draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, k - 1))
+        parts[i][0], parts[i + 1][0] = parts[i + 1][0], parts[i][0]
+    return parts
+
+
+def _outcome(build):
+    """What ``build`` returns, or the type and text of what it raises."""
+    try:
+        return build()
+    except (dsl.DslError, GeometryError, LoopError) as exc:
+        return type(exc), str(exc)
+
+
+class TestPointsRoute:
+    SPACE = compact_y(40, CUBE)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(points_parts())
+    @example([["0/5", "0", "0"], ["2/4", "1/3", "1"], ["3/4", "31/90", "269/270"], ["2/2", "0", "0"]])
+    @example([["0", "0", "0"], [f"1/{_BIG}", "0", f"{_BIG}/{_BIG + 1}"], ["1", "0", "0"]])
+    @example([["0", "0", "0"], ["2/4", "2/80000", "2/2"], ["1", "0", "0"]])
+    @example([["0", "0", "0"], ["1/2", "2/6000", "4/6"], ["1", "0", "0"]])
+    @example([["0", "0", "0"], ["1/2", "0", "1/0"], ["1", "0", "0"]])
+    @example([["0", "0", "0"], ["2/4", "0", "1/2"], ["1/2", "0", "0"], ["1", "0", "0"]])
+    def test_matches_the_fraction_route(self, parts):
+        """A points literal parsed to int pairs and pathed from them has
+        the triples, weight, circles and loop of the Fraction route
+        (oracles.points_literal, then loop_from_breakpoints); where that
+        route raises, the same exception type and text."""
+        text = "points [" + ", ".join(f"({t}, {x}, {y})" for t, x, y in parts) + "]"
+        want = _outcome(lambda: oracles.points_literal(parts))
+        got = _outcome(lambda: dsl._parse_loop_expr(text, 1, 1, None))
+        if not isinstance(want, tuple) or not isinstance(got, dsl.PointsExpr):
+            assert got == want
+            return
+        triples, circles, weight = want
+        loop = _outcome(lambda: cli._Runner().eval_expr(got, self.SPACE))
+        assert (got.triples, got.weight, got.circles) == (triples, weight, circles)
+        want_loop = _outcome(lambda: loop_from_breakpoints(triples, self.SPACE))
+        assert loop == want_loop
+        if not isinstance(want_loop, tuple):
+            assert loop.path._ts == want_loop.path._ts
+            assert [p.quad() for p in loop.path.points] == [p.quad() for p in want_loop.path.points]
+            assert loop._chart == want_loop._chart
+
+    def test_the_points_route_builds_no_fraction(self, monkeypatch):
+        """Parsing and running a points binding and its classification in a
+        cube Y builds no Fraction once the profile's width pairs are warm;
+        the route through parse_rational and loop_from_breakpoints built 48."""
+        text = (
+            "space S = Y(40) width=cube\n"
+            "loop q = points [(0, 0, 0), (1/8, 1/3, 1), (2/8, 31/90, 269/270), (3/8, 0, 0), "
+            "(4/8, 1/6, 1/2), (5/8, 0, 0), (6/8, 0, 1/2), (1, 0, 0)]\n"
+            "classify q\n"
+        )
+        for n in range(2, 41):
+            CUBE.pair(n)
+        built = []
+
+        def counted(cls, *args, _orig=Fraction.__new__, **kwargs):
+            built.append(args)
+            return _orig(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        runner = cli._Runner()
+        code = runner.run(dsl.parse(text))
+        monkeypatch.undo()
+        assert (code, runner.out) == (0, ["word: g3"])
+        assert built == []
