@@ -10,29 +10,23 @@ from .geometry import (
     Segment,
     pl_path,
     point,
-    point_segment_distance_sq,
     rat,
     segment,
     segments_intersect,
     sup_distance,
 )
 from .loops import (
-    Excursion,
     Loop,
     concatenate,
     concatenate_all,
     constant_loop,
-    decompose,
     include_in_y,
     loop_from_breakpoints,
     realize_word,
-    reparametrize,
     reverse,
     standard_f,
     standard_fn,
-    subdivide,
     validate,
-    winding_degree,
 )
 from .pi1 import (
     HomotopyClass,
@@ -62,11 +56,9 @@ from .spaces import (
     build_circle,
     compact_y,
     component_name,
-    component_of,
     default_x,
     default_y,
     hausdorff_convergence,
-    membership,
     profile_by_name,
     verify_disjointness,
 )

@@ -5,8 +5,9 @@ Line-oriented; ``#`` starts a comment. Rational literals are ``num`` or
 silently. The values of a ``points`` literal are parsed to reduced int
 pairs and kept as such (``PointsExpr``), so the literal is weighed and
 pathed without a Fraction; the other rationals are Fractions. The parser
-resolves names eagerly: using a name before binding it, or binding a loop
-before any space is active, is a parse diagnostic with line and column.
+resolves names eagerly: using a name before binding it, binding a loop
+before any space is active, or giving a probe a key twice, is a parse
+diagnostic with line and column.
 
     space S = Y(20) width=pow10
     loop f = alpha.updown
@@ -58,10 +59,9 @@ from functools import lru_cache
 from math import gcd
 from typing import FrozenSet, Optional, Tuple, Union
 
-from .geometry import _pair
 from .records import Record
 from .spaces import candidate_circle, profile_by_name
-from .words import QUOTE_CHARS, Word, WordError, cut, format_word, parse_word, quote
+from .words import QUOTE_CHARS, Word, WordError, cut, parse_word, quote
 
 
 # Largest circle index a script may reach. Under pow10, a points loop on
@@ -170,59 +170,25 @@ class WordExpr(Record):
 class PointsExpr(Record):
     """A ``points`` literal: its breakpoints (t, x, y) as reduced ints.
 
-    ``_ts`` holds each t as an int pair (n, d) and ``_quads`` each (x, y)
-    as a kernel quad (xn, xd, yn, yd), both in lowest terms with d > 0, so
-    the path and the points are built from them without a Fraction.
-    ``weight`` is what the literal adds to its binding's weight: per piece,
-    the squared bit size of its longest breakpoint, in units of 2**16.
-    ``circles`` is the candidate circle of each breakpoint with x > 0.
-
-    The parser builds its literals from ints (``_points_expr``), and their
-    ``triples`` are Fractions built the first time they are read, and kept.
-    ``PointsExpr(triples, circles)`` takes (t, x, y) triples of rationals
-    and keeps them as ``triples``. Equality, hashing and the repr read
-    ``triples`` only.
+    ``PointsExpr(ts, quads, circles)`` takes each t as an int pair (n, d)
+    and each (x, y) as a kernel quad (xn, xd, yn, yd), both in lowest terms
+    with d > 0, as the parser reads them, so the path and the points are
+    built from them without a Fraction. ``weight`` is what the literal adds
+    to its binding's weight: per piece, the squared bit size of its longest
+    breakpoint, in units of 2**16. ``circles`` is the candidate circle of
+    each breakpoint with x > 0. Equality, hashing and the repr read ``_ts``
+    and ``_quads`` only.
     """
 
-    __slots__ = ("_ts", "_quads", "_triples", "weight", "circles")
-    _fields = ("triples",)
+    __slots__ = ("_ts", "_quads", "weight", "circles")
+    _fields = ("_ts", "_quads")
 
-    def __init__(
-        self,
-        triples: Tuple[Tuple[Fraction, Fraction, Fraction], ...],
-        circles: FrozenSet[int] = frozenset(),
-    ):
-        pairs = [tuple(map(_pair, triple)) for triple in triples]
-        _fill_points(self, tuple(t for t, _, _ in pairs), tuple(x + y for _, x, y in pairs), circles)
-        self._triples = triples
-
-    @property
-    def triples(self) -> Tuple[Tuple[Fraction, Fraction, Fraction], ...]:
-        try:
-            return self._triples
-        except AttributeError:
-            self._triples = triples = tuple(
-                (Fraction(*t), Fraction(xn, xd), Fraction(yn, yd))
-                for t, (xn, xd, yn, yd) in zip(self._ts, self._quads)
-            )
-            return triples
-
-
-def _fill_points(expr: PointsExpr, ts: tuple, quads: tuple, circles: FrozenSet[int]) -> None:
-    """Store reduced breakpoints, their weight and their circles: the one
-    construction path of PointsExpr."""
-    bits = max((sum(map(int.bit_length, t + q)) for t, q in zip(ts, quads)), default=0)
-    expr._ts = ts
-    expr._quads = quads
-    expr.weight = (len(ts) - 1) * (bits * bits >> 16)
-    expr.circles = circles
-
-
-def _points_expr(ts: tuple, quads: tuple, circles: FrozenSet[int]) -> PointsExpr:
-    """The literal on reduced pairs ``ts`` and quads ``quads`` (d > 0)."""
-    expr = object.__new__(PointsExpr)
-    _fill_points(expr, ts, quads, circles)
-    return expr
+    def __init__(self, ts: tuple, quads: tuple, circles: FrozenSet[int]):
+        bits = max((sum(map(int.bit_length, t + q)) for t, q in zip(ts, quads)), default=0)
+        self._ts = ts
+        self._quads = quads
+        self.weight = (len(ts) - 1) * (bits * bits >> 16)
+        self.circles = circles
 
 
 LoopExpr = Union[AlphaExpr, CircleExpr, ConcatExpr, WordExpr, PointsExpr]
@@ -553,7 +519,7 @@ def _parse_points(text: str, start: int, end: int, line: int, col: int, depth: i
         quads.append(q)
     if len(ts) < 2:
         raise DslError(line, col, "points needs at least two (t, x, y) triples")
-    return _points_expr(tuple(ts), tuple(quads), frozenset(circles))
+    return PointsExpr(tuple(ts), tuple(quads), frozenset(circles))
 
 
 def _word_expr(body: str, line: int, col: int) -> WordExpr:
@@ -715,9 +681,13 @@ def parse(text: str) -> Script:
                 )
             if active_space is None:
                 raise DslError(lineno, col, "no active space: declare one with 'space' first")
-            raw_args = dict(
-                kv.split("=", 1) for kv in m.group(2).split() if kv
-            )
+            known = {key for key, _ in PROBE_SIGNATURES[kind]}
+            raw_args = {}
+            for kv in m.group(2).split():
+                key, val = kv.split("=", 1)
+                if key in raw_args and key in known:
+                    raise DslError(lineno, col, f"probe {kind} takes {quote(key)} once")
+                raw_args[key] = val
             args = []
             for key, typ in PROBE_SIGNATURES[kind]:
                 optional = typ.endswith("?")
@@ -762,43 +732,3 @@ def parse(text: str) -> Script:
         work = _spend(work, _PRICES["statement"] + cost, what, lineno, col)
         statements.append(st)
     return Script(tuple(statements))
-
-
-# -- pretty printing ------------------------------------------------------------
-
-
-def format_expr(expr: LoopExpr) -> str:
-    if isinstance(expr, AlphaExpr):
-        return "alpha.updown"
-    if isinstance(expr, CircleExpr):
-        return f"C({expr.index}).{'inv' if expr.inverse else 'once'}"
-    if isinstance(expr, ConcatExpr):
-        inner = ", ".join(a if isinstance(a, str) else format_expr(a) for a in expr.args)
-        return f"concat({inner})"
-    if isinstance(expr, WordExpr):
-        return f"word {format_word(expr.word)}"
-    if isinstance(expr, PointsExpr):
-        triples = ", ".join(f"({t}, {x}, {y})" for t, x, y in expr.triples)
-        return f"points [{triples}]"
-    raise TypeError(f"not a loop expression: {expr!r}")
-
-
-def format_script(script: Script) -> str:
-    lines = []
-    for st in script.statements:
-        if isinstance(st, SpaceDecl):
-            lines.append(f"space {st.name} = {st.kind}({st.hint}) width={st.width}")
-        elif isinstance(st, LoopBinding):
-            lines.append(f"loop {st.name} = {format_expr(st.expr)}")
-        elif isinstance(st, ClassifyStmt):
-            lines.append(f"classify {st.name}")
-        elif isinstance(st, DistStmt):
-            lines.append(f"dist {st.first} {st.second}")
-        elif isinstance(st, ProbeStmt):
-            args = " ".join(f"{k}={v}" for k, v in st.args)
-            lines.append(f"probe {st.kind} {args}".rstrip())
-        elif isinstance(st, RenderStmt):
-            lines.append(f"render {' '.join(st.names)} -> {st.out}")
-        else:
-            raise TypeError(f"not a statement: {st!r}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -1,18 +1,19 @@
 """Exact rational planar primitives.
 
 Points, segments and piecewise-linear paths over arbitrary-precision
-rationals, and the sup metric between parametrized paths. No floating point
-participates in any predicate or returned value — distances are carried as
-exact squared rationals, with decimal renderings (round-half-even) provided
-for reports.
+rationals, and the sup metric between parametrized paths. Points are kept
+as int quads and path parameters as reduced int pairs. A path is built
+from rationals (``PLPath``, ``pl_path``) or from int pairs (``_path``), and
+the sup metric merges two paths' parameters in one pass. No
+floating point participates in any predicate or returned value — distances
+are carried as exact squared rationals, with decimal renderings
+(round-half-even) provided for reports.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cmp_to_key
-from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from . import kernels
 from .exactnum import dyadic_sqrt_bounds, sqrt_decimal
@@ -238,15 +239,6 @@ class PLPath(Record):
         bks = self.breakpoints
         return tuple(zip(bks, bks[1:]))
 
-    def with_params(self, extra: Iterable) -> "PLPath":
-        """Same path with additional breakpoints inserted (geometry unchanged).
-
-        ``extra`` holds rationals or int pairs ``(n, d)`` with d > 0. One
-        merge of the sorted extras into the parameters, compared on
-        integers; a new point is interpolated on its piece as a kernel quad.
-        """
-        return _refine(self, extra)[0]
-
     def reversed(self) -> "PLPath":
         """The path run backwards: t = n/d goes to (d - n)/d, still reduced."""
         return _path(tuple((d - n, d) for n, d in reversed(self._ts)), self._pts[::-1])
@@ -275,60 +267,6 @@ def _path(ts: tuple, pts: tuple) -> PLPath:
     path = object.__new__(PLPath)
     _fill(path, ts, pts)
     return path
-
-
-def _pair(t) -> tuple:
-    """A rational (int, string or Fraction) or an int pair (n, d) with d > 0,
-    as a reduced int pair."""
-    if type(t) is tuple:
-        n, d = t
-        g = gcd(n, d)
-        return n // g, d // g
-    if type(t) is not Fraction:
-        t = Fraction(t)
-    return t.numerator, t.denominator
-
-
-def _pair_cmp(a: tuple, b: tuple) -> int:
-    return a[0] * b[1] - b[0] * a[1]
-
-
-def _refine(path: PLPath, extra: Iterable) -> tuple:
-    """``path.with_params(extra)``, and for each of its pieces the index of
-    the piece of ``path`` it lies on.
-
-    The sorted extras are merged into the parameters in one pass, compared
-    by integer cross-multiplication; an extra equal to a breakpoint or to an
-    earlier extra adds nothing.
-    """
-    ex = sorted(map(_pair, extra), key=cmp_to_key(_pair_cmp))
-    if ex and (ex[0][0] < 0 or ex[-1][0] > ex[-1][1]):
-        bad = ex[0] if ex[0][0] < 0 else next(t for t in ex if t[0] > t[1])
-        raise ParameterRangeError(f"parameter {Fraction(*bad)} outside [0, 1]")
-    ts, pts = path._ts, path._pts
-    out_t, out_p, owner = [ts[0]], [pts[0]], [0]
-    i = 1  # the next breakpoint of the path; the current piece is i - 1
-    for t in ex:
-        n, d = t
-        ni, di = ts[i]
-        c = n * di - ni * d
-        while c > 0:
-            out_t.append(ts[i])
-            out_p.append(pts[i])
-            owner.append(i)
-            i += 1
-            ni, di = ts[i]
-            c = n * di - ni * d
-        if c == 0 or out_t[-1] == t:
-            continue
-        p0, p1 = pts[i - 1], pts[i]
-        out_t.append(t)
-        out_p.append(p0 if p0 == p1 else _from_quad(_quad_between(ts[i - 1], p0, ts[i], p1, t)))
-        owner.append(i - 1)
-    out_t.extend(ts[i:])
-    out_p.extend(pts[i:])
-    owner.extend(range(i, len(ts) - 1))
-    return _path(tuple(out_t), tuple(out_p)), tuple(owner)
 
 
 def pl_path(raw: Sequence) -> PLPath:
@@ -404,12 +342,6 @@ def _quad_between(t0: tuple, p0: Point2, t1: tuple, p1: Point2, t: tuple) -> tup
     n0, d0 = t0
     n1, d1 = t1
     return kernels.lerp(p0._q, p1._q, (n * d0 - n0 * d) * d1, d * (n1 * d0 - n0 * d1))
-
-
-def point_segment_distance_sq(q: Point2, s: Segment) -> Fraction:
-    """Exact squared distance from a point to a closed segment."""
-    n, d = kernels.point_seg_dist_sq(q._q, s.a._q, s.b._q)
-    return Fraction(n, d)
 
 
 SegIntersection = Union[None, Point2, Segment]

@@ -12,43 +12,40 @@ never a numeric arc length.
 A loop is charted when built, or refused. Its chart is the edge each
 piece lies on (None for a constant piece). A loop of foreign geometry
 (``Loop(path, space)``, hence ``points`` literals and
-reparametrizations) is located once, breakpoint by breakpoint, when it is
-built; an invalid path raises ``InvalidLoopError`` with its first
+``loop_from_breakpoints``) is located once, breakpoint by breakpoint, when
+it is built; an invalid path raises ``InvalidLoopError`` with its first
 violation, so no invalid loop exists. The standard loops (``standard_f``,
 ``standard_fn``), the constant loop, the perturbations of the
 discreteness probe and the samples of the slsc probe are charted by
 construction: their pieces are put on known edges. Operations that
 rebuild a loop on points already charted carry the chart: concatenation,
-reversal, the inclusion X -> Y, ``realize_word``, ``subdivide`` and the
-collapse into X. ``validate`` always locates afresh, which makes it an
-independent check of a carried chart.
+reversal, the inclusion X -> Y, ``realize_word`` and the collapse into X.
+``validate`` always locates afresh, which makes it an independent check of
+a carried chart.
 
 Excursions are read by one integer scan of the chart, ``_scan``: each
 maximal excursion is a span ``(component, first, last, degree)`` between
 the breakpoints ``first`` and ``last`` at p. A loop's spans are computed
-once and kept in its ``_spans`` slot. The readers in ``pi1`` build no
-``Excursion``; ``decompose`` builds them from the spans on each call.
+once and kept in its ``_spans`` slot, and the readers in ``pi1`` read
+them; no excursion record is built.
 
 Paths keep their parameters as reduced int pairs, and the builders here
 emit pairs, with no Fraction: concatenation halves n/d to n/(2d) or
 (n + d)/(2d) and reduces by 2 when the numerator is even; reversal maps
 n/d to (d - n)/d; ``realize_word`` places it at (k*d + n)/(total*d),
-reduced by gcd(k*d + n, total); ``subdivide`` merges its new parameters in
-one pass that also names each new piece's old piece; an excursion keeps
-its slice of the loop's pairs. Fractions are built only for text, such as
+reduced by gcd(k*d + n, total). Fractions are built only for text, such as
 a Violation or an excursion error, and when ``breakpoints`` or ``params``
 is read.
 
-A ``Loop`` and an ``Excursion`` are plain records with ``__slots__``:
-their fields are set once in the constructor, what is computed later (the
-spans, the degree) is assigned to its own slot in place, and equality and
-hashing read only the constructor's fields (a loop's chart is fixed by its
-path and space). A chart's edges are the int pairs of ``spaces``, (n, j)
-for edge j of C_n or ``ALPHA_EDGE``, so an excursion's component is the
-first entry of its edges, the circle index n or ``ALPHA``, and the least
-edge through a point is the least pair. The lift of a winding degree
-compares vertex quads and reads each run's shared vertex and its step of
-+1, -1 or 0 from small tables.
+A ``Loop`` is a plain record with ``__slots__``: its fields are set once
+in the constructor, the spans are assigned to their own slot in place, and
+equality and hashing read only the constructor's fields (a loop's chart is
+fixed by its path and space). A chart's edges are the int pairs of
+``spaces``, (n, j) for edge j of C_n or ``ALPHA_EDGE``, so an excursion's
+component is the first entry of its edges, the circle index n or
+``ALPHA``, and the least edge through a point is the least pair. The lift
+of a winding degree compares vertex quads and reads each run's shared
+vertex and its step of +1, -1 or 0 from small tables.
 """
 from __future__ import annotations
 
@@ -56,7 +53,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence, Tuple
 
-from .geometry import ORIGIN, PLPath, _path, _refine, pl_path
+from .geometry import ORIGIN, PLPath, _path, pl_path
 from .records import Record
 from .spaces import (
     ALPHA,
@@ -82,10 +79,6 @@ class InvalidLoopError(LoopError):
 
 class SpaceMismatchError(LoopError):
     """Two loops from different spaces were combined."""
-
-
-class WindingError(LoopError):
-    """Winding degree was requested for a non-circle excursion."""
 
 
 class Loop(Record):
@@ -129,49 +122,6 @@ class Violation(Record):
 
     def __str__(self) -> str:
         return f"piece {self.piece_index} on [{self.t_start}, {self.t_end}]: {self.reason}"
-
-
-class Excursion(Record):
-    """A maximal sub-loop away from the base point, as ``decompose`` slices it.
-
-    A plain record built by ``Excursion(component, ts, points, piece_edges,
-    space, first)``; equality and hashing compare those six fields.
-    ``ts`` and ``points`` are the loop's own slice of breakpoints, from p to
-    p: the parameters as reduced int pairs and the points at them. ``first``
-    is the index of the first in the loop's breakpoints. The piece ``k``
-    runs from breakpoint ``k`` to ``k + 1`` and lies on ``piece_edges[k]``.
-    ``t_start`` and ``t_end`` read the ends as Fractions. ``component`` is
-    the unique component of (space minus p) carrying the excursion's
-    interior: the index n of its circle C_n, or ``ALPHA``. ``decompose``
-    stores the degree of its span; a hand-built excursion's is scanned on
-    the first ``winding_degree``. It takes no part in equality.
-    """
-
-    __slots__ = ("component", "ts", "points", "piece_edges", "space", "first", "_degree")
-    _fields = ("component", "ts", "points", "piece_edges", "space", "first")
-
-    def __init__(self, component, ts, points, piece_edges, space, first):
-        self.component = component
-        self.ts = ts
-        self.points = points
-        self.piece_edges = piece_edges
-        self.space = space
-        self.first = first
-        self._degree = None
-
-    def __repr__(self) -> str:
-        return (
-            f"Excursion(component={self.component!r}, ts={self.ts!r}, "
-            f"piece_edges={self.piece_edges!r}, first={self.first!r})"
-        )
-
-    @property
-    def t_start(self) -> Fraction:
-        return Fraction(*self.ts[0])
-
-    @property
-    def t_end(self) -> Fraction:
-        return Fraction(*self.ts[-1])
 
 
 def _first_violation(loop: Loop):
@@ -243,23 +193,6 @@ def validate(loop: Loop) -> Optional[Violation]:
     """
     v = _first_violation(loop)
     return v if isinstance(v, Violation) else None
-
-
-def decompose(loop: Loop) -> Tuple[Excursion, ...]:
-    """Maximal excursions away from p, in parameter order.
-
-    Constant-at-p stretches produce no excursion. The records are built on
-    each call from the loop's spans, each with its component and its
-    degree, so neither is computed again.
-    """
-    path, chart, space = loop.path, loop._chart, loop.space
-    ts, pts = path._ts, path.points
-    out = []
-    for n, a, b, degree in _spans(loop):
-        exc = Excursion(n, ts[a : b + 1], pts[a : b + 1], chart[a:b], space, a)
-        exc._degree = degree
-        out.append(exc)
-    return tuple(out)
 
 
 def _spans(loop: Loop) -> Tuple[tuple, ...]:
@@ -347,21 +280,6 @@ def _scan(ts, pts, chart, space) -> Tuple[tuple, ...]:
     return tuple(out)
 
 
-def winding_degree(exc: Excursion) -> int:
-    """Signed number of full traversals of the excursion around its circle.
-
-    The degree ``_scan`` lifts off the excursion's own slice of the chart:
-    stored by ``decompose``, and scanned once for a hand-built excursion.
-    """
-    if exc.component == ALPHA:
-        raise WindingError("winding degree is defined only for circle excursions")
-    d = exc._degree
-    if d is None:
-        spans = _scan(exc.ts, exc.points, exc.piece_edges, exc.space)
-        d = exc._degree = sum(span[3] for span in spans)
-    return d
-
-
 def loop_from_breakpoints(raw: Sequence, space: SpaceHandle) -> Loop:
     """Loop from (t, x, y) rational triples; raises InvalidLoopError off the space."""
     return Loop(pl_path(raw), space)
@@ -443,17 +361,6 @@ def reverse(a: Loop) -> Loop:
     return _charted(a.path.reversed(), a.space, a._chart[::-1])
 
 
-def subdivide(loop: Loop, extra: Sequence[Fraction]) -> Loop:
-    """The same loop with breakpoints added at the parameters ``extra``.
-
-    Geometry is unchanged and each split piece keeps its edge: the merge
-    that inserts the parameters also names the old piece of each new one.
-    """
-    path, owner = _refine(loop.path, extra)
-    edges = loop._chart
-    return _charted(path, loop.space, tuple(edges[i] for i in owner))
-
-
 def realize_word(w: Word, space: Optional[SpaceHandle] = None) -> Loop:
     """A loop in X whose excursion sequence spells the word letter by letter.
 
@@ -489,34 +396,3 @@ def include_in_y(loop: Loop) -> Loop:
     if loop.space.kind is SpaceKind.COMPACT_Y:
         return loop
     return _charted(loop.path, loop.space.sibling(SpaceKind.COMPACT_Y), loop._chart)
-
-
-def reparametrize(loop: Loop, pairs: Sequence) -> Loop:
-    """Precompose with a monotone PL bijection of [0, 1].
-
-    ``pairs`` lists (s, t) breakpoints of the bijection s -> t with both
-    coordinates increasing from 0 to 1; the result traverses the same image
-    with the same orientation, so excursion components and winding degrees
-    are unchanged. The new path is located afresh, as by ``Loop``.
-    """
-    pairs = [(Fraction(s), Fraction(t)) for s, t in pairs]
-    if pairs[0] != (0, 0) or pairs[-1] != (1, 1):
-        raise LoopError("reparametrization must fix the endpoints")
-    for (s0, t0), (s1, t1) in zip(pairs, pairs[1:]):
-        if not (s0 < s1 and t0 < t1):
-            raise LoopError("reparametrization must be strictly increasing")
-    s_params = set(s for s, _ in pairs)
-    # preimages of the loop's breakpoints under the bijection
-    for (s0, t0), (s1, t1) in zip(pairs, pairs[1:]):
-        for t in loop.path.params:
-            if t0 <= t <= t1:
-                s_params.add(s0 + (t - t0) * (s1 - s0) / (t1 - t0))
-
-    def phi(s: Fraction) -> Fraction:
-        for (s0, t0), (s1, t1) in zip(pairs, pairs[1:]):
-            if s0 <= s <= s1:
-                return t0 + (s - s0) * (t1 - t0) / (s1 - s0)
-        raise LoopError(f"parameter {s} outside [0, 1]")
-
-    bks = tuple((s, loop.path.at(phi(s))) for s in sorted(s_params))
-    return Loop(PLPath(bks), loop.space)

@@ -4,7 +4,7 @@ Classification in both spaces reads the free-group word off the loop's
 excursion spans, one integer scan of its chart (``loops._scan``): an
 excursion of winding degree d in circle n contributes g_n^d. The cutoff,
 the collapse and the stability radius read the same spans, and none of
-them builds an ``Excursion``. In the bouquet X an excursion into the limit
+them builds an excursion record. In the bouquet X an excursion into the limit
 segment is an error; in the compactification Y it contributes nothing,
 because the deformation into X contracts it along its arm. That
 deformation, ``collapse_to_x``, also contracts every apex-avoiding

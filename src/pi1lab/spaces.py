@@ -52,11 +52,6 @@ class SpaceConsistencyError(SpaceError):
     """A width profile produced circles that violate the construction invariants."""
 
 
-class OutsideSpaceError(SpaceError):
-    """A point query fell outside the space (or hit the base point where
-    a single component was required)."""
-
-
 class SpaceKind(str, Enum):
     BOUQUET_X = "X"
     COMPACT_Y = "Y"
@@ -278,9 +273,6 @@ class SpaceHandle(Record):
         self._circles[n] = circ
         return circ
 
-    def materialized_indices(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._circles))
-
     # -- point queries -------------------------------------------------------
 
     def _circle_edges_at(self, q: Point2) -> Tuple[EdgeRef, ...]:
@@ -310,16 +302,6 @@ class SpaceHandle(Record):
         if not refs:
             return OUTSIDE
         return Membership("circle", *refs[0])
-
-    def component_of(self, q: Point2) -> int:
-        """The unique component of (space minus p) containing q, its circle
-        index or ALPHA; q must not be p."""
-        if q == ORIGIN:
-            raise OutsideSpaceError("the base point lies in every stratum; no single component")
-        m = self.membership(q)
-        if m.kind == "outside":
-            raise OutsideSpaceError(f"point {q} is not in the space")
-        return ALPHA if m.kind == "alpha" else m.circle_index
 
     def edges_containing(self, q: Point2) -> Tuple[EdgeRef, ...]:
         """All edges through a non-base point (one, or two at a triangle
@@ -379,14 +361,6 @@ def default_y() -> SpaceHandle:
     if _default_y is None:
         _default_y = default_x().sibling(SpaceKind.COMPACT_Y)
     return _default_y
-
-
-def membership(q: Point2, space: SpaceHandle) -> Membership:
-    return space.membership(q)
-
-
-def component_of(q: Point2, space: SpaceHandle) -> int:
-    return space.component_of(q)
 
 
 def _pair_intersection_violations(c1: Circle, c2: Circle):

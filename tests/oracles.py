@@ -18,18 +18,24 @@
   written with a ``_dx``/``_dy`` call per coordinate difference and no
   cancelled factor: the reference for the flat kernels of
   ``pi1lab.kernels``, which must give the same signs and reduced results.
-* the excursion records as ``pi1lab.loops`` built them before it read
+* :func:`refine`, :func:`subdivide` and :func:`reparametrize`, on
+  Fractions: a path with breakpoints added and read off ``PLPath.at``, a
+  loop so refined with each new piece charted on the edge of its old
+  piece, and a loop precomposed with a monotone PL bijection of [0, 1]. The
+  package has none of them; tests use them to vary a loop's
+  parametrization and check that its class does not change.
+* the excursion records that ``pi1lab.loops`` built before it read
   excursions as spans of one chart scan: :func:`excursions` slices a
-  loop's breakpoints into ``Excursion`` records, :func:`lift_degree` lifts
-  each one's degree, :func:`apex_on_excursion` tests its pieces with
+  loop's breakpoints into :class:`Excursion` records, :func:`lift_degree`
+  lifts each one's degree, :func:`apex_on_excursion` tests its pieces with
   ``Segment.contains``, and :func:`breakpoints` and :func:`subpath` read
   its slice. On them, :func:`spans`, :func:`classify`, :func:`cutoff` and
   :func:`collapse_to_x` are the reference for the span readers of
   ``pi1lab.pi1``.
 * the discreteness perturbation in two steps, as ``pi1lab.pi1`` built it
   before its one walk: :func:`perturb_once` subdivides the loop with
-  ``subdivide``, then slides the :func:`slide_candidates` of the subdivided
-  loop and bounces off p, with the same random draws in the same order.
+  :func:`subdivide`, then slides the :func:`slide_candidates` of the
+  subdivided loop and bounces off p, with the same random draws in the same order.
 * the circles as ``pi1lab.spaces`` built them before it worked on int
   quads: :func:`build_circle` computes the vertices as Fractions and refuses
   collinear ones with ``orient``, and :func:`certify` reads both widths from
@@ -47,6 +53,7 @@ No floating point is involved anywhere. Tests import this module as
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -56,7 +63,7 @@ from typing import Iterable, Optional
 from pi1lab.dsl import MAX_CIRCLE_INDEX, DslError
 from pi1lab.exactnum import _format_scaled, rational_decimal
 from pi1lab.geometry import ORIGIN, GeometryError, PLPath, Point2, Segment, _from_quad, _path
-from pi1lab.loops import Excursion, InvalidLoopError, _charted, subdivide
+from pi1lab.loops import InvalidLoopError, Loop, _charted
 from pi1lab.pi1 import ClassificationError
 from pi1lab.spaces import (
     ALPHA,
@@ -560,7 +567,65 @@ def seg_seg_dist_sq(a, b, c, d):
     return best
 
 
+# -- refinement and reparametrization ------------------------------------------
+
+
+def refine(path, extra):
+    """The path with breakpoints added at the rationals ``extra``: the sorted
+    union of its parameters and ``extra``, each point read by ``PLPath.at``."""
+    ts = sorted(set(path.params).union(map(Fraction, extra)))
+    return PLPath(tuple((t, path.at(t)) for t in ts))
+
+
+def subdivide(loop, extra):
+    """The loop refined at ``extra``, each piece charted on the edge of the
+    piece of ``loop`` that holds it, found by bisection."""
+    path, params = refine(loop.path, extra), loop.path.params
+    chart = tuple(loop._chart[bisect_right(params, t) - 1] for t in path.params[:-1])
+    return _charted(path, loop.space, chart)
+
+
+def reparametrize(loop, pairs):
+    """The loop precomposed with the monotone PL bijection of [0, 1] through
+    the (s, t) ``pairs``, from (0, 0) to (1, 1): the same image with the same
+    orientation. Its breakpoints are the s of the pairs and the preimages of
+    the loop's parameters, and its path is located afresh by ``Loop``."""
+    pairs = [(Fraction(s), Fraction(t)) for s, t in pairs]
+    ss, pieces = {s for s, _ in pairs}, list(zip(pairs, pairs[1:]))
+    for (s0, t0), (s1, t1) in pieces:
+        ss.update(s0 + (t - t0) * (s1 - s0) / (t1 - t0) for t in loop.path.params if t0 <= t <= t1)
+
+    def phi(s):
+        (s0, t0), (s1, t1) = next(piece for piece in pieces if piece[0][0] <= s <= piece[1][0])
+        return t0 + (s - s0) * (t1 - t0) / (s1 - s0)
+
+    return Loop(PLPath(tuple((s, loop.path.at(phi(s))) for s in sorted(ss))), loop.space)
+
+
 # -- excursion records ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Excursion:
+    """A maximal sub-loop away from p: the loop's breakpoints from p to p,
+    parameters ``ts`` as int pairs and ``points``, the edge of each piece,
+    and the index ``first`` of its first breakpoint in the loop. Its
+    ``component`` is its circle's index n, or ALPHA."""
+
+    component: int
+    ts: tuple
+    points: tuple
+    piece_edges: tuple
+    space: object
+    first: int
+
+    @property
+    def t_start(self):
+        return Fraction(*self.ts[0])
+
+    @property
+    def t_end(self):
+        return Fraction(*self.ts[-1])
 
 
 def excursions(loop):
@@ -744,7 +809,7 @@ def perturb_once(loop, rng, bound):
         i = rng.randrange(len(ts) - 1)
         k = rng.randint(1, grid - 1)
         (n0, d0), (n1, d1) = ts[i], ts[i + 1]
-        extra.append((n0 * d1 * grid + (n1 * d0 - n0 * d1) * k, d0 * d1 * grid))
+        extra.append(Fraction(n0 * d1 * grid + (n1 * d0 - n0 * d1) * k, d0 * d1 * grid))
     work = subdivide(loop, extra)
     edges = work._chart
     pts = list(work.path.points)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pi1lab
-from pi1lab import cli, dsl, exactnum, geometry, loops, pi1, spaces
+from pi1lab import cli, dsl, exactnum, geometry, pi1, spaces
 from pi1lab.cli import demo_whitehead, main
 
 GOOD_SCRIPT = """\
@@ -857,23 +857,17 @@ class TestDemo:
     def test_work_counts(self, tmp_path, monkeypatch):
         """A warmed seed-1 demo makes at most 60 dyadic_sqrt_bounds calls,
         since each edge brackets its length once (598 when every slide and
-        bounce bracketed its edge again). It builds no Excursion, as every
-        reader takes the spans of one chart scan (3,325 when each loop was
-        sliced into records), makes no Segment.contains call, as every point
-        it locates is a circle vertex, found by its quad (2,382 when each
-        point was tested against the edges, 3,482 when the apex test ran on
-        the pieces), builds 69 circles, and builds at most 1,890 paths: one
-        per discreteness trial, with no subdivided copy of the loop first
-        (2,390)."""
+        bounce bracketed its edge again), makes no Segment.contains call, as
+        every point it locates is a circle vertex, found by its quad (2,382
+        when each point was tested against the edges, 3,482 when the apex
+        test ran on the pieces), builds 69 circles, and builds at most 1,890
+        paths: one per discreteness trial, with no subdivided copy of the
+        loop first (2,390)."""
         demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
-        brackets, built, contains, paths, circles = [0], [0], [0], [0], [0]
+        brackets, contains, paths, circles = [0], [0], [0], [0]
 
         def bounds(*args, _orig=exactnum.dyadic_sqrt_bounds):
             brackets[0] += 1
-            return _orig(*args)
-
-        def excursion(*args, _orig=loops.Excursion):
-            built[0] += 1
             return _orig(*args)
 
         def contained(self, q, _orig=geometry.Segment.contains):
@@ -891,14 +885,12 @@ class TestDemo:
         for mod in (geometry, pi1):
             monkeypatch.setattr(mod, "dyadic_sqrt_bounds", bounds)
         monkeypatch.setattr(geometry, "_fill", fill)
-        monkeypatch.setattr(loops, "Excursion", excursion)
         monkeypatch.setattr(geometry.Segment, "contains", contained)
         monkeypatch.setattr(spaces, "build_circle", build)
         code, _ = demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
         monkeypatch.undo()
         assert code == 0
         assert 0 < brackets[0] <= 60
-        assert built[0] == 0
         assert contains[0] == 0
         assert circles[0] == 69
         assert 0 < paths[0] <= 1890

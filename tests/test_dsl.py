@@ -62,8 +62,8 @@ class TestParse:
 
     def test_points_rationals(self):
         script = dsl.parse("space S = Y(5)\nloop q = points [(0,0,0), (1/2,0,1), (1,0,0)]\n")
-        triples = script.statements[1].expr.triples
-        assert triples[1] == (Fraction(1, 2), Fraction(0), Fraction(1))
+        expr = script.statements[1].expr
+        assert (expr._ts[1], expr._quads[1]) == ((1, 2), (0, 1, 1, 1))
 
     def test_comments_and_blanks(self):
         script = dsl.parse("# header\n\nspace S = X(4)  # trailing\n")
@@ -119,6 +119,24 @@ class TestDiagnostics:
         with pytest.raises(dsl.DslError):
             dsl.parse("space S = Y(5)\nprobe disjointness up_to=5 extra=1\n")
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ("slsc radius=1/4 samples=2 seed=1 seed=2", "probe slsc takes 'seed' once"),
+            ("slsc radius=1/4 samples=2 radius=1/8", "probe slsc takes 'radius' once"),
+            ("disjointness up_to=5 up_to=5", "probe disjointness takes 'up_to' once"),
+            ("disjointness up_to=5 n=1 n=2", "probe disjointness does not take 'n'"),
+        ],
+        ids=["seed", "radius", "same-value", "stray"],
+    )
+    def test_repeated_probe_key(self, args, message):
+        """A key given twice was read as its last value: seed=1 seed=2 ran
+        with seed 2, and a second radius replaced the first. A key the
+        probe does not take is refused as such, however often it is given."""
+        with pytest.raises(dsl.DslError) as err:
+            dsl.parse(f"space S = Y(5)\n  probe {args}\n")
+        assert (err.value.line, err.value.col, err.value.message) == (2, 3, message)
+
     def test_unknown_statement_line_col(self):
         with pytest.raises(dsl.DslError) as err:
             dsl.parse("space S = Y(5)\n  frobnicate x\n")
@@ -150,25 +168,15 @@ class TestDiagnostics:
 
 
 class TestRoundTrip:
-    def test_parse_format_parse(self):
-        script = dsl.parse(GOOD)
-        printed = dsl.format_script(script)
-        assert dsl.parse(printed) == script
-
-    def test_format_is_canonical(self):
-        script = dsl.parse("space S = Y(5)\n")
-        printed = dsl.format_script(script)
-        assert printed == "space S = Y(5) width=pow10\n"
-        assert dsl.format_script(dsl.parse(printed)) == printed
-
-    def test_uniform_width_round_trip(self):
-        text = "space S = X(5) width=uniform:1/2\n"
-        script = dsl.parse(text)
-        assert dsl.format_script(script) == text
-
     def test_empty_script(self):
         assert dsl.parse("") == dsl.Script(())
-        assert dsl.format_script(dsl.Script(())) == ""
+
+    def test_width_is_canonical(self):
+        """The default width reads as pow10; a uniform width is kept as written."""
+        cases = (("Y(5)", "pow10"), ("Y(5) width=default", "pow10"), ("X(5) width=uniform:1/2", "uniform:1/2"))
+        for text, width in cases:
+            (decl,) = dsl.parse(f"space S = {text}\n").statements
+            assert decl == dsl.SpaceDecl("S", text[0], 5, width)
 
 
 class TestLoopLiterals:
@@ -632,7 +640,10 @@ class TestPointsRoute:
             return
         triples, circles, weight = want
         loop = _outcome(lambda: cli._Runner().eval_expr(got, self.SPACE))
-        assert (got.triples, got.weight, got.circles) == (triples, weight, circles)
+        got_triples = tuple(
+            (Fraction(*t), Fraction(xn, xd), Fraction(yn, yd)) for t, (xn, xd, yn, yd) in zip(got._ts, got._quads)
+        )
+        assert (got_triples, got.weight, got.circles) == (triples, weight, circles)
         want_loop = _outcome(lambda: loop_from_breakpoints(triples, self.SPACE))
         assert loop == want_loop
         if not isinstance(want_loop, tuple):

@@ -1,11 +1,11 @@
 import math
-from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import ExactnessError, common_refinement, hausdorff_distance_sq, sqrt_leq_sqrt_plus_sqrt
+from oracles import ExactnessError, common_refinement, hausdorff_distance_sq, refine, sqrt_leq_sqrt_plus_sqrt
+from pi1lab import kernels
 from pi1lab.geometry import (
     DegenerateSegmentError,
     ParameterRangeError,
@@ -13,10 +13,8 @@ from pi1lab.geometry import (
     PLPath,
     Point2,
     Segment,
-    _refine,
     pl_path,
     point,
-    point_segment_distance_sq,
     segment,
     segments_intersect,
     sup_distance,
@@ -24,6 +22,11 @@ from pi1lab.geometry import (
 from pi1lab.spaces import candidate_circle, circle_alpha_hausdorff_sq, compact_y, uniform_profile
 
 F = Fraction
+
+
+def point_segment_distance_sq(q: Point2, s: Segment) -> Fraction:
+    """Exact squared distance from a point to a closed segment, by the kernel."""
+    return F(*kernels.point_seg_dist_sq(q.quad(), s.a.quad(), s.b.quad()))
 
 
 def alpha_updown() -> PLPath:
@@ -76,7 +79,7 @@ class TestSupDistance:
 
     def test_zero_iff_pointwise_equal_on_refinement(self):
         f = alpha_updown()
-        g = f.with_params([F(1, 5), F(9, 10)])  # same path, extra breakpoints
+        g = refine(f, [F(1, 5), F(9, 10)])  # same path, extra breakpoints
         assert sup_distance(f, g).squared == 0
         h = pl_path([(0, 0, 0), ("1/2", 0, "9/10"), (1, 0, 0)])
         d = sup_distance(f, h)
@@ -301,7 +304,7 @@ class TestMetricProperties:
     @given(f=pl_paths())
     @settings(max_examples=40)
     def test_zero_iff_refinement_matches(self, f):
-        g = f.with_params([F(1, 3), F(2, 3)])
+        g = refine(f, [F(1, 3), F(2, 3)])
         assert sup_distance(f, g).squared == 0
 
 
@@ -354,17 +357,8 @@ def with_constant_stretches(path: PLPath, data) -> PLPath:
 
 
 class TestOnePassWalk:
-    """with_params and sup_distance walk a path once; each point must be
-    the one at() gives for its parameter."""
-
-    @given(f=longer_pl_paths(), extra=st.lists(unit_params, max_size=8), data=st.data())
-    @settings(max_examples=60)
-    def test_with_params_matches_at(self, f, extra, data):
-        extra = extra + data.draw(st.lists(st.sampled_from(f.params), max_size=3))
-        g = f.with_params(extra)
-        ts = sorted(set(f.params) | set(extra))
-        assert g.params == tuple(ts)
-        assert g.breakpoints == tuple((t, f.at(t)) for t in ts)
+    """sup_distance walks both paths once; each point must be the one at()
+    gives for its parameter."""
 
     @given(f=longer_pl_paths(), data=st.data())
     @settings(max_examples=100)
@@ -373,14 +367,14 @@ class TestOnePassWalk:
         interior parameters, constant stretches, and g equal to f."""
         case = data.draw(st.sampled_from(("apart", "refinement", "shared", "constant", "equal")))
         if case == "refinement":
-            g = f.with_params(data.draw(st.lists(unit_params, min_size=1, max_size=4)))
+            g = refine(f, data.draw(st.lists(unit_params, min_size=1, max_size=4)))
         elif case == "equal":
             g = f
         else:
             g = data.draw(longer_pl_paths())
         if case == "shared":
             shared = data.draw(st.lists(unit_params, min_size=1, max_size=3))
-            f, g = f.with_params(shared), g.with_params(shared)
+            f, g = refine(f, shared), refine(g, shared)
         elif case == "constant":
             f, g = with_constant_stretches(f, data), with_constant_stretches(g, data)
         best, arg = F(0), F(0)
@@ -393,12 +387,6 @@ class TestOnePassWalk:
         if case in ("refinement", "equal"):
             assert (got.squared, got.attained_at) == (0, 0)
 
-    def test_with_params_out_of_range(self):
-        f = alpha_updown()
-        for bad in (F(3, 2), F(-1, 10)):
-            with pytest.raises(ParameterRangeError):
-                f.with_params([F(1, 2), bad])
-
 
 def increasing_check_message(ts):
     """The PathInvariantError text of the Fraction order check, or None."""
@@ -409,16 +397,8 @@ def increasing_check_message(ts):
 
 
 class TestIntegerParams:
-    """Parameters are compared, refined, halved and reversed on integers;
+    """Parameters are compared, halved and reversed on integers;
     each result must equal the Fraction formula it replaces."""
-
-    @given(f=longer_pl_paths(), extra=st.lists(unit_params, max_size=8), data=st.data())
-    @settings(max_examples=60)
-    def test_refine_piece_map(self, f, extra, data):
-        extra = extra + data.draw(st.lists(st.sampled_from(f.params + (F(0), F(1))), max_size=4))
-        g, owner = _refine(f, extra)
-        assert g == f.with_params(extra)
-        assert owner == tuple(bisect_right(f.params, t) - 1 for t in g.params[:-1])
 
     @given(f=longer_pl_paths())
     @settings(max_examples=50)

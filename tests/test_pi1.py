@@ -16,15 +16,12 @@ from pi1lab.loops import (
     concatenate,
     concatenate_all,
     constant_loop,
-    decompose,
     include_in_y,
     loop_from_breakpoints,
     realize_word,
-    reparametrize,
     reverse,
     standard_f,
     standard_fn,
-    subdivide,
     validate,
 )
 from pi1lab.pi1 import (
@@ -87,7 +84,7 @@ class TestClassifyX:
         w = parse_word("g2 g3^-1")
         assert classify_x(realize_word(w, x)).word == w
         # oracle: the construction makes one excursion per letter
-        assert len(decompose(realize_word(w, x))) == len(w)
+        assert len(oracles.excursions(realize_word(w, x))) == len(w)
 
     def test_alpha_rejected(self, y):
         with pytest.raises(ClassificationError):
@@ -140,8 +137,8 @@ class TestCollapse:
     def test_alpha_collapsed_c2_kept_verbatim(self, y, x):
         lp = concatenate(standard_f(y), include_in_y(standard_fn(2, x)))
         out = collapse_to_x(lp)
-        (kept,) = decompose(out)
-        (c2,) = [exc for exc in decompose(lp) if exc.component != ALPHA]
+        (kept,) = oracles.excursions(out)
+        (c2,) = [exc for exc in oracles.excursions(lp) if exc.component != ALPHA]
         assert component_name(kept.component) == "C2"
         assert (oracles.breakpoints(kept), kept.piece_edges) == (oracles.breakpoints(c2), c2.piece_edges)
 
@@ -223,10 +220,10 @@ class TestHomomorphism:
 
     def test_reparametrization_invariance(self, x, y):
         lp = realize_word(parse_word("g2 g3^-1 g2"), x)
-        warped = reparametrize(lp, [(0, 0), ("1/4", "3/4"), (1, 1)])
+        warped = oracles.reparametrize(lp, [(0, 0), ("1/4", "3/4"), (1, 1)])
         assert classify_x(warped).word == classify_x(lp).word
         ly = concatenate(standard_f(y), include_in_y(lp))
-        wy = reparametrize(ly, [(0, 0), ("2/3", "1/3"), (1, 1)])
+        wy = oracles.reparametrize(ly, [(0, 0), ("2/3", "1/3"), (1, 1)])
         assert classify_y(wy).word == classify_y(ly).word
 
 
@@ -263,11 +260,11 @@ class TestCollapseSoundness:
             bounces.append(loop_from_breakpoints([(0, 0, 0), ("1/2", q.x, q.y), (1, 0, 0)], y))
         samples = [pi1._sample_small_loop(y, F(1, 4), rng) for _ in range(20)]
         for lp in decorated + bounces:
-            circles = [exc for exc in decompose(lp) if exc.component != ALPHA]
-            assert len(decompose(collapse_to_x(lp))) < len(circles)
+            circles = [exc for exc in oracles.excursions(lp) if exc.component != ALPHA]
+            assert len(oracles.excursions(collapse_to_x(lp))) < len(circles)
         # every small loop collapses to the constant loop, circle arms included
-        assert all(decompose(collapse_to_x(lp)) == () for lp in samples)
-        assert any(exc.component != ALPHA for lp in samples for exc in decompose(lp))
+        assert all(oracles.excursions(collapse_to_x(lp)) == () for lp in samples)
+        assert any(exc.component != ALPHA for lp in samples for exc in oracles.excursions(lp))
         fns = [standard_fn(n, y) for n in range(2, 12)]
         words = []
         for _ in range(10):
@@ -422,12 +419,12 @@ class TestCarriedCharts:
         corpus += [concatenate_all([corpus[0], lp, corpus[0]]) for lp in corpus[1:5]]
         bounces = slid_constant = 0
         for lp in corpus:
-            excursions = len(decompose(lp))
+            excursions = len(oracles.excursions(lp))
             for bound in (F(1, 1000), F(1, 10), F(1)):
                 for _ in range(6):
                     out = pi1._perturb_once(lp, rng, bound)
                     assert_carried(out)
-                    bounces += len(decompose(out)) > excursions
+                    bounces += len(oracles.excursions(out)) > excursions
                     slid_constant += any(
                         ref is None and p0 != ORIGIN
                         for ref, ((_, p0), _) in zip(out._chart, out.path.pieces())
@@ -459,7 +456,7 @@ def perturb_once_fraction(loop, rng, bound, clamps):
         i = rng.randrange(len(params) - 1)
         k = rng.randint(1, grid - 1)
         extra.append(params[i] + (params[i + 1] - params[i]) * Fraction(k, grid))
-    work = subdivide(loop, extra)
+    work = oracles.subdivide(loop, extra)
     edges = work._chart
     bks = list(work.path.breakpoints)
     for i in oracles.slide_candidates(work):
@@ -594,22 +591,18 @@ class TestParameterPairs:
         corpus = demo_corpus(x) + [word_loop, concatenate(word_loop, standard_fn(3, x))]
         paths = []
         for lp in corpus:
-            extra = [F(rng.randint(0, 64), 64), F(rng.randint(0, 9), 9)]
-            pair = (rng.randint(0, 96), 96)
             built = (
                 lp,
                 reverse(lp),
                 concatenate(lp, reverse(lp)),
-                subdivide(lp, extra),
-                subdivide(lp, [pair]),
                 pi1._perturb_once(lp, rng, F(1, 1000)),
                 pi1._perturb_once(lp, rng, F(1, 10)),
             )
             paths += [b.path for b in built]
-            paths += [oracles.subpath(exc) for b in built for exc in decompose(b)]
+            paths += [oracles.subpath(exc) for b in built for exc in oracles.excursions(b)]
             decorated = alpha_decorate(include_in_y(lp), rng)
             paths += [decorated.path, collapse_to_x(decorated).path]
-            paths += [oracles.subpath(exc) for exc in decompose(decorated)]
+            paths += [oracles.subpath(exc) for exc in oracles.excursions(decorated)]
         for path in paths:
             assert_reduced_increasing(path)
 
@@ -635,8 +628,8 @@ class TestParameterPairs:
 
 
 class TestRecords:
-    """Loops and excursions are slotted records whose equality and hash
-    ignore what is stored on them: a chart, spans or a degree."""
+    """Loops are slotted records whose equality and hash ignore what is
+    stored on them: a chart or spans."""
 
     @given(
         letters=st.lists(st.tuples(st.integers(2, 9), st.sampled_from((1, -1))), max_size=8),
@@ -661,16 +654,7 @@ class TestRecords:
             spans = loops._spans(lp)
             assert lp._spans is spans and fresh._spans is None
             assert lp == fresh and hash(lp) == hash(fresh)
-            excs = decompose(lp)
-            again = decompose(fresh)
-            assert excs == again and list(map(hash, excs)) == list(map(hash, again))
-            for exc, other in zip(excs, again):
-                other._degree = None
-                if exc.component != ALPHA:
-                    assert exc._degree == loops.winding_degree(other) == other._degree
-                assert exc == other and hash(exc) == hash(other)
-                assert exc.component == other.component
-            for obj in (lp, fresh, *excs):
+            for obj in (lp, fresh):
                 assert not hasattr(obj, "__dict__")
 
 
@@ -753,20 +737,6 @@ class TestLocateOnce:
 
 
 @pytest.fixture
-def excursions_built(monkeypatch):
-    """Every excursion the loops module builds, in order."""
-    built = []
-
-    def counted(*args, _orig=loops.Excursion):
-        exc = _orig(*args)
-        built.append(exc)
-        return exc
-
-    monkeypatch.setattr(loops, "Excursion", counted)
-    return built
-
-
-@pytest.fixture
 def scans(monkeypatch):
     """The breakpoints of every chart the loops module scans for spans."""
     seen = []
@@ -780,7 +750,7 @@ def scans(monkeypatch):
 
 
 class TestDecomposeOnce:
-    def test_alpha_decorate_after_classify_y_does_not_decompose_again(self, x, excursions_built, scans):
+    def test_alpha_decorate_after_classify_y_does_not_decompose_again(self, x, scans):
         rng = random.Random(51)
         for _ in range(10):
             w = random_reduced_word(rng, 8)
@@ -789,22 +759,12 @@ class TestDecomposeOnce:
             before = len(scans)
             alpha_decorate(ly, rng)
             assert len(scans) == before
-        assert excursions_built == []
-
-    def test_decompose_builds_from_the_stored_spans(self, x, excursions_built, scans):
-        lx = realize_word(parse_word("g2 g3^-2 g5"), x)
-        first = decompose(lx)
-        assert len(excursions_built) == 4  # one per letter: g3^-2 is two
-        again = decompose(lx)
-        assert again == first and again is not first
-        assert len(excursions_built) == 8 and scans == [lx.path.points]
-        assert [exc._degree for exc in first] == [1, -1, -1, 1]
 
     def test_winding_degree_once_per_excursion(self, x, scans):
         lx = realize_word(parse_word("g2 g3^-2 g5"), x)
         assert classify_x(lx).word == parse_word("g2 g3^-2 g5")
         assert choose_n(lx) == 6
-        assert [loops.winding_degree(e) for e in decompose(lx)] == [1, -1, -1, 1]
+        assert [d for *_, d in loops._spans(lx)] == [1, -1, -1, 1]
         assert stability_radius(lx) > 0 and collapse_to_x(include_in_y(lx)) == lx
         assert scans == [lx.path.points, lx.path.points]
 
@@ -832,7 +792,7 @@ class TestSpansOracle:
         corpus += [reverse(word_loop), concatenate(word_loop, reverse(corpus[4]))]
         corpus += [concatenate_all([corpus[3], word_loop, corpus[1]])]
         params = word_loop.path.params
-        corpus += [subdivide(word_loop, [F(rng.randint(0, 64), 64), params[rng.randrange(len(params))] / 3])]
+        corpus += [oracles.subdivide(word_loop, [F(rng.randint(0, 64), 64), params[rng.randrange(len(params))] / 3])]
         corpus += [pi1._perturb_once(lp, rng, bound) for lp in corpus[1:6] for bound in (F(1, 1000), F(1))]
         decorated = [alpha_decorate(include_in_y(lp), rng) for lp in (word_loop, corpus[4], corpus[1])]
         corpus += decorated + [collapse_to_x(lp) for lp in decorated]

@@ -32,7 +32,7 @@ def fields(**named):
 
 
 _C3 = build_circle(3, CUBE)
-_POINTS = ((F(0), F(0), F(0)),)
+_TS, _QUADS = ((0, 1), (1, 1)), ((0, 1, 0, 1), (0, 1, 0, 1))
 
 # (make, fields): make() builds a fresh record whose fields, in order, are
 # the (name, value) pairs ``fields``; one entry per record class.
@@ -42,7 +42,7 @@ RECORDS = [
     (lambda: dsl.CircleExpr(3, True), fields(index=3, inverse=True)),
     (lambda: dsl.ConcatExpr(("a", "b")), fields(args=("a", "b"))),
     (lambda: dsl.WordExpr(Word(((2, 1),))), fields(word=Word(((2, 1),)))),
-    (lambda: dsl.PointsExpr(_POINTS, frozenset({2})), fields(triples=_POINTS)),
+    (lambda: dsl.PointsExpr(_TS, _QUADS, frozenset({2})), fields(_ts=_TS, _quads=_QUADS)),
     (
         lambda: dsl.LoopBinding("a", dsl.CircleExpr(2, False)),
         fields(name="a", expr=dsl.CircleExpr(2, False)),
@@ -120,12 +120,11 @@ def test_field_values_are_compared():
 
 
 def test_points_expr_equality_ignores_circles():
-    triples = ((F(0), F(0), F(0)), (F(1), F(0), F(0)))
-    a = dsl.PointsExpr(triples, frozenset({2}))
-    b = dsl.PointsExpr(triples, frozenset({3, 4}))
+    a = dsl.PointsExpr(_TS, _QUADS, frozenset({2}))
+    b = dsl.PointsExpr(_TS, _QUADS, frozenset({3, 4}))
     assert a == b and hash(a) == hash(b)
-    assert dsl.PointsExpr(triples).circles == frozenset()
-    assert repr(a) == f"PointsExpr(triples={triples!r})"
+    assert a != dsl.PointsExpr(_TS, ((0, 1, 0, 1), (1, 2, 0, 1)), frozenset({2}))
+    assert repr(a) == f"PointsExpr(_ts={_TS!r}, _quads={_QUADS!r})"
 
 
 def test_alpha_expr_is_truthy():
@@ -187,7 +186,7 @@ class TestSpaceHandle:
         x = y.sibling(SpaceKind.BOUQUET_X)
         assert x._circles is y._circles
         circ = x.circle(5)
-        assert y.circle(5) is circ and y.materialized_indices() == (5,)
+        assert y.circle(5) is circ and list(y._circles) == [5]
         assert SpaceHandle(SpaceKind.COMPACT_Y)._circles is not SpaceHandle(SpaceKind.COMPACT_Y)._circles
 
     def test_equality_reads_kind_and_profile_name(self):

@@ -11,10 +11,8 @@ from oracles import hausdorff_distance_sq
 from pi1lab import dsl, kernels, spaces
 from pi1lab.geometry import ORIGIN, point
 from pi1lab.spaces import (
-    ALPHA,
     ALPHA_SEGMENT,
     Membership,
-    OutsideSpaceError,
     SpaceConsistencyError,
     SpaceError,
     SpaceKind,
@@ -26,9 +24,7 @@ from pi1lab.spaces import (
     build_circle,
     circle_alpha_hausdorff_sq,
     compact_y,
-    component_of,
     hausdorff_convergence,
-    membership,
     profile_by_name,
     uniform_profile,
     verify_disjointness,
@@ -279,27 +275,23 @@ class TestMembership:
         self.x = self.y.sibling(SpaceKind.BOUQUET_X)
 
     def test_base_point(self):
-        assert membership(point(0, 0), self.y).kind == "base"
+        assert self.y.membership(point(0, 0)).kind == "base"
 
     def test_alpha_midpoint(self):
-        m = membership(point(0, "1/2"), self.y)
+        m = self.y.membership(point(0, "1/2"))
         assert m.kind == "alpha"
 
     def test_on_circle_edge(self):
-        m = membership(point("1/4", "1/2"), self.y)
+        m = self.y.membership(point("1/4", "1/2"))
         assert m.kind == "circle" and m.circle_index == 2 and m.edge_index == 0
 
     def test_outside(self):
-        assert membership(point(1, 1), self.y).kind == "outside"
-        assert membership(point(0, "1/2"), self.x).kind == "outside"
+        assert self.y.membership(point(1, 1)).kind == "outside"
+        assert self.x.membership(point(0, "1/2")).kind == "outside"
 
     def test_component_examples(self):
-        assert component_of(point(0, "1/2"), self.y) == ALPHA
-        assert component_of(point("1/4", "1/2"), self.y) == 2
-        with pytest.raises(OutsideSpaceError):
-            component_of(point(0, "1/2"), self.x)
-        with pytest.raises(OutsideSpaceError):
-            component_of(point(0, 0), self.y)
+        assert self.y.membership(point(0, "1/2")).kind == "alpha"
+        assert self.y.membership(point("1/4", "1/2")).circle_index == 2
 
     def test_component_constant_along_edges(self):
         for n in (2, 3, 7):
@@ -309,10 +301,10 @@ class TestMembership:
                     q = e.at(F(k, 10))
                     if q == point(0, 0):
                         continue
-                    assert component_of(q, self.y) == n
+                    assert self.y.membership(q).circle_index == n
 
     def test_distinct_circles_distinct_components(self):
-        comps = {component_of(self.y.circle(n).apex, self.y) for n in range(2, 8)}
+        comps = {self.y.membership(self.y.circle(n).apex).circle_index for n in range(2, 8)}
         assert len(comps) == 6
 
     def test_hint_does_not_change_membership(self):
@@ -320,7 +312,7 @@ class TestMembership:
         small, large = compact_y(hint=4, profile=cube), compact_y(hint=40, profile=cube)
         assert small == large
         apex = build_circle(12, cube).apex
-        assert membership(apex, small) == membership(apex, large) == Membership("circle", 12, 0)
+        assert small.membership(apex) == large.membership(apex) == Membership("circle", 12, 0)
 
     def test_edges_containing_vertex(self):
         refs = self.y.edges_containing(self.y.circle(3).apex)
@@ -354,7 +346,7 @@ class TestDisjointness:
         bad = bouquet_x(hint=6, profile=uniform_profile(F(1, 2)))
         with pytest.raises(SpaceConsistencyError):
             bad.circle(3)
-        assert bad.materialized_indices() == ()
+        assert bad._circles == {}
 
     @pytest.mark.parametrize("profile", CERTIFICATE_PROFILES, ids=lambda p: p.name)
     def test_certificate_matches_pairwise_check(self, profile):
@@ -468,7 +460,7 @@ class TestHandles:
         y = compact_y(hint=6)
         y.circle(5)
         x = y.sibling(SpaceKind.BOUQUET_X)
-        assert 5 in x.materialized_indices()
+        assert 5 in x._circles
         assert not x.has_alpha and y.has_alpha
 
     def test_equality_by_kind_and_profile(self):
