@@ -43,12 +43,12 @@ fails at once with a parse error instead of running for seconds to hours:
   the parser knows: a loop's letters (a word's length, 1 per circle or
   alpha, 1 per ``points`` piece, the sum over a ``concat``) and its weight
   (the circle price p(n) of each letter's circle, and the digits of a
-  ``points`` literal), ``trials``, ``samples``,
-  ``up_to``, ``n_max``, a space's hint, the digits of a radius or
-  magnitude, and the circles a loop can touch. p(n) is the squared bit size
-  of C_n's width under the space's width profile, in units of 2**16: the
-  default pow10 width of C_n has a 10n-digit denominator, and exact
-  arithmetic on C_n costs about p(n) times more than on a small circle.
+  ``points`` literal), ``trials``, ``samples``, ``up_to``, ``n_max``, a
+  space's hint, and the digits of a radius or magnitude. p(n) is the
+  squared bit size of C_n's width under the space's width profile, in
+  units of 2**16: the default pow10 width of C_n has a 10n-digit
+  denominator, and exact arithmetic on C_n costs about p(n) times more
+  than on a small circle.
 """
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import FrozenSet, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .records import Record
 from .spaces import candidate_circle, profile_by_name
@@ -107,7 +107,7 @@ _PRICES = {
     "pair": (200, 15),  # disjointness, per pair of circles, on the larger
     "hausdorff": (120, 9),  # per circle up to up_to
     "nondiscreteness": (90, 15),  # per circle up to n_max
-    "radius": (2500, 450),  # discreteness, per pair of touched circles, on the larger
+    "radius": (30, 15),  # discreteness, per letter of the loop, plus 15 x its weight
     "trial": 130,  # discreteness, per trial
     "trial_letter": (15, 10),  # per trial and letter, plus the magnitude's bits / 4
     "sample": 100,  # slsc, per sample, plus the radius's bits
@@ -170,25 +170,25 @@ class WordExpr(Record):
 class PointsExpr(Record):
     """A ``points`` literal: its breakpoints (t, x, y) as reduced ints.
 
-    ``PointsExpr(ts, quads, circles)`` takes each t as an int pair (n, d)
+    ``PointsExpr(ts, quads, top)`` takes each t as an int pair (n, d)
     and each (x, y) as a kernel quad (xn, xd, yn, yd), both in lowest terms
     with d > 0, as the parser reads them, so the path and the points are
     built from them without a Fraction. ``weight`` is what the literal adds
     to its binding's weight: per piece, the squared bit size of its longest
-    breakpoint, in units of 2**16. ``circles`` is the candidate circle of
-    each breakpoint with x > 0. Equality, hashing and the repr read ``_ts``
-    and ``_quads`` only.
+    breakpoint, in units of 2**16. ``top`` is the largest candidate circle
+    of a breakpoint with x > 0, or 0 if there is none. Equality, hashing
+    and the repr read ``_ts`` and ``_quads`` only.
     """
 
-    __slots__ = ("_ts", "_quads", "weight", "circles")
+    __slots__ = ("_ts", "_quads", "weight", "top")
     _fields = ("_ts", "_quads")
 
-    def __init__(self, ts: tuple, quads: tuple, circles: FrozenSet[int]):
+    def __init__(self, ts: tuple, quads: tuple, top: int):
         bits = max((sum(map(int.bit_length, t + q)) for t, q in zip(ts, quads)), default=0)
         self._ts = ts
         self._quads = quads
         self.weight = (len(ts) - 1) * (bits * bits >> 16)
-        self.circles = circles
+        self.top = top
 
 
 LoopExpr = Union[AlphaExpr, CircleExpr, ConcatExpr, WordExpr, PointsExpr]
@@ -344,39 +344,25 @@ def _circle_prices(width: str):
     return price
 
 
-def _circles(expr: LoopExpr, touched: dict) -> frozenset:
-    """The circle indices a loop expression can touch, the set the price of
-    its stability radius reads; ``touched`` maps bound names to theirs."""
-    if isinstance(expr, WordExpr):
-        return frozenset(n for n, _ in expr.word.syllables)
-    if isinstance(expr, CircleExpr):
-        return frozenset((expr.index,))
-    if isinstance(expr, ConcatExpr):
-        return frozenset().union(*(touched[a] for a in expr.args))
-    if isinstance(expr, PointsExpr):
-        return expr.circles
-    return frozenset()
-
-
 def _measure(expr: LoopExpr, loops: dict, p) -> Tuple[int, int]:
     """(letters, weight) of a loop expression: its letter count and the sum
     of the circle price ``p`` over its letters. A points piece weighs the
-    largest price of its circles plus the squared bit size of its longest
-    breakpoint, in the same units (``PointsExpr.weight``). ``loops`` maps
-    bound names to their (letters, weight, width). An exponent past
-    MAX_SCRIPT_WORK counts as MAX_SCRIPT_WORK letters, which alone pass the
-    limit."""
+    price of its top circle, the largest under pow10, cube and a uniform
+    width, plus the squared bit size of its longest breakpoint, in the same
+    units (``PointsExpr.weight``). ``loops`` maps bound names to their
+    (letters, weight). An exponent past MAX_SCRIPT_WORK counts as
+    MAX_SCRIPT_WORK letters, which alone pass the limit."""
     if isinstance(expr, WordExpr):
         counts = [(n, min(abs(e), MAX_SCRIPT_WORK)) for n, e in expr.word.syllables]
         return sum(k for _, k in counts), sum(k * p(n) for n, k in counts)
     if isinstance(expr, CircleExpr):
         return 1, p(expr.index)
     if isinstance(expr, ConcatExpr):
-        parts = [loops[a][:2] if isinstance(a, str) else _measure(a, loops, p) for a in expr.args]
+        parts = [loops[a] if isinstance(a, str) else _measure(a, loops, p) for a in expr.args]
         return sum(q[0] for q in parts), sum(q[1] for q in parts)
     if isinstance(expr, PointsExpr):
         pieces = len(expr._ts) - 1
-        return pieces, pieces * max(map(p, expr.circles), default=0) + expr.weight
+        return pieces, pieces * (p(expr.top) if expr.top else 0) + expr.weight
     return 1, 0
 
 
@@ -396,7 +382,7 @@ def _binding_price(expr: LoopExpr, letters: int) -> int:
     return a * letters + b * _literal_weight(expr)
 
 
-def _probe_price(kind: str, args: dict, loops: dict, touched: dict, width: str) -> int:
+def _probe_price(kind: str, args: dict, loops: dict, width: str) -> int:
     """The price of a probe in a space of ``width``. A count past
     MAX_SCRIPT_WORK is priced as MAX_SCRIPT_WORK, which alone passes the
     limit, so that no price outgrows what str() prints."""
@@ -412,10 +398,9 @@ def _probe_price(kind: str, args: dict, loops: dict, touched: dict, width: str) 
         samples = min(max(args["samples"], 0), MAX_SCRIPT_WORK)
         return samples * (_PRICES["sample"] + _bits(args["radius"]))
     # discreteness: the stability radius of the loop, then its trials
-    letters, weight, width = loops[args["loop"]]
+    letters, weight = loops[args["loop"]]
     a, b = _PRICES["radius"]
-    p = _circle_prices(width)
-    radius = sum(i * (a + b * p(n)) for i, n in enumerate(sorted(touched[args["loop"]])))
+    radius = a * letters + b * weight
     a, b = _PRICES["trial_letter"]
     trial = _PRICES["trial"] + letters * (a + _bits(args["magnitude"]) // 4) + b * weight
     return radius + min(max(args["trials"], 0), MAX_SCRIPT_WORK) * trial
@@ -493,7 +478,7 @@ def _parse_points(text: str, start: int, end: int, line: int, col: int, depth: i
         raise DslError(line, col, "points expects a bracketed list of (t, x, y) triples")
     if scan is None:
         scan = _CommaScan(text)
-    ts, quads, circles = [], [], set()
+    ts, quads, top = [], [], 0
     for a, b in scan.split(text, start + 1, end - 1, depth + 1):
         part = text[a:b].strip()
         m = _TRIPLE_RE.match(part)
@@ -514,12 +499,12 @@ def _parse_points(text: str, start: int, end: int, line: int, col: int, depth: i
                     f"breakpoint {cut(f'({x}, {y})')} can only lie on {circle}, which exceeds "
                     f"the limit {MAX_CIRCLE_INDEX} on circle indices",
                 )
-            circles.add(n)
+            top = max(top, n)
         ts.append(t)
         quads.append(q)
     if len(ts) < 2:
         raise DslError(line, col, "points needs at least two (t, x, y) triples")
-    return PointsExpr(tuple(ts), tuple(quads), frozenset(circles))
+    return PointsExpr(tuple(ts), tuple(quads), top)
 
 
 def _word_expr(body: str, line: int, col: int) -> WordExpr:
@@ -606,8 +591,7 @@ def parse_loop_literals(texts: Tuple[str, ...]) -> Tuple[LoopExpr, ...]:
 def parse(text: str) -> Script:
     statements = []
     spaces: dict = {}  # space name -> its SpaceDecl
-    loops: dict = {}  # bound loop name -> (letters, weight, width)
-    touched: dict = {}  # bound loop name -> the circle indices it can touch
+    loops: dict = {}  # bound loop name -> (letters, weight)
     work = 0  # the price of every statement so far
     active_space: Optional[SpaceDecl] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -645,10 +629,7 @@ def parse(text: str) -> Script:
             expr = _parse_loop_expr(m.group(2), lineno, col, loops)
             if isinstance(expr, AlphaExpr) and active_space.kind != "Y":
                 raise DslError(lineno, col, "alpha.updown needs the compact space Y")
-            width = active_space.width
-            letters, weight = _measure(expr, loops, _circle_prices(width))
-            touched[name] = _circles(expr, touched)
-            loops[name] = (letters, weight, width)
+            letters, weight = loops[name] = _measure(expr, loops, _circle_prices(active_space.width))
             cost = _binding_price(expr, letters)
             st, what = LoopBinding(name, expr), f"loop {name}"
         elif head == "classify":
@@ -712,7 +693,7 @@ def parse(text: str) -> Script:
             if raw_args:
                 stray = sorted(raw_args)[0]
                 raise DslError(lineno, col, f"probe {kind} does not take {quote(stray)}")
-            cost = _probe_price(kind, dict(args), loops, touched, active_space.width)
+            cost = _probe_price(kind, dict(args), loops, active_space.width)
             st, what = ProbeStmt(kind, tuple(args)), f"probe {kind}"
         elif head == "render":
             m = _RENDER_RE.match(stripped)

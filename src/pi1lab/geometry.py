@@ -356,8 +356,3 @@ def segments_intersect(s1: Segment, s2: Segment) -> SegIntersection:
         return _from_quad(res[1])
     return Segment(_from_quad(res[1]), _from_quad(res[2]))
 
-
-def segment_segment_distance_sq(s1: Segment, s2: Segment) -> Fraction:
-    n, den = kernels.seg_seg_dist_sq(s1.a._q, s1.b._q, s2.a._q, s2.b._q)
-    return Fraction(n, den)
-

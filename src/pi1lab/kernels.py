@@ -219,17 +219,3 @@ def _cross_of_diffs(p1, p2, p3, p4):
     ) * (p4xn * p3xd - p3xn * p4xd) * axd * byd
     return num, axd * byd * ayd * bxd
 
-
-def seg_seg_dist_sq(a, b, c, d):
-    """Exact squared distance between two closed segments."""
-    if seg_intersect(a, b, c, d)[0] != SEG_NONE:
-        return 0, 1
-    best = point_seg_dist_sq(a, c, d)
-    for cand in (
-        point_seg_dist_sq(b, c, d),
-        point_seg_dist_sq(c, a, b),
-        point_seg_dist_sq(d, a, b),
-    ):
-        if cand[0] * best[1] < best[0] * cand[1]:
-            best = cand
-    return best

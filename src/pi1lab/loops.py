@@ -66,7 +66,7 @@ from .spaces import (
     default_x,
     default_y,
 )
-from .words import Word
+from .words import Word, cut
 
 
 class LoopError(Exception):
@@ -314,11 +314,17 @@ def standard_fn(n: int, space: Optional[SpaceHandle] = None) -> Loop:
     The tail D_n sits at height 1 - w = yn/yd, where the alpha loop is at
     t = (2 - yn/yd)/2 = (2*yd - yn)/(2*yd). That pair shares no odd factor,
     since gcd(2*yd - yn, yd) = gcd(yn, yd) = 1, so it is reduced by 2 when
-    yn is even.
+    yn is even. The tail parameter is below 1 only for w(n) < 1, that is
+    for D_n above the height of p, which a certified C_n (n >= 3) has but
+    C_2 need not.
     """
     space = space if space is not None else default_x()
     circ = space.circle(n)
     _, _, yn, yd = circ.tail.quad()
+    if yn <= 0:
+        raise SpaceError(
+            f"the loop around C{n} needs w({n}) < 1, which width profile {cut(space.profile.name)} does not give"
+        )
     tn, td = 2 * yd - yn, 2 * yd
     if not yn & 1:
         tn, td = tn >> 1, yd

@@ -38,11 +38,9 @@ from . import kernels
 from .exactnum import dyadic_sqrt_bounds, rational_decimal
 from .geometry import (
     ORIGIN,
-    Segment,
     _from_quad,
     _path,
     _sup_distance_sq,
-    segment_segment_distance_sq,
     sup_distance,
 )
 from .loops import (
@@ -280,16 +278,6 @@ def probe_nondiscreteness_y(
     )
 
 
-def _distal_half(edge: Segment, edge_index: int) -> Segment:
-    """The half of a base-incident edge away from p (whole cap otherwise)."""
-    mid = edge.at(Fraction(1, 2))
-    if edge_index == 0:
-        return Segment(mid, edge.b)
-    if edge_index == 2:
-        return Segment(edge.a, mid)
-    return edge
-
-
 def stability_radius(loop: Loop) -> Fraction:
     """Conservative exact radius below which X-perturbations cannot change words.
 
@@ -297,22 +285,49 @@ def stability_radius(loop: Loop) -> Fraction:
     the loop touches and the clearance is a dyadic lower bound on the least
     distance between p-distal edge halves of distinct touched circles. The
     1/N^2 term reflects the angular separation of the arms at p.
+
+    The clearance is one point-to-edge distance per index-adjacent pair of
+    touched circles. Take touched n < m; C_m is certified, so m >= 3, and
+    D = D_m = (x_D, y_D) has y_D = 1 - w(m) > 0 and n * x_D < y_D, since
+    the cone certificate puts D at a slope above m - 1 >= n. Let
+    M_n = B_n/2 = (1/(2n), 1/2) and s(P) = x_P * y_D - y_P * x_D, so that
+    |s(P)|/|D| is the distance from P to the line pD.
+
+    1. s is linear, so over the distal polyline M_n, B_n, D_n, D_n/2 of
+       C_n its least value is at a vertex, and that is s(M_n):
+       s(M_n) = (y_D/n - x_D)/2 > 0, s(B_n) = 2 s(M_n),
+       s(D_n) = s(B_n) + w(n) (n y_D + x_D) > s(B_n) and
+       s(D_n/2) = s(D_n)/2 > s(M_n). This needs only w(n) > 0, so it holds
+       for C_2 too.
+    2. On the distal polyline B_m/2, B_m, D_m, D_m/2 of C_m, s <= 0:
+       s(D_m) = s(D_m/2) = 0 and s(B_m) = -w(m) (1/m + m) < 0.
+    3. So distal points P of C_n and Q of C_m have
+       |PQ| |D| >= s(P) - s(Q) >= s(M_n).
+    4. The bound is reached: the foot of M_n on the line pD is t D with
+       t = (B_n . D) / (2 |D|^2), on the distal half of edge 2 of C_m since
+       1/2 <= t <= 1. t >= 1/2 as x_D (1/n - x_D) + y_D w(m) >= 0, because
+       the certificate gives x_D < 1/(m - 1) <= 1/n; t <= 1 as x_D < 1/2
+       and y_D >= 20/21 for m >= 3. So the nine pairs of distal halves of
+       C_n and C_m are at least dist(M_n, edge 2 of C_m) apart, and one
+       pair is exactly that far apart.
+    5. For touched n < m < l, slope(D_l) > l - 1 >= m > slope(D_m), and
+       the distance from M_n to a line through p steeper than p M_n grows
+       with its slope. So the pair (n, l) is farther apart than (n, m), and
+       the least distance over all touched pairs is that of an
+       index-adjacent pair.
+
+    The dyadic floor is monotone, so the least floor over adjacent pairs
+    is the floor of the least distance over all pairs, which
+    ``tests/oracles.py`` computes as the reference.
     """
     touched = sorted({span[0] for span in _spans(loop)} - {ALPHA})
     n_top = touched[-1] if touched else 2
     best = Fraction(1, n_top * n_top)
-    for i, n in enumerate(touched):
-        cn = loop.space.circle(n)
-        for m in touched[i + 1 :]:
-            cm = loop.space.circle(m)
-            for jn, en in enumerate(cn.edges):
-                for jm, em in enumerate(cm.edges):
-                    d_sq = segment_segment_distance_sq(
-                        _distal_half(en, jn), _distal_half(em, jm)
-                    )
-                    lo, _ = dyadic_sqrt_bounds(d_sq)
-                    if lo < best:
-                        best = lo
+    for n, m in zip(touched, touched[1:]):
+        num, den = kernels.point_seg_dist_sq((1, 2 * n, 1, 2), *loop.space.circle(m).edges[2].quads())
+        lo, _ = dyadic_sqrt_bounds(Fraction(num, den))
+        if lo < best:
+            best = lo
     return best / 8
 
 

@@ -14,7 +14,7 @@
   merge.
 * the helper-based integer kernels (:func:`orient`, :func:`on_segment`,
   :func:`point_dist_sq`, :func:`lerp`, :func:`foot_param`,
-  :func:`point_seg_dist_sq`, :func:`seg_intersect`, :func:`seg_seg_dist_sq`),
+  :func:`point_seg_dist_sq`, :func:`seg_intersect`),
   written with a ``_dx``/``_dy`` call per coordinate difference and no
   cancelled factor: the reference for the flat kernels of
   ``pi1lab.kernels``, which must give the same signs and reduced results.
@@ -46,6 +46,10 @@
   pairs: :func:`points_literal` parses each t, x and y to a Fraction with
   :func:`parse_rational` and weighs the triples over Fractions; the loop
   is then ``loop_from_breakpoints`` of the triples.
+* the stability radius as ``pi1lab.pi1`` computed it before its proof
+  that one distance per index-adjacent pair of touched circles is the
+  least: :func:`stability_radius` measures every pair of touched circles,
+  all nine pairs of their p-distal edge halves.
 
 No floating point is involved anywhere. Tests import this module as
 ``oracles``; ``tests/`` has no ``__init__.py``, so pytest puts it on the path.
@@ -970,3 +974,38 @@ def points_literal(parts, line=1, col=1):
         raise DslError(line, col, "points needs at least two (t, x, y) triples")
     bits = max(_bits(t) + _bits(x) + _bits(y) for t, x, y in triples)
     return tuple(triples), frozenset(circles), (len(triples) - 1) * (bits * bits >> 16)
+
+
+# -- the stability radius ------------------------------------------------------
+
+
+def _distal_half(edge, edge_index):
+    """The half of a base-incident edge away from p (whole cap otherwise)."""
+    mid = lerp(edge.a.quad(), edge.b.quad(), 1, 2)
+    if edge_index == 0:
+        return mid, edge.b.quad()
+    if edge_index == 2:
+        return edge.a.quad(), mid
+    return edge.quads()
+
+
+def stability_radius(loop):
+    """(1/8) * min(1/N^2, clearance), N the largest circle index the loop
+    touches, with the clearance over all pairs of touched circles and all
+    nine pairs of their p-distal edge halves: the dyadic floor of each
+    distance by :func:`seg_seg_dist_sq`. The package reads one distance per
+    index-adjacent pair of touched circles."""
+    touched = sorted({exc.component for exc in excursions(loop)} - {ALPHA})
+    n_top = touched[-1] if touched else 2
+    best = Fraction(1, n_top * n_top)
+    for i, n in enumerate(touched):
+        cn = loop.space.circle(n)
+        for m in touched[i + 1 :]:
+            cm = loop.space.circle(m)
+            for jn, en in enumerate(cn.edges):
+                for jm, em in enumerate(cm.edges):
+                    num, den = seg_seg_dist_sq(*_distal_half(en, jn), *_distal_half(em, jm))
+                    lo = Fraction(isqrt((num << 80) // den), 1 << 40)
+                    if lo < best:
+                        best = lo
+    return best / 8

@@ -111,13 +111,6 @@ HOSTILE_LINES = (
         "probe discreteness loop=a trials=20 magnitude=1/1000",
         1,
     ),
-    # the stability radius over two high circles
-    (
-        "space T = X(20) width=pow10\n"
-        "loop a = word g999 g1000\n"
-        "probe discreteness loop=a trials=1 magnitude=1/1000",
-        1,
-    ),
     # each binding holds alone; the letters bound across the script do not
     ("loop a = word g2^5000\n" + "loop b = concat(a, a)\n" * 3 + "loop b = concat(a, a)", 1),
     # each line holds alone; the letters classify reads again do not
@@ -127,13 +120,6 @@ HOSTILE_LINES = (
         "space T = X(20)\n"
         "loop a = word g590 g591\n"
         "probe discreteness loop=a trials=100 magnitude=1/100000000",
-        1,
-    ),
-    # probes spend the script's budget: 20 of these ran 8.9 s at the parent
-    (
-        f"space T = X(20)\nloop a = word {THROUGH_C21}\n"
-        + "probe discreteness loop=a trials=100 magnitude=1/100000000\n" * 3
-        + "probe discreteness loop=a trials=100 magnitude=1/100000000",
         1,
     ),
     # 10 of these ran 12.7 s at the parent
@@ -149,6 +135,29 @@ HOSTILE_LINES = (
     ("space S = Y(1000)\n" + "render S -> x.svg\n" * 15 + "render S -> x.svg", 1),
     # a points binding pays for the digits of its breakpoints
     (HEAVY_POINTS, 1),
+)
+
+# Scripts that the parser refused while the stability radius was priced per
+# pair of touched circles. It is one distance per adjacent touched pair now,
+# priced per letter, so each runs: (script, exit code, reports on stdout,
+# stderr). The radius of g999 g1000 refuses the magnitude; four probes on
+# g2 ... g21 (20 ran 8.9 s before a trial was one walk) each pass.
+RADIUS_ADMITTED = (
+    (
+        "space T = X(20) width=pow10\nloop a = word g999 g1000\n"
+        "probe discreteness loop=a trials=1 magnitude=1/1000\n",
+        1,
+        0,
+        "error: magnitude 1/1000 is not below the stability radius 550305/8796093022208; "
+        "the word-stability claim is only certified below the radius\n",
+    ),
+    (
+        f"space T = X(20)\nloop a = word {THROUGH_C21}\n"
+        + "probe discreteness loop=a trials=100 magnitude=1/100000000\n" * 4,
+        0,
+        4,
+        "",
+    ),
 )
 
 # Each line passes the parser, whose budgets exit 2, and is refused when it
@@ -325,11 +334,9 @@ class TestRun:
             "slsc-samples",
             "discreteness-trials",
             "discreteness-trial-letters",
-            "discreteness-radius",
             "script-letters",
             "classify-letters",
             "discreteness-high-circles",
-            "repeated-discreteness",
             "repeated-discreteness-long-word",
             "disjointness-up-to-100",
             "repeated-render",
@@ -370,6 +377,37 @@ class TestRun:
         code, out, err = run_cli(capsys, ["run", str(script)])
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text,code,reports,err", RADIUS_ADMITTED, ids=("discreteness-radius", "repeated-discreteness")
+    )
+    def test_radius_admitted_within_a_bound(self, capsys, tmp_path, text, code, reports, err):
+        """Each script runs to its answer in under a second: every report a
+        discreteness PASS over all 100 trials, or one error line."""
+        script = tmp_path / "admitted.pi1"
+        script.write_text(text, encoding="utf-8")
+        start = time.perf_counter()
+        got = run_cli(capsys, ["run", str(script)])
+        assert time.perf_counter() - start < 1.0
+        assert (got[0], got[2]) == (code, err)
+        blocks = got[1].split("\n\n") if got[1] else []
+        assert len(blocks) == reports
+        for block in blocks:
+            assert block.startswith("== probe: discreteness-X ==\n")
+            assert "param: agreeing_trials = 100\n" in block and block.rstrip("\n").endswith("verdict: PASS")
+
+    def test_circle_loop_needs_width_below_one(self, capsys, tmp_path):
+        """C(2).once under a width of 1 or more has its tail D_2 on or below
+        p: the loop is refused with the profile named, where its tail
+        parameter reached 1 and the path builder refused it."""
+        script = tmp_path / "wide.pi1"
+        for width in ("1", "3/2"):
+            script.write_text(f"space S = X(5) width=uniform:{width}\nloop f = C(2).once\n", encoding="utf-8")
+            assert run_cli(capsys, ["run", str(script)]) == (
+                1,
+                "",
+                f"error: the loop around C2 needs w(2) < 1, which width profile uniform:{width} does not give\n",
+            )
 
     def test_concat_letter_budget(self, capsys, tmp_path):
         script = tmp_path / "doubling.pi1"

@@ -257,7 +257,8 @@ class TestCircleIndexLimit:
 
     def test_points_candidate_circle_found_once(self, monkeypatch):
         """The parser looks up each breakpoint's candidate circle once, for
-        the index cap, and the circles a points loop touches are those."""
+        the index cap, and the top circle of a points loop is the largest
+        of those."""
         calls = []
 
         def counted(q, _orig=dsl.candidate_circle):
@@ -269,7 +270,8 @@ class TestCircleIndexLimit:
             "space S = Y(5)\nloop q = points [(0,0,0), (1/5,1/3,1), (2/5,0,1), (3/5,1/7,1), (4/5,1/3,1), (1,0,0)]\n"
         )
         assert len(calls) == 3
-        assert script.statements[1].expr.circles == {3, 7}
+        assert script.statements[1].expr.top == 7
+        assert dsl.parse("space S = Y(5)\nloop q = points [(0,0,0), (1/2,0,1), (1,0,0)]\n").statements[1].expr.top == 0
 
     def test_probe_bounds(self):
         dsl.parse(f"space S = Y(5) width=cube\nprobe hausdorff up_to={self.LIMIT}\n")
@@ -354,14 +356,16 @@ WORK_CASES = {
         "probe nondiscreteness",
         100 + sum(90 + 15 * p10(n) for n in range(2, 31)),
     ),
-    # the radius prices the pair (20, 30) on C_30; a trial prices each of
-    # the 3 letters, with the 11 bits of the magnitude 1/1000, and the weight
+    # the radius and each trial price the 3 letters and the weight; a trial
+    # reads the 11 bits of the magnitude 1/1000 too
     "discreteness": (
         "space T = X(20)\nloop a = word g20 g30^2\n",
         410,
         "probe discreteness loop=a trials=7 magnitude=1/1000",
         "probe discreteness",
-        100 + (2500 + 450 * p10(30)) + 7 * (130 + 3 * (15 + 11 // 4) + 10 * (p10(20) + 2 * p10(30))),
+        100
+        + (3 * 30 + 15 * (p10(20) + 2 * p10(30)))
+        + 7 * (130 + 3 * (15 + 11 // 4) + 10 * (p10(20) + 2 * p10(30))),
     ),
     # radius 1/4 has 1 + 3 bits
     "slsc": ("space T = Y(5)\n", 100, "probe slsc radius=1/4 samples=9 seed=3", "probe slsc", 100 + 9 * (100 + 4)),
@@ -411,7 +415,8 @@ class TestInputBudgets:
         loop: the most trials the limit allows shrink as the loop grows,
         letters reached through a concat count, and negative trials cost
         nothing. g2 and g3 have a circle price of 0, and magnitude 1/1000
-        has 11 bits, so a trial costs 130 + 17 per letter."""
+        has 11 bits, so a trial costs 130 + 17 per letter, on top of the
+        radius at 30 per letter."""
         head = (
             "space T = X(20)\nloop a = word g2^1000\nloop b = word g3^10\n"
             "loop q = points [(0,0,0), (1/3,0,1), (2/3,0,1/2), (1,0,0)]\nloop k = concat(a, q)\n"
@@ -421,12 +426,12 @@ class TestInputBudgets:
         most = {}
         for name, letters in (("a", 1000), ("b", 10), ("k", 1003)):
             trial = 130 + 17 * letters
-            trials = (self.LIMIT - spent - 100) // trial
+            trials = (self.LIMIT - spent - 100 - 30 * letters) // trial
             most[name] = trials
             dsl.parse(head + f"probe discreteness loop={name} trials={trials} magnitude=1/1000\n")
             with pytest.raises(dsl.DslError) as err:
                 dsl.parse(head + f"probe discreteness trials={trials + 1} loop={name} magnitude=1/1000\n")
-            cost = 100 + (trials + 1) * trial
+            cost = 100 + 30 * letters + (trials + 1) * trial
             assert (err.value.line, err.value.col) == (6, 1)
             assert err.value.message == (
                 f"probe discreteness costs {cost} units of work, which brings the script to "
@@ -435,28 +440,38 @@ class TestInputBudgets:
         assert most["b"] > 50 * most["a"] >= 50 * most["k"]
 
     def test_radius_work_budget(self):
-        """The stability radius costs, for each pair of circles a loop can
-        touch, a price on the larger of the two: a loop through C(2) ...
-        C(21) parses with no trials, a loop on one circle pays nothing for
-        its radius, and the pair C(999), C(1000) is refused alike whether
-        bound as a word, a concat or points."""
+        """The stability radius costs 30 per letter of the loop plus 15
+        times its weight, one point-to-edge distance per adjacent pair of
+        touched circles at most, whichever way the loop is bound. The pair
+        C(999), C(1000), which a price per pair of touched circles refused,
+        parses as a word, a concat or points; a probe of no trials pays for
+        its radius only."""
         through = " ".join(f"g{n}" for n in range(2, 22))
         head = (
             f"space T = X(20)\nloop a = word {through}\nloop b = word g1000^3 g999^-2\n"
             "loop c = C(999).once\nloop d = C(1000).inv\nloop k = concat(c, d)\n"
             "loop q = points [(0,0,0), (1/4,1/999,1), (1/2,0,0), (3/4,1/1000,1), (1,0,0)]\n"
         )
-        dsl.parse(head + "probe discreteness loop=a trials=0 magnitude=1/1000\n")
-        dsl.parse(head + "probe discreteness loop=d trials=0 magnitude=1/1000\n")
-        radius = sum(i * (2500 + 450 * p10(n)) for i, n in enumerate(range(2, 22)))
-        assert 0 < radius < self.LIMIT
-        for name in ("b", "k", "q"):
+        spent = 100 + sum(100 + 70 * letters for letters in (20, 5, 1, 1, 2, 4))
+        top, below = p10(1000), p10(999)
+        radius = {
+            "a": 30 * 20 + 15 * sum(p10(n) for n in range(2, 22)),
+            "b": 30 * 5 + 15 * (3 * top + 2 * below),
+            "k": 30 * 2 + 15 * (below + top),
+            "q": 30 * 4 + 15 * 4 * top,
+        }
+        assert radius["k"] < 2500 + 450 * top
+        for name, cost in radius.items():
+            probe = f"probe discreteness loop={name} trials=0 magnitude=1/1000\n"
+            room = self.LIMIT - spent - 100 - cost
+            assert dsl.parse(filler(room) + head + probe).statements[-1].kind == "discreteness"
             with pytest.raises(dsl.DslError) as err:
-                dsl.parse(head + f"probe discreteness loop={name} trials=0 magnitude=1/1000\n")
-            assert (err.value.line, err.value.col) == (8, 1)
-            cost = 100 + 2500 + 450 * p10(1000)
-            assert err.value.message.startswith(f"probe discreteness costs {cost} units of work")
-            assert err.value.message.endswith(f"exceeds the limit of {self.LIMIT}")
+                dsl.parse(filler(room + 1) + head + probe)
+            assert (err.value.line, err.value.col) == (11, 1)
+            assert err.value.message == (
+                f"probe discreteness costs {100 + cost} units of work, which brings the script to "
+                f"{self.LIMIT + 1} and exceeds the limit of {self.LIMIT}"
+            )
 
     def test_loop_literals_spend_one_fresh_total(self):
         """The literals of ``pi1lab word`` and ``pi1lab dist`` are priced as
@@ -629,7 +644,7 @@ class TestPointsRoute:
     @example([["0", "0", "0"], ["2/4", "0", "1/2"], ["1/2", "0", "0"], ["1", "0", "0"]])
     def test_matches_the_fraction_route(self, parts):
         """A points literal parsed to int pairs and pathed from them has
-        the triples, weight, circles and loop of the Fraction route
+        the triples, weight, top circle and loop of the Fraction route
         (oracles.points_literal, then loop_from_breakpoints); where that
         route raises, the same exception type and text."""
         text = "points [" + ", ".join(f"({t}, {x}, {y})" for t, x, y in parts) + "]"
@@ -643,7 +658,7 @@ class TestPointsRoute:
         got_triples = tuple(
             (Fraction(*t), Fraction(xn, xd), Fraction(yn, yd)) for t, (xn, xd, yn, yd) in zip(got._ts, got._quads)
         )
-        assert (got_triples, got.weight, got.circles) == (triples, weight, circles)
+        assert (got_triples, got.weight, got.top) == (triples, weight, max(circles, default=0))
         want_loop = _outcome(lambda: loop_from_breakpoints(triples, self.SPACE))
         assert loop == want_loop
         if not isinstance(want_loop, tuple):

@@ -70,10 +70,6 @@ class TestContracts:
         r2 = k.seg_intersect(c, d, a, b)
         assert r1[0] == r2[0] == k.SEG_POINT and r1[1] == r2[1]
 
-    def test_seg_seg_dist_sq(self):
-        assert k.seg_seg_dist_sq(q(0, 0), q(1, 0), q(0, 1), q(1, 1)) == (1, 1)
-        assert k.seg_seg_dist_sq(q(0, 0), q(1, 1), q(1, 0), q(0, 1)) == (0, 1)
-
 
 # -- the flat kernels against the helper-based ones ----------------------------
 
@@ -141,7 +137,6 @@ def assert_flat_matches_oracle(pts, tn, td):
         ("point_seg_dist_sq", (d, a, b)),
         ("_cross_of_diffs", (a, b, c, d)),
         ("seg_intersect", (a, b, c, d)),
-        ("seg_seg_dist_sq", (a, b, c, d)),
     ):
         got = outcome(getattr(k, name), *args)
         want = outcome(getattr(oracles, name), *args)

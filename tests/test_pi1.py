@@ -49,6 +49,7 @@ from pi1lab.spaces import (
     CUBE,
     SpaceHandle,
     SpaceKind,
+    WidthProfile,
     bouquet_x,
     compact_y,
     component_name,
@@ -329,13 +330,40 @@ class TestDiscretenessProbe:
     def test_radius_values(self, x):
         assert stability_radius(constant_loop(x)) == F(1, 32)
         assert stability_radius(standard_fn(2, x)) == F(1, 32)
+        # dist(M_2, edge 2 of C_3) is a hair below sqrt(1/160), the distance
+        # from (1/4, 1/2) to the line y = 3x; its floor to 2**-40, over 8
         rho23 = stability_radius(realize_word(parse_word("g2 g3"), x))
-        assert 0 < rho23 <= F(1, 72)
+        assert rho23 == F(10865503305, 2**40) < F(1, 72)
 
     def test_deterministic_given_seed(self, x):
         a = probe_discreteness_x(standard_fn(3, x), 20, F(1, 1000), seed=13).render()
         b = probe_discreteness_x(standard_fn(3, x), 20, F(1, 1000), seed=13).render()
         assert a == b
+
+
+# Certified width profiles for the radius oracle: the tight one passes the
+# cone certificate w(n) * (n**3 - n**2 + n) < 1 by 1, and the last gives C_2
+# a width of 9/10, which no certificate checks.
+RADIUS_PROFILES = {
+    "pow10": (bouquet_x(), 30),
+    "cube": (bouquet_x(profile=CUBE), 60),
+    "tight": (bouquet_x(profile=WidthProfile("tight", lambda n: F(1, n**3 - n**2 + n + 1))), 60),
+    "wide-c2": (bouquet_x(profile=WidthProfile("wide-c2", lambda n: F(9, 10) if n == 2 else F(1, 10 * n**3))), 60),
+}
+
+
+class TestRadiusOracle:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_all_pairs(self, data):
+        """One distance per adjacent pair of touched circles gives the
+        radius of every pair and all nine pairs of distal edge halves
+        (oracles.stability_radius), on random touched sets of 1 to 8
+        circles in any order."""
+        space, top = RADIUS_PROFILES[data.draw(st.sampled_from(sorted(RADIUS_PROFILES)))]
+        ns = data.draw(st.lists(st.integers(2, top), min_size=1, max_size=8, unique=True))
+        lp = realize_word(parse_word(" ".join(f"g{n}" for n in ns)), space)
+        assert stability_radius(lp) == oracles.stability_radius(lp)
 
 
 class TestSlscProbe:

@@ -42,7 +42,7 @@ RECORDS = [
     (lambda: dsl.CircleExpr(3, True), fields(index=3, inverse=True)),
     (lambda: dsl.ConcatExpr(("a", "b")), fields(args=("a", "b"))),
     (lambda: dsl.WordExpr(Word(((2, 1),))), fields(word=Word(((2, 1),)))),
-    (lambda: dsl.PointsExpr(_TS, _QUADS, frozenset({2})), fields(_ts=_TS, _quads=_QUADS)),
+    (lambda: dsl.PointsExpr(_TS, _QUADS, 0), fields(_ts=_TS, _quads=_QUADS)),
     (
         lambda: dsl.LoopBinding("a", dsl.CircleExpr(2, False)),
         fields(name="a", expr=dsl.CircleExpr(2, False)),
@@ -119,11 +119,11 @@ def test_field_values_are_compared():
     assert Segment(point(0, 0), point(1, 2)) != Segment(point(1, 2), point(0, 0))
 
 
-def test_points_expr_equality_ignores_circles():
-    a = dsl.PointsExpr(_TS, _QUADS, frozenset({2}))
-    b = dsl.PointsExpr(_TS, _QUADS, frozenset({3, 4}))
+def test_points_expr_equality_ignores_top():
+    a = dsl.PointsExpr(_TS, _QUADS, 0)
+    b = dsl.PointsExpr(_TS, _QUADS, 3)
     assert a == b and hash(a) == hash(b)
-    assert a != dsl.PointsExpr(_TS, ((0, 1, 0, 1), (1, 2, 0, 1)), frozenset({2}))
+    assert a != dsl.PointsExpr(_TS, ((0, 1, 0, 1), (1, 2, 0, 1)), 0)
     assert repr(a) == f"PointsExpr(_ts={_TS!r}, _quads={_QUADS!r})"
 
 
