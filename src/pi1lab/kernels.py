@@ -30,6 +30,13 @@ those as the reference. ``on_segment`` tests its bounding box by the signs
 of q - a and q - b, and the y range only for a vertical (or degenerate)
 segment: off one, a point on the line with its x in range lies between a
 and b.
+
+``seg_intersect`` is the straddle test (Cormen et al., *Introduction to
+Algorithms*, section 33.1). It returns ``(SEG_NONE,)`` after two
+orientations when c and d lie strictly on one side of the line ab, before
+the other two orientations and the four ``on_segment`` touch tests: then
+[c, d] misses that line, which holds a and b, so no branch of the full
+test can find a common point (its docstring goes branch by branch).
 """
 from math import gcd
 
@@ -173,9 +180,21 @@ def seg_intersect(a, b, c, d):
 
     Returns ``(SEG_NONE,)``, ``(SEG_POINT, p)`` or ``(SEG_OVERLAP, p, q)``
     with exact rational points; overlap endpoints are ordered along [a, b].
+
+    When c and d lie strictly on one side of the line ab (o1 * o2 > 0) it
+    returns ``(SEG_NONE,)`` after two orientations, which is what the full
+    test returns: its collinear branch needs o1 == o2 == 0 and its
+    crossing branch o1 * o2 < 0; [c, d] misses the line ab, so neither c
+    nor d is on [a, b] and neither a nor b, both on that line, is on
+    [c, d], and every touch test fails. o1 != 0 also means a != b, and the
+    touch tests divide by nothing, so no ``ZeroDivisionError`` is skipped.
+    The symmetric return on o3 * o4 > 0 is not taken: for a degenerate
+    [a, b] it would answer ``(SEG_NONE,)`` where the full test raises.
     """
     o1 = orient(a, b, c)
     o2 = orient(a, b, d)
+    if o1 * o2 > 0:
+        return (SEG_NONE,)
     o3 = orient(c, d, a)
     o4 = orient(c, d, b)
     if o1 == 0 and o2 == 0:

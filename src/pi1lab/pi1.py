@@ -280,7 +280,16 @@ def probe_nondiscreteness_y(
 
 
 def stability_radius(loop: Loop) -> Fraction:
-    """Conservative exact radius below which X-perturbations cannot change words.
+    """Conservative exact radius below which the perturbations of
+    ``_perturb_once`` cannot change words.
+
+    That family slides breakpoints along their carrying edge with every
+    vertex at which the loop turns from one edge onto another fixed, and
+    adds degree-0 bounces at p. rho is not a radius for every X-loop: a
+    loop that skips the short edge B_n D_n of a sliver can spell another
+    word far inside it. Under pow10, one that goes up edge 0 of C_2 to B_2
+    and straight back down lies about 2.2e-20 in sup distance from
+    ``C(2).once``, against rho = 1/32, and spells 1.
 
     rho = (1/8) * min(1/N^2, clearance) where N is the largest circle index
     the loop touches and the clearance is a dyadic lower bound on the least

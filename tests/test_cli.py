@@ -270,6 +270,34 @@ class TestRun:
         assert code == 0, err
         assert out.strip() == "word: g12"
 
+    def test_stability_radius_covers_its_family_only(self, capsys, tmp_path):
+        # g goes up edge 0 of C_2 to B_2 and straight back down, skipping the
+        # sliver's short edge B_2 D_2: it is far inside rho of f = C(2).once
+        # and spells another word. The stability radius is stated for slides
+        # along the carrying edge with every turning vertex fixed, and
+        # degree-0 bounces at p, and the probe on f still passes.
+        script = tmp_path / "corner.pi1"
+        script.write_text(
+            "space T = X(20) width=pow10\n"
+            "loop f = C(2).once\n"
+            "loop g = points [(0, 0, 0), (1/2, 1/2, 1), "
+            "(100000000000000000001/200000000000000000000, 1/2, 1), (1, 0, 0)]\n"
+            "classify f\nclassify g\ndist f g\n"
+            "probe discreteness loop=f trials=100 magnitude=1/1000 seed=7\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, ["run", str(script)])
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith("word: ")] == ["word: g2", "word: 1"]
+        params = dict(line[len("param: "):].split(" = ") for line in lines if line.startswith("param: "))
+        dist_sq = Fraction(next(line for line in lines if line.startswith("dist_sq: ")).split()[1])
+        rho = Fraction(params["stability_radius"])
+        assert dist_sq == Fraction(1, 2 * 10**39)
+        assert rho == Fraction(1, 32) and dist_sq < rho**2
+        assert params["agreeing_trials"] == "100"
+        assert lines[-1] == "verdict: PASS"
+
     def test_sabotage_disjointness_fails_nonzero(self, capsys, tmp_path):
         script = tmp_path / "bad.pi1"
         script.write_text(SABOTAGE_SCRIPT, encoding="utf-8")

@@ -152,6 +152,12 @@ class TestFlatKernelsMatchOracle:
     @example((q(-1, 2), q(1, 2), q(2, 2), q(-2, 2)), -1, 3)
     # a degenerate segment: a point equal to it, and one on its vertical
     @example((q("1/2", 1), q("1/2", 1), q("1/2", 1), q("1/2", -1)), 0, 1)
+    # c and d strictly above the line ab while a and b straddle the line
+    # cd: seg_intersect returns after two orientations, with the oracle's none
+    @example((q(0, 0), q(2, 0), q(1, 1), q(1, 3)), 1, 2)
+    # a degenerate [a, b] strictly on one side of the line cd: both raise
+    # ZeroDivisionError, which a return on o3 * o4 > 0 would skip
+    @example((q(0, 0), q(0, 0), q(0, 1), q(1, 0)), 1, 2)
     def test_small_rationals(self, pts, tn, td):
         assert_flat_matches_oracle(pts, tn, td)
 

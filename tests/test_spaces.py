@@ -362,6 +362,27 @@ class TestDisjointness:
                 wrong.append(n)
         assert wrong == []
 
+    def test_kernel_work_to_20(self, monkeypatch):
+        # seg_intersect looks orient and on_segment up as module globals on
+        # each call, so wrapping them counts its work. Of the 9 edge pairs of
+        # two circles, the 5 that hold a cap edge B_n D_n stop after two
+        # orientations and no touch test.
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(kernels, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("orient", "on_segment"):
+            monkeypatch.setattr(kernels, name, counted(name))
+        assert verify_disjointness(compact_y(), 20).passed
+        assert calls == {"orient": 4446, "on_segment": 1026}
+
     def test_report_records_profile(self):
         rep = verify_disjointness(compact_y(hint=5), 4)
         assert ("width_profile", "pow10") in rep.parameters
