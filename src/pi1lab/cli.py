@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import dsl
-from .geometry import GeometryError, _from_quad, _path, sup_distance
+from .geometry import GeometryError, _path, sup_distance
 from .loops import (
     Loop,
     LoopError,
@@ -105,7 +105,7 @@ class _Runner:
         if isinstance(expr, dsl.WordExpr):
             return realize_word(expr.word, space)
         if isinstance(expr, dsl.PointsExpr):
-            return Loop(_path(expr._ts, tuple(map(_from_quad, expr._quads))), space)
+            return Loop(_path(expr._ts, expr._quads), space)
         raise TypeError(f"not a loop expression: {expr!r}")
 
     def run(self, script: dsl.Script) -> int:

@@ -1,10 +1,12 @@
 """Exact rational planar primitives.
 
 Points, segments and piecewise-linear paths over arbitrary-precision
-rationals, and the sup metric between parametrized paths. Points are kept
-as int quads and path parameters as reduced int pairs. A path is built
-from rationals (``PLPath``, ``pl_path``) or from int pairs (``_path``), and
-the sup metric merges two paths' parameters in one pass. No
+rationals, and the sup metric between parametrized paths. A point is its
+kernel quad ``(xn, xd, yn, yd)``: a path stores its points as bare quads
+and its parameters as reduced int pairs, and a ``Point2`` wraps a quad
+only where one is handed out. A path is built from rationals (``PLPath``,
+``pl_path``) or from int pairs and quads (``_path``), and the sup metric
+merges two paths' parameters in one pass, on quads. No
 floating point participates in any predicate or returned value — distances
 are carried as exact squared rationals, with decimal renderings
 (round-half-even) provided for reports.
@@ -54,38 +56,28 @@ class Point2:
     positive denominator, so two points are equal exactly when their quads
     are, and equality and hashing compare quads. ``Point2(x, y)`` takes
     ints, strings or Fractions. The coordinates ``x`` and ``y`` are
-    Fractions built from the quad the first time they are read and kept;
-    a point made from Fractions keeps those. A point made from a kernel
-    result (``_from_quad``), such as an interpolated breakpoint, builds no
-    Fraction unless one is read.
+    Fractions built from the quad on each read. Inside the package points
+    travel as bare quads; a ``Point2`` is built only where one is handed
+    out, such as a circle's vertices, a segment's ends or a path's
+    ``points`` view.
     """
 
-    __slots__ = ("_q", "_x", "_y")
+    __slots__ = ("_q",)
 
     def __init__(self, x, y):
         if type(x) is not Fraction:
             x = Fraction(x)
         if type(y) is not Fraction:
             y = Fraction(y)
-        self._x = x
-        self._y = y
         self._q = (x.numerator, x.denominator, y.numerator, y.denominator)
 
     @property
     def x(self) -> Fraction:
-        try:
-            return self._x
-        except AttributeError:
-            self._x = x = Fraction(self._q[0], self._q[1])
-            return x
+        return Fraction(self._q[0], self._q[1])
 
     @property
     def y(self) -> Fraction:
-        try:
-            return self._y
-        except AttributeError:
-            self._y = y = Fraction(self._q[2], self._q[3])
-            return y
+        return Fraction(self._q[2], self._q[3])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -107,7 +99,7 @@ class Point2:
         return Fraction(n, d)
 
     def __str__(self) -> str:
-        return f"({self.x}, {self.y})"
+        return _quad_str(self._q)
 
 
 def point(x, y) -> Point2:
@@ -122,6 +114,11 @@ def _from_quad(q) -> Point2:
     pt = object.__new__(Point2)
     pt._q = q
     return pt
+
+
+def _quad_str(q: tuple) -> str:
+    """The text ``(x, y)`` of the point of a reduced kernel quad."""
+    return f"({Fraction(q[0], q[1])}, {Fraction(q[2], q[3])})"
 
 
 class Segment(Record):
@@ -159,10 +156,6 @@ class Segment(Record):
     def contains(self, q: Point2) -> bool:
         return kernels.on_segment(q._q, self.a._q, self.b._q)
 
-    def at(self, t: Fraction) -> Point2:
-        t = Fraction(t)
-        return _from_quad(kernels.lerp(self.a._q, self.b._q, t.numerator, t.denominator))
-
     def __str__(self) -> str:
         return f"[{self.a} -> {self.b}]"
 
@@ -174,50 +167,37 @@ def segment(ax, ay, bx, by) -> Segment:
 class PLPath(Record):
     """A parametrized piecewise-linear path on [0, 1].
 
-    The path is its breakpoint parameters and its points. Each parameter is
-    stored as a reduced int pair ``(n, d)`` with d > 0; the pairs strictly
-    increase from 0 to 1. Between breakpoints the path is the exact linear
-    interpolation, and consecutive equal points denote a constant stretch.
-    Equality and hashing compare the pairs and the points.
+    The path is its breakpoint parameters and its points, both as ints:
+    each parameter is a reduced pair ``(n, d)`` with d > 0, the pairs
+    strictly increasing from 0 to 1, and each point is its kernel quad.
+    Between breakpoints the path is the exact linear interpolation, and
+    consecutive equal points denote a constant stretch. Equality and
+    hashing compare the pairs and the quads.
 
     ``PLPath(breakpoints)`` takes (t, point) pairs with t an int, string or
-    Fraction. Builders that compute their parameters as int pairs call
-    ``_path(ts, pts)`` and build no Fraction. Both run the same checks; the
-    order is checked by cross-multiplying the pairs. ``params`` and
-    ``breakpoints`` are Fractions built the first time they are read and
-    kept; a path made from Fractions keeps those.
+    Fraction and the point a ``Point2``. Builders that compute their
+    parameters and points as ints call ``_path(ts, qs)`` and build no
+    Fraction and no ``Point2``. Both run the same checks; the order is
+    checked by cross-multiplying the pairs. ``points`` and ``breakpoints``
+    are views, built anew on each read.
     """
 
-    __slots__ = ("_ts", "_pts", "_params", "_bks")
-    _fields = ("_ts", "_pts")
+    __slots__ = _fields = ("_ts", "_qs")
 
     def __init__(self, breakpoints):
         bks = tuple(breakpoints)
-        params = tuple(t if type(t) is Fraction else Fraction(t) for t, _ in bks)
-        _fill(self, tuple((t.numerator, t.denominator) for t in params), tuple(p for _, p in bks))
-        self._params = params
-
-    @property
-    def params(self) -> tuple:
-        """The breakpoint parameters as Fractions."""
-        try:
-            return self._params
-        except AttributeError:
-            self._params = ps = tuple(Fraction(n, d) for n, d in self._ts)
-            return ps
-
-    @property
-    def breakpoints(self) -> tuple:
-        """The (t, point) pairs, t a Fraction."""
-        try:
-            return self._bks
-        except AttributeError:
-            self._bks = bks = tuple(zip(self.params, self._pts))
-            return bks
+        params = (t if type(t) is Fraction else Fraction(t) for t, _ in bks)
+        _fill(self, tuple((t.numerator, t.denominator) for t in params), tuple(p._q for _, p in bks))
 
     @property
     def points(self) -> tuple:
-        return self._pts
+        """The breakpoints' points, as Point2."""
+        return tuple(map(_from_quad, self._qs))
+
+    @property
+    def breakpoints(self) -> tuple:
+        """The (t, point) pairs, t a Fraction and the point a Point2."""
+        return tuple((Fraction(n, d), _from_quad(q)) for (n, d), q in zip(self._ts, self._qs))
 
     def __repr__(self) -> str:
         return f"PLPath(breakpoints={self.breakpoints!r})"
@@ -227,25 +207,21 @@ class PLPath(Record):
         t = Fraction(t)
         if t < 0 or t > 1:
             raise ParameterRangeError(f"parameter {t} outside [0, 1]")
-        i = bisect_right(self.params, t) - 1
-        ts, pts = self._ts, self._pts
-        tq = (t.numerator, t.denominator)
+        tn, td = tq = (t.numerator, t.denominator)
+        ts, qs = self._ts, self._qs
+        # the last breakpoint at or before t
+        i = bisect_right(ts, 0, key=lambda p: p[0] * td - tn * p[1]) - 1
         if i == len(ts) - 1 or ts[i] == tq:
-            return pts[i]
-        return _from_quad(_quad_between(ts[i], pts[i], ts[i + 1], pts[i + 1], tq))
-
-    def pieces(self):
-        """Consecutive breakpoint pairs ((t0, p0), (t1, p1))."""
-        bks = self.breakpoints
-        return tuple(zip(bks, bks[1:]))
+            return _from_quad(qs[i])
+        return _from_quad(_quad_between(ts[i], qs[i], ts[i + 1], qs[i + 1], tq))
 
     def reversed(self) -> "PLPath":
         """The path run backwards: t = n/d goes to (d - n)/d, still reduced."""
-        return _path(tuple((d - n, d) for n, d in reversed(self._ts)), self._pts[::-1])
+        return _path(tuple((d - n, d) for n, d in reversed(self._ts)), self._qs[::-1])
 
 
-def _fill(path: PLPath, ts: tuple, pts: tuple) -> None:
-    """Check reduced parameter pairs and store them with their points: the
+def _fill(path: PLPath, ts: tuple, qs: tuple) -> None:
+    """Check reduced parameter pairs and store them with their quads: the
     one construction path of PLPath."""
     if len(ts) < 2:
         raise PathInvariantError("a path needs at least two breakpoints")
@@ -259,13 +235,13 @@ def _fill(path: PLPath, ts: tuple, pts: tuple) -> None:
             )
         n0, d0 = n, d
     path._ts = ts
-    path._pts = pts
+    path._qs = qs
 
 
-def _path(ts: tuple, pts: tuple) -> PLPath:
-    """The path on reduced parameter pairs ``ts`` (d > 0) and points ``pts``."""
+def _path(ts: tuple, qs: tuple) -> PLPath:
+    """The path on reduced parameter pairs ``ts`` (d > 0) and kernel quads ``qs``."""
     path = object.__new__(PLPath)
-    _fill(path, ts, pts)
+    _fill(path, ts, qs)
     return path
 
 
@@ -307,7 +283,7 @@ def _sup_distance_sq(f: PLPath, g: PLPath) -> tuple:
     the other's current piece as a kernel quad, and the running maximum is
     a reduced int pair.
     """
-    fts, fps, gts, gps = f._ts, f._pts, g._ts, g._pts
+    fts, fqs, gts, gqs = f._ts, f._qs, g._ts, g._qs
     best_n, best_d = 0, 1
     arg = (0, 1)
     i = j = 0
@@ -315,14 +291,14 @@ def _sup_distance_sq(f: PLPath, g: PLPath) -> tuple:
         tf, tg = fts[i], gts[j]
         c = tf[0] * tg[1] - tg[0] * tf[1]
         if c == 0:
-            t, pq, qq = tf, fps[i]._q, gps[j]._q
+            t, pq, qq = tf, fqs[i], gqs[j]
             i += 1
             j += 1
         elif c < 0:
-            t, pq, qq = tf, fps[i]._q, _quad_between(gts[j - 1], gps[j - 1], tg, gps[j], tf)
+            t, pq, qq = tf, fqs[i], _quad_between(gts[j - 1], gqs[j - 1], tg, gqs[j], tf)
             i += 1
         else:
-            t, pq, qq = tg, _quad_between(fts[i - 1], fps[i - 1], tf, fps[i], tg), gps[j]._q
+            t, pq, qq = tg, _quad_between(fts[i - 1], fqs[i - 1], tf, fqs[i], tg), gqs[j]
             j += 1
         if pq == qq:  # distance 0 never raises the maximum
             continue
@@ -332,16 +308,16 @@ def _sup_distance_sq(f: PLPath, g: PLPath) -> tuple:
     return best_n, best_d, arg
 
 
-def _quad_between(t0: tuple, p0: Point2, t1: tuple, p1: Point2, t: tuple) -> tuple:
-    """The kernel quad at t of the piece from (t0, p0) to (t1, p1), t0 < t < t1,
-    all three parameters int pairs."""
-    if p0 == p1:
-        return p0._q
+def _quad_between(t0: tuple, q0: tuple, t1: tuple, q1: tuple, t: tuple) -> tuple:
+    """The kernel quad at t of the piece from (t0, q0) to (t1, q1), t0 < t < t1,
+    all three parameters int pairs and both points kernel quads."""
+    if q0 == q1:
+        return q0
     # u = (t - t0) / (t1 - t0) as an unreduced pair with a positive denominator
     n, d = t
     n0, d0 = t0
     n1, d1 = t1
-    return kernels.lerp(p0._q, p1._q, (n * d0 - n0 * d) * d1, d * (n1 * d0 - n0 * d1))
+    return kernels.lerp(q0, q1, (n * d0 - n0 * d) * d1, d * (n1 * d0 - n0 * d1))
 
 
 SegIntersection = Union[None, Point2, Segment]

@@ -30,13 +30,14 @@ once and kept in its ``_spans`` slot, and the readers in ``pi1`` read
 them; no excursion record is built. The inclusion X -> Y carries them
 with the chart.
 
-Paths keep their parameters as reduced int pairs, and the builders here
-emit pairs, with no Fraction: concatenation maps n/d to n/(2^s d) or
-(n + d)/(2^s d) and reduces by the power of two that the numerator and
-2^s share; reversal maps n/d to (d - n)/d; ``realize_word`` places it at
-(k*d + n)/(total*d), reduced by gcd(k*d + n, total). Fractions are built
-only for text, such as a Violation or an excursion error, and when
-``breakpoints`` or ``params`` is read.
+Paths keep their parameters as reduced int pairs and their points as
+kernel quads, and the builders here emit both, with no Fraction and no
+``Point2``: concatenation maps n/d to n/(2^s d) or (n + d)/(2^s d) and
+reduces by the power of two that the numerator and 2^s share; reversal
+maps n/d to (d - n)/d; ``realize_word`` places it at (k*d + n)/(total*d),
+reduced by gcd(k*d + n, total). Locating, scanning and every builder
+compare and copy quads. Fractions are built only for text, such as a
+Violation or an excursion error.
 
 A ``Loop`` is a plain record with ``__slots__``: its fields are set once
 in the constructor, the spans are assigned to their own slot in place, and
@@ -54,7 +55,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence, Tuple
 
-from .geometry import ORIGIN, PLPath, _path, pl_path
+from .geometry import ORIGIN, PLPath, _path, _quad_str, pl_path
 from .records import Record
 from .spaces import (
     ALPHA,
@@ -132,44 +133,48 @@ def _first_violation(loop: Loop):
     however often the path passes it; a moving piece lies on the edges
     through both of its endpoints, and on the least of them. Points are
     compared and remembered by their quads.
+
+    A constant piece locates nothing. The path starts at p, so each other
+    point it passes is first reached by a moving piece, whose end check
+    has located it, or returned the violation that it is outside the
+    space, before any constant piece stays at it.
     """
-    ts, pts = loop.path._ts, loop.path.points
+    ts, qs = loop.path._ts, loop.path._qs
     base = ORIGIN._q
 
     def t(k: int) -> Fraction:
         return Fraction(*ts[k])
 
-    if pts[0]._q != base:
-        return Violation(0, t(0), t(0), f"loop starts at {pts[0]}, not at p")
-    if pts[-1]._q != base:
-        return Violation(len(pts) - 2, t(-1), t(-1), f"loop ends at {pts[-1]}, not at p")
+    if qs[0] != base:
+        return Violation(0, t(0), t(0), f"loop starts at {_quad_str(qs[0])}, not at p")
+    if qs[-1] != base:
+        return Violation(len(qs) - 2, t(-1), t(-1), f"loop ends at {_quad_str(qs[-1])}, not at p")
     located: dict = {}  # quad -> the edges through that point
 
-    def edges_at(k: int) -> Tuple[EdgeRef, ...]:
-        refs = located.get(pts[k]._q)
+    def edges_at(q: tuple) -> Tuple[EdgeRef, ...]:
+        refs = located.get(q)
         if refs is None:
-            refs = located[pts[k]._q] = loop.space.edges_containing(pts[k])
+            refs = located[q] = loop.space.edges_containing(q)
         return refs
 
     edges = []
-    for i, (p0, p1) in enumerate(zip(pts, pts[1:])):
-        q0, q1 = p0._q, p1._q
+    for i, (q0, q1) in enumerate(zip(qs, qs[1:])):
         if q0 == q1:
-            if q0 != base and not edges_at(i):
-                return Violation(i, t(i), t(i + 1), f"stationary point {p0} is outside the space")
             edges.append(None)
             continue
-        for k, q in ((i, p0), (i + 1, p1)):
-            if q._q != base and not edges_at(k):
-                return Violation(i, t(i), t(i + 1), f"breakpoint {q} is outside the space")
+        for q in (q0, q1):
+            if q != base and not edges_at(q):
+                return Violation(i, t(i), t(i + 1), f"breakpoint {_quad_str(q)} is outside the space")
         if q1 == base:
-            hits = [ref for ref in edges_at(i) if ref[1] != 1]
+            hits = [ref for ref in edges_at(q0) if ref[1] != 1]
         elif q0 == base:
-            hits = [ref for ref in edges_at(i + 1) if ref[1] != 1]
+            hits = [ref for ref in edges_at(q1) if ref[1] != 1]
         else:
-            hits = [ref for ref in edges_at(i) if ref in edges_at(i + 1)]
+            hits = [ref for ref in edges_at(q0) if ref in edges_at(q1)]
         if not hits:
-            return Violation(i, t(i), t(i + 1), f"piece {p0} -> {p1} is not contained in a single edge")
+            return Violation(
+                i, t(i), t(i + 1), f"piece {_quad_str(q0)} -> {_quad_str(q1)} is not contained in a single edge"
+            )
         edges.append(min(hits))
     return tuple(edges)
 
@@ -201,7 +206,7 @@ def _spans(loop: Loop) -> Tuple[tuple, ...]:
     spans = loop._spans
     if spans is None:
         path = loop.path
-        spans = loop._spans = _scan(path._ts, path.points, loop._chart, loop.space)
+        spans = loop._spans = _scan(path._ts, path._qs, loop._chart, loop.space)
     return spans
 
 
@@ -218,9 +223,9 @@ _STEP = (
 )
 
 
-def _scan(ts, pts, chart, space) -> Tuple[tuple, ...]:
+def _scan(ts, qs, chart, space) -> Tuple[tuple, ...]:
     """The span ``(component, first, last, degree)`` of each maximal
-    excursion of the charted breakpoints ``pts``, in order.
+    excursion of the charted breakpoint quads ``qs``, in order.
 
     ``first`` and ``last`` index the breakpoints at p that bound the
     excursion; its component is the one first entry of its edges. Its
@@ -238,7 +243,7 @@ def _scan(ts, pts, chart, space) -> Tuple[tuple, ...]:
     ``InvalidLoopError``.
     """
     base = ORIGIN._q
-    at_p = [i for i, q in enumerate(pts) if q._q == base]
+    at_p = [i for i, q in enumerate(qs) if q == base]
     out = []
     for first, last in zip(at_p, at_p[1:]):
         if last == first + 1:
@@ -265,7 +270,7 @@ def _scan(ts, pts, chart, space) -> Tuple[tuple, ...]:
                 j = ref[1]
                 if run is not None:
                     v = _SHARED[run][j]
-                    if pts[k]._q != vertex[v]:
+                    if qs[k] != vertex[v]:
                         raise InvalidLoopError("discontinuous chart sequence in excursion")
                     step = _STEP[run][at][v]
                     if step is None:
@@ -287,7 +292,7 @@ def loop_from_breakpoints(raw: Sequence, space: SpaceHandle) -> Loop:
 
 
 def constant_loop(space: SpaceHandle) -> Loop:
-    return _charted(_path(((0, 1), (1, 1)), (ORIGIN, ORIGIN)), space, (None,))
+    return _charted(_path(((0, 1), (1, 1)), (ORIGIN._q, ORIGIN._q)), space, (None,))
 
 
 def standard_f(space: Optional[SpaceHandle] = None) -> Loop:
@@ -297,10 +302,8 @@ def standard_f(space: Optional[SpaceHandle] = None) -> Loop:
     space = space if space is not None else default_y()
     if not space.has_alpha:
         raise SpaceError("the alpha loop lives in the compact space Y")
-    top = space.alpha_segment.b
-    return _charted(
-        _path(((0, 1), (1, 2), (1, 1)), (ORIGIN, top, ORIGIN)), space, (ALPHA_EDGE, ALPHA_EDGE)
-    )
+    base, top = ORIGIN._q, space.alpha_segment.b._q
+    return _charted(_path(((0, 1), (1, 2), (1, 1)), (base, top, base)), space, (ALPHA_EDGE, ALPHA_EDGE))
 
 
 def standard_fn(n: int, space: Optional[SpaceHandle] = None) -> Loop:
@@ -321,7 +324,7 @@ def standard_fn(n: int, space: Optional[SpaceHandle] = None) -> Loop:
     """
     space = space if space is not None else default_x()
     circ = space.circle(n)
-    _, _, yn, yd = circ.tail.quad()
+    _, _, yn, yd = tail = circ.tail._q
     if yn <= 0:
         raise SpaceError(
             f"the loop around C{n} needs w({n}) < 1, which width profile {cut(space.profile.name)} does not give"
@@ -330,7 +333,7 @@ def standard_fn(n: int, space: Optional[SpaceHandle] = None) -> Loop:
     if not yn & 1:
         tn, td = tn >> 1, yd
     return _charted(
-        _path(((0, 1), (1, 2), (tn, td), (1, 1)), (ORIGIN, circ.apex, circ.tail, ORIGIN)),
+        _path(((0, 1), (1, 2), (tn, td), (1, 1)), (ORIGIN._q, circ.apex._q, tail, ORIGIN._q)),
         space,
         ((n, 0), (n, 1), (n, 2)),
     )
@@ -355,7 +358,7 @@ def concatenate_all(loops: Sequence[Loop]) -> Loop:
         raise LoopError("need at least one loop")
     space = loops[0].space
     m = len(loops)
-    ts, pts, chart = [], [], []
+    ts, qs, chart = [], [], []
     for k, lp in enumerate(loops):
         if lp.space != space:
             raise SpaceMismatchError("cannot concatenate loops from different spaces")
@@ -369,9 +372,9 @@ def concatenate_all(loops: Sequence[Loop]) -> Loop:
                 n >>= 1
                 r -= 1
             ts.append((n, d << r))
-        pts += lp.path.points[lead:]
+        qs += lp.path._qs[lead:]
         chart += lp._chart
-    return _charted(_path(tuple(ts), tuple(pts)), space, tuple(chart))
+    return _charted(_path(tuple(ts), tuple(qs)), space, tuple(chart))
 
 
 def reverse(a: Loop) -> Loop:
@@ -391,7 +394,7 @@ def realize_word(w: Word, space: Optional[SpaceHandle] = None) -> Loop:
         return constant_loop(space)
     total = len(letters)
     parts = {}  # (n, sign) -> the standard loop of C_n, or its reverse
-    ts, pts, chart = [(0, 1)], [ORIGIN], []
+    ts, qs, chart = [(0, 1)], [ORIGIN._q], []
     for k, (n, sgn) in enumerate(letters):
         part = parts.get((n, sgn))
         if part is None:
@@ -404,8 +407,8 @@ def realize_word(w: Word, space: Optional[SpaceHandle] = None) -> Loop:
             num = k * d + tn
             g = gcd(num, total)
             ts.append((num // g, total // g * d))
-        pts.extend(part.path.points[1:])
-    return _charted(_path(tuple(ts), tuple(pts)), space, tuple(chart))
+        qs.extend(part.path._qs[1:])
+    return _charted(_path(tuple(ts), tuple(qs)), space, tuple(chart))
 
 
 def include_in_y(loop: Loop) -> Loop:

@@ -36,14 +36,7 @@ from typing import Optional, Sequence
 
 from . import kernels
 from .exactnum import dyadic_sqrt_bounds, rational_decimal
-from .geometry import (
-    ORIGIN,
-    Point2,
-    _from_quad,
-    _path,
-    _sup_distance_sq,
-    sup_distance,
-)
+from .geometry import ORIGIN, _path, _sup_distance_sq, sup_distance
 from .loops import (
     Loop,
     _charted,
@@ -126,13 +119,12 @@ def _cutoff(loop: Loop, spans: Sequence[tuple]) -> int:
     degenerate. So a piece contains B_n only if one of its endpoints is B_n.
     """
     worst = 1
-    pts = loop.path.points
+    qs = loop.path._qs
     for n, a, b, d in spans:
         if n <= worst:  # ALPHA is 0, below every circle index
             continue
         if d == 0:
-            apex = loop.space.circle(n).apex._q
-            if all(q._q != apex for q in pts[a + 1 : b]):
+            if loop.space.circle(n).apex._q not in qs[a + 1 : b]:
                 continue
         worst = n
     return max(2, worst + 1)
@@ -152,23 +144,23 @@ def collapse_to_x(loop: Loop) -> Loop:
     spans = _spans(loop)
     cutoff = _cutoff(loop, spans)
     edges = loop._chart
-    ts, pts = loop.path._ts, loop.path.points
-    new_ts, new_pts, new_edges = [], [], []
+    ts, qs = loop.path._ts, loop.path._qs
+    new_ts, new_qs, new_edges = [], [], []
     k = 0  # the first breakpoint of the current kept run
     for n, a, b, _ in spans:
         if n != ALPHA and n < cutoff:
             continue
         # keep breakpoints k..a, then one constant piece at p from a to b
         new_ts += ts[k : a + 1]
-        new_pts += pts[k : a + 1]
+        new_qs += qs[k : a + 1]
         new_edges += edges[k:a]
         new_edges.append(None)
         k = b
     new_ts += ts[k:]
-    new_pts += pts[k:]
+    new_qs += qs[k:]
     new_edges += edges[k:]
     x_space = loop.space.sibling(SpaceKind.BOUQUET_X)
-    return _charted(_path(tuple(new_ts), tuple(new_pts)), x_space, tuple(new_edges))
+    return _charted(_path(tuple(new_ts), tuple(new_qs)), x_space, tuple(new_edges))
 
 
 def classify_y(loop: Loop) -> HomotopyClass:
@@ -346,7 +338,8 @@ _GRID = 64
 
 class _PerturbTable:
     """What every perturbation of one loop at one bound reads, built once
-    per probe; ``draw`` builds one perturbation from it in one walk.
+    per probe; ``draw`` builds one perturbation from it in one walk, on the
+    loop's parameter pairs and kernel quads, and wraps no point.
 
     ``pieces`` has, for each piece on an edge, the edge's quads ``a`` and
     ``b``, the edge parameters of the piece's two ends (one ``foot_param``
@@ -365,7 +358,7 @@ class _PerturbTable:
 
     def __init__(self, loop: Loop, bound: Fraction):
         bn, bd = bound.numerator, bound.denominator
-        space, pts, chart = loop.space, loop.path.points, loop._chart
+        space, qs, chart = loop.space, loop.path._qs, loop._chart
 
         def scaled(ref):
             seg = space.edge_segment(ref)
@@ -379,7 +372,7 @@ class _PerturbTable:
                 continue
             seg, scale, den = scaled(ref)
             a, b = seg.a._q, seg.b._q
-            u0, u1 = kernels.foot_param(pts[i]._q, a, b), kernels.foot_param(pts[i + 1]._q, a, b)
+            u0, u1 = kernels.foot_param(qs[i], a, b), kernels.foot_param(qs[i + 1], a, b)
             pieces.append((a, b, u0, u1, scale, den))
         touched = sorted({ref[0] for ref in chart if ref is not None} - {ALPHA})
         arms = []
@@ -417,19 +410,19 @@ class _PerturbTable:
         """
         grid = _GRID
         loop = self.loop
-        ts0, pts0, chart0 = loop.path._ts, loop.path.points, loop._chart
+        ts0, qs0, chart0 = loop.path._ts, loop.path._qs, loop._chart
         draws = range(rng.randint(1, 3))
         picks = sorted({(rng.randrange(len(ts0) - 1), rng.randint(1, grid - 1)) for _ in draws})
         picks.append((len(ts0), 0))  # a sentinel past the last piece
         slides = self.slides
         base = ORIGIN._q
-        ts, pts, chart, const_p = [ts0[0]], [pts0[0]], [], []
+        ts, qs, chart, const_p = [ts0[0]], [qs0[0]], [], []
         q0 = base
         j = 0
         for i, piece in enumerate(self.pieces):
             ref = chart0[i]
             (n0, d0), (n1, d1) = ts0[i], ts0[i + 1]
-            p0, p1 = pts0[i], pts0[i + 1]
+            p0, p1 = qs0[i], qs0[i + 1]
             end = False
             while not end:
                 if picks[j][0] == i:
@@ -443,18 +436,17 @@ class _PerturbTable:
                         a, b, (un0, ud0), (un1, ud1), scale, den = piece
                         # u0 + (u1 - u0) * k / grid
                         un, ud = un0 * ud1 * grid + (un1 * ud0 - un0 * ud1) * k, ud0 * ud1 * grid
-                        pt = _slide(a, b, un, ud, scale, den, rng)
+                        q1 = _slide(a, b, un, ud, scale, den, rng)
                     else:
-                        pt = p0 if p0 == p1 else _from_quad(kernels.lerp(p0._q, p1._q, k, grid))
+                        q1 = p0 if p0 == p1 else kernels.lerp(p0, p1, k, grid)
                 else:
                     end = True
                     t = ts0[i + 1]
                     if slides[i + 1] and rng.random() >= 0.5:
                         a, b, _, (un, ud), scale, den = piece
-                        pt = _slide(a, b, un, ud, scale, den, rng)
+                        q1 = _slide(a, b, un, ud, scale, den, rng)
                     else:
-                        pt = p1
-                q1 = pt._q
+                        q1 = p1
                 if q1 != q0:
                     chart.append(ref)
                 else:
@@ -462,34 +454,35 @@ class _PerturbTable:
                         const_p.append(len(chart))
                     chart.append(None)
                 ts.append(t)
-                pts.append(pt)
+                qs.append(q1)
                 q0 = q1
         # bounce: replace one constant-at-p piece with a tiny degree-0 excursion
         if const_p and rng.random() < 0.75:
             i = rng.choice(const_p)
             arm0, arm2 = rng.choice(self.arms)
             ref, a, b, scale, den = arm0 if rng.random() < 0.5 else arm2
-            pt = _from_quad(kernels.lerp(a, b, scale * rng.randint(1, grid), den))
+            q = kernels.lerp(a, b, scale * rng.randint(1, grid), den)
             (n0, d0), (n1, d1) = ts[i], ts[i + 1]
             # the midpoint (t0 + t1) / 2
             mn, md = n0 * d1 + n1 * d0, 2 * d0 * d1
             g = gcd(mn, md)
             ts.insert(i + 1, (mn // g, md // g))
-            pts.insert(i + 1, pt)
+            qs.insert(i + 1, q)
             chart[i : i + 1] = (ref, ref)
-        return _charted(_path(tuple(ts), tuple(pts)), loop.space, tuple(chart))
+        return _charted(_path(tuple(ts), tuple(qs)), loop.space, tuple(chart))
 
 
-def _slide(a, b, un, ud, scale, den, rng: random.Random) -> Point2:
-    """The point at edge parameter un/ud + scale * r / den on the edge from
-    quad a to quad b, for a draw r in [-grid, grid], clamped to the edge."""
+def _slide(a, b, un, ud, scale, den, rng: random.Random) -> tuple:
+    """The quad of the point at edge parameter un/ud + scale * r / den on the
+    edge from quad a to quad b, for a draw r in [-grid, grid], clamped to
+    the edge."""
     d = ud * den
     n = un * den + scale * rng.randint(-_GRID, _GRID) * ud
     if n <= 0:
         n, d = 0, 1
     elif n >= d:
         n, d = 1, 1
-    return _from_quad(kernels.lerp(a, b, n, d))
+    return kernels.lerp(a, b, n, d)
 
 
 def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
@@ -620,9 +613,9 @@ def alpha_decorate(loop: Loop, rng: random.Random) -> Loop:
         raise ProbeParameterError("decoration lives in the compact space Y")
     f = standard_f(space)
     far = choose_n(loop) + rng.randint(0, 3)
-    arm = space.circle(far).edges[0]
-    mid = arm.at(Fraction(1, 2))
-    bounce = _charted(_path(((0, 1), (1, 2), (1, 1)), (ORIGIN, mid, ORIGIN)), space, ((far, 0),) * 2)
+    base = ORIGIN._q
+    mid = kernels.lerp(base, space.circle(far).apex._q, 1, 2)
+    bounce = _charted(_path(((0, 1), (1, 2), (1, 1)), (base, mid, base)), space, ((far, 0),) * 2)
     pattern = rng.choice(
         (
             (f, loop, bounce),
@@ -702,11 +695,15 @@ def probe_isomorphism_roundtrip(
 
 
 def loop_in_ball(loop: Loop, radius: Fraction) -> bool:
-    """Exactly decide whether the loop's image lies in the closed ball at p."""
+    """Exactly decide whether the loop's image lies in the closed ball at p.
+
+    A ball of negative radius is empty, and a loop's image is not."""
     r = Fraction(radius)
+    if r < 0:
+        return False
     rn, rd = r.numerator**2, r.denominator**2
-    base = ORIGIN.quad()
-    return all(n * rd <= rn * d for n, d in (kernels.point_dist_sq(q.quad(), base) for q in loop.path.points))
+    base = ORIGIN._q
+    return all(n * rd <= rn * d for n, d in (kernels.point_dist_sq(q, base) for q in loop.path._qs))
 
 
 def _sample_small_loop(
@@ -722,7 +719,8 @@ def _sample_small_loop(
     (alpha, or edge 0 or 2 of a circle).
     """
     grid = 64
-    ts, pts = [(0, 1)], [ORIGIN]
+    base = ORIGIN._q
+    ts, qs = [(0, 1)], [base]
     chart = []
     rn, rd = radius.numerator, radius.denominator
     groups = rng.randint(1, 3)
@@ -730,14 +728,14 @@ def _sample_small_loop(
         kind = rng.choice(["alpha", "arm0", "arm2"])
         if kind == "alpha" and space.has_alpha:
             arm = space.alpha_segment
-            direction = arm.b
+            direction = arm.b._q
             ref = ALPHA_EDGE
         else:
             n = rng.randint(2, 9)
             circ = space.circle(n)
             j = 2 if kind == "arm2" else 0
             arm = circ.edges[j]
-            direction = circ.apex if j == 0 else circ.tail
+            direction = circ.apex._q if j == 0 else circ.tail._q
             ref = (n, j)
         # |direction| is the length of its arm, the edge from p to it
         _, hi = arm.length_bracket
@@ -747,20 +745,20 @@ def _sample_small_loop(
         heights = [rng.randint(1, grid) for _ in range(wiggles)]
         inner = len(heights)
         for k, r in enumerate(heights):
-            q = _from_quad(kernels.lerp(ORIGIN.quad(), direction.quad(), sn * r, sd))
-            if pts[-1] == q:
+            q = kernels.lerp(base, direction, sn * r, sd)
+            if qs[-1] == q:
                 continue
             # (g + (k + 1) / (inner + 1)) / groups
             tn, td = g * (inner + 1) + k + 1, groups * (inner + 1)
             h = gcd(tn, td)
             ts.append((tn // h, td // h))
-            pts.append(q)
+            qs.append(q)
             chart.append(ref)
         h = gcd(g + 1, groups)
         ts.append(((g + 1) // h, groups // h))
-        pts.append(ORIGIN)
+        qs.append(base)
         chart.append(ref)
-    return _charted(_path(tuple(ts), tuple(pts)), space, tuple(chart))
+    return _charted(_path(tuple(ts), tuple(qs)), space, tuple(chart))
 
 
 def probe_slsc_y(

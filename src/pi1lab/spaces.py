@@ -275,20 +275,20 @@ class SpaceHandle(Record):
 
     # -- point queries -------------------------------------------------------
 
-    def _circle_edges_at(self, q: Point2) -> Tuple[EdgeRef, ...]:
-        """Edges through q of the one circle whose cone can hold it: two at
-        B_n or D_n, found by their quads, else the first edge that holds q."""
-        qq = q._q
-        if qq[0] <= 0:
+    def _circle_edges_at(self, q: tuple) -> Tuple[EdgeRef, ...]:
+        """Edges through the point of quad q of the one circle whose cone can
+        hold it: two at B_n or D_n, found by their quads, else the first edge
+        that holds q."""
+        if q[0] <= 0:
             return ()
-        circ = self.circle(candidate_circle(qq))
+        circ = self.circle(candidate_circle(q))
         n = circ.index
-        if qq == circ.apex._q:
+        if q == circ.apex._q:
             return ((n, 0), (n, 1))
-        if qq == circ.tail._q:
+        if q == circ.tail._q:
             return ((n, 1), (n, 2))
         for j, e in enumerate(circ.edges):
-            if e.contains(q):
+            if kernels.on_segment(q, e.a._q, e.b._q):
                 return ((n, j),)
         return ()
 
@@ -298,17 +298,17 @@ class SpaceHandle(Record):
             return Membership("base")
         if self.has_alpha and ALPHA_SEGMENT.contains(q):
             return Membership("alpha")
-        refs = self._circle_edges_at(q)
+        refs = self._circle_edges_at(q._q)
         if not refs:
             return OUTSIDE
         return Membership("circle", *refs[0])
 
-    def edges_containing(self, q: Point2) -> Tuple[EdgeRef, ...]:
-        """All edges through a non-base point (one, or two at a triangle
-        vertex); alpha and the circles share only p."""
-        if q == ORIGIN:
+    def edges_containing(self, q: tuple) -> Tuple[EdgeRef, ...]:
+        """All edges through the non-base point of kernel quad ``q`` (one, or
+        two at a triangle vertex); alpha and the circles share only p."""
+        if q == ORIGIN._q:
             raise SpaceError("edges_containing expects a point other than p")
-        if self.has_alpha and ALPHA_SEGMENT.contains(q):
+        if self.has_alpha and kernels.on_segment(q, ALPHA_SEGMENT.a._q, ALPHA_SEGMENT.b._q):
             return (ALPHA_EDGE,)
         return self._circle_edges_at(q)
 

@@ -9,6 +9,9 @@
   where the nearest feature changes at a quadratic-irrational parameter.
 * :func:`sqrt_leq_sqrt_plus_sqrt`, an exact triangle-inequality check on
   squared distances.
+* :func:`params`, a path's breakpoint parameters as Fractions, and
+  :func:`segment_at`, the point at a parameter of a segment: views the
+  package dropped when its paths came to store int pairs and quads only.
 * :func:`common_refinement`, the sorted union of two paths' parameters: the
   sup distance, evaluated pointwise on it, checks the package's one-pass
   merge.
@@ -103,8 +106,19 @@ def sqrt_leq_sqrt_plus_sqrt(a: Fraction, b: Fraction, c: Fraction) -> bool:
     return t * t <= 4 * b * c
 
 
+def params(path: PLPath) -> tuple:
+    """The path's breakpoint parameters, as Fractions."""
+    return tuple(t for t, _ in path.breakpoints)
+
+
+def segment_at(seg: Segment, t) -> Point2:
+    """The point of the segment at parameter t in [0, 1], from a to b."""
+    t = Fraction(t)
+    return _from_quad(lerp(seg.a.quad(), seg.b.quad(), t.numerator, t.denominator))
+
+
 def common_refinement(f: PLPath, g: PLPath) -> tuple:
-    return tuple(sorted(set(f.params) | set(g.params)))
+    return tuple(sorted(set(params(f)) | set(params(g))))
 
 
 @dataclass(frozen=True)
@@ -577,15 +591,15 @@ def seg_seg_dist_sq(a, b, c, d):
 def refine(path, extra):
     """The path with breakpoints added at the rationals ``extra``: the sorted
     union of its parameters and ``extra``, each point read by ``PLPath.at``."""
-    ts = sorted(set(path.params).union(map(Fraction, extra)))
+    ts = sorted(set(params(path)).union(map(Fraction, extra)))
     return PLPath(tuple((t, path.at(t)) for t in ts))
 
 
 def subdivide(loop, extra):
     """The loop refined at ``extra``, each piece charted on the edge of the
     piece of ``loop`` that holds it, found by bisection."""
-    path, params = refine(loop.path, extra), loop.path.params
-    chart = tuple(loop._chart[bisect_right(params, t) - 1] for t in path.params[:-1])
+    path, old = refine(loop.path, extra), params(loop.path)
+    chart = tuple(loop._chart[bisect_right(old, t) - 1] for t in params(path)[:-1])
     return _charted(path, loop.space, chart)
 
 
@@ -597,7 +611,7 @@ def reparametrize(loop, pairs):
     pairs = [(Fraction(s), Fraction(t)) for s, t in pairs]
     ss, pieces = {s for s, _ in pairs}, list(zip(pairs, pairs[1:]))
     for (s0, t0), (s1, t1) in pieces:
-        ss.update(s0 + (t - t0) * (s1 - s0) / (t1 - t0) for t in loop.path.params if t0 <= t <= t1)
+        ss.update(s0 + (t - t0) * (s1 - s0) / (t1 - t0) for t in params(loop.path) if t0 <= t <= t1)
 
     def phi(s):
         (s0, t0), (s1, t1) = next(piece for piece in pieces if piece[0][0] <= s <= piece[1][0])
@@ -725,7 +739,7 @@ def subpath(exc):
         un, ud = (n * d0 - n0 * d) * span_d, d * d0 * span_n
         g = gcd(un, ud)
         ts.append((un // g, ud // g))
-    return _path(tuple(ts), exc.points)
+    return _path(tuple(ts), tuple(q.quad() for q in exc.points))
 
 
 def spans(loop):
@@ -772,23 +786,23 @@ def collapse_to_x(loop):
     cutoff replaced by one constant piece at p each, charted in X."""
     n_cut = cutoff(loop)
     edges = loop._chart
-    ts, pts = loop.path._ts, loop.path.points
-    new_ts, new_pts, new_edges = [], [], []
+    ts, qs = loop.path._ts, loop.path._qs
+    new_ts, new_qs, new_edges = [], [], []
     k = 0
     for exc in excursions(loop):
         if exc.component != ALPHA and exc.component < n_cut:
             continue
         a, b = exc.first, exc.first + len(exc.ts) - 1
         new_ts += ts[k : a + 1]
-        new_pts += pts[k : a + 1]
+        new_qs += qs[k : a + 1]
         new_edges += edges[k:a]
         new_edges.append(None)
         k = b
     new_ts += ts[k:]
-    new_pts += pts[k:]
+    new_qs += qs[k:]
     new_edges += edges[k:]
     x_space = loop.space.sibling(SpaceKind.BOUQUET_X)
-    return _charted(_path(tuple(new_ts), tuple(new_pts)), x_space, tuple(new_edges))
+    return _charted(_path(tuple(new_ts), tuple(new_qs)), x_space, tuple(new_edges))
 
 
 def slide_candidates(loop):
@@ -796,7 +810,7 @@ def slide_candidates(loop):
     edges = loop._chart
     return [
         i
-        for i in range(1, len(loop.path.points) - 1)
+        for i in range(1, len(loop.path._ts) - 1)
         if edges[i - 1] is not None and edges[i - 1] == edges[i]
     ]
 
@@ -816,7 +830,7 @@ def perturb_once(loop, rng, bound):
         extra.append(Fraction(n0 * d1 * grid + (n1 * d0 - n0 * d1) * k, d0 * d1 * grid))
     work = subdivide(loop, extra)
     edges = work._chart
-    pts = list(work.path.points)
+    qs = list(work.path._qs)
     bn, bd = bound.numerator, bound.denominator
     for i in slide_candidates(work):
         if rng.random() < 0.5:
@@ -824,7 +838,7 @@ def perturb_once(loop, rng, bound):
         seg = loop.space.edge_segment(edges[i - 1])
         _, hi_len = seg.length_bracket
         a, b = seg.a.quad(), seg.b.quad()
-        un, ud = foot_param(pts[i].quad(), a, b)
+        un, ud = foot_param(qs[i], a, b)
         dd = bd * 2 * hi_len.numerator * grid
         n = un * dd + bn * hi_len.denominator * rng.randint(-grid, grid) * ud
         d = ud * dd
@@ -832,8 +846,7 @@ def perturb_once(loop, rng, bound):
             n, d = 0, 1
         elif n >= d:
             n, d = 1, 1
-        pts[i] = _from_quad(lerp(a, b, n, d))
-    qs = [q._q for q in pts]
+        qs[i] = lerp(a, b, n, d)
     chart = [None if q0 == q1 else ref for q0, q1, ref in zip(qs, qs[1:], edges)]
     ts = list(work.path._ts)
     base = ORIGIN._q
@@ -852,9 +865,9 @@ def perturb_once(loop, rng, bound):
         mn, md = n0 * d1 + n1 * d0, 2 * d0 * d1
         g = gcd(mn, md)
         ts.insert(i + 1, (mn // g, md // g))
-        pts.insert(i + 1, _from_quad(lerp(arm_edge.a.quad(), arm_edge.b.quad(), *u2)))
+        qs.insert(i + 1, lerp(arm_edge.a.quad(), arm_edge.b.quad(), *u2))
         chart[i : i + 1] = [(n, arm)] * 2
-    return _charted(_path(tuple(ts), tuple(pts)), loop.space, tuple(chart))
+    return _charted(_path(tuple(ts), tuple(qs)), loop.space, tuple(chart))
 
 
 # -- circles -------------------------------------------------------------------

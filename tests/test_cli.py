@@ -986,6 +986,35 @@ class TestDemo:
         assert circles[0] == 69
         assert 0 < paths[0] <= 1890
 
+    def test_point_wrappers(self, tmp_path, monkeypatch):
+        """A warmed seed-1 demo wraps 829 kernel quads in a Point2 and calls
+        Point2(x, y) never: paths, perturbations, slsc samples and bounces
+        stay on quads, so the wraps are the 684 points that
+        segments_intersect hands out, the 138 vertices of the 69 circles
+        and the 7 loop points the SVG reads. When paths kept Point2 points
+        the demo made 2,063 wraps."""
+        demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
+        wraps, inits = [0], [0]
+
+        def wrap(q, _orig=geometry._from_quad):
+            wraps[0] += 1
+            return _orig(q)
+
+        def init(self, *args, _orig=geometry.Point2.__init__):
+            inits[0] += 1
+            return _orig(self, *args)
+
+        binders = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "pi1lab"]
+        binders = [mod for mod in binders if getattr(mod, "_from_quad", None) is geometry._from_quad]
+        assert geometry in binders and spaces in binders
+        for mod in binders:
+            monkeypatch.setattr(mod, "_from_quad", wrap)
+        monkeypatch.setattr(geometry.Point2, "__init__", init)
+        code, _ = demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
+        monkeypatch.undo()
+        assert code == 0
+        assert (wraps[0], inits[0]) == (829, 0)
+
     def test_unknown_demo(self, capsys):
         code, _, err = run_cli(capsys, ["demo", "mystery"])
         assert code == 2 and "unknown demo" in err

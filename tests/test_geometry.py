@@ -4,7 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import ExactnessError, common_refinement, hausdorff_distance_sq, refine, sqrt_leq_sqrt_plus_sqrt
+from oracles import (
+    ExactnessError,
+    common_refinement,
+    hausdorff_distance_sq,
+    params,
+    refine,
+    segment_at,
+    sqrt_leq_sqrt_plus_sqrt,
+)
 from pi1lab import kernels
 from pi1lab.geometry import (
     DegenerateSegmentError,
@@ -128,7 +136,7 @@ class TestPointSegmentDistance:
         exact = point_segment_distance_sq(q, s)
         assert exact == F(1, 5)
         grid = 10**4
-        sampled = min(q.dist_sq(s.at(F(k, grid))) for k in range(grid + 1))
+        sampled = min(q.dist_sq(segment_at(s, F(k, grid))) for k in range(grid + 1))
         assert exact <= sampled
         # quadratic in the parameter; grid error below (step/2)^2 * |v|^2 margin
         assert sampled - exact <= F(1, 10**6)
@@ -216,13 +224,13 @@ class TestHausdorff:
         edges = triangle_edges(5, w)
         exact = hausdorff_distance_sq(edges, [ALPHA])
         grid = 10**4
-        alpha_pts = [ALPHA.at(F(k, grid)) for k in range(grid + 1)]
+        alpha_pts = [segment_at(ALPHA, F(k, grid)) for k in range(grid + 1)]
 
         def directed(sources, targets):
             best = F(0)
             for s in sources:
                 for k in range(grid + 1):
-                    q = s.at(F(k, grid))
+                    q = segment_at(s, F(k, grid))
                     d = min(point_segment_distance_sq(q, t) for t in targets)
                     if d > best:
                         best = d
@@ -326,13 +334,15 @@ class TestNativeQuads:
         assert q.quad() == (x.numerator, x.denominator, y.numerator, y.denominator)
         assert q != Point2(x + 1, y) and q != Point2(x, y + F(1, 64))
 
-    def test_kernel_point_builds_coordinates_on_first_read(self):
-        q = segment(0, 0, 1, 3).at(F(1, 2))
+    def test_kernel_point_builds_coordinates_on_each_read(self):
+        """A point keeps its quad only; x and y are built from it when read."""
+        q = pl_path([(0, 0, 0), (1, 1, 3)]).at(F(1, 2))
         assert q.quad() == (1, 2, 3, 2)
-        assert not hasattr(q, "_x") and not hasattr(q, "_y")
+        assert Point2.__slots__ == ("_q",) and not hasattr(q, "__dict__")
         assert q == Point2("1/2", "3/2") and hash(q) == hash(Point2("1/2", "3/2"))
         assert (q.x, q.y) == (F(1, 2), F(3, 2))
-        assert q.x is q.x and str(q) == "(1/2, 3/2)"
+        assert type(q.x) is Fraction and type(q.y) is Fraction
+        assert str(q) == "(1/2, 3/2)" and str(point(-2, "1/3")) == "(-2, 1/3)"
         with pytest.raises(AttributeError):
             q.x = F(0)
 
@@ -403,7 +413,7 @@ class TestIntegerParams:
     @given(f=longer_pl_paths())
     @settings(max_examples=50)
     def test_reversed_params(self, f):
-        assert f.reversed().params == tuple(1 - t for t in reversed(f.params))
+        assert params(f.reversed()) == tuple(1 - t for t in reversed(params(f)))
         assert f.reversed().points == f.points[::-1]
 
     @given(ts=st.lists(unit_params, min_size=1, max_size=6))
@@ -414,7 +424,7 @@ class TestIntegerParams:
         message = increasing_check_message(ts)
         bks = tuple((t, point(0, 0)) for t in ts)
         if message is None:
-            assert PLPath(bks).params == tuple(ts)
+            assert params(PLPath(bks)) == tuple(ts)
             return
         with pytest.raises(PathInvariantError) as err:
             PLPath(bks)
@@ -437,7 +447,7 @@ class TestIntegerParams:
         ]
         for path in paths:
             assert path == paths[0]
-            assert all(type(t) is Fraction for t in path.params)
+            assert all(type(t) is Fraction for t, _ in path.breakpoints)
             assert isinstance(path.breakpoints, tuple)
 
     @given(

@@ -85,6 +85,11 @@ class TestValidate:
             "is not contained in a single edge"
         )
 
+    def test_loop_ends_off_p(self, y):
+        with pytest.raises(InvalidLoopError) as err:
+            loop_from_breakpoints([(0, 0, 0), ("1/2", 0, "1/2"), (1, 0, 1)], y)
+        assert str(err.value) == "invalid loop: piece 1 on [1, 1]: loop ends at (0, 1), not at p"
+
     def test_wrong_basepoint(self, y):
         with pytest.raises(InvalidLoopError) as err:
             Loop(PLPath(((F(0), point(0, "1/2")), (F(1), point(0, "1/2")))), y)
@@ -130,10 +135,10 @@ class TestDecompose:
         order lists the edges through a point; an excursion's component is
         its circle's index, so a realized word's are its generator indices."""
         c3 = y.circle(3)
-        assert y.edges_containing(c3.apex) == ((3, 0), (3, 1))
-        assert y.edges_containing(c3.tail) == ((3, 1), (3, 2))
-        assert y.edges_containing(point(0, 1)) == (ALPHA_EDGE,) == ((ALPHA, 0),) == ((0, 0),)
-        assert y.edges_containing(point(0, F(1, 3))) == ((0, 0),)
+        assert y.edges_containing(c3.apex.quad()) == ((3, 0), (3, 1))
+        assert y.edges_containing(c3.tail.quad()) == ((3, 1), (3, 2))
+        assert y.edges_containing(point(0, 1).quad()) == (ALPHA_EDGE,) == ((ALPHA, 0),) == ((0, 0),)
+        assert y.edges_containing(point(0, F(1, 3)).quad()) == ((0, 0),)
         rng = random.Random(46)
         for _ in range(20):
             w = random_reduced_word(rng, 8)
@@ -200,7 +205,7 @@ class TestStandardLoops:
     def test_fn_shadows_f(self, x):
         f2 = standard_fn(2, x)
         w = F(1, 10**20)
-        assert f2.path.params == (F(0), F(1, 2), F(1 + w, 2), F(1))
+        assert oracles.params(f2.path) == (F(0), F(1, 2), F(1 + w, 2), F(1))
         assert f2.path.at(F(1, 2)) == x.circle(2).apex
 
     def test_fn_single_positive_excursion(self, x):
@@ -271,9 +276,9 @@ class TestCombinators:
         loops += [realize_word(random_reduced_word(rng, 6), x) for _ in range(8)]
         for a in loops:
             for b in loops:
-                got = concatenate(a, b).path.params
-                want = tuple(t / 2 for t in a.path.params)
-                want += tuple(F(1, 2) + t / 2 for t in b.path.params[1:])
+                got = oracles.params(concatenate(a, b).path)
+                want = tuple(t / 2 for t in oracles.params(a.path))
+                want += tuple(F(1, 2) + t / 2 for t in oracles.params(b.path)[1:])
                 assert got == want
 
     def test_concat_all_is_the_left_fold(self, x, y):
@@ -287,11 +292,11 @@ class TestCombinators:
         for _ in range(60):
             parts = [rng.choice(loops) for _ in range(rng.randint(1, 5))]
             got = concatenate_all(parts)
-            params, want = parts[0].path.params, parts[0]
+            params, want = oracles.params(parts[0].path), parts[0]
             for b in parts[1:]:
-                params = tuple(t / 2 for t in params) + tuple(F(1, 2) + t / 2 for t in b.path.params[1:])
+                params = tuple(t / 2 for t in params) + tuple(F(1, 2) + t / 2 for t in oracles.params(b.path)[1:])
                 want = concatenate(want, b)
-            assert got.path.params == params
+            assert oracles.params(got.path) == params
             assert (got, got._chart) == (want, want._chart)
             parts.insert(rng.randint(1, len(parts)), standard_f(y))
             with pytest.raises(SpaceMismatchError):
@@ -325,8 +330,8 @@ class TestRealizeWord:
             want = [F(0)]
             for k, (n, sgn) in enumerate(letters):
                 part = standard_fn(n, x) if sgn > 0 else reverse(standard_fn(n, x))
-                want.extend((k + t) / len(letters) for t in part.path.params[1:])
-            got = realize_word(w, x).path.params
+                want.extend((k + t) / len(letters) for t in oracles.params(part.path)[1:])
+            got = oracles.params(realize_word(w, x).path)
             assert got == (tuple(want) if letters else (F(0), F(1)))
 
 
@@ -407,7 +412,7 @@ class TestCarriedCharts:
         for _ in range(40):
             lp = include_in_y(realize_word(random_reduced_word(rng, 6), x))
             lp = concatenate(standard_f(y), lp) if rng.random() < 0.5 else lp
-            params = lp.path.params
+            params = oracles.params(lp.path)
             extra = []
             for _ in range(rng.randint(1, 6)):
                 i = rng.randrange(len(params) - 1)
@@ -431,7 +436,8 @@ def lifted_degree(exc):
     fraction along edge j from kernels.foot_param, divided by 3."""
     circ = exc.space.circle(exc.component)
     theta = start = None
-    for ((_, p0), (_, p1)), ref in zip(subpath(exc).pieces(), exc.piece_edges):
+    bks = subpath(exc).breakpoints
+    for ((_, p0), (_, p1)), ref in zip(zip(bks, bks[1:]), exc.piece_edges):
         if ref is None:
             continue
         edge = circ.edges[ref[1]]
@@ -449,7 +455,7 @@ def lifted_degree(exc):
 def backtracking_loop(x):
     # forward to the apex, back halfway, then on around: still one loop
     c = x.circle(2)
-    half_up = c.edges[0].at(F(1, 2))
+    half_up = oracles.segment_at(c.edges[0], F(1, 2))
     return loop_from_breakpoints(
         [
             (0, 0, 0),
@@ -491,7 +497,7 @@ class TestWindingOracle:
         loops = []
         for _ in range(30):
             lp = realize_word(random_reduced_word(rng, 6), x)
-            params = lp.path.params
+            params = oracles.params(lp.path)
             extra = []
             for _ in range(rng.randint(1, 8)):
                 i = rng.randrange(len(params) - 1)
@@ -532,7 +538,7 @@ class TestWindingOracle:
 
     def test_edge_change_away_from_vertex(self, x):
         c = x.circle(2)
-        mid = c.edges[0].at(F(1, 2))
+        mid = oracles.segment_at(c.edges[0], F(1, 2))
         # the chart claims edge 1 (B -> D) from the middle of edge 0 on
         built = self.hand_built(x, [point(0, 0), mid, c.apex, point(0, 0)], [0, 1, 0])
         self.assert_refused(built, "discontinuous chart sequence in excursion")

@@ -112,7 +112,7 @@ class TestChooseN:
         assert choose_n(lp) == 8
 
     def test_degree_zero_below_apex_ignored(self, y):
-        mid = y.circle(7).edges[0].at(F(1, 3))
+        mid = oracles.segment_at(y.circle(7).edges[0], F(1, 3))
         lp = loop_from_breakpoints([(0, 0, 0), ("1/2", mid.x, mid.y), (1, 0, 0)], y)
         assert choose_n(lp) == 2
 
@@ -155,7 +155,8 @@ class TestCollapse:
     def test_collapse_preserves_parameter_intervals(self, y):
         lp = standard_f(y)
         out = collapse_to_x(lp)
-        assert out.path.params[0] == 0 and out.path.params[-1] == 1
+        params = oracles.params(out.path)
+        assert params[0] == 0 and params[-1] == 1
 
 
 class TestClassifyY:
@@ -243,7 +244,7 @@ class TestCollapseSoundness:
         w = parse_word("g2^2")
         base = include_in_y(realize_word(w, x))
         far = y.circle(30)
-        mid = far.edges[0].at(F(1, 2))
+        mid = oracles.segment_at(far.edges[0], F(1, 2))
         bounce = loop_from_breakpoints([(0, 0, 0), ("1/2", mid.x, mid.y), (1, 0, 0)], y)
         assert classify_y(concatenate_all([bounce, base, bounce])).word == w
 
@@ -257,7 +258,7 @@ class TestCollapseSoundness:
         ]
         bounces = []
         for n, arm, u in ((2, 0, F(1, 3)), (5, 2, F(1, 2)), (9, 0, F(7, 8)), (30, 2, F(1, 5))):
-            q = y.circle(n).edges[arm].at(u)
+            q = oracles.segment_at(y.circle(n).edges[arm], u)
             bounces.append(loop_from_breakpoints([(0, 0, 0), ("1/2", q.x, q.y), (1, 0, 0)], y))
         samples = [pi1._sample_small_loop(y, F(1, 4), rng) for _ in range(20)]
         for lp in decorated + bounces:
@@ -385,6 +386,16 @@ class TestSlscProbe:
         assert dict(rep.parameters)["rejected_out_of_ball"] == "1"
         assert any("rejected" in str(dict(wit).get("status", "")) for wit in rep.witnesses)
 
+    def test_negative_radius_ball_is_empty(self, y):
+        """The closed ball of negative radius holds no point, so no loop lies
+        in it, however small; the ball of radius 0 holds p only."""
+        for lp in (standard_f(y), constant_loop(y)):
+            assert not loop_in_ball(lp, F(-2))
+            assert not loop_in_ball(lp, F(-1, 10**9))
+        assert loop_in_ball(constant_loop(y), F(0))
+        assert not loop_in_ball(standard_f(y), F(0))
+        assert loop_in_ball(standard_f(y), F(1)) and not loop_in_ball(standard_f(y), F(-1))
+
     def test_radius_validation(self, y):
         with pytest.raises(ProbeParameterError):
             probe_slsc_y(F(1, 2), 5, space=y)
@@ -454,8 +465,7 @@ class TestCarriedCharts:
                     assert_carried(out)
                     bounces += len(oracles.excursions(out)) > excursions
                     slid_constant += any(
-                        ref is None and p0 != ORIGIN
-                        for ref, ((_, p0), _) in zip(out._chart, out.path.pieces())
+                        ref is None and q0 != ORIGIN.quad() for ref, q0 in zip(out._chart, out.path._qs)
                     )
         assert bounces > 0 and slid_constant > 0
 
@@ -479,7 +489,7 @@ def perturb_once_fraction(loop, rng, bound, clamps):
     [0, 1]. ``clamps`` counts the slides clamped at 0 and at 1."""
     grid = 64
     extra = []
-    params = loop.path.params
+    params = oracles.params(loop.path)
     for _ in range(rng.randint(1, 3)):
         i = rng.randrange(len(params) - 1)
         k = rng.randint(1, grid - 1)
@@ -499,7 +509,7 @@ def perturb_once_fraction(loop, rng, bound, clamps):
         clamps[0] += u + du < 0
         clamps[1] += u + du > 1
         u2 = min(max(u + du, Fraction(0)), Fraction(1))
-        bks[i] = (t, seg.at(u2))
+        bks[i] = (t, oracles.segment_at(seg, u2))
     const_p = [
         i
         for i, ((_, p0), (_, p1)) in enumerate(zip(bks, bks[1:]))
@@ -516,7 +526,7 @@ def perturb_once_fraction(loop, rng, bound, clamps):
         du = (bound / (2 * hi_len)) * Fraction(rng.randint(1, grid), grid)
         u2 = arm_u + (du if arm_u == 0 else -du)
         t0, t1 = bks[i][0], bks[i + 1][0]
-        bks.insert(i + 1, ((t0 + t1) / 2, arm_edge.at(u2)))
+        bks.insert(i + 1, ((t0 + t1) / 2, oracles.segment_at(arm_edge, u2)))
     return PLPath(tuple(bks)).breakpoints
 
 
@@ -547,7 +557,7 @@ class TestPerturbOracle:
         corpus += [concatenate_all([const, lp, const]) for lp in corpus[1:12]]
         corpus += [concatenate(lp, const) for lp in corpus[12:18]]
         for lp in corpus[3:13]:
-            params = lp.path.params
+            params = oracles.params(lp.path)
             corpus.append(oracles.subdivide(lp, [params[1] * F(rng.randint(1, 63), 64), F(rng.randint(1, 63), 64)]))
         # p -> (1/4, 1/2) -> B_2 -> D_2 -> 2 D_2 / 3 -> p, then constant at p
         c2 = x.circle(2)
@@ -596,9 +606,9 @@ class TestPerturbationBound:
         def halfway(table, rng):
             real(table, rng)
             loop = table.loop
-            pts = list(loop.path.points)
-            pts[1] = Segment(ORIGIN, pts[1]).at(F(1, 2))
-            return _charted(_path(loop.path._ts, tuple(pts)), loop.space, loop._chart)
+            qs = list(loop.path._qs)
+            qs[1] = oracles.segment_at(Segment(ORIGIN, loop.path.points[1]), F(1, 2)).quad()
+            return _charted(_path(loop.path._ts, tuple(qs)), loop.space, loop._chart)
 
         monkeypatch.setattr(pi1._PerturbTable, "draw", halfway)
         with pytest.raises(AssertionError, match="trial 0"):
@@ -655,10 +665,10 @@ class TestParameterPairs:
         built += [standard_fn(n, compact_y(hint=12, profile=CUBE)) for n in range(2, 12)]
         for lp in built:
             assert_reduced_increasing(lp.path)
-        assert standard_fn(2, third).path.params == (0, F(1, 2), F(2, 3), 1)
+        assert oracles.params(standard_fn(2, third).path) == (0, F(1, 2), F(2, 3), 1)
         for n in range(2, 12):
             w = x.profile(n)
-            assert standard_fn(n, x).path.params[2] == (1 + w) / 2
+            assert oracles.params(standard_fn(n, x).path)[2] == (1 + w) / 2
 
     def test_slsc_samples(self, y):
         rng = random.Random(7)
@@ -700,11 +710,12 @@ class TestRecords:
 
 @pytest.fixture
 def located(monkeypatch):
-    """Every point the space handles are asked to locate, in order."""
+    """Every point the space handles are asked to locate, in order, as its
+    quad: ``edges_containing`` takes one, ``membership`` a Point2."""
     seen = []
     for name in ("edges_containing", "membership"):
         def counted(self, q, _orig=getattr(SpaceHandle, name)):
-            seen.append(q)
+            seen.append(q if type(q) is tuple else q.quad())
             return _orig(self, q)
 
         monkeypatch.setattr(SpaceHandle, name, counted)
@@ -730,7 +741,7 @@ class TestLocateOnce:
         )
         assert classify_y(lp).word == parse_word("g3")
         # the stationary piece at the apex passes it twice; it is located once
-        assert located == list(dict.fromkeys(q for _, q in lp.path.breakpoints if q != ORIGIN))
+        assert located == list(dict.fromkeys(q for q in lp.path._qs if q != ORIGIN.quad()))
 
     def test_realized_word_located_by_its_parts_only(self, x, located):
         rng = random.Random(33)
@@ -771,7 +782,7 @@ class TestLocateOnce:
         located.clear()
         assert validate(collapsed) is None
         # one query per distinct point other than p, in the order first met
-        passed = [q for _, q in collapsed.path.breakpoints if q != ORIGIN]
+        passed = [q for q in collapsed.path._qs if q != ORIGIN.quad()]
         assert located == list(dict.fromkeys(passed))
         assert len(located) < len(passed)
 
@@ -781,9 +792,9 @@ def scans(monkeypatch):
     """The breakpoints of every chart the loops module scans for spans."""
     seen = []
 
-    def counted(ts, pts, chart, space, _orig=loops._scan):
-        seen.append(pts)
-        return _orig(ts, pts, chart, space)
+    def counted(ts, qs, chart, space, _orig=loops._scan):
+        seen.append(qs)
+        return _orig(ts, qs, chart, space)
 
     monkeypatch.setattr(loops, "_scan", counted)
     return seen
@@ -808,7 +819,7 @@ class TestDecomposeOnce:
         assert stability_radius(lx) > 0 and collapse_to_x(include_in_y(lx)) == lx
         assert classify_y(lx).word == parse_word("g2 g3^-2 g5")
         # the inclusion into Y carries the spans of lx
-        assert scans == [lx.path.points]
+        assert scans == [lx.path._qs]
 
 
 def _outcome(read, *args):
@@ -833,7 +844,7 @@ class TestSpansOracle:
         corpus = demo_corpus(x) + [word_loop]
         corpus += [reverse(word_loop), concatenate(word_loop, reverse(corpus[4]))]
         corpus += [concatenate_all([corpus[3], word_loop, corpus[1]])]
-        params = word_loop.path.params
+        params = oracles.params(word_loop.path)
         corpus += [oracles.subdivide(word_loop, [F(rng.randint(0, 64), 64), params[rng.randrange(len(params))] / 3])]
         corpus += [pi1._perturb_once(lp, rng, bound) for lp in corpus[1:6] for bound in (F(1, 1000), F(1))]
         decorated = [alpha_decorate(include_in_y(lp), rng) for lp in (word_loop, corpus[4], corpus[1])]
@@ -842,7 +853,7 @@ class TestSpansOracle:
         # points loops, located when built: a there-and-back to a point of an
         # edge (the apex at u = 1 on edge 0), and a decorated loop relocated
         n, j = rng.randint(2, 12), rng.choice((0, 2))
-        q = y.circle(n).edges[j].at(F(rng.choice((1, 2, 3)), 3))
+        q = oracles.segment_at(y.circle(n).edges[j], F(rng.choice((1, 2, 3)), 3))
         corpus += [loop_from_breakpoints([(0, 0, 0), ("1/2", q.x, q.y), (1, 0, 0)], y)]
         corpus += [Loop(decorated[0].path, y), Loop(corpus[5].path, x)]
         for lp in corpus:

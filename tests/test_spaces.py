@@ -237,7 +237,7 @@ def _location_points(name):
         circ = y.circle(n)
         pts += [circ.apex, circ.tail]
         for e in circ.edges:
-            on = [e.at(F(k, 64)) for k in range(1, 64)]
+            on = [oracles.segment_at(e, F(k, 64)) for k in range(1, 64)]
             pts += on
             for q in on[::21]:
                 for j in (1, 3, 10, 30):
@@ -262,7 +262,7 @@ class TestLocationOracle:
         wrong = [
             q
             for q in pts
-            if space.edges_containing(q) != oracles.edges_containing(space, q)
+            if space.edges_containing(q.quad()) != oracles.edges_containing(space, q)
             or space.membership(q) != oracles.membership(space, q)
         ]
         assert wrong == []
@@ -298,7 +298,7 @@ class TestMembership:
             circ = self.y.circle(n)
             for e in circ.edges:
                 for k in (1, 3, 9):
-                    q = e.at(F(k, 10))
+                    q = oracles.segment_at(e, F(k, 10))
                     if q == point(0, 0):
                         continue
                     assert self.y.membership(q).circle_index == n
@@ -315,7 +315,7 @@ class TestMembership:
         assert small.membership(apex) == large.membership(apex) == Membership("circle", 12, 0)
 
     def test_edges_containing_vertex(self):
-        refs = self.y.edges_containing(self.y.circle(3).apex)
+        refs = self.y.edges_containing(self.y.circle(3).apex.quad())
         assert (3, 0) in refs and (3, 1) in refs
 
 
