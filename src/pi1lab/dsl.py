@@ -1,13 +1,19 @@
 """The declarative script language: spaces, loop bindings, probes, renders.
 
-Line-oriented; ``#`` starts a comment. Rational literals are ``num`` or
-``num/den`` — decimal floats are rejected so no precision is ever lost
-silently. The values of a ``points`` literal are parsed to reduced int
-pairs and kept as such (``PointsExpr``), so the literal is weighed and
-pathed without a Fraction; the other rationals are Fractions. The parser
-resolves names eagerly: using a name before binding it, binding a loop
-before any space is active, or giving a probe a key twice, is a parse
-diagnostic with line and column.
+One statement a line; ``#`` starts a comment. One pattern (``_TOKEN_RE``)
+cuts a line into tokens, each with the whitespace before it: names (runs of
+\\w characters), numbers ``n`` and ``n/d`` with an optional ``-`` (decimal
+floats are rejected, so no precision is ever lost silently), points triples
+``(t, x, y)`` of numbers, ``( ) [ ] , = : ->`` and any other run of
+non-space characters. Whitespace may stand between any two tokens but inside
+``X(``, ``Y(``, ``C(n).once``, ``word(``, ``concat(``, a ``key=value`` and
+a render's file; a ``concat`` or ``points`` list may end in a comma. A
+recursive descent reads each statement off its tokens, in time linear in
+the line at any nesting. A triple's numbers are kept as reduced int pairs
+(``PointsExpr``), so the literal is weighed and pathed without a Fraction;
+the other rationals are Fractions. Names resolve eagerly: using a name
+before binding it, binding a loop before any space is active, or giving a
+probe a key twice, is a parse diagnostic with line and column.
 
     space S = Y(20) width=pow10
     loop f = alpha.updown
@@ -53,7 +59,6 @@ fails at once with a parse error instead of running for seconds to hours:
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -115,8 +120,11 @@ _PRICES = {
     "draw_letter": 100,  # render, per letter of a loop
 }
 
+# An integer literal past MAX_LITERAL_DIGITS. It is refused before any other
+# error of its line, and it may sit inside any token (a name, a width, a
+# word's body, a render path), so one search over the line finds it; only a
+# line longer than the limit is searched.
 _LONG_LITERAL_RE = re.compile(r"(?<!\d)\d{%d,}" % (MAX_LITERAL_DIGITS + 1))
-_DELIMITER_RE = re.compile(r"[(),\[\]]")
 
 
 class DslError(Exception):
@@ -245,47 +253,42 @@ class Script(Record):
 
 # -- parsing ------------------------------------------------------------------
 
-_RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
-_INT_RE = re.compile(r"^-?\d+$")
-_NAME_RE = re.compile(r"^\w+$")
-_CIRCLE_RE = re.compile(r"^C\(\s*(-?\d+)\s*\)\.(once|inv)$")
-_TRIPLE_RE = re.compile(r"^\(\s*([^\s,]+)\s*,\s*([^\s,]+)\s*,\s*([^\s,]+)\s*\)$")
-_SPACE_RE = re.compile(r"^space\s+(\w+)\s*=\s*([XY])\(\s*(\d+)\s*\)(?:\s+width=(\S+))?$")
-_UNIFORM_RE = re.compile(r"^uniform:-?\d+(/\d+)?$")
-_LOOP_RE = re.compile(r"^loop\s+(\w+)\s*=\s*(.+)$")
-_CLASSIFY_RE = re.compile(r"^classify\s+(\w+)$")
-_DIST_RE = re.compile(r"^dist\s+(\w+)\s+(\w+)$")
-_PROBE_RE = re.compile(r"^probe\s+(\w+)((?:\s+\w+=\S+)*)$")
-_RENDER_RE = re.compile(r"^render\s+((?:\w+\s+)*\w+)\s*->\s*(\S+)$")
+# A character of a word (not whitespace, ( ) [ ] , = : or the - of ->); a number
+_W = r"(?:[^\s()\[\],=:-]|-(?!>))"
+_N = r"-?\d+(?:/\d+)?"
+
+# One token and the whitespace before it, as (space, text, name, t, x, y,
+# number) from ``findall``. The commonest kinds come first; each kind fails
+# a token in time linear in its length.
+_TOKEN_RE = re.compile(
+    rf"(\s*)((\w+)(?!{_W})"
+    rf"|[)\[\],=:]"
+    rf"|\(\s*({_N})\s*,\s*({_N})\s*,\s*({_N})\s*\)"
+    rf"|\(|({_N})(?!{_W})|->|{_W}+)"
+)
+_NAME, _TRIPLE, _NUMBER = 2, 3, 6
+_END = ("",) * 7  # ends each token list, so the parser may read one token ahead
+_ENDS = (("",), ("", ",", ")"))  # what may follow a loop expression at the top of a line, and in a concat
+_POINTS_SHAPE = "points expects a bracketed list of (t, x, y) triples"
 
 PROBE_SIGNATURES = {
     "disjointness": (("up_to", "int"),),
     "hausdorff": (("up_to", "int"),),
     "nondiscreteness": (("n_max", "int"), ("epsilon", "rat")),
-    "discreteness": (
-        ("loop", "name"),
-        ("trials", "int"),
-        ("magnitude", "rat"),
-        ("seed", "int?"),
-    ),
+    "discreteness": (("loop", "name"), ("trials", "int"), ("magnitude", "rat"), ("seed", "int?")),
     "slsc": (("radius", "rat"), ("samples", "int"), ("seed", "int?")),
 }
 
 
-def parse_rational(text: str, line: int, col: int) -> Fraction:
-    return Fraction(*_rational_pair(text, line, col))
-
-
-def _rational_pair(text: str, line: int, col: int) -> Tuple[int, int]:
-    """The rational literal ``text`` as a reduced int pair (n, d), d > 0;
-    refused with the texts of ``parse_rational``."""
-    if not _RAT_RE.match(text):
+def _rational_pair(text: str, line: int, col: int, number=True) -> Tuple[int, int]:
+    """The number ``text`` as a reduced int pair (n, d), d > 0; refused if
+    it is no number (``number`` false) or has a zero denominator."""
+    if not number:
         raise DslError(line, col, f"expected a rational like 3 or 1/10, got {quote(text)}")
-    # from two ints, which the pattern has checked: the denominator has no sign
     num, _, den = text.partition("/")
-    n, d = int(num), int(den or 1)
-    if d == 1:
-        return n, 1
+    if not den:
+        return int(num), 1
+    n, d = int(num), int(den)
     if d == 0:
         raise DslError(line, col, f"zero denominator in {quote(text)}")
     g = gcd(n, d)
@@ -296,9 +299,7 @@ def _check_literals(text: str, line: int) -> None:
     """Refuse an integer literal longer than MAX_LITERAL_DIGITS digits, at its column."""
     m = _LONG_LITERAL_RE.search(text)
     if m:
-        raise DslError(
-            line, m.start() + 1, f"integer literal exceeds the limit of {MAX_LITERAL_DIGITS} digits"
-        )
+        raise DslError(line, m.start() + 1, f"integer literal exceeds the limit of {MAX_LITERAL_DIGITS} digits")
 
 
 def _check_index(n: int, what: str, line: int, col: int) -> None:
@@ -406,85 +407,117 @@ def _probe_price(kind: str, args: dict, loops: dict, width: str) -> int:
     return radius + min(max(args["trials"], 0), MAX_SCRIPT_WORK) * trial
 
 
-def _parse_loop_expr(text: str, line: int, col: int, known_loops: Optional[dict]) -> LoopExpr:
-    """Loop expression parser.
-
-    With ``known_loops`` given (script mode, the bound names)
-    concat arguments must be bound names; with ``known_loops=None`` (CLI
-    literal mode) concat arguments are themselves expressions, nested at
-    most MAX_NESTING deep. The first concat or points list scans the
-    delimiters of ``text`` once (``_CommaScan``); every level reads its
-    top-level commas off that scan and passes its arguments on as spans of
-    ``text``, so parsing takes time linear in the text at any nesting.
-    """
-    return _parse_span(text, 0, len(text), line, col, known_loops, 0, None)
+def _text(toks: list, i: int, j: int) -> str:
+    """The source text of toks[i:j], from the first token on."""
+    return "".join([t[0] + t[1] for t in toks[i:j]])[len(toks[i][0]) :]
 
 
-def _parse_span(
-    text: str, start: int, end: int, line: int, col: int, known_loops: Optional[dict], depth: int, scan
-) -> LoopExpr:
-    """The loop expression text[start:end], inside ``depth`` enclosing
-    concats, so at delimiter depth ``depth`` of ``text``; ``scan`` is the
-    ``_CommaScan`` of ``text`` once built."""
-    start, end = _strip_span(text, start, end)
-    if text.startswith("points", start, end):
-        return _parse_points(text, start, end, line, col, depth, scan)
-    if not (text.startswith("concat(", start, end) and text[end - 1] == ")"):
-        return _parse_leaf(text[start:end], line, col)
-    if depth == MAX_NESTING:
-        raise DslError(line, col, f"concat nesting exceeds the limit of {MAX_NESTING} levels")
-    if scan is None:
-        scan = _CommaScan(text)
-    spans = scan.split(text, start + len("concat("), end - 1, depth + 1)
-    if not spans:
-        raise DslError(line, col, "concat needs at least one argument")
-    args = []
-    for a, b in spans:
-        if known_loops is not None:
-            part = text[a:b].strip()
-            if not _NAME_RE.match(part):
-                raise DslError(line, col, f"concat arguments must be loop names, got {quote(part)}")
-            if part not in known_loops:
-                raise DslError(line, col, f"unbound loop name {quote(part)}")
-            args.append(part)
-        else:
-            args.append(_parse_span(text, a, b, line, col, None, depth + 1, scan))
-    return ConcatExpr(tuple(args))
+def _number(t: tuple) -> str:
+    """The number the token ``t`` spells, or ""."""
+    return t[_NUMBER] or (t[_NAME] if t[_NAME].isdecimal() else "")
 
 
-def _parse_leaf(text: str, line: int, col: int) -> LoopExpr:
-    """A loop expression other than a concat or a points list, stripped."""
-    if text == "alpha.updown":
-        return AlphaExpr()
-    m = _CIRCLE_RE.match(text)
-    if m:
-        idx = int(m.group(1))
+def _glued(toks: list, j: int) -> int:
+    """The index past the tokens from toks[j] on with no whitespace between them."""
+    j += 1
+    while toks[j][1] and not toks[j][0]:
+        j += 1
+    return j
+
+
+def _run_end(toks: list, j: int, close: str) -> int:
+    """Where the concat argument (``close`` ")") or points element ("]") at
+    toks[j] ends: at ``close`` with none of its kind open (an unopened other
+    closer is part of it), at a comma with none open, or at the end."""
+    opener, own, other = "(" if close == ")" else "[", 0, 0
+    while True:
+        s = toks[j][1]
+        if not s or s == close and not own or s == "," and not own and not other:
+            return j
+        own += (s == opener) - (s == close)
+        other += (s in ("(", "[") and s != opener) - (other > 0 and s in (")", "]") and s != close)
+        j += 1
+
+
+def _expr(toks: list, i: int, line: int, col: int, loops: Optional[dict], depth: int) -> Tuple[LoopExpr, int]:
+    """The loop expression at toks[i], inside ``depth`` concats, and the
+    index past it. Concat arguments are bound names in script mode (``loops``
+    the bound names), and expressions nested at most MAX_NESTING deep in CLI
+    literal mode (``loops=None``)."""
+    s = toks[i][1]
+    if s.startswith("points"):
+        return _points(toks, i, line, col, depth)
+    if s == "concat" and toks[i + 1][1] == "(" and not toks[i + 1][0]:
+        return _concat(toks, i, line, col, loops, depth)
+    end = _run_end(toks, i, ")") if depth else len(toks) - 1
+    if s == "alpha.updown" and end == i + 1:
+        return AlphaExpr(), end
+    index = _number(toks[i + 2]) if s == "C" and end == i + 5 and not toks[i + 1][0] + toks[i + 4][0] else ""
+    if index and "/" not in index and toks[i + 1][1] + toks[i + 3][1] + toks[i + 4][1] in ("().once", "().inv"):
+        idx = int(index)
         if idx < 2:
             raise DslError(line, col, f"circle index must be >= 2, got C({cut(str(idx))})")
         _check_index(idx, "C({})", line, col)
-        return CircleExpr(idx, m.group(2) == "inv")
+        return CircleExpr(idx, toks[i + 4][1] == ".inv"), end
+    text = _text(toks, i, end)
     if text.startswith("word(") and text.endswith(")"):
-        return _word_expr(text[len("word(") : -1], line, col)
+        return _word_expr(text[5:-1], line, col), end
     if text.startswith("word ") or text == "word":
-        return _word_expr(text[4:], line, col)
+        return _word_expr(text[4:], line, col), end
     raise DslError(line, col, f"unrecognized loop expression {quote(text)}")
 
 
-def _parse_points(text: str, start: int, end: int, line: int, col: int, depth: int, scan) -> PointsExpr:
-    """The points literal text[start:end], stripped, at delimiter depth
-    ``depth``; its triples are split on ``scan``, built here if None."""
-    start, _ = _strip_span(text, start + len("points"), end)
-    if not (start < end and text[start] == "[" and text[end - 1] == "]"):
-        raise DslError(line, col, "points expects a bracketed list of (t, x, y) triples")
-    if scan is None:
-        scan = _CommaScan(text)
-    ts, quads, top = [], [], 0
-    for a, b in scan.split(text, start + 1, end - 1, depth + 1):
-        part = text[a:b].strip()
-        m = _TRIPLE_RE.match(part)
-        if not m:
-            raise DslError(line, col, f"bad points triple {quote(part)}")
-        t, (xn, xd), (yn, yd) = (_rational_pair(m.group(i), line, col) for i in (1, 2, 3))
+def _concat(toks: list, i: int, line: int, col: int, loops: Optional[dict], depth: int) -> Tuple[ConcatExpr, int]:
+    """The concat at toks[i]; see ``_expr``."""
+    if depth == MAX_NESTING:
+        raise DslError(line, col, f"concat nesting exceeds the limit of {MAX_NESTING} levels")
+    args, bad, j = [], "", i + 2
+    while toks[j][1] not in (")", ""):
+        if loops is None:
+            arg, j = _expr(toks, j, line, col, None, depth + 1)
+        else:  # a bound name; the first that is not is refused once the concat has ended
+            k, j = j, _run_end(toks, j, ")")
+            arg = toks[k][_NAME] if j == k + 1 else ""
+            if not bad and arg not in loops:
+                got = quote(_text(toks, k, j))
+                bad = f"unbound loop name {got}" if arg else f"concat arguments must be loop names, got {got}"
+        args.append(arg)
+        if toks[j][1] == ",":
+            j += 1
+    if not (toks[j][1] and toks[j + 1][1] in _ENDS[depth > 0]):
+        end = _run_end(toks, i, ")") if depth else len(toks)
+        raise DslError(line, col, f"unrecognized loop expression {quote(_text(toks, i, end))}")
+    if not args:
+        raise DslError(line, col, "concat needs at least one argument")
+    if bad:
+        raise DslError(line, col, bad)
+    return ConcatExpr(tuple(args)), j + 1
+
+
+def _points(toks: list, i: int, line: int, col: int, depth: int) -> Tuple[PointsExpr, int]:
+    """The points literal at toks[i]: its elements, each one triple token
+    followed by a comma or "]", in turn."""
+    if toks[i][1] != "points" or toks[i + 1][1] != "[":
+        raise DslError(line, col, _POINTS_SHAPE)
+    ts, quads, top, j = [], [], 0, i + 2
+    while toks[j][1] != "]":
+        tok = toks[j]
+        if not (tok[_TRIPLE] and toks[j + 1][1] in (",", "]")):
+            k, j = j, _run_end(toks, j, "]")
+            if not toks[j][1]:
+                raise DslError(line, col, _POINTS_SHAPE)
+            # not a triple token: its first field that is no number, if it is three one-word fields in parentheses
+            text = _text(toks, k, j)
+            fields = text[1:-1].split(",") if text[:1] == "(" and text[-1:] == ")" else ()
+            if len(fields) == 3 and all(len(f.split()) == 1 for f in fields):
+                for f in map(str.strip, fields):
+                    m = _TOKEN_RE.fullmatch(f)
+                    _rational_pair(f, line, col, m and _number(m.groups("")))
+            raise DslError(line, col, f"bad points triple {quote(text)}")
+        j += 2 if toks[j + 1][1] == "," else 1
+        t = _rational_pair(tok[3], line, col) if "/" in tok[3] else (int(tok[3]), 1)
+        xn, xd = _rational_pair(tok[4], line, col) if "/" in tok[4] else (int(tok[4]), 1)
+        yn, yd = _rational_pair(tok[5], line, col) if "/" in tok[5] else (int(tok[5]), 1)
         q = (xn, xd, yn, yd)
         if xn > 0:
             n = candidate_circle(q)
@@ -492,19 +525,17 @@ def _parse_points(text: str, start: int, end: int, line: int, col: int, depth: i
                 # y/x of two literals can pass the digit limit of str(), and
                 # an index longer than a quote is not named
                 circle = f"C({n})" if n < 10**QUOTE_CHARS else "a circle"
-                x, y = Fraction(xn, xd), Fraction(yn, yd)
-                raise DslError(
-                    line,
-                    col,
-                    f"breakpoint {cut(f'({x}, {y})')} can only lie on {circle}, which exceeds "
-                    f"the limit {MAX_CIRCLE_INDEX} on circle indices",
-                )
+                point = cut(f"({Fraction(xn, xd)}, {Fraction(yn, yd)})")
+                limit = f"the limit {MAX_CIRCLE_INDEX} on circle indices"
+                raise DslError(line, col, f"breakpoint {point} can only lie on {circle}, which exceeds {limit}")
             top = max(top, n)
         ts.append(t)
         quads.append(q)
+    if toks[j + 1][1] not in _ENDS[depth > 0]:
+        raise DslError(line, col, _POINTS_SHAPE)
     if len(ts) < 2:
         raise DslError(line, col, "points needs at least two (t, x, y) triples")
-    return PointsExpr(tuple(ts), tuple(quads), top)
+    return PointsExpr(tuple(ts), tuple(quads), top), j + 1
 
 
 def _word_expr(body: str, line: int, col: int) -> WordExpr:
@@ -520,50 +551,10 @@ def _word_expr(body: str, line: int, col: int) -> WordExpr:
     return WordExpr(word)
 
 
-def _strip_span(text: str, start: int, end: int) -> Tuple[int, int]:
-    """The span text[start:end] without its leading and trailing whitespace,
-    as str.strip() would strip it, by moving its ends."""
-    while start < end and text[start].isspace():
-        start += 1
-    while end > start and text[end - 1].isspace():
-        end -= 1
-    return start, end
-
-
-class _CommaScan:
-    """One pass over the delimiters of a text: the positions of its commas
-    at each delimiter depth, ascending. The top-level commas of a span just
-    inside an opening delimiter at depth d are then the span's commas at
-    depth d, found by bisection without scanning the span again. Only the
-    delimiters are visited, so the digits between them cost no Python
-    step."""
-
-    __slots__ = ("commas",)
-
-    def __init__(self, text: str):
-        commas, depth = {}, 0
-        for m in _DELIMITER_RE.finditer(text):
-            ch = m.group()
-            if ch in "([":
-                depth += 1
-            elif ch in ")]":
-                depth -= 1
-            else:
-                commas.setdefault(depth, []).append(m.start())
-        self.commas = commas
-
-    def split(self, text: str, start: int, end: int, depth: int):
-        """text[start:end], which text[start - 1] opens at ``depth``, split
-        on its commas not nested in parentheses or brackets, as spans; an
-        empty or blank last part is dropped."""
-        at = self.commas.get(depth, [])
-        spans = []
-        for c in at[bisect_left(at, start) : bisect_left(at, end)]:
-            spans.append((start, c))
-            start = c + 1
-        if _strip_span(text, start, end)[0] < end:
-            spans.append((start, end))
-        return spans
+def _loop_literal(text: str) -> LoopExpr:
+    """The loop literal ``text`` (CLI form), unpriced."""
+    _check_literals(text, 1)
+    return _expr(_TOKEN_RE.findall(text.rstrip()) + [_END], 0, 1, 1, None, 0)[0]
 
 
 def parse_loop_literals(texts: Tuple[str, ...]) -> Tuple[LoopExpr, ...]:
@@ -574,8 +565,7 @@ def parse_loop_literals(texts: Tuple[str, ...]) -> Tuple[LoopExpr, ...]:
     p = _circle_prices("pow10")
     exprs, sizes, work = [], [], 0
     for text in texts:
-        _check_literals(text, 1)
-        exprs.append(_parse_loop_expr(text, 1, 1, None))
+        exprs.append(_loop_literal(text))
         sizes.append(_measure(exprs[-1], {}, p))
         cost = _binding_price(exprs[-1], sizes[-1][0])
         work = _spend(work, _PRICES["statement"] + cost, "the loop literal", 1, 1)
@@ -594,112 +584,118 @@ def parse(text: str) -> Script:
     loops: dict = {}  # bound loop name -> (letters, weight)
     work = 0  # the price of every statement so far
     active_space: Optional[SpaceDecl] = None
+    tokens = _TOKEN_RE.findall
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        if len(line) > MAX_LITERAL_DIGITS:
+            _check_literals(line, lineno)
+        toks = tokens(line)
+        if not toks:
             continue
-        _check_literals(line, lineno)
-        col = len(line) - len(line.lstrip()) + 1
-        stripped = line.strip()
-        head = stripped.split(None, 1)[0]
+        n, col = len(toks), len(toks[0][0]) + 1
+        toks.append(_END)
+        # the head is the statement's first word, spaced from what follows
+        head = toks[0][1] if n == 1 or toks[1][0] else ""
         what, cost = head, 0
         if head == "space":
-            m = _SPACE_RE.match(stripped)
-            if not m:
+            # no whitespace before "(", around "width=" or in its value
+            if not (
+                n >= 7 and toks[1][_NAME] and toks[2][1] == "=" and toks[3][1] in ("X", "Y") and toks[4][1] == "("
+                and not toks[4][0] and toks[5][1].isdecimal() and toks[6][1] == ")"
+                and (n == 7 or toks[7][0] and toks[7][1] == "width" and toks[8][1] == "=" and 9 < n == _glued(toks, 7))
+            ):
                 raise DslError(lineno, col, "expected: space <name> = X(<hint>)|Y(<hint>) [width=default|pow10|cube|uniform:<q>]")
-            name, kind, hint, width = m.group(1), m.group(2), int(m.group(3)), m.group(4) or "pow10"
-            if width == "default":
-                width = "pow10"
-            if not (width in ("pow10", "cube") or _UNIFORM_RE.match(width)):
-                raise DslError(lineno, col, f"unknown width profile {quote(width)}")
-            if width.startswith("uniform:"):
-                parse_rational(width[len("uniform:") :], lineno, col)
+            name, kind, hint = toks[1][_NAME], toks[3][1], int(toks[5][1])
+            width = _text(toks, 9, n) if n > 7 else "default"
+            width = "pow10" if width == "default" else width
+            if width not in ("pow10", "cube"):
+                if not (n == 12 and toks[9][1] == "uniform" and toks[10][1] == ":" and _number(toks[11])):
+                    raise DslError(lineno, col, f"unknown width profile {quote(width)}")
+                _rational_pair(toks[11][1], lineno, col)
             if hint < 2:
                 raise DslError(lineno, col, "space hint must be at least 2")
-            _check_index(hint, "space hint {}", lineno, col + m.start(3))
+            if hint > MAX_CIRCLE_INDEX:
+                _check_index(hint, "space hint {}", lineno, col + len(_text(toks, 0, 5)) + len(toks[5][0]))
             st = active_space = spaces[name] = SpaceDecl(name, kind, hint, width)
             what = f"space {name}"
         elif head == "loop":
-            m = _LOOP_RE.match(stripped)
-            if not m:
+            name = toks[1][_NAME]
+            if not (n > 3 and name and toks[2][1] == "="):
                 raise DslError(lineno, col, "expected: loop <name> = <expression>")
             if active_space is None:
                 raise DslError(lineno, col, "no active space: declare one with 'space' first")
-            name = m.group(1)
-            expr = _parse_loop_expr(m.group(2), lineno, col, loops)
+            expr = _expr(toks, 3, lineno, col, loops, 0)[0]
             if isinstance(expr, AlphaExpr) and active_space.kind != "Y":
                 raise DslError(lineno, col, "alpha.updown needs the compact space Y")
             letters, weight = loops[name] = _measure(expr, loops, _circle_prices(active_space.width))
             cost = _binding_price(expr, letters)
             st, what = LoopBinding(name, expr), f"loop {name}"
         elif head == "classify":
-            m = _CLASSIFY_RE.match(stripped)
-            if not m:
+            name = toks[1][_NAME]
+            if n != 2 or not name:
                 raise DslError(lineno, col, "expected: classify <loop-name>")
-            name = m.group(1)
             if name not in loops:
                 raise DslError(lineno, col, f"unbound loop name {quote(name)}")
             st, what, cost = ClassifyStmt(name), f"classify {name}", _PRICES["classify"] * loops[name][0]
         elif head == "dist":
-            m = _DIST_RE.match(stripped)
-            if not m:
+            names = (toks[1][_NAME], toks[2][_NAME]) if n == 3 else ("",)
+            if not all(names):
                 raise DslError(lineno, col, "expected: dist <loop-name> <loop-name>")
-            first, second = m.groups()
-            for nm in (first, second):
+            for nm in names:
                 if nm not in loops:
                     raise DslError(lineno, col, f"unbound loop name {quote(nm)}")
             a, b = _PRICES["dist"]
-            cost = sum(a * loops[nm][0] + b * loops[nm][1] for nm in (first, second))
-            st, what = DistStmt(first, second), f"dist {first} {second}"
+            cost = sum(a * loops[nm][0] + b * loops[nm][1] for nm in names)
+            st, what = DistStmt(*names), "dist " + " ".join(names)
         elif head == "probe":
-            m = _PROBE_RE.match(stripped)
-            if not m:
+            # key=value arguments, with no whitespace in them
+            kind, pairs, j = toks[1][_NAME], [], 2
+            valid = bool(kind) and (n == 2 or bool(toks[2][0]))
+            while valid and j < n:
+                k = _glued(toks, j)
+                valid = bool(toks[j][_NAME]) and toks[j + 1][1] == "=" and k > j + 2
+                pairs.append((toks[j][_NAME], j + 2, k))
+                j = k
+            if not valid:
                 raise DslError(lineno, col, "expected: probe <kind> key=value ...")
-            kind = m.group(1)
             if kind not in PROBE_SIGNATURES:
-                raise DslError(
-                    lineno, col, f"unknown probe {quote(kind)}; known: {', '.join(sorted(PROBE_SIGNATURES))}"
-                )
+                raise DslError(lineno, col, f"unknown probe {quote(kind)}; known: {', '.join(sorted(PROBE_SIGNATURES))}")
             if active_space is None:
                 raise DslError(lineno, col, "no active space: declare one with 'space' first")
-            known = {key for key, _ in PROBE_SIGNATURES[kind]}
             raw_args = {}
-            for kv in m.group(2).split():
-                key, val = kv.split("=", 1)
-                if key in raw_args and key in known:
+            for key, a, b in pairs:
+                if key in raw_args and key in dict(PROBE_SIGNATURES[kind]):
                     raise DslError(lineno, col, f"probe {kind} takes {quote(key)} once")
-                raw_args[key] = val
+                raw_args[key] = (a, b)
             args = []
             for key, typ in PROBE_SIGNATURES[kind]:
-                optional = typ.endswith("?")
-                typ = typ.rstrip("?")
                 if key not in raw_args:
-                    if optional:
+                    if typ.endswith("?"):
                         continue
                     raise DslError(lineno, col, f"probe {kind} needs {key}=...")
-                val = raw_args.pop(key)
-                if typ == "int":
-                    if not _INT_RE.match(val):
+                a, b = raw_args.pop(key)
+                val, number = _text(toks, a, b), _number(toks[a]) if b == a + 1 else ""
+                if typ == "name":
+                    if val not in loops:
+                        raise DslError(lineno, col, f"unbound loop name {quote(val)}")
+                    args.append((key, val))
+                elif typ == "rat":
+                    args.append((key, Fraction(*_rational_pair(val, lineno, col, number))))
+                else:
+                    if not number or "/" in number:
                         raise DslError(lineno, col, f"{key} must be an integer, got {quote(val)}")
                     if key in ("n_max", "up_to"):
                         _check_index(int(val), f"{key}={cut(val)}", lineno, col)
                     args.append((key, int(val)))
-                elif typ == "rat":
-                    args.append((key, parse_rational(val, lineno, col)))
-                else:  # name
-                    if val not in loops:
-                        raise DslError(lineno, col, f"unbound loop name {quote(val)}")
-                    args.append((key, val))
             if raw_args:
-                stray = sorted(raw_args)[0]
-                raise DslError(lineno, col, f"probe {kind} does not take {quote(stray)}")
+                raise DslError(lineno, col, f"probe {kind} does not take {quote(sorted(raw_args)[0])}")
             cost = _probe_price(kind, dict(args), loops, active_space.width)
             st, what = ProbeStmt(kind, tuple(args)), f"probe {kind}"
         elif head == "render":
-            m = _RENDER_RE.match(stripped)
-            if not m:
+            k = next(k for k in range(1, n + 1) if not toks[k][_NAME])
+            if not (k > 1 and toks[k][1] == "->" and k + 1 < n == _glued(toks, k + 1)):
                 raise DslError(lineno, col, "expected: render <names> -> <file>")
-            names = tuple(m.group(1).split())
+            names = tuple(t[_NAME] for t in toks[1:k])
             for nm in names:
                 if nm in spaces:
                     cost += _PRICES["draw"] * (spaces[nm].hint - 1)
@@ -707,9 +703,9 @@ def parse(text: str) -> Script:
                     cost += _PRICES["draw_letter"] * loops[nm][0]
                 else:
                     raise DslError(lineno, col, f"unbound name {quote(nm)}")
-            st = RenderStmt(names, m.group(2))
+            st = RenderStmt(names, _text(toks, k + 1, n))
         else:
-            raise DslError(lineno, col, f"unrecognized statement {quote(head)}")
+            raise DslError(lineno, col, f"unrecognized statement {quote(line.split(None, 1)[0])}")
         work = _spend(work, _PRICES["statement"] + cost, what, lineno, col)
         statements.append(st)
     return Script(tuple(statements))

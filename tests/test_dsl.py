@@ -179,6 +179,19 @@ class TestRoundTrip:
             assert decl == dsl.SpaceDecl("S", text[0], 5, width)
 
 
+class CountingTokens:
+    """The token pattern, counting its scans and the characters they cover."""
+
+    def __init__(self, real=dsl._TOKEN_RE):
+        self.real, self.calls, self.scanned = real, 0, 0
+
+    def findall(self, text, pos=0, endpos=None):
+        end = len(text) if endpos is None else min(endpos, len(text))
+        self.calls += 1
+        self.scanned += end - pos
+        return self.real.findall(text, pos, end)
+
+
 class TestLoopLiterals:
     def test_simple(self):
         alpha, expr = dsl.parse_loop_literals(("alpha.updown", "C(4).once"))
@@ -201,27 +214,29 @@ class TestLoopLiterals:
     def test_nested_concats_scan_the_literal_once(self, monkeypatch):
         """Every concat level scanned the rest of the literal again: about
         100 times its length for 100 levels around a 25 KB points literal.
-        Characters scanned are counted at the delimiter pattern, the one
-        scanner of concat arguments and points triples."""
+        Characters scanned are counted at the token pattern, the one scanner
+        of the parser."""
         points = "points [" + ", ".join(f"({k}/1200, 1/{2 + k % 990}, 1)" for k in range(1200)) + "]"
         assert len(points) > 25000
-        real = dsl._DELIMITER_RE
-        scanned = [0]
-
-        class Counting:
-            def finditer(self, text, pos=0, endpos=None):
-                end = len(text) if endpos is None else min(endpos, len(text))
-                scanned[0] += end - pos
-                return real.finditer(text, pos, end)
-
-        monkeypatch.setattr(dsl, "_DELIMITER_RE", Counting())
-        expr = dsl._parse_loop_expr("concat(" * 100 + points + ")" * 100, 1, 1, None)
+        counting = CountingTokens()
+        monkeypatch.setattr(dsl, "_TOKEN_RE", counting)
+        expr = dsl._loop_literal("concat(" * 100 + points + ")" * 100)
         monkeypatch.undo()
-        assert 0 < scanned[0] < 3 * len(points)
+        assert 0 < counting.scanned < 3 * len(points)
         for _ in range(100):
             assert isinstance(expr, dsl.ConcatExpr) and len(expr.args) == 1
             (expr,) = expr.args
-        assert expr == dsl._parse_loop_expr(points, 1, 1, None)
+        assert expr == dsl._loop_literal(points)
+
+    def test_one_token_scan_per_line(self, monkeypatch):
+        """Parsing the docstring script runs the token pattern once per
+        non-blank line, over that line only."""
+        script = "".join(line[4:] + "\n" for line in dsl.__doc__.split("\n\n")[2].split("\n"))
+        lines = [line for line in script.splitlines() if line.strip()]
+        counting = CountingTokens()
+        monkeypatch.setattr(dsl, "_TOKEN_RE", counting)
+        dsl.parse(script)
+        assert (counting.calls, counting.scanned) == (len(lines), sum(map(len, lines)))
 
 
 class TestCircleIndexLimit:
@@ -649,7 +664,7 @@ class TestPointsRoute:
         route raises, the same exception type and text."""
         text = "points [" + ", ".join(f"({t}, {x}, {y})" for t, x, y in parts) + "]"
         want = _outcome(lambda: oracles.points_literal(parts))
-        got = _outcome(lambda: dsl._parse_loop_expr(text, 1, 1, None))
+        got = _outcome(lambda: dsl._loop_literal(text))
         if not isinstance(want, tuple) or not isinstance(got, dsl.PointsExpr):
             assert got == want
             return

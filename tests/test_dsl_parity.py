@@ -8,9 +8,16 @@ corpus is the README script, the dsl docstring script, every
 ``HOSTILE_LINES`` case, the edge scripts below, one CLI literal, and every
 one-character deletion, and every insertion of one of ``INSERTED``, at
 each position of the docstring script and of one generated script-cube
-script. A case the new parser accepts must give an equal result, and one
-it refuses the same line, column and message, except for the messages
-listed in ``CHANGED``.
+script. A case the token parser accepts must give an equal result, and one
+it refuses the same line, column and message, but for the messages of
+``CHANGED`` and ``dsl_parity_changed.json.gz``.
+
+Those are the refusals of an unbalanced delimiter. The span parser split a
+list or a concat at the commas of its delimiter depth, counted across the
+imbalance, and quoted the text between two of them, which could run over
+several triples or arguments; the token parser reads the delimiters in
+pairs, and quotes one argument or points element, or names the whole
+expression or the shape of a points list.
 """
 import gzip
 import hashlib
@@ -68,9 +75,15 @@ EDGE_LINES = {
 
 CLI_LITERAL = "concat(points [(0,0,0),(1,0,0)], concat(C(2).once, word(g2 g3^-1)))"
 
-# Messages that the token parser words differently, by case: the span
-# parser quoted a fragment that ran across a delimiter.
-CHANGED = {}
+CHANGED_DATA = Path(__file__).with_name("dsl_parity_changed.json.gz")
+
+# The edge cases whose message changed, with the new one; the span parser
+# quoted 'c)(c', '(0,0,0)], (1' and 'c)'.
+CHANGED = {
+    "edge-concat-twice": [3, 1, "unrecognized loop expression 'concat(c)(c)'"],
+    "edge-points-closed-early": [3, 1, "points expects a bracketed list of (t, x, y) triples"],
+    "edge-concat-extra-paren": [3, 1, "unrecognized loop expression 'concat(c, c))'"],
+}
 
 
 def corpus():
@@ -102,17 +115,33 @@ def record():
     return [[case, outcome(parse, text)] for case, parse, text in runs]
 
 
+def load(path):
+    return json.loads(gzip.decompress(path.read_bytes()))
+
+
 def test_data_size():
-    assert DATA.stat().st_size <= 100_000
+    assert DATA.stat().st_size + CHANGED_DATA.stat().st_size <= 100_000
+
+
+def test_changed_messages_are_unbalanced_delimiters():
+    """Every changed message is a refusal at the same line and column as
+    before, of an edge case above or of an inserted parenthesis or bracket."""
+    pinned = dict(load(DATA))
+    changed = {**dict(load(CHANGED_DATA)), **CHANGED}
+    for case, new in changed.items():
+        old = pinned[case]
+        assert isinstance(old, list) and isinstance(new, list) and old[:2] == new[:2] and old != new, case
+        assert case in CHANGED or any(f"-ins-{ch!r}-" in case for ch in "()[]"), case
 
 
 def test_corpus_matches_the_span_parser():
-    want = json.loads(gzip.decompress(DATA.read_bytes()))
+    want = load(DATA)
+    changed = {**dict(load(CHANGED_DATA)), **CHANGED}
     got = record()
     assert [case for case, _ in got] == [case for case, _ in want]
     wrong = [
-        f"{case}: want {CHANGED.get(case, pinned)}, got {new}"
+        f"{case}: want {changed.get(case, pinned)}, got {new}"
         for (case, new), (_, pinned) in zip(got, want)
-        if new != CHANGED.get(case, pinned)
+        if new != changed.get(case, pinned)
     ]
     assert not wrong, f"{len(wrong)} cases differ:\n" + "\n".join(wrong[:20])
