@@ -1,19 +1,17 @@
 """The declarative script language: spaces, loop bindings, probes, renders.
 
-One statement a line; ``#`` starts a comment. One pattern (``_TOKEN_RE``)
-cuts a line into tokens, each with the whitespace before it: names (runs of
-\\w characters), numbers ``n`` and ``n/d`` with an optional ``-`` (decimal
+One statement a line; ``#`` starts a comment. ``_TOKEN_RE`` cuts a line
+into tokens, each with the whitespace before it: names (runs of \\w
+characters), numbers ``n`` and ``n/d`` with an optional ``-`` (decimal
 floats are rejected, so no precision is ever lost silently), points triples
 ``(t, x, y)`` of numbers, ``( ) [ ] , = : ->`` and any other run of
 non-space characters. Whitespace may stand between any two tokens but inside
 ``X(``, ``Y(``, ``C(n).once``, ``word(``, ``concat(``, a ``key=value`` and
 a render's file; a ``concat`` or ``points`` list may end in a comma. A
 recursive descent reads each statement off its tokens, in time linear in
-the line at any nesting. A triple's numbers are kept as reduced int pairs
-(``PointsExpr``), so the literal is weighed and pathed without a Fraction;
-the other rationals are Fractions. Names resolve eagerly: using a name
-before binding it, binding a loop before any space is active, or giving a
-probe a key twice, is a parse diagnostic with line and column.
+the line at any nesting. Names resolve eagerly: using a name before binding
+it, binding a loop before any space is active, or giving a probe a key
+twice, is a parse diagnostic with line and column.
 
     space S = Y(20) width=pow10
     loop f = alpha.updown
@@ -120,10 +118,8 @@ _PRICES = {
     "draw_letter": 100,  # render, per letter of a loop
 }
 
-# An integer literal past MAX_LITERAL_DIGITS. It is refused before any other
-# error of its line, and it may sit inside any token (a name, a width, a
-# word's body, a render path), so one search over the line finds it; only a
-# line longer than the limit is searched.
+# A literal past MAX_LITERAL_DIGITS, refused before any other error of its line
+# wherever it sits, even inside a token: a second scan, of long lines only.
 _LONG_LITERAL_RE = re.compile(r"(?<!\d)\d{%d,}" % (MAX_LITERAL_DIGITS + 1))
 
 
@@ -275,7 +271,12 @@ PROBE_SIGNATURES = {
     "disjointness": (("up_to", "int"),),
     "hausdorff": (("up_to", "int"),),
     "nondiscreteness": (("n_max", "int"), ("epsilon", "rat")),
-    "discreteness": (("loop", "name"), ("trials", "int"), ("magnitude", "rat"), ("seed", "int?")),
+    "discreteness": (
+        ("loop", "name"),
+        ("trials", "int"),
+        ("magnitude", "rat"),
+        ("seed", "int?"),
+    ),
     "slsc": (("radius", "rat"), ("samples", "int"), ("seed", "int?")),
 }
 
@@ -299,7 +300,9 @@ def _check_literals(text: str, line: int) -> None:
     """Refuse an integer literal longer than MAX_LITERAL_DIGITS digits, at its column."""
     m = _LONG_LITERAL_RE.search(text)
     if m:
-        raise DslError(line, m.start() + 1, f"integer literal exceeds the limit of {MAX_LITERAL_DIGITS} digits")
+        raise DslError(
+            line, m.start() + 1, f"integer literal exceeds the limit of {MAX_LITERAL_DIGITS} digits"
+        )
 
 
 def _check_index(n: int, what: str, line: int, col: int) -> None:
@@ -584,12 +587,11 @@ def parse(text: str) -> Script:
     loops: dict = {}  # bound loop name -> (letters, weight)
     work = 0  # the price of every statement so far
     active_space: Optional[SpaceDecl] = None
-    tokens = _TOKEN_RE.findall
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if len(line) > MAX_LITERAL_DIGITS:
             _check_literals(line, lineno)
-        toks = tokens(line)
+        toks = _TOKEN_RE.findall(line)
         if not toks:
             continue
         n, col = len(toks), len(toks[0][0]) + 1
