@@ -118,8 +118,8 @@ _PRICES = {
     "draw_letter": 100,  # render, per letter of a loop
 }
 
-# A literal past MAX_LITERAL_DIGITS, refused before any other error of its line
-# wherever it sits, even inside a token: a second scan, of long lines only.
+# A literal past MAX_LITERAL_DIGITS is refused before any other error of its
+# line, even inside a token: a second scan, which parse runs on long lines only.
 _LONG_LITERAL_RE = re.compile(r"(?<!\d)\d{%d,}" % (MAX_LITERAL_DIGITS + 1))
 
 

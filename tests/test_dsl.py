@@ -3,6 +3,7 @@ from fractions import Fraction
 import oracles
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_cli import dsl_docstring_script
 
 from pi1lab import cli, dsl
 from pi1lab.geometry import GeometryError
@@ -231,7 +232,7 @@ class TestLoopLiterals:
     def test_one_token_scan_per_line(self, monkeypatch):
         """Parsing the docstring script runs the token pattern once per
         non-blank line, over that line only."""
-        script = "".join(line[4:] + "\n" for line in dsl.__doc__.split("\n\n")[2].split("\n"))
+        script = dsl_docstring_script()
         lines = [line for line in script.splitlines() if line.strip()]
         counting = CountingTokens()
         monkeypatch.setattr(dsl, "_TOKEN_RE", counting)
