@@ -119,7 +119,7 @@ _PRICES = {
 }
 
 # A literal past MAX_LITERAL_DIGITS is refused before any other error of its
-# line, even inside a token: a second scan, which parse runs on long lines only.
+# line, even inside a token: a second scan, of long lines only.
 _LONG_LITERAL_RE = re.compile(r"(?<!\d)\d{%d,}" % (MAX_LITERAL_DIGITS + 1))
 
 
@@ -254,13 +254,14 @@ _W = r"(?:[^\s()\[\],=:-]|-(?!>))"
 _N = r"-?\d+(?:/\d+)?"
 
 # One token and the whitespace before it, as (space, text, name, t, x, y,
-# number) from ``findall``. The commonest kinds come first; each kind fails
-# a token in time linear in its length.
+# number) from ``findall``; the commonest kinds come first. A name or number
+# is a whole word; any other word is cut at each "-", as a repeated
+# alternation would take regex memory per character.
 _TOKEN_RE = re.compile(
     rf"(\s*)((\w+)(?!{_W})"
     rf"|[)\[\],=:]"
     rf"|\(\s*({_N})\s*,\s*({_N})\s*,\s*({_N})\s*\)"
-    rf"|\(|({_N})(?!{_W})|->|{_W}+)"
+    rf"|\(|({_N})(?!{_W})|->?|[^\s()\[\],=:-]+)"
 )
 _NAME, _TRIPLE, _NUMBER = 2, 3, 6
 _END = ("",) * 7  # ends each token list, so the parser may read one token ahead
@@ -298,7 +299,7 @@ def _rational_pair(text: str, line: int, col: int, number=True) -> Tuple[int, in
 
 def _check_literals(text: str, line: int) -> None:
     """Refuse an integer literal longer than MAX_LITERAL_DIGITS digits, at its column."""
-    m = _LONG_LITERAL_RE.search(text)
+    m = len(text) > MAX_LITERAL_DIGITS and _LONG_LITERAL_RE.search(text)
     if m:
         raise DslError(
             line, m.start() + 1, f"integer literal exceeds the limit of {MAX_LITERAL_DIGITS} digits"
@@ -589,8 +590,7 @@ def parse(text: str) -> Script:
     active_space: Optional[SpaceDecl] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if len(line) > MAX_LITERAL_DIGITS:
-            _check_literals(line, lineno)
+        _check_literals(line, lineno)
         toks = _TOKEN_RE.findall(line)
         if not toks:
             continue
