@@ -265,6 +265,7 @@ _TOKEN_RE = re.compile(
 )
 _NAME, _TRIPLE, _NUMBER = 2, 3, 6
 _END = ("",) * 7  # ends each token list, so the parser may read one token ahead
+_OPEN = ("", "(") + ("",) * 5  # a "(" token, for a concat whose arguments read as a points triple
 _ENDS = (("",), ("", ",", ")"))  # what may follow a loop expression at the top of a line, and in a concat
 _POINTS_SHAPE = "points expects a bracketed list of (t, x, y) triples"
 
@@ -429,18 +430,40 @@ def _glued(toks: list, j: int) -> int:
     return j
 
 
+def _tight(toks: list, i: int, j: int) -> bool:
+    """Whether no whitespace stands between the tokens toks[i:j]."""
+    return j <= i + 1 or _glued(toks, i) >= j
+
+
 def _run_end(toks: list, j: int, close: str) -> int:
-    """Where the concat argument (``close`` ")") or points element ("]") at
-    toks[j] ends: at ``close`` with none of its kind open (an unopened other
-    closer is part of it), at a comma with none open, or at the end."""
-    opener, own, other = "(" if close == ")" else "[", 0, 0
-    while True:
-        s = toks[j][1]
-        if not s or s == close and not own or s == "," and not own and not other:
-            return j
-        own += (s == opener) - (s == close)
-        other += (s in ("(", "[") and s != opener) - (other > 0 and s in (")", "]") and s != close)
-        j += 1
+    """Where the concat argument (``close`` ")") or points element ("]")
+    from toks[j] on ends: at ``close`` or a comma with nothing open. In a
+    concat "(" and "[" open and ")" and "]" close; in a points list only
+    parentheses do, and a closer with nothing open is part of the run. A
+    run that reaches the end of the line, as one left open does, ends
+    before a last ``close``, which then ends the concat or list."""
+    opens, shuts = ("(", ")") if close == "]" else ("([", ")]")
+    depth = 0
+    for k in range(j, len(toks) - 1):
+        s = toks[k][1]
+        if not depth and (s == close or s == ","):
+            return k
+        if s in opens:
+            depth += 1
+        elif depth and s in shuts:
+            depth -= 1
+    k = len(toks) - 1
+    return k - 1 if toks[k - 1][1] == close else k
+
+
+def _closed(toks: list, j: int, line: int, col: int, depth: int, what: str) -> int:
+    """The index past toks[j], the ")" or "]" that ends ``what``, which
+    must be followed by the end of the line at the top of a line, and by a
+    comma or ")" in a concat; otherwise what follows is refused."""
+    if toks[j + 1][1] not in _ENDS[depth > 0]:
+        end = _run_end(toks, j + 1, ")") if depth else len(toks) - 1
+        raise DslError(line, col, f"unexpected {quote(_text(toks, j + 1, end))} after {what}")
+    return j + 1
 
 
 def _expr(toks: list, i: int, line: int, col: int, loops: Optional[dict], depth: int) -> Tuple[LoopExpr, int]:
@@ -451,18 +474,22 @@ def _expr(toks: list, i: int, line: int, col: int, loops: Optional[dict], depth:
     s = toks[i][1]
     if s.startswith("points"):
         return _points(toks, i, line, col, depth)
-    if s == "concat" and toks[i + 1][1] == "(" and not toks[i + 1][0]:
+    if s == "concat" and toks[i + 1][1][:1] == "(" and not toks[i + 1][0]:
         return _concat(toks, i, line, col, loops, depth)
     end = _run_end(toks, i, ")") if depth else len(toks) - 1
     if s == "alpha.updown" and end == i + 1:
         return AlphaExpr(), end
-    index = _number(toks[i + 2]) if s == "C" and end == i + 5 and not toks[i + 1][0] + toks[i + 4][0] else ""
-    if index and "/" not in index and toks[i + 1][1] + toks[i + 3][1] + toks[i + 4][1] in ("().once", "().inv"):
-        idx = int(index)
-        if idx < 2:
-            raise DslError(line, col, f"circle index must be >= 2, got C({cut(str(idx))})")
-        _check_index(idx, "C({})", line, col)
-        return CircleExpr(idx, toks[i + 4][1] == ".inv"), end
+    if s == "C" and end == i + 5:
+        _, lparen, num, rparen, suffix = toks[i:end]
+        index = _number(num)
+        # C(n).once or C(n).inv, with whitespace only around n
+        shaped = lparen[1] == "(" and rparen[1] == ")" and suffix[1] in (".once", ".inv")
+        if shaped and not (lparen[0] or suffix[0]) and index and "/" not in index:
+            idx = int(index)
+            if idx < 2:
+                raise DslError(line, col, f"circle index must be >= 2, got C({cut(str(idx))})")
+            _check_index(idx, "C({})", line, col)
+            return CircleExpr(idx, suffix[1] == ".inv"), end
     text = _text(toks, i, end)
     if text.startswith("word(") and text.endswith(")"):
         return _word_expr(text[5:-1], line, col), end
@@ -471,10 +498,14 @@ def _expr(toks: list, i: int, line: int, col: int, loops: Optional[dict], depth:
     raise DslError(line, col, f"unrecognized loop expression {quote(text)}")
 
 
-def _concat(toks: list, i: int, line: int, col: int, loops: Optional[dict], depth: int) -> Tuple[ConcatExpr, int]:
+def _concat(
+    toks: list, i: int, line: int, col: int, loops: Optional[dict], depth: int
+) -> Tuple[ConcatExpr, int]:
     """The concat at toks[i]; see ``_expr``."""
     if depth == MAX_NESTING:
         raise DslError(line, col, f"concat nesting exceeds the limit of {MAX_NESTING} levels")
+    if toks[i + 1][_TRIPLE]:  # concat(1, 2, 3): its arguments spell a points triple; read them one by one
+        toks[i + 1 : i + 2] = [_OPEN] + _TOKEN_RE.findall(toks[i + 1][1][1:])
     args, bad, j = [], "", i + 2
     while toks[j][1] not in (")", ""):
         if loops is None:
@@ -488,14 +519,14 @@ def _concat(toks: list, i: int, line: int, col: int, loops: Optional[dict], dept
         args.append(arg)
         if toks[j][1] == ",":
             j += 1
-    if not (toks[j][1] and toks[j + 1][1] in _ENDS[depth > 0]):
-        end = _run_end(toks, i, ")") if depth else len(toks)
-        raise DslError(line, col, f"unrecognized loop expression {quote(_text(toks, i, end))}")
+    if not toks[j][1]:
+        raise DslError(line, col, f"unrecognized loop expression {quote(_text(toks, i, j))}")
+    j = _closed(toks, j, line, col, depth, "the concat")
     if not args:
         raise DslError(line, col, "concat needs at least one argument")
     if bad:
         raise DslError(line, col, bad)
-    return ConcatExpr(tuple(args)), j + 1
+    return ConcatExpr(tuple(args)), j
 
 
 def _points(toks: list, i: int, line: int, col: int, depth: int) -> Tuple[PointsExpr, int]:
@@ -507,17 +538,7 @@ def _points(toks: list, i: int, line: int, col: int, depth: int) -> Tuple[Points
     while toks[j][1] != "]":
         tok = toks[j]
         if not (tok[_TRIPLE] and toks[j + 1][1] in (",", "]")):
-            k, j = j, _run_end(toks, j, "]")
-            if not toks[j][1]:
-                raise DslError(line, col, _POINTS_SHAPE)
-            # not a triple token: its first field that is no number, if it is three one-word fields in parentheses
-            text = _text(toks, k, j)
-            fields = text[1:-1].split(",") if text[:1] == "(" and text[-1:] == ")" else ()
-            if len(fields) == 3 and all(len(f.split()) == 1 for f in fields):
-                for f in map(str.strip, fields):
-                    m = _TOKEN_RE.fullmatch(f)
-                    _rational_pair(f, line, col, m and _number(m.groups("")))
-            raise DslError(line, col, f"bad points triple {quote(text)}")
+            _bad_triple(toks, j, line, col)
         j += 2 if toks[j + 1][1] == "," else 1
         t = _rational_pair(tok[3], line, col) if "/" in tok[3] else (int(tok[3]), 1)
         xn, xd = _rational_pair(tok[4], line, col) if "/" in tok[4] else (int(tok[4]), 1)
@@ -529,17 +550,37 @@ def _points(toks: list, i: int, line: int, col: int, depth: int) -> Tuple[Points
                 # y/x of two literals can pass the digit limit of str(), and
                 # an index longer than a quote is not named
                 circle = f"C({n})" if n < 10**QUOTE_CHARS else "a circle"
-                point = cut(f"({Fraction(xn, xd)}, {Fraction(yn, yd)})")
-                limit = f"the limit {MAX_CIRCLE_INDEX} on circle indices"
-                raise DslError(line, col, f"breakpoint {point} can only lie on {circle}, which exceeds {limit}")
+                x, y = Fraction(xn, xd), Fraction(yn, yd)
+                raise DslError(
+                    line,
+                    col,
+                    f"breakpoint {cut(f'({x}, {y})')} can only lie on {circle}, which exceeds "
+                    f"the limit {MAX_CIRCLE_INDEX} on circle indices",
+                )
             top = max(top, n)
         ts.append(t)
         quads.append(q)
-    if toks[j + 1][1] not in _ENDS[depth > 0]:
-        raise DslError(line, col, _POINTS_SHAPE)
+    j = _closed(toks, j, line, col, depth, "the points list")
     if len(ts) < 2:
         raise DslError(line, col, "points needs at least two (t, x, y) triples")
-    return PointsExpr(tuple(ts), tuple(quads), top), j + 1
+    return PointsExpr(tuple(ts), tuple(quads), top), j
+
+
+def _bad_triple(toks: list, j: int, line: int, col: int) -> None:
+    """Refuse the points element at toks[j], which is not one triple token
+    followed by a comma or "]": quoting the element, or its first field that
+    is no number if it is three one-word fields in parentheses; or as a list
+    that is never closed."""
+    end = _run_end(toks, j, "]")
+    if not toks[end][1]:
+        raise DslError(line, col, _POINTS_SHAPE)
+    text = _text(toks, j, end)
+    fields = text[1:-1].split(",") if text[:1] == "(" and text[-1:] == ")" else ()
+    if len(fields) == 3 and all(len(f.split()) == 1 for f in fields):
+        for f in map(str.strip, fields):
+            m = _TOKEN_RE.fullmatch(f)
+            _rational_pair(f, line, col, m and _number(m.groups("")))
+    raise DslError(line, col, f"bad points triple {quote(text)}")
 
 
 def _word_expr(body: str, line: int, col: int) -> WordExpr:
@@ -600,11 +641,11 @@ def parse(text: str) -> Script:
         head = toks[0][1] if n == 1 or toks[1][0] else ""
         what, cost = head, 0
         if head == "space":
-            # no whitespace before "(", around "width=" or in its value
+            # whitespace may stand around "=" and the hint, must before "width", and nowhere else
+            width_arg = n > 9 and toks[7][0] and toks[7][1] == "width" and toks[8][1] == "=" and _tight(toks, 7, n)
             if not (
                 n >= 7 and toks[1][_NAME] and toks[2][1] == "=" and toks[3][1] in ("X", "Y") and toks[4][1] == "("
-                and not toks[4][0] and toks[5][1].isdecimal() and toks[6][1] == ")"
-                and (n == 7 or toks[7][0] and toks[7][1] == "width" and toks[8][1] == "=" and 9 < n == _glued(toks, 7))
+                and _tight(toks, 3, 5) and toks[5][1].isdecimal() and toks[6][1] == ")" and (n == 7 or width_arg)
             ):
                 raise DslError(lineno, col, "expected: space <name> = X(<hint>)|Y(<hint>) [width=default|pow10|cube|uniform:<q>]")
             name, kind, hint = toks[1][_NAME], toks[3][1], int(toks[5][1])
@@ -616,7 +657,7 @@ def parse(text: str) -> Script:
                 _rational_pair(toks[11][1], lineno, col)
             if hint < 2:
                 raise DslError(lineno, col, "space hint must be at least 2")
-            if hint > MAX_CIRCLE_INDEX:
+            if hint > MAX_CIRCLE_INDEX:  # refused at the column of the hint
                 _check_index(hint, "space hint {}", lineno, col + len(_text(toks, 0, 5)) + len(toks[5][0]))
             st = active_space = spaces[name] = SpaceDecl(name, kind, hint, width)
             what = f"space {name}"
@@ -661,41 +702,47 @@ def parse(text: str) -> Script:
             if not valid:
                 raise DslError(lineno, col, "expected: probe <kind> key=value ...")
             if kind not in PROBE_SIGNATURES:
-                raise DslError(lineno, col, f"unknown probe {quote(kind)}; known: {', '.join(sorted(PROBE_SIGNATURES))}")
+                raise DslError(
+                    lineno, col, f"unknown probe {quote(kind)}; known: {', '.join(sorted(PROBE_SIGNATURES))}"
+                )
             if active_space is None:
                 raise DslError(lineno, col, "no active space: declare one with 'space' first")
+            known = {key for key, _ in PROBE_SIGNATURES[kind]}
             raw_args = {}
             for key, a, b in pairs:
-                if key in raw_args and key in dict(PROBE_SIGNATURES[kind]):
+                if key in raw_args and key in known:
                     raise DslError(lineno, col, f"probe {kind} takes {quote(key)} once")
                 raw_args[key] = (a, b)
             args = []
             for key, typ in PROBE_SIGNATURES[kind]:
+                optional = typ.endswith("?")
+                typ = typ.rstrip("?")
                 if key not in raw_args:
-                    if typ.endswith("?"):
+                    if optional:
                         continue
                     raise DslError(lineno, col, f"probe {kind} needs {key}=...")
                 a, b = raw_args.pop(key)
                 val, number = _text(toks, a, b), _number(toks[a]) if b == a + 1 else ""
-                if typ == "name":
-                    if val not in loops:
-                        raise DslError(lineno, col, f"unbound loop name {quote(val)}")
-                    args.append((key, val))
-                elif typ == "rat":
-                    args.append((key, Fraction(*_rational_pair(val, lineno, col, number))))
-                else:
+                if typ == "int":
                     if not number or "/" in number:
                         raise DslError(lineno, col, f"{key} must be an integer, got {quote(val)}")
                     if key in ("n_max", "up_to"):
                         _check_index(int(val), f"{key}={cut(val)}", lineno, col)
                     args.append((key, int(val)))
+                elif typ == "rat":
+                    args.append((key, Fraction(*_rational_pair(val, lineno, col, number))))
+                else:  # name
+                    if val not in loops:
+                        raise DslError(lineno, col, f"unbound loop name {quote(val)}")
+                    args.append((key, val))
             if raw_args:
-                raise DslError(lineno, col, f"probe {kind} does not take {quote(sorted(raw_args)[0])}")
+                stray = sorted(raw_args)[0]
+                raise DslError(lineno, col, f"probe {kind} does not take {quote(stray)}")
             cost = _probe_price(kind, dict(args), loops, active_space.width)
             st, what = ProbeStmt(kind, tuple(args)), f"probe {kind}"
         elif head == "render":
             k = next(k for k in range(1, n + 1) if not toks[k][_NAME])
-            if not (k > 1 and toks[k][1] == "->" and k + 1 < n == _glued(toks, k + 1)):
+            if not (k > 1 and toks[k][1] == "->" and k + 1 < n and _tight(toks, k + 1, n)):
                 raise DslError(lineno, col, "expected: render <names> -> <file>")
             names = tuple(t[_NAME] for t in toks[1:k])
             for nm in names:

@@ -212,6 +212,12 @@ class TestLoopLiterals:
         with pytest.raises(dsl.DslError):
             dsl.parse_loop_literals(("spiral.updown",))
 
+    def test_concat_of_numbers(self):
+        """After ``concat``, ``(1, 2, 3)`` is one points-triple token; it is
+        read again as three arguments, and the first is refused alone."""
+        with pytest.raises(dsl.DslError, match=r"^line 1, col 1: unrecognized loop expression '1'$"):
+            dsl.parse_loop_literals(("concat(1, 2, 3)",))
+
     def test_nested_concats_scan_the_literal_once(self, monkeypatch):
         """Every concat level scanned the rest of the literal again: about
         100 times its length for 100 levels around a 25 KB points literal.

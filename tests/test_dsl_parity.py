@@ -12,16 +12,19 @@ script. A case the token parser accepts must give an equal result, and one
 it refuses the same line, column and message, but for the messages of
 ``CHANGED`` and ``dsl_parity_changed.json.gz``.
 
-Those are the refusals of an unbalanced delimiter. The span parser split a
-list or a concat at the commas of its delimiter depth, counted across the
-imbalance, and quoted the text between two of them, which could run over
-several triples or arguments; the token parser reads the delimiters in
-pairs, and quotes one argument or points element, or names the whole
-expression or the shape of a points list.
+Those are the refusals of an unbalanced delimiter or of text after a
+concat or points list. The span parser split a list or a concat at the
+commas of its delimiter depth, counted across the imbalance, and quoted the
+text between two of them, which could run over several triples or
+arguments, or named the whole expression or the shape of a points list for
+what followed its end. The token parser reads the delimiters in pairs and
+quotes one argument, points element or field, or what follows the end of
+the concat or list.
 """
 import gzip
 import hashlib
 import json
+import re
 from pathlib import Path
 
 from pi1lab import dsl
@@ -71,18 +74,27 @@ EDGE_LINES = {
     "space-uniform-zero": "space T = Y(5) width=uniform:1/0",
     "render-no-output": "render S ->",
     "render-two-outputs": "render S -> a.svg b.svg",
+    "concat-digit-names": "loop 1 = C(3).once\nloop 2 = C(4).inv\nloop 3 = alpha.updown\nloop k = concat(1, 2, 3)",
+    "concat-digit-names-tight": "loop 1 = C(3).once\nloop 2 = C(4).inv\nloop 3 = C(5).once\nloop k = concat(1,2,3)",
+    "concat-digit-names-junk-after": "loop 1 = C(3).once\nloop k = concat(1, 1, 1) x",
+    "concat-digit-names-unbound": "loop k = concat(1, 2, 3)",
 }
 
 CLI_LITERAL = "concat(points [(0,0,0),(1,0,0)], concat(C(2).once, word(g2 g3^-1)))"
 
 CHANGED_DATA = Path(__file__).with_name("dsl_parity_changed.json.gz")
 
-# The edge cases whose message changed, with the new one; the span parser
-# quoted 'c)(c', '(0,0,0)], (1' and 'c)'.
+# The edge cases whose message changed, with the new one. The span parser
+# quoted 'c)(c', '(0,0,0)], (1' and 'c)', across the end of the concat or
+# list, named the shape of a points list for junk after it, and quoted a
+# whole nested list or concat.
 CHANGED = {
-    "edge-concat-twice": [3, 1, "unrecognized loop expression 'concat(c)(c)'"],
-    "edge-points-closed-early": [3, 1, "points expects a bracketed list of (t, x, y) triples"],
-    "edge-concat-extra-paren": [3, 1, "unrecognized loop expression 'concat(c, c))'"],
+    "edge-concat-twice": [3, 1, "unexpected '(c)' after the concat"],
+    "edge-points-closed-early": [3, 1, "unexpected ', (1,0,0)]' after the points list"],
+    "edge-concat-extra-paren": [3, 1, "unexpected ')' after the concat"],
+    "edge-points-junk-after": [3, 1, "unexpected 'x' after the points list"],
+    "edge-points-nested-list": [3, 1, "bad points triple '[(0,0,0)'"],
+    "edge-concat-digit-names-junk-after": [4, 1, "unexpected 'x' after the concat"],
 }
 
 
@@ -123,15 +135,17 @@ def test_data_size():
     assert DATA.stat().st_size + CHANGED_DATA.stat().st_size <= 100_000
 
 
-def test_changed_messages_are_unbalanced_delimiters():
+def test_changed_messages_are_delimiter_refusals():
     """Every changed message is a refusal at the same line and column as
-    before, of an edge case above or of an inserted parenthesis or bracket."""
+    before: of an edge case above, of an inserted parenthesis or bracket,
+    or of text after the end of a concat or points list, which it quotes."""
     pinned = dict(load(DATA))
     changed = {**dict(load(CHANGED_DATA)), **CHANGED}
     for case, new in changed.items():
         old = pinned[case]
         assert isinstance(old, list) and isinstance(new, list) and old[:2] == new[:2] and old != new, case
-        assert case in CHANGED or any(f"-ins-{ch!r}-" in case for ch in "()[]"), case
+        after = re.fullmatch(r"unexpected '.+'(\.\.\.)? after the (concat|points list)", new[2])
+        assert case in CHANGED or after or any(f"-ins-{ch!r}-" in case for ch in "()[]"), case
 
 
 def test_corpus_matches_the_span_parser():
