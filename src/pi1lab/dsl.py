@@ -493,7 +493,7 @@ def _expr(toks: list, i: int, line: int, col: int, loops: Optional[dict], depth:
     text = _text(toks, i, end)
     if text.startswith("word(") and text.endswith(")"):
         return _word_expr(text[5:-1], line, col), end
-    if text.startswith("word ") or text == "word":
+    if s == "word" and (end == i + 1 or toks[i + 1][0]):
         return _word_expr(text[4:], line, col), end
     raise DslError(line, col, f"unrecognized loop expression {quote(text)}")
 

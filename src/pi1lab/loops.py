@@ -260,7 +260,7 @@ def _scan(ts, qs, chart, space) -> Tuple[tuple, ...]:
             out.append((n, first, last, 0))
             continue
         circ = space.circle(n)
-        vertex = (base, circ.apex._q, circ.tail._q)
+        vertex = (base, circ._apex_q, circ._tail_q)
         lift = 0
         at = 0  # the vertex the current run started from
         run = None  # the edge of the current run
@@ -324,7 +324,7 @@ def standard_fn(n: int, space: Optional[SpaceHandle] = None) -> Loop:
     """
     space = space if space is not None else default_x()
     circ = space.circle(n)
-    _, _, yn, yd = tail = circ.tail._q
+    _, _, yn, yd = tail = circ._tail_q
     if yn <= 0:
         raise SpaceError(
             f"the loop around C{n} needs w({n}) < 1, which width profile {cut(space.profile.name)} does not give"
@@ -333,7 +333,7 @@ def standard_fn(n: int, space: Optional[SpaceHandle] = None) -> Loop:
     if not yn & 1:
         tn, td = tn >> 1, yd
     return _charted(
-        _path(((0, 1), (1, 2), (tn, td), (1, 1)), (ORIGIN._q, circ.apex._q, tail, ORIGIN._q)),
+        _path(((0, 1), (1, 2), (tn, td), (1, 1)), (ORIGIN._q, circ._apex_q, tail, ORIGIN._q)),
         space,
         ((n, 0), (n, 1), (n, 2)),
     )

@@ -124,7 +124,7 @@ def _cutoff(loop: Loop, spans: Sequence[tuple]) -> int:
         if n <= worst:  # ALPHA is 0, below every circle index
             continue
         if d == 0:
-            if loop.space.circle(n).apex._q not in qs[a + 1 : b]:
+            if loop.space.circle(n)._apex_q not in qs[a + 1 : b]:
                 continue
         worst = n
     return max(2, worst + 1)
@@ -326,7 +326,7 @@ def stability_radius(loop: Loop) -> Fraction:
     n_top = touched[-1] if touched else 2
     best = Fraction(1, n_top * n_top)
     for n, m in zip(touched, touched[1:]):
-        num, den = kernels.point_seg_dist_sq((1, 2 * n, 1, 2), *loop.space.circle(m).edges[2].quads())
+        num, den = kernels.point_seg_dist_sq((1, 2 * n, 1, 2), loop.space.circle(m)._tail_q, ORIGIN._q)
         lo, _ = dyadic_sqrt_bounds(Fraction(num, den))
         if lo < best:
             best = lo
@@ -614,7 +614,7 @@ def alpha_decorate(loop: Loop, rng: random.Random) -> Loop:
     f = standard_f(space)
     far = choose_n(loop) + rng.randint(0, 3)
     base = ORIGIN._q
-    mid = kernels.lerp(base, space.circle(far).apex._q, 1, 2)
+    mid = kernels.lerp(base, space.circle(far)._apex_q, 1, 2)
     bounce = _charted(_path(((0, 1), (1, 2), (1, 1)), (base, mid, base)), space, ((far, 0),) * 2)
     pattern = rng.choice(
         (
@@ -735,7 +735,7 @@ def _sample_small_loop(
             circ = space.circle(n)
             j = 2 if kind == "arm2" else 0
             arm = circ.edges[j]
-            direction = circ.apex._q if j == 0 else circ.tail._q
+            direction = circ._apex_q if j == 0 else circ._tail_q
             ref = (n, j)
         # |direction| is the length of its arm, the edge from p to it
         _, hi = arm.length_bracket

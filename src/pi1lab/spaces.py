@@ -18,8 +18,15 @@ width past it is evaluated on each request and not kept.
 
 Circles are materialized lazily and cached, on int quads: with w(n) the
 reduced pair wn/wd, D_n is ((wd + n**2*wn) / (n*wd), (wd - wn) / wd), so
-its height keeps w(n) as wn = yd - yn and wd = yd. C_n (n >= 3) is accepted
-only if w(n) < w(n-1) and D_n lies strictly left of the ray p -> B_{n-1}.
+its height keeps w(n) as wn = yd - yn and wd = yd. Its x is reduced by
+h = gcd(n**2, wd mod n**2) and k = gcd((xn/h) mod n, n), whose product is
+gcd(xn, n*wd) (``build_circle`` proves it), so no gcd runs on the
+10n-digit pair of pow10. A circle holds the quads of B_n and D_n only: its
+Point2 vertices are views built on each read, and its Segment edges are
+built on their first read and kept. Building, certifying, locating points
+and checking disjointness read the quads; only a disjointness witness
+wraps points. C_n (n >= 3) is accepted only if w(n) < w(n-1) and D_n lies
+strictly left of the ray p -> B_{n-1}.
 The cross product (B_{n-1} - p) x (D_n - p) is (1 - w)/(n-1) - (1/n + n*w),
 and n*(n-1) times it is 1 - w(n) * (n**3 - n**2 + n), so the test is the
 closed form wn * (n**3 - n**2 + n) < wd on ints. This cone certificate puts
@@ -128,19 +135,62 @@ class Circle(Record):
 
     The orientation fixes the sign convention: one positive traversal of
     the edge cycle is the generator g_n.
+
+    A circle is its index and the kernel quads of B_n and D_n
+    (``_apex_q``, ``_tail_q``), which readers inside the package use.
+    ``apex``, ``tail`` and ``vertices`` are Point2 views built on each
+    read; ``edges`` is built on its first read and kept, so each edge
+    brackets its length once. Builders go through ``_circle``, which wraps
+    no point; ``Circle(index, apex, tail, edges)`` keeps the edges it is
+    given. Equality, hash and repr read the fields index, apex, tail and
+    edges.
     """
 
-    __slots__ = _fields = ("index", "apex", "tail", "edges")
+    __slots__ = ("index", "_apex_q", "_tail_q", "_edges")
+    _fields = ("index", "apex", "tail", "edges")
 
     def __init__(self, index: int, apex: Point2, tail: Point2, edges: Tuple[Segment, Segment, Segment]):
         self.index = index
-        self.apex = apex
-        self.tail = tail
-        self.edges = edges
+        self._apex_q = apex._q
+        self._tail_q = tail._q
+        self._edges = edges
+
+    @property
+    def apex(self) -> Point2:
+        return _from_quad(self._apex_q)
+
+    @property
+    def tail(self) -> Point2:
+        return _from_quad(self._tail_q)
 
     @property
     def vertices(self) -> Tuple[Point2, Point2, Point2]:
         return (ORIGIN, self.apex, self.tail)
+
+    @property
+    def edges(self) -> Tuple[Segment, Segment, Segment]:
+        edges = self._edges
+        if edges is None:
+            apex, tail = self.apex, self.tail
+            edges = self._edges = (Segment(ORIGIN, apex), Segment(apex, tail), Segment(tail, ORIGIN))
+        return edges
+
+
+def _circle(index: int, apex_q: tuple, tail_q: tuple) -> Circle:
+    """The circle of the reduced quads of B_n and D_n, with no Point2 and no
+    Segment built."""
+    circ = object.__new__(Circle)
+    circ.index = index
+    circ._apex_q = apex_q
+    circ._tail_q = tail_q
+    circ._edges = None
+    return circ
+
+
+def _edge_quads(circ: Circle) -> tuple:
+    """The (start, end) quads of the three edges of ``circ``, in order."""
+    base, apex, tail = ORIGIN._q, circ._apex_q, circ._tail_q
+    return ((base, apex), (apex, tail), (tail, base))
 
 
 def build_circle(n: int, width_profile: WidthProfile = POW10) -> Circle:
@@ -150,19 +200,29 @@ def build_circle(n: int, width_profile: WidthProfile = POW10) -> Circle:
     The vertices are never collinear: D_n - B_n = w(n) * (n, -1) and
     B_n - p = (1/n, 1) have cross product -w(n) * (1/n + n), which is not 0
     for w(n) > 0.
+
+    D_n's x is xn / (n*wd) with xn = wd + n**2*wn, reduced by two gcds of
+    small operands rather than one of the whole pair. Since gcd(wn, wd) = 1,
+    h = gcd(xn, wd) = gcd(n**2*wn, wd) = gcd(n**2, wd), so h is
+    gcd(n**2, wd mod n**2). Then gcd(xn/h, wd/h) = 1, hence
+    gcd(xn, n*wd) = h * gcd(xn/h, n) = h * k with k = gcd((xn/h) mod n, n).
+    The pair is divided only when h > 1 or k > 1.
     """
     if n < 2:
         raise SpaceError(f"circle index must be >= 2, got {n}")
     wn, wd = width_profile.pair(n)
     if wn <= 0:
         raise SpaceConsistencyError(f"width profile {width_profile.name} gave w({n}) = {Fraction(wn, wd)} <= 0")
-    xn, xd = wd + n * n * wn, n * wd
-    g = gcd(xn, xd)
+    nn = n * n
+    xn, xd = wd + nn * wn, n * wd
+    h = gcd(nn, wd % nn)
+    if h > 1:
+        xn, xd = xn // h, xd // h
+    k = gcd(xn % n, n)
+    if k > 1:
+        xn, xd = xn // k, xd // k
     # gcd(wd - wn, wd) = gcd(wn, wd) = 1, so the height is reduced
-    apex = _from_quad((1, n, 1, 1))
-    tail = _from_quad((xn // g, xd // g, wd - wn, wd))
-    edges = (Segment(ORIGIN, apex), Segment(apex, tail), Segment(tail, ORIGIN))
-    return Circle(n, apex, tail, edges)
+    return _circle(n, (1, n, 1, 1), (xn, xd, wd - wn, wd))
 
 
 # An edge is the int pair (n, j): edge j of C_n, with j in {0: p->B, 1: B->D,
@@ -283,12 +343,12 @@ class SpaceHandle(Record):
             return ()
         circ = self.circle(candidate_circle(q))
         n = circ.index
-        if q == circ.apex._q:
+        if q == circ._apex_q:
             return ((n, 0), (n, 1))
-        if q == circ.tail._q:
+        if q == circ._tail_q:
             return ((n, 1), (n, 2))
-        for j, e in enumerate(circ.edges):
-            if kernels.on_segment(q, e.a._q, e.b._q):
+        for j, (a, b) in enumerate(_edge_quads(circ)):
+            if kernels.on_segment(q, a, b):
                 return ((n, j),)
         return ()
 
@@ -365,13 +425,18 @@ def default_y() -> SpaceHandle:
 
 def _pair_intersection_violations(c1: Circle, c2: Circle):
     """Exact witnesses that C_n and C_m meet anywhere besides p: triples of
-    two edges and their intersection, a point other than p or a Segment."""
+    two edges and their intersection, a point other than p or a Segment.
+    The edges are intersected on their quads; the Segments are built only
+    for a witness."""
     bad = []
-    for e1 in c1.edges:
-        for e2 in c2.edges:
-            hit = segments_intersect(e1, e2)
-            if hit is not None and hit != ORIGIN:
-                bad.append((e1, e2, hit))
+    at_p = (kernels.SEG_POINT, ORIGIN._q)
+    edges2 = _edge_quads(c2)
+    for a1, b1 in _edge_quads(c1):
+        for a2, b2 in edges2:
+            res = kernels.seg_intersect(a1, b1, a2, b2)
+            if res[0] != kernels.SEG_NONE and res != at_p:
+                e1, e2 = Segment(_from_quad(a1), _from_quad(b1)), Segment(_from_quad(a2), _from_quad(b2))
+                bad.append((e1, e2, segments_intersect(e1, e2)))
     return bad
 
 
@@ -436,7 +501,7 @@ def circle_alpha_hausdorff_sq(space: SpaceHandle, n: int) -> Fraction:
     get their (FAIL) tables.
     """
     circ = space._circles.get(n) or build_circle(n, space.profile)
-    return Fraction(*kernels.point_seg_dist_sq(circ.tail.quad(), *ALPHA_SEGMENT.quads()))
+    return Fraction(*kernels.point_seg_dist_sq(circ._tail_q, *ALPHA_SEGMENT.quads()))
 
 
 def hausdorff_convergence(space: SpaceHandle, up_to: int) -> ProbeReport:

@@ -12,9 +12,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .exactnum import rational_decimal
-from .geometry import Segment
 from .loops import Loop
-from .spaces import SpaceHandle
+from .spaces import SpaceHandle, _edge_quads
 
 _STYLE = (
     ".circle{stroke:#555;stroke-width:0.004;fill:none}"
@@ -29,14 +28,19 @@ def _dec(value: Fraction, digits: int) -> str:
     return rational_decimal(value, digits)
 
 
-def _space_segments(space: SpaceHandle, upto: Optional[int]) -> Tuple[Tuple[str, Segment], ...]:
+def _coords(q: tuple, digits: int) -> Tuple[str, str]:
+    """x and the negated y of the point of kernel quad ``q``, as decimals."""
+    return _dec(Fraction(q[0], q[1]), digits), _dec(Fraction(-q[2], q[3]), digits)
+
+
+def _space_segments(space: SpaceHandle, upto: Optional[int]) -> Tuple[Tuple[str, tuple, tuple], ...]:
+    """(class, start quad, end quad) of each segment of the space drawn."""
     upto = upto if upto is not None else space.hint
     out = []
     for n in range(2, upto + 1):
-        for e in space.circle(n).edges:
-            out.append(("circle", e))
+        out.extend(("circle", a, b) for a, b in _edge_quads(space.circle(n)))
     if space.has_alpha:
-        out.append(("alpha", space.alpha_segment))
+        out.append(("alpha", *space.alpha_segment.quads()))
     return tuple(out)
 
 
@@ -45,24 +49,23 @@ def render_scene(
     loops: Sequence[Loop] = (),
     digits: int = 6,
 ) -> str:
-    """SVG text for the given spaces (with circle cutoffs) and loops."""
+    """SVG text for the given spaces (with circle cutoffs) and loops, read
+    off their kernel quads."""
     lines = []
     points: list = []
     for space, upto in spaces:
-        for cls, seg in _space_segments(space, upto):
-            points.extend((seg.a, seg.b))
-            lines.append(
-                f'<line class="{cls}" x1="{_dec(seg.a.x, digits)}" y1="{_dec(-seg.a.y, digits)}" '
-                f'x2="{_dec(seg.b.x, digits)}" y2="{_dec(-seg.b.y, digits)}"/>'
-            )
+        for cls, a, b in _space_segments(space, upto):
+            points.extend((a, b))
+            (x1, y1), (x2, y2) = _coords(a, digits), _coords(b, digits)
+            lines.append(f'<line class="{cls}" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
     for i, loop in enumerate(loops):
-        pts = loop.path.points
-        points.extend(pts)
-        coords = " ".join(f"{_dec(q.x, digits)},{_dec(-q.y, digits)}" for q in pts)
+        qs = loop.path._qs
+        points.extend(qs)
+        coords = " ".join(",".join(_coords(q, digits)) for q in qs)
         lines.append(f'<polyline class="loop loop-{i % 5}" points="{coords}"/>')
     if points:
-        xs = [q.x for q in points]
-        ys = [-q.y for q in points]
+        xs = [Fraction(q[0], q[1]) for q in points]
+        ys = [-Fraction(q[2], q[3]) for q in points]
         pad = Fraction(1, 10)
         min_x, max_x = min(xs) - pad, max(xs) + pad
         min_y, max_y = min(ys) - pad, max(ys) + pad

@@ -987,12 +987,14 @@ class TestDemo:
         assert 0 < paths[0] <= 1890
 
     def test_point_wrappers(self, tmp_path, monkeypatch):
-        """A warmed seed-1 demo wraps 829 kernel quads in a Point2 and calls
-        Point2(x, y) never: paths, perturbations, slsc samples and bounces
-        stay on quads, so the wraps are the 684 points that
-        segments_intersect hands out, the 138 vertices of the 69 circles
-        and the 7 loop points the SVG reads. When paths kept Point2 points
-        the demo made 2,063 wraps."""
+        """A warmed seed-1 demo wraps 16 kernel quads in a Point2 and calls
+        Point2(x, y) never: paths, perturbations, slsc samples, bounces,
+        circles, the disjointness check and the SVG stay on quads. The wraps
+        are the apex and tail of the 8 circles whose edges are read for
+        their kept length brackets: 3 by the discreteness probe's
+        perturbation table and 5 by the slsc probe's small-loop samples.
+        When circles kept Point2 vertices the demo made 829 wraps, and when
+        paths kept Point2 points 2,063."""
         demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
         wraps, inits = [0], [0]
 
@@ -1013,7 +1015,7 @@ class TestDemo:
         code, _ = demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
         monkeypatch.undo()
         assert code == 0
-        assert (wraps[0], inits[0]) == (829, 0)
+        assert (wraps[0], inits[0]) == (16, 0)
 
     def test_unknown_demo(self, capsys):
         code, _, err = run_cli(capsys, ["demo", "mystery"])

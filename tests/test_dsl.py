@@ -61,6 +61,15 @@ class TestParse:
         script = dsl.parse("space S = X(5)\nloop w = word g2 g3^-1\n")
         assert script.statements[1].expr.word == parse_word("g2 g3^-1")
 
+    @pytest.mark.parametrize("gap", ["\t", "  ", " \t", "\t\t"])
+    def test_word_after_any_whitespace(self, gap):
+        """``word`` may be spaced from its letters by any whitespace, as any
+        two tokens may; a tab was refused as an unrecognized expression."""
+        script = dsl.parse(f"space S = X(5)\nloop w = word{gap}g2{gap}g3^-1\n")
+        assert script.statements[1].expr.word == parse_word("g2 g3^-1")
+        (expr,) = dsl.parse_loop_literals((f"concat(word{gap}g2, C(3).once)",))
+        assert expr.args[0].word == parse_word("g2")
+
     def test_points_rationals(self):
         script = dsl.parse("space S = Y(5)\nloop q = points [(0,0,0), (1/2,0,1), (1,0,0)]\n")
         expr = script.statements[1].expr

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import hausdorff_distance_sq
-from pi1lab import dsl, kernels, spaces
+from pi1lab import dsl, geometry, kernels, spaces
 from pi1lab.geometry import ORIGIN, point
 from pi1lab.spaces import (
     ALPHA_SEGMENT,
@@ -147,6 +147,61 @@ class TestCircleOracle:
         _certify(build_circle(40, profile), profile)
         monkeypatch.undo()
         assert calls == []
+
+    def test_materialising_wraps_no_point(self, monkeypatch):
+        """A handle materialises pow10 C_2 ... C_90, in shuffled order, with
+        no Point2 and no Segment: a circle is its vertex quads until its
+        vertices or edges are read, and its edges are then built once."""
+        wraps, segments = [], []
+        real_wrap, real_init = geometry._from_quad, geometry.Segment.__init__
+
+        def wrap(q):
+            wraps.append(q)
+            return real_wrap(q)
+
+        def init(self, a, b):
+            segments.append((a, b))
+            real_init(self, a, b)
+
+        for mod in (geometry, spaces):
+            monkeypatch.setattr(mod, "_from_quad", wrap)
+        monkeypatch.setattr(geometry.Segment, "__init__", init)
+        monkeypatch.setattr(geometry.Point2, "__init__", lambda *a: wraps.append(a))
+        handle = compact_y()
+        order = list(range(2, 91))
+        random.Random(0).shuffle(order)
+        circles = [handle.circle(n) for n in order]
+        assert (len(wraps), len(segments)) == (0, 0)
+        assert circles[0].edges is circles[0].edges
+        assert (len(wraps), len(segments)) == (2, 3)
+
+
+class TestTailReduction:
+    """``build_circle`` reduces D_n's x by h = gcd(n**2, wd mod n**2) and
+    k = gcd((xn/h) mod n, n), where the oracle reduces the Fraction: the
+    quads agree, and so do the circles' equality, hash and repr. Under
+    uniform:1/4, D_2's x is 8/8, divided by h = 4 and then by k = 2."""
+
+    @staticmethod
+    def check(n, profile):
+        got, want = build_circle(n, profile), oracles.build_circle(n, profile)
+        assert (got._apex_q, got._tail_q) == (want.apex.quad(), want.tail.quad()), f"{profile.name} C{n}"
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want), f"{profile.name} C{n}"
+
+    @pytest.mark.parametrize("name", ["pow10", "cube", "uniform:1/4", "uniform:7/3"])
+    def test_named_profiles(self, name):
+        profile = profile_by_name(name)
+        for n in range(2, 91):
+            self.check(n, profile)
+
+    def test_h_and_k_both_divide(self):
+        assert build_circle(2, profile_by_name("uniform:1/4"))._tail_q == (1, 1, 3, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.integers(1, 60), b=st.integers(1, 60), e=st.integers(0, 4), n=st.integers(2, 60))
+    def test_small_widths(self, a, b, e, n):
+        """w(n) = a / (b * n**e + 1)."""
+        self.check(n, WidthProfile(f"{a}/({b}n^{e}+1)", lambda n: F(a, b * n**e + 1)))
 
 
 class TestWidthPairs:
