@@ -15,11 +15,11 @@ piece lies on (None for a constant piece). A loop of foreign geometry
 ``loop_from_breakpoints``) is located once, breakpoint by breakpoint, when
 it is built; an invalid path raises ``InvalidLoopError`` with its first
 violation, so no invalid loop exists. The standard loops (``standard_f``,
-``standard_fn``), the constant loop, the perturbations of the
-discreteness probe and the samples of the slsc probe are charted by
+``standard_fn``), the constant loop, ``realize_word``, the perturbations
+of the discreteness probe and the samples of the slsc probe are charted by
 construction: their pieces are put on known edges. Operations that
 rebuild a loop on points already charted carry the chart: concatenation,
-reversal, the inclusion X -> Y, ``realize_word`` and the collapse into X.
+reversal, the inclusion X -> Y and the collapse into X.
 ``validate`` always locates afresh, which makes it an independent check of
 a carried chart.
 
@@ -129,15 +129,16 @@ class Violation(Record):
 def _first_violation(loop: Loop):
     """Locate the path from scratch: its piece edges, or its first Violation.
 
-    Each point other than p is located once, when a piece first needs it,
-    however often the path passes it; a moving piece lies on the edges
+    Each point other than p is located once, when a piece first ends at
+    it, however often the path passes it; a moving piece lies on the edges
     through both of its endpoints, and on the least of them. Points are
     compared and remembered by their quads.
 
-    A constant piece locates nothing. The path starts at p, so each other
-    point it passes is first reached by a moving piece, whose end check
-    has located it, or returned the violation that it is outside the
-    space, before any constant piece stays at it.
+    A piece reads the edges through its start from the piece before it,
+    and those through its end with one lookup. A constant piece locates
+    nothing. The path starts at p, so each other point it passes is first
+    reached by a moving piece, whose end check has located it, or returned
+    the violation that it is outside the space, before any piece leaves it.
     """
     ts, qs = loop.path._ts, loop.path._qs
     base = ORIGIN._q
@@ -150,32 +151,31 @@ def _first_violation(loop: Loop):
     if qs[-1] != base:
         return Violation(len(qs) - 2, t(-1), t(-1), f"loop ends at {_quad_str(qs[-1])}, not at p")
     located: dict = {}  # quad -> the edges through that point
-
-    def edges_at(q: tuple) -> Tuple[EdgeRef, ...]:
-        refs = located.get(q)
-        if refs is None:
-            refs = located[q] = loop.space.edges_containing(q)
-        return refs
-
+    r0 = None  # the edges through the current point, None at p
     edges = []
     for i, (q0, q1) in enumerate(zip(qs, qs[1:])):
         if q0 == q1:
             edges.append(None)
             continue
-        for q in (q0, q1):
-            if q != base and not edges_at(q):
-                return Violation(i, t(i), t(i + 1), f"breakpoint {_quad_str(q)} is outside the space")
         if q1 == base:
-            hits = [ref for ref in edges_at(q0) if ref[1] != 1]
-        elif q0 == base:
-            hits = [ref for ref in edges_at(q1) if ref[1] != 1]
+            hits = [ref for ref in r0 if ref[1] != 1]
+            r1 = None
         else:
-            hits = [ref for ref in edges_at(q0) if ref in edges_at(q1)]
+            r1 = located.get(q1)
+            if r1 is None:
+                r1 = located[q1] = loop.space.edges_containing(q1)
+            if not r1:
+                return Violation(i, t(i), t(i + 1), f"breakpoint {_quad_str(q1)} is outside the space")
+            if r0 is None:
+                hits = [ref for ref in r1 if ref[1] != 1]
+            else:
+                hits = [ref for ref in r0 if ref in r1]
         if not hits:
             return Violation(
                 i, t(i), t(i + 1), f"piece {_quad_str(q0)} -> {_quad_str(q1)} is not contained in a single edge"
             )
         edges.append(min(hits))
+        r0 = r1
     return tuple(edges)
 
 
@@ -225,7 +225,7 @@ _STEP = (
 
 def _scan(ts, qs, chart, space) -> Tuple[tuple, ...]:
     """The span ``(component, first, last, degree)`` of each maximal
-    excursion of the charted breakpoint quads ``qs``, in order.
+    excursion of the charted breakpoint quads ``qs``, in order, in one pass.
 
     ``first`` and ``last`` index the breakpoints at p that bound the
     excursion; its component is the one first entry of its edges. Its
@@ -240,50 +240,61 @@ def _scan(ts, qs, chart, space) -> Tuple[tuple, ...]:
     step are lookups in ``_SHARED`` and ``_STEP``. An alpha excursion has
     degree 0. A chart that names two components, changes edge away from
     the shared vertex or whose lift does not close raises
-    ``InvalidLoopError``.
+    ``InvalidLoopError``; ``_refuse`` gives an excursion that names two
+    components that error before any other.
     """
     base = ORIGIN._q
-    at_p = [i for i, q in enumerate(qs) if q == base]
     out = []
-    for first, last in zip(at_p, at_p[1:]):
-        if last == first + 1:
+    first = 0  # the breakpoint at p where the current excursion starts
+    n = None  # its component, once one of its pieces names it
+    for k, ref in enumerate(chart):
+        if ref is None:
+            pass
+        elif n is None:
+            n, run = ref
+            if n != ALPHA:
+                circ = space.circle(n)
+                vertex = (base, circ._apex_q, circ._tail_q)
+                lift = at = 0  # the lifted steps so far, the vertex the run started from
+        elif ref[0] != n:
+            _refuse(ts, qs, chart, first, None)
+        elif ref[1] != run and n != ALPHA:
+            j = ref[1]
+            v = _SHARED[run][j]
+            if qs[k] != vertex[v]:
+                _refuse(ts, qs, chart, first, "discontinuous chart sequence in excursion")
+            step = _STEP[run][at][v]
+            if step is None:
+                _refuse(ts, qs, chart, first, "excursion lift does not close up at p")
+            lift += step
+            at, run = v, j
+        if qs[k + 1] != base:
             continue
-        edges = chart[first:last]
-        comps = {ref[0] for ref in edges if ref is not None}
-        if len(comps) != 1:
-            raise InvalidLoopError(
-                f"excursion on [{Fraction(*ts[first])}, {Fraction(*ts[last])}] spans components "
-                f"{sorted(map(component_name, comps))}"
-            )
-        n = comps.pop()
-        if n == ALPHA:
-            out.append((n, first, last, 0))
-            continue
-        circ = space.circle(n)
-        vertex = (base, circ._apex_q, circ._tail_q)
-        lift = 0
-        at = 0  # the vertex the current run started from
-        run = None  # the edge of the current run
-        k = first  # the breakpoint where the piece of ref starts
-        for ref in edges:
-            if ref is not None and ref[1] != run:
-                j = ref[1]
-                if run is not None:
-                    v = _SHARED[run][j]
-                    if qs[k] != vertex[v]:
-                        raise InvalidLoopError("discontinuous chart sequence in excursion")
-                    step = _STEP[run][at][v]
-                    if step is None:
-                        raise InvalidLoopError("excursion lift does not close up at p")
-                    lift += step
-                    at = v
-                run = j
-            k += 1
-        step = _STEP[run][at][0]
-        if step is None or (lift + step) % 3 != 0:
-            raise InvalidLoopError("excursion lift does not close up at p")
-        out.append((n, first, last, (lift + step) // 3))
+        if k > first:
+            if n is None:
+                _refuse(ts, qs, chart, first, None)
+            if n == ALPHA:
+                out.append((n, first, k + 1, 0))
+            else:
+                step = _STEP[run][at][0]
+                if step is None or (lift + step) % 3 != 0:
+                    raise InvalidLoopError("excursion lift does not close up at p")
+                out.append((n, first, k + 1, (lift + step) // 3))
+        first, n = k + 1, None
     return tuple(out)
+
+
+def _refuse(ts, qs, chart, first: int, reason: Optional[str]):
+    """Raise the error of the excursion from breakpoint ``first``: that it
+    spans components, if its chart names other than one, else ``reason``."""
+    last = qs.index(ORIGIN._q, first + 1)
+    comps = {ref[0] for ref in chart[first:last] if ref is not None}
+    if len(comps) != 1:
+        raise InvalidLoopError(
+            f"excursion on [{Fraction(*ts[first])}, {Fraction(*ts[last])}] spans components "
+            f"{sorted(map(component_name, comps))}"
+        )
+    raise InvalidLoopError(reason)
 
 
 def loop_from_breakpoints(raw: Sequence, space: SpaceHandle) -> Loop:
@@ -306,14 +317,9 @@ def standard_f(space: Optional[SpaceHandle] = None) -> Loop:
     return _charted(_path(((0, 1), (1, 2), (1, 1)), (base, top, base)), space, (ALPHA_EDGE, ALPHA_EDGE))
 
 
-def standard_fn(n: int, space: Optional[SpaceHandle] = None) -> Loop:
-    """One positive traversal of C_n, parametrized to shadow the alpha loop.
-
-    The apex B_n is reached at t = 1/2 exactly like the alpha loop reaches
-    (0,1); the cap B_n -> D_n is crossed on [1/2, (1+w)/2] so that during
-    the descent the y-coordinates of this loop and the alpha loop agree
-    identically. That makes sup_distance(f_n, f) exactly 1/n + n*w(n).
-    Charted by construction: its pieces are the edges 0, 1, 2 of C_n.
+def _tail_param(n: int, space: SpaceHandle):
+    """C_n and the reduced parameter pair (tn, td) at which ``standard_fn``
+    reaches its tail D_n; refuses a C_n whose tail is not above p.
 
     The tail D_n sits at height 1 - w = yn/yd, where the alpha loop is at
     t = (2 - yn/yd)/2 = (2*yd - yn)/(2*yd). That pair shares no odd factor,
@@ -322,18 +328,30 @@ def standard_fn(n: int, space: Optional[SpaceHandle] = None) -> Loop:
     for D_n above the height of p, which a certified C_n (n >= 3) has but
     C_2 need not.
     """
-    space = space if space is not None else default_x()
     circ = space.circle(n)
-    _, _, yn, yd = tail = circ._tail_q
+    _, _, yn, yd = circ._tail_q
     if yn <= 0:
         raise SpaceError(
             f"the loop around C{n} needs w({n}) < 1, which width profile {cut(space.profile.name)} does not give"
         )
-    tn, td = 2 * yd - yn, 2 * yd
-    if not yn & 1:
-        tn, td = tn >> 1, yd
+    if yn & 1:
+        return circ, 2 * yd - yn, 2 * yd
+    return circ, yd - (yn >> 1), yd
+
+
+def standard_fn(n: int, space: Optional[SpaceHandle] = None) -> Loop:
+    """One positive traversal of C_n, parametrized to shadow the alpha loop.
+
+    The apex B_n is reached at t = 1/2 exactly like the alpha loop reaches
+    (0,1); the cap B_n -> D_n is crossed on [1/2, (1+w)/2] so that during
+    the descent the y-coordinates of this loop and the alpha loop agree
+    identically. That makes sup_distance(f_n, f) exactly 1/n + n*w(n).
+    Charted by construction: its pieces are the edges 0, 1, 2 of C_n.
+    """
+    space = space if space is not None else default_x()
+    circ, tn, td = _tail_param(n, space)
     return _charted(
-        _path(((0, 1), (1, 2), (tn, td), (1, 1)), (ORIGIN._q, circ._apex_q, tail, ORIGIN._q)),
+        _path(((0, 1), (1, 2), (tn, td), (1, 1)), (ORIGIN._q, circ._apex_q, circ._tail_q, ORIGIN._q)),
         space,
         ((n, 0), (n, 1), (n, 2)),
     )
@@ -384,30 +402,34 @@ def reverse(a: Loop) -> Loop:
 def realize_word(w: Word, space: Optional[SpaceHandle] = None) -> Loop:
     """A loop in X whose excursion sequence spells the word letter by letter.
 
-    Its chart joins the charts of the standard loops it is made of, so no
-    point is located; the standard loop of each circle is built, and
-    reversed, at most once per call.
+    Letter k runs as ``standard_fn(n)``, or as its reverse for g_n^-1, with
+    each breakpoint t of it placed at (k + t)/total. Its three breakpoints
+    after p are written from C_n's vertex quads and ``_tail_param``, each
+    with the edge of the piece that ends there, so no loop is built.
     """
     space = space if space is not None else default_x()
-    letters = list(w.letters())
-    if not letters:
+    total = len(w)
+    if not total:
         return constant_loop(space)
-    total = len(letters)
-    parts = {}  # (n, sign) -> the standard loop of C_n, or its reverse
-    ts, qs, chart = [(0, 1)], [ORIGIN._q], []
-    for k, (n, sgn) in enumerate(letters):
-        part = parts.get((n, sgn))
-        if part is None:
-            if (n, 1) not in parts:
-                parts[n, 1] = standard_fn(n, space)
-            part = parts[n, sgn] = parts[n, 1] if sgn > 0 else reverse(parts[n, 1])
-        chart += part._chart
-        # (k + t)/total = (k*d + tn)/(total*d); gcd(k*d + tn, d) = 1
-        for tn, d in part.path._ts[1:]:
-            num = k * d + tn
-            g = gcd(num, total)
-            ts.append((num // g, total // g * d))
-        qs.extend(part.path._qs[1:])
+    base = ORIGIN._q
+    ts, qs, chart = [(0, 1)], [base], []
+    k = 0
+    for n, e in w.syllables:
+        circ, tn, td = _tail_param(n, space)
+        apex, tail = circ._apex_q, circ._tail_q
+        if e > 0:
+            letter = (((1, 2), apex, (n, 0)), ((tn, td), tail, (n, 1)), ((1, 1), base, (n, 2)))
+        else:
+            letter = (((td - tn, td), tail, (n, 2)), ((1, 2), apex, (n, 1)), ((1, 1), base, (n, 0)))
+        for _ in range(abs(e)):
+            # (k + t)/total = (k*d + m)/(total*d); gcd(k*d + m, d) = 1
+            for (m, d), q, ref in letter:
+                num = k * d + m
+                g = gcd(num, total)
+                ts.append((num // g, total // g * d))
+                qs.append(q)
+                chart.append(ref)
+            k += 1
     return _charted(_path(tuple(ts), tuple(qs)), space, tuple(chart))
 
 

@@ -19,9 +19,9 @@ The probes turn the headline facts into exact certificates:
 * ``probe_nondiscreteness_y``: the circle loops converge uniformly to the
   alpha loop while their classes stay away from the identity, so the
   identity class of Y has no uniform-metric neighborhood of its own.
-* ``probe_discreteness_x``: random on-complex perturbations below an
-  explicit stability radius never change a loop's word in X. A trial is
-  one perturbation, within the magnitude by construction.
+* ``probe_discreteness_x``: random on-complex perturbations never change a
+  loop's word in X. They are drawn below an explicit stability radius, but
+  keep the word at every magnitude at which a draw stays in X.
 * ``probe_slsc_y``: every sampled loop inside a small ball about p is
   trivial in Y — small loops cannot complete any circle circuit because
   every circuit passes the apex at height 1.
@@ -272,15 +272,18 @@ def probe_nondiscreteness_y(
 
 
 def stability_radius(loop: Loop) -> Fraction:
-    """Conservative exact radius below which the perturbations of
-    ``_perturb_once`` cannot change words.
+    """The exact radius below which ``probe_discreteness_x`` draws; it
+    bounds no loop's distance to another class.
 
-    That family slides breakpoints along their carrying edge with every
-    vertex at which the loop turns from one edge onto another fixed, and
-    adds degree-0 bounces at p. rho is not a radius for every X-loop: a
-    loop that skips the short edge B_n D_n of a sliver can spell another
-    word far inside it. Under pow10, one that goes up edge 0 of C_2 to B_2
-    and straight back down lies about 2.2e-20 in sup distance from
+    The drawn family, that of ``_perturb_once``, slides breakpoints along
+    their carrying edge with every vertex at which the loop turns from one
+    edge onto another fixed, and adds degree-0 bounces at p. It keeps the
+    word at every magnitude at which a draw stays in X, below rho or not:
+    each slide is a homotopy within its edge, and each bounce goes out and
+    back on one arm. Nor is rho a radius for every X-loop: a loop that
+    skips the short edge B_n D_n of a sliver can spell another word far
+    inside it. Under pow10, one that goes up edge 0 of C_2 to B_2 and
+    straight back down lies about 2.2e-20 in sup distance from
     ``C(2).once``, against rho = 1/32, and spells 1.
 
     rho = (1/8) * min(1/N^2, clearance) where N is the largest circle index
@@ -334,6 +337,19 @@ def stability_radius(loop: Loop) -> Fraction:
 
 
 _GRID = 64
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` bit for bit, as CPython 3.8 to 3.13 draws it;
+    Python keeps only ``random()``'s sequence across versions. An n below 1
+    is refused before any draw: getrandbits(0) is 0, never below n."""
+    if n < 1:
+        raise ValueError(f"empty range for _below({n})")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 class _PerturbTable:
@@ -411,8 +427,8 @@ class _PerturbTable:
         grid = _GRID
         loop = self.loop
         ts0, qs0, chart0 = loop.path._ts, loop.path._qs, loop._chart
-        draws = range(rng.randint(1, 3))
-        picks = sorted({(rng.randrange(len(ts0) - 1), rng.randint(1, grid - 1)) for _ in draws})
+        draws = range(1 + _below(rng, 3))
+        picks = sorted({(_below(rng, len(ts0) - 1), 1 + _below(rng, grid - 1)) for _ in draws})
         picks.append((len(ts0), 0))  # a sentinel past the last piece
         slides = self.slides
         base = ORIGIN._q
@@ -458,10 +474,10 @@ class _PerturbTable:
                 q0 = q1
         # bounce: replace one constant-at-p piece with a tiny degree-0 excursion
         if const_p and rng.random() < 0.75:
-            i = rng.choice(const_p)
-            arm0, arm2 = rng.choice(self.arms)
+            i = const_p[_below(rng, len(const_p))]
+            arm0, arm2 = self.arms[_below(rng, len(self.arms))]
             ref, a, b, scale, den = arm0 if rng.random() < 0.5 else arm2
-            q = kernels.lerp(a, b, scale * rng.randint(1, grid), den)
+            q = kernels.lerp(a, b, scale * (1 + _below(rng, grid)), den)
             (n0, d0), (n1, d1) = ts[i], ts[i + 1]
             # the midpoint (t0 + t1) / 2
             mn, md = n0 * d1 + n1 * d0, 2 * d0 * d1
@@ -477,7 +493,7 @@ def _slide(a, b, un, ud, scale, den, rng: random.Random) -> tuple:
     edge from quad a to quad b, for a draw r in [-grid, grid], clamped to
     the edge."""
     d = ud * den
-    n = un * den + scale * rng.randint(-_GRID, _GRID) * ud
+    n = un * den + scale * (_below(rng, 2 * _GRID + 1) - _GRID) * ud
     if n <= 0:
         n, d = 0, 1
     elif n >= d:
@@ -511,8 +527,12 @@ def probe_discreteness_x(
     on one edge slide along it, so the vertices at which the loop turns
     from one edge onto another never move, and tiny degree-0 bounces may
     sprout at p. The trials draw from one ``_PerturbTable`` of the loop.
-    Magnitudes at or above the stability radius rho are rejected: the claim
-    is only certified below it. A perturbation is within the magnitude by
+    That family keeps the word at every magnitude at which a draw stays in
+    X, by homotopy within each edge and out-and-back bounces, so a PASS
+    shows that classification is invariant under these homotopies. The
+    stability radius rho bounds no loop's distance to another class
+    (``stability_radius``); magnitudes at or above it are refused, as the
+    claim is stated below it. A perturbation is within the magnitude by
     construction: slides and bounces move points by at most magnitude/2,
     and no two points of X are opposite from p (``_perturb_once``). Each
     trial still checks its squared sup distance against magnitude**2 on
@@ -591,13 +611,13 @@ def random_reduced_word(
     rng: random.Random, max_len: int = 10, generators: Sequence[int] = tuple(range(2, 10))
 ) -> Word:
     """Uniform-ish reduced word: a random walk that never undoes its last letter."""
-    length = rng.randint(0, max_len)
+    length = _below(rng, max_len + 1)
     letters = []
     prev = None
     for _ in range(length):
         while True:
-            n = rng.choice(generators)
-            s = rng.choice((1, -1))
+            n = generators[_below(rng, len(generators))]
+            s = (1, -1)[_below(rng, 2)]
             if prev is None or (n, -s) != prev:
                 break
         letters.append((n, s))
@@ -612,18 +632,16 @@ def alpha_decorate(loop: Loop, rng: random.Random) -> Loop:
     if not space.has_alpha:
         raise ProbeParameterError("decoration lives in the compact space Y")
     f = standard_f(space)
-    far = choose_n(loop) + rng.randint(0, 3)
+    far = choose_n(loop) + _below(rng, 4)
     base = ORIGIN._q
     mid = kernels.lerp(base, space.circle(far)._apex_q, 1, 2)
     bounce = _charted(_path(((0, 1), (1, 2), (1, 1)), (base, mid, base)), space, ((far, 0),) * 2)
-    pattern = rng.choice(
-        (
-            (f, loop, bounce),
-            (bounce, loop, f),
-            (f, bounce, loop, f),
-            (loop, f, bounce),
-        )
-    )
+    pattern = (
+        (f, loop, bounce),
+        (bounce, loop, f),
+        (f, bounce, loop, f),
+        (loop, f, bounce),
+    )[_below(rng, 4)]
     return concatenate_all(list(pattern))
 
 
@@ -723,15 +741,15 @@ def _sample_small_loop(
     ts, qs = [(0, 1)], [base]
     chart = []
     rn, rd = radius.numerator, radius.denominator
-    groups = rng.randint(1, 3)
+    groups = 1 + _below(rng, 3)
     for g in range(groups):
-        kind = rng.choice(["alpha", "arm0", "arm2"])
+        kind = ("alpha", "arm0", "arm2")[_below(rng, 3)]
         if kind == "alpha" and space.has_alpha:
             arm = space.alpha_segment
             direction = arm.b._q
             ref = ALPHA_EDGE
         else:
-            n = rng.randint(2, 9)
+            n = 2 + _below(rng, 8)
             circ = space.circle(n)
             j = 2 if kind == "arm2" else 0
             arm = circ.edges[j]
@@ -739,10 +757,10 @@ def _sample_small_loop(
             ref = (n, j)
         # |direction| is the length of its arm, the edge from p to it
         _, hi = arm.length_bracket
-        wiggles = rng.randint(1, 4)
+        wiggles = 1 + _below(rng, 4)
         # the point at s = radius / hi * r / grid along the direction from p
         sn, sd = rn * hi.denominator, rd * hi.numerator * grid
-        heights = [rng.randint(1, grid) for _ in range(wiggles)]
+        heights = [1 + _below(rng, grid) for _ in range(wiggles)]
         inner = len(heights)
         for k, r in enumerate(heights):
             q = kernels.lerp(base, direction, sn * r, sd)

@@ -35,6 +35,9 @@
   its slice. On them, :func:`spans`, :func:`classify`, :func:`cutoff` and
   :func:`collapse_to_x` are the reference for the span readers of
   ``pi1lab.pi1``.
+* :func:`realize_word`, the loop of a word as ``pi1lab.loops`` built it
+  before it wrote each letter from its circle's vertex quads: the letters
+  are ``standard_fn`` loops and their ``reverse``, placed on Fractions.
 * the discreteness perturbation in two steps, as ``pi1lab.pi1`` built it
   before its one walk: :func:`perturb_once` subdivides the loop with
   :func:`subdivide`, then slides the :func:`slide_candidates` of the
@@ -70,7 +73,7 @@ from typing import Iterable, Optional
 from pi1lab.dsl import MAX_CIRCLE_INDEX, DslError
 from pi1lab.exactnum import _format_scaled, rational_decimal
 from pi1lab.geometry import ORIGIN, GeometryError, PLPath, Point2, Segment, _from_quad, _path
-from pi1lab.loops import InvalidLoopError, Loop, _charted
+from pi1lab.loops import InvalidLoopError, Loop, _charted, constant_loop, reverse, standard_fn
 from pi1lab.pi1 import ClassificationError
 from pi1lab.spaces import (
     ALPHA,
@@ -803,6 +806,22 @@ def collapse_to_x(loop):
     new_edges += edges[k:]
     x_space = loop.space.sibling(SpaceKind.BOUQUET_X)
     return _charted(_path(tuple(new_ts), tuple(new_qs)), x_space, tuple(new_edges))
+
+
+def realize_word(w, space):
+    """The loop of ``pi1lab.loops.realize_word``: letter k of the word's
+    total is ``standard_fn(n)`` or its ``reverse``, with each breakpoint t
+    of it placed at (k + t)/total on Fractions, and its chart joined on."""
+    letters = list(w.letters())
+    if not letters:
+        return constant_loop(space)
+    bks = [(Fraction(0), ORIGIN)]
+    chart = []
+    for k, (n, sgn) in enumerate(letters):
+        part = standard_fn(n, space) if sgn > 0 else reverse(standard_fn(n, space))
+        bks += [((k + t) / len(letters), q) for t, q in part.path.breakpoints[1:]]
+        chart += part._chart
+    return _charted(PLPath(tuple(bks)), space, tuple(chart))
 
 
 def slide_candidates(loop):

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import os
@@ -900,12 +901,26 @@ class TestRender:
 
 
 # sha256 of the report of `demo whitehead --nmax 32 --seed s` with its out-dir
-# replaced by "@", and of the SVG it writes (the scene does not depend on the
-# seed). The same values pin the benchmark's demo workload.
+# replaced by "@", for each seed 0..15 that the benchmark's demo workload
+# draws, and of the SVG it writes (the scene does not depend on the seed).
+# Every seed drives the random draws of the probes its own way.
 DEMO_REPORT_SHA256 = {
     0: "a96d15be7a4b4473761d94c75c25ebb0436a124e7c99b6dbc4839a9ce96c99a6",
     1: "90b0ec600a7afb0f922375b28ce9b7060f374585e99d3a4e78990e92fc194776",
+    2: "d1121e677372589b27527890850d969eb664c8ddc9fcaddab1af7db1f80d2414",
+    3: "cdb8a979df87a9f7ca317af1e5844b594917d66169954f8e4d1c108cb3231b93",
+    4: "6f30b72fcc05153a2284bb2b57d0d41ea2b8c53a2f9ed950443e2b7eea4ecb6e",
+    5: "3799281d4aeb3e78ae24a1761960aa8cd7b562d77ac9f849ca494b1903962d37",
+    6: "3bcb447c6815dda8b51e6a04089e103e2795f9ab6f701fa9b1becdeb911207c7",
     7: "3df33de794012a3b45e64bda314f6176b53348cd9d078a335ef7e1a083c03282",
+    8: "0410f86227f52c7a3985bad1632f8cc2232868ffaf5b15cfebdfe1673ca16945",
+    9: "fc5cddc306f344fce5d9b3626df515a261711e250fc68469bfa40cf74fe0c061",
+    10: "f3a13e677b42061b885872c8a198f286ecd8bdef7490f253124ebad8b146db48",
+    11: "51af9607f7921272e755cd1901d2dcf435538dca2ab21c8a3c7708848a1d2e20",
+    12: "0696dea6fd601d9ad598d2071ea6348e4a2ee44d971988b891ed8ea9eb13e190",
+    13: "84361ac849891eab878c8b7fc878b7b30daf40119bbbd7d06df02477c1e6c12e",
+    14: "051038980fa6d9e04db15dfab7a3efad70f0a52b596c6386b1542d6f3bd6588e",
+    15: "fa24dd76c7046ce5ad065c25c903fba10e6dbb4679dcc82472fcc14f71518d6a",
 }
 DEMO_SVG_SHA256 = "aec7b7a3294458b2d059ba6bdb31cd0c15783081edc60afedae3dfea0d2b1f49"
 
@@ -919,6 +934,19 @@ class TestDemo:
         assert hashlib.sha256(report).hexdigest() == DEMO_REPORT_SHA256[seed]
         svg = (tmp_path / "whitehead.svg").read_bytes()
         assert hashlib.sha256(svg).hexdigest() == DEMO_SVG_SHA256
+
+    def test_digests_are_the_benchmarks(self):
+        """The pinned digests are the ones perfbench/workloads.py checks
+        each demo request against, read from its source without running it."""
+        source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        pinned = {}
+        for node in ast.parse(source.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                pinned[getattr(node.targets[0], "id", None)] = node.value
+        assert ast.literal_eval(pinned["DEMO_REPORT_SHA256"]) == tuple(
+            DEMO_REPORT_SHA256[s] for s in range(len(DEMO_REPORT_SHA256))
+        )
+        assert ast.literal_eval(pinned["DEMO_SVG_SHA256"]) == DEMO_SVG_SHA256
 
     def test_fraction_count(self, tmp_path, monkeypatch):
         """A warmed seed-1 demo builds at most 740 Fractions. Paths keep

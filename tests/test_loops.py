@@ -38,10 +38,12 @@ from pi1lab.spaces import (
     POW10,
     SpaceConsistencyError,
     SpaceKind,
+    SpaceError,
+    bouquet_x,
     compact_y,
     uniform_profile,
 )
-from pi1lab.words import parse_word
+from pi1lab.words import Word, parse_word
 
 F = Fraction
 
@@ -154,6 +156,17 @@ class TestDecompose:
             with pytest.raises(InvalidLoopError) as err:
                 classify_x(loops._charted(path, y, chart))
             assert str(err.value) == f"excursion on [0, 1] spans components {names}"
+
+    def test_components_refused_before_a_bad_lift(self, y):
+        """The one-pass scan meets the edge change away from the shared
+        vertex first, and still refuses the excursion for naming two
+        components, as its whole chart does."""
+        c = y.circle(2)
+        mid = oracles.segment_at(c.edges[0], F(1, 2))
+        path = PLPath(((F(0), point(0, 0)), (F(1, 3), mid), (F(2, 3), c.apex), (F(1), point(0, 0))))
+        with pytest.raises(InvalidLoopError) as err:
+            classify_x(loops._charted(path, y, ((2, 0), (2, 1), (3, 0))))
+        assert str(err.value) == "excursion on [0, 1] spans components ['C2', 'C3']"
 
     def test_subpath_normalized(self, x):
         lp = concatenate(standard_fn(2, x), standard_fn(3, x))
@@ -333,6 +346,45 @@ class TestRealizeWord:
                 want.extend((k + t) / len(letters) for t in oracles.params(part.path)[1:])
             got = oracles.params(realize_word(w, x).path)
             assert got == (tuple(want) if letters else (F(0), F(1)))
+
+
+def syllable_words(rng, count, max_letters=12):
+    """Reduced words of up to ``max_letters`` letters on g2 ... g9, each
+    syllable of exponent +-1 to +-3."""
+    for _ in range(count):
+        budget = rng.randint(0, max_letters)
+        syllables = []
+        while budget:
+            e = rng.randint(1, min(3, budget))
+            budget -= e
+            n = rng.choice([m for m in range(2, 10) if not syllables or m != syllables[-1][0]])
+            syllables.append((n, rng.choice((e, -e))))
+        yield Word(tuple(syllables))
+
+
+class TestRealizeWordOracle:
+    @pytest.mark.parametrize("profile", [POW10, CUBE], ids=["pow10", "cube"])
+    def test_matches_standard_parts(self, profile):
+        """The letters written from C_n's vertex quads are the standard
+        loops and their reverses placed at (k + t)/total: the same path and
+        chart."""
+        space = bouquet_x(profile=profile)
+        for w in syllable_words(random.Random(31), 200):
+            got, want = realize_word(w, space), oracles.realize_word(w, space)
+            assert (got.path, got._chart) == (want.path, want._chart), w
+
+    def test_refuses_a_tail_below_p(self):
+        """Under a width of 1, D_2 is at the height of p: the word loop is
+        refused with the text of standard_fn, inverse letters too."""
+        space = bouquet_x(profile=uniform_profile(1))
+        for text in ("g2", "g2^-2", "g2^-1 g3"):
+            with pytest.raises(SpaceError) as got:
+                realize_word(parse_word(text), space)
+            with pytest.raises(SpaceError) as want:
+                oracles.realize_word(parse_word(text), space)
+            assert str(got.value) == str(want.value) == (
+                "the loop around C2 needs w(2) < 1, which width profile uniform:1 does not give"
+            )
 
 
 class TestReparametrization:

@@ -342,6 +342,46 @@ class TestDiscretenessProbe:
         assert a == b
 
 
+def mid_edge_loop(x):
+    """p -> (1/4, 1/2) -> B_2 -> D_2 -> 2 D_2 / 3 -> p, then constant at p:
+    under pow10, the loop of test_cli's mid-edge digest."""
+    c2 = x.circle(2)
+    raw = [(0, 0, 0), ("1/6", "1/4", "1/2"), ("1/3", c2.apex.x, c2.apex.y), ("1/2", c2.tail.x, c2.tail.y)]
+    raw += [("2/3", c2.tail.x * 2 / 3, c2.tail.y * 2 / 3), ("5/6", 0, 0), (1, 0, 0)]
+    return loop_from_breakpoints(raw, x)
+
+
+class TestFamilyKeepsTheWord:
+    """The drawn family keeps the word at every magnitude at which a draw
+    stays in X, the stability radius rho included or not: a pick splits a
+    piece on its own edge, a slide moves a point along the one edge that
+    carries both of its pieces, and a bounce goes out and back on one arm
+    at p. So the probe's PASS tests the classifier's homotopy invariance;
+    rho bounds no loop's distance to another class."""
+
+    def test_draws_above_rho(self, x):
+        rng = random.Random(10)
+        corpus = [standard_fn(2, x), concatenate(standard_fn(3, x), reverse(standard_fn(3, x))), mid_edge_loop(x)]
+        corpus += [realize_word(random_reduced_word(rng, 8), x) for _ in range(30)]
+        outside = 0
+        for lp in corpus:
+            word = classify_x(lp).word
+            far = 1000 * stability_radius(lp)
+            for bound in (far, F(1), F(3, 2)):
+                table = pi1._PerturbTable(lp, bound)
+                for seed in range(20):
+                    drawn = table.draw(random.Random(seed))
+                    v = validate(drawn)
+                    if v is None:
+                        assert classify_x(Loop(drawn.path, x)).word == word, (lp, bound, seed)
+                        continue
+                    # a bounce longer than its arm: its point is off the arm
+                    assert bound == far and v.reason.endswith(" is outside the space"), v
+                    assert drawn.path._qs[v.piece_index] == ORIGIN._q, v
+                    outside += 1
+        assert outside > 0
+
+
 # Certified width profiles for the radius oracle: the tight one passes the
 # cone certificate w(n) * (n**3 - n**2 + n) < 1 by 1, and the last gives C_2
 # a width of 9/10, which no certificate checks.
@@ -530,6 +570,33 @@ def perturb_once_fraction(loop, rng, bound, clamps):
     return PLPath(tuple(bks)).breakpoints
 
 
+class TestBelow:
+    class Undrawn(random.Random):
+        """A generator that must not be drawn from."""
+
+        def getrandbits(self, k):
+            raise AssertionError(f"getrandbits({k}) drawn")
+
+    def test_matches_the_stdlib(self):
+        """_below(n) is randrange(n) bit for bit, and leaves the generator
+        in the same state; lo + _below(hi - lo + 1) is randint(lo, hi) and
+        seq[_below(len(seq))] is choice(seq)."""
+        for seed in range(20):
+            a, b = random.Random(seed), random.Random(seed)
+            for n in range(1, 301):
+                assert pi1._below(a, n) == b.randrange(n), (seed, n)
+                lo = seed - n // 2
+                assert lo + pi1._below(a, n) == b.randint(lo, lo + n - 1), (seed, n)
+                seq = tuple(range(n, 2 * n))
+                assert seq[pi1._below(a, len(seq))] == b.choice(seq), (seed, n)
+                assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_refuses_an_empty_range_before_drawing(self, n):
+        with pytest.raises(ValueError):
+            pi1._below(self.Undrawn(0), n)
+
+
 class TestPerturbOracle:
     def test_slides_match_fraction_formula(self, x):
         """Same rng, same breakpoints, over the demo corpus at magnitudes
@@ -559,11 +626,7 @@ class TestPerturbOracle:
         for lp in corpus[3:13]:
             params = oracles.params(lp.path)
             corpus.append(oracles.subdivide(lp, [params[1] * F(rng.randint(1, 63), 64), F(rng.randint(1, 63), 64)]))
-        # p -> (1/4, 1/2) -> B_2 -> D_2 -> 2 D_2 / 3 -> p, then constant at p
-        c2 = x.circle(2)
-        raw = [(0, 0, 0), ("1/6", "1/4", "1/2"), ("1/3", c2.apex.x, c2.apex.y), ("1/2", c2.tail.x, c2.tail.y)]
-        raw += [("2/3", c2.tail.x * 2 / 3, c2.tail.y * 2 / 3), ("5/6", 0, 0), (1, 0, 0)]
-        corpus.append(loop_from_breakpoints(raw, x))
+        corpus.append(mid_edge_loop(x))
         assert sum(len(oracles.slide_candidates(lp)) for lp in corpus) >= 20
         for k, lp in enumerate(corpus):
             for bound in (F(1, 1000), F(1, 10), F(1)):
