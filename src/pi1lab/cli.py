@@ -11,10 +11,14 @@ Subcommands:
     pi1lab hausdorff --upto K      the Hausdorff convergence table
     pi1lab render <script>         execute only bindings and render directives
 
-Exit codes: 0 success / all PASS, 1 any FAIL verdict or runtime error,
-2 usage or parse errors. One-off literals are evaluated in the compact
-space Y with the default width profile. PI1LAB_DIGITS sets report decimal
-places (default 40), from 1 to 4300; any other value exits 2.
+Exit codes: 0 success / all PASS; 2 refused before anything runs (usage,
+parse errors, script limits, a script that is not UTF-8, ``render`` of a
+script with no render directive, an unknown demo); 1 refused while
+running, or any FAIL verdict. ``main`` is the one place that maps an error
+to its exit code and its one stderr line. One-off literals are evaluated
+in the compact space Y with the default width profile. PI1LAB_DIGITS sets
+report decimal places (default 40), from 1 to 4300; any other value
+exits 2.
 
 ``main(argv)`` may be called repeatedly in one process and returns the exit
 code; a usage error or ``--help`` raises ``SystemExit`` as argparse does.
@@ -68,10 +72,22 @@ from .words import WordError, format_word, parse_word
 RunError = (GeometryError, LoopError, SpaceError, ProbeParameterError, WordError, OSError)
 
 
+class _Refused(Exception):
+    """A command refused before anything runs: ``error: ...``, exit 2."""
+
+
+def _dist_text(a: Loop, b: Loop, where: str) -> str:
+    """The exact sup distance of two loops as output text; ``where`` names
+    the statement in the refusal of a value too long to print."""
+    d = sup_distance(a.path, b.path)
+    digits = report_digits()
+    return f"dist_sq: {exact_str(d.squared, where)}\ndist_dec({digits}): {d.decimal(digits)}"
+
+
 class _Runner:
     """Executes a parsed script; collects output text and a verdict flag."""
 
-    def __init__(self, bindings_only: bool = False):
+    def __init__(self):
         self.spaces: Dict[str, SpaceHandle] = {}
         # one circle cache per width profile, shared by every space of the script
         self.circles: Dict[str, Dict[int, Circle]] = {}
@@ -79,8 +95,6 @@ class _Runner:
         self.active: Optional[SpaceHandle] = None
         self.out: List[str] = []
         self.failed = False
-        self.rendered = 0
-        self.bindings_only = bindings_only
 
     def emit(self, text: str) -> None:
         self.out.append(text)
@@ -120,21 +134,12 @@ class _Runner:
             elif isinstance(st, dsl.LoopBinding):
                 self.loops[st.name] = self.eval_expr(st.expr, self.active)
             elif isinstance(st, dsl.ClassifyStmt):
-                if self.bindings_only:
-                    continue
                 cls = classify(self.loops[st.name])
                 self.emit(f"word: {format_word(cls.word)}")
             elif isinstance(st, dsl.DistStmt):
-                if self.bindings_only:
-                    continue
                 a, b = self.loops[st.first], self.loops[st.second]
-                d = sup_distance(a.path, b.path)
-                digits = report_digits()
-                d_sq = exact_str(d.squared, f"dist {st.first} {st.second}")
-                self.emit(f"dist_sq: {d_sq}\ndist_dec({digits}): {d.decimal(digits)}")
+                self.emit(_dist_text(a, b, f"dist {st.first} {st.second}"))
             elif isinstance(st, dsl.ProbeStmt):
-                if self.bindings_only:
-                    continue
                 self.emit_report(self._run_probe(st))
             elif isinstance(st, dsl.RenderStmt):
                 spaces = []
@@ -147,7 +152,6 @@ class _Runner:
                         loops.append(self.loops[name])
                 write_scene(st.out, spaces, loops)
                 self.emit(f"wrote {st.out}")
-                self.rendered += 1
             else:
                 raise TypeError(f"not a statement: {st!r}")
         return 1 if self.failed else 0
@@ -203,39 +207,45 @@ def _read_limited(fh) -> bytes:
     return b"".join(chunks)
 
 
-def _cmd_run(args, bindings_only: bool = False) -> int:
-    try:
-        data = _read_script(args.script)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def _load_script(path: str) -> dsl.Script:
+    data = _read_script(path)
     if len(data) > dsl.MAX_SCRIPT_BYTES:
-        print(f"error: script exceeds the limit of {dsl.MAX_SCRIPT_BYTES} bytes", file=sys.stderr)
-        return 2
+        raise _Refused(f"script exceeds the limit of {dsl.MAX_SCRIPT_BYTES} bytes")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        print(f"error: script is not valid UTF-8: {exc}", file=sys.stderr)
-        return 2
-    try:
-        script = dsl.parse(text)
-    except dsl.DslError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    if bindings_only and not any(isinstance(st, dsl.RenderStmt) for st in script.statements):
-        print("error: script has no render directive", file=sys.stderr)
-        return 2
-    runner = _Runner(bindings_only=bindings_only)
+        raise _Refused(f"script is not valid UTF-8: {exc}") from None
+    return dsl.parse(text)
+
+
+def _run_script(script: dsl.Script) -> int:
+    """Run a script and print its blocks; on a runtime error, the blocks
+    printed before it, for main to report the error after them."""
+    runner = _Runner()
     try:
         code = runner.run(script)
-    except RunError as exc:
+    except RunError:
         if runner.out:
             print("\n\n".join(runner.out))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise
     if runner.out:
         print("\n\n".join(runner.out))
     return code
+
+
+def _cmd_run(args) -> int:
+    return _run_script(_load_script(args.script))
+
+
+# The statements that ``render`` runs: the bindings and the render directives.
+_RENDER_STATEMENTS = (dsl.SpaceDecl, dsl.LoopBinding, dsl.RenderStmt)
+
+
+def _cmd_render(args) -> int:
+    kept = tuple(st for st in _load_script(args.script).statements if isinstance(st, _RENDER_STATEMENTS))
+    if not any(isinstance(st, dsl.RenderStmt) for st in kept):
+        raise _Refused("script has no render directive")
+    return _run_script(dsl.Script(kept))
 
 
 def _one_off_loops(*literals: str) -> List[Loop]:
@@ -245,43 +255,18 @@ def _one_off_loops(*literals: str) -> List[Loop]:
 
 
 def _cmd_word(args) -> int:
-    literal = " ".join(args.literal)
-    try:
-        (lp,) = _one_off_loops(literal)
-        cls = classify(lp)
-    except dsl.DslError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except RunError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"word: {format_word(cls.word)}")
+    (lp,) = _one_off_loops(" ".join(args.literal))
+    print(f"word: {format_word(classify(lp).word)}")
     return 0
 
 
 def _cmd_dist(args) -> int:
-    try:
-        a, b = _one_off_loops(args.first, args.second)
-        d = sup_distance(a.path, b.path)
-        d_sq = exact_str(d.squared, "dist")
-    except dsl.DslError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except RunError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    digits = report_digits()
-    print(f"dist_sq: {d_sq}")
-    print(f"dist_dec({digits}): {d.decimal(digits)}")
+    print(_dist_text(*_one_off_loops(args.first, args.second), "dist"))
     return 0
 
 
 def _cmd_hausdorff(args) -> int:
-    try:
-        rep = hausdorff_convergence(default_y(), args.upto)
-    except RunError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    rep = hausdorff_convergence(default_y(), args.upto)
     print(rep.render().rstrip("\n"))
     return 0 if rep.passed else 1
 
@@ -341,13 +326,8 @@ def demo_whitehead(nmax: int = 32, seed: int = 0, out_dir: str = ".") -> Tuple[i
 
 def _cmd_demo(args) -> int:
     if args.what != "whitehead":
-        print(f"error: unknown demo {args.what!r}; try 'whitehead'", file=sys.stderr)
-        return 2
-    try:
-        code, text = demo_whitehead(args.nmax, args.seed, args.out_dir)
-    except RunError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise _Refused(f"unknown demo {args.what!r}; try 'whitehead'")
+    code, text = demo_whitehead(args.nmax, args.seed, args.out_dir)
     print(text)
     return code
 
@@ -386,6 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
 # The parser of main, built by its first call and kept for the process.
 _parser: Optional[argparse.ArgumentParser] = None
 
+_COMMANDS = {
+    "run": _cmd_run,
+    "render": _cmd_render,
+    "demo": _cmd_demo,
+    "word": _cmd_word,
+    "dist": _cmd_dist,
+    "hausdorff": _cmd_hausdorff,
+}
+
 
 def main(argv: Optional[List[str]] = None) -> int:
     global _parser
@@ -401,18 +390,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         report_digits()
     except ValueError as exc:
         parser.error(str(exc))
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "render":
-        return _cmd_run(args, bindings_only=True)
-    if args.command == "demo":
-        return _cmd_demo(args)
-    if args.command == "word":
-        return _cmd_word(args)
-    if args.command == "dist":
-        return _cmd_dist(args)
-    # the subparsers are required, so argparse admits no other command
-    return _cmd_hausdorff(args)
+    try:
+        return _COMMANDS[args.command](args)
+    except dsl.DslError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except _Refused as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RunError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -323,12 +323,21 @@ def _quad_between(t0: tuple, q0: tuple, t1: tuple, q1: tuple, t: tuple) -> tuple
 SegIntersection = Union[None, Point2, Segment]
 
 
-def segments_intersect(s1: Segment, s2: Segment) -> SegIntersection:
-    """Exact intersection classification: None, a single Point2, or a Segment."""
-    res = kernels.seg_intersect(s1.a._q, s1.b._q, s2.a._q, s2.b._q)
+def _segment_of(a: tuple, b: tuple) -> Segment:
+    """The Segment between the points of two reduced kernel quads."""
+    return Segment(_from_quad(a), _from_quad(b))
+
+
+def _intersection_of(res: tuple) -> SegIntersection:
+    """A ``kernels.seg_intersect`` result as None, a Point2 or a Segment."""
     if res[0] == kernels.SEG_NONE:
         return None
     if res[0] == kernels.SEG_POINT:
         return _from_quad(res[1])
-    return Segment(_from_quad(res[1]), _from_quad(res[2]))
+    return _segment_of(res[1], res[2])
+
+
+def segments_intersect(s1: Segment, s2: Segment) -> SegIntersection:
+    """Exact intersection classification: None, a single Point2, or a Segment."""
+    return _intersection_of(kernels.seg_intersect(s1.a._q, s1.b._q, s2.a._q, s2.b._q))
 

@@ -46,7 +46,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from . import kernels
 from .exactnum import sqrt_decimal
-from .geometry import ORIGIN, Point2, Segment, _from_quad, point, rat, segments_intersect
+from .geometry import ORIGIN, Point2, Segment, _from_quad, _intersection_of, _segment_of, point, rat
 from .records import Record
 from .report import FAIL, PASS, ProbeReport, exact_str, report_digits
 
@@ -353,14 +353,15 @@ class SpaceHandle(Record):
         return ()
 
     def membership(self, q: Point2) -> Membership:
-        """Exact stratum classification of a point."""
+        """Exact stratum classification of a point: p, else the first edge
+        that ``edges_containing`` finds through it."""
         if q == ORIGIN:
             return Membership("base")
-        if self.has_alpha and ALPHA_SEGMENT.contains(q):
-            return Membership("alpha")
-        refs = self._circle_edges_at(q._q)
+        refs = self.edges_containing(q._q)
         if not refs:
             return OUTSIDE
+        if refs[0] == ALPHA_EDGE:
+            return Membership("alpha")
         return Membership("circle", *refs[0])
 
     def edges_containing(self, q: tuple) -> Tuple[EdgeRef, ...]:
@@ -426,8 +427,8 @@ def default_y() -> SpaceHandle:
 def _pair_intersection_violations(c1: Circle, c2: Circle):
     """Exact witnesses that C_n and C_m meet anywhere besides p: triples of
     two edges and their intersection, a point other than p or a Segment.
-    The edges are intersected on their quads; the Segments are built only
-    for a witness."""
+    The edges are intersected once, on their quads; the Segments and the
+    hit are built from the quads and that result only for a witness."""
     bad = []
     at_p = (kernels.SEG_POINT, ORIGIN._q)
     edges2 = _edge_quads(c2)
@@ -435,8 +436,7 @@ def _pair_intersection_violations(c1: Circle, c2: Circle):
         for a2, b2 in edges2:
             res = kernels.seg_intersect(a1, b1, a2, b2)
             if res[0] != kernels.SEG_NONE and res != at_p:
-                e1, e2 = Segment(_from_quad(a1), _from_quad(b1)), Segment(_from_quad(a2), _from_quad(b2))
-                bad.append((e1, e2, segments_intersect(e1, e2)))
+                bad.append((_segment_of(a1, b1), _segment_of(a2, b2), _intersection_of(res)))
     return bad
 
 

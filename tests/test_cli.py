@@ -900,6 +900,51 @@ class TestRender:
         assert code == 2 and "render directive" in err
 
 
+# Refusals across the commands, each through main as (argv, exit code,
+# stdout, stderr); "{d}" is the test's directory. Exit 2 is a refusal before
+# anything runs, exit 1 one while running, after what ran printed its blocks.
+REFUSALS = {
+    "run-missing": (
+        ["run", "{d}/missing.pi1"], 1, "",
+        "error: [Errno 2] No such file or directory: '{d}/missing.pi1'\n",
+    ),
+    "render-missing": (
+        ["render", "{d}/missing.pi1"], 1, "",
+        "error: [Errno 2] No such file or directory: '{d}/missing.pi1'\n",
+    ),
+    "render-not-utf8": (
+        ["render", "{d}/not-utf8.pi1"], 2, "",
+        "error: script is not valid UTF-8: "
+        "'utf-8' codec can't decode byte 0xff in position 18: invalid start byte\n",
+    ),
+    "render-over-cap": (
+        ["render", "{d}/over-cap.pi1"], 2, "",
+        f"error: script exceeds the limit of {dsl.MAX_SCRIPT_BYTES} bytes\n",
+    ),
+    "demo-unknown": (["demo", "nope"], 2, "", "error: unknown demo 'nope'; try 'whitehead'\n"),
+    "word-points-outside": (
+        ["word", "points [(0, 0, 0), (1/2, 1, 1), (1, 0, 0)]"], 1, "",
+        "error: invalid loop: piece 0 on [0, 1/2]: breakpoint (1, 1) is outside the space\n",
+    ),
+    "hausdorff-too-long": (["hausdorff", "--upto", "300"], 1, "", too_long("probe hausdorff: up_to=300")),
+    "run-after-output": (["run", "{d}/slsc.pi1"], 1, "word: g2\n", "error: samples must be positive\n"),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_exit_code_and_streams(self, capsys, tmp_path, case):
+        (tmp_path / "not-utf8.pi1").write_bytes(b"space S = Y(20)\n# \xff\xfe\n")
+        (tmp_path / "over-cap.pi1").write_bytes(b"\n" * (dsl.MAX_SCRIPT_BYTES + 1))
+        (tmp_path / "slsc.pi1").write_text(
+            "space S = Y(32)\nloop a = C(2).once\nclassify a\nprobe slsc radius=1/4 samples=0\n", encoding="utf-8"
+        )
+        argv, code, out, err = REFUSALS[case]
+        d = str(tmp_path)
+        got = run_cli(capsys, [arg.replace("{d}", d) for arg in argv])
+        assert got == (code, out, err.replace("{d}", d))
+
+
 # sha256 of the report of `demo whitehead --nmax 32 --seed s` with its out-dir
 # replaced by "@", for each seed 0..15 that the benchmark's demo workload
 # draws, and of the SVG it writes (the scene does not depend on the seed).

@@ -438,6 +438,25 @@ class TestDisjointness:
         assert verify_disjointness(compact_y(), 20).passed
         assert calls == {"orient": 4446, "on_segment": 1026}
 
+    def test_witness_built_from_the_one_intersection(self, monkeypatch):
+        """Under uniform:1/4 every pair of C_2, C_3, C_4 meets. Each pair's
+        nine edge pairs are intersected once each; the witness's hit comes
+        from that result, not from a second intersection of its edges."""
+        calls = []
+
+        def counted(*args, _orig=kernels.seg_intersect):
+            calls.append(args)
+            return _orig(*args)
+
+        monkeypatch.setattr(kernels, "seg_intersect", counted)
+        rep = verify_disjointness(compact_y(profile=profile_by_name("uniform:1/4")), 4)
+        assert len(calls) == 9 * 3
+        assert [dict(w)["violation"] for w in rep.witnesses] == [
+            "edges [(0, 0) -> (1/2, 1)] and [(1/3, 1) -> (13/12, 3/4)] meet at (10/21, 20/21)",
+            "edges [(0, 0) -> (1/2, 1)] and [(1/4, 1) -> (5/4, 3/4)] meet at (17/36, 17/18)",
+            "edges [(0, 0) -> (1/3, 1)] and [(1/4, 1) -> (5/4, 3/4)] meet at (17/52, 51/52)",
+        ]
+
     def test_report_records_profile(self):
         rep = verify_disjointness(compact_y(hint=5), 4)
         assert ("width_profile", "pow10") in rep.parameters
