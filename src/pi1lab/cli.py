@@ -12,8 +12,9 @@ Subcommands:
     pi1lab render <script>         execute only bindings and render directives
 
 Exit codes: 0 success / all PASS; 2 refused before anything runs (usage,
-parse errors, script limits, a script that is not UTF-8, ``render`` of a
-script with no render directive, an unknown demo); 1 refused while
+``--nmax`` or ``--upto`` outside 2 to ``dsl.MAX_CIRCLE_INDEX``, parse
+errors, script limits, a script that is not UTF-8, ``render`` of a script
+with no render directive, an unknown demo); 1 refused while
 running, or any FAIL verdict. ``main`` is the one place that maps an error
 to its exit code and its one stderr line. One-off literals are evaluated
 in the compact space Y with the default width profile. PI1LAB_DIGITS sets
@@ -384,6 +385,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     for option in ("nmax", "upto"):
         value = getattr(args, option, None)
+        if value is not None and value < 2:
+            parser.error(f"--{option} {value} is below 2, the least circle index")
         if value is not None and value > dsl.MAX_CIRCLE_INDEX:
             parser.error(f"--{option} {value} exceeds the limit {dsl.MAX_CIRCLE_INDEX} on circle indices")
     try:

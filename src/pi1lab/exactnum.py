@@ -39,12 +39,6 @@ def rational_decimal(q: Fraction, digits: int) -> str:
     return _format_scaled(scaled, digits)
 
 
-def _floor_sqrt_scaled(n: int, d: int, digits: int) -> int:
-    # floor(sqrt(n/d) * 10**digits); exact because floor(sqrt(t)) = isqrt(floor(t))
-    big = n * 10 ** (2 * digits)
-    return isqrt(big // d)
-
-
 def sqrt_decimal(q: Fraction, digits: int) -> str:
     """Fixed-point decimal rendering of sqrt(q), round-half-even, exact.
 
@@ -57,9 +51,11 @@ def sqrt_decimal(q: Fraction, digits: int) -> str:
     if digits < 0:
         raise ValueError("digits must be nonnegative")
     n, d = q.numerator, q.denominator
-    fl = _floor_sqrt_scaled(n, d, digits)
+    big = n * 10 ** (2 * digits)
+    # floor(sqrt(n/d) * 10**digits); exact because floor(sqrt(t)) = isqrt(floor(t))
+    fl = isqrt(big // d)
     # compare sqrt(n/d)*10^digits with fl + 1/2:  4*n*10^(2*digits)  vs  d*(2*fl+1)^2
-    lhs = 4 * n * 10 ** (2 * digits)
+    lhs = 4 * big
     rhs = d * (2 * fl + 1) ** 2
     if lhs > rhs or (lhs == rhs and fl % 2 == 1):
         fl += 1

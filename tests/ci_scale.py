@@ -1,0 +1,162 @@
+"""The checks of the construction at full scale, as CI runs them:
+
+    python -m pytest -q tests/ci_scale.py
+
+Plain `pytest` never collects this file, as its name does not match
+test_*.py. Each test calls, at full scale, the helper that a tier-1 test
+calls at small scale, so each comparison is written once. Each runs within
+a wall-clock bound, and writes only under a temporary directory.
+"""
+import os
+import random
+import signal
+import subprocess
+import sys
+import time
+from contextlib import contextmanager
+from fractions import Fraction as F
+
+import pytest
+
+import oracles
+from pi1lab import pi1
+from pi1lab.loops import realize_word
+from pi1lab.pi1 import stability_radius
+from pi1lab.spaces import CUBE, POW10, bouquet_x, profile_by_name
+from pi1lab.words import parse_word
+from test_cli import HOSTILE, SRC, dsl_docstring_script, main_matches_fresh, readme_script, run_hostile
+from test_pi1 import assert_draws_match_oracle, assert_radius_matches_oracle
+from test_spaces import assert_tail_reduced, circle_mismatches, materialise_shuffled
+
+
+@contextmanager
+def deadline(seconds):
+    """Raises TimeoutError in the body once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# The README script, the dsl docstring script, a parse error, a runtime
+# error, and points literals, which are parsed to reduced int pairs: one
+# whose values need reducing, one refused past C_1000 with its reduced
+# breakpoint in the text, a zero denominator, parameters not strictly
+# increasing, and a loop that ends off p.
+MAIN_SCRIPTS = {
+    "readme": readme_script(),
+    "docstring": dsl_docstring_script(),
+    "parse-error": "space S = Y(20)\nloop b = nonsense\n",
+    "runtime-error": "space S = Y(32)\nprobe slsc radius=1/4 samples=0\n",
+    "points-reduced": "space S = Y(40) width=cube\n"
+    "loop q = points [(0/4, 0, 0), (2/6, 2/6, 2/2), (4/6, 62/180, 538/540), (3/3, 0/7, 0)]\nclassify q\n",
+    "points-past-cap": "space S = Y(20)\nloop q = points [(0, 0, 0), (2/4, 2/80000, 2/2), (1, 0, 0)]\n",
+    "points-zero-denominator": "space S = Y(20)\nloop q = points [(0, 0, 0), (1/2, 0, 1/0), (1, 0, 0)]\n",
+    "points-not-increasing": "space S = Y(20)\nloop q = points [(0, 0, 0), (2/4, 0, 1/2), (1/2, 0, 0), (1, 0, 0)]\n",
+    "points-ends-off-p": "space S = Y(20)\nloop q = points [(0, 0, 0), (1/2, 0, 1/2), (1, 0, 1)]\n",
+}
+
+
+def test_main_matches_fresh_processes(capsys, tmp_path, monkeypatch):
+    """MAIN_SCRIPTS, a usage error, a points literal of `word`, `render` of
+    a missing script and of one with no render directive, and `demo nope`;
+    then a probe key given twice, read from stdin by a fresh process, is one
+    parse error line, where the last value used to win."""
+    monkeypatch.chdir(tmp_path)
+    with deadline(120):
+        calls = []
+        for name, text in MAIN_SCRIPTS.items():
+            (tmp_path / f"{name}.pi1").write_text(text, encoding="utf-8")
+            calls.append(["run", f"{name}.pi1"])
+        (tmp_path / "no-render.pi1").write_text("space S = Y(6)\n", encoding="utf-8")
+        points = (
+            "points [(0, 0, 0), (1/3, 2/4, 2/2), (2/3, 50000000000000000002/100000000000000000000, "
+            "99999999999999999999/100000000000000000000), (3/3, 0, 0)]"
+        )
+        calls += [["wrod", "C(4).once"], ["word", points], ["render", "missing.pi1"], ["render", "no-render.pi1"]]
+        calls.append(["demo", "nope"])
+        fresh = main_matches_fresh(capsys, calls)
+        assert [p.returncode for p in fresh] == [0, 0, 2, 1, 0, 2, 2, 1, 1, 2, 0, 1, 2, 2]
+        assert [p.stdout for p in fresh[4:]] == [b"word: g3\n", b"", b"", b"", b"", b"", b"word: g2\n", b"", b"", b""]
+        assert fresh[8].stderr == b"error: invalid loop: piece 1 on [1, 1]: loop ends at (0, 1), not at p\n"
+        repeated = subprocess.run(
+            [sys.executable, "-m", "pi1lab", "run", "-"],
+            input=b"space S = Y(32)\nprobe slsc radius=1/4 samples=2 seed=1 seed=2\n",
+            capture_output=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert (repeated.returncode, repeated.stdout) == (2, b"")
+        assert repeated.stderr == b"parse error: line 2, col 1: probe slsc takes 'seed' once\n"
+
+
+def test_circles_against_oracles(monkeypatch):
+    """pow10 and cube C_2 ... C_1000 built, certified and read on a fresh
+    handle; uniform:1/4 and uniform:7/3, whose widths certification refuses,
+    on build_circle only; then pow10 C_2 ... C_1000 shuffled on one handle
+    of a counted profile: 999 fn calls and no quad wrapped."""
+    with deadline(60):
+        for name in ("pow10", "cube"):
+            assert circle_mismatches(profile_by_name(name), range(2, 1001)) == [], name
+        for name in ("uniform:1/4", "uniform:7/3"):
+            profile = profile_by_name(name)
+            for n in range(2, 1001):
+                assert_tail_reduced(n, profile)
+        materialise_shuffled(monkeypatch, 1000)
+
+
+def test_stability_radius_against_oracle():
+    with deadline(120):
+        assert_radius_matches_oracle(bouquet_x(), range(2, 42))
+        assert_radius_matches_oracle(bouquet_x(profile=CUBE), range(2, 121))
+
+
+def radius_cpu_s(top):
+    """CPU seconds of the stability radius of pow10 g2 ... g<top>, with no
+    pow10 width computed before it."""
+    assert not POW10._pairs
+    loop = realize_word(parse_word(" ".join(f"g{n}" for n in range(2, top + 1))), bouquet_x())
+    start = time.process_time()
+    stability_radius(loop)
+    return time.process_time() - start
+
+
+def test_stability_radius_cpu_in_a_fresh_process():
+    """All pairs of touched circles took 2.77 s."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import ci_scale; print(ci_scale.radius_cpu_s(41))"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.path.dirname(__file__)])),
+    )
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 0.05
+
+
+def test_perturbation_draws_against_oracle():
+    """For pow10 and cube: 30 random words of up to 12 letters and a
+    subdivided copy of each, whose own breakpoints may slide."""
+    slid = 0
+    with deadline(300):
+        for name in ("pow10", "cube"):
+            space = bouquet_x(20, profile_by_name(name))
+            rng = random.Random(26)
+            words = [realize_word(pi1.random_reduced_word(rng, 12), space) for _ in range(30)]
+            corpus = words + [
+                oracles.subdivide(
+                    lp, [F(rng.randint(1, 63), 64), lp.path.breakpoints[1][0] * F(rng.randint(1, 63), 64)]
+                )
+                for lp in words
+            ]
+            slid += sum(len(oracles.slide_candidates(lp)) for lp in corpus)
+            assert_draws_match_oracle(corpus, range(100))
+    assert slid > 0
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile(tmp_path, name):
+    run_hostile(HOSTILE[name], tmp_path)

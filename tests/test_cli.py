@@ -5,7 +5,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
+from collections import Counter, namedtuple
 from contextlib import redirect_stderr
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +17,9 @@ import pytest
 import pi1lab
 from pi1lab import cli, dsl, exactnum, geometry, pi1, spaces
 from pi1lab.cli import demo_whitehead, main
+
+# The directory that holds the package, for PYTHONPATH of fresh processes.
+SRC = os.path.dirname(os.path.dirname(pi1lab.__file__))
 
 GOOD_SCRIPT = """\
 space S = Y(10) width=pow10
@@ -90,7 +95,7 @@ HEAVY_POINTS = (
 # Each entry is refused by the parser on its last line; the column is that of
 # the offending literal, or of the statement whose price passes the work limit.
 # The parser stops at the refused line, so the acceptance scripts that repeat
-# a statement end there; CI runs them whole.
+# a statement end there; HOSTILE runs them whole.
 THROUGH_C21 = " ".join(f"g{n}" for n in range(2, 22))
 HOSTILE_LINES = (
     (f"loop w = word g2^{NINES}", 18),
@@ -242,6 +247,23 @@ def run_cli(capsys, argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def main_matches_fresh(capsys, calls):
+    """Each argv of ``calls`` through a fresh `python -m pi1lab` process, in
+    the working directory, and then through main in this process: main
+    builds its parser once per process, so every call must still give the
+    fresh process's exit code and stdout and stderr bytes. Returns the
+    fresh processes."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    fresh = [
+        subprocess.run([sys.executable, "-m", "pi1lab", *argv], capture_output=True, timeout=60, env=env)
+        for argv in calls
+    ]
+    for argv, want in zip(calls, fresh):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out.encode(), err.encode()) == (want.returncode, want.stdout, want.stderr), argv
+    return fresh
 
 
 class TestRun:
@@ -650,6 +672,20 @@ class TestOneOffCommands:
         err = capsys.readouterr().err
         assert exc.value.code == 2 and f"{argv[-2]} 1001 exceeds the limit 1000" in err
 
+    @pytest.mark.parametrize(
+        "argv", (["demo", "whitehead", "--nmax", "1"], ["hausdorff", "--upto", "1"], ["hausdorff", "--upto", "0"])
+    )
+    def test_circle_index_options_below_two(self, capsys, monkeypatch, argv):
+        """Refused as usage before the demo builds its tables."""
+        built = []
+        for name in ("verify_disjointness", "hausdorff_convergence"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name: built.append(name))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and built == []
+        assert err.endswith(f"error: {argv[-2]} {argv[-1]} is below 2, the least circle index\n")
+
     @pytest.mark.parametrize("value", ["abc", "0", "5000", "3000000"])
     def test_report_digits_validated_up_front(self, capsys, monkeypatch, value):
         monkeypatch.setenv("PI1LAB_DIGITS", value)
@@ -779,18 +815,18 @@ class TestDiscretenessReportBytes:
 
 
 class TestModuleEntryPoint:
-    def test_python_m_pi1lab(self):
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pi1lab.__file__)))
-        done = subprocess.run(
-            [sys.executable, "-m", "pi1lab", "word", "C(4).once"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert (done.returncode, done.stdout, done.stderr) == (0, "word: g4\n", "")
+    def test_python_m_pi1lab(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        fresh = main_matches_fresh(capsys, [["word", "C(4).once"], ["demo", "nope"]])
+        assert [(p.returncode, p.stdout, p.stderr) for p in fresh] == [
+            (0, b"word: g4\n", b""),
+            (2, b"", b"error: unknown demo 'nope'; try 'whitehead'\n"),
+        ]
 
     def test_import_loads_neither_dataclasses_nor_inspect(self):
         """Records were dataclasses, whose import loads inspect, ast, dis
         and tokenize: about a third of the package's import time."""
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pi1lab.__file__)))
+        env = dict(os.environ, PYTHONPATH=SRC)
         code = "import sys, pi1lab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
@@ -943,6 +979,120 @@ class TestRefusals:
         d = str(tmp_path)
         got = run_cli(capsys, [arg.replace("{d}", d) for arg in argv])
         assert got == (code, out, err.replace("{d}", d))
+
+
+# Hostile inputs, each run whole through `python -m pi1lab` in a fresh
+# process by run_hostile: (script text or bytes, or argv; exit code; a
+# pattern the whole stderr must match; stdout, or a count for some of its
+# lines, or None; a wall-clock bound in seconds; a peak RSS bound in MB).
+Hostile = namedtuple("Hostile", "source code err out wall_s rss_mb", defaults=("", 10, None))
+OVER_WORK = r"parse error: line \d+, col 1: [^\n]* exceeds the limit of 3000000\n"
+NESTED = "concat(" * 1000 + "C(2).once" + ")" * 1000
+NESTED_ERR = r"parse error: line 1, col 1: concat nesting exceeds the limit of 100 levels\n"
+PROBE_20 = "probe discreteness loop=a trials=20 magnitude=1/1000\n"
+PROBE_100 = "probe discreteness loop=a trials=100 magnitude=1/100000000\n"
+HOSTILE = {
+    # Each passes dsl.MAX_SCRIPT_WORK. Trials times letters: about 40
+    # minutes of work if it were run.
+    "trials-times-letters": Hostile("space T = X(20) width=pow10\nloop a = word g2^10000\n" + PROBE_20, 2, OVER_WORK),
+    # 500 lines that each add a 10,000-letter concat ran 12 s.
+    "concat-letters": Hostile(
+        "space T = Y(20)\nloop a = word g2^5000\n" + "".join(f"loop {v} = concat(a, a)\n" for v in "bcdefgh")
+        + "classify h\n", 2, OVER_WORK,
+    ),
+    # 200 classify lines ran 1.6 s.
+    "classify-rereads": Hostile("space T = Y(20)\nloop a = word g2^10000\n" + "classify a\n" * 10, 2, OVER_WORK),
+    # 100 trials priced by their circles ran 8.9 s.
+    "trials-by-circles": Hostile("space T = X(20)\nloop a = word g590 g591\n" + PROBE_100, 2, OVER_WORK),
+    # These 10 probes ran 12.7 s, these 3 about 6 s of CPU, these 30 renders 4.5 s.
+    "probes-spend": Hostile("space T = X(20)\nloop a = word g2^5000\n" + PROBE_20 * 10, 2, OVER_WORK),
+    "disjointness-spends": Hostile("space S = Y(20)\n" + "probe disjointness up_to=100\n" * 3, 2, OVER_WORK),
+    "renders-spend": Hostile("space S = Y(1000)\n" + "render S -> x.svg\n" * 30, 2, OVER_WORK),
+    # An exponent of 4300 digits is priced as the limit: it ended in an
+    # OverflowError traceback. So do the literals of `word` and `dist`.
+    "exponent-digits": Hostile(f"space S = Y(20)\nloop w = word g2^{NINES[:4300]}\n", 2, OVER_WORK),
+    "word-literal": Hostile(["word", f"word(g2^{NINES[:4300]})"], 2, OVER_WORK),
+    "dist-literal": Hostile(["dist", "C(2).once", f"word(g2^{NINES[:4300]})"], 2, OVER_WORK),
+    "dist-literals": Hostile(["dist", "word(g2^6818)", "word(g3^6818)"], 2, OVER_WORK),
+    # Nesting past dsl.MAX_NESTING ended in a RecursionError traceback.
+    "word-nested": Hostile(["word", NESTED], 2, NESTED_ERR),
+    "dist-nested": Hostile(["dist", "C(3).once", NESTED], 2, NESTED_ERR),
+    # Not UTF-8, refused before parsing: it ended in a traceback.
+    "not-utf8": Hostile(
+        b"space S = Y(20)\n# \xff\xfe\n", 2,
+        r"error: script is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 18: invalid start byte\n",
+    ),
+    # Just under dsl.MAX_SCRIPT_BYTES, 307,676 pieces tokenized whole (1.3-2 s
+    # of CPU, about 180 MB at about 120 bytes a token); then 3.9 MB of `(`,
+    # one token a byte (about 475 MB). Their 10 s and 50 s share one 60 s.
+    "points-under-cap": Hostile(
+        "space S = Y(20)\nloop q = points [" + ", ".join(["(1/2, 0, 0)"] * 307676) + "]\n", 2, OVER_WORK, rss_mb=256
+    ),
+    "open-parens": Hostile(
+        "space S = Y(20)\nloop a = " + "(" * 3900000 + "\n", 2, r"parse error: line 2, col 1: [^\n]*\n", wall_s=50, rss_mb=600
+    ),
+    # A squared perturbation of more than 4300 digits: one error line, not a
+    # ValueError traceback. Which trial overflows depends on the draw.
+    "long-perturbation": Hostile(LONG_PERTURBATION_SCRIPT.format(seed=1), 1, r"error: [^\n]*\n"),
+    # Refused while the radius was priced per pair of touched circles.
+    "radius-refuses": Hostile(RADIUS_ADMITTED[0][0], 1, re.escape(RADIUS_ADMITTED[0][3]), wall_s=2),
+    "radius-probes": Hostile(
+        f"space T = X(20)\nloop a = word {THROUGH_C21}\n" + PROBE_100 * 20, 0, "",
+        {"verdict: PASS": 20, "param: agreeing_trials = 100": 20}, wall_s=2,
+    ),
+    # 4 s when each space built its own circles.
+    "spaces-share-circles": Hostile(REPEATED_SPACE_SCRIPT, 0, "", None),
+}
+
+
+def run_hostile(row, directory):
+    """Runs one HOSTILE row in a fresh process in ``directory``, killed at
+    its wall bound, and checks its exit code, streams and bounds. The peak
+    RSS is the child's, read by os.wait4."""
+    if isinstance(row.source, list):
+        argv = row.source
+    else:
+        script = row.source.encode() if isinstance(row.source, str) else row.source
+        (directory / "hostile.pi1").write_bytes(script)
+        argv = ["run", "hostile.pi1"]
+    with open(directory / "stdout", "w+b") as out, open(directory / "stderr", "w+b") as err:
+        start = time.perf_counter()
+        child = subprocess.Popen(
+            [sys.executable, "-m", "pi1lab", *argv],
+            cwd=directory, stdout=out, stderr=err, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        timer = threading.Timer(row.wall_s, child.kill)
+        timer.start()
+        try:
+            _, status, usage = os.wait4(child.pid, 0)
+        finally:
+            timer.cancel()
+        wall = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read().decode(), err.read().decode()
+    assert (child.returncode, wall < row.wall_s) == (row.code, True), (child.returncode, wall, stderr)
+    assert re.fullmatch(row.err, stderr), stderr
+    if isinstance(row.out, dict):
+        counts = Counter(stdout.splitlines())
+        assert {line: counts[line] for line in row.out} == row.out
+    elif row.out is not None:
+        assert stdout == row.out
+    peak_mb = usage.ru_maxrss / 1024
+    assert row.rss_mb is None or peak_mb < row.rss_mb, peak_mb
+
+
+class TestHostileProcesses:
+    """The full table runs in tests/ci_scale.py; here its two cheapest rows,
+    one of each kind of source, run through run_hostile."""
+
+    @pytest.mark.parametrize("name", ["not-utf8", "word-nested"])
+    def test_cheapest_rows(self, tmp_path, name):
+        run_hostile(HOSTILE[name], tmp_path)
+
+    def test_points_script_under_the_byte_cap(self):
+        assert len(HOSTILE["points-under-cap"].source.encode()) < dsl.MAX_SCRIPT_BYTES
 
 
 # sha256 of the report of `demo whitehead --nmax 32 --seed s` with its out-dir

@@ -393,6 +393,13 @@ RADIUS_PROFILES = {
 }
 
 
+def assert_radius_matches_oracle(space, ns):
+    """stability_radius of the word g_n for n in ``ns``, in order, equals
+    the all-pairs radius of oracles.stability_radius."""
+    lp = realize_word(parse_word(" ".join(f"g{n}" for n in ns)), space)
+    assert stability_radius(lp) == oracles.stability_radius(lp), (space.profile.name, ns)
+
+
 class TestRadiusOracle:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(st.data())
@@ -402,9 +409,7 @@ class TestRadiusOracle:
         (oracles.stability_radius), on random touched sets of 1 to 8
         circles in any order."""
         space, top = RADIUS_PROFILES[data.draw(st.sampled_from(sorted(RADIUS_PROFILES)))]
-        ns = data.draw(st.lists(st.integers(2, top), min_size=1, max_size=8, unique=True))
-        lp = realize_word(parse_word(" ".join(f"g{n}" for n in ns)), space)
-        assert stability_radius(lp) == oracles.stability_radius(lp)
+        assert_radius_matches_oracle(space, data.draw(st.lists(st.integers(2, top), min_size=1, max_size=8, unique=True)))
 
 
 class TestSlscProbe:
@@ -597,6 +602,28 @@ class TestBelow:
             pi1._below(self.Undrawn(0), n)
 
 
+def assert_draws_match_oracle(corpus, seeds):
+    """Each seed's perturbation of each loop of ``corpus``, at magnitudes
+    1/1000, 1/10 and 1, drawn by _perturb_once and by one _PerturbTable
+    shared across the seeds, as the probe draws its trials: both give the
+    parameters, point quads and chart of the subdivide-then-slide
+    construction of oracles.perturb_once, and leave the generator in its
+    state."""
+    for k, lp in enumerate(corpus):
+        for bound in (F(1, 1000), F(1, 10), F(1)):
+            table = pi1._PerturbTable(lp, bound)
+            for seed in seeds:
+                r_want = random.Random(seed)
+                want = oracles.perturb_once(lp, r_want, bound)
+                for draw in (lambda r: pi1._perturb_once(lp, r, bound), table.draw):
+                    r_got = random.Random(seed)
+                    got = draw(r_got)
+                    assert got == want and got.path._ts == want.path._ts, (k, bound, seed)
+                    assert [q._q for q in got.path.points] == [q._q for q in want.path.points]
+                    assert got._chart == want._chart
+                    assert r_got.getstate() == r_want.getstate()
+
+
 class TestPerturbOracle:
     def test_slides_match_fraction_formula(self, x):
         """Same rng, same breakpoints, over the demo corpus at magnitudes
@@ -628,16 +655,7 @@ class TestPerturbOracle:
             corpus.append(oracles.subdivide(lp, [params[1] * F(rng.randint(1, 63), 64), F(rng.randint(1, 63), 64)]))
         corpus.append(mid_edge_loop(x))
         assert sum(len(oracles.slide_candidates(lp)) for lp in corpus) >= 20
-        for k, lp in enumerate(corpus):
-            for bound in (F(1, 1000), F(1, 10), F(1)):
-                for seed in range(40):
-                    r_want, r_got = random.Random(seed), random.Random(seed)
-                    want = oracles.perturb_once(lp, r_want, bound)
-                    got = pi1._perturb_once(lp, r_got, bound)
-                    assert got.path._ts == want.path._ts, (k, bound, seed)
-                    assert [q._q for q in got.path.points] == [q._q for q in want.path.points]
-                    assert got._chart == want._chart
-                    assert r_got.getstate() == r_want.getstate()
+        assert_draws_match_oracle(corpus, range(40))
 
 
 class TestPerturbationBound:

@@ -87,6 +87,62 @@ def _refusal(build, certify, n, profile):
     return circ
 
 
+def circle_mismatches(profile, ns):
+    """The indices n in ``ns`` whose circle differs from the oracle's: built
+    and certified, and read on a fresh handle, which certifies C_n with no
+    C_(n-1) cached. Circles compare their edges and their apex and tail
+    quads, and must not be degenerate; refusals compare their text."""
+    wrong = []
+    for n in ns:
+        got = _refusal(build_circle, _certify, n, profile)
+        want = _refusal(oracles.build_circle, oracles.certify, n, profile)
+        on_handle = _refusal(lambda n, p: bouquet_x(profile=p).circle(n), lambda c, p: None, n, profile)
+        if got != want or on_handle != got:
+            wrong.append(n)
+        elif not isinstance(got, str) and (
+            (got._apex_q, got._tail_q) != (want.apex.quad(), want.tail.quad())
+            or kernels.orient(ORIGIN.quad(), got._apex_q, got._tail_q) == 0
+        ):
+            wrong.append(n)
+    return wrong
+
+
+def counted_pow10():
+    """A copy of the pow10 profile, and the Counter of its fn's calls by index."""
+    calls = Counter()
+
+    def counted(n, fn=spaces.POW10.fn):
+        calls[n] += 1
+        return fn(n)
+
+    return WidthProfile("pow10", counted), calls
+
+
+def materialise_shuffled(monkeypatch, top):
+    """pow10 C_2 ... C_top, in shuffled order, on one handle of a counted
+    copy of the profile: its fn is called once per index, no quad is
+    wrapped in a Point2 and no Segment is built, and the quads are the
+    oracle's, which reads its own uncounted profile. Returns the circles
+    and the lists of wraps and Segments, which stay counted."""
+    order = list(range(2, top + 1))
+    random.Random(0).shuffle(order)
+    oracle = WidthProfile("pow10", spaces.POW10.fn)
+    want = [(c.apex.quad(), c.tail.quad()) for c in (oracles.build_circle(n, oracle) for n in order)]
+    profile, calls = counted_pow10()
+    wraps, segments = [], []
+    real_wrap, real_init = geometry._from_quad, geometry.Segment.__init__
+    for mod in (geometry, spaces):
+        monkeypatch.setattr(mod, "_from_quad", lambda q: wraps.append(q) or real_wrap(q))
+    monkeypatch.setattr(geometry.Segment, "__init__", lambda self, a, b: segments.append((a, b)) or real_init(self, a, b))
+    monkeypatch.setattr(geometry.Point2, "__init__", lambda *a: wraps.append(a))
+    handle = compact_y(profile=profile)
+    circles = [handle.circle(n) for n in order]
+    assert (len(wraps), len(segments)) == (0, 0)
+    assert [(c._apex_q, c._tail_q) for c in circles] == want
+    assert calls == Counter(order)
+    return circles, wraps, segments
+
+
 class TestCircleOracle:
     """The int-quad build and certificate against the Fraction and orient
     construction of ``oracles``: equal vertices and edges, and refusals at
@@ -105,16 +161,7 @@ class TestCircleOracle:
         ids=lambda v: v.name if isinstance(v, WidthProfile) else f"n{min(v)}-{max(v)}",
     )
     def test_matches_fraction_construction(self, profile, ns):
-        """Circles compare their apex and tail quads and their edges."""
-        wrong = []
-        for n in ns:
-            got = _refusal(build_circle, _certify, n, profile)
-            on_handle = _refusal(lambda n, p: bouquet_x(profile=p).circle(n), lambda c, p: None, n, profile)
-            if got != _refusal(oracles.build_circle, oracles.certify, n, profile) or on_handle != got:
-                wrong.append(n)
-            elif not isinstance(got, str) and kernels.orient(ORIGIN.quad(), got.apex.quad(), got.tail.quad()) == 0:
-                wrong.append(n)
-        assert wrong == []
+        assert circle_mismatches(profile, ns) == []
 
     def test_refusal_texts(self):
         """Each refusal of the module, byte for byte."""
@@ -152,28 +199,16 @@ class TestCircleOracle:
         """A handle materialises pow10 C_2 ... C_90, in shuffled order, with
         no Point2 and no Segment: a circle is its vertex quads until its
         vertices or edges are read, and its edges are then built once."""
-        wraps, segments = [], []
-        real_wrap, real_init = geometry._from_quad, geometry.Segment.__init__
-
-        def wrap(q):
-            wraps.append(q)
-            return real_wrap(q)
-
-        def init(self, a, b):
-            segments.append((a, b))
-            real_init(self, a, b)
-
-        for mod in (geometry, spaces):
-            monkeypatch.setattr(mod, "_from_quad", wrap)
-        monkeypatch.setattr(geometry.Segment, "__init__", init)
-        monkeypatch.setattr(geometry.Point2, "__init__", lambda *a: wraps.append(a))
-        handle = compact_y()
-        order = list(range(2, 91))
-        random.Random(0).shuffle(order)
-        circles = [handle.circle(n) for n in order]
-        assert (len(wraps), len(segments)) == (0, 0)
+        circles, wraps, segments = materialise_shuffled(monkeypatch, 90)
         assert circles[0].edges is circles[0].edges
         assert (len(wraps), len(segments)) == (2, 3)
+
+
+def assert_tail_reduced(n, profile):
+    """build_circle's C_n has the oracle's quads, equality, hash and repr."""
+    got, want = build_circle(n, profile), oracles.build_circle(n, profile)
+    assert (got._apex_q, got._tail_q) == (want.apex.quad(), want.tail.quad()), f"{profile.name} C{n}"
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want), f"{profile.name} C{n}"
 
 
 class TestTailReduction:
@@ -182,17 +217,11 @@ class TestTailReduction:
     quads agree, and so do the circles' equality, hash and repr. Under
     uniform:1/4, D_2's x is 8/8, divided by h = 4 and then by k = 2."""
 
-    @staticmethod
-    def check(n, profile):
-        got, want = build_circle(n, profile), oracles.build_circle(n, profile)
-        assert (got._apex_q, got._tail_q) == (want.apex.quad(), want.tail.quad()), f"{profile.name} C{n}"
-        assert got == want and hash(got) == hash(want) and repr(got) == repr(want), f"{profile.name} C{n}"
-
     @pytest.mark.parametrize("name", ["pow10", "cube", "uniform:1/4", "uniform:7/3"])
     def test_named_profiles(self, name):
         profile = profile_by_name(name)
         for n in range(2, 91):
-            self.check(n, profile)
+            assert_tail_reduced(n, profile)
 
     def test_h_and_k_both_divide(self):
         assert build_circle(2, profile_by_name("uniform:1/4"))._tail_q == (1, 1, 3, 4)
@@ -201,7 +230,7 @@ class TestTailReduction:
     @given(a=st.integers(1, 60), b=st.integers(1, 60), e=st.integers(0, 4), n=st.integers(2, 60))
     def test_small_widths(self, a, b, e, n):
         """w(n) = a / (b * n**e + 1)."""
-        self.check(n, WidthProfile(f"{a}/({b}n^{e}+1)", lambda n: F(a, b * n**e + 1)))
+        assert_tail_reduced(n, WidthProfile(f"{a}/({b}n^{e}+1)", lambda n: F(a, b * n**e + 1)))
 
 
 class TestWidthPairs:
@@ -211,13 +240,7 @@ class TestWidthPairs:
     def test_fn_called_once_per_index(self, monkeypatch):
         """Each certified circle called fn twice, for w(n) in its build and
         w(n - 1) in its certificate, and a script's price once more."""
-        calls = Counter()
-
-        def counted(n, fn=profile_by_name("pow10").fn):
-            calls[n] += 1
-            return fn(n)
-
-        profile = WidthProfile("pow10", counted)
+        profile, calls = counted_pow10()
         order = list(range(2, 41))
         for seed in (1, 2):
             random.Random(seed).shuffle(order)
@@ -243,13 +266,7 @@ class TestWidthPairs:
         reaches are kept: a pow10 pair past the cap would hold about
         4.4 * n bytes for good."""
         assert spaces.KEPT_PAIR_INDEX == dsl.MAX_CIRCLE_INDEX
-        calls = Counter()
-
-        def counted(n, fn=profile_by_name("pow10").fn):
-            calls[n] += 1
-            return fn(n)
-
-        profile = WidthProfile("pow10", counted)
+        profile, calls = counted_pow10()
         cap = spaces.KEPT_PAIR_INDEX
         for n in (cap, cap + 1, cap, cap + 1):
             assert profile.pair(n) == (1, 10 ** (10 * n))
