@@ -92,56 +92,66 @@ HEAVY_POINTS = (
     + ", (1, 0, 0)]"
 )
 
-# Each entry is refused by the parser on its last line; the column is that of
-# the offending literal, or of the statement whose price passes the work limit.
-# The parser stops at the refused line, so the acceptance scripts that repeat
-# a statement end there; HOSTILE runs them whole.
+# Each entry, written after a space by hostile_script, is refused by the
+# parser on its last line; the column is that of the offending literal, or of
+# the statement whose price passes the work limit. The parser stops at the
+# refused line, so the scripts that repeat a statement end there. HOSTILE
+# runs those that pass dsl.MAX_SCRIPT_WORK in fresh processes.
 THROUGH_C21 = " ".join(f"g{n}" for n in range(2, 22))
-HOSTILE_LINES = (
-    (f"loop w = word g2^{NINES}", 18),
-    # an exponent at the digit limit counts as the work limit in letters
-    (f"loop w = word g2^{NINES[:4300]}", 1),
-    (f"loop c = C({NINES}).once", 12),
-    (f"loop q = points [(0,0,0), (1/2, 1/{NINES}, 1), (1,0,0)]", 35),
-    (f"probe slsc radius=1/4 samples={NINES}", 31),
-    ("loop w = word g2^1000000", 1),
-    ("loop w = word g2^500000 g3^500000", 1),
-    ("space T = Y(100000)", 13),
-    ("probe disjointness up_to=101", 1),
-    ("probe slsc radius=1/4 samples=40000", 1),
-    ("loop w = C(2).once\nprobe discreteness loop=w trials=30000 magnitude=1/1000", 1),
-    # the product of trials and letters
-    (
+HOSTILE_LINES = {
+    "word-exponent": (f"loop w = word g2^{NINES}", 18),
+    # an exponent at the digit limit counts as the work limit in letters: it
+    # ended in an OverflowError traceback
+    "word-exponent-at-digit-limit": (f"loop w = word g2^{NINES[:4300]}", 1),
+    "circle-index": (f"loop c = C({NINES}).once", 12),
+    "points-rational": (f"loop q = points [(0,0,0), (1/2, 1/{NINES}, 1), (1,0,0)]", 35),
+    "probe-int": (f"probe slsc radius=1/4 samples={NINES}", 31),
+    "word-letters": ("loop w = word g2^1000000", 1),
+    "word-letter-sum": ("loop w = word g2^500000 g3^500000", 1),
+    "space-hint": ("space T = Y(100000)", 13),
+    "pairwise-up-to": ("probe disjointness up_to=101", 1),
+    "slsc-samples": ("probe slsc radius=1/4 samples=40000", 1),
+    "discreteness-trials": ("loop w = C(2).once\nprobe discreteness loop=w trials=30000 magnitude=1/1000", 1),
+    # the product of trials and letters: about 40 minutes of work if it ran
+    "discreteness-trial-letters": (
         "space T = X(20) width=pow10\n"
         "loop a = word g2^10000\n"
         "probe discreteness loop=a trials=20 magnitude=1/1000",
         1,
     ),
     # each binding holds alone; the letters bound across the script do not
-    ("loop a = word g2^5000\n" + "loop b = concat(a, a)\n" * 3 + "loop b = concat(a, a)", 1),
-    # each line holds alone; the letters classify reads again do not
-    ("loop a = word g2^10000\n" + "classify a\n" * 7 + "classify a", 1),
+    # (500 lines that each added a 10,000-letter concat ran 12 s)
+    "script-letters": ("loop a = word g2^5000\n" + "loop b = concat(a, a)\n" * 3 + "loop b = concat(a, a)", 1),
+    # each line holds alone; the letters classify reads again do not (200
+    # classify lines ran 1.6 s)
+    "classify-letters": ("loop a = word g2^10000\n" + "classify a\n" * 7 + "classify a", 1),
     # trials priced by their circles: 8.9 s at the parent
-    (
+    "discreteness-high-circles": (
         "space T = X(20)\n"
         "loop a = word g590 g591\n"
         "probe discreteness loop=a trials=100 magnitude=1/100000000",
         1,
     ),
     # 10 of these ran 12.7 s at the parent
-    (
+    "repeated-discreteness-long-word": (
         "space T = X(20)\nloop a = word g2^5000\n"
         "probe discreteness loop=a trials=20 magnitude=1/1000\n"
         "probe discreteness loop=a trials=20 magnitude=1/1000",
         1,
     ),
     # 3 of these ran 3.8 s each at the parent
-    ("probe disjointness up_to=100", 1),
+    "disjointness-up-to-100": ("probe disjointness up_to=100", 1),
     # renders spend the script's budget: 30 of these ran 4.5 s at the parent
-    ("space S = Y(1000)\n" + "render S -> x.svg\n" * 15 + "render S -> x.svg", 1),
+    "repeated-render": ("space S = Y(1000)\n" + "render S -> x.svg\n" * 15 + "render S -> x.svg", 1),
     # a points binding pays for the digits of its breakpoints
-    (HEAVY_POINTS, 1),
-)
+    "points-digits": (HEAVY_POINTS, 1),
+}
+
+
+def hostile_script(line):
+    """The script of a HOSTILE_LINES entry: a space, the entry, a classify."""
+    return f"space S = Y(20)\n{line}\nclassify w\n"
+
 
 # Scripts that the parser refused while the stability radius was priced per
 # pair of touched circles. It is one distance per adjacent touched pair now,
@@ -369,35 +379,11 @@ class TestRun:
         assert code == 1 and out == ""
         assert err == too_long("probe disjointness: up_to=4")
 
-    @pytest.mark.parametrize(
-        "line,col",
-        HOSTILE_LINES,
-        ids=(
-            "word-exponent",
-            "word-exponent-at-digit-limit",
-            "circle-index",
-            "points-rational",
-            "probe-int",
-            "word-letters",
-            "word-letter-sum",
-            "space-hint",
-            "pairwise-up-to",
-            "slsc-samples",
-            "discreteness-trials",
-            "discreteness-trial-letters",
-            "script-letters",
-            "classify-letters",
-            "discreteness-high-circles",
-            "repeated-discreteness-long-word",
-            "disjointness-up-to-100",
-            "repeated-render",
-            "points-digits",
-        ),
-    )
+    @pytest.mark.parametrize("line,col", HOSTILE_LINES.values(), ids=list(HOSTILE_LINES))
     def test_hostile_literal_fails_fast(self, capsys, tmp_path, monkeypatch, line, col):
         monkeypatch.chdir(tmp_path)
         script = tmp_path / "hostile.pi1"
-        script.write_text(f"space S = Y(20)\n{line}\nclassify w\n", encoding="utf-8")
+        script.write_text(hostile_script(line), encoding="utf-8")
         start = time.perf_counter()
         code, out, err = run_cli(capsys, ["run", str(script)])
         assert time.perf_counter() - start < 0.5
@@ -989,28 +975,23 @@ Hostile = namedtuple("Hostile", "source code err out wall_s rss_mb", defaults=("
 OVER_WORK = r"parse error: line \d+, col 1: [^\n]* exceeds the limit of 3000000\n"
 NESTED = "concat(" * 1000 + "C(2).once" + ")" * 1000
 NESTED_ERR = r"parse error: line 1, col 1: concat nesting exceeds the limit of 100 levels\n"
-PROBE_20 = "probe discreteness loop=a trials=20 magnitude=1/1000\n"
-PROBE_100 = "probe discreteness loop=a trials=100 magnitude=1/100000000\n"
 HOSTILE = {
-    # Each passes dsl.MAX_SCRIPT_WORK. Trials times letters: about 40
-    # minutes of work if it were run.
-    "trials-times-letters": Hostile("space T = X(20) width=pow10\nloop a = word g2^10000\n" + PROBE_20, 2, OVER_WORK),
-    # 500 lines that each add a 10,000-letter concat ran 12 s.
-    "concat-letters": Hostile(
-        "space T = Y(20)\nloop a = word g2^5000\n" + "".join(f"loop {v} = concat(a, a)\n" for v in "bcdefgh")
-        + "classify h\n", 2, OVER_WORK,
-    ),
-    # 200 classify lines ran 1.6 s.
-    "classify-rereads": Hostile("space T = Y(20)\nloop a = word g2^10000\n" + "classify a\n" * 10, 2, OVER_WORK),
-    # 100 trials priced by their circles ran 8.9 s.
-    "trials-by-circles": Hostile("space T = X(20)\nloop a = word g590 g591\n" + PROBE_100, 2, OVER_WORK),
-    # These 10 probes ran 12.7 s, these 3 about 6 s of CPU, these 30 renders 4.5 s.
-    "probes-spend": Hostile("space T = X(20)\nloop a = word g2^5000\n" + PROBE_20 * 10, 2, OVER_WORK),
-    "disjointness-spends": Hostile("space S = Y(20)\n" + "probe disjointness up_to=100\n" * 3, 2, OVER_WORK),
-    "renders-spend": Hostile("space S = Y(1000)\n" + "render S -> x.svg\n" * 30, 2, OVER_WORK),
-    # An exponent of 4300 digits is priced as the limit: it ended in an
-    # OverflowError traceback. So do the literals of `word` and `dist`.
-    "exponent-digits": Hostile(f"space S = Y(20)\nloop w = word g2^{NINES[:4300]}\n", 2, OVER_WORK),
+    # Each passes dsl.MAX_SCRIPT_WORK: the HOSTILE_LINES scripts that spend
+    # it, and the literals of `word` and `dist`, priced with the classify or
+    # dist they stand for.
+    **{
+        name: Hostile(hostile_script(HOSTILE_LINES[name][0]), 2, OVER_WORK)
+        for name in (
+            "word-exponent-at-digit-limit",
+            "discreteness-trial-letters",
+            "script-letters",
+            "classify-letters",
+            "discreteness-high-circles",
+            "repeated-discreteness-long-word",
+            "disjointness-up-to-100",
+            "repeated-render",
+        )
+    },
     "word-literal": Hostile(["word", f"word(g2^{NINES[:4300]})"], 2, OVER_WORK),
     "dist-literal": Hostile(["dist", "C(2).once", f"word(g2^{NINES[:4300]})"], 2, OVER_WORK),
     "dist-literals": Hostile(["dist", "word(g2^6818)", "word(g3^6818)"], 2, OVER_WORK),
@@ -1037,8 +1018,9 @@ HOSTILE = {
     # Refused while the radius was priced per pair of touched circles.
     "radius-refuses": Hostile(RADIUS_ADMITTED[0][0], 1, re.escape(RADIUS_ADMITTED[0][3]), wall_s=2),
     "radius-probes": Hostile(
-        f"space T = X(20)\nloop a = word {THROUGH_C21}\n" + PROBE_100 * 20, 0, "",
-        {"verdict: PASS": 20, "param: agreeing_trials = 100": 20}, wall_s=2,
+        f"space T = X(20)\nloop a = word {THROUGH_C21}\n"
+        + "probe discreteness loop=a trials=100 magnitude=1/100000000\n" * 20,
+        0, "", {"verdict: PASS": 20, "param: agreeing_trials = 100": 20}, wall_s=2,
     ),
     # 4 s when each space built its own circles.
     "spaces-share-circles": Hostile(REPEATED_SPACE_SCRIPT, 0, "", None),

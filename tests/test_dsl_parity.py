@@ -28,7 +28,7 @@ import re
 from pathlib import Path
 
 from pi1lab import dsl
-from test_cli import HOSTILE_LINES, dsl_docstring_script, readme_script
+from test_cli import HOSTILE_LINES, dsl_docstring_script, hostile_script, readme_script
 
 DATA = Path(__file__).with_name("dsl_parity.json.gz")
 
@@ -101,7 +101,7 @@ CHANGED = {
 def corpus():
     """(case id, script text) for every script case, in a fixed order."""
     cases = [("readme", readme_script()), ("docstring", dsl_docstring_script())]
-    cases += [(f"hostile-{k}", f"space S = Y(20)\n{line}\nclassify w\n") for k, (line, _) in enumerate(HOSTILE_LINES)]
+    cases += [(f"hostile-{k}", hostile_script(line)) for k, (line, _) in enumerate(HOSTILE_LINES.values())]
     cases += [(f"edge-{name}", f"space S = Y(20)\nloop c = C(2).once\n{line}\n") for name, line in EDGE_LINES.items()]
     for base, text in (("docstring", dsl_docstring_script()), ("cube", CUBE_SCRIPT)):
         cases += [(f"{base}-del-{i}", text[:i] + text[i + 1 :]) for i in range(len(text))]

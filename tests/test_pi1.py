@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import oracles
 from pi1lab import kernels, loops, pi1
@@ -401,6 +401,9 @@ def assert_radius_matches_oracle(space, ns):
 
 
 class TestRadiusOracle:
+    # The seed pins the draws, which derandomize alone takes from the
+    # test's source text, and with them the test's cost (about 1 s).
+    @seed(7)
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(st.data())
     def test_matches_all_pairs(self, data):
