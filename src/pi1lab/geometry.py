@@ -274,27 +274,34 @@ def sup_distance(f: PLPath, g: PLPath) -> ExactDistance:
 
 def _sup_distance_sq(f: PLPath, g: PLPath) -> tuple:
     """``sup_distance`` as ints ``(n, d, t)``: squared distance n/d, d > 0,
-    first attained at the parameter pair t. On each interval of the common
+    first attained at the parameter pair t; ``_sup_merge`` of the two
+    paths' parameter pairs and quads."""
+    return _sup_merge(f._ts, f._qs, g._ts, g._qs)
+
+
+def _sup_merge(fts, fqs, gts, gqs) -> tuple:
+    """The squared sup distance ``(n, d, t)`` of the paths with reduced
+    parameter pairs ``fts`` and ``gts`` and kernel quads ``fqs`` and
+    ``gqs``, which need not be built. On each interval of the common
     parameter refinement the difference f - g is affine, so its norm is
     convex and maximized at an interval endpoint; the sup is the maximum of
     finitely many exact point distances. The refinement is one merge of the
-    two breakpoint tuples on integers: parameters are compared by
-    cross-multiplication, a parameter of one path only is interpolated on
-    the other's current piece as a kernel quad, and the running maximum is
-    a reduced int pair.
+    two breakpoint sequences on integers: a parameter of both paths is
+    matched by tuple equality, as reduced pairs are equal exactly when
+    their values are, other parameters are compared by cross-multiplication,
+    a parameter of one path only is interpolated on the other's current
+    piece as a kernel quad, and the running maximum is a reduced int pair.
     """
-    fts, fqs, gts, gqs = f._ts, f._qs, g._ts, g._qs
     best_n, best_d = 0, 1
     arg = (0, 1)
     i = j = 0
     while i < len(fts):
         tf, tg = fts[i], gts[j]
-        c = tf[0] * tg[1] - tg[0] * tf[1]
-        if c == 0:
+        if tf == tg:
             t, pq, qq = tf, fqs[i], gqs[j]
             i += 1
             j += 1
-        elif c < 0:
+        elif tf[0] * tg[1] < tg[0] * tf[1]:
             t, pq, qq = tf, fqs[i], _quad_between(gts[j - 1], gqs[j - 1], tg, gqs[j], tf)
             i += 1
         else:

@@ -36,10 +36,11 @@ from typing import Optional, Sequence
 
 from . import kernels
 from .exactnum import dyadic_sqrt_bounds, rational_decimal
-from .geometry import ORIGIN, _path, _sup_distance_sq, sup_distance
+from .geometry import ORIGIN, _path, _sup_merge, sup_distance
 from .loops import (
     Loop,
     _charted,
+    _scan,
     _spans,
     concatenate_all,
     include_in_y,
@@ -51,7 +52,7 @@ from .loops import (
 from .records import Record
 from .report import FAIL, PASS, ProbeParameterError, ProbeReport, exact_str, report_digits
 from .spaces import ALPHA, ALPHA_EDGE, SpaceHandle, SpaceKind, default_y
-from .words import Word, format_word, reduce_letters
+from .words import Word, _free_reduce, _word, format_word, reduce_letters
 
 
 class ClassificationError(Exception):
@@ -72,22 +73,34 @@ class HomotopyClass(Record):
 
 
 def _classify(loop: Loop, kind: SpaceKind) -> HomotopyClass:
-    """Word of the loop's circle excursions, as a class of the space ``kind``.
+    """Word of the loop's circle excursions, as a class of the space ``kind``."""
+    return HomotopyClass(_word(_loop_syllables(loop, kind)), kind)
+
+
+def _loop_syllables(loop: Loop, kind: SpaceKind) -> tuple:
+    """The syllables of the loop's word in the space ``kind``, read off its
+    kept spans."""
+    return _syllables(_spans(loop), loop.path._ts, kind)
+
+
+def _syllables(spans: Sequence[tuple], ts: Sequence[tuple], kind: SpaceKind) -> tuple:
+    """The syllables of the reduced word of a loop's spans, read in the
+    space ``kind``; ``ts`` are the loop's parameter pairs.
 
     An excursion of winding degree d in C_n gives the letter g_n^d. An
     excursion into the limit segment has degree 0, so it gives none in Y;
-    in X it is an error.
+    in X it is an error. Two loops are homotopic exactly when their
+    syllables are equal, so the probes compare syllables and build a Word
+    only for a report's text.
     """
-    spans = _spans(loop)
     if kind is SpaceKind.BOUQUET_X:
         for n, a, b, _ in spans:
             if n == ALPHA:
-                ts = loop.path._ts
                 raise ClassificationError(
                     "loop leaves the bouquet: excursion into the limit segment "
                     f"on [{Fraction(*ts[a])}, {Fraction(*ts[b])}]"
                 )
-    return HomotopyClass(reduce_letters([(n, d) for n, _, _, d in spans if d]), kind)
+    return _free_reduce([(n, d) for n, _, _, d in spans if d])
 
 
 def classify_x(loop: Loop) -> HomotopyClass:
@@ -354,7 +367,7 @@ def _below(rng: random.Random, n: int) -> int:
 
 class _PerturbTable:
     """What every perturbation of one loop at one bound reads, built once
-    per probe; ``draw`` builds one perturbation from it in one walk, on the
+    per probe; ``walk`` draws one perturbation from it in one walk, on the
     loop's parameter pairs and kernel quads, and wraps no point.
 
     ``pieces`` has, for each piece on an edge, the edge's quads ``a`` and
@@ -403,8 +416,16 @@ class _PerturbTable:
         self.arms = tuple(arms)
 
     def draw(self, rng: random.Random) -> Loop:
+        """The perturbation that ``walk`` draws, as a charted loop: ``_path``
+        checks its parameter order, and its chart is the walk's."""
+        ts, qs, chart = self.walk(rng)
+        return _charted(_path(ts, qs), self.loop.space, chart)
+
+    def walk(self, rng: random.Random) -> tuple:
         """One perturbation of the loop, within sup distance ``bound`` of it
-        for the bound the table was built at.
+        for the bound the table was built at, as its parameter pairs, point
+        quads and chart ``(ts, qs, chart)``, three tuples; no path and no
+        loop is built.
 
         It draws 1 to 3 picks (piece i, k) and splits piece i at k/grid of
         its way, keeping its edge; a pick's parameter increases with (i, k),
@@ -485,7 +506,7 @@ class _PerturbTable:
             ts.insert(i + 1, (mn // g, md // g))
             qs.insert(i + 1, q)
             chart[i : i + 1] = (ref, ref)
-        return _charted(_path(tuple(ts), tuple(qs)), loop.space, tuple(chart))
+        return tuple(ts), tuple(qs), tuple(chart)
 
 
 def _slide(a, b, un, ud, scale, den, rng: random.Random) -> tuple:
@@ -526,7 +547,12 @@ def probe_discreteness_x(
     are the family of ``_perturb_once``: breakpoints whose two pieces lie
     on one edge slide along it, so the vertices at which the loop turns
     from one edge onto another never move, and tiny degree-0 bounces may
-    sprout at p. The trials draw from one ``_PerturbTable`` of the loop.
+    sprout at p. The trials draw from one ``_PerturbTable`` of the loop,
+    and each checks and classifies the drawn tuples of ``walk``: the sup
+    merge reads the parameter pairs and quads, ``_scan`` reads them with
+    the chart, and the word's syllables are compared with the loop's. A
+    trial builds no path, loop, word or class; a Word is built only for a
+    witness row.
     That family keeps the word at every magnitude at which a draw stays in
     X, by homotopy within each edge and out-and-back bounces, so a PASS
     shows that classification is invariant under these homotopies. The
@@ -564,22 +590,23 @@ def probe_discreteness_x(
     max_n, max_d = 0, 1
     witnesses = []
     agree = 0
+    space, ts0, qs0 = loop.space, loop.path._ts, loop.path._qs
     for trial in range(trials):
-        perturbed = table.draw(rng)
-        n, d, _ = _sup_distance_sq(perturbed.path, loop.path)
+        ts, qs, chart = table.walk(rng)
+        n, d, _ = _sup_merge(ts, qs, ts0, qs0)
         if n * md >= mn * d:
             raise AssertionError(f"trial {trial}: perturbation not within the magnitude")
         if n * max_d > max_n * d:
             max_n, max_d = n, d
-        w = classify_x(perturbed).word
-        if w == base_word:
+        syllables = _syllables(_scan(ts, qs, chart, space), ts, SpaceKind.BOUQUET_X)
+        if syllables == base_word.syllables:
             agree += 1
         else:
             witnesses.append(
                 (
                     ("trial", str(trial)),
                     ("expected", format_word(base_word)),
-                    ("got", format_word(w)),
+                    ("got", format_word(_word(syllables))),
                     ("sup_dist_sq", text(Fraction(n, d), "sup_dist_sq")),
                 )
             )
@@ -659,10 +686,14 @@ def probe_isomorphism_roundtrip(
     collapsing an alpha-decorated homotopic variant lands in X with the same
     word (collapse soundness). The collapse is built only here, so its word
     is computed independently of classification in Y. Injectivity is word
-    normal-form uniqueness, exercised by the word comparisons.
+    normal-form uniqueness, exercised by the word comparisons, which compare
+    syllables read off each loop's spans: no class is built, and a Word
+    only for a witness row.
     """
     if count < 1:
         raise ProbeParameterError("count must be positive")
+    if max_len < 0:
+        raise ProbeParameterError("max_len must not be negative")
     y_space = space if space is not None else default_y()
     if not y_space.has_alpha:
         raise ProbeParameterError("the round trip is a statement about Y")
@@ -673,24 +704,25 @@ def probe_isomorphism_roundtrip(
     for k in range(count):
         w = random_reduced_word(rng, max_len)
         lx = realize_word(w, x_space)
-        w_ind = induced_map(classify_x(lx)).word
-        # the inclusion carries the spans classify_x read
+        # the induced map is the identity on words
+        s_ind = _loop_syllables(lx, SpaceKind.BOUQUET_X)
+        # the inclusion carries the spans read in X
         ly = include_in_y(lx)
-        w_y = classify_y(ly).word
+        s_y = _loop_syllables(ly, SpaceKind.COMPACT_Y)
         decorated = alpha_decorate(ly, rng)
         collapsed = collapse_to_x(decorated)
-        w_dec = classify_x(collapsed).word
+        s_dec = _loop_syllables(collapsed, SpaceKind.BOUQUET_X)
         collapsed_ok = (
             collapsed.space.kind is SpaceKind.BOUQUET_X and validate(collapsed) is None
         )
         checked += 1
-        if not (w_y == w and w_ind == w and w_dec == w and collapsed_ok):
+        if not (s_y == s_ind == s_dec == w.syllables and collapsed_ok):
             witnesses.append(
                 (
                     ("word", format_word(w)),
-                    ("classify_Y", format_word(w_y)),
-                    ("induced", format_word(w_ind)),
-                    ("decorated_collapse", format_word(w_dec)),
+                    ("classify_Y", format_word(_word(s_y))),
+                    ("induced", format_word(_word(s_ind))),
+                    ("decorated_collapse", format_word(_word(s_dec))),
                     ("collapsed_valid_in_X", str(collapsed_ok)),
                 )
             )
@@ -828,13 +860,13 @@ def probe_slsc_y(
                 ((label, str(k)), ("status", "rejected: image leaves the ball; not classified"))
             )
             continue
-        w = classify_y(lp).word
-        if w.is_identity:
+        syllables = _loop_syllables(include_in_y(lp), SpaceKind.COMPACT_Y)
+        if not syllables:
             trivial += 1
         else:
             nontrivial += 1
             witnesses.append(
-                ((label, str(k)), ("word", format_word(w)), ("reason", "nontrivial small loop"))
+                ((label, str(k)), ("word", format_word(_word(syllables))), ("reason", "nontrivial small loop"))
             )
     verdict = PASS if nontrivial == 0 else FAIL
     return ProbeReport(

@@ -88,27 +88,44 @@ def generator(n: int, exponent: int = 1) -> Word:
 def reduce_letters(raw: Iterable[Syllable]) -> Word:
     """Free reduction of a raw signed-letter (or syllable) sequence.
 
+    Each pair is checked, as ints with an index >= 2, and a zero exponent
+    is dropped; ``_free_reduce`` then gives the normal form.
+    """
+    letters = []
+    for n, e in raw:
+        n, e = int(n), int(e)
+        if n < 2:
+            raise WordError(f"generator index must be >= 2, got g{n}")
+        if e:
+            letters.append((n, e))
+    return _word(_free_reduce(letters))
+
+
+def _free_reduce(letters: Iterable[Syllable]) -> Tuple[Syllable, ...]:
+    """The syllables of the free reduction of (index, exponent) int pairs
+    with indices >= 2 and nonzero exponents, which are not checked.
+
     Stack-based cancellation: adjacent syllables over the same generator
     merge, empty merges drop and expose further cancellation, giving the
     unique normal form in one pass.
     """
     stack: list = []
-    for n, e in raw:
-        n, e = int(n), int(e)
-        if n < 2:
-            raise WordError(f"generator index must be >= 2, got g{n}")
-        if e == 0:
-            continue
+    for n, e in letters:
         if stack and stack[-1][0] == n:
-            stack[-1][1] += e
-            if stack[-1][1] == 0:
-                stack.pop()
+            e += stack.pop()[1]
+            if e:
+                stack.append((n, e))
         else:
-            stack.append([n, e])
-    # the stack is in normal form: indices >= 2, no zero exponent, and no two
-    # adjacent syllables on one generator; so the Word's checks are skipped
+            stack.append((n, e))
+    return tuple(stack)
+
+
+def _word(syllables: Tuple[Syllable, ...]) -> Word:
+    """The Word of syllables in normal form, such as ``_free_reduce`` gives:
+    indices >= 2, no zero exponent and no two adjacent syllables on one
+    generator; so the Word's checks are skipped."""
     word = object.__new__(Word)
-    word.syllables = tuple(map(tuple, stack))
+    word.syllables = syllables
     return word
 
 

@@ -25,7 +25,7 @@ from pi1lab.pi1 import stability_radius
 from pi1lab.spaces import CUBE, POW10, bouquet_x, profile_by_name
 from pi1lab.words import parse_word
 from test_cli import HOSTILE, SRC, dsl_docstring_script, main_matches_fresh, readme_script, run_hostile
-from test_pi1 import assert_draws_match_oracle, assert_radius_matches_oracle
+from test_pi1 import assert_draws_match_oracle, assert_probe_matches_oracle, assert_radius_matches_oracle
 from test_spaces import assert_tail_reduced, circle_mismatches, materialise_shuffled
 
 
@@ -137,24 +137,35 @@ def test_stability_radius_cpu_in_a_fresh_process():
     assert float(done.stdout) < 0.05
 
 
-def test_perturbation_draws_against_oracle():
-    """For pow10 and cube: 30 random words of up to 12 letters and a
+def perturbation_corpus(name):
+    """30 random words of up to 12 letters on the profile ``name``, and a
     subdivided copy of each, whose own breakpoints may slide."""
+    space = bouquet_x(20, profile_by_name(name))
+    rng = random.Random(26)
+    words = [realize_word(pi1.random_reduced_word(rng, 12), space) for _ in range(30)]
+    return words + [
+        oracles.subdivide(lp, [F(rng.randint(1, 63), 64), lp.path.breakpoints[1][0] * F(rng.randint(1, 63), 64)])
+        for lp in words
+    ]
+
+
+def test_perturbation_draws_against_oracle():
+    """The perturbation corpus of pow10 and cube."""
     slid = 0
     with deadline(300):
         for name in ("pow10", "cube"):
-            space = bouquet_x(20, profile_by_name(name))
-            rng = random.Random(26)
-            words = [realize_word(pi1.random_reduced_word(rng, 12), space) for _ in range(30)]
-            corpus = words + [
-                oracles.subdivide(
-                    lp, [F(rng.randint(1, 63), 64), lp.path.breakpoints[1][0] * F(rng.randint(1, 63), 64)]
-                )
-                for lp in words
-            ]
+            corpus = perturbation_corpus(name)
             slid += sum(len(oracles.slide_candidates(lp)) for lp in corpus)
             assert_draws_match_oracle(corpus, range(100))
     assert slid > 0
+
+
+def test_discreteness_probe_against_oracle():
+    """The discreteness probe on the perturbation corpus of pow10 and cube,
+    seeds 0 to 99, against its loop-based trials."""
+    with deadline(300):
+        for name in ("pow10", "cube"):
+            assert_probe_matches_oracle(perturbation_corpus(name), range(100), 10)
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE))

@@ -42,6 +42,10 @@
   before its one walk: :func:`perturb_once` subdivides the loop with
   :func:`subdivide`, then slides the :func:`slide_candidates` of the
   subdivided loop and bounces off p, with the same random draws in the same order.
+* the discreteness probe's trials as ``pi1lab.pi1`` ran them before it
+  checked and classified the drawn tuples: :func:`discreteness_trials`
+  builds each perturbation as a loop with ``_PerturbTable.draw``, measures
+  it with ``sup_distance`` and classifies it with ``classify_x``.
 * the circles as ``pi1lab.spaces`` built them before it worked on int
   quads: :func:`build_circle` computes the vertices as Fractions and refuses
   collinear ones with ``orient``, and :func:`certify` reads both widths from
@@ -68,13 +72,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from random import Random
 from typing import Iterable, Optional
 
 from pi1lab.dsl import MAX_CIRCLE_INDEX, DslError
 from pi1lab.exactnum import _format_scaled, rational_decimal
-from pi1lab.geometry import ORIGIN, GeometryError, PLPath, Point2, Segment, _from_quad, _path
+from pi1lab.geometry import ORIGIN, GeometryError, PLPath, Point2, Segment, _from_quad, _path, sup_distance
 from pi1lab.loops import InvalidLoopError, Loop, _charted, constant_loop, reverse, standard_fn
-from pi1lab.pi1 import ClassificationError
+from pi1lab.pi1 import ClassificationError, _PerturbTable, classify_x
 from pi1lab.spaces import (
     ALPHA,
     ALPHA_EDGE,
@@ -887,6 +892,30 @@ def perturb_once(loop, rng, bound):
         qs.insert(i + 1, lerp(arm_edge.a.quad(), arm_edge.b.quad(), *u2))
         chart[i : i + 1] = [(n, arm)] * 2
     return _charted(_path(tuple(ts), tuple(qs)), loop.space, tuple(chart))
+
+
+def discreteness_trials(loop, trials, magnitude, seed):
+    """The trials of ``probe_discreteness_x(loop, trials, magnitude, seed)``
+    on loops: ``(agreeing, max_sq, witnesses)``, the count of trials whose
+    word is the loop's, the greatest squared sup distance seen as a
+    Fraction, and one ``(trial, expected, got, sup_dist_sq)`` per other
+    trial, the words as Words. A trial at or past the magnitude raises
+    AssertionError naming it."""
+    base = classify_x(loop).word
+    rng = Random(seed)
+    table = _PerturbTable(loop, magnitude)
+    agreeing, max_sq, witnesses = 0, Fraction(0), []
+    for trial in range(trials):
+        drawn = table.draw(rng)
+        d_sq = sup_distance(drawn.path, loop.path).squared
+        assert d_sq < magnitude * magnitude, f"trial {trial}: perturbation not within the magnitude"
+        max_sq = max(max_sq, d_sq)
+        w = classify_x(drawn).word
+        if w == base:
+            agreeing += 1
+        else:
+            witnesses.append((trial, base, w, d_sq))
+    return agreeing, max_sq, witnesses
 
 
 # -- circles -------------------------------------------------------------------

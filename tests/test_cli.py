@@ -1156,11 +1156,17 @@ class TestDemo:
         bounce bracketed its edge again), makes no Segment.contains call, as
         every point it locates is a circle vertex, found by its quad (2,382
         when each point was tested against the edges, 3,482 when the apex
-        test ran on the pieces), builds 69 circles, and builds at most 1,890
-        paths: one per discreteness trial, with no subdivided copy of the
-        loop first (2,390)."""
+        test ran on the pieces), builds 69 circles, builds 589 paths and
+        builds 37 classes. A discreteness trial checks and classifies the
+        tuples it draws, and the round trip and the slsc probe compare
+        syllables, so neither a trial nor a round-trip word builds a class,
+        and a trial builds no path: the classes are the 5 probed loops'
+        words and the 32 of the nondiscreteness probe. With a path and a
+        class per trial and a class per word read, the demo built 1,089
+        paths (2,390 with a subdivided copy of the loop first) and 987
+        classes."""
         demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
-        brackets, contains, paths, circles = [0], [0], [0], [0]
+        brackets, contains, paths, circles, classes = [0], [0], [0], [0], [0]
 
         def bounds(*args, _orig=exactnum.dyadic_sqrt_bounds):
             brackets[0] += 1
@@ -1178,18 +1184,23 @@ class TestDemo:
             circles[0] += 1
             return _orig(*args)
 
+        def homotopy_class(self, *args, _orig=pi1.HomotopyClass.__init__):
+            classes[0] += 1
+            return _orig(self, *args)
+
         for mod in (geometry, pi1):
             monkeypatch.setattr(mod, "dyadic_sqrt_bounds", bounds)
         monkeypatch.setattr(geometry, "_fill", fill)
         monkeypatch.setattr(geometry.Segment, "contains", contained)
         monkeypatch.setattr(spaces, "build_circle", build)
+        monkeypatch.setattr(pi1.HomotopyClass, "__init__", homotopy_class)
         code, _ = demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
         monkeypatch.undo()
         assert code == 0
         assert 0 < brackets[0] <= 60
         assert contains[0] == 0
         assert circles[0] == 69
-        assert 0 < paths[0] <= 1890
+        assert (paths[0], classes[0]) == (589, 37)
 
     def test_point_wrappers(self, tmp_path, monkeypatch):
         """A warmed seed-1 demo wraps 16 kernel quads in a Point2 and calls

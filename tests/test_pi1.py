@@ -8,10 +8,9 @@ from hypothesis import given, seed, settings, strategies as st
 import oracles
 from pi1lab import kernels, loops, pi1
 from pi1lab.exactnum import dyadic_sqrt_bounds
-from pi1lab.geometry import ORIGIN, PLPath, Segment, _path, sup_distance
+from pi1lab.geometry import ORIGIN, PLPath, Segment, sup_distance
 from pi1lab.loops import (
     Loop,
-    _charted,
     _first_violation,
     concatenate,
     concatenate_all,
@@ -196,6 +195,12 @@ class TestInducedMap:
     def test_round_trip_100_words(self, y):
         rep = probe_isomorphism_roundtrip(100, 10, seed=11, space=y)
         assert rep.passed, rep.render()
+
+    def test_round_trip_refuses_a_negative_max_len_before_drawing(self, y):
+        """max_len=-1 raised a bare ValueError from the rng helper."""
+        with pytest.raises(ProbeParameterError, match="max_len"):
+            probe_isomorphism_roundtrip(5, -1, seed=0, space=y)
+        assert probe_isomorphism_roundtrip(3, 0, seed=0, space=y).passed
 
 
 class TestHomomorphism:
@@ -661,6 +666,42 @@ class TestPerturbOracle:
         assert_draws_match_oracle(corpus, range(40))
 
 
+def assert_probe_matches_oracle(corpus, seeds, trials):
+    """probe_discreteness_x of each loop of ``corpus``, at magnitudes 1/1000
+    and rho/2 (those below the loop's rho) and each seed, reports the
+    agreeing trials, the greatest squared perturbation and the witness rows
+    of oracles.discreteness_trials, which builds, measures and classifies
+    each perturbation as a loop."""
+    for k, lp in enumerate(corpus):
+        rho = stability_radius(lp)
+        for magnitude in (F(1, 1000), rho / 2):
+            if magnitude >= rho:
+                continue
+            for seed in seeds:
+                rep = probe_discreteness_x(lp, trials, magnitude, seed)
+                agreeing, max_sq, witnesses = oracles.discreteness_trials(lp, trials, magnitude, seed)
+                params = dict(rep.parameters)
+                where = (k, magnitude, seed)
+                assert params["agreeing_trials"] == str(agreeing), where
+                assert params["max_perturbation_sq_seen"] == str(max_sq), where
+                assert rep.witnesses == tuple(
+                    (("trial", str(t)), ("expected", str(want)), ("got", str(got)), ("sup_dist_sq", str(d_sq)))
+                    for t, want, got, d_sq in witnesses
+                ), where
+
+
+class TestProbeOracle:
+    def test_matches_the_loop_based_trials(self, x):
+        """The demo corpus, whose breakpoints never slide, the mid-edge loop,
+        whose do, and three subdivided word loops."""
+        corpus = demo_corpus(x) + [mid_edge_loop(x)]
+        for text in ("g2 g3", "g4^-1 g2", "g3^2 g5"):
+            lp = realize_word(parse_word(text), x)
+            corpus.append(oracles.subdivide(lp, [oracles.params(lp.path)[1] * F(1, 3), F(5, 8)]))
+        assert sum(len(oracles.slide_candidates(lp)) for lp in corpus) >= 4
+        assert_probe_matches_oracle(corpus, range(4), 40)
+
+
 class TestPerturbationBound:
     """A perturbation stays strictly within its magnitude in the sup
     metric, by construction, at magnitudes below and above the stability
@@ -684,19 +725,51 @@ class TestPerturbationBound:
     def test_probe_refuses_a_perturbation_past_the_magnitude(self, x, monkeypatch):
         """A perturbation that moves the apex of C_2 halfway to p is far
         past the magnitude: the probe raises, naming the trial, instead of
-        retrying with a smaller bound."""
-        real = pi1._PerturbTable.draw
+        retrying with a smaller bound. The probe reads the tuples of
+        ``walk``, so the walk is what is patched."""
+        real = pi1._PerturbTable.walk
 
         def halfway(table, rng):
             real(table, rng)
             loop = table.loop
             qs = list(loop.path._qs)
             qs[1] = oracles.segment_at(Segment(ORIGIN, loop.path.points[1]), F(1, 2)).quad()
-            return _charted(_path(loop.path._ts, tuple(qs)), loop.space, loop._chart)
+            return loop.path._ts, tuple(qs), loop._chart
 
-        monkeypatch.setattr(pi1._PerturbTable, "draw", halfway)
+        monkeypatch.setattr(pi1._PerturbTable, "walk", halfway)
         with pytest.raises(AssertionError, match="trial 0"):
             probe_discreteness_x(standard_fn(2, x), 5, F(1, 1000), seed=1)
+
+
+class TestDiscretenessWitness:
+    def test_a_drawn_word_change_is_a_witness(self, monkeypatch):
+        """A walk that, at trial 1 of 3, draws the corner-cutting loop of
+        test_cli, which lies 1/(2 * 10**39) in squared sup distance from
+        C(2).once under pow10 and spells 1, makes the probe FAIL with one
+        witness row for that trial; the other two trials agree."""
+        x = bouquet_x(20)
+        f = standard_fn(2, x)
+        # up edge 0 to B_2, there until f reaches D_2, and straight back down
+        g = loop_from_breakpoints(
+            [(0, 0, 0), ("1/2", "1/2", 1), ("100000000000000000001/200000000000000000000", "1/2", 1), (1, 0, 0)], x
+        )
+        real = pi1._PerturbTable.walk
+        calls = []
+
+        def corner(table, rng):
+            drawn = real(table, rng)
+            calls.append(None)
+            return (g.path._ts, g.path._qs, g._chart) if len(calls) % 3 == 2 else drawn
+
+        monkeypatch.setattr(pi1._PerturbTable, "walk", corner)
+        rep = probe_discreteness_x(f, 3, F(1, 1000), seed=1)
+        assert rep.verdict == "FAIL"
+        assert dict(rep.parameters)["agreeing_trials"] == "2"
+        assert rep.witnesses == (
+            (("trial", "1"), ("expected", "g2"), ("got", "1"), ("sup_dist_sq", "1/2000000000000000000000000000000000000000")),
+        )
+        # the loop-based trials draw through the same walk and agree
+        assert_probe_matches_oracle([f], [1], 3)
 
 
 def assert_reduced_increasing(path):
