@@ -791,6 +791,8 @@ class TestParameterPairs:
         letters=st.lists(st.tuples(st.integers(2, 9), st.sampled_from((1, -1))), max_size=8),
         seed=st.integers(0, 2**32 - 1),
     )
+    # pinned as TestRadiusOracle is: derandomize alone draws from the source text
+    @seed(7)
     @settings(derandomize=True, max_examples=40, deadline=None)
     def test_builders(self, x, letters, seed):
         rng = random.Random(seed)
@@ -842,6 +844,8 @@ class TestRecords:
         letters=st.lists(st.tuples(st.integers(2, 9), st.sampled_from((1, -1))), max_size=8),
         seed=st.integers(0, 2**32 - 1),
     )
+    # pinned as TestRadiusOracle is: derandomize alone draws from the source text
+    @seed(7)
     @settings(derandomize=True, max_examples=30, deadline=None)
     def test_equality_ignores_stored_state(self, x, letters, seed):
         rng = random.Random(seed)
@@ -994,6 +998,8 @@ class TestSpansOracle:
         letters=st.lists(st.tuples(st.integers(2, 9), st.sampled_from((1, -1))), max_size=8),
         seed=st.integers(0, 2**32 - 1),
     )
+    # pinned as TestRadiusOracle is: derandomize alone draws from the source text
+    @seed(7)
     @settings(derandomize=True, max_examples=30, deadline=None)
     def test_readers_match_the_oracle(self, x, y, letters, seed):
         rng = random.Random(seed)
