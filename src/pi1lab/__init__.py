@@ -36,7 +36,6 @@ from .pi1 import (
     classify_x,
     classify_y,
     collapse_to_x,
-    induced_map,
     loop_in_ball,
     probe_discreteness_x,
     probe_isomorphism_roundtrip,

@@ -90,10 +90,6 @@ class Point2:
     def __repr__(self) -> str:
         return f"Point2(x={self.x!r}, y={self.y!r})"
 
-    def quad(self) -> tuple:
-        """Kernel wire format: (xn, xd, yn, yd)."""
-        return self._q
-
     def dist_sq(self, other: "Point2") -> Fraction:
         n, d = kernels.point_dist_sq(self._q, other._q)
         return Fraction(n, d)
@@ -152,9 +148,6 @@ class Segment(Record):
         except AttributeError:
             self._length_bracket = bracket = dyadic_sqrt_bounds(self.length_sq)
             return bracket
-
-    def contains(self, q: Point2) -> bool:
-        return kernels.on_segment(q._q, self.a._q, self.b._q)
 
     def __str__(self) -> str:
         return f"[{self.a} -> {self.b}]"
@@ -267,16 +260,10 @@ class ExactDistance(Record):
 
 
 def sup_distance(f: PLPath, g: PLPath) -> ExactDistance:
-    """Exact sup-metric distance between two paths, and where it is first attained."""
-    n, d, arg = _sup_distance_sq(f, g)
+    """Exact sup-metric distance between two paths, and where it is first
+    attained: ``_sup_merge`` of their parameter pairs and quads."""
+    n, d, arg = _sup_merge(f._ts, f._qs, g._ts, g._qs)
     return ExactDistance(Fraction(n, d), Fraction(*arg))
-
-
-def _sup_distance_sq(f: PLPath, g: PLPath) -> tuple:
-    """``sup_distance`` as ints ``(n, d, t)``: squared distance n/d, d > 0,
-    first attained at the parameter pair t; ``_sup_merge`` of the two
-    paths' parameter pairs and quads."""
-    return _sup_merge(f._ts, f._qs, g._ts, g._qs)
 
 
 def _sup_merge(fts, fqs, gts, gqs) -> tuple:

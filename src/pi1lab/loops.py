@@ -15,9 +15,10 @@ piece lies on (None for a constant piece). A loop of foreign geometry
 ``loop_from_breakpoints``) is located once, breakpoint by breakpoint, when
 it is built; an invalid path raises ``InvalidLoopError`` with its first
 violation, so no invalid loop exists. The standard loops (``standard_f``,
-``standard_fn``), the constant loop, ``realize_word``, the perturbations
-of the discreteness probe and the samples of the slsc probe are charted by
-construction: their pieces are put on known edges. Operations that
+``standard_fn``), the constant loop, ``realize_word`` and the samples of
+the slsc probe are charted by construction: their pieces are put on known
+edges, and ``pi1._PerturbTable.walk`` writes the chart of each
+discreteness perturbation as it draws it. Operations that
 rebuild a loop on points already charted carry the chart: concatenation,
 reversal, the inclusion X -> Y and the collapse into X.
 ``validate`` always locates afresh, which makes it an independent check of

@@ -189,13 +189,6 @@ def classify_y(loop: Loop) -> HomotopyClass:
     return _classify(include_in_y(loop), SpaceKind.COMPACT_Y)
 
 
-def induced_map(c: HomotopyClass) -> HomotopyClass:
-    """The inclusion-induced isomorphism on classes: identity on words."""
-    if c.space_kind is not SpaceKind.BOUQUET_X:
-        raise ClassificationError("induced_map takes classes of the bouquet X")
-    return HomotopyClass(c.word, SpaceKind.COMPACT_Y)
-
-
 def classify(loop: Loop) -> HomotopyClass:
     """Classification in the loop's own space."""
     if loop.space.kind is SpaceKind.BOUQUET_X:
@@ -288,16 +281,12 @@ def stability_radius(loop: Loop) -> Fraction:
     """The exact radius below which ``probe_discreteness_x`` draws; it
     bounds no loop's distance to another class.
 
-    The drawn family, that of ``_perturb_once``, slides breakpoints along
-    their carrying edge with every vertex at which the loop turns from one
-    edge onto another fixed, and adds degree-0 bounces at p. It keeps the
-    word at every magnitude at which a draw stays in X, below rho or not:
-    each slide is a homotopy within its edge, and each bounce goes out and
-    back on one arm. Nor is rho a radius for every X-loop: a loop that
-    skips the short edge B_n D_n of a sliver can spell another word far
-    inside it. Under pow10, one that goes up edge 0 of C_2 to B_2 and
-    straight back down lies about 2.2e-20 in sup distance from
-    ``C(2).once``, against rho = 1/32, and spells 1.
+    The family that ``_PerturbTable.walk`` draws keeps the word at every
+    magnitude at which a draw stays in X, below rho or not. Nor is rho a
+    radius for every X-loop: a loop that skips the short edge B_n D_n of a
+    sliver can spell another word far inside it. Under pow10, one that
+    goes up edge 0 of C_2 to B_2 and straight back down lies about 2.2e-20
+    in sup distance from ``C(2).once``, against rho = 1/32, and spells 1.
 
     rho = (1/8) * min(1/N^2, clearance) where N is the largest circle index
     the loop touches and the clearance is a dyadic lower bound on the least
@@ -370,6 +359,16 @@ class _PerturbTable:
     per probe; ``walk`` draws one perturbation from it in one walk, on the
     loop's parameter pairs and kernel quads, and wraps no point.
 
+    The family drawn: breakpoints whose two pieces lie on one edge slide
+    along that edge, clamped to it, and one constant piece at p may become
+    a degree-0 bounce into an arm at p. A breakpoint where the loop passes
+    from one edge to another never moves, so the vertices B_n and D_n at
+    which a traversal turns stay fixed; only a vertex at which the loop
+    turns back along the same edge may slide. No other loop within the
+    bound is drawn. The family keeps the word at every magnitude at which a
+    draw stays in X: each slide is a homotopy within its edge, and each
+    bounce goes out and back on one arm.
+
     ``pieces`` has, for each piece on an edge, the edge's quads ``a`` and
     ``b``, the edge parameters of the piece's two ends (one ``foot_param``
     each) and the slide scale: a slid point moves by bound * r /
@@ -414,12 +413,6 @@ class _PerturbTable:
         self.pieces = tuple(pieces)
         self.slides = (False,) + tuple(r is not None and r == s for r, s in zip(chart, chart[1:])) + (False,)
         self.arms = tuple(arms)
-
-    def draw(self, rng: random.Random) -> Loop:
-        """The perturbation that ``walk`` draws, as a charted loop: ``_path``
-        checks its parameter order, and its chart is the walk's."""
-        ts, qs, chart = self.walk(rng)
-        return _charted(_path(ts, qs), self.loop.space, chart)
 
     def walk(self, rng: random.Random) -> tuple:
         """One perturbation of the loop, within sup distance ``bound`` of it
@@ -522,45 +515,24 @@ def _slide(a, b, un, ud, scale, den, rng: random.Random) -> tuple:
     return kernels.lerp(a, b, n, d)
 
 
-def _perturb_once(loop: Loop, rng: random.Random, bound: Fraction) -> Loop:
-    """One random perturbation of the loop within sup distance ``bound``,
-    drawn by ``_PerturbTable.draw`` from a table of its own.
-
-    The family it draws from: breakpoints whose two pieces lie on one edge
-    slide along that edge, clamped to it, and one constant piece at p may
-    become a degree-0 bounce into an arm at p. A breakpoint where the loop
-    passes from one edge to another never moves, so the vertices B_n and
-    D_n at which a traversal turns stay fixed; only a vertex at which the
-    loop turns back along the same edge may slide. No other loop within the
-    bound is drawn.
-    """
-    return _PerturbTable(loop, bound).draw(rng)
-
-
 def probe_discreteness_x(
     loop: Loop, trials: int, magnitude: Fraction, seed: int = 0
 ) -> ProbeReport:
     """Word stability of an X loop under random on-complex perturbations.
 
     Every trial perturbs the loop once without leaving the 1-complex and
-    re-classifies it. PASS means the word never changed. The perturbations
-    are the family of ``_perturb_once``: breakpoints whose two pieces lie
-    on one edge slide along it, so the vertices at which the loop turns
-    from one edge onto another never move, and tiny degree-0 bounces may
-    sprout at p. The trials draw from one ``_PerturbTable`` of the loop,
-    and each checks and classifies the drawn tuples of ``walk``: the sup
-    merge reads the parameter pairs and quads, ``_scan`` reads them with
-    the chart, and the word's syllables are compared with the loop's. A
-    trial builds no path, loop, word or class; a Word is built only for a
-    witness row.
-    That family keeps the word at every magnitude at which a draw stays in
-    X, by homotopy within each edge and out-and-back bounces, so a PASS
-    shows that classification is invariant under these homotopies. The
-    stability radius rho bounds no loop's distance to another class
-    (``stability_radius``); magnitudes at or above it are refused, as the
-    claim is stated below it. A perturbation is within the magnitude by
-    construction: slides and bounces move points by at most magnitude/2,
-    and no two points of X are opposite from p (``_perturb_once``). Each
+    re-classifies it. PASS means the word never changed. The trials draw
+    from one ``_PerturbTable`` of the loop, and each checks and classifies
+    the drawn tuples of ``walk``: the sup merge reads the parameter pairs
+    and quads, ``_scan`` reads them with the chart, and the word's
+    syllables are compared with the loop's. A trial builds no path, loop,
+    word or class; a Word is built only for a witness row.
+    The drawn family keeps the word at every magnitude at which a draw
+    stays in X (``_PerturbTable``), so a PASS shows that classification is
+    invariant under its homotopies. The stability radius rho bounds no
+    loop's distance to another class (``stability_radius``); magnitudes at
+    or above it are refused, as the claim is stated below it. A
+    perturbation is within the magnitude by construction (``walk``). Each
     trial still checks its squared sup distance against magnitude**2 on
     int pairs, and one past it raises ``AssertionError`` naming the trial.
     """
@@ -680,15 +652,16 @@ def probe_isomorphism_roundtrip(
 ) -> ProbeReport:
     """Round-trip evidence that inclusion induces an isomorphism on classes.
 
-    For random reduced words w: the loop realizing w classifies back to w in
-    Y (surjectivity side; classification in Y reads the loop's excursions),
-    the inclusion-induced map agrees with direct classification, and
-    collapsing an alpha-decorated homotopic variant lands in X with the same
-    word (collapse soundness). The collapse is built only here, so its word
-    is computed independently of classification in Y. Injectivity is word
-    normal-form uniqueness, exercised by the word comparisons, which compare
-    syllables read off each loop's spans: no class is built, and a Word
-    only for a witness row.
+    For random reduced words w: the loop realizing w in X, carried into Y
+    by the inclusion, classifies back to w in Y (the induced map, read once;
+    classification in Y reads the loop's excursions), and collapsing an
+    alpha-decorated homotopic variant lands in X, passes ``validate`` and
+    spells the same word (collapse soundness). The collapse is built only
+    here, so its word is computed independently of classification in Y.
+    Each of the three checks is one column of a witness row. Injectivity is
+    word normal-form uniqueness, exercised by the word comparisons, which
+    compare syllables read off each loop's spans: no class is built, and a
+    Word only for a witness row.
     """
     if count < 1:
         raise ProbeParameterError("count must be positive")
@@ -703,11 +676,8 @@ def probe_isomorphism_roundtrip(
     checked = 0
     for k in range(count):
         w = random_reduced_word(rng, max_len)
-        lx = realize_word(w, x_space)
-        # the induced map is the identity on words
-        s_ind = _loop_syllables(lx, SpaceKind.BOUQUET_X)
-        # the inclusion carries the spans read in X
-        ly = include_in_y(lx)
+        # the induced map: the word of the realized loop, read in Y
+        ly = include_in_y(realize_word(w, x_space))
         s_y = _loop_syllables(ly, SpaceKind.COMPACT_Y)
         decorated = alpha_decorate(ly, rng)
         collapsed = collapse_to_x(decorated)
@@ -716,12 +686,11 @@ def probe_isomorphism_roundtrip(
             collapsed.space.kind is SpaceKind.BOUQUET_X and validate(collapsed) is None
         )
         checked += 1
-        if not (s_y == s_ind == s_dec == w.syllables and collapsed_ok):
+        if not (s_y == s_dec == w.syllables and collapsed_ok):
             witnesses.append(
                 (
                     ("word", format_word(w)),
                     ("classify_Y", format_word(_word(s_y))),
-                    ("induced", format_word(_word(s_ind))),
                     ("decorated_collapse", format_word(_word(s_dec))),
                     ("collapsed_valid_in_X", str(collapsed_ok)),
                 )

@@ -22,10 +22,10 @@ its height keeps w(n) as wn = yd - yn and wd = yd. Its x is reduced by
 h = gcd(n**2, wd mod n**2) and k = gcd((xn/h) mod n, n), whose product is
 gcd(xn, n*wd) (``build_circle`` proves it), so no gcd runs on the
 10n-digit pair of pow10. A circle holds the quads of B_n and D_n only: its
-Point2 vertices are views built on each read, and its Segment edges are
-built on their first read and kept. Building, certifying, locating points
-and checking disjointness read the quads; only a disjointness witness
-wraps points. C_n (n >= 3) is accepted only if w(n) < w(n-1) and D_n lies
+Point2 apex and tail are views built on each read, and its Segment edges
+are built on their first read and kept. Building, certifying, locating
+points and checking disjointness read the quads; only a disjointness
+witness wraps points. C_n (n >= 3) is accepted only if w(n) < w(n-1) and D_n lies
 strictly left of the ray p -> B_{n-1}.
 The cross product (B_{n-1} - p) x (D_n - p) is (1 - w)/(n-1) - (1/n + n*w),
 and n*(n-1) times it is 1 - w(n) * (n**3 - n**2 + n), so the test is the
@@ -138,12 +138,11 @@ class Circle(Record):
 
     A circle is its index and the kernel quads of B_n and D_n
     (``_apex_q``, ``_tail_q``), which readers inside the package use.
-    ``apex``, ``tail`` and ``vertices`` are Point2 views built on each
-    read; ``edges`` is built on its first read and kept, so each edge
-    brackets its length once. Builders go through ``_circle``, which wraps
-    no point; ``Circle(index, apex, tail, edges)`` keeps the edges it is
-    given. Equality, hash and repr read the fields index, apex, tail and
-    edges.
+    ``apex`` and ``tail`` are Point2 views built on each read; ``edges``
+    is built on its first read and kept, so each edge brackets its length
+    once. Builders go through ``_circle``, which wraps no point;
+    ``Circle(index, apex, tail, edges)`` keeps the edges it is given.
+    Equality, hash and repr read the fields index, apex, tail and edges.
     """
 
     __slots__ = ("index", "_apex_q", "_tail_q", "_edges")
@@ -162,10 +161,6 @@ class Circle(Record):
     @property
     def tail(self) -> Point2:
         return _from_quad(self._tail_q)
-
-    @property
-    def vertices(self) -> Tuple[Point2, Point2, Point2]:
-        return (ORIGIN, self.apex, self.tail)
 
     @property
     def edges(self) -> Tuple[Segment, Segment, Segment]:

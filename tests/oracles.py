@@ -31,7 +31,7 @@
   excursions as spans of one chart scan: :func:`excursions` slices a
   loop's breakpoints into :class:`Excursion` records, :func:`lift_degree`
   lifts each one's degree, :func:`apex_on_excursion` tests its pieces with
-  ``Segment.contains``, and :func:`breakpoints` and :func:`subpath` read
+  :func:`on_segment`, and :func:`breakpoints` and :func:`subpath` read
   its slice. On them, :func:`spans`, :func:`classify`, :func:`cutoff` and
   :func:`collapse_to_x` are the reference for the span readers of
   ``pi1lab.pi1``.
@@ -41,10 +41,12 @@
 * the discreteness perturbation in two steps, as ``pi1lab.pi1`` built it
   before its one walk: :func:`perturb_once` subdivides the loop with
   :func:`subdivide`, then slides the :func:`slide_candidates` of the
-  subdivided loop and bounces off p, with the same random draws in the same order.
+  subdivided loop and bounces off p, with the same random draws in the
+  same order. :func:`walked_loop` wraps the tuples of one walk as a loop
+  to compare with it.
 * the discreteness probe's trials as ``pi1lab.pi1`` ran them before it
   checked and classified the drawn tuples: :func:`discreteness_trials`
-  builds each perturbation as a loop with ``_PerturbTable.draw``, measures
+  builds each perturbation as a loop with :func:`walked_loop`, measures
   it with ``sup_distance`` and classifies it with ``classify_x``.
 * the circles as ``pi1lab.spaces`` built them before it worked on int
   quads: :func:`build_circle` computes the vertices as Fractions and refuses
@@ -122,7 +124,7 @@ def params(path: PLPath) -> tuple:
 def segment_at(seg: Segment, t) -> Point2:
     """The point of the segment at parameter t in [0, 1], from a to b."""
     t = Fraction(t)
-    return _from_quad(lerp(seg.a.quad(), seg.b.quad(), t.numerator, t.denominator))
+    return _from_quad(lerp(seg.a._q, seg.b._q, t.numerator, t.denominator))
 
 
 def common_refinement(f: PLPath, g: PLPath) -> tuple:
@@ -695,7 +697,8 @@ def _step(j, a, b):
 def lift_degree(exc):
     """The winding degree of a circle excursion: the steps of its vertex
     runs summed and divided by 3."""
-    vertices = exc.space.circle(exc.component).vertices
+    circ = exc.space.circle(exc.component)
+    vertices = (ORIGIN, circ.apex, circ.tail)
     lift = 0
     at = 0
     run = None
@@ -728,7 +731,7 @@ def apex_on_excursion(exc, apex):
             continue
         if ref[1] == 2:
             continue
-        if p0 == apex or p1 == apex or Segment(p0, p1).contains(apex):
+        if p0 == apex or p1 == apex or on_segment(apex._q, p0._q, p1._q):
             return True
     return False
 
@@ -747,7 +750,7 @@ def subpath(exc):
         un, ud = (n * d0 - n0 * d) * span_d, d * d0 * span_n
         g = gcd(un, ud)
         ts.append((un // g, ud // g))
-    return _path(tuple(ts), tuple(q.quad() for q in exc.points))
+    return _path(tuple(ts), tuple(q._q for q in exc.points))
 
 
 def spans(loop):
@@ -839,11 +842,20 @@ def slide_candidates(loop):
     ]
 
 
+def walked_loop(table, rng):
+    """The perturbation that ``table.walk(rng)`` draws, ``table`` a
+    ``pi1lab.pi1._PerturbTable``, as a charted loop: ``_path`` checks its
+    parameter order, and its chart is the walk's. The package builds no
+    loop from a walk; tests compare this one with :func:`perturb_once`."""
+    ts, qs, chart = table.walk(rng)
+    return _charted(_path(ts, qs), table.loop.space, chart)
+
+
 def perturb_once(loop, rng, bound):
-    """The perturbation of ``pi1lab.pi1._perturb_once`` in two steps: a
-    subdivided copy of the loop at 1 to 3 drawn parameters, then slides of
-    its candidates along their edges and one bounce at p, all on int
-    pairs, with the reference kernels of this module."""
+    """The perturbation that ``pi1lab.pi1._PerturbTable.walk`` draws, in
+    two steps: a subdivided copy of the loop at 1 to 3 drawn parameters,
+    then slides of its candidates along their edges and one bounce at p,
+    all on int pairs, with the reference kernels of this module."""
     grid = 64
     extra = []
     ts = loop.path._ts
@@ -861,7 +873,7 @@ def perturb_once(loop, rng, bound):
             continue
         seg = loop.space.edge_segment(edges[i - 1])
         _, hi_len = seg.length_bracket
-        a, b = seg.a.quad(), seg.b.quad()
+        a, b = seg.a._q, seg.b._q
         un, ud = foot_param(qs[i], a, b)
         dd = bd * 2 * hi_len.numerator * grid
         n = un * dd + bn * hi_len.denominator * rng.randint(-grid, grid) * ud
@@ -889,7 +901,7 @@ def perturb_once(loop, rng, bound):
         mn, md = n0 * d1 + n1 * d0, 2 * d0 * d1
         g = gcd(mn, md)
         ts.insert(i + 1, (mn // g, md // g))
-        qs.insert(i + 1, lerp(arm_edge.a.quad(), arm_edge.b.quad(), *u2))
+        qs.insert(i + 1, lerp(arm_edge.a._q, arm_edge.b._q, *u2))
         chart[i : i + 1] = [(n, arm)] * 2
     return _charted(_path(tuple(ts), tuple(qs)), loop.space, tuple(chart))
 
@@ -906,7 +918,7 @@ def discreteness_trials(loop, trials, magnitude, seed):
     table = _PerturbTable(loop, magnitude)
     agreeing, max_sq, witnesses = 0, Fraction(0), []
     for trial in range(trials):
-        drawn = table.draw(rng)
+        drawn = walked_loop(table, rng)
         d_sq = sup_distance(drawn.path, loop.path).squared
         assert d_sq < magnitude * magnitude, f"trial {trial}: perturbation not within the magnitude"
         max_sq = max(max_sq, d_sq)
@@ -937,7 +949,7 @@ def build_circle(n, width_profile=POW10):
         raise SpaceConsistencyError(f"width profile {width_profile.name} gave w({n}) = {w} <= 0")
     apex = Point2(Fraction(1, n), Fraction(1))
     tail = Point2(apex.x + w * n, apex.y - w)
-    if orient(ORIGIN.quad(), apex.quad(), tail.quad()) == 0:
+    if orient(ORIGIN._q, apex._q, tail._q) == 0:
         raise SpaceConsistencyError(f"degenerate circle {n}: vertices collinear")
     edges = (Segment(ORIGIN, apex), Segment(apex, tail), Segment(tail, ORIGIN))
     return Circle(n, apex, tail, edges)
@@ -951,7 +963,7 @@ def certify(circ, profile):
             f"width profile {profile.name} is not strictly decreasing between indices {n - 1} and {n}"
         )
     prev_apex = Point2(Fraction(1, n - 1), Fraction(1))
-    if orient(ORIGIN.quad(), prev_apex.quad(), circ.tail.quad()) <= 0:
+    if orient(ORIGIN._q, prev_apex._q, circ.tail._q) <= 0:
         raise SpaceConsistencyError(
             f"circles C{n} and C{n - 1} intersect beyond the base point: "
             f"the ray from p through {prev_apex} meets edge {circ.edges[1]}"
@@ -968,7 +980,7 @@ def edges_containing(space, q):
     """Every edge through q, a point other than p: alpha in Y, then each of
     the three edges of its candidate circle, all tested with on_segment.
     Kept per space and point, so ``membership`` reads it again for free."""
-    qq = q.quad()
+    qq = q._q
     out = []
     if space.has_alpha and on_segment(qq, *ALPHA_SEGMENT.quads()):
         out.append(ALPHA_EDGE)
@@ -1042,11 +1054,11 @@ def points_literal(parts, line=1, col=1):
 
 def _distal_half(edge, edge_index):
     """The half of a base-incident edge away from p (whole cap otherwise)."""
-    mid = lerp(edge.a.quad(), edge.b.quad(), 1, 2)
+    mid = lerp(edge.a._q, edge.b._q, 1, 2)
     if edge_index == 0:
-        return mid, edge.b.quad()
+        return mid, edge.b._q
     if edge_index == 2:
-        return edge.a.quad(), mid
+        return edge.a._q, mid
     return edge.quads()
 
 

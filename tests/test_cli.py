@@ -11,11 +11,12 @@ from collections import Counter, namedtuple
 from contextlib import redirect_stderr
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import pi1lab
-from pi1lab import cli, dsl, exactnum, geometry, pi1, spaces
+from pi1lab import cli, dsl, exactnum, geometry, kernels, pi1, spaces
 from pi1lab.cli import demo_whitehead, main
 
 # The directory that holds the package, for PYTHONPATH of fresh processes.
@@ -1153,10 +1154,11 @@ class TestDemo:
     def test_work_counts(self, tmp_path, monkeypatch):
         """A warmed seed-1 demo makes at most 60 dyadic_sqrt_bounds calls,
         since each edge brackets its length once (598 when every slide and
-        bounce bracketed its edge again), makes no Segment.contains call, as
-        every point it locates is a circle vertex, found by its quad (2,382
-        when each point was tested against the edges, 3,482 when the apex
-        test ran on the pieces), builds 69 circles, builds 589 paths and
+        bounce bracketed its edge again), makes no ``kernels.on_segment``
+        call to locate a point, as every point it locates is a circle
+        vertex, found by its quad (2,382 Segment.contains calls when each
+        point was tested against the edges, 3,482 when the apex test ran on
+        the pieces), builds 69 circles, builds 589 paths and
         builds 37 classes. A discreteness trial checks and classifies the
         tuples it draws, and the round trip and the slsc probe compare
         syllables, so neither a trial nor a round-trip word builds a class,
@@ -1172,9 +1174,9 @@ class TestDemo:
             brackets[0] += 1
             return _orig(*args)
 
-        def contained(self, q, _orig=geometry.Segment.contains):
+        def contained(*args, _orig=kernels.on_segment):
             contains[0] += 1
-            return _orig(self, q)
+            return _orig(*args)
 
         def fill(*args, _orig=geometry._fill):
             paths[0] += 1
@@ -1191,7 +1193,9 @@ class TestDemo:
         for mod in (geometry, pi1):
             monkeypatch.setattr(mod, "dyadic_sqrt_bounds", bounds)
         monkeypatch.setattr(geometry, "_fill", fill)
-        monkeypatch.setattr(geometry.Segment, "contains", contained)
+        # in spaces only: a disjointness check's seg_intersect calls the
+        # kernels' own on_segment
+        monkeypatch.setattr(spaces, "kernels", SimpleNamespace(**{**vars(kernels), "on_segment": contained}))
         monkeypatch.setattr(spaces, "build_circle", build)
         monkeypatch.setattr(pi1.HomotopyClass, "__init__", homotopy_class)
         code, _ = demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))

@@ -694,7 +694,7 @@ class TestPointsRoute:
         assert loop == want_loop
         if not isinstance(want_loop, tuple):
             assert loop.path._ts == want_loop.path._ts
-            assert [p.quad() for p in loop.path.points] == [p.quad() for p in want_loop.path.points]
+            assert [p._q for p in loop.path.points] == [p._q for p in want_loop.path.points]
             assert loop._chart == want_loop._chart
 
     def test_the_points_route_builds_no_fraction(self, monkeypatch):

@@ -34,7 +34,7 @@ F = Fraction
 
 def point_segment_distance_sq(q: Point2, s: Segment) -> Fraction:
     """Exact squared distance from a point to a closed segment, by the kernel."""
-    return F(*kernels.point_seg_dist_sq(q.quad(), s.a.quad(), s.b.quad()))
+    return F(*kernels.point_seg_dist_sq(q._q, s.a._q, s.b._q))
 
 
 def alpha_updown() -> PLPath:
@@ -331,13 +331,13 @@ class TestNativeQuads:
     @settings(max_examples=60)
     def test_quad_is_lowest_terms(self, x, y):
         q = Point2(x, y)
-        assert q.quad() == (x.numerator, x.denominator, y.numerator, y.denominator)
+        assert q._q == (x.numerator, x.denominator, y.numerator, y.denominator)
         assert q != Point2(x + 1, y) and q != Point2(x, y + F(1, 64))
 
     def test_kernel_point_builds_coordinates_on_each_read(self):
         """A point keeps its quad only; x and y are built from it when read."""
         q = pl_path([(0, 0, 0), (1, 1, 3)]).at(F(1, 2))
-        assert q.quad() == (1, 2, 3, 2)
+        assert q._q == (1, 2, 3, 2)
         assert Point2.__slots__ == ("_q",) and not hasattr(q, "__dict__")
         assert q == Point2("1/2", "3/2") and hash(q) == hash(Point2("1/2", "3/2"))
         assert (q.x, q.y) == (F(1, 2), F(3, 2))

@@ -80,7 +80,7 @@ PARAM = st.fractions(min_value=-1, max_value=2, max_denominator=6)
 # and a few small ones to mix with them.
 POW10_COORDS = st.sampled_from(
     sorted(
-        {c for n in (88, 89, 90) for v in build_circle(n).vertices for c in (v.x, v.y)}
+        {c for circ in map(build_circle, (88, 89, 90)) for v in (circ.apex, circ.tail) for c in (v.x, v.y)}
         | {Fraction(0), Fraction(1), Fraction(-1, 2)}
     )
 )

@@ -24,7 +24,7 @@ from pi1lab.loops import (
     validate,
 )
 from pi1lab.pi1 import (
-    _perturb_once,
+    _PerturbTable,
     alpha_decorate,
     classify_x,
     classify_y,
@@ -137,10 +137,10 @@ class TestDecompose:
         order lists the edges through a point; an excursion's component is
         its circle's index, so a realized word's are its generator indices."""
         c3 = y.circle(3)
-        assert y.edges_containing(c3.apex.quad()) == ((3, 0), (3, 1))
-        assert y.edges_containing(c3.tail.quad()) == ((3, 1), (3, 2))
-        assert y.edges_containing(point(0, 1).quad()) == (ALPHA_EDGE,) == ((ALPHA, 0),) == ((0, 0),)
-        assert y.edges_containing(point(0, F(1, 3)).quad()) == ((0, 0),)
+        assert y.edges_containing(c3.apex._q) == ((3, 0), (3, 1))
+        assert y.edges_containing(c3.tail._q) == ((3, 1), (3, 2))
+        assert y.edges_containing(point(0, 1)._q) == (ALPHA_EDGE,) == ((ALPHA, 0),) == ((0, 0),)
+        assert y.edges_containing(point(0, F(1, 3))._q) == ((0, 0),)
         rng = random.Random(46)
         for _ in range(20):
             w = random_reduced_word(rng, 8)
@@ -493,7 +493,7 @@ def lifted_degree(exc):
         if ref is None:
             continue
         edge = circ.edges[ref[1]]
-        u0, u1 = (F(*kernels.foot_param(q.quad(), edge.a.quad(), edge.b.quad())) for q in (p0, p1))
+        u0, u1 = (F(*kernels.foot_param(q._q, edge.a._q, edge.b._q)) for q in (p0, p1))
         if theta is None:
             theta = start = ref[1] + u0
         assert (ref[1] + u0 - theta) % 3 == 0
@@ -562,7 +562,7 @@ class TestWindingOracle:
         loops = []
         for _ in range(30):
             lp = realize_word(random_reduced_word(rng, 6), x)
-            loops.append(_perturb_once(lp, rng, F(1, 1000)))
+            loops.append(oracles.walked_loop(_PerturbTable(lp, F(1, 1000)), rng))
         self.assert_lift_agrees(loops)
 
     def test_collapsed_decorations(self, x):

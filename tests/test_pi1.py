@@ -25,14 +25,12 @@ from pi1lab.loops import (
 )
 from pi1lab.pi1 import (
     ClassificationError,
-    HomotopyClass,
     ProbeParameterError,
     alpha_decorate,
     choose_n,
     classify_x,
     classify_y,
     collapse_to_x,
-    induced_map,
     loop_in_ball,
     probe_discreteness_x,
     probe_isomorphism_roundtrip,
@@ -41,7 +39,7 @@ from pi1lab.pi1 import (
     random_reduced_word,
     stability_radius,
 )
-from pi1lab.report import PASS
+from pi1lab.report import FAIL, PASS
 from pi1lab.spaces import (
     ALPHA,
     ALPHA_EDGE,
@@ -179,18 +177,8 @@ class TestClassifyY:
 
 
 class TestInducedMap:
-    def test_identity(self):
-        c = HomotopyClass(IDENTITY, SpaceKind.BOUQUET_X)
-        assert induced_map(c).word == IDENTITY
-        assert induced_map(c).space_kind is SpaceKind.COMPACT_Y
-
-    def test_retag(self):
-        w = parse_word("g2 g3^-1")
-        assert induced_map(HomotopyClass(w, SpaceKind.BOUQUET_X)).word == w
-
-    def test_wrong_direction_rejected(self):
-        with pytest.raises(ClassificationError):
-            induced_map(HomotopyClass(IDENTITY, SpaceKind.COMPACT_Y))
+    """The map that the inclusion induces on classes is the round trip's Y
+    read: the realized loop, carried into Y, classifies back to its word."""
 
     def test_round_trip_100_words(self, y):
         rep = probe_isomorphism_roundtrip(100, 10, seed=11, space=y)
@@ -201,6 +189,30 @@ class TestInducedMap:
         with pytest.raises(ProbeParameterError, match="max_len"):
             probe_isomorphism_roundtrip(5, -1, seed=0, space=y)
         assert probe_isomorphism_roundtrip(3, 0, seed=0, space=y).passed
+
+    @pytest.mark.parametrize("route", ["classify_Y", "decorated_collapse", "collapsed_valid_in_X"])
+    def test_a_broken_route_fails_its_column(self, y, monkeypatch, route):
+        """Breaking one word route of the round trip (the Y read, the read
+        of the decorated collapse, or ``validate`` of the collapsed loop)
+        fails every word, with a row whose one wrong column is that route's."""
+        read = pi1._loop_syllables
+        kinds = {"classify_Y": SpaceKind.COMPACT_Y, "decorated_collapse": SpaceKind.BOUQUET_X}
+
+        def misread(loop, kind):
+            out = read(loop, kind)
+            return out + ((2, 1),) if kind is kinds[route] else out
+
+        if route == "collapsed_valid_in_X":
+            monkeypatch.setattr(pi1, "validate", lambda loop: "broken")
+        else:
+            monkeypatch.setattr(pi1, "_loop_syllables", misread)
+        rep = probe_isomorphism_roundtrip(5, 6, seed=3, space=y)
+        assert rep.verdict == FAIL and len(rep.witnesses) == 5
+        for row in rep.witnesses:
+            cols = dict(row)
+            assert tuple(cols) == ("word", "classify_Y", "decorated_collapse", "collapsed_valid_in_X")
+            right = {"classify_Y": cols["word"], "decorated_collapse": cols["word"], "collapsed_valid_in_X": "True"}
+            assert [k for k in right if cols[k] != right[k]] == [route]
 
 
 class TestHomomorphism:
@@ -375,7 +387,7 @@ class TestFamilyKeepsTheWord:
             for bound in (far, F(1), F(3, 2)):
                 table = pi1._PerturbTable(lp, bound)
                 for seed in range(20):
-                    drawn = table.draw(random.Random(seed))
+                    drawn = oracles.walked_loop(table, random.Random(seed))
                     v = validate(drawn)
                     if v is None:
                         assert classify_x(Loop(drawn.path, x)).word == word, (lp, bound, seed)
@@ -501,8 +513,8 @@ class TestCarriedCharts:
             assert classify_x(collapsed).word == w
 
     def test_perturbation_result(self, x):
-        """The loop _perturb_once returns is charted as fresh location charts
-        it, slides and bounces included: at the probe's magnitude, and at
+        """The loop of a walk is charted as fresh location charts it,
+        slides and bounces included: at the probe's magnitude, and at
         magnitudes large enough that slides clamp at vertices and leave
         constant pieces."""
         corpus = demo_corpus(x)
@@ -514,11 +526,11 @@ class TestCarriedCharts:
             excursions = len(oracles.excursions(lp))
             for bound in (F(1, 1000), F(1, 10), F(1)):
                 for _ in range(6):
-                    out = pi1._perturb_once(lp, rng, bound)
+                    out = oracles.walked_loop(pi1._PerturbTable(lp, bound), rng)
                     assert_carried(out)
                     bounces += len(oracles.excursions(out)) > excursions
                     slid_constant += any(
-                        ref is None and q0 != ORIGIN.quad() for ref, q0 in zip(out._chart, out.path._qs)
+                        ref is None and q0 != ORIGIN._q for ref, q0 in zip(out._chart, out.path._qs)
                     )
         assert bounces > 0 and slid_constant > 0
 
@@ -537,7 +549,7 @@ class TestCarriedCharts:
 
 
 def perturb_once_fraction(loop, rng, bound, clamps):
-    """_perturb_once's breakpoints by the Fraction formulas it replaced:
+    """A walk's breakpoints by the Fraction formulas it replaced:
     subdivision parameters, and each slid parameter with its clamp to
     [0, 1]. ``clamps`` counts the slides clamped at 0 and at 1."""
     grid = 64
@@ -557,7 +569,7 @@ def perturb_once_fraction(loop, rng, bound, clamps):
         _, hi_len = dyadic_sqrt_bounds(seg.length_sq)
         max_du = bound / (2 * hi_len)
         t, q = bks[i]
-        u = Fraction(*kernels.foot_param(q.quad(), seg.a.quad(), seg.b.quad()))
+        u = Fraction(*kernels.foot_param(q._q, seg.a._q, seg.b._q))
         du = max_du * Fraction(rng.randint(-grid, grid), grid)
         clamps[0] += u + du < 0
         clamps[1] += u + du > 1
@@ -612,7 +624,7 @@ class TestBelow:
 
 def assert_draws_match_oracle(corpus, seeds):
     """Each seed's perturbation of each loop of ``corpus``, at magnitudes
-    1/1000, 1/10 and 1, drawn by _perturb_once and by one _PerturbTable
+    1/1000, 1/10 and 1, drawn by a fresh _PerturbTable and by one
     shared across the seeds, as the probe draws its trials: both give the
     parameters, point quads and chart of the subdivide-then-slide
     construction of oracles.perturb_once, and leave the generator in its
@@ -623,9 +635,9 @@ def assert_draws_match_oracle(corpus, seeds):
             for seed in seeds:
                 r_want = random.Random(seed)
                 want = oracles.perturb_once(lp, r_want, bound)
-                for draw in (lambda r: pi1._perturb_once(lp, r, bound), table.draw):
+                for tab in (pi1._PerturbTable(lp, bound), table):
                     r_got = random.Random(seed)
-                    got = draw(r_got)
+                    got = oracles.walked_loop(tab, r_got)
                     assert got == want and got.path._ts == want.path._ts, (k, bound, seed)
                     assert [q._q for q in got.path.points] == [q._q for q in want.path.points]
                     assert got._chart == want._chart
@@ -641,7 +653,7 @@ class TestPerturbOracle:
             for bound in (F(1, 1000), F(1, 10), F(1)):
                 for seed in range(12):
                     want = perturb_once_fraction(lp, random.Random(seed), bound, clamps)
-                    got = pi1._perturb_once(lp, random.Random(seed), bound)
+                    got = oracles.walked_loop(pi1._PerturbTable(lp, bound), random.Random(seed))
                     assert got.path.breakpoints == want, (k, bound, seed)
         assert clamps[0] > 0 and clamps[1] > 0
 
@@ -718,7 +730,7 @@ class TestPerturbationBound:
         for lp in corpus:
             for bound in (F(1, 1000), F(1, 10), F(1), F(3)):
                 for _ in range(20):
-                    out = pi1._perturb_once(lp, rng, bound)
+                    out = oracles.walked_loop(pi1._PerturbTable(lp, bound), rng)
                     d = sup_distance(out.path, lp.path)
                     assert d.squared < bound * bound
 
@@ -733,7 +745,7 @@ class TestPerturbationBound:
             real(table, rng)
             loop = table.loop
             qs = list(loop.path._qs)
-            qs[1] = oracles.segment_at(Segment(ORIGIN, loop.path.points[1]), F(1, 2)).quad()
+            qs[1] = oracles.segment_at(Segment(ORIGIN, loop.path.points[1]), F(1, 2))._q
             return loop.path._ts, tuple(qs), loop._chart
 
         monkeypatch.setattr(pi1._PerturbTable, "walk", halfway)
@@ -804,8 +816,8 @@ class TestParameterPairs:
                 lp,
                 reverse(lp),
                 concatenate(lp, reverse(lp)),
-                pi1._perturb_once(lp, rng, F(1, 1000)),
-                pi1._perturb_once(lp, rng, F(1, 10)),
+                oracles.walked_loop(pi1._PerturbTable(lp, F(1, 1000)), rng),
+                oracles.walked_loop(pi1._PerturbTable(lp, F(1, 10)), rng),
             )
             paths += [b.path for b in built]
             paths += [oracles.subpath(exc) for b in built for exc in oracles.excursions(b)]
@@ -855,7 +867,7 @@ class TestRecords:
             word_loop,
             ly,
             alpha_decorate(ly, rng),
-            pi1._perturb_once(word_loop, rng, F(1, 1000)),
+            oracles.walked_loop(pi1._PerturbTable(word_loop, F(1, 1000)), rng),
         ]
         assert word_loop != ly
         for lp in corpus:
@@ -876,7 +888,7 @@ def located(monkeypatch):
     seen = []
     for name in ("edges_containing", "membership"):
         def counted(self, q, _orig=getattr(SpaceHandle, name)):
-            seen.append(q if type(q) is tuple else q.quad())
+            seen.append(q if type(q) is tuple else q._q)
             return _orig(self, q)
 
         monkeypatch.setattr(SpaceHandle, name, counted)
@@ -902,7 +914,7 @@ class TestLocateOnce:
         )
         assert classify_y(lp).word == parse_word("g3")
         # the stationary piece at the apex passes it twice; it is located once
-        assert located == list(dict.fromkeys(q for q in lp.path._qs if q != ORIGIN.quad()))
+        assert located == list(dict.fromkeys(q for q in lp.path._qs if q != ORIGIN._q))
 
     def test_realized_word_located_by_its_parts_only(self, x, located):
         rng = random.Random(33)
@@ -943,7 +955,7 @@ class TestLocateOnce:
         located.clear()
         assert validate(collapsed) is None
         # one query per distinct point other than p, in the order first met
-        passed = [q for q in collapsed.path._qs if q != ORIGIN.quad()]
+        passed = [q for q in collapsed.path._qs if q != ORIGIN._q]
         assert located == list(dict.fromkeys(passed))
         assert len(located) < len(passed)
 
@@ -1009,7 +1021,9 @@ class TestSpansOracle:
         corpus += [concatenate_all([corpus[3], word_loop, corpus[1]])]
         params = oracles.params(word_loop.path)
         corpus += [oracles.subdivide(word_loop, [F(rng.randint(0, 64), 64), params[rng.randrange(len(params))] / 3])]
-        corpus += [pi1._perturb_once(lp, rng, bound) for lp in corpus[1:6] for bound in (F(1, 1000), F(1))]
+        corpus += [
+            oracles.walked_loop(pi1._PerturbTable(lp, bound), rng) for lp in corpus[1:6] for bound in (F(1, 1000), F(1))
+        ]
         decorated = [alpha_decorate(include_in_y(lp), rng) for lp in (word_loop, corpus[4], corpus[1])]
         corpus += decorated + [collapse_to_x(lp) for lp in decorated]
         corpus += [pi1._sample_small_loop(space, F(1, 4), rng) for space in (x, y)]

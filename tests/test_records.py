@@ -215,4 +215,3 @@ class TestSpaceHandle:
 
 def test_built_circle_equals_its_record():
     assert build_circle(3, CUBE) == _C3
-    assert _C3.vertices == (point(0, 0), _C3.apex, _C3.tail)

@@ -47,8 +47,7 @@ CERTIFICATE_PROFILES = [
 class TestBuildCircle:
     def test_n2_vertices(self):
         c = build_circle(2)
-        p, apex, tail = c.vertices
-        assert p == point(0, 0)
+        apex, tail = c.apex, c.tail
         assert apex == point("1/2", 1)
         assert tail.x == F(1, 2) + F(2, 10**20)
         assert tail.y == 1 - F(1, 10**20)
@@ -72,7 +71,8 @@ class TestBuildCircle:
 
     def test_vertices_in_unit_strip(self):
         for n in range(2, 21):
-            for v in build_circle(n).vertices:
+            c = build_circle(n)
+            for v in (c.apex, c.tail):
                 assert 0 <= v.y <= 1
 
 
@@ -102,8 +102,8 @@ def circle_mismatches(profile, ns):
         if got != want or on_handle != got or (isinstance(got, str) and profile.name in ("pow10", "cube")):
             wrong.append(n)
         elif not isinstance(got, str) and (
-            (got._apex_q, got._tail_q) != (want.apex.quad(), want.tail.quad())
-            or kernels.orient(ORIGIN.quad(), got._apex_q, got._tail_q) == 0
+            (got._apex_q, got._tail_q) != (want.apex._q, want.tail._q)
+            or kernels.orient(ORIGIN._q, got._apex_q, got._tail_q) == 0
         ):
             wrong.append(n)
     return wrong
@@ -129,7 +129,7 @@ def materialise_shuffled(monkeypatch, top):
     order = list(range(2, top + 1))
     random.Random(0).shuffle(order)
     oracle = WidthProfile("pow10", spaces.POW10.fn)
-    want = [(c.apex.quad(), c.tail.quad()) for c in (oracles.build_circle(n, oracle) for n in order)]
+    want = [(c.apex._q, c.tail._q) for c in (oracles.build_circle(n, oracle) for n in order)]
     profile, calls = counted_pow10()
     wraps, segments = [], []
     real_wrap, real_init = geometry._from_quad, geometry.Segment.__init__
@@ -209,7 +209,7 @@ class TestCircleOracle:
 def assert_tail_reduced(n, profile):
     """build_circle's C_n has the oracle's quads, equality, hash and repr."""
     got, want = build_circle(n, profile), oracles.build_circle(n, profile)
-    assert (got._apex_q, got._tail_q) == (want.apex.quad(), want.tail.quad()), f"{profile.name} C{n}"
+    assert (got._apex_q, got._tail_q) == (want.apex._q, want.tail._q), f"{profile.name} C{n}"
     assert got == want and hash(got) == hash(want) and repr(got) == repr(want), f"{profile.name} C{n}"
 
 
@@ -317,7 +317,7 @@ def _location_points(name):
                 for j in (1, 3, 10, 30):
                     eps = F(1, 10**j)
                     pts += [point(q.x + dx, q.y + dy) for dx, dy in ((eps, 0), (-eps, 0), (0, eps), (0, -eps))]
-    return tuple(q for q in pts if q.x <= 0 or candidate_circle(q.quad()) <= 1000)
+    return tuple(q for q in pts if q.x <= 0 or candidate_circle(q._q) <= 1000)
 
 
 class TestLocationOracle:
@@ -331,12 +331,12 @@ class TestLocationOracle:
         space = compact_y(profile=profile_by_name(name)).sibling(kind)
         pts = _location_points(name)
         if kind is SpaceKind.BOUQUET_X:
-            vertices = {v for n in range(2, 41) for v in space.circle(n).vertices}
+            vertices = {v for c in map(space.circle, range(2, 41)) for v in (c.apex, c.tail)}
             pts = [q for q in pts if q.x <= 0 or q in vertices]
         wrong = [
             q
             for q in pts
-            if space.edges_containing(q.quad()) != oracles.edges_containing(space, q)
+            if space.edges_containing(q._q) != oracles.edges_containing(space, q)
             or space.membership(q) != oracles.membership(space, q)
         ]
         assert wrong == []
@@ -389,7 +389,7 @@ class TestMembership:
         assert small.membership(apex) == large.membership(apex) == Membership("circle", 12, 0)
 
     def test_edges_containing_vertex(self):
-        refs = self.y.edges_containing(self.y.circle(3).apex.quad())
+        refs = self.y.edges_containing(self.y.circle(3).apex._q)
         assert (3, 0) in refs and (3, 1) in refs
 
 
