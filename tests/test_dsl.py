@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import oracles
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 from test_cli import dsl_docstring_script
 
 from pi1lab import cli, dsl
@@ -667,6 +667,8 @@ class TestPointsRoute:
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(points_parts())
+    # the seed pins the draws, which derandomize alone takes from the source text
+    @seed(7)
     @example([["0/5", "0", "0"], ["2/4", "1/3", "1"], ["3/4", "31/90", "269/270"], ["2/2", "0", "0"]])
     @example([["0", "0", "0"], [f"1/{_BIG}", "0", f"{_BIG}/{_BIG + 1}"], ["1", "0", "0"]])
     @example([["0", "0", "0"], ["2/4", "2/80000", "2/2"], ["1", "0", "0"]])

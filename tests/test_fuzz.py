@@ -13,7 +13,7 @@ import io
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from pi1lab import cli, dsl
 
@@ -144,6 +144,8 @@ def run(path: str):
 
 @settings(max_examples=60, derandomize=True, deadline=None, suppress_health_check=list(HealthCheck))
 @given(scripts())
+# the seed pins the draws, which derandomize alone takes from the source text
+@seed(7)
 def test_generated_scripts(text):
     parse_spend = dsl._spend
     costs = []

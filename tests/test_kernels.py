@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import oracles
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from pi1lab import kernels as k
 from pi1lab.spaces import build_circle
@@ -146,6 +146,8 @@ def assert_flat_matches_oracle(pts, tn, td):
 class TestFlatKernelsMatchOracle:
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(configurations(SMALL), st.integers(-4, 4), st.integers(-3, 6))
+    # the seed pins the draws, which derandomize alone takes from the source text
+    @seed(7)
     # a vertical segment with a collinear point above it, and below
     @example((q(0, 0), q(0, 1), q(0, 2), q(0, -1)), 1, 2)
     # a horizontal segment with a collinear point beyond either end
@@ -163,5 +165,6 @@ class TestFlatKernelsMatchOracle:
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(configurations(POW10_COORDS), st.integers(-4, 4), st.integers(1, 6))
+    @seed(7)
     def test_pow10_vertices(self, pts, tn, td):
         assert_flat_matches_oracle(pts, tn, td)

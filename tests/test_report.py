@@ -1,6 +1,6 @@
 import pytest
 
-from pi1lab.report import FAIL, PASS, ProbeReport, report_digits
+from pi1lab.report import FAIL, ProbeReport, report_digits
 from pi1lab.spaces import compact_y, verify_disjointness
 
 GOLDEN = """\

@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import oracles
 from oracles import hausdorff_distance_sq
@@ -545,6 +545,8 @@ class TestHausdorffClosedForm:
         den=st.integers(min_value=1, max_value=10**8),
         n=st.integers(min_value=2, max_value=60),
     )
+    # the seed pins the draws, which derandomize alone takes from the source text
+    @seed(7)
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_random_widths_match_envelope_oracle(self, num, den, n):
         profile = uniform_profile(F(num, den))
