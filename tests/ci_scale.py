@@ -25,7 +25,14 @@ from pi1lab.pi1 import stability_radius
 from pi1lab.spaces import CUBE, POW10, bouquet_x, profile_by_name
 from pi1lab.words import parse_word
 from test_cli import HOSTILE, SRC, dsl_docstring_script, main_matches_fresh, readme_script, run_hostile
-from test_pi1 import assert_draws_match_oracle, assert_probe_matches_oracle, assert_radius_matches_oracle
+from test_pi1 import (
+    assert_crossing_words_match,
+    assert_draws_match_oracle,
+    assert_probe_matches_oracle,
+    assert_radius_matches_oracle,
+    decorations,
+    word_loop_family,
+)
 from test_spaces import assert_tail_reduced, circle_mismatches, materialise_shuffled
 
 
@@ -166,6 +173,27 @@ def test_discreteness_probe_against_oracle():
     with deadline(300):
         for name in ("pow10", "cube"):
             assert_probe_matches_oracle(perturbation_corpus(name), range(100), 10)
+
+
+def test_crossing_words_against_classifiers():
+    """The crossing-word oracle against classify_x and classify_y, on
+    families of realized words: under pow10 and cube, 30 random words of up
+    to 12 letters on g2 ... g1000, with their decorations too; under cube,
+    the word g2 g3 ... g1000, whose pow10 coordinates would take minutes;
+    under uniform:1/3, whose one certified circle is C_2, 30 random words
+    in g2."""
+    rng = random.Random(50)
+    with deadline(120):
+        for name in ("pow10", "cube"):
+            x = bouquet_x(20, profile_by_name(name))
+            words = [pi1.random_reduced_word(rng, 12, range(2, 1001)) for _ in range(30)]
+            corpus = word_loop_family(x, words, rng) + decorations(x, words, rng)
+            assert assert_crossing_words_match(corpus) > 1000, name
+        every = parse_word(" ".join(f"g{n}" for n in range(2, 1001)))
+        assert assert_crossing_words_match(word_loop_family(bouquet_x(20, CUBE), [every], rng)) == 8 * 999
+        x = bouquet_x(2, profile_by_name("uniform:1/3"))
+        words = [pi1.random_reduced_word(rng, 12, (2,)) for _ in range(30)]
+        assert assert_crossing_words_match(word_loop_family(x, words, rng)) > 0
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE))

@@ -48,6 +48,11 @@
   checked and classified the drawn tuples: :func:`discreteness_trials`
   builds each perturbation as a loop with :func:`walked_loop`, measures
   it with ``sup_distance`` and classifies it with ``classify_x``.
+* :func:`crossing_word`, a second classifier that shares no code with the
+  chart scan: :func:`edge_1_side` locates each breakpoint with
+  :func:`edges_containing` and sides it with :func:`point_dist_sq`, and the
+  word is read from the signed crossings of the midpoints of the edges
+  B_n D_n. It is the word oracle of ``classify_x`` and ``classify_y``.
 * the circles as ``pi1lab.spaces`` built them before it worked on int
   quads: :func:`build_circle` computes the vertices as Fractions and refuses
   collinear ones with ``orient``, and :func:`certify` reads both widths from
@@ -928,6 +933,49 @@ def discreteness_trials(loop, trials, magnitude, seed):
         else:
             witnesses.append((trial, base, w, d_sq))
     return agreeing, max_sq, witnesses
+
+
+# -- crossing words ------------------------------------------------------------
+
+
+def crossing_word(loop):
+    """The loop's word read from its located breakpoints alone, with no
+    chart, span or lift: the free reduction of its signed crossings of the
+    midpoint M_n of each edge 1 (B_n D_n).
+
+    Edges 0 and 2 of every circle form a tree through p, so pi1 is free on
+    the traversals of the edges 1, one generator g_n per circle (Stallings,
+    "Topology of finite graphs", 1983). Two consecutive breakpoints on the
+    same edge 1 are joined along it, so within a run of them each change of
+    nonzero side of M_n (:func:`edge_1_side`) crosses M_n once: g_n into the
+    D_n side, g_n^-1 into the B_n side. A breakpoint off every edge 1, p
+    among them, ends the run; so an alpha excursion spells nothing.
+    """
+    letters = []
+    run = side = None  # the circle of the current edge-1 run, its last nonzero side
+    for q in loop.path.points:
+        n, s = edge_1_side(loop.space, q) or (None, 0)
+        if n != run:
+            run, side = n, 0
+        if s:
+            if side and s != side:
+                letters.append((n, s))
+            side = s
+    return reduce_letters(letters)
+
+
+@lru_cache(maxsize=None)
+def edge_1_side(space, q):
+    """``(n, side)`` for a point q on closed edge 1 of C_n, located with
+    :func:`edges_containing`, and None for any other point: side is
+    sign(|q - B_n|^2 - |q - D_n|^2), -1 towards B_n, +1 towards D_n and 0
+    at the midpoint M_n. Kept per space and point, as the loops of a
+    family share most of their points."""
+    for n, j in edges_containing(space, q):
+        if j == 1:
+            circ = _cached_circle(n, space.profile)
+            return n, rcmp(*point_dist_sq(q._q, circ.apex._q), *point_dist_sq(q._q, circ.tail._q))
+    return None
 
 
 # -- circles -------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 
@@ -619,3 +620,89 @@ class TestWindingOracle:
             assert classify_x(lx).word == w
             assert classify_y(include_in_y(lx)).word == w
         assert calls == []
+
+
+# Six points around a circle: p, the middle of edge 0, B, the middle of
+# edge 1, D, the middle of edge 2; edge j holds the three of _ON_EDGE[j].
+_ON_EDGE = ((0, 1, 2), (2, 3, 4), (4, 5, 0))
+
+
+def hand_charted_excursion(y, rng):
+    """A ``_charted`` loop of one excursion, on the vertices and edge
+    midpoints of C_2 or C_3, or on alpha points, that no builder makes.
+
+    A circle excursion walks its six points: each piece runs between two
+    points of one edge, or stays, and only the first and last pieces touch
+    p. Each piece is charted on its edge, or None where it stays, so the
+    excursion may turn back anywhere and has degree -1, 0 or 1. A third of
+    the loops then get one piece (the first, the last or any), or every
+    piece, recharted on one random edge of either circle or alpha, or None,
+    or one point moved to a random point of the pool."""
+    p = point(0, 0)
+    pool = {ALPHA: [point(0, F(1, 2)), point(0, 1)]}
+    for n in (2, 3):
+        c = y.circle(n)
+        mids = [oracles.segment_at(e, F(1, 2)) for e in c.edges]
+        pool[n] = [p, mids[0], c.apex, mids[1], c.tail, mids[2]]
+    n = rng.choice((2, 3, ALPHA))
+    if n == ALPHA:
+        pts = [p] + [rng.choice(pool[ALPHA]) for _ in range(rng.randint(1, 4))] + [p]
+        chart = [ALPHA_EDGE] * (len(pts) - 1)
+    else:
+        walk = [0]
+        for _ in range(rng.randint(1, 9)):
+            walk.append(rng.choice([b for e in _ON_EDGE if walk[-1] in e for b in e if b]))
+        if walk[-1] == 3:
+            walk.append(rng.choice((2, 4)))
+        walk.append(0)
+        pts = [pool[n][i] for i in walk]
+        chart = [
+            None if a == b else (n, next(j for j, e in enumerate(_ON_EDGE) if a in e and b in e))
+            for a, b in zip(walk, walk[1:])
+        ]
+    if rng.random() < 1 / 3:
+        ref = rng.choice([ALPHA_EDGE, None] + [(m, j) for m in (2, 3) for j in range(3)])
+        kind = rng.randrange(3)
+        if kind == 0:
+            chart[rng.choice((0, -1, rng.randrange(len(chart))))] = ref
+        elif kind == 1:
+            chart = [ref] * len(chart)
+        else:
+            pts[rng.randrange(1, len(pts) - 1)] = rng.choice(pool[2][1:] + pool[3][1:] + pool[ALPHA])
+    t = [F(k, len(pts) - 1) for k in range(len(pts))]
+    return loops._charted(PLPath(tuple(zip(t, pts))), y, tuple(chart))
+
+
+def test_hand_charted_excursions_match_the_oracle(y):
+    """The chart scan gives the spans of the oracle's excursion records, or
+    the same error type and text, on 2,000 hand-charted excursions: valid
+    ones of each degree, one charted on edge 1 alone, which reads degree 0,
+    and refused ones for each reason. Loops of one excursion only, as the
+    oracle checks the components of every excursion before it lifts any,
+    and so refuses for another reason first."""
+    rng = random.Random(48)
+    seen = collections.Counter()
+    for _ in range(2000):
+        lp = hand_charted_excursion(y, rng)
+        try:
+            got = loops._spans(lp)
+        except InvalidLoopError as exc:
+            got = (type(exc), str(exc))
+            seen[str(exc).split(" on ")[0]] += 1
+        else:
+            edge_1_only = {ref[1] for ref in lp._chart if ref and ref[0] != ALPHA} == {1}
+            seen["edge 1 only" if edge_1_only else got[0][3]] += 1
+        try:
+            want = oracles.spans(lp)
+        except InvalidLoopError as exc:
+            want = (type(exc), str(exc))
+        assert got == want, (lp.path.breakpoints, lp._chart)
+    assert seen.keys() == {
+        -1,
+        0,
+        1,
+        "edge 1 only",
+        "excursion",
+        "discontinuous chart sequence in excursion",
+        "excursion lift does not close up at p",
+    }, seen

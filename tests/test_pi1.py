@@ -753,18 +753,23 @@ class TestPerturbationBound:
             probe_discreteness_x(standard_fn(2, x), 5, F(1, 1000), seed=1)
 
 
+def corner_cut_loop(x):
+    """The corner-cutting loop of test_cli: up edge 0 to B_2, there until
+    C(2).once reaches D_2, and straight back down. Under pow10 it lies
+    1/(2 * 10**39) in squared sup distance from C(2).once and spells 1."""
+    return loop_from_breakpoints(
+        [(0, 0, 0), ("1/2", "1/2", 1), ("100000000000000000001/200000000000000000000", "1/2", 1), (1, 0, 0)], x
+    )
+
+
 class TestDiscretenessWitness:
     def test_a_drawn_word_change_is_a_witness(self, monkeypatch):
-        """A walk that, at trial 1 of 3, draws the corner-cutting loop of
-        test_cli, which lies 1/(2 * 10**39) in squared sup distance from
-        C(2).once under pow10 and spells 1, makes the probe FAIL with one
-        witness row for that trial; the other two trials agree."""
+        """A walk that, at trial 1 of 3, draws the corner-cutting loop
+        makes the probe FAIL with one witness row for that trial; the other
+        two trials agree."""
         x = bouquet_x(20)
         f = standard_fn(2, x)
-        # up edge 0 to B_2, there until f reaches D_2, and straight back down
-        g = loop_from_breakpoints(
-            [(0, 0, 0), ("1/2", "1/2", 1), ("100000000000000000001/200000000000000000000", "1/2", 1), (1, 0, 0)], x
-        )
+        g = corner_cut_loop(x)
         real = pi1._PerturbTable.walk
         calls = []
 
@@ -1040,3 +1045,56 @@ class TestSpansOracle:
             assert choose_n(lp) == oracles.cutoff(lp)
             out, want = collapse_to_x(lp), oracles.collapse_to_x(lp)
             assert (out, out._chart) == (want, want._chart)
+
+
+def word_loop_family(x, words, rng):
+    """Each word realized on the bouquet ``x``, a subdivided copy of it, and
+    the perturbations of both drawn at magnitudes 1/1000, 1/10 and 1."""
+    out = []
+    for w in words:
+        lp = realize_word(w, x)
+        params = oracles.params(lp.path)
+        sub = oracles.subdivide(lp, [params[1] / 2, F(rng.randint(1, 63), 64)])
+        out += [lp, sub]
+        out += [oracles.walked_loop(pi1._PerturbTable(a, b), rng) for a in (lp, sub) for b in (F(1, 1000), F(1, 10), F(1))]
+    return out
+
+
+def decorations(x, words, rng):
+    """The alpha decoration in Y of each word realized on the bouquet ``x``,
+    and its collapse back into X."""
+    out = []
+    for w in words:
+        decorated = alpha_decorate(include_in_y(realize_word(w, x)), rng)
+        out += [decorated, collapse_to_x(decorated)]
+    return out
+
+
+def assert_crossing_words_match(corpus):
+    """The word of each loop of ``corpus`` under classify_y, and under
+    classify_x for a loop in X, is oracles.crossing_word's, which reads no
+    chart; returns the count of letters read."""
+    letters = 0
+    for k, lp in enumerate(corpus):
+        want = oracles.crossing_word(lp)
+        if lp.space.kind is SpaceKind.BOUQUET_X:
+            assert classify_x(lp).word == want, k
+        assert classify_y(lp).word == want, k
+        letters += len(want)
+    return letters
+
+
+class TestCrossingWordOracle:
+    def test_matches_the_classifiers(self, x, y):
+        """The demo corpus, the mid-edge and corner-cutting loops, 30
+        random words under pow10 and 30 under cube with their families and
+        decorations, and 40 slsc samples in X and in Y."""
+        rng = random.Random(49)
+        corpus = demo_corpus(x) + [mid_edge_loop(x), corner_cut_loop(bouquet_x(20))]
+        for space in (x, bouquet_x(20, CUBE)):
+            words = [random_reduced_word(rng, 8) for _ in range(30)]
+            corpus += word_loop_family(space, words, rng) + decorations(space, words, rng)
+        corpus += [
+            pi1._sample_small_loop(space, radius, rng) for space in (x, y) for radius in (F(1, 4), F(49, 100)) for _ in range(10)
+        ]
+        assert assert_crossing_words_match(corpus) > 100
