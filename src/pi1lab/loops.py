@@ -4,10 +4,11 @@ A loop is a PLPath based at p = (0,0) whose every linear piece lies inside
 a single edge of the carrying space; this is checked exactly. Because every
 edge of the construction has p as an extreme point, a valid loop meets p
 only at breakpoints, so the decomposition into maximal excursions away from
-p is a pure breakpoint scan. Winding degrees are read off the chart: the
-edge changes only at a vertex, so each maximal run of pieces on one edge
-steps between vertices, and the degree is an integer sum of those steps,
-never a numeric arc length.
+p is a pure breakpoint scan. Winding degrees are read off the chart: edges
+0 and 2 of a circle form a tree through p, so an excursion's degree is its
+signed count of traversals of edge 1 (B -> D), and the edge changes only at
+a vertex, so that count is the chart's edge changes 1 -> 2 minus its
+changes 2 -> 1, never a numeric arc length.
 
 A loop is charted when built, or refused. Its chart is the edge each
 piece lies on (None for a constant piece). A loop of foreign geometry
@@ -46,9 +47,9 @@ equality and hashing read only the constructor's fields (a loop's chart is
 fixed by its path and space). A chart's edges are the int pairs of
 ``spaces``, (n, j) for edge j of C_n or ``ALPHA_EDGE``, so an excursion's
 component is the first entry of its edges, the circle index n or
-``ALPHA``, and the least edge through a point is the least pair. The lift
-of a winding degree compares vertex quads and reads each run's shared
-vertex and its step of +1, -1 or 0 from small tables.
+``ALPHA``, and the least edge through a point is the least pair. Each edge
+change of an excursion compares its point with the vertex the two edges
+share, read from a small table, by quads.
 """
 from __future__ import annotations
 
@@ -213,15 +214,8 @@ def _spans(loop: Loop) -> Tuple[tuple, ...]:
 
 # The vertices p, B, D of a circle are numbered 0, 1, 2, and edge j runs
 # from vertex j to vertex j + 1 mod 3. _SHARED[j][k] is the one vertex that
-# the distinct edges j and k share. _STEP[j][a][b] is the lifted step of a
-# run on edge j from vertex a to vertex b: +1 forward along the edge, -1
-# back, 0 when a == b, and None when edge j does not join a to b.
+# the distinct edges j and k share.
 _SHARED = ((None, 1, 0), (1, None, 2), (0, 2, None))
-_STEP = (
-    ((0, 1, None), (-1, 0, None), (None, None, 0)),
-    ((0, None, None), (None, 0, 1), (None, -1, 0)),
-    ((0, None, -1), (None, 0, None), (1, None, 0)),
-)
 
 
 def _scan(ts, qs, chart, space) -> Tuple[tuple, ...]:
@@ -230,18 +224,15 @@ def _scan(ts, qs, chart, space) -> Tuple[tuple, ...]:
 
     ``first`` and ``last`` index the breakpoints at p that bound the
     excursion; its component is the one first entry of its edges. Its
-    winding degree is the lift of its chart: the chart changes edge only at
-    the vertex the two edges share, and the excursion starts and ends at p,
-    so each maximal run of pieces on one edge goes from a vertex of that
-    edge to a vertex of it and lifts to a step of +1 (along the positive
-    cycle p -> B -> D -> p), -1 or 0 on the vertex numbering. The degree is
-    the sum of the steps divided by 3, so it depends only on the
-    combinatorial edge-crossing sequence. Each edge change compares the
-    point with the shared vertex by quads, and the shared vertex and the
-    step are lookups in ``_SHARED`` and ``_STEP``. An alpha excursion has
-    degree 0. A chart that names two components, changes edge away from
-    the shared vertex or whose lift does not close raises
-    ``InvalidLoopError``; ``_refuse`` gives an excursion that names two
+    winding degree is its signed count of traversals of edge 1 (B -> D).
+    The chart changes edge only at the vertex the two edges share, which
+    each change compares with the point by quads, and p only bounds the
+    excursion, so the degree is the count of changes 1 -> 2 minus the count
+    of changes 2 -> 1. An alpha excursion, and one charted on edge 1 alone,
+    has degree 0. A chart that names two components or changes edge away
+    from the shared vertex raises ``InvalidLoopError``, and so does an edge-1
+    run that would have to reach p: a first run that changes edge, or a
+    last run after a change. ``_refuse`` gives an excursion that names two
     components that error before any other.
     """
     base = ORIGIN._q
@@ -253,34 +244,30 @@ def _scan(ts, qs, chart, space) -> Tuple[tuple, ...]:
             pass
         elif n is None:
             n, run = ref
+            start, degree = run, 0  # the edge of its first run, its edge-1 traversals so far
             if n != ALPHA:
                 circ = space.circle(n)
                 vertex = (base, circ._apex_q, circ._tail_q)
-                lift = at = 0  # the lifted steps so far, the vertex the run started from
         elif ref[0] != n:
             _refuse(ts, qs, chart, first, None)
         elif ref[1] != run and n != ALPHA:
             j = ref[1]
-            v = _SHARED[run][j]
-            if qs[k] != vertex[v]:
+            if qs[k] != vertex[_SHARED[run][j]]:
                 _refuse(ts, qs, chart, first, "discontinuous chart sequence in excursion")
-            step = _STEP[run][at][v]
-            if step is None:
+            if start == 1:
                 _refuse(ts, qs, chart, first, "excursion lift does not close up at p")
-            lift += step
-            at, run = v, j
+            # a change past the vertex check joins edge 1 to edge 0 or 2 (0
+            # and 2 share only p), so this counts 1 -> 2 less 2 -> 1
+            degree += (j == 2) - (run == 2)
+            run = j
         if qs[k + 1] != base:
             continue
         if k > first:
             if n is None:
                 _refuse(ts, qs, chart, first, None)
-            if n == ALPHA:
-                out.append((n, first, k + 1, 0))
-            else:
-                step = _STEP[run][at][0]
-                if step is None or (lift + step) % 3 != 0:
-                    raise InvalidLoopError("excursion lift does not close up at p")
-                out.append((n, first, k + 1, (lift + step) // 3))
+            if run == 1 != start:
+                raise InvalidLoopError("excursion lift does not close up at p")
+            out.append((n, first, k + 1, degree))
         first, n = k + 1, None
     return tuple(out)
 

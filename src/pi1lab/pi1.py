@@ -116,12 +116,6 @@ def choose_n(loop: Loop) -> int:
     many circles, so N exists. (A nonzero degree forces a full traversal
     through the apex, so the apex condition already implies the degree
     condition; both are checked.) Both are read off the loop's spans.
-    """
-    return _cutoff(loop, _spans(loop))
-
-
-def _cutoff(loop: Loop, spans: Sequence[tuple]) -> int:
-    """choose_n of a loop from its spans.
 
     An excursion into C_n meets the apex B_n only at one of its
     breakpoints, so the apex test compares quads. Each of its pieces lies on
@@ -133,7 +127,7 @@ def _cutoff(loop: Loop, spans: Sequence[tuple]) -> int:
     """
     worst = 1
     qs = loop.path._qs
-    for n, a, b, d in spans:
+    for n, a, b, d in _spans(loop):
         if n <= worst:  # ALPHA is 0, below every circle index
             continue
         if d == 0:
@@ -154,13 +148,12 @@ def collapse_to_x(loop: Loop) -> Loop:
     chart is carried: kept pieces keep their circle edges, and each
     collapsed stretch is one constant piece.
     """
-    spans = _spans(loop)
-    cutoff = _cutoff(loop, spans)
+    cutoff = choose_n(loop)
     edges = loop._chart
     ts, qs = loop.path._ts, loop.path._qs
     new_ts, new_qs, new_edges = [], [], []
     k = 0  # the first breakpoint of the current kept run
-    for n, a, b, _ in spans:
+    for n, a, b, _ in _spans(loop):
         if n != ALPHA and n < cutoff:
             continue
         # keep breakpoints k..a, then one constant piece at p from a to b
@@ -181,7 +174,7 @@ def classify_y(loop: Loop) -> HomotopyClass:
 
     This is the word of ``collapse_to_x(loop)`` in X: the collapse keeps the
     excursions into C_n with n < N verbatim and contracts the rest, and
-    ``_cutoff`` puts every excursion of nonzero degree below N, so the
+    ``choose_n`` puts every excursion of nonzero degree below N, so the
     contracted excursions (alpha arcs and the degree-0 arcs beyond N) spell
     no letter in either loop. Accepts loops carried by X as well (the
     inclusion is a homeomorphism onto its image).

@@ -523,8 +523,8 @@ def backtracking_loop(x):
 
 
 class TestWindingOracle:
-    """The winding degree of the spans, read off vertex runs, equals the
-    j + u lift."""
+    """The winding degree of the spans, read off the chart's edge changes,
+    equals the j + u lift."""
 
     def assert_lift_agrees(self, lps):
         pairs = []
