@@ -952,7 +952,7 @@ def crossing_word(loop):
     among them, ends the run; so an alpha excursion spells nothing.
     """
     letters = []
-    run = side = None  # the circle of the current edge-1 run, its last nonzero side
+    run, side = None, 0  # the circle of the current edge-1 run, its last nonzero side
     for q in loop.path.points:
         n, s = edge_1_side(loop.space, q) or (None, 0)
         if n != run:
