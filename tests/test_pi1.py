@@ -307,6 +307,16 @@ class TestNondiscretenessProbe:
         assert not rep.passed
         assert any("gap" in dict(wit) for wit in rep.witnesses)
 
+    def test_bound_is_strict(self):
+        """A final distance equal to epsilon is not below it: under
+        uniform:1/4, f_2 is at sup distance exactly 1 from f."""
+        rep = probe_nondiscreteness_y(2, 1, compact_y(profile=profile_by_name("uniform:1/4")))
+        assert rep.table_rows[-1][2] == "1"
+        assert rep.verdict == FAIL
+        assert [dict(wit)["gap"] for wit in rep.witnesses] == [
+            "final sup distance is not yet below epsilon; enlarge n_max"
+        ]
+
     def test_distances_strictly_decreasing(self, y):
         rep = probe_nondiscreteness_y(10, F(1, 4), y)
         vals = [F(row[2]) for row in rep.table_rows]
