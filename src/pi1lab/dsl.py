@@ -58,19 +58,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Optional, Tuple, Union
 
 from .records import Record
-from .spaces import candidate_circle, profile_by_name
+from .spaces import MAX_CIRCLE_INDEX, candidate_circle, profile_by_name
 from .words import QUOTE_CHARS, Word, WordError, cut, parse_word, quote
 
-
-# Largest circle index a script may reach. Under pow10, a points loop on
-# C_1000 classifies in about 0.01 s, on C_10000 in 0.25 s and on C_40000 in
-# 2.2 s (pure-Python kernels, Python 3.11, one core of a 2-vCPU VM).
-MAX_CIRCLE_INDEX = 1000
 
 # Longest integer literal a script may hold: Python's default limit for
 # converting a decimal string to an int.
@@ -335,12 +329,11 @@ def _bits(q: Fraction) -> int:
     return q.numerator.bit_length() + q.denominator.bit_length()
 
 
-@lru_cache(maxsize=64)
 def _circle_prices(width: str):
     """n -> p(n) under the profile named ``width``: the squared bit size of
     C_n's width, in units of 2**16, read off the profile's width pairs,
-    which it evaluates once per index. Kept for the 64 profiles last asked
-    for."""
+    which it evaluates once per index. ``parse`` asks once per ``space``
+    statement, and that space's bindings and probes read the answer."""
     pair = profile_by_name(width).pair
 
     def price(n: int) -> int:
@@ -388,11 +381,10 @@ def _binding_price(expr: LoopExpr, letters: int) -> int:
     return a * letters + b * _literal_weight(expr)
 
 
-def _probe_price(kind: str, args: dict, loops: dict, width: str) -> int:
-    """The price of a probe in a space of ``width``. A count past
+def _probe_price(kind: str, args: dict, loops: dict, p) -> int:
+    """The price of a probe in a space of circle price ``p``. A count past
     MAX_SCRIPT_WORK is priced as MAX_SCRIPT_WORK, which alone passes the
     limit, so that no price outgrows what str() prints."""
-    p = _circle_prices(width)
     if kind in ("hausdorff", "nondiscreteness"):
         a, b = _PRICES[kind]
         top = args.get("up_to", args.get("n_max"))
@@ -629,6 +621,7 @@ def parse(text: str) -> Script:
     loops: dict = {}  # bound loop name -> (letters, weight)
     work = 0  # the price of every statement so far
     active_space: Optional[SpaceDecl] = None
+    price = None  # the active space's circle price
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         _check_literals(line, lineno)
@@ -660,6 +653,7 @@ def parse(text: str) -> Script:
             if hint > MAX_CIRCLE_INDEX:  # refused at the column of the hint
                 _check_index(hint, "space hint {}", lineno, col + len(_text(toks, 0, 5)) + len(toks[5][0]))
             st = active_space = spaces[name] = SpaceDecl(name, kind, hint, width)
+            price = _circle_prices(width)
             what = f"space {name}"
         elif head == "loop":
             name = toks[1][_NAME]
@@ -670,7 +664,7 @@ def parse(text: str) -> Script:
             expr = _expr(toks, 3, lineno, col, loops, 0)[0]
             if isinstance(expr, AlphaExpr) and active_space.kind != "Y":
                 raise DslError(lineno, col, "alpha.updown needs the compact space Y")
-            letters, weight = loops[name] = _measure(expr, loops, _circle_prices(active_space.width))
+            letters, weight = loops[name] = _measure(expr, loops, price)
             cost = _binding_price(expr, letters)
             st, what = LoopBinding(name, expr), f"loop {name}"
         elif head == "classify":
@@ -738,7 +732,7 @@ def parse(text: str) -> Script:
             if raw_args:
                 stray = sorted(raw_args)[0]
                 raise DslError(lineno, col, f"probe {kind} does not take {quote(stray)}")
-            cost = _probe_price(kind, dict(args), loops, active_space.width)
+            cost = _probe_price(kind, dict(args), loops, price)
             st, what = ProbeStmt(kind, tuple(args)), f"probe {kind}"
         elif head == "render":
             k = next(k for k in range(1, n + 1) if not toks[k][_NAME])

@@ -48,18 +48,6 @@ SEG_POINT = "point"
 SEG_OVERLAP = "overlap"
 
 
-def rred(n, d):
-    """Reduce n/d to lowest terms with a positive denominator."""
-    if d == 0:
-        raise ZeroDivisionError("rational with zero denominator")
-    if d < 0:
-        n, d = -n, -d
-    if n == 0:
-        return 0, 1
-    g = gcd(n, d)
-    return n // g, d // g
-
-
 def orient(p, q, r):
     """Sign of the cross product (q - p) x (r - p): +1 left turn, -1 right, 0 collinear."""
     pxn, pxd, pyn, pyd = p
@@ -214,8 +202,7 @@ def seg_intersect(a, b, c, d):
         # proper crossing: t = cross(c-a, d-c) / cross(b-a, d-c) along [a,b]
         num = _cross_of_diffs(a, c, c, d)
         den = _cross_of_diffs(a, b, c, d)
-        t = rred(num[0] * den[1], num[1] * den[0])
-        return (SEG_POINT, lerp(a, b, *t))
+        return (SEG_POINT, lerp(a, b, num[0] * den[1], num[1] * den[0]))
     # touching configurations: a single shared point if any
     for q, s0, s1 in ((c, a, b), (d, a, b), (a, c, d), (b, c, d)):
         if on_segment(q, s0, s1):

@@ -221,35 +221,28 @@ def probe_nondiscreteness_y(
     rows = []
     witnesses = []
     prev: Optional[Fraction] = None
-    last_sq: Optional[Fraction] = None
-    words_ok = word_f.is_identity
-    decreasing = True
     for n in range(2, n_max + 1):
         fn = standard_fn(n, space)
         d = sup_distance(fn.path, f.path)
         w = classify_y(fn).word
         rows.append((str(n), format_word(w), text(d.squared), d.decimal(digits)))
         if w.is_identity:
-            words_ok = False
             witnesses.append((("n", str(n)), ("reason", "circle loop classified as identity")))
         if prev is not None and not d.squared < prev:
-            decreasing = False
             witnesses.append(
                 (("n", str(n)), ("d_sq", text(d.squared)), ("not_below_previous", text(prev)))
             )
         prev = d.squared
-        last_sq = d.squared
-    below = last_sq < epsilon * epsilon
-    if not below:
+    if not prev < epsilon * epsilon:
         witnesses.append(
             (
                 ("n", str(n_max)),
-                ("d_sq", text(last_sq)),
+                ("d_sq", text(prev)),
                 ("epsilon", str(epsilon)),
                 ("gap", "final sup distance is not yet below epsilon; enlarge n_max"),
             )
         )
-    verdict = PASS if (below and decreasing and words_ok) else FAIL
+    verdict = PASS if word_f.is_identity and not witnesses else FAIL
     return ProbeReport(
         probe="nondiscreteness-Y",
         claim=(
@@ -554,7 +547,6 @@ def probe_discreteness_x(
     mn, md = magnitude.numerator ** 2, magnitude.denominator ** 2
     max_n, max_d = 0, 1
     witnesses = []
-    agree = 0
     space, ts0, qs0 = loop.space, loop.path._ts, loop.path._qs
     for trial in range(trials):
         ts, qs, chart = table.walk(rng)
@@ -564,9 +556,7 @@ def probe_discreteness_x(
         if n * max_d > max_n * d:
             max_n, max_d = n, d
         syllables = _syllables(_scan(ts, qs, chart, space), ts, SpaceKind.BOUQUET_X)
-        if syllables == base_word.syllables:
-            agree += 1
-        else:
+        if syllables != base_word.syllables:
             witnesses.append(
                 (
                     ("trial", str(trial)),
@@ -593,7 +583,7 @@ def probe_discreteness_x(
             ("stability_radius_dec", rational_decimal(rho, digits)),
             ("seed", str(seed)),
             ("max_perturbation_sq_seen", text(Fraction(max_n, max_d), "max_perturbation_sq_seen")),
-            ("agreeing_trials", str(agree)),
+            ("agreeing_trials", str(trials - len(witnesses))),
         ),
         witnesses=tuple(witnesses),
     )
@@ -666,7 +656,6 @@ def probe_isomorphism_roundtrip(
     x_space = y_space.sibling(SpaceKind.BOUQUET_X)
     rng = random.Random(seed)
     witnesses = []
-    checked = 0
     for k in range(count):
         w = random_reduced_word(rng, max_len)
         # the induced map: the word of the realized loop, read in Y
@@ -678,7 +667,6 @@ def probe_isomorphism_roundtrip(
         collapsed_ok = (
             collapsed.space.kind is SpaceKind.BOUQUET_X and validate(collapsed) is None
         )
-        checked += 1
         if not (s_y == s_dec == w.syllables and collapsed_ok):
             witnesses.append(
                 (
@@ -698,7 +686,7 @@ def probe_isomorphism_roundtrip(
         parameters=(
             ("space", str(y_space.kind)),
             ("width_profile", y_space.profile.name),
-            ("words", str(checked)),
+            ("words", str(count)),
             ("max_len", str(max_len)),
             ("seed", str(seed)),
         ),

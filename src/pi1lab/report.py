@@ -27,12 +27,12 @@ class ProbeParameterError(Exception):
     """A probe was given parameters it cannot be run or reported with."""
 
 
-def report_digits(default: int = 40) -> int:
-    """Decimal places used in report renderings; override with PI1LAB_DIGITS,
-    an integer from 1 to MAX_REPORT_DIGITS."""
+def report_digits() -> int:
+    """Decimal places used in report renderings: 40, or PI1LAB_DIGITS, an
+    integer from 1 to MAX_REPORT_DIGITS."""
     raw = os.environ.get(_DIGITS_ENV)
     if raw is None:
-        return default
+        return 40
     try:
         val = int(raw)
     except ValueError as exc:

@@ -9,7 +9,7 @@ w(n) = 1 / 10**(10*n). The compact space Y adds the vertical segment
 alpha = [(0,0), (0,1)], the Hausdorff limit of the C_n.
 
 A width is read as the reduced int pair (wn, wd) of w(n) = wn/wd, which
-its profile evaluates once per index up to KEPT_PAIR_INDEX and keeps
+its profile evaluates once per index up to MAX_CIRCLE_INDEX and keeps
 (``WidthProfile.pair``): every build, certificate and script price of a
 profile reads the same pairs. Measured with tracemalloc, the pairs of
 pow10 hold 25 KiB through n = 90 and 2.2 MiB through n = 1000, and those of
@@ -21,9 +21,10 @@ reduced pair wn/wd, D_n is ((wd + n**2*wn) / (n*wd), (wd - wn) / wd), so
 its height keeps w(n) as wn = yd - yn and wd = yd. Its x is reduced by
 h = gcd(n**2, wd mod n**2) and k = gcd((xn/h) mod n, n), whose product is
 gcd(xn, n*wd) (``build_circle`` proves it), so no gcd runs on the
-10n-digit pair of pow10. A circle holds the quads of B_n and D_n only: its
-Point2 apex and tail are views built on each read, and its Segment edges
-are built on their first read and kept. Building, certifying, locating
+10n-digit pair of pow10. A circle is built from its index and the quads of
+B_n and D_n only, ``Circle(n, apex_q, tail_q)``, and its fields are index,
+apex and tail: its Point2 apex and tail are views built on each read, and
+its Segment edges are built on their first read and kept. Building, certifying, locating
 points and checking disjointness read the quads; only a disjointness
 witness wraps points. C_n (n >= 3) is accepted only if w(n) < w(n-1) and D_n lies
 strictly left of the ray p -> B_{n-1}.
@@ -67,16 +68,18 @@ class SpaceKind(str, Enum):
         return self.value
 
 
-# Largest index whose width pair a profile keeps: the largest circle index a
-# script or a CLI loop literal reaches (dsl.MAX_CIRCLE_INDEX).
-KEPT_PAIR_INDEX = 1000
+# Largest circle index a script or a CLI option reaches, and the largest
+# index whose width pair a profile keeps. Under pow10, a points loop on
+# C_1000 classifies in about 0.01 s, on C_10000 in 0.25 s and on C_40000 in
+# 2.2 s (pure-Python kernels, Python 3.11, one core of a 2-vCPU VM).
+MAX_CIRCLE_INDEX = 1000
 
 
 class WidthProfile(Record):
     """Positive, strictly decreasing cap-width sequence for the triangles.
 
     ``fn`` must be a pure function of n, as a width sequence is: the
-    profile calls it at most once per index n <= KEPT_PAIR_INDEX and keeps
+    profile calls it at most once per index n <= MAX_CIRCLE_INDEX and keeps
     w(n) as its reduced int pair (``pair``) for the profile's lifetime: one
     pair per index asked for, about 4.4 * n bytes at index n under pow10
     (the module docstring gives the totals). A larger index calls ``fn`` on
@@ -92,7 +95,7 @@ class WidthProfile(Record):
         self._pairs: Dict[int, Tuple[int, int]] = {}
 
     def pair(self, n: int) -> Tuple[int, int]:
-        """w(n) as the reduced pair (wn, wd), wd > 0; for n <= KEPT_PAIR_INDEX
+        """w(n) as the reduced pair (wn, wd), wd > 0; for n <= MAX_CIRCLE_INDEX
         ``fn`` is called on the first request for n only."""
         wp = self._pairs.get(n)
         if wp is None:
@@ -100,7 +103,7 @@ class WidthProfile(Record):
             if type(w) is not Fraction:
                 w = Fraction(w)
             wp = (w.numerator, w.denominator)
-            if n <= KEPT_PAIR_INDEX:
+            if n <= MAX_CIRCLE_INDEX:
                 self._pairs[n] = wp
         return wp
 
@@ -137,22 +140,21 @@ class Circle(Record):
     the edge cycle is the generator g_n.
 
     A circle is its index and the kernel quads of B_n and D_n
-    (``_apex_q``, ``_tail_q``), which readers inside the package use.
-    ``apex`` and ``tail`` are Point2 views built on each read; ``edges``
-    is built on its first read and kept, so each edge brackets its length
-    once. Builders go through ``_circle``, which wraps no point;
-    ``Circle(index, apex, tail, edges)`` keeps the edges it is given.
-    Equality, hash and repr read the fields index, apex, tail and edges.
+    (``Circle(index, apex_q, tail_q)``), which readers inside the package
+    use as ``_apex_q`` and ``_tail_q``. ``apex`` and ``tail`` are Point2
+    views built on each read; ``edges`` is built on its first read and
+    kept, so each edge brackets its length once. Equality, hash and repr
+    read the fields index, apex and tail.
     """
 
     __slots__ = ("index", "_apex_q", "_tail_q", "_edges")
-    _fields = ("index", "apex", "tail", "edges")
+    _fields = ("index", "apex", "tail")
 
-    def __init__(self, index: int, apex: Point2, tail: Point2, edges: Tuple[Segment, Segment, Segment]):
+    def __init__(self, index: int, apex_q: tuple, tail_q: tuple):
         self.index = index
-        self._apex_q = apex._q
-        self._tail_q = tail._q
-        self._edges = edges
+        self._apex_q = apex_q
+        self._tail_q = tail_q
+        self._edges = None
 
     @property
     def apex(self) -> Point2:
@@ -169,17 +171,6 @@ class Circle(Record):
             apex, tail = self.apex, self.tail
             edges = self._edges = (Segment(ORIGIN, apex), Segment(apex, tail), Segment(tail, ORIGIN))
         return edges
-
-
-def _circle(index: int, apex_q: tuple, tail_q: tuple) -> Circle:
-    """The circle of the reduced quads of B_n and D_n, with no Point2 and no
-    Segment built."""
-    circ = object.__new__(Circle)
-    circ.index = index
-    circ._apex_q = apex_q
-    circ._tail_q = tail_q
-    circ._edges = None
-    return circ
 
 
 def _edge_quads(circ: Circle) -> tuple:
@@ -217,7 +208,7 @@ def build_circle(n: int, width_profile: WidthProfile = POW10) -> Circle:
     if k > 1:
         xn, xd = xn // k, xd // k
     # gcd(wd - wn, wd) = gcd(wn, wd) = 1, so the height is reduced
-    return _circle(n, (1, n, 1, 1), (xn, xd, wd - wn, wd))
+    return Circle(n, (1, n, 1, 1), (xn, xd, wd - wn, wd))
 
 
 # An edge is the int pair (n, j): edge j of C_n, with j in {0: p->B, 1: B->D,
@@ -330,23 +321,6 @@ class SpaceHandle(Record):
 
     # -- point queries -------------------------------------------------------
 
-    def _circle_edges_at(self, q: tuple) -> Tuple[EdgeRef, ...]:
-        """Edges through the point of quad q of the one circle whose cone can
-        hold it: two at B_n or D_n, found by their quads, else the first edge
-        that holds q."""
-        if q[0] <= 0:
-            return ()
-        circ = self.circle(candidate_circle(q))
-        n = circ.index
-        if q == circ._apex_q:
-            return ((n, 0), (n, 1))
-        if q == circ._tail_q:
-            return ((n, 1), (n, 2))
-        for j, (a, b) in enumerate(_edge_quads(circ)):
-            if kernels.on_segment(q, a, b):
-                return ((n, j),)
-        return ()
-
     def membership(self, q: Point2) -> Membership:
         """Exact stratum classification of a point: p, else the first edge
         that ``edges_containing`` finds through it."""
@@ -361,12 +335,26 @@ class SpaceHandle(Record):
 
     def edges_containing(self, q: tuple) -> Tuple[EdgeRef, ...]:
         """All edges through the non-base point of kernel quad ``q`` (one, or
-        two at a triangle vertex); alpha and the circles share only p."""
+        two at a triangle vertex); alpha and the circles share only p. Off
+        alpha, only the one circle whose cone can hold q is looked at: two
+        edges at B_n or D_n, found by their quads, else the first edge that
+        holds q."""
         if q == ORIGIN._q:
             raise SpaceError("edges_containing expects a point other than p")
         if self.has_alpha and kernels.on_segment(q, ALPHA_SEGMENT.a._q, ALPHA_SEGMENT.b._q):
             return (ALPHA_EDGE,)
-        return self._circle_edges_at(q)
+        if q[0] <= 0:
+            return ()
+        circ = self.circle(candidate_circle(q))
+        n = circ.index
+        if q == circ._apex_q:
+            return ((n, 0), (n, 1))
+        if q == circ._tail_q:
+            return ((n, 1), (n, 2))
+        for j, (a, b) in enumerate(_edge_quads(circ)):
+            if kernels.on_segment(q, a, b):
+                return ((n, j),)
+        return ()
 
     def edge_segment(self, ref: EdgeRef) -> Segment:
         n, j = ref
@@ -401,22 +389,16 @@ def compact_y(hint: int = 32, profile: WidthProfile = POW10) -> SpaceHandle:
     return SpaceHandle(SpaceKind.COMPACT_Y, profile, hint)
 
 
-_default_x: Optional[SpaceHandle] = None
-_default_y: Optional[SpaceHandle] = None
+_DEFAULT_X = bouquet_x(hint=64)
+_DEFAULT_Y = _DEFAULT_X.sibling(SpaceKind.COMPACT_Y)
 
 
 def default_x() -> SpaceHandle:
-    global _default_x
-    if _default_x is None:
-        _default_x = bouquet_x(hint=64)
-    return _default_x
+    return _DEFAULT_X
 
 
 def default_y() -> SpaceHandle:
-    global _default_y
-    if _default_y is None:
-        _default_y = default_x().sibling(SpaceKind.COMPACT_Y)
-    return _default_y
+    return _DEFAULT_Y
 
 
 def _pair_intersection_violations(c1: Circle, c2: Circle):

@@ -9,7 +9,7 @@ the picture is upright in SVG's y-down convention.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .exactnum import rational_decimal
 from .loops import Loop
@@ -24,18 +24,14 @@ _STYLE = (
 )
 
 
-def _dec(value: Fraction, digits: int) -> str:
-    return rational_decimal(value, digits)
-
-
 def _coords(q: tuple, digits: int) -> Tuple[str, str]:
     """x and the negated y of the point of kernel quad ``q``, as decimals."""
-    return _dec(Fraction(q[0], q[1]), digits), _dec(Fraction(-q[2], q[3]), digits)
+    return rational_decimal(Fraction(q[0], q[1]), digits), rational_decimal(Fraction(-q[2], q[3]), digits)
 
 
-def _space_segments(space: SpaceHandle, upto: Optional[int]) -> Tuple[Tuple[str, tuple, tuple], ...]:
-    """(class, start quad, end quad) of each segment of the space drawn."""
-    upto = upto if upto is not None else space.hint
+def _space_segments(space: SpaceHandle, upto: int) -> Tuple[Tuple[str, tuple, tuple], ...]:
+    """(class, start quad, end quad) of each segment of the space drawn, up
+    to circle ``upto``."""
     out = []
     for n in range(2, upto + 1):
         out.extend(("circle", a, b) for a, b in _edge_quads(space.circle(n)))
@@ -45,7 +41,7 @@ def _space_segments(space: SpaceHandle, upto: Optional[int]) -> Tuple[Tuple[str,
 
 
 def render_scene(
-    spaces: Sequence[Tuple[SpaceHandle, Optional[int]]] = (),
+    spaces: Sequence[Tuple[SpaceHandle, int]] = (),
     loops: Sequence[Loop] = (),
     digits: int = 6,
 ) -> str:
@@ -70,8 +66,8 @@ def render_scene(
         min_x, max_x = min(xs) - pad, max(xs) + pad
         min_y, max_y = min(ys) - pad, max(ys) + pad
         viewbox = (
-            f"{_dec(min_x, digits)} {_dec(min_y, digits)} "
-            f"{_dec(max_x - min_x, digits)} {_dec(max_y - min_y, digits)}"
+            f"{rational_decimal(min_x, digits)} {rational_decimal(min_y, digits)} "
+            f"{rational_decimal(max_x - min_x, digits)} {rational_decimal(max_y - min_y, digits)}"
         )
     else:
         viewbox = "0 0 1 1"
@@ -90,7 +86,7 @@ def render_scene(
 
 def write_scene(
     path: str,
-    spaces: Sequence[Tuple[SpaceHandle, Optional[int]]] = (),
+    spaces: Sequence[Tuple[SpaceHandle, int]] = (),
     loops: Sequence[Loop] = (),
     digits: int = 6,
 ) -> str:

@@ -999,8 +999,7 @@ def build_circle(n, width_profile=POW10):
     tail = Point2(apex.x + w * n, apex.y - w)
     if orient(ORIGIN._q, apex._q, tail._q) == 0:
         raise SpaceConsistencyError(f"degenerate circle {n}: vertices collinear")
-    edges = (Segment(ORIGIN, apex), Segment(apex, tail), Segment(tail, ORIGIN))
-    return Circle(n, apex, tail, edges)
+    return Circle(n, apex._q, tail._q)
 
 
 def certify(circ, profile):

@@ -2,7 +2,6 @@
 from fractions import Fraction
 
 import oracles
-import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from pi1lab import kernels as k
@@ -15,12 +14,6 @@ def q(x, y) -> tuple:
 
 
 class TestContracts:
-    def test_rred(self):
-        assert k.rred(6, -4) == (-3, 2)
-        assert k.rred(0, 7) == (0, 1)
-        with pytest.raises(ZeroDivisionError):
-            k.rred(1, 0)
-
     def test_orient(self):
         assert k.orient(q(0, 0), q(1, 0), q(0, 1)) == 1
         assert k.orient(q(0, 0), q(0, 1), q(1, 0)) == -1

@@ -77,8 +77,8 @@ RECORDS = [
     ),
     (lambda: WidthProfile("w", _fn), fields(name="w", fn=_fn)),
     (
-        lambda: Circle(3, _C3.apex, _C3.tail, _C3.edges),
-        fields(index=3, apex=_C3.apex, tail=_C3.tail, edges=_C3.edges),
+        lambda: Circle(3, _C3._apex_q, _C3._tail_q),
+        fields(index=3, apex=_C3.apex, tail=_C3.tail),
     ),
     (lambda: Membership("circle", 3, 1), fields(kind="circle", circle_index=3, edge_index=1)),
     (lambda: Word(((2, 3), (5, -1))), fields(syllables=((2, 3), (5, -1)))),

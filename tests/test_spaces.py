@@ -253,23 +253,18 @@ class TestWidthPairs:
             assert hausdorff_convergence(y, 40).passed
             assert verify_disjointness(y, 40).passed
         monkeypatch.setattr(dsl, "profile_by_name", lambda name: profile)
-        dsl._circle_prices.cache_clear()
-        try:
-            dsl.parse(
-                "space S = Y(40) width=pow10\nloop a = word g2 g40\nprobe hausdorff up_to=40\n"
-                "probe disjointness up_to=40\nprobe nondiscreteness n_max=40 epsilon=1/10\n"
-            )
-        finally:
-            dsl._circle_prices.cache_clear()
+        dsl.parse(
+            "space S = Y(40) width=pow10\nloop a = word g2 g40\nprobe hausdorff up_to=40\n"
+            "probe disjointness up_to=40\nprobe nondiscreteness n_max=40 epsilon=1/10\n"
+        )
         assert calls == Counter(range(2, 41))
 
     def test_pairs_kept_up_to_the_script_cap(self):
         """Kept pairs are never freed, so only indices a script or the CLI
         reaches are kept: a pow10 pair past the cap would hold about
         4.4 * n bytes for good."""
-        assert spaces.KEPT_PAIR_INDEX == dsl.MAX_CIRCLE_INDEX
         profile, calls = counted_pow10()
-        cap = spaces.KEPT_PAIR_INDEX
+        cap = spaces.MAX_CIRCLE_INDEX
         for n in (cap, cap + 1, cap, cap + 1):
             assert profile.pair(n) == (1, 10 ** (10 * n))
         assert calls == {cap: 1, cap + 1: 2}
