@@ -55,7 +55,7 @@ class Point2:
     The quad is the point: both coordinates are in lowest terms with a
     positive denominator, so two points are equal exactly when their quads
     are, and equality and hashing compare quads. ``Point2(x, y)`` takes
-    ints, strings or Fractions. The coordinates ``x`` and ``y`` are
+    ints, strings or Fractions, as ``rat`` does. The coordinates ``x`` and ``y`` are
     Fractions built from the quad on each read. Inside the package points
     travel as bare quads; a ``Point2`` is built only where one is handed
     out, such as a circle's vertices, a segment's ends or a path's
@@ -66,9 +66,9 @@ class Point2:
 
     def __init__(self, x, y):
         if type(x) is not Fraction:
-            x = Fraction(x)
+            x = rat(x)
         if type(y) is not Fraction:
-            y = Fraction(y)
+            y = rat(y)
         self._q = (x.numerator, x.denominator, y.numerator, y.denominator)
 
     @property
@@ -179,7 +179,7 @@ class PLPath(Record):
 
     def __init__(self, breakpoints):
         bks = tuple(breakpoints)
-        params = (t if type(t) is Fraction else Fraction(t) for t, _ in bks)
+        params = (t if type(t) is Fraction else rat(t) for t, _ in bks)
         _fill(self, tuple((t.numerator, t.denominator) for t in params), tuple(p._q for _, p in bks))
 
     @property
@@ -197,7 +197,7 @@ class PLPath(Record):
 
     def at(self, t) -> Point2:
         """Exact evaluation by linear interpolation; t must lie in [0, 1]."""
-        t = Fraction(t)
+        t = rat(t)
         if t < 0 or t > 1:
             raise ParameterRangeError(f"parameter {t} outside [0, 1]")
         tn, td = tq = (t.numerator, t.denominator)

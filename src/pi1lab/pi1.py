@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 from . import kernels
 from .exactnum import dyadic_sqrt_bounds, rational_decimal
-from .geometry import ORIGIN, _path, _sup_merge, sup_distance
+from .geometry import ORIGIN, _path, _sup_merge, rat, sup_distance
 from .loops import (
     Loop,
     _charted,
@@ -205,7 +205,7 @@ def probe_nondiscreteness_y(
     """
     if n_max < 2:
         raise ProbeParameterError("n_max must be at least 2")
-    epsilon = Fraction(epsilon)
+    epsilon = rat(epsilon)
     if epsilon <= 0:
         raise ProbeParameterError("epsilon must be positive")
     space = space if space is not None else default_y()
@@ -526,7 +526,7 @@ def probe_discreteness_x(
         raise ProbeParameterError("discreteness is probed in the bouquet X")
     if trials < 1:
         raise ProbeParameterError("trials must be positive")
-    magnitude = Fraction(magnitude)
+    magnitude = rat(magnitude)
     if magnitude <= 0:
         raise ProbeParameterError("magnitude must be positive")
 
@@ -698,7 +698,7 @@ def loop_in_ball(loop: Loop, radius: Fraction) -> bool:
     """Exactly decide whether the loop's image lies in the closed ball at p.
 
     A ball of negative radius is empty, and a loop's image is not."""
-    r = Fraction(radius)
+    r = rat(radius)
     if r < 0:
         return False
     rn, rd = r.numerator**2, r.denominator**2
@@ -786,7 +786,7 @@ def probe_slsc_y(
     every admitted ball. So a loop in the ball has no excursion of nonzero
     degree, and its word is the identity.
     """
-    radius = Fraction(radius)
+    radius = rat(radius)
     if not 0 < radius < Fraction(1, 2):
         raise ProbeParameterError("radius must lie strictly between 0 and 1/2")
     if samples < 1:

@@ -78,8 +78,8 @@ MAX_CIRCLE_INDEX = 1000
 class WidthProfile(Record):
     """Positive, strictly decreasing cap-width sequence for the triangles.
 
-    ``fn`` must be a pure function of n, as a width sequence is: the
-    profile calls it at most once per index n <= MAX_CIRCLE_INDEX and keeps
+    ``fn`` must be a pure function of n, as a width sequence is, whose
+    values ``rat`` accepts (a float is refused): the profile calls it at most once per index n <= MAX_CIRCLE_INDEX and keeps
     w(n) as its reduced int pair (``pair``) for the profile's lifetime: one
     pair per index asked for, about 4.4 * n bytes at index n under pow10
     (the module docstring gives the totals). A larger index calls ``fn`` on
@@ -101,7 +101,7 @@ class WidthProfile(Record):
         if wp is None:
             w = self.fn(n)
             if type(w) is not Fraction:
-                w = Fraction(w)
+                w = rat(w)
             wp = (w.numerator, w.denominator)
             if n <= MAX_CIRCLE_INDEX:
                 self._pairs[n] = wp

@@ -27,7 +27,16 @@ from pi1lab.geometry import (
     segments_intersect,
     sup_distance,
 )
-from pi1lab.spaces import candidate_circle, circle_alpha_hausdorff_sq, compact_y, uniform_profile
+from pi1lab.loops import standard_f, standard_fn
+from pi1lab.pi1 import loop_in_ball, probe_discreteness_x, probe_nondiscreteness_y, probe_slsc_y
+from pi1lab.spaces import (
+    WidthProfile,
+    bouquet_x,
+    candidate_circle,
+    circle_alpha_hausdorff_sq,
+    compact_y,
+    uniform_profile,
+)
 
 F = Fraction
 
@@ -43,6 +52,28 @@ def alpha_updown() -> PLPath:
 
 def constant_path() -> PLPath:
     return pl_path([(0, 0, 0), (1, 0, 0)])
+
+
+# Each entry of the Python API that takes a rational, given a float.
+FLOAT_ENTRIES = {
+    "Point2.x": lambda: Point2(0.5, 0),
+    "Point2.y": lambda: Point2(0, 0.5),
+    "PLPath": lambda: PLPath([(0, point(0, 0)), (0.5, point(0, 1)), (1, point(0, 0))]),
+    "PLPath.at": lambda: alpha_updown().at(0.25),
+    "probe_nondiscreteness_y": lambda: probe_nondiscreteness_y(4, 0.1),
+    "probe_discreteness_x": lambda: probe_discreteness_x(standard_fn(2, bouquet_x()), 2, 0.001),
+    "probe_slsc_y": lambda: probe_slsc_y(0.25, 2),
+    "loop_in_ball": lambda: loop_in_ball(standard_f(compact_y()), 0.5),
+    "WidthProfile.fn": lambda: compact_y(profile=WidthProfile("halves", lambda n: 0.5 / n)).circle(2),
+}
+
+
+@pytest.mark.parametrize("entry", FLOAT_ENTRIES)
+def test_floats_are_refused(entry):
+    """No float enters a circle, a path or a report: each entry refuses one
+    as ``point`` does."""
+    with pytest.raises(TypeError, match="^floats are not accepted; pass an int, string or Fraction$"):
+        FLOAT_ENTRIES[entry]()
 
 
 class TestEval:
