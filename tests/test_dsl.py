@@ -470,6 +470,26 @@ class TestInputBudgets:
             )
         assert most["b"] > 50 * most["a"] >= 50 * most["k"]
 
+    def test_each_space_prices_its_own_statements(self):
+        """Bindings and probes are priced under the width of the space
+        declared last before them, not of an earlier one: every circle price
+        is 0 under cube, and p(1000) is not under pow10."""
+        cube, pow10 = "space C = Y(5) width=cube\n", "space P = Y(5)\n"
+        probe = "probe hausdorff up_to=1000\n"
+        dsl.parse(pow10 + cube + probe)
+        with pytest.raises(dsl.DslError) as err:
+            dsl.parse(cube + pow10 + probe)
+        cost = 100 + sum(120 + 9 * p10(n) for n in range(2, 1001))
+        assert err.value.message.startswith(f"probe hausdorff costs {cost} units of work")
+        body = cube + pow10 + "loop h = C(1000).once\ndist h h\n"
+        cost = 100 + 2 * 150 + 18 * 2 * p10(1000)
+        room = self.LIMIT - 100 - 100 - (100 + 70) - cost
+        dsl.parse(filler(room) + body)
+        with pytest.raises(dsl.DslError) as err:
+            dsl.parse(filler(room + 1) + body)
+        assert (err.value.line, err.value.col) == (7, 1)
+        assert err.value.message.startswith(f"dist h h costs {cost} units of work")
+
     def test_radius_work_budget(self):
         """The stability radius costs 30 per letter of the loop plus 15
         times its weight, one point-to-edge distance per adjacent pair of
