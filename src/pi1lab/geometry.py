@@ -55,8 +55,8 @@ class Point2:
     The quad is the point: both coordinates are in lowest terms with a
     positive denominator, so two points are equal exactly when their quads
     are, and equality and hashing compare quads. ``Point2(x, y)`` takes
-    ints, strings or Fractions, as ``rat`` does. The coordinates ``x`` and ``y`` are
-    Fractions built from the quad on each read. Inside the package points
+    ints, strings or Fractions, as ``rat`` does. The coordinates ``x`` and
+    ``y`` are Fractions built from the quad on each read. Inside the package points
     travel as bare quads; a ``Point2`` is built only where one is handed
     out, such as a circle's vertices, a segment's ends or a path's
     ``points`` view.

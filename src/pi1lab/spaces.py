@@ -24,9 +24,9 @@ gcd(xn, n*wd) (``build_circle`` proves it), so no gcd runs on the
 10n-digit pair of pow10. A circle is built from its index and the quads of
 B_n and D_n only, ``Circle(n, apex_q, tail_q)``, and its fields are index,
 apex and tail: its Point2 apex and tail are views built on each read, and
-its Segment edges are built on their first read and kept. Building, certifying, locating
-points and checking disjointness read the quads; only a disjointness
-witness wraps points. C_n (n >= 3) is accepted only if w(n) < w(n-1) and D_n lies
+its Segment edges are built on their first read and kept. Building,
+certifying, locating points and checking disjointness read the quads; only
+a disjointness witness wraps points. C_n (n >= 3) is accepted only if w(n) < w(n-1) and D_n lies
 strictly left of the ray p -> B_{n-1}.
 The cross product (B_{n-1} - p) x (D_n - p) is (1 - w)/(n-1) - (1/n + n*w),
 and n*(n-1) times it is 1 - w(n) * (n**3 - n**2 + n), so the test is the
@@ -78,12 +78,13 @@ MAX_CIRCLE_INDEX = 1000
 class WidthProfile(Record):
     """Positive, strictly decreasing cap-width sequence for the triangles.
 
-    ``fn`` must be a pure function of n, as a width sequence is, whose
-    values ``rat`` accepts (a float is refused): the profile calls it at most once per index n <= MAX_CIRCLE_INDEX and keeps
-    w(n) as its reduced int pair (``pair``) for the profile's lifetime: one
-    pair per index asked for, about 4.4 * n bytes at index n under pow10
-    (the module docstring gives the totals). A larger index calls ``fn`` on
-    every request, so the pairs held stay bounded whatever index is asked.
+    ``fn`` must be a pure function of n, as a width sequence is, and return
+    a value ``rat`` accepts (a float is refused): the profile calls it at
+    most once per index n <= MAX_CIRCLE_INDEX and keeps w(n) as its reduced
+    int pair (``pair``) for the profile's lifetime: one pair per index
+    asked for, about 4.4 * n bytes at index n under pow10 (the module
+    docstring gives the totals). A larger index calls ``fn`` on every
+    request, so the pairs held stay bounded whatever index is asked.
     """
 
     __slots__ = ("name", "fn", "_pairs")
