@@ -55,8 +55,6 @@ from .spaces import (
     build_circle,
     compact_y,
     component_name,
-    default_x,
-    default_y,
     hausdorff_convergence,
     profile_by_name,
     verify_disjointness,

@@ -62,7 +62,6 @@ from .spaces import (
     SpaceHandle,
     SpaceKind,
     compact_y,
-    default_y,
     hausdorff_convergence,
     profile_by_name,
     verify_disjointness,
@@ -252,7 +251,8 @@ def _cmd_render(args) -> int:
 def _one_off_loops(*literals: str) -> List[Loop]:
     exprs = dsl.parse_loop_literals(literals)
     runner = _Runner()
-    return [runner.eval_expr(expr, default_y()) for expr in exprs]
+    space = compact_y()
+    return [runner.eval_expr(expr, space) for expr in exprs]
 
 
 def _cmd_word(args) -> int:
@@ -267,7 +267,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_hausdorff(args) -> int:
-    rep = hausdorff_convergence(default_y(), args.upto)
+    rep = hausdorff_convergence(compact_y(), args.upto)
     print(rep.render().rstrip("\n"))
     return 0 if rep.passed else 1
 

@@ -62,13 +62,13 @@ def sqrt_decimal(q: Fraction, digits: int) -> str:
     return _format_scaled(fl, digits)
 
 
-def dyadic_sqrt_bounds(q: Fraction, bits: int = 40) -> tuple:
-    """Exact dyadic bracket (lo, hi) with lo <= sqrt(q) <= hi, hi - lo <= 2**-bits."""
+def dyadic_sqrt_bounds(q: Fraction) -> tuple:
+    """Exact dyadic bracket (lo, hi) with lo <= sqrt(q) <= hi, hi - lo <= 2**-40."""
     if q < 0:
         raise ValueError("cannot take the square root of a negative value")
-    scale = 1 << bits
+    scale = 1 << 40
     n, d = q.numerator, q.denominator
-    lo_int = isqrt((n * scale * scale) // d)  # floor(sqrt(q) * 2**bits)
+    lo_int = isqrt((n * scale * scale) // d)  # floor(sqrt(q) * 2**40)
     lo = Fraction(lo_int, scale)
     hi = Fraction(lo_int + 1, scale)
     if lo * lo == q:

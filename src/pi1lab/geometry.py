@@ -24,10 +24,8 @@ from .records import Record
 DEFAULT_DIGITS = 40
 
 
-def rat(value, den=None) -> Fraction:
+def rat(value) -> Fraction:
     """Coerce ints, strings like ``'1/3'``, or Fractions to an exact rational."""
-    if den is not None:
-        return Fraction(value, den)
     if isinstance(value, float):
         raise TypeError("floats are not accepted; pass an int, string or Fraction")
     return Fraction(value)

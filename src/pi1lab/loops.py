@@ -67,8 +67,6 @@ from .spaces import (
     SpaceHandle,
     SpaceKind,
     component_name,
-    default_x,
-    default_y,
 )
 from .words import Word, cut
 
@@ -294,11 +292,10 @@ def constant_loop(space: SpaceHandle) -> Loop:
     return _charted(_path(((0, 1), (1, 1)), (ORIGIN._q, ORIGIN._q)), space, (None,))
 
 
-def standard_f(space: Optional[SpaceHandle] = None) -> Loop:
+def standard_f(space: SpaceHandle) -> Loop:
     """The up-and-down traversal of alpha: p to (0,1) at half time, then back.
 
     Charted by construction: both pieces lie on alpha."""
-    space = space if space is not None else default_y()
     if not space.has_alpha:
         raise SpaceError("the alpha loop lives in the compact space Y")
     base, top = ORIGIN._q, space.alpha_segment.b._q
@@ -327,7 +324,7 @@ def _tail_param(n: int, space: SpaceHandle):
     return circ, yd - (yn >> 1), yd
 
 
-def standard_fn(n: int, space: Optional[SpaceHandle] = None) -> Loop:
+def standard_fn(n: int, space: SpaceHandle) -> Loop:
     """One positive traversal of C_n, parametrized to shadow the alpha loop.
 
     The apex B_n is reached at t = 1/2 exactly like the alpha loop reaches
@@ -336,7 +333,6 @@ def standard_fn(n: int, space: Optional[SpaceHandle] = None) -> Loop:
     identically. That makes sup_distance(f_n, f) exactly 1/n + n*w(n).
     Charted by construction: its pieces are the edges 0, 1, 2 of C_n.
     """
-    space = space if space is not None else default_x()
     circ, tn, td = _tail_param(n, space)
     return _charted(
         _path(((0, 1), (1, 2), (tn, td), (1, 1)), (ORIGIN._q, circ._apex_q, circ._tail_q, ORIGIN._q)),
@@ -387,7 +383,7 @@ def reverse(a: Loop) -> Loop:
     return _charted(a.path.reversed(), a.space, a._chart[::-1])
 
 
-def realize_word(w: Word, space: Optional[SpaceHandle] = None) -> Loop:
+def realize_word(w: Word, space: SpaceHandle) -> Loop:
     """A loop in X whose excursion sequence spells the word letter by letter.
 
     Letter k runs as ``standard_fn(n)``, or as its reverse for g_n^-1, with
@@ -395,7 +391,6 @@ def realize_word(w: Word, space: Optional[SpaceHandle] = None) -> Loop:
     after p are written from C_n's vertex quads and ``_tail_param``, each
     with the edge of the piece that ends there, so no loop is built.
     """
-    space = space if space is not None else default_x()
     total = len(w)
     if not total:
         return constant_loop(space)

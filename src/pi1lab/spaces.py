@@ -390,18 +390,6 @@ def compact_y(hint: int = 32, profile: WidthProfile = POW10) -> SpaceHandle:
     return SpaceHandle(SpaceKind.COMPACT_Y, profile, hint)
 
 
-_DEFAULT_X = bouquet_x(hint=64)
-_DEFAULT_Y = _DEFAULT_X.sibling(SpaceKind.COMPACT_Y)
-
-
-def default_x() -> SpaceHandle:
-    return _DEFAULT_X
-
-
-def default_y() -> SpaceHandle:
-    return _DEFAULT_Y
-
-
 def _pair_intersection_violations(c1: Circle, c2: Circle):
     """Exact witnesses that C_n and C_m meet anywhere besides p: triples of
     two edges and their intersection, a point other than p or a Segment.

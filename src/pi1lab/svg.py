@@ -23,10 +23,13 @@ _STYLE = (
     ".loop-3{stroke:#909}.loop-4{stroke:#066}"
 )
 
+# Decimal places of every coordinate a scene prints.
+_DIGITS = 6
 
-def _coords(q: tuple, digits: int) -> Tuple[str, str]:
+
+def _coords(q: tuple) -> Tuple[str, str]:
     """x and the negated y of the point of kernel quad ``q``, as decimals."""
-    return rational_decimal(Fraction(q[0], q[1]), digits), rational_decimal(Fraction(-q[2], q[3]), digits)
+    return rational_decimal(Fraction(q[0], q[1]), _DIGITS), rational_decimal(Fraction(-q[2], q[3]), _DIGITS)
 
 
 def _space_segments(space: SpaceHandle, upto: int) -> Tuple[Tuple[str, tuple, tuple], ...]:
@@ -43,7 +46,6 @@ def _space_segments(space: SpaceHandle, upto: int) -> Tuple[Tuple[str, tuple, tu
 def render_scene(
     spaces: Sequence[Tuple[SpaceHandle, int]] = (),
     loops: Sequence[Loop] = (),
-    digits: int = 6,
 ) -> str:
     """SVG text for the given spaces (with circle cutoffs) and loops, read
     off their kernel quads."""
@@ -52,12 +54,12 @@ def render_scene(
     for space, upto in spaces:
         for cls, a, b in _space_segments(space, upto):
             points.extend((a, b))
-            (x1, y1), (x2, y2) = _coords(a, digits), _coords(b, digits)
+            (x1, y1), (x2, y2) = _coords(a), _coords(b)
             lines.append(f'<line class="{cls}" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
     for i, loop in enumerate(loops):
         qs = loop.path._qs
         points.extend(qs)
-        coords = " ".join(",".join(_coords(q, digits)) for q in qs)
+        coords = " ".join(",".join(_coords(q)) for q in qs)
         lines.append(f'<polyline class="loop loop-{i % 5}" points="{coords}"/>')
     if points:
         xs = [Fraction(q[0], q[1]) for q in points]
@@ -66,15 +68,15 @@ def render_scene(
         min_x, max_x = min(xs) - pad, max(xs) + pad
         min_y, max_y = min(ys) - pad, max(ys) + pad
         viewbox = (
-            f"{rational_decimal(min_x, digits)} {rational_decimal(min_y, digits)} "
-            f"{rational_decimal(max_x - min_x, digits)} {rational_decimal(max_y - min_y, digits)}"
+            f"{rational_decimal(min_x, _DIGITS)} {rational_decimal(min_y, _DIGITS)} "
+            f"{rational_decimal(max_x - min_x, _DIGITS)} {rational_decimal(max_y - min_y, _DIGITS)}"
         )
     else:
         viewbox = "0 0 1 1"
     body = "\n".join(f"  {ln}" for ln in lines)
     doc = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f"<!-- pi1lab scene; coordinates rounded half-even to {digits} decimal places; "
+        f"<!-- pi1lab scene; coordinates rounded half-even to {_DIGITS} decimal places; "
         "model y axis negated for display -->\n"
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{viewbox}" width="640" height="640">\n'
         f"  <style>{_STYLE}</style>\n"
@@ -84,13 +86,8 @@ def render_scene(
     return doc + "</svg>\n"
 
 
-def write_scene(
-    path: str,
-    spaces: Sequence[Tuple[SpaceHandle, int]] = (),
-    loops: Sequence[Loop] = (),
-    digits: int = 6,
-) -> str:
-    text = render_scene(spaces, loops, digits)
+def write_scene(path: str, spaces: Sequence[Tuple[SpaceHandle, int]], loops: Sequence[Loop]) -> str:
+    text = render_scene(spaces, loops)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return text

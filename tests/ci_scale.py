@@ -186,13 +186,13 @@ def test_crossing_words_against_classifiers():
     with deadline(120):
         for name in ("pow10", "cube"):
             x = bouquet_x(20, profile_by_name(name))
-            words = [pi1.random_reduced_word(rng, 12, range(2, 1001)) for _ in range(30)]
+            words = [oracles.random_word(rng, 12, range(2, 1001)) for _ in range(30)]
             corpus = word_loop_family(x, words, rng) + decorations(x, words, rng)
             assert assert_crossing_words_match(corpus) > 1000, name
         every = parse_word(" ".join(f"g{n}" for n in range(2, 1001)))
         assert assert_crossing_words_match(word_loop_family(bouquet_x(20, CUBE), [every], rng)) == 8 * 999
         x = bouquet_x(2, profile_by_name("uniform:1/3"))
-        words = [pi1.random_reduced_word(rng, 12, (2,)) for _ in range(30)]
+        words = [oracles.random_word(rng, 12, (2,)) for _ in range(30)]
         assert assert_crossing_words_match(word_loop_family(x, words, rng)) > 0
 
 

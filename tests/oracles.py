@@ -38,6 +38,9 @@
 * :func:`realize_word`, the loop of a word as ``pi1lab.loops`` built it
   before it wrote each letter from its circle's vertex quads: the letters
   are ``standard_fn`` loops and their ``reverse``, placed on Fractions.
+* :func:`random_word`, the random reduced word of
+  ``pi1lab.pi1.random_reduced_word`` drawn over any generator indices with
+  ``randrange``: the package draws over g2 ... g9 only.
 * the discreteness perturbation in two steps, as ``pi1lab.pi1`` built it
   before its one walk: :func:`perturb_once` subdivides the loop with
   :func:`subdivide`, then slides the :func:`slide_candidates` of the
@@ -835,6 +838,24 @@ def realize_word(w, space):
         bks += [((k + t) / len(letters), q) for t, q in part.path.breakpoints[1:]]
         chart += part._chart
     return _charted(PLPath(tuple(bks)), space, tuple(chart))
+
+
+def random_word(rng, max_len, generators):
+    """A reduced word of at most ``max_len`` letters in the generators
+    g_n, n in ``generators``: a random walk that never undoes its last
+    letter, drawn with ``randrange``. Over ``range(2, 10)`` it takes the
+    draws of ``pi1lab.pi1.random_reduced_word``."""
+    letters = []
+    prev = None
+    for _ in range(rng.randrange(max_len + 1)):
+        while True:
+            n = generators[rng.randrange(len(generators))]
+            s = (1, -1)[rng.randrange(2)]
+            if prev is None or (n, -s) != prev:
+                break
+        letters.append((n, s))
+        prev = (n, s)
+    return reduce_letters(letters)
 
 
 def slide_candidates(loop):

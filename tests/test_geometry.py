@@ -60,9 +60,9 @@ FLOAT_ENTRIES = {
     "Point2.y": lambda: Point2(0, 0.5),
     "PLPath": lambda: PLPath([(0, point(0, 0)), (0.5, point(0, 1)), (1, point(0, 0))]),
     "PLPath.at": lambda: alpha_updown().at(0.25),
-    "probe_nondiscreteness_y": lambda: probe_nondiscreteness_y(4, 0.1),
+    "probe_nondiscreteness_y": lambda: probe_nondiscreteness_y(4, 0.1, compact_y()),
     "probe_discreteness_x": lambda: probe_discreteness_x(standard_fn(2, bouquet_x()), 2, 0.001),
-    "probe_slsc_y": lambda: probe_slsc_y(0.25, 2),
+    "probe_slsc_y": lambda: probe_slsc_y(0.25, 2, 0, compact_y()),
     "loop_in_ball": lambda: loop_in_ball(standard_f(compact_y()), 0.5),
     "WidthProfile.fn": lambda: compact_y(profile=WidthProfile("halves", lambda n: 0.5 / n)).circle(2),
 }
