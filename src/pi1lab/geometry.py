@@ -242,11 +242,16 @@ def pl_path(raw: Sequence) -> PLPath:
 
 
 class ExactDistance(Record):
-    """A certified distance: exact squared rational plus decimal renderings."""
+    """A certified distance: exact squared rational plus decimal renderings.
+    Both values go through ``rat``, so a float is refused."""
 
     __slots__ = _fields = ("squared", "attained_at")
 
     def __init__(self, squared: Fraction, attained_at: Fraction):
+        if type(squared) is not Fraction:
+            squared = rat(squared)
+        if type(attained_at) is not Fraction:
+            attained_at = rat(attained_at)
         self.squared = squared
         self.attained_at = attained_at
 

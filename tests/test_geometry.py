@@ -16,6 +16,7 @@ from oracles import (
 from pi1lab import kernels
 from pi1lab.geometry import (
     DegenerateSegmentError,
+    ExactDistance,
     ParameterRangeError,
     PathInvariantError,
     PLPath,
@@ -65,6 +66,8 @@ FLOAT_ENTRIES = {
     "probe_slsc_y": lambda: probe_slsc_y(0.25, 2, 0, compact_y()),
     "loop_in_ball": lambda: loop_in_ball(standard_f(compact_y()), 0.5),
     "WidthProfile.fn": lambda: compact_y(profile=WidthProfile("halves", lambda n: 0.5 / n)).circle(2),
+    "ExactDistance.squared": lambda: ExactDistance(0.25, F(1, 2)),
+    "ExactDistance.attained_at": lambda: ExactDistance(F(1, 4), 0.5),
 }
 
 
