@@ -62,13 +62,9 @@ from math import gcd
 from typing import Optional, Tuple, Union
 
 from .records import Record
+from .report import MAX_REPORT_DIGITS as MAX_LITERAL_DIGITS
 from .spaces import MAX_CIRCLE_INDEX, candidate_circle, profile_by_name
 from .words import QUOTE_CHARS, Word, WordError, cut, parse_word, quote
-
-
-# Longest integer literal a script may hold: Python's default limit for
-# converting a decimal string to an int.
-MAX_LITERAL_DIGITS = 4300
 
 # Deepest nesting of ``concat`` in a one-off literal. The parser, the price
 # and the evaluation each recurse once per level; 1,000 levels passed the

@@ -20,8 +20,7 @@ from typing import Sequence, Union
 from . import kernels
 from .exactnum import dyadic_sqrt_bounds, sqrt_decimal
 from .records import Record
-
-DEFAULT_DIGITS = 40
+from .report import DEFAULT_DIGITS
 
 
 def rat(value) -> Fraction:

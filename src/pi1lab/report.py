@@ -20,7 +20,12 @@ _DIGITS_ENV = "PI1LAB_DIGITS"
 
 # Most decimal places a report prints: Python's default limit on the digits
 # of an int it converts to a string. Fractional parts are printed as one int.
+# ``dsl`` imports it as MAX_LITERAL_DIGITS, the longest integer literal a
+# script may hold: the same limit, for a decimal string converted to an int.
 MAX_REPORT_DIGITS = 4300
+
+# Decimal places a report prints when PI1LAB_DIGITS is unset.
+DEFAULT_DIGITS = 40
 
 
 class ProbeParameterError(Exception):
@@ -28,11 +33,11 @@ class ProbeParameterError(Exception):
 
 
 def report_digits() -> int:
-    """Decimal places used in report renderings: 40, or PI1LAB_DIGITS, an
-    integer from 1 to MAX_REPORT_DIGITS."""
+    """Decimal places used in report renderings: DEFAULT_DIGITS, or
+    PI1LAB_DIGITS, an integer from 1 to MAX_REPORT_DIGITS."""
     raw = os.environ.get(_DIGITS_ENV)
     if raw is None:
-        return 40
+        return DEFAULT_DIGITS
     try:
         val = int(raw)
     except ValueError as exc:
