@@ -456,6 +456,23 @@ class TestSlscProbe:
         assert rep.passed
         assert dict(rep.parameters)["trivial"] == "50"
 
+    def test_a_nontrivial_sample_fails_with_its_witness(self, y, monkeypatch):
+        """A sample that spells a letter fails the probe with one witness row
+        naming it; it counts as classified and not as trivial."""
+        read = pi1._loop_syllables
+        reads = []
+
+        def misread(loop, kind):
+            reads.append(kind)
+            return ((2, 1),) if len(reads) == 2 else read(loop, kind)
+
+        monkeypatch.setattr(pi1, "_loop_syllables", misread)
+        rep = probe_slsc_y(F(1, 4), 5, 3, y)
+        params = dict(rep.parameters)
+        assert rep.verdict == FAIL
+        assert rep.witnesses == ((("sample", "1"), ("word", "g2"), ("reason", "nontrivial small loop")),)
+        assert (params["classified"], params["trivial"], params["rejected_out_of_ball"]) == ("5", "4", "0")
+
     def test_negative_radius_ball_is_empty(self, y):
         """The closed ball of negative radius holds no point, so no loop lies
         in it, however small; the ball of radius 0 holds p only."""
