@@ -755,9 +755,9 @@ def probe_slsc_y(radius: Fraction, samples: int, seed: int, space: SpaceHandle) 
 
     Samples valid loops confined to the closed ball of the given radius
     about p and checks that every one classifies to the identity in Y.
-    Pair with probe_nondiscreteness_y: together they show
-    a space can be semilocally simply connected at the base point while its
-    fundamental group still fails to be discrete.
+    Pair with probe_nondiscreteness_y: together they show a space can be
+    semilocally simply connected at the base point while its fundamental
+    group still fails to be discrete.
 
     The claim holds for every loop in the ball, not only the sampled ones.
     The word of a loop in Y is read off its excursions of nonzero winding
@@ -781,7 +781,7 @@ def probe_slsc_y(radius: Fraction, samples: int, seed: int, space: SpaceHandle) 
         lp = _sample_small_loop(space, radius, rng)
         if not loop_in_ball(lp, radius):
             raise AssertionError("sampler produced an out-of-ball loop")
-        syllables = _loop_syllables(include_in_y(lp), SpaceKind.COMPACT_Y)
+        syllables = _loop_syllables(lp, SpaceKind.COMPACT_Y)
         if syllables:
             witnesses.append(
                 (("sample", str(k)), ("word", format_word(_word(syllables))), ("reason", "nontrivial small loop"))
