@@ -55,7 +55,7 @@ from .pi1 import (
     probe_nondiscreteness_y,
     probe_slsc_y,
 )
-from .report import FAIL, ProbeReport, exact_str, report_digits
+from .report import ProbeReport, exact_str, report_digits
 from .spaces import (
     Circle,
     SpaceError,
@@ -101,7 +101,7 @@ class _Runner:
 
     def emit_report(self, rep: ProbeReport) -> None:
         self.emit(rep.render().rstrip("\n"))
-        if rep.verdict == FAIL:
+        if not rep.passed:
             self.failed = True
 
     def eval_expr(self, expr, space: SpaceHandle) -> Loop:

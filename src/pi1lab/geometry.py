@@ -46,12 +46,12 @@ class PathInvariantError(GeometryError):
     """A PLPath violated its breakpoint invariants."""
 
 
-class Point2:
+class Point2(Record):
     """An exact planar point, stored as its kernel quad ``(xn, xd, yn, yd)``.
 
-    The quad is the point: both coordinates are in lowest terms with a
-    positive denominator, so two points are equal exactly when their quads
-    are, and equality and hashing compare quads. ``Point2(x, y)`` takes
+    The quad is the point and the record's one field: both coordinates are
+    in lowest terms with a positive denominator, so two points are equal
+    exactly when their quads are. ``Point2(x, y)`` takes
     ints, strings or Fractions, as ``rat`` does. The coordinates ``x`` and
     ``y`` are Fractions built from the quad on each read. Inside the package points
     travel as bare quads; a ``Point2`` is built only where one is handed
@@ -59,7 +59,7 @@ class Point2:
     ``points`` view.
     """
 
-    __slots__ = ("_q",)
+    __slots__ = _fields = ("_q",)
 
     def __init__(self, x, y):
         if type(x) is not Fraction:
@@ -75,14 +75,6 @@ class Point2:
     @property
     def y(self) -> Fraction:
         return Fraction(self._q[2], self._q[3])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._q == other._q
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._q)
 
     def __repr__(self) -> str:
         return f"Point2(x={self.x!r}, y={self.y!r})"
@@ -242,17 +234,14 @@ def pl_path(raw: Sequence) -> PLPath:
 
 class ExactDistance(Record):
     """A certified distance: exact squared rational plus decimal renderings.
-    Both values go through ``rat``, so a float is refused."""
+    The value goes through ``rat``, so a float is refused."""
 
-    __slots__ = _fields = ("squared", "attained_at")
+    __slots__ = _fields = ("squared",)
 
-    def __init__(self, squared: Fraction, attained_at: Fraction):
+    def __init__(self, squared: Fraction):
         if type(squared) is not Fraction:
             squared = rat(squared)
-        if type(attained_at) is not Fraction:
-            attained_at = rat(attained_at)
         self.squared = squared
-        self.attained_at = attained_at
 
     def decimal(self, digits: int = DEFAULT_DIGITS) -> str:
         return sqrt_decimal(self.squared, digits)
@@ -262,14 +251,13 @@ class ExactDistance(Record):
 
 
 def sup_distance(f: PLPath, g: PLPath) -> ExactDistance:
-    """Exact sup-metric distance between two paths, and where it is first
-    attained: ``_sup_merge`` of their parameter pairs and quads."""
-    n, d, arg = _sup_merge(f._ts, f._qs, g._ts, g._qs)
-    return ExactDistance(Fraction(n, d), Fraction(*arg))
+    """Exact sup-metric distance between two paths: ``_sup_merge`` of their
+    parameter pairs and quads."""
+    return ExactDistance(Fraction(*_sup_merge(f._ts, f._qs, g._ts, g._qs)))
 
 
 def _sup_merge(fts, fqs, gts, gqs) -> tuple:
-    """The squared sup distance ``(n, d, t)`` of the paths with reduced
+    """The squared sup distance ``(n, d)`` of the paths with reduced
     parameter pairs ``fts`` and ``gts`` and kernel quads ``fqs`` and
     ``gqs``, which need not be built. On each interval of the common
     parameter refinement the difference f - g is affine, so its norm is
@@ -282,26 +270,25 @@ def _sup_merge(fts, fqs, gts, gqs) -> tuple:
     piece as a kernel quad, and the running maximum is a reduced int pair.
     """
     best_n, best_d = 0, 1
-    arg = (0, 1)
     i = j = 0
     while i < len(fts):
         tf, tg = fts[i], gts[j]
         if tf == tg:
-            t, pq, qq = tf, fqs[i], gqs[j]
+            pq, qq = fqs[i], gqs[j]
             i += 1
             j += 1
         elif tf[0] * tg[1] < tg[0] * tf[1]:
-            t, pq, qq = tf, fqs[i], _quad_between(gts[j - 1], gqs[j - 1], tg, gqs[j], tf)
+            pq, qq = fqs[i], _quad_between(gts[j - 1], gqs[j - 1], tg, gqs[j], tf)
             i += 1
         else:
-            t, pq, qq = tg, _quad_between(fts[i - 1], fqs[i - 1], tf, fqs[i], tg), gqs[j]
+            pq, qq = _quad_between(fts[i - 1], fqs[i - 1], tf, fqs[i], tg), gqs[j]
             j += 1
         if pq == qq:  # distance 0 never raises the maximum
             continue
         n, d = kernels.point_dist_sq(pq, qq)
         if n * best_d > best_n * d:
-            best_n, best_d, arg = n, d, t
-    return best_n, best_d, arg
+            best_n, best_d = n, d
+    return best_n, best_d
 
 
 def _quad_between(t0: tuple, q0: tuple, t1: tuple, q1: tuple, t: tuple) -> tuple:

@@ -49,7 +49,7 @@ from .loops import (
     validate,
 )
 from .records import Record
-from .report import FAIL, PASS, ProbeParameterError, ProbeReport, exact_str, report_digits
+from .report import ProbeParameterError, ProbeReport, exact_str, report_digits
 from .spaces import ALPHA, ALPHA_EDGE, SpaceHandle, SpaceKind
 from .words import Word, _free_reduce, _word, format_word, reduce_letters
 
@@ -196,9 +196,10 @@ def probe_nondiscreteness_y(n_max: int, epsilon: Fraction, space: SpaceHandle) -
 
     For each n the report carries the exact sup distance between the circle
     loop f_n and the alpha loop f together with their words (g_n versus the
-    identity). PASS means the distances strictly decrease and end below
-    epsilon while every f_n stays in a different class than f: every
-    epsilon-ball around f meets another path component.
+    identity). PASS means f is trivial, and the distances strictly decrease
+    and end below epsilon while every f_n stays in a different class than
+    f: every epsilon-ball around f meets another path component. Each
+    failed check is a witness row, a nontrivial f included.
     """
     if n_max < 2:
         raise ProbeParameterError("n_max must be at least 2")
@@ -216,6 +217,10 @@ def probe_nondiscreteness_y(n_max: int, epsilon: Fraction, space: SpaceHandle) -
     word_f = classify_y(f).word
     rows = []
     witnesses = []
+    if not word_f.is_identity:
+        witnesses.append(
+            (("loop", "f"), ("word", format_word(word_f)), ("reason", "limit loop not classified as identity"))
+        )
     prev: Optional[Fraction] = None
     for n in range(2, n_max + 1):
         fn = standard_fn(n, space)
@@ -238,14 +243,12 @@ def probe_nondiscreteness_y(n_max: int, epsilon: Fraction, space: SpaceHandle) -
                 ("gap", "final sup distance is not yet below epsilon; enlarge n_max"),
             )
         )
-    verdict = PASS if word_f.is_identity and not witnesses else FAIL
     return ProbeReport(
         probe="nondiscreteness-Y",
         claim=(
             "the constant class of pi1(Y) is not open: essential circle loops "
             "converge uniformly to the inessential alpha loop"
         ),
-        verdict=verdict,
         parameters=(
             ("space", str(space.kind)),
             ("width_profile", space.profile.name),
@@ -546,7 +549,7 @@ def probe_discreteness_x(
     space, ts0, qs0 = loop.space, loop.path._ts, loop.path._qs
     for trial in range(trials):
         ts, qs, chart = table.walk(rng)
-        n, d, _ = _sup_merge(ts, qs, ts0, qs0)
+        n, d = _sup_merge(ts, qs, ts0, qs0)
         if n * md >= mn * d:
             raise AssertionError(f"trial {trial}: perturbation not within the magnitude")
         if n * max_d > max_n * d:
@@ -561,14 +564,12 @@ def probe_discreteness_x(
                     ("sup_dist_sq", text(Fraction(n, d), "sup_dist_sq")),
                 )
             )
-    verdict = PASS if not witnesses else FAIL
     return ProbeReport(
         probe="discreteness-X",
         claim=(
             "the class of a loop in the bouquet X is stable under every tested "
             "on-complex perturbation below the stability radius"
         ),
-        verdict=verdict,
         parameters=(
             ("space", str(loop.space.kind)),
             ("width_profile", loop.space.profile.name),
@@ -671,7 +672,6 @@ def probe_isomorphism_roundtrip(count: int, max_len: int, seed: int, space: Spac
             "inclusion of the bouquet into its compactification induces a word-"
             "preserving bijection on the tested classes, stable under homotopic decoration"
         ),
-        verdict=PASS if not witnesses else FAIL,
         parameters=(
             ("space", str(space.kind)),
             ("width_profile", space.profile.name),
@@ -786,14 +786,12 @@ def probe_slsc_y(radius: Fraction, samples: int, seed: int, space: SpaceHandle) 
             witnesses.append(
                 (("sample", str(k)), ("word", format_word(_word(syllables))), ("reason", "nontrivial small loop"))
             )
-    verdict = PASS if not witnesses else FAIL
     return ProbeReport(
         probe="slsc-Y",
         claim=(
             "every sampled loop within the ball about the base point is "
             "null-homotopic in Y (no circuit fits: each circle's apex sits at height 1)"
         ),
-        verdict=verdict,
         parameters=(
             ("space", str(space.kind)),
             ("width_profile", space.profile.name),

@@ -9,15 +9,17 @@ class Record:
 
     A subclass lists its fields in ``_fields`` and its ``__slots__`` (which
     may add slots that are not fields, such as a stored result) and sets
-    them in ``__init__``. Two records are equal when they are of the same
-    class and their fields are equal; the hash is the hash of the tuple of
-    fields; the repr is ``Name(field=value, ...)``.
+    them in ``__init__``; a field may also be a property. Two records are
+    equal when they are of the same class and their fields are equal; the
+    hash is the hash of the tuple of fields; the repr is
+    ``Name(field=value, ...)``. This is the package's one equality rule: no
+    other class defines ``__eq__`` or ``__hash__``.
     """
 
     __slots__ = ()
     _fields: tuple = ()
-    # record -> the tuple of its fields; an attrgetter per class, as
-    # equality runs in the probes' loops
+    # record -> the tuple of its fields, read by an attrgetter built once
+    # per class: cheaper than a tuple built from the names on each call
     _values = staticmethod(lambda record: ())
 
     def __init_subclass__(cls, **kwargs):

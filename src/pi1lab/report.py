@@ -2,7 +2,8 @@
 
 Reports are the artifact's evidence format: a claim, the parameters that
 produced the evidence, optional table and witness blocks, and a PASS/FAIL
-verdict. Rendering is deterministic — identical inputs (including seeds)
+verdict read off the witnesses: a report is FAIL exactly when it carries a
+counter-witness, so a FAIL without one cannot be built. Rendering is deterministic — identical inputs (including seeds)
 give byte-identical text — so golden-file tests and human diffs both work.
 """
 from __future__ import annotations
@@ -69,35 +70,21 @@ KV = Tuple[str, str]
 
 
 class ProbeReport(Record):
-    __slots__ = _fields = (
-        "probe",
-        "claim",
-        "verdict",
-        "parameters",
-        "table_header",
-        "table_rows",
-        "witnesses",
-        "notes",
-    )
+    __slots__ = ("probe", "claim", "parameters", "table_header", "table_rows", "witnesses", "notes")
+    _fields = ("probe", "claim", "verdict", "parameters", "table_header", "table_rows", "witnesses", "notes")
 
     def __init__(
         self,
         probe: str,
         claim: str,
-        verdict: str,
         parameters: Tuple[KV, ...] = (),
         table_header: Tuple[str, ...] = (),
         table_rows: Tuple[Tuple[str, ...], ...] = (),
         witnesses: Tuple[Tuple[KV, ...], ...] = (),
         notes: Tuple[str, ...] = (),
     ):
-        if verdict not in (PASS, FAIL):
-            raise ValueError(f"verdict must be PASS or FAIL, got {verdict!r}")
-        if verdict == FAIL and not witnesses:
-            raise ValueError("a FAIL report must carry at least one counter-witness")
         self.probe = probe
         self.claim = claim
-        self.verdict = verdict
         self.parameters = parameters
         self.table_header = table_header
         self.table_rows = table_rows
@@ -105,8 +92,13 @@ class ProbeReport(Record):
         self.notes = notes
 
     @property
+    def verdict(self) -> str:
+        """FAIL exactly when the report carries a counter-witness."""
+        return FAIL if self.witnesses else PASS
+
+    @property
     def passed(self) -> bool:
-        return self.verdict == PASS
+        return not self.witnesses
 
     def render(self) -> str:
         lines = [f"== probe: {self.probe} =="]

@@ -66,8 +66,7 @@ FLOAT_ENTRIES = {
     "probe_slsc_y": lambda: probe_slsc_y(0.25, 2, 0, compact_y()),
     "loop_in_ball": lambda: loop_in_ball(standard_f(compact_y()), 0.5),
     "WidthProfile.fn": lambda: compact_y(profile=WidthProfile("halves", lambda n: 0.5 / n)).circle(2),
-    "ExactDistance.squared": lambda: ExactDistance(0.25, F(1, 2)),
-    "ExactDistance.attained_at": lambda: ExactDistance(F(1, 4), 0.5),
+    "ExactDistance.squared": lambda: ExactDistance(0.25),
 }
 
 
@@ -116,8 +115,7 @@ class TestSupDistance:
 
     def test_constant_vs_alpha(self):
         d = sup_distance(constant_path(), alpha_updown())
-        assert d.squared == 1
-        assert d.attained_at == F(1, 2)
+        assert d == ExactDistance(F(1))
 
     def test_zero_iff_pointwise_equal_on_refinement(self):
         f = alpha_updown()
@@ -421,15 +419,11 @@ class TestOnePassWalk:
             f, g = refine(f, shared), refine(g, shared)
         elif case == "constant":
             f, g = with_constant_stretches(f, data), with_constant_stretches(g, data)
-        best, arg = F(0), F(0)
-        for t in common_refinement(f, g):
-            d = f.at(t).dist_sq(g.at(t))
-            if d > best:
-                best, arg = d, t
+        best = max(f.at(t).dist_sq(g.at(t)) for t in common_refinement(f, g))
         got = sup_distance(f, g)
-        assert (got.squared, got.attained_at) == (best, arg)
+        assert got.squared == best
         if case in ("refinement", "equal"):
-            assert (got.squared, got.attained_at) == (0, 0)
+            assert got.squared == 0
 
 
 def increasing_check_message(ts):

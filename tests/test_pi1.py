@@ -25,6 +25,7 @@ from pi1lab.loops import (
 )
 from pi1lab.pi1 import (
     ClassificationError,
+    HomotopyClass,
     ProbeParameterError,
     alpha_decorate,
     choose_n,
@@ -314,6 +315,23 @@ class TestNondiscretenessProbe:
         rep = probe_nondiscreteness_y(3, F(1, 1000), y)
         assert not rep.passed
         assert any("gap" in dict(wit) for wit in rep.witnesses)
+
+    def test_a_nontrivial_limit_loop_fails_with_its_witness(self, monkeypatch):
+        """A limit loop f that spells a letter fails the probe with one
+        witness row naming f and its word; the probe raised ValueError for
+        it when the verdict was passed in rather than read off the rows."""
+        space = compact_y()
+        f = standard_f(space)
+        read = pi1.classify_y
+
+        def misread(loop):
+            return HomotopyClass(parse_word("g2"), SpaceKind.COMPACT_Y) if loop == f else read(loop)
+
+        monkeypatch.setattr(pi1, "classify_y", misread)
+        rep = probe_nondiscreteness_y(32, F(1, 10), space)
+        assert rep.verdict == FAIL
+        assert rep.witnesses == ((("loop", "f"), ("word", "g2"), ("reason", "limit loop not classified as identity")),)
+        assert dict(rep.parameters)["word_of_limit_loop"] == "g2"
 
     def test_bound_is_strict(self):
         """A final distance equal to epsilon is not below it: under

@@ -53,7 +53,7 @@ RECORDS = [
     (lambda: dsl.RenderStmt(("S",), "out.svg"), fields(names=("S",), out="out.svg")),
     (lambda: dsl.Script((dsl.ClassifyStmt("a"),)), fields(statements=(dsl.ClassifyStmt("a"),))),
     (lambda: Segment(point(0, 0), point(1, 2)), fields(a=point(0, 0), b=point(1, 2))),
-    (lambda: ExactDistance(F(1, 4), F(1, 2)), fields(squared=F(1, 4), attained_at=F(1, 2))),
+    (lambda: ExactDistance(F(1, 4)), fields(squared=F(1, 4))),
     (
         lambda: Violation(1, F(0), F(1, 2), "why"),
         fields(piece_index=1, t_start=F(0), t_end=F(1, 2), reason="why"),
@@ -63,7 +63,7 @@ RECORDS = [
         fields(word=Word(((2, -1),)), space_kind=SpaceKind.COMPACT_Y),
     ),
     (
-        lambda: ProbeReport("p", "c", FAIL, (("k", "v"),), ("h",), (("r",),), ((("w", "x"),),), notes=("n",)),
+        lambda: ProbeReport("p", "c", (("k", "v"),), ("h",), (("r",),), ((("w", "x"),),), notes=("n",)),
         fields(
             probe="p",
             claim="c",
@@ -75,7 +75,7 @@ RECORDS = [
             notes=("n",),
         ),
     ),
-    (lambda: WidthProfile("w", _fn), fields(name="w", fn=_fn)),
+    (lambda: WidthProfile("w", _fn), fields(name="w")),
     (
         lambda: Circle(3, _C3._apex_q, _C3._tail_q),
         fields(index=3, apex=_C3.apex, tail=_C3.tail),
@@ -155,16 +155,18 @@ class TestWord:
 
 class TestProbeReport:
     def test_refusals(self):
-        with pytest.raises(ValueError, match=r"^verdict must be PASS or FAIL, got 'MAYBE'$"):
-            ProbeReport("p", "c", "MAYBE")
-        with pytest.raises(ValueError, match=r"^a FAIL report must carry at least one counter-witness$"):
-            ProbeReport("p", "c", FAIL)
-        assert not ProbeReport("p", "c", FAIL, witnesses=((("k", "v"),),)).passed
+        """The verdict is read off the witnesses: FAIL exactly when there is
+        one, so a FAIL without a witness cannot be built."""
+        failed = ProbeReport("p", "c", witnesses=((("k", "v"),),))
+        assert failed.verdict == FAIL and not failed.passed
+        assert ProbeReport("p", "c", witnesses=()).verdict == PASS
+        with pytest.raises(AttributeError):
+            failed.verdict = PASS
 
     def test_defaults(self):
-        report = ProbeReport("p", "c", PASS)
-        assert report.passed
-        assert ProbeReport("p", "c", PASS, (), (), (), (), ()) == report
+        report = ProbeReport("p", "c")
+        assert report.passed and report.verdict == PASS
+        assert ProbeReport("p", "c", (), (), (), (), ()) == report
 
 
 class TestSegment:
@@ -188,6 +190,11 @@ class TestSpaceHandle:
         circ = x.circle(5)
         assert y.circle(5) is circ and list(y._circles) == [5]
         assert SpaceHandle(SpaceKind.COMPACT_Y)._circles is not SpaceHandle(SpaceKind.COMPACT_Y)._circles
+
+    def test_profiles_compare_by_name(self):
+        assert WidthProfile("pow10", _fn) == POW10 and hash(WidthProfile("pow10", _fn)) == hash(POW10)
+        assert WidthProfile("w", _fn) != WidthProfile("v", _fn)
+        assert repr(CUBE) == "WidthProfile(name='cube')"
 
     def test_equality_reads_kind_and_profile_name(self):
         y = SpaceHandle(SpaceKind.COMPACT_Y, POW10, 8)

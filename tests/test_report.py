@@ -1,6 +1,6 @@
 import pytest
 
-from pi1lab.report import FAIL, ProbeReport, report_digits
+from pi1lab.report import FAIL, PASS, ProbeReport, report_digits
 from pi1lab.spaces import compact_y, verify_disjointness
 
 GOLDEN = """\
@@ -20,22 +20,21 @@ class TestRender:
         assert rep.render() == GOLDEN
 
     def test_fail_requires_witness(self):
-        with pytest.raises(ValueError):
-            ProbeReport(probe="x", claim="c", verdict=FAIL)
-
-    def test_bad_verdict(self):
-        with pytest.raises(ValueError):
-            ProbeReport(probe="x", claim="c", verdict="MAYBE")
+        """Witnesses make a FAIL and none a PASS; the verdict line says so."""
+        rep = ProbeReport(probe="x", claim="c")
+        assert rep.verdict == PASS and rep.render().endswith("verdict: PASS\n")
+        rep = ProbeReport(probe="x", claim="c", witnesses=((("n", "3"),),))
+        assert rep.verdict == FAIL and rep.render().endswith("verdict: FAIL\n")
 
     def test_witness_block_lines(self):
         rep = ProbeReport(
             probe="x",
             claim="c",
-            verdict=FAIL,
             witnesses=((("n", "3"), ("reason", "gap")),),
         )
         text = rep.render()
         assert "witness[0]:" in text and "  n: 3" in text and "  reason: gap" in text
+        assert text.endswith("verdict: FAIL\n")
 
 
 class TestDigitsEnv:
