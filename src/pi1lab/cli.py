@@ -272,7 +272,7 @@ def _cmd_hausdorff(args) -> int:
     return 0 if rep.passed else 1
 
 
-def demo_whitehead(nmax: int = 32, seed: int = 0, out_dir: str = ".") -> Tuple[int, str]:
+def demo_whitehead(nmax: int, seed: int, out_dir: str) -> Tuple[int, str]:
     """The full pipeline; returns (exit_code, report_text) and writes the scene SVG."""
     y = compact_y()
     x = y.sibling(SpaceKind.BOUQUET_X)

@@ -20,7 +20,6 @@ from typing import Sequence, Union
 from . import kernels
 from .exactnum import dyadic_sqrt_bounds, sqrt_decimal
 from .records import Record
-from .report import DEFAULT_DIGITS
 
 
 def rat(value) -> Fraction:
@@ -243,7 +242,7 @@ class ExactDistance(Record):
             squared = rat(squared)
         self.squared = squared
 
-    def decimal(self, digits: int = DEFAULT_DIGITS) -> str:
+    def decimal(self, digits: int) -> str:
         return sqrt_decimal(self.squared, digits)
 
     def __str__(self) -> str:

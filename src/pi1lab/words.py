@@ -61,13 +61,6 @@ class Word(Record):
         """Total letter count, sum of |exponent| over syllables."""
         return sum(abs(e) for _, e in self.syllables)
 
-    def letters(self) -> Iterable[Syllable]:
-        """The word as single signed letters, e.g. g2^2 -> (2,+1), (2,+1)."""
-        for n, e in self.syllables:
-            step = 1 if e > 0 else -1
-            for _ in range(abs(e)):
-                yield n, step
-
     def __mul__(self, other: "Word") -> "Word":
         return multiply(self, other)
 

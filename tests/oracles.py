@@ -35,9 +35,11 @@
   its slice. On them, :func:`spans`, :func:`classify`, :func:`cutoff` and
   :func:`collapse_to_x` are the reference for the span readers of
   ``pi1lab.pi1``.
-* :func:`realize_word`, the loop of a word as ``pi1lab.loops`` built it
-  before it wrote each letter from its circle's vertex quads: the letters
-  are ``standard_fn`` loops and their ``reverse``, placed on Fractions.
+* :func:`letters`, a word as single signed letters, which ``Word``
+  produced as a method that only tests read; and :func:`realize_word`, the
+  loop of a word as ``pi1lab.loops`` built it before it wrote each letter
+  from its circle's vertex quads: the letters are ``standard_fn`` loops
+  and their ``reverse``, placed on Fractions.
 * :func:`random_word`, the random reduced word of
   ``pi1lab.pi1.random_reduced_word`` drawn over any generator indices with
   ``randrange``: the package draws over g2 ... g9 only.
@@ -824,18 +826,23 @@ def collapse_to_x(loop):
     return _charted(_path(tuple(new_ts), tuple(new_qs)), x_space, tuple(new_edges))
 
 
+def letters(w):
+    """The word ``w`` as single signed letters, e.g. g2^2 -> (2, 1), (2, 1)."""
+    return [(n, 1 if e > 0 else -1) for n, e in w.syllables for _ in range(abs(e))]
+
+
 def realize_word(w, space):
     """The loop of ``pi1lab.loops.realize_word``: letter k of the word's
     total is ``standard_fn(n)`` or its ``reverse``, with each breakpoint t
     of it placed at (k + t)/total on Fractions, and its chart joined on."""
-    letters = list(w.letters())
-    if not letters:
+    signed = letters(w)
+    if not signed:
         return constant_loop(space)
     bks = [(Fraction(0), ORIGIN)]
     chart = []
-    for k, (n, sgn) in enumerate(letters):
+    for k, (n, sgn) in enumerate(signed):
         part = standard_fn(n, space) if sgn > 0 else reverse(standard_fn(n, space))
-        bks += [((k + t) / len(letters), q) for t, q in part.path.breakpoints[1:]]
+        bks += [((k + t) / len(signed), q) for t, q in part.path.breakpoints[1:]]
         chart += part._chart
     return _charted(PLPath(tuple(bks)), space, tuple(chart))
 

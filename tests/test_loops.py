@@ -146,7 +146,7 @@ class TestDecompose:
         for _ in range(20):
             w = random_reduced_word(rng, 8)
             comps = [n for n, _ in degrees(realize_word(w, x))]
-            assert comps == [n for n, _ in w.letters()]
+            assert comps == [n for n, _ in oracles.letters(w)]
 
     def test_chart_across_components_is_refused(self, y):
         """An excursion whose chart names two components is refused by the
@@ -340,7 +340,7 @@ class TestRealizeWord:
         rng = random.Random(47)
         for _ in range(30):
             w = random_reduced_word(rng, 10)
-            letters = list(w.letters())
+            letters = oracles.letters(w)
             want = [F(0)]
             for k, (n, sgn) in enumerate(letters):
                 part = standard_fn(n, x) if sgn > 0 else reverse(standard_fn(n, x))

@@ -2,10 +2,11 @@
 the package other than the one that defines it uses it, or the README names
 it in code. So has every function, class and method that the package
 defines: another module or function of the package, a ``perfbench`` script
-or the README's code reads it. A name that only tests call is surface to
-delete, or to move into the tests. And every parameter with a default has
-a setter: some call passes it. A parameter that nothing passes is a
-constant."""
+or the README's code reads it, and a method is read as an attribute. A name
+that only tests call is surface to delete, or to move into the tests. Every
+parameter with a default has a setter, some call that passes it, and a
+taker, some call that leaves it out: a parameter that nothing passes is a
+constant, and a default that nothing takes is dead."""
 import ast
 import re
 from pathlib import Path
@@ -27,23 +28,28 @@ def _exports():
     ]
 
 
-def _names(tree):
-    """The names read in a syntax tree, as a bare name or as an attribute,
-    once per read."""
+def _names(tree, attributes=False):
+    """The names read in a syntax tree, as a bare name or as an attribute
+    (as an attribute only, if ``attributes``), once per read."""
+    kinds = ast.Attribute if attributes else (ast.Name, ast.Attribute)
     return [
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, kinds)
     ]
 
 
-def _uses(path):
-    """The names a module reads."""
-    return set(_names(ast.parse(path.read_text(encoding="utf-8"))))
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
-USES = {path.stem: _uses(path) for path in PACKAGE.glob("*.py") if path.name != "__init__.py"}
-PERFBENCH_USES = set().union(*(_uses(path) for path in (ROOT / "perfbench").glob("*.py")))
+TREES = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+PERFBENCH_TREES = [_parse(path) for path in sorted((ROOT / "perfbench").glob("*.py"))]
+USES = {module: set(_names(tree)) for module, tree in TREES.items() if module != "__init__"}
+ATTRIBUTE_USES = {module: set(_names(tree, True)) for module, tree in TREES.items() if module != "__init__"}
+PERFBENCH_USES = set().union(*(_names(tree) for tree in PERFBENCH_TREES))
+PERFBENCH_ATTRIBUTE_USES = set().union(*(_names(tree, True) for tree in PERFBENCH_TREES))
+
 
 def _readme_code():
     """The identifiers in the README's code: fenced blocks and inline spans."""
@@ -68,25 +74,23 @@ def test_export_has_a_reader(module, name):
 
 
 def _definitions():
-    """(module, qualified name, name, read in its module) of each
-    module-level function and class and each method, dunders aside, that
-    ``src/pi1lab`` defines. A read in its own module counts outside the
-    definition's body only."""
+    """(module, qualified name, name, is a method, read in its module) of
+    each module-level function and class and each method, dunders aside,
+    that ``src/pi1lab`` defines. A read in its own module counts outside the
+    definition's body only, and a method's reads are attribute reads."""
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        names = _names(tree)
-        defs = [(node.name, node) for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    for module, tree in TREES.items():
+        defs = [(node.name, node, False) for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
         defs += [
-            (f"{cls.name}.{node.name}", node)
+            (f"{cls.name}.{node.name}", node, True)
             for cls in tree.body
             if isinstance(cls, ast.ClassDef)
             for node in cls.body
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
         ]
-        for qualname, node in defs:
-            local = names.count(node.name) > _names(node).count(node.name)
-            found.append((path.stem, qualname, node.name, local))
+        for qualname, node, method in defs:
+            local = _names(tree, method).count(node.name) > _names(node, method).count(node.name)
+            found.append((module, qualname, node.name, method, local))
     return found
 
 
@@ -97,10 +101,13 @@ def test_definitions_found():
     assert len(DEFINITIONS) > 200
 
 
-@pytest.mark.parametrize("module,qualname,name,local", DEFINITIONS, ids=[f"{m}.{q}" for m, q, _, _ in DEFINITIONS])
-def test_definition_has_a_reader(module, qualname, name, local):
-    elsewhere = any(name in uses for m, uses in USES.items() if m != module)
-    read = local or elsewhere or name in PERFBENCH_USES or name in README_CODE
+@pytest.mark.parametrize(
+    "module,qualname,name,method,local", DEFINITIONS, ids=[f"{m}.{q}" for m, q, _, _, _ in DEFINITIONS]
+)
+def test_definition_has_a_reader(module, qualname, name, method, local):
+    uses, perfbench = (ATTRIBUTE_USES, PERFBENCH_ATTRIBUTE_USES) if method else (USES, PERFBENCH_USES)
+    elsewhere = any(name in names for m, names in uses.items() if m != module)
+    read = local or elsewhere or name in perfbench or name in README_CODE
     assert read, f"{module}.{qualname} has no reader in src/pi1lab, perfbench or README.md"
 
 
@@ -111,8 +118,7 @@ def _defaulted_parameters():
     an ``__init__`` is called by the name of its class. A keyword-only
     parameter has no position."""
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for module, tree in TREES.items():
         scopes = [(None, tree.body)] + [(cls, cls.body) for cls in tree.body if isinstance(cls, ast.ClassDef)]
         for cls, body in scopes:
             for node in body:
@@ -124,10 +130,10 @@ def _defaulted_parameters():
                 called = cls.name if cls is not None and node.name == "__init__" else node.name
                 qualname = node.name if cls is None else f"{cls.name}.{node.name}"
                 for i in range(len(positional) - len(args.defaults), len(positional)):
-                    found.append((path.stem, qualname, called, positional[i].arg, i - skip))
+                    found.append((module, qualname, called, positional[i].arg, i - skip))
                 for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                     if default is not None:
-                        found.append((path.stem, qualname, called, arg.arg, None))
+                        found.append((module, qualname, called, arg.arg, None))
     return found
 
 
@@ -174,3 +180,11 @@ def test_defaulted_parameters_found():
 def test_defaulted_parameter_has_a_setter(module, qualname, called, name, position):
     setters = [call for call in CALLS.get(called, ()) if _passes(call, name, position)]
     assert setters, f"no call in src, tests, perfbench or the README's code passes {name} to {module}.{qualname}"
+
+
+@pytest.mark.parametrize(
+    "module,qualname,called,name,position", DEFAULTED, ids=[f"{m}.{q}({n})" for m, q, _, n, _ in DEFAULTED]
+)
+def test_defaulted_parameter_has_a_taker(module, qualname, called, name, position):
+    takers = [call for call in CALLS.get(called, ()) if not _passes(call, name, position)]
+    assert takers, f"every call in src, tests, perfbench and the README's code passes {name} to {module}.{qualname}"

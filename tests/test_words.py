@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from pi1lab.words import (
     IDENTITY,
     Word,
@@ -144,4 +145,4 @@ class TestLiteralSyntax:
         assert u.inverse() == parse_word("g3^-1 g2^-1")
         assert len(parse_word("g2^3 g4^-2")) == 5
         assert str(u) == "g2 g3"
-        assert list(parse_word("g2^2").letters()) == [(2, 1), (2, 1)]
+        assert oracles.letters(parse_word("g2^2")) == [(2, 1), (2, 1)]
