@@ -6,7 +6,11 @@ or the README's code reads it, and a method is read as an attribute. A name
 that only tests call is surface to delete, or to move into the tests. Every
 parameter with a default has a setter, some call that passes it, and a
 taker, some call that leaves it out: a parameter that nothing passes is a
-constant, and a default that nothing takes is dead."""
+constant, and a default that nothing takes is dead.
+
+The value records keep one rule each: only ``records.Record`` decides
+equality, and every field of a record is read. No module imports a name it
+never reads."""
 import ast
 import re
 from pathlib import Path
@@ -188,3 +192,79 @@ def test_defaulted_parameter_has_a_setter(module, qualname, called, name, positi
 def test_defaulted_parameter_has_a_taker(module, qualname, called, name, position):
     takers = [call for call in CALLS.get(called, ()) if not _passes(call, name, position)]
     assert takers, f"every call in src, tests, perfbench and the README's code passes {name} to {module}.{qualname}"
+
+
+def _classes():
+    """(module, class) of each class that ``src/pi1lab`` defines at module level."""
+    return [(module, node) for module, tree in TREES.items() for node in tree.body if isinstance(node, ast.ClassDef)]
+
+
+def test_equality_has_one_home():
+    """Only ``records.Record`` defines ``__eq__`` or ``__hash__``: every
+    value type is a Record and compares its ``_fields``."""
+    defining = {
+        f"{module}.{cls.name}"
+        for module, cls in _classes()
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("__eq__", "__hash__")
+    }
+    assert defining == {"records.Record"}
+
+
+def _record_fields():
+    """(module.Class, field) of each entry of the ``_fields`` of a class
+    whose bases name ``Record``."""
+    found = []
+    for module, cls in _classes():
+        if not any(isinstance(base, ast.Name) and base.id == "Record" for base in cls.bases):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_fields" for t in node.targets):
+                found += [(f"{module}.{cls.name}", field) for field in ast.literal_eval(node.value)]
+    return found
+
+
+def _attribute_reads(tree):
+    """The attribute names loaded in a syntax tree outside any ``__init__``."""
+    inits = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+    inside = {id(node) for init in inits for node in ast.walk(init)}
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in inside
+    }
+
+
+def test_record_field_has_a_reader():
+    """Every field of a record is read as an attribute, outside an
+    ``__init__``, in ``src/pi1lab`` or ``perfbench``: a field that nothing
+    reads is a fact the record need not keep."""
+    fields = _record_fields()
+    assert len(fields) > 40
+    read = set().union(*(_attribute_reads(tree) for tree in [*TREES.values(), *PERFBENCH_TREES]))
+    assert [f"{cls}.{field}" for cls, field in fields if field not in read] == []
+
+
+def _unread_imports(path):
+    """The names that the module at ``path`` imports and never reads as a
+    bare name; ``from __future__`` imports bind no name."""
+    tree = _parse(path)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+IMPORTING = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+IMPORTING += sorted((ROOT / "tests").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", IMPORTING, ids=[f"{p.parent.name}/{p.name}" for p in IMPORTING])
+def test_imports_are_read(path):
+    """No module imports a name it never reads; ``pi1lab/__init__.py``
+    re-exports, so it is not checked."""
+    assert _unread_imports(path) == []
