@@ -25,6 +25,12 @@ The probes turn the headline facts into exact certificates:
 * ``probe_slsc_y``: every sampled loop inside a small ball about p is
   trivial in Y — small loops cannot complete any circle circuit because
   every circuit passes the apex at height 1.
+* ``probe_isomorphism_roundtrip``: random words realized in X keep their
+  word when included in Y, and an alpha-decorated variant keeps it through
+  the collapse into X, so inclusion induces a word-preserving bijection.
+
+Each probe returns a ``ProbeReport`` whose verdict is read off its
+witnesses: it is FAIL exactly when some check left a counter-witness row.
 """
 from __future__ import annotations
 
