@@ -3,8 +3,9 @@
 Reports are the artifact's evidence format: a claim, the parameters that
 produced the evidence, optional table and witness blocks, and a PASS/FAIL
 verdict read off the witnesses: a report is FAIL exactly when it carries a
-counter-witness, so a FAIL without one cannot be built. Rendering is deterministic — identical inputs (including seeds)
-give byte-identical text — so golden-file tests and human diffs both work.
+counter-witness, so a FAIL without one cannot be built. Rendering is
+deterministic — identical inputs (including seeds) give byte-identical
+text — so golden-file tests and human diffs both work.
 """
 from __future__ import annotations
 
