@@ -625,6 +625,21 @@ class TestOneOffCommands:
         assert code == 2 and out == "" and err.count("\n") == 1
         assert err.startswith(f"parse error: line 1, col 1: {what} costs ") and "exceeds the limit" in err
 
+    def test_points_literal_costs_the_same_in_a_concat(self, capsys):
+        """A ``points`` literal adds twice its weight to the price of its
+        binding whether it stands alone or inside a one-off ``concat``, the
+        one place a literal nests a points list: both are refused at the
+        same cost. One breakpoint of 4,299-digit ints weighs each of the 41
+        pieces."""
+        d = 10**4298
+        heavy = f"({40 * d + 1}/{41 * d}, 0, {d - 1}/{d})"
+        pts = "points [(0, 0, 0), " + ", ".join(f"({k}/41, 0, 1/{k + 1})" for k in range(1, 40)) + f", {heavy}, (1, 0, 0)]"
+        bare = run_cli(capsys, ["word", pts])
+        assert bare == run_cli(capsys, ["word", f"concat({pts})"])
+        code, out, err = bare
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: line 1, col 1: the loop literal costs 4085832 units of work")
+
     def test_word_hostile_literal(self, capsys):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, ["word", f"C({NINES}).once"])
