@@ -339,42 +339,28 @@ def _circle_prices(width: str):
     return price
 
 
-def _measure(expr: LoopExpr, loops: dict, p) -> Tuple[int, int]:
-    """(letters, weight) of a loop expression: its letter count and the sum
-    of the circle price ``p`` over its letters. A points piece weighs the
-    price of its top circle, the largest under pow10, cube and a uniform
-    width, plus the squared bit size of its longest breakpoint, in the same
-    units (``PointsExpr.weight``). ``loops`` maps bound names to their
-    (letters, weight). An exponent past MAX_SCRIPT_WORK counts as
+def _measure(expr: LoopExpr, loops: dict, p) -> Tuple[int, int, int]:
+    """(letters, weight, literal) of a loop expression: its letter count,
+    the sum of the circle price ``p`` over its letters, and the weight of
+    the ``points`` literals it holds, which its binding pays for too. A
+    points piece weighs the price of its top circle, the largest under
+    pow10, cube and a uniform width, plus the squared bit size of its
+    longest breakpoint, in the same units (``PointsExpr.weight``). ``loops``
+    maps bound names to their (letters, weight); a bound name holds no
+    literal of this binding. An exponent past MAX_SCRIPT_WORK counts as
     MAX_SCRIPT_WORK letters, which alone pass the limit."""
     if isinstance(expr, WordExpr):
         counts = [(n, min(abs(e), MAX_SCRIPT_WORK)) for n, e in expr.word.syllables]
-        return sum(k for _, k in counts), sum(k * p(n) for n, k in counts)
+        return sum(k for _, k in counts), sum(k * p(n) for n, k in counts), 0
     if isinstance(expr, CircleExpr):
-        return 1, p(expr.index)
+        return 1, p(expr.index), 0
     if isinstance(expr, ConcatExpr):
-        parts = [loops[a] if isinstance(a, str) else _measure(a, loops, p) for a in expr.args]
-        return sum(q[0] for q in parts), sum(q[1] for q in parts)
+        parts = [(*loops[a], 0) if isinstance(a, str) else _measure(a, loops, p) for a in expr.args]
+        return sum(q[0] for q in parts), sum(q[1] for q in parts), sum(q[2] for q in parts)
     if isinstance(expr, PointsExpr):
         pieces = len(expr._ts) - 1
-        return pieces, pieces * (p(expr.top) if expr.top else 0) + expr.weight
-    return 1, 0
-
-
-def _literal_weight(expr: LoopExpr) -> int:
-    """The weight of the ``points`` literals an expression holds, which its
-    binding pays for too (``PointsExpr.weight``)."""
-    if isinstance(expr, PointsExpr):
-        return expr.weight
-    if isinstance(expr, ConcatExpr):
-        return sum(_literal_weight(a) for a in expr.args if not isinstance(a, str))
-    return 0
-
-
-def _binding_price(expr: LoopExpr, letters: int) -> int:
-    """The price of binding a loop expression of ``letters`` letters."""
-    a, b = _PRICES["letter"]
-    return a * letters + b * _literal_weight(expr)
+        return pieces, pieces * (p(expr.top) if expr.top else 0) + expr.weight, expr.weight
+    return 1, 0, 0
 
 
 def _probe_price(kind: str, args: dict, loops: dict, p) -> int:
@@ -596,12 +582,13 @@ def parse_loop_literals(texts: Tuple[str, ...]) -> Tuple[LoopExpr, ...]:
     against each other. They are priced as a script's bindings followed by
     its ``classify`` or ``dist``, from a fresh total, in pow10."""
     p = _circle_prices("pow10")
+    a, b = _PRICES["letter"]
     exprs, sizes, work = [], [], 0
     for text in texts:
         exprs.append(_loop_literal(text))
-        sizes.append(_measure(exprs[-1], {}, p))
-        cost = _binding_price(exprs[-1], sizes[-1][0])
-        work = _spend(work, _PRICES["statement"] + cost, "the loop literal", 1, 1)
+        letters, weight, literal = _measure(exprs[-1], {}, p)
+        sizes.append((letters, weight))
+        work = _spend(work, _PRICES["statement"] + a * letters + b * literal, "the loop literal", 1, 1)
     if len(sizes) == 1:
         what, cost = "classify", _PRICES["classify"] * sizes[0][0]
     else:
@@ -660,8 +647,10 @@ def parse(text: str) -> Script:
             expr = _expr(toks, 3, lineno, col, loops, 0)[0]
             if isinstance(expr, AlphaExpr) and active_space.kind != "Y":
                 raise DslError(lineno, col, "alpha.updown needs the compact space Y")
-            letters, weight = loops[name] = _measure(expr, loops, price)
-            cost = _binding_price(expr, letters)
+            letters, weight, literal = _measure(expr, loops, price)
+            loops[name] = (letters, weight)
+            a, b = _PRICES["letter"]
+            cost = a * letters + b * literal
             st, what = LoopBinding(name, expr), f"loop {name}"
         elif head == "classify":
             name = toks[1][_NAME]

@@ -107,13 +107,10 @@ def _quad_str(q: tuple) -> str:
 
 class Segment(Record):
     """A nondegenerate closed segment; coincident endpoints are rejected.
+    It holds its two ends only: ``length_sq`` and ``length_bracket`` are
+    computed on each read."""
 
-    ``length_bracket`` is computed the first time it is read and kept, so
-    an edge of a cached circle brackets its length once.
-    """
-
-    __slots__ = ("a", "b", "_length_bracket")
-    _fields = ("a", "b")
+    __slots__ = _fields = ("a", "b")
 
     def __init__(self, a: Point2, b: Point2):
         if a == b:
@@ -131,11 +128,7 @@ class Segment(Record):
     @property
     def length_bracket(self) -> tuple:
         """Exact dyadic (lo, hi) around the length, at most 2**-40 apart."""
-        try:
-            return self._length_bracket
-        except AttributeError:
-            self._length_bracket = bracket = dyadic_sqrt_bounds(self.length_sq)
-            return bracket
+        return dyadic_sqrt_bounds(self.length_sq)
 
     def __str__(self) -> str:
         return f"[{self.a} -> {self.b}]"

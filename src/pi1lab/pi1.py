@@ -56,7 +56,7 @@ from .loops import (
 )
 from .records import Record
 from .report import ProbeParameterError, ProbeReport, exact_str, report_digits
-from .spaces import ALPHA, ALPHA_EDGE, SpaceHandle, SpaceKind
+from .spaces import ALPHA, ALPHA_EDGE, SpaceHandle, SpaceKind, _edge_quads
 from .words import Word, _free_reduce, _word, format_word, reduce_letters
 
 
@@ -364,7 +364,7 @@ class _PerturbTable:
     ``b``, the edge parameters of the piece's two ends (one ``foot_param``
     each) and the slide scale: a slid point moves by bound * r /
     (2 * hi * grid) in edge parameter for a draw r in [-grid, grid], hi
-    being the kept upper bracket of the edge's length, so ``scale`` is
+    being the circle's ``length_hi`` of the edge, so ``scale`` is
     bound.numerator * hi.denominator and ``den`` is bound.denominator * 2 *
     hi.numerator * grid. A constant piece has None. ``slides[i]`` says
     whether the two pieces at breakpoint i lie on one edge. ``arms`` has,
@@ -379,27 +379,26 @@ class _PerturbTable:
         bn, bd = bound.numerator, bound.denominator
         space, qs, chart = loop.space, loop.path._qs, loop._chart
 
-        def scaled(ref):
-            seg = space.edge_segment(ref)
-            _, hi = seg.length_bracket
-            return seg, bn * hi.denominator, bd * 2 * hi.numerator * _GRID
+        def scaled(n, j):
+            circ = space.circle(n)
+            hi = circ.length_hi(j)
+            return _edge_quads(circ)[j], bn * hi.denominator, bd * 2 * hi.numerator * _GRID
 
         pieces = []
         for i, ref in enumerate(chart):
             if ref is None:
                 pieces.append(None)
                 continue
-            seg, scale, den = scaled(ref)
-            a, b = seg.a._q, seg.b._q
+            (a, b), scale, den = scaled(*ref)
             u0, u1 = kernels.foot_param(qs[i], a, b), kernels.foot_param(qs[i + 1], a, b)
             pieces.append((a, b, u0, u1, scale, den))
         touched = sorted({ref[0] for ref in chart if ref is not None} - {ALPHA})
         arms = []
         for n in touched or [2]:
-            seg0, s0, d0 = scaled((n, 0))
-            seg2, s2, d2 = scaled((n, 2))
+            (p0, b0), s0, d0 = scaled(n, 0)
+            (a2, p2), s2, d2 = scaled(n, 2)
             # edge 0 runs from p, edge 2 to p
-            arms.append((((n, 0), seg0.a._q, seg0.b._q, s0, d0), ((n, 2), seg2.b._q, seg2.a._q, s2, d2)))
+            arms.append((((n, 0), p0, b0, s0, d0), ((n, 2), p2, a2, s2, d2)))
         self.loop = loop
         self.pieces = tuple(pieces)
         self.slides = (False,) + tuple(r is not None and r == s for r, s in zip(chart, chart[1:])) + (False,)
@@ -721,19 +720,19 @@ def _sample_small_loop(
     groups = 1 + _below(rng, 3)
     for g in range(groups):
         kind = ("alpha", "arm0", "arm2")[_below(rng, 3)]
+        # |direction| is the length of its arm, the edge from p to it:
+        # exactly 1 for alpha, bracketed above by hi for a circle's edge
         if kind == "alpha" and space.has_alpha:
-            arm = space.alpha_segment
-            direction = arm.b._q
+            direction = space.alpha_segment.b._q
             ref = ALPHA_EDGE
+            hi = 1
         else:
             n = 2 + _below(rng, 8)
             circ = space.circle(n)
             j = 2 if kind == "arm2" else 0
-            arm = circ.edges[j]
             direction = circ._apex_q if j == 0 else circ._tail_q
             ref = (n, j)
-        # |direction| is the length of its arm, the edge from p to it
-        _, hi = arm.length_bracket
+            hi = circ.length_hi(j)
         wiggles = 1 + _below(rng, 4)
         # the point at s = radius / hi * r / grid along the direction from p
         sn, sd = rn * hi.denominator, rd * hi.numerator * grid

@@ -23,10 +23,10 @@ h = gcd(n**2, wd mod n**2) and k = gcd((xn/h) mod n, n), whose product is
 gcd(xn, n*wd) (``build_circle`` proves it), so no gcd runs on the
 10n-digit pair of pow10. A circle is built from its index and the quads of
 B_n and D_n only, ``Circle(n, apex_q, tail_q)``, and its fields are index,
-apex and tail: its Point2 apex and tail are views built on each read, and
-its Segment edges are built on their first read and kept. Building,
-certifying, locating points and checking disjointness read the quads; only
-a disjointness witness wraps points. C_n (n >= 3) is accepted only if w(n) < w(n-1) and D_n lies
+apex and tail: its Point2 apex and tail and its Segment edges are views
+built on each read. Building, certifying, locating points, checking
+disjointness and bracketing an edge's length (``Circle.length_hi``) read
+the quads; only a disjointness witness wraps points. C_n (n >= 3) is accepted only if w(n) < w(n-1) and D_n lies
 strictly left of the ray p -> B_{n-1}.
 The cross product (B_{n-1} - p) x (D_n - p) is (1 - w)/(n-1) - (1/n + n*w),
 and n*(n-1) times it is 1 - w(n) * (n**3 - n**2 + n), so the test is the
@@ -46,7 +46,7 @@ from math import gcd
 from typing import Callable, Dict, Optional, Tuple
 
 from . import kernels
-from .exactnum import sqrt_decimal
+from .exactnum import dyadic_sqrt_bounds, sqrt_decimal
 from .geometry import ORIGIN, Point2, Segment, _from_quad, _intersection_of, _segment_of, point, rat
 from .records import Record
 from .report import ProbeReport, exact_str, report_digits
@@ -110,9 +110,6 @@ class WidthProfile(Record):
                 self._pairs[n] = wp
         return wp
 
-    def __call__(self, n: int) -> Fraction:
-        return Fraction(*self.pair(n))
-
 
 POW10 = WidthProfile("pow10", lambda n: Fraction(1, 10 ** (10 * n)))
 CUBE = WidthProfile("cube", lambda n: Fraction(1, 10 * n**3))
@@ -144,20 +141,22 @@ class Circle(Record):
 
     A circle is its index and the kernel quads of B_n and D_n
     (``Circle(index, apex_q, tail_q)``), which readers inside the package
-    use as ``_apex_q`` and ``_tail_q``. ``apex`` and ``tail`` are Point2
-    views built on each read; ``edges`` is built on its first read and
-    kept, so each edge brackets its length once. Equality, hash and repr
-    read the fields index, apex and tail.
+    use as ``_apex_q`` and ``_tail_q``. ``apex``, ``tail`` and ``edges``
+    are Point2 and Segment views built on each read. ``length_hi(j)``
+    brackets edge j's length from its quads on the first read and keeps
+    the bracket's upper end, so each edge of a cached circle brackets its
+    length once. Equality, hash and repr read the fields index, apex and
+    tail.
     """
 
-    __slots__ = ("index", "_apex_q", "_tail_q", "_edges")
+    __slots__ = ("index", "_apex_q", "_tail_q", "_length_his")
     _fields = ("index", "apex", "tail")
 
     def __init__(self, index: int, apex_q: tuple, tail_q: tuple):
         self.index = index
         self._apex_q = apex_q
         self._tail_q = tail_q
-        self._edges = None
+        self._length_his = None
 
     @property
     def apex(self) -> Point2:
@@ -169,11 +168,18 @@ class Circle(Record):
 
     @property
     def edges(self) -> Tuple[Segment, Segment, Segment]:
-        edges = self._edges
-        if edges is None:
-            apex, tail = self.apex, self.tail
-            edges = self._edges = (Segment(ORIGIN, apex), Segment(apex, tail), Segment(tail, ORIGIN))
-        return edges
+        apex, tail = self.apex, self.tail
+        return Segment(ORIGIN, apex), Segment(apex, tail), Segment(tail, ORIGIN)
+
+    def length_hi(self, j: int) -> Fraction:
+        """The upper end of edge j's dyadic length bracket (``dyadic_sqrt_bounds``),
+        from its quads; computed on the first read for j and kept."""
+        his = self._length_his
+        if his is None:
+            his = self._length_his = [None, None, None]
+        if his[j] is None:
+            his[j] = dyadic_sqrt_bounds(Fraction(*kernels.point_dist_sq(*_edge_quads(self)[j])))[1]
+        return his[j]
 
 
 def _edge_quads(circ: Circle) -> tuple:
@@ -352,10 +358,6 @@ class SpaceHandle(Record):
             if kernels.on_segment(q, a, b):
                 return ((n, j),)
         return ()
-
-    def edge_segment(self, ref: EdgeRef) -> Segment:
-        n, j = ref
-        return self.alpha_segment if n == ALPHA else self.circle(n).edges[j]
 
 
 def _certify(circ: Circle, profile: WidthProfile) -> None:

@@ -884,6 +884,16 @@ def walked_loop(table, rng):
     return _charted(_path(ts, qs), table.loop.space, chart)
 
 
+@lru_cache(maxsize=None)
+def bracketed_edge(profile, n, j):
+    """The end quads of edge j of the oracle's C_n and the upper end of
+    its length bracket (``Segment.length_bracket``), kept per edge like
+    :func:`_cached_circle`: the draws of one loop slide along the same few
+    edges again and again."""
+    seg = _cached_circle(n, profile).edges[j]
+    return seg.a._q, seg.b._q, seg.length_bracket[1]
+
+
 def perturb_once(loop, rng, bound):
     """The perturbation that ``pi1lab.pi1._PerturbTable.walk`` draws, in
     two steps: a subdivided copy of the loop at 1 to 3 drawn parameters,
@@ -904,9 +914,7 @@ def perturb_once(loop, rng, bound):
     for i in slide_candidates(work):
         if rng.random() < 0.5:
             continue
-        seg = loop.space.edge_segment(edges[i - 1])
-        _, hi_len = seg.length_bracket
-        a, b = seg.a._q, seg.b._q
+        a, b, hi_len = bracketed_edge(loop.space.profile, *edges[i - 1])
         un, ud = foot_param(qs[i], a, b)
         dd = bd * 2 * hi_len.numerator * grid
         n = un * dd + bn * hi_len.denominator * rng.randint(-grid, grid) * ud
@@ -925,8 +933,7 @@ def perturb_once(loop, rng, bound):
         touched = sorted({ref[0] for ref in edges if ref is not None} - {ALPHA})
         n = rng.choice(touched or [2])
         arm = 0 if rng.random() < 0.5 else 2
-        arm_edge = loop.space.circle(n).edges[arm]
-        _, hi_len = arm_edge.length_bracket
+        a, b, hi_len = bracketed_edge(loop.space.profile, n, arm)
         dd = bd * 2 * hi_len.numerator * grid
         du = bn * hi_len.denominator * rng.randint(1, grid)
         u2 = (du, dd) if arm == 0 else (dd - du, dd)
@@ -934,7 +941,7 @@ def perturb_once(loop, rng, bound):
         mn, md = n0 * d1 + n1 * d0, 2 * d0 * d1
         g = gcd(mn, md)
         ts.insert(i + 1, (mn // g, md // g))
-        qs.insert(i + 1, lerp(arm_edge.a._q, arm_edge.b._q, *u2))
+        qs.insert(i + 1, lerp(a, b, *u2))
         chart[i : i + 1] = [(n, arm)] * 2
     return _charted(_path(tuple(ts), tuple(qs)), loop.space, tuple(chart))
 

@@ -1205,7 +1205,7 @@ class TestDemo:
             classes[0] += 1
             return _orig(self, *args)
 
-        for mod in (geometry, pi1):
+        for mod in (geometry, spaces, pi1):
             monkeypatch.setattr(mod, "dyadic_sqrt_bounds", bounds)
         monkeypatch.setattr(geometry, "_fill", fill)
         # in spaces only: a disjointness check's seg_intersect calls the
@@ -1222,16 +1222,16 @@ class TestDemo:
         assert (paths[0], classes[0]) == (589, 37)
 
     def test_point_wrappers(self, tmp_path, monkeypatch):
-        """A warmed seed-1 demo wraps 16 kernel quads in a Point2 and calls
-        Point2(x, y) never: paths, perturbations, slsc samples, bounces,
-        circles, the disjointness check and the SVG stay on quads. The wraps
-        are the apex and tail of the 8 circles whose edges are read for
-        their kept length brackets: 3 by the discreteness probe's
-        perturbation table and 5 by the slsc probe's small-loop samples.
-        When circles kept Point2 vertices the demo made 829 wraps, and when
-        paths kept Point2 points 2,063."""
+        """A warmed seed-1 demo wraps no kernel quad in a Point2, calls
+        Point2(x, y) never and builds no Segment: paths, perturbations,
+        slsc samples, bounces, circles, the edges' length brackets
+        (``Circle.length_hi``), the disjointness check and the SVG stay on
+        quads. When the perturbation table and the slsc samples read the
+        brackets off Segment edges, the demo wrapped 16 quads and built 24
+        Segments; when circles kept Point2 vertices it made 829 wraps, and
+        when paths kept Point2 points 2,063."""
         demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
-        wraps, inits = [0], [0]
+        wraps, inits, segments = [0], [0], [0]
 
         def wrap(q, _orig=geometry._from_quad):
             wraps[0] += 1
@@ -1241,16 +1241,21 @@ class TestDemo:
             inits[0] += 1
             return _orig(self, *args)
 
+        def segment(self, *args, _orig=geometry.Segment.__init__):
+            segments[0] += 1
+            return _orig(self, *args)
+
         binders = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "pi1lab"]
         binders = [mod for mod in binders if getattr(mod, "_from_quad", None) is geometry._from_quad]
         assert geometry in binders and spaces in binders
         for mod in binders:
             monkeypatch.setattr(mod, "_from_quad", wrap)
         monkeypatch.setattr(geometry.Point2, "__init__", init)
+        monkeypatch.setattr(geometry.Segment, "__init__", segment)
         code, _ = demo_whitehead(nmax=32, seed=1, out_dir=str(tmp_path))
         monkeypatch.undo()
         assert code == 0
-        assert (wraps[0], inits[0]) == (16, 0)
+        assert (wraps[0], inits[0], segments[0]) == (0, 0, 0)
 
     def test_unknown_demo(self, capsys):
         code, _, err = run_cli(capsys, ["demo", "mystery"])

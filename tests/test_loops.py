@@ -233,7 +233,7 @@ class TestStandardLoops:
         for n in range(2, 33):
             fn = standard_fn(n, y)
             d = sup_distance(fn.path, f.path)
-            w = y.profile(n)
+            w = F(*y.profile.pair(n))
             assert d.squared == (F(1, n) + n * w) ** 2
             assert d.squared <= F(4, n * n)  # the 2/n bound, squared
             if prev is not None:

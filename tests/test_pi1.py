@@ -605,7 +605,8 @@ def perturb_once_fraction(loop, rng, bound, clamps):
     for i in oracles.slide_candidates(work):
         if rng.random() < 0.5:
             continue
-        seg = loop.space.edge_segment(edges[i - 1])
+        n, j = edges[i - 1]
+        seg = loop.space.circle(n).edges[j]
         _, hi_len = dyadic_sqrt_bounds(seg.length_sq)
         max_du = bound / (2 * hi_len)
         t, q = bks[i]
@@ -883,7 +884,7 @@ class TestParameterPairs:
             assert_reduced_increasing(lp.path)
         assert oracles.params(standard_fn(2, third).path) == (0, F(1, 2), F(2, 3), 1)
         for n in range(2, 12):
-            w = x.profile(n)
+            w = F(*x.profile.pair(n))
             assert oracles.params(standard_fn(n, x).path)[2] == (1 + w) / 2
 
     def test_slsc_samples(self, y):

@@ -174,12 +174,13 @@ class TestSegment:
         with pytest.raises(DegenerateSegmentError, match=r"^degenerate segment at \(1/2, 1\)$"):
             Segment(point(F(1, 2), 1), point(F(1, 2), 1))
 
-    def test_length_bracket_is_kept(self):
+    def test_length_bracket(self):
+        """The bracket holds the length to within 2**-40; the segment
+        keeps no bracket, only its two ends."""
         seg = Segment(point(0, 0), point(1, 2))
-        first = seg.length_bracket
-        assert seg.length_bracket is first
-        lo, hi = first
-        assert lo * lo <= 5 <= hi * hi
+        lo, hi = seg.length_bracket
+        assert lo * lo <= 5 <= hi * hi and 0 < hi - lo <= F(1, 2**40)
+        assert Segment.__slots__ == ("a", "b")
 
 
 class TestSpaceHandle:

@@ -199,11 +199,33 @@ class TestCircleOracle:
 
     def test_materialising_wraps_no_point(self, monkeypatch):
         """A handle materialises pow10 C_2 ... C_90, in shuffled order, with
-        no Point2 and no Segment: a circle is its vertex quads until its
-        vertices or edges are read, and its edges are then built once."""
+        no Point2 and no Segment: a circle is its vertex quads, and its
+        edges' length brackets are read off them. Its vertices and edges
+        are views, built anew on each read."""
         circles, wraps, segments = materialise_shuffled(monkeypatch, 90)
-        assert circles[0].edges is circles[0].edges
-        assert (len(wraps), len(segments)) == (2, 3)
+        his = [circles[0].length_hi(j) for j in range(3)]
+        assert (len(wraps), len(segments)) == (0, 0)
+        edges, again = circles[0].edges, circles[0].edges
+        assert again == edges and again is not edges
+        assert (len(wraps), len(segments)) == (4, 6)
+        assert his == [e.length_bracket[1] for e in edges]
+
+    @pytest.mark.parametrize("name", ["pow10", "cube", "uniform:1/4"])
+    def test_length_hi_brackets_each_edge_once(self, monkeypatch, name):
+        """``length_hi(j)`` is the upper end of the length bracket of edge j
+        of the oracle's circle, and a circle brackets each edge on the
+        first read of that edge only: 3 brackets per circle, whatever the
+        order of the reads."""
+        profile = profile_by_name(name)
+        calls = []
+        real = spaces.dyadic_sqrt_bounds
+        monkeypatch.setattr(spaces, "dyadic_sqrt_bounds", lambda q: calls.append(q) or real(q))
+        order = (2, 0, 2, 1, 0)
+        for n in (2, 3, 17, 90):
+            circ = build_circle(n, profile)
+            want = [e.length_bracket[1] for e in oracles.build_circle(n, profile).edges]
+            assert [circ.length_hi(j) for j in order] == [want[j] for j in order], f"{name} C{n}"
+        assert len(calls) == 12
 
 
 def assert_tail_reduced(n, profile):
@@ -286,8 +308,6 @@ class TestWidthPairs:
         for n in range(2, 41):
             w = oracles.width(profile, n)
             assert profile.pair(n) == (w.numerator, w.denominator)
-            got = profile(n)
-            assert type(got) is Fraction and (got.numerator, got.denominator) == profile.pair(n)
 
 
 @lru_cache(maxsize=None)
@@ -427,7 +447,7 @@ class TestDisjointness:
                 refused = False
             except SpaceConsistencyError:
                 refused = True
-            if refused != (meets or not profile(n) < profile(n - 1)):
+            if refused != (meets or not F(*profile.pair(n)) < F(*profile.pair(n - 1))):
                 wrong.append(n)
         assert wrong == []
 
@@ -552,14 +572,14 @@ class TestProfiles:
     def test_lookup(self):
         assert profile_by_name("pow10").name == "pow10"
         assert profile_by_name("default").name == "pow10"
-        assert profile_by_name("cube")(2) == F(1, 80)
-        assert profile_by_name("uniform:1/2")(9) == F(1, 2)
+        assert profile_by_name("cube").pair(2) == (1, 80)
+        assert profile_by_name("uniform:1/2").pair(9) == (1, 2)
         with pytest.raises(SpaceError):
             profile_by_name("nope")
 
     def test_default_profile_values(self):
-        assert profile_by_name("pow10")(2) == F(1, 10**20)
-        assert profile_by_name("pow10")(3) == F(1, 10**30)
+        assert profile_by_name("pow10").pair(2) == (1, 10**20)
+        assert profile_by_name("pow10").pair(3) == (1, 10**30)
 
     def test_cube_profile_is_disjoint(self):
         rep = verify_disjointness(bouquet_x(hint=12, profile=profile_by_name("cube")), 12)
