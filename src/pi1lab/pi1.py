@@ -44,6 +44,7 @@ from .exactnum import dyadic_sqrt_bounds, rational_decimal
 from .geometry import ORIGIN, _path, _sup_merge, rat, sup_distance
 from .loops import (
     Loop,
+    LoopError,
     _charted,
     _scan,
     _spans,
@@ -60,7 +61,7 @@ from .spaces import ALPHA, ALPHA_EDGE, SpaceHandle, SpaceKind, _edge_quads
 from .words import Word, _free_reduce, _word, format_word, reduce_letters
 
 
-class ClassificationError(Exception):
+class ClassificationError(LoopError):
     pass
 
 

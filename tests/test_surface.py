@@ -10,12 +10,16 @@ constant, and a default that nothing takes is dead.
 
 The value records keep one rule each: only ``records.Record`` decides
 equality, and every field of a record is read. No module imports a name it
-never reads."""
+never reads. Every exception class the package defines is one that the
+command line maps to an exit code."""
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import pytest
+
+from pi1lab import cli, dsl
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pi1lab"
@@ -268,3 +272,23 @@ def test_imports_are_read(path):
     """No module imports a name it never reads; ``pi1lab/__init__.py``
     re-exports, so it is not checked."""
     assert _unread_imports(path) == []
+
+
+EXCEPTIONS = [
+    (module, cls.name)
+    for module, cls in _classes()
+    if issubclass(getattr(importlib.import_module(f"pi1lab.{module}"), cls.name), BaseException)
+]
+
+
+def test_exceptions_found():
+    assert len(EXCEPTIONS) > 10
+
+
+@pytest.mark.parametrize("module,name", EXCEPTIONS, ids=[f"{m}.{n}" for m, n in EXCEPTIONS])
+def test_exception_has_an_exit_code(module, name):
+    """``cli.main`` maps a ``dsl.DslError`` and a ``cli._Refused`` to exit
+    code 2 and a member of ``cli.RunError`` to exit code 1; any other
+    exception ends a command in a traceback."""
+    exc = getattr(importlib.import_module(f"pi1lab.{module}"), name)
+    assert issubclass(exc, (*cli.RunError, dsl.DslError, cli._Refused)), f"{module}.{name} has no exit code"
