@@ -61,6 +61,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Tuple, Union
 
+from .exactnum import decimal_int, decimal_text, rational_text
 from .records import Record
 from .report import MAX_REPORT_DIGITS as MAX_LITERAL_DIGITS
 from .spaces import MAX_CIRCLE_INDEX, candidate_circle, profile_by_name
@@ -280,8 +281,8 @@ def _rational_pair(text: str, line: int, col: int, number=True) -> Tuple[int, in
         raise DslError(line, col, f"expected a rational like 3 or 1/10, got {quote(text)}")
     num, _, den = text.partition("/")
     if not den:
-        return int(num), 1
-    n, d = int(num), int(den)
+        return decimal_int(num), 1
+    n, d = decimal_int(num), decimal_int(den)
     if d == 0:
         raise DslError(line, col, f"zero denominator in {quote(text)}")
     g = gcd(n, d)
@@ -302,7 +303,7 @@ def _check_index(n: int, what: str, line: int, col: int) -> None:
     ``{}`` where n goes, cut as ``cut`` cuts; the text is built on refusal
     only."""
     if n > MAX_CIRCLE_INDEX:
-        raise DslError(line, col, f"{what.format(cut(str(n)))} exceeds the limit {MAX_CIRCLE_INDEX} on circle indices")
+        raise DslError(line, col, f"{what.format(cut(decimal_text(n)))} exceeds the limit {MAX_CIRCLE_INDEX} on circle indices")
 
 
 def _spend(total: int, cost: int, what: str, line: int, col: int) -> int:
@@ -459,7 +460,7 @@ def _expr(toks: list, i: int, line: int, col: int, loops: Optional[dict], depth:
         # C(n).once or C(n).inv, with whitespace only around n
         shaped = lparen[1] == "(" and rparen[1] == ")" and suffix[1] in (".once", ".inv")
         if shaped and not (lparen[0] or suffix[0]) and index and "/" not in index:
-            idx = int(index)
+            idx = decimal_int(index)
             if idx < 2:
                 raise DslError(line, col, f"circle index must be >= 2, got C({cut(str(idx))})")
             _check_index(idx, "C({})", line, col)
@@ -514,17 +515,16 @@ def _points(toks: list, i: int, line: int, col: int, depth: int) -> Tuple[Points
         if not (tok[_TRIPLE] and toks[j + 1][1] in (",", "]")):
             _bad_triple(toks, j, line, col)
         j += 2 if toks[j + 1][1] == "," else 1
-        t = _rational_pair(tok[3], line, col) if "/" in tok[3] else (int(tok[3]), 1)
-        xn, xd = _rational_pair(tok[4], line, col) if "/" in tok[4] else (int(tok[4]), 1)
-        yn, yd = _rational_pair(tok[5], line, col) if "/" in tok[5] else (int(tok[5]), 1)
+        t = _rational_pair(tok[3], line, col)
+        xn, xd = _rational_pair(tok[4], line, col)
+        yn, yd = _rational_pair(tok[5], line, col)
         q = (xn, xd, yn, yd)
         if xn > 0:
             n = candidate_circle(q)
             if n > MAX_CIRCLE_INDEX:
-                # y/x of two literals can pass the digit limit of str(), and
                 # an index longer than a quote is not named
                 circle = f"C({n})" if n < 10**QUOTE_CHARS else "a circle"
-                x, y = Fraction(xn, xd), Fraction(yn, yd)
+                x, y = rational_text(Fraction(xn, xd)), rational_text(Fraction(yn, yd))
                 raise DslError(
                     line,
                     col,
@@ -624,7 +624,7 @@ def parse(text: str) -> Script:
                 and _tight(toks, 3, 5) and toks[5][1].isdecimal() and toks[6][1] == ")" and (n == 7 or width_arg)
             ):
                 raise DslError(lineno, col, "expected: space <name> = X(<hint>)|Y(<hint>) [width=default|pow10|cube|uniform:<q>]")
-            name, kind, hint = toks[1][_NAME], toks[3][1], int(toks[5][1])
+            name, kind, hint = toks[1][_NAME], toks[3][1], decimal_int(toks[5][1])
             width = _text(toks, 9, n) if n > 7 else "default"
             width = "pow10" if width == "default" else width
             if width not in ("pow10", "cube"):
@@ -706,8 +706,8 @@ def parse(text: str) -> Script:
                     if not number or "/" in number:
                         raise DslError(lineno, col, f"{key} must be an integer, got {quote(val)}")
                     if key in ("n_max", "up_to"):
-                        _check_index(int(val), f"{key}={cut(val)}", lineno, col)
-                    args.append((key, int(val)))
+                        _check_index(decimal_int(val), f"{key}={cut(val)}", lineno, col)
+                    args.append((key, decimal_int(val)))
                 elif typ == "rat":
                     args.append((key, Fraction(*_rational_pair(val, lineno, col, number))))
                 else:  # name

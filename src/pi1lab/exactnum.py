@@ -5,11 +5,51 @@ print a rational, or the square root of a rational, to a fixed number of
 places with round-half-even, and probes that need a length as a rational
 bound take an exact dyadic bracket around its square root. No floating
 point is involved anywhere.
+
+Conversions between an int and decimal text work in pieces of at most
+``_PIECE`` digits, below 640, the least limit that
+``sys.set_int_max_str_digits`` accepts, so no text this package reads or
+prints depends on the interpreter's int-string limit.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+
+_PIECE = 600
+_PIECE_POWER = 10**_PIECE
+
+
+def decimal_int(text: str) -> int:
+    """``int(text)`` of decimal digits with an optional leading "-", read in
+    pieces of at most _PIECE digits; a shorter text takes one ``int()``."""
+    if len(text) <= _PIECE:
+        return int(text)
+    digits = text[1:] if text[0] == "-" else text
+    head = len(digits) % _PIECE or _PIECE
+    n = int(digits[:head])
+    for i in range(head, len(digits), _PIECE):
+        n = n * _PIECE_POWER + int(digits[i : i + _PIECE])
+    return -n if len(digits) < len(text) else n
+
+
+def decimal_text(n: int, width: int = 0) -> str:
+    """``str(n)`` of an int, its digits zero-padded to at least ``width``,
+    written in pieces of at most _PIECE digits."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    pieces = []
+    while n >= _PIECE_POWER or width > _PIECE:
+        n, low = divmod(n, _PIECE_POWER)
+        pieces.append(str(low).zfill(_PIECE))
+        width -= _PIECE
+    pieces.append(str(n).zfill(width))
+    return sign + "".join(reversed(pieces))
+
+
+def rational_text(q) -> str:
+    """``str(q)`` of an int or a Fraction, written by ``decimal_text``."""
+    text = decimal_text(q.numerator)
+    return text if q.denominator == 1 else f"{text}/{decimal_text(q.denominator)}"
 
 
 def _round_half_even(num: int, den: int) -> int:
@@ -26,9 +66,9 @@ def _format_scaled(scaled: int, digits: int) -> str:
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
     if digits == 0:
-        return f"{sign}{scaled}"
+        return sign + decimal_text(scaled)
     whole, frac = divmod(scaled, 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{decimal_text(whole)}.{decimal_text(frac, digits)}"
 
 
 def rational_decimal(q: Fraction, digits: int) -> str:

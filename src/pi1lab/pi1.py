@@ -40,7 +40,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from . import kernels
-from .exactnum import dyadic_sqrt_bounds, rational_decimal
+from .exactnum import decimal_text, dyadic_sqrt_bounds, rational_decimal, rational_text
 from .geometry import ORIGIN, _path, _sup_merge, rat, sup_distance
 from .loops import (
     Loop,
@@ -246,7 +246,7 @@ def probe_nondiscreteness_y(n_max: int, epsilon: Fraction, space: SpaceHandle) -
             (
                 ("n", str(n_max)),
                 ("d_sq", text(prev)),
-                ("epsilon", str(epsilon)),
+                ("epsilon", rational_text(epsilon)),
                 ("gap", "final sup distance is not yet below epsilon; enlarge n_max"),
             )
         )
@@ -260,7 +260,7 @@ def probe_nondiscreteness_y(n_max: int, epsilon: Fraction, space: SpaceHandle) -
             ("space", str(space.kind)),
             ("width_profile", space.profile.name),
             ("n_max", str(n_max)),
-            ("epsilon", str(epsilon)),
+            ("epsilon", rational_text(epsilon)),
             ("word_of_limit_loop", format_word(word_f)),
         ),
         table_header=("n", "word", "sup_dist_sq", f"sup_dist_dec({digits})"),
@@ -581,10 +581,10 @@ def probe_discreteness_x(
             ("width_profile", loop.space.profile.name),
             ("word", format_word(base_word)),
             ("trials", str(trials)),
-            ("magnitude", str(magnitude)),
+            ("magnitude", rational_text(magnitude)),
             ("stability_radius", text(rho, "stability_radius")),
             ("stability_radius_dec", rational_decimal(rho, digits)),
-            ("seed", str(seed)),
+            ("seed", decimal_text(seed)),
             ("max_perturbation_sq_seen", text(Fraction(max_n, max_d), "max_perturbation_sq_seen")),
             ("agreeing_trials", str(trials - len(witnesses))),
         ),
@@ -801,9 +801,9 @@ def probe_slsc_y(radius: Fraction, samples: int, seed: int, space: SpaceHandle) 
         parameters=(
             ("space", str(space.kind)),
             ("width_profile", space.profile.name),
-            ("radius", str(radius)),
+            ("radius", rational_text(radius)),
             ("samples", str(samples)),
-            ("seed", str(seed)),
+            ("seed", decimal_text(seed)),
             ("classified", str(samples)),
             ("trivial", str(samples - len(witnesses))),
             # a sample outside the ball raises above, so none is rejected

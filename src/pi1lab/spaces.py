@@ -46,7 +46,7 @@ from math import gcd
 from typing import Callable, Dict, Optional, Tuple
 
 from . import kernels
-from .exactnum import dyadic_sqrt_bounds, sqrt_decimal
+from .exactnum import decimal_int, dyadic_sqrt_bounds, rational_text, sqrt_decimal
 from .geometry import ORIGIN, Point2, Segment, _from_quad, _intersection_of, _segment_of, point, rat
 from .records import Record
 from .report import ProbeReport, exact_str, report_digits
@@ -117,7 +117,7 @@ CUBE = WidthProfile("cube", lambda n: Fraction(1, 10 * n**3))
 
 def uniform_profile(value) -> WidthProfile:
     value = rat(value)
-    return WidthProfile(f"uniform:{value}", lambda n: value)
+    return WidthProfile("uniform:" + rational_text(value), lambda n: value)
 
 
 def profile_by_name(name: str) -> WidthProfile:
@@ -126,7 +126,8 @@ def profile_by_name(name: str) -> WidthProfile:
     if name == "cube":
         return CUBE
     if name.startswith("uniform:"):
-        return uniform_profile(rat(name.split(":", 1)[1]))
+        num, _, den = name[len("uniform:") :].partition("/")
+        return uniform_profile(Fraction(decimal_int(num), decimal_int(den) if den else 1))
     raise SpaceError(f"unknown width profile {name!r}")
 
 

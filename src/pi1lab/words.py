@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Tuple
 
+from .exactnum import decimal_int
 from .records import Record
 
 Syllable = Tuple[int, int]
@@ -143,8 +144,8 @@ def parse_word(text: str) -> Word:
         m = _LETTER_RE.match(tok)
         if not m:
             raise WordError(f"bad word token {quote(tok)}; expected e.g. g2 or g3^-1")
-        n = int(m.group(1))
-        e = int(m.group(2)) if m.group(2) is not None else 1
+        n = decimal_int(m.group(1))
+        e = decimal_int(m.group(2)) if m.group(2) is not None else 1
         if n < 2:
             raise WordError(f"generator index must be >= 2, got g{n}")
         letters.append((n, e))

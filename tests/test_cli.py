@@ -816,6 +816,66 @@ class TestDiscretenessReportBytes:
         )
 
 
+# Inputs whose 1000-digit literals pass the least int-string limit, 640: a
+# points breakpoint, an slsc radius and a uniform width, each with a
+# 1000-digit denominator; a circle index with 700 leading zeros, and a
+# 1000-digit one, which is refused naming it.
+_D1000 = "1" + "0" * 999
+LIMIT_SCRIPTS = {
+    "points": f"space S = Y(5)\nloop q = points [(0, 0, 0), (1/2, 0, 1/{_D1000}), (1, 0, 0)]\nclassify q\n",
+    "slsc-radius": f"space S = Y(5)\nprobe slsc radius=1/{_D1000} samples=3\n",
+    "uniform-width": f"space S = Y(5) width=uniform:1/{_D1000}\nloop c = C(2).once\nclassify c\n",
+    "leading-zeros": "space S = Y(5)\nloop c = C(" + "0" * 700 + "5).once\nclassify c\n",
+    "long-index": f"space S = Y(5)\nloop c = C({_D1000}).once\n",
+}
+
+
+@pytest.fixture
+def limit_640():
+    """The interpreter's int-string limit at 640, the least it accepts, for
+    one test, and the old limit restored after it; skipped where there is
+    no such limit (Python before 3.10.7)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-string limit before Python 3.10.7")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def at_default_limit(capsys, argv):
+    """``run_cli`` of ``argv`` with the int-string limit at its default, and
+    the limit the test set restored after."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        return run_cli(capsys, argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestIntStringLimit:
+    """Under the least int-string limit, 640, each command prints what it
+    prints under the default limit: its literals are read and its decimals
+    written in pieces of at most 600 digits."""
+
+    def test_dist_at_1000_places(self, capsys, monkeypatch, limit_640):
+        monkeypatch.setenv("PI1LAB_DIGITS", "1000")
+        argv = ["dist", "C(2).once", "alpha.updown"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == at_default_limit(capsys, argv)
+        assert code == 0 and len(out.split("\n")[1].split(".")[1]) == 1000
+
+    @pytest.mark.parametrize("name", sorted(LIMIT_SCRIPTS))
+    def test_scripts_with_long_literals(self, capsys, tmp_path, limit_640, name):
+        path = tmp_path / "limit.pi1"
+        path.write_text(LIMIT_SCRIPTS[name], encoding="utf-8")
+        got = run_cli(capsys, ["run", str(path)])
+        assert got == at_default_limit(capsys, ["run", str(path)])
+        assert got[0] == (2 if name == "long-index" else 0)
+        assert "Traceback" not in got[2]
+
+
 class TestModuleEntryPoint:
     def test_python_m_pi1lab(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -4,10 +4,49 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import SqrtExt, sqrt_leq_sqrt_plus_sqrt
-from pi1lab.exactnum import dyadic_sqrt_bounds, rational_decimal, sqrt_decimal
+from pi1lab.exactnum import (
+    decimal_int,
+    decimal_text,
+    dyadic_sqrt_bounds,
+    rational_decimal,
+    rational_text,
+    sqrt_decimal,
+)
 
 rationals = st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=1000)
 nonneg = st.fractions(min_value=Fraction(0), max_value=Fraction(50), max_denominator=1000)
+
+
+# Digit counts about the 600-digit pieces of decimal_int and decimal_text.
+PIECE_LENGTHS = (1, 599, 600, 601, 1199, 1200, 1201, 4300)
+
+
+class TestDecimalPieces:
+    """``decimal_int`` and ``decimal_text`` agree with ``int`` and ``str`` at
+    the default int-string limit, across the 600-digit piece boundaries,
+    and ``rational_text`` with ``str`` of an int or a Fraction."""
+
+    @pytest.mark.parametrize("length", PIECE_LENGTHS)
+    def test_match_int_and_str(self, length):
+        n = int("".join(str((7 * i + 3) % 10) for i in range(length - 1)) + "9")
+        for value in (n, -n, 10 ** (length - 1), 0):
+            assert decimal_text(value) == str(value)
+            assert decimal_int(str(value)) == value
+            assert decimal_int("0" * 700 + str(abs(value))) == abs(value)
+
+    @pytest.mark.parametrize("width", (0, 1, 40, 600, 601, 1300))
+    @pytest.mark.parametrize("length", PIECE_LENGTHS)
+    def test_zero_padding(self, length, width):
+        n = 10 ** (length - 1) + 7
+        assert decimal_text(n, width) == (f"{n:0{width}d}" if width else str(n))
+
+    def test_other_decimal_digits(self):
+        """A script's digits may be any Unicode decimal digits, as ``int`` reads them."""
+        assert decimal_int("\u0663" * 700) == int("3" * 700)
+
+    def test_rational_text(self):
+        for q in (Fraction(-3, 4), Fraction(5), 7, -2, Fraction(1, 10**999), Fraction(-(10**1200) - 1, 3)):
+            assert rational_text(q) == str(q)
 
 
 class TestRationalDecimal:
