@@ -16,10 +16,11 @@ Exit codes: 0 success / all PASS; 2 refused before anything runs (usage,
 errors, script limits, a script that is not UTF-8, ``render`` of a script
 with no render directive, an unknown demo); 1 refused while
 running, or any FAIL verdict. ``main`` is the one place that maps an error
-to its exit code and its one stderr line. One-off literals are evaluated
-in the compact space Y with the default width profile. PI1LAB_DIGITS sets
-report decimal places (default 40), from 1 to 4300; any other value
-exits 2.
+to its exit code and its one stderr line. A probe statement calls the run
+of its kind's entry of ``dsl.PROBES`` with the statement's arguments. One-off
+literals are evaluated in the compact space Y with the default width
+profile. PI1LAB_DIGITS sets report decimal places (default 40), from 1 to
+4300; any other value exits 2.
 
 ``main(argv)`` may be called repeatedly in one process and returns the exit
 code; a usage error or ``--help`` raises ``SystemExit`` as argparse does.
@@ -140,7 +141,8 @@ class _Runner:
                 a, b = self.loops[st.first], self.loops[st.second]
                 self.emit(_dist_text(a, b, f"dist {st.first} {st.second}"))
             elif isinstance(st, dsl.ProbeStmt):
-                self.emit_report(self._run_probe(st))
+                _, _, run = dsl.PROBES[st.kind]
+                self.emit_report(run(self.active, self.loops, **dict(st.args)))
             elif isinstance(st, dsl.RenderStmt):
                 spaces = []
                 loops = []
@@ -155,26 +157,6 @@ class _Runner:
             else:
                 raise TypeError(f"not a statement: {st!r}")
         return 1 if self.failed else 0
-
-    def _run_probe(self, st: dsl.ProbeStmt) -> ProbeReport:
-        args = dict(st.args)
-        space = self.active
-        if st.kind == "disjointness":
-            return verify_disjointness(space, args["up_to"])
-        if st.kind == "hausdorff":
-            return hausdorff_convergence(space, args["up_to"])
-        if st.kind == "nondiscreteness":
-            return probe_nondiscreteness_y(args["n_max"], args["epsilon"], space)
-        if st.kind == "discreteness":
-            return probe_discreteness_x(
-                self.loops[args["loop"]],
-                args["trials"],
-                args["magnitude"],
-                args.get("seed", 0),
-            )
-        if st.kind == "slsc":
-            return probe_slsc_y(args["radius"], args["samples"], args.get("seed", 0), space)
-        raise ValueError(f"unhandled probe kind {st.kind!r}")
 
 
 # Largest single read of a script, in bytes. A read of n bytes allocates n

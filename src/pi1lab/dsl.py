@@ -11,7 +11,8 @@ a render's file; a ``concat`` or ``points`` list may end in a comma. A
 recursive descent reads each statement off its tokens, in time linear in
 the line at any nesting. Names resolve eagerly: using a name before binding
 it, binding a loop before any space is active, or giving a probe a key
-twice, is a parse diagnostic with line and column.
+twice, is a parse diagnostic with line and column. Each probe kind is one
+entry of ``PROBES``: its parameters, its price and its run.
 
     space S = Y(20) width=pow10
     loop f = alpha.updown
@@ -34,25 +35,23 @@ Input limits are checked when the script is parsed, so a script over one
 fails at once with a parse error instead of running for seconds to hours:
 
 - circle indices are capped at ``MAX_CIRCLE_INDEX``: ``C(n)``, word
-  generators ``gN``, a space's hint, ``n_max`` and ``up_to``, and the one
-  circle each ``points`` breakpoint can lie on, ``max(2, ceil(y/x))`` for
-  x > 0 (``spaces.candidate_circle``, which point location uses too);
+  generators ``gN``, a space's hint, a probe's ``index`` parameters and the
+  one circle each ``points`` breakpoint can lie on, ``max(2, ceil(y/x))``
+  for x > 0 (``spaces.candidate_circle``, which point location uses too);
 - no integer literal may have more than ``MAX_LITERAL_DIGITS`` digits;
 - a one-off literal (``parse_loop_literals``) nests ``concat`` at most
   ``MAX_NESTING`` levels deep, which bounds the recursion of every walk
   over its tree: the parser, the price and the evaluation;
-- every statement has a price in units of work (``_PRICES``), and one
-  script may spend at most ``MAX_SCRIPT_WORK`` units: the statement that
-  passes the limit is refused at its line. A price is a closed form in what
-  the parser knows: a loop's letters (a word's length, 1 per circle or
-  alpha, 1 per ``points`` piece, the sum over a ``concat``) and its weight
-  (the circle price p(n) of each letter's circle, and the digits of a
-  ``points`` literal), ``trials``, ``samples``, ``up_to``, ``n_max``, a
-  space's hint, and the digits of a radius or magnitude. p(n) is the
-  squared bit size of C_n's width under the space's width profile, in
-  units of 2**16: the default pow10 width of C_n has a 10n-digit
-  denominator, and exact arithmetic on C_n costs about p(n) times more
-  than on a small circle.
+- every statement has a price in units of work (``_PRICES``), and one script
+  may spend at most ``MAX_SCRIPT_WORK`` units: the statement that passes the
+  limit is refused at its line. A price is a closed form in what the parser
+  knows: a loop's letters (a word's length, 1 per circle or alpha, 1 per
+  ``points`` piece, the sum over a ``concat``) and its weight (the circle
+  price p(n) of each letter's circle, and the digits of a ``points``
+  literal), a space's hint and a probe's arguments. p(n) is the squared bit
+  size of C_n's width under the space's width profile, in units of 2**16:
+  the pow10 width of C_n has a 10n-digit denominator, and exact arithmetic
+  on C_n costs about p(n) times more than on a small circle.
 """
 from __future__ import annotations
 
@@ -62,9 +61,10 @@ from math import gcd
 from typing import Optional, Tuple, Union
 
 from .exactnum import decimal_int, decimal_text, rational_text
+from .pi1 import probe_discreteness_x, probe_nondiscreteness_y, probe_slsc_y
 from .records import Record
 from .report import MAX_REPORT_DIGITS as MAX_LITERAL_DIGITS
-from .spaces import MAX_CIRCLE_INDEX, candidate_circle, profile_by_name
+from .spaces import MAX_CIRCLE_INDEX, candidate_circle, hausdorff_convergence, profile_by_name, verify_disjointness
 from .words import QUOTE_CHARS, Word, WordError, cut, parse_word, quote
 
 # Deepest nesting of ``concat`` in a one-off literal. The parser, the price
@@ -260,19 +260,6 @@ _OPEN = ("", "(") + ("",) * 5  # a "(" token, for a concat whose arguments read 
 _ENDS = (("",), ("", ",", ")"))  # what may follow a loop expression at the top of a line, and in a concat
 _POINTS_SHAPE = "points expects a bracketed list of (t, x, y) triples"
 
-PROBE_SIGNATURES = {
-    "disjointness": (("up_to", "int"),),
-    "hausdorff": (("up_to", "int"),),
-    "nondiscreteness": (("n_max", "int"), ("epsilon", "rat")),
-    "discreteness": (
-        ("loop", "name"),
-        ("trials", "int"),
-        ("magnitude", "rat"),
-        ("seed", "int?"),
-    ),
-    "slsc": (("radius", "rat"), ("samples", "int"), ("seed", "int?")),
-}
-
 
 def _rational_pair(text: str, line: int, col: int, number=True) -> Tuple[int, int]:
     """The number ``text`` as a reduced int pair (n, d), d > 0; refused if
@@ -364,27 +351,54 @@ def _measure(expr: LoopExpr, loops: dict, p) -> Tuple[int, int, int]:
     return 1, 0, 0
 
 
-def _probe_price(kind: str, args: dict, loops: dict, p) -> int:
-    """The price of a probe in a space of circle price ``p``. A count past
-    MAX_SCRIPT_WORK is priced as MAX_SCRIPT_WORK, which alone passes the
-    limit, so that no price outgrows what str() prints."""
-    if kind in ("hausdorff", "nondiscreteness"):
-        a, b = _PRICES[kind]
-        top = args.get("up_to", args.get("n_max"))
-        return sum(a + b * p(n) for n in range(2, top + 1))
-    if kind == "disjointness":
-        a, b = _PRICES["pair"]
-        return sum((n - 2) * (a + b * p(n)) for n in range(3, args["up_to"] + 1))
-    if kind == "slsc":
-        samples = min(max(args["samples"], 0), MAX_SCRIPT_WORK)
-        return samples * (_PRICES["sample"] + _bits(args["radius"]))
-    # discreteness: the stability radius of the loop, then its trials
+def _per_circle(key: str, top: int, p, pairs: bool) -> int:
+    """``_PRICES[key]`` = (a, b) as a + b * p(n) per circle n <= top, or per pair on its larger n."""
+    a, b = _PRICES[key]
+    return sum((n - 2 if pairs else 1) * (a + b * p(n)) for n in range(2, top + 1))
+
+
+def _discreteness_price(args: dict, loops: dict, p) -> int:
+    """The stability radius of the loop, then its trials."""
     letters, weight = loops[args["loop"]]
-    a, b = _PRICES["radius"]
-    radius = a * letters + b * weight
-    a, b = _PRICES["trial_letter"]
-    trial = _PRICES["trial"] + letters * (a + _bits(args["magnitude"]) // 4) + b * weight
-    return radius + min(max(args["trials"], 0), MAX_SCRIPT_WORK) * trial
+    (a, b), (c, d) = _PRICES["radius"], _PRICES["trial_letter"]
+    trial = _PRICES["trial"] + letters * (c + _bits(args["magnitude"]) // 4) + d * weight
+    return a * letters + b * weight + min(max(args["trials"], 0), MAX_SCRIPT_WORK) * trial
+
+
+# One entry per probe kind: its (name, type) parameters in order, of type "int",
+# "rat", "name" (a bound loop) or "index" (an int capped by MAX_CIRCLE_INDEX),
+# "?" if optional; its price(args, loops, p) from the bound loops' (letters,
+# weight) and circle price p, a count past MAX_SCRIPT_WORK priced as that
+# limit; and its run(space, loops, **args) on the active space and Loops.
+PROBES = {
+    "disjointness": (
+        (("up_to", "index"),),
+        lambda a, loops, p: _per_circle("pair", a["up_to"], p, True),
+        lambda space, loops, up_to: verify_disjointness(space, up_to),
+    ),
+    "hausdorff": (
+        (("up_to", "index"),),
+        lambda a, loops, p: _per_circle("hausdorff", a["up_to"], p, False),
+        lambda space, loops, up_to: hausdorff_convergence(space, up_to),
+    ),
+    "nondiscreteness": (
+        (("n_max", "index"), ("epsilon", "rat")),
+        lambda a, loops, p: _per_circle("nondiscreteness", a["n_max"], p, False),
+        lambda space, loops, n_max, epsilon: probe_nondiscreteness_y(n_max, epsilon, space),
+    ),
+    "discreteness": (
+        (("loop", "name"), ("trials", "int"), ("magnitude", "rat"), ("seed", "int?")),
+        _discreteness_price,
+        lambda space, loops, loop, trials, magnitude, seed=0: probe_discreteness_x(
+            loops[loop], trials, magnitude, seed
+        ),
+    ),
+    "slsc": (
+        (("radius", "rat"), ("samples", "int"), ("seed", "int?")),
+        lambda a, loops, p: min(max(a["samples"], 0), MAX_SCRIPT_WORK) * (_PRICES["sample"] + _bits(a["radius"])),
+        lambda space, loops, radius, samples, seed=0: probe_slsc_y(radius, samples, seed, space),
+    ),
+}
 
 
 def _text(toks: list, i: int, j: int) -> str:
@@ -680,45 +694,41 @@ def parse(text: str) -> Script:
                 j = k
             if not valid:
                 raise DslError(lineno, col, "expected: probe <kind> key=value ...")
-            if kind not in PROBE_SIGNATURES:
-                raise DslError(
-                    lineno, col, f"unknown probe {quote(kind)}; known: {', '.join(sorted(PROBE_SIGNATURES))}"
-                )
+            if kind not in PROBES:
+                raise DslError(lineno, col, f"unknown probe {quote(kind)}; known: {', '.join(sorted(PROBES))}")
             if active_space is None:
                 raise DslError(lineno, col, "no active space: declare one with 'space' first")
-            known = {key for key, _ in PROBE_SIGNATURES[kind]}
-            raw_args = {}
+            params, price_of, _ = PROBES[kind]
+            known, raw_args = {key for key, _ in params}, {}
             for key, a, b in pairs:
                 if key in raw_args and key in known:
                     raise DslError(lineno, col, f"probe {kind} takes {quote(key)} once")
                 raw_args[key] = (a, b)
-            args = []
-            for key, typ in PROBE_SIGNATURES[kind]:
-                optional = typ.endswith("?")
-                typ = typ.rstrip("?")
+            args = {}
+            for key, typ in params:
                 if key not in raw_args:
-                    if optional:
+                    if typ.endswith("?"):
                         continue
                     raise DslError(lineno, col, f"probe {kind} needs {key}=...")
                 a, b = raw_args.pop(key)
                 val, number = _text(toks, a, b), _number(toks[a]) if b == a + 1 else ""
-                if typ == "int":
+                typ = typ.rstrip("?")
+                if typ in ("int", "index"):
                     if not number or "/" in number:
                         raise DslError(lineno, col, f"{key} must be an integer, got {quote(val)}")
-                    if key in ("n_max", "up_to"):
-                        _check_index(decimal_int(val), f"{key}={cut(val)}", lineno, col)
-                    args.append((key, decimal_int(val)))
+                    args[key] = decimal_int(val)
+                    if typ == "index":
+                        _check_index(args[key], f"{key}={cut(val)}", lineno, col)
                 elif typ == "rat":
-                    args.append((key, Fraction(*_rational_pair(val, lineno, col, number))))
+                    args[key] = Fraction(*_rational_pair(val, lineno, col, number))
                 else:  # name
                     if val not in loops:
                         raise DslError(lineno, col, f"unbound loop name {quote(val)}")
-                    args.append((key, val))
+                    args[key] = val
             if raw_args:
-                stray = sorted(raw_args)[0]
-                raise DslError(lineno, col, f"probe {kind} does not take {quote(stray)}")
-            cost = _probe_price(kind, dict(args), loops, price)
-            st, what = ProbeStmt(kind, tuple(args)), f"probe {kind}"
+                raise DslError(lineno, col, f"probe {kind} does not take {quote(min(raw_args))}")
+            cost = price_of(args, loops, price)
+            st, what = ProbeStmt(kind, tuple(args.items())), f"probe {kind}"
         elif head == "render":
             k = next(k for k in range(1, n + 1) if not toks[k][_NAME])
             if not (k > 1 and toks[k][1] == "->" and k + 1 < n and _tight(toks, k + 1, n)):

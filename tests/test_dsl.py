@@ -1,14 +1,23 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import oracles
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
-from test_cli import dsl_docstring_script
+from test_cli import dsl_docstring_script, readme_script, run_cli
 
 from pi1lab import cli, dsl
 from pi1lab.geometry import GeometryError
-from pi1lab.loops import LoopError, loop_from_breakpoints
-from pi1lab.spaces import compact_y, profile_by_name
+from pi1lab.loops import LoopError, loop_from_breakpoints, standard_fn
+from pi1lab.pi1 import probe_discreteness_x, probe_nondiscreteness_y, probe_slsc_y
+from pi1lab.spaces import (
+    bouquet_x,
+    compact_y,
+    hausdorff_convergence,
+    profile_by_name,
+    verify_disjointness,
+)
 from pi1lab.words import parse_word
 
 GOOD = """\
@@ -328,6 +337,56 @@ def filler(units: int) -> str:
     radius 1/2**k, whose k + 2 bits make it cost 202 + k."""
     k_letters, k = divmod(units - 402, 70)
     return f"space F = Y(5)\nloop z = word g2^{k_letters}\nprobe slsc radius=1/{2**k} samples=1\n"
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+# For each probe kind, a script that gives only its required parameters, and
+# the direct call that it stands for, with seed 0.
+REQUIRED_ONLY = {
+    "disjointness": ("space S = Y(5)\nprobe disjointness up_to=6\n", lambda: verify_disjointness(compact_y(5), 6)),
+    "hausdorff": ("space S = Y(5)\nprobe hausdorff up_to=6\n", lambda: hausdorff_convergence(compact_y(5), 6)),
+    "nondiscreteness": (
+        "space S = Y(5)\nprobe nondiscreteness n_max=8 epsilon=1/10\n",
+        lambda: probe_nondiscreteness_y(8, Fraction(1, 10), compact_y(5)),
+    ),
+    "discreteness": (
+        "space T = X(5)\nloop a = C(3).once\nprobe discreteness loop=a trials=3 magnitude=1/1000\n",
+        lambda: probe_discreteness_x(standard_fn(3, bouquet_x(5)), 3, Fraction(1, 1000), 0),
+    ),
+    "slsc": ("space S = Y(5)\nprobe slsc radius=1/4 samples=5\n", lambda: probe_slsc_y(Fraction(1, 4), 5, 0, compact_y(5))),
+}
+
+
+class TestProbeTable:
+    """``dsl.PROBES`` holds the probe kinds that the documents name: each
+    kind has a row in the README's price table and a line in the dsl
+    docstring's example, and the README names no other probe. A kind's
+    optional parameters default as its direct call's do."""
+
+    KINDS = sorted(dsl.PROBES)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_price_table_row(self, kind):
+        assert f"| `probe {kind}` |" in README
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_docstring_example_line(self, kind):
+        assert any(line.startswith(f"probe {kind} ") for line in dsl_docstring_script().splitlines())
+
+    def test_readme_names_only_table_kinds(self):
+        named = set(re.findall(r"`probe (\w+)", README)) | set(re.findall(r"^probe (\w+)", readme_script(), re.M))
+        assert named and named <= set(dsl.PROBES)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_required_parameters_only(self, capsys, tmp_path, kind):
+        script, direct = REQUIRED_ONLY[kind]
+        optional = [key for key, typ in dsl.PROBES[kind][0] if typ.endswith("?")]
+        assert not [key for key in optional if f" {key}=" in script]
+        path = tmp_path / "probe.pi1"
+        path.write_text(script, encoding="utf-8")
+        rep = direct()
+        assert run_cli(capsys, ["run", str(path)]) == (0 if rep.passed else 1, rep.render(), "")
 
 
 # (prefix, its price, statement, its name in the message, its price) for
