@@ -20,7 +20,9 @@ to its exit code and its one stderr line. A probe statement calls the run
 of its kind's entry of ``dsl.PROBES`` with the statement's arguments. One-off
 literals are evaluated in the compact space Y with the default width
 profile. PI1LAB_DIGITS sets report decimal places (default 40), from 1 to
-4300; any other value exits 2.
+4300; any other value exits 2. The integer options ``--nmax``, ``--upto``
+and ``--seed`` are read, and printed back, in 600-digit pieces
+(``exactnum``), so no answer depends on the int-string limit.
 
 ``main(argv)`` may be called repeatedly in one process and returns the exit
 code; a usage error or ``--help`` raises ``SystemExit`` as argparse does.
@@ -37,6 +39,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import dsl
+from .exactnum import decimal_int, decimal_text
 from .geometry import GeometryError, _path, sup_distance
 from .loops import (
     Loop,
@@ -315,6 +318,15 @@ def _cmd_demo(args) -> int:
     return code
 
 
+def _int_option(text: str) -> int:
+    """An integer option, read by ``decimal_int``."""
+    return decimal_int(text)
+
+
+# argparse names a refused value's type by __name__: "invalid int value: 'x'"
+_int_option.__name__ = "int"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pi1lab",
@@ -327,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="run a built-in pipeline")
     p_demo.add_argument("what", help="demo name (whitehead)")
-    p_demo.add_argument("--nmax", type=int, default=32, help="largest circle index for the nondiscreteness table")
-    p_demo.add_argument("--seed", type=int, default=0, help="seed for all randomized probes")
+    p_demo.add_argument("--nmax", type=_int_option, default=32, help="largest circle index for the nondiscreteness table")
+    p_demo.add_argument("--seed", type=_int_option, default=0, help="seed for all randomized probes")
     p_demo.add_argument("--out-dir", default=".", help="directory for the scene SVG")
 
     p_word = sub.add_parser("word", help="classify a loop literal")
@@ -339,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("second")
 
     p_h = sub.add_parser("hausdorff", help="Hausdorff convergence table")
-    p_h.add_argument("--upto", type=int, required=True)
+    p_h.add_argument("--upto", type=_int_option, required=True)
 
     p_render = sub.add_parser("render", help="execute only bindings and render directives")
     p_render.add_argument("script", help="script path, or - for stdin")
@@ -368,9 +380,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     for option in ("nmax", "upto"):
         value = getattr(args, option, None)
         if value is not None and value < 2:
-            parser.error(f"--{option} {value} is below 2, the least circle index")
+            parser.error(f"--{option} {decimal_text(value)} is below 2, the least circle index")
         if value is not None and value > dsl.MAX_CIRCLE_INDEX:
-            parser.error(f"--{option} {value} exceeds the limit {dsl.MAX_CIRCLE_INDEX} on circle indices")
+            parser.error(f"--{option} {decimal_text(value)} exceeds the limit {dsl.MAX_CIRCLE_INDEX} on circle indices")
     try:
         report_digits()
     except ValueError as exc:

@@ -22,10 +22,15 @@ _PIECE_POWER = 10**_PIECE
 
 def decimal_int(text: str) -> int:
     """``int(text)`` of decimal digits with an optional leading "-", read in
-    pieces of at most _PIECE digits; a shorter text takes one ``int()``."""
+    pieces of at most _PIECE digits; a shorter text takes one ``int()``. A
+    longer text with anything but decimal digits after its sign (a "+",
+    a space or a "_", which ``int()`` reads) is refused with ValueError,
+    as its pieces would not be whole digits."""
     if len(text) <= _PIECE:
         return int(text)
     digits = text[1:] if text[0] == "-" else text
+    if not digits.isdecimal():
+        raise ValueError(f"invalid decimal integer of {len(text)} characters")
     head = len(digits) % _PIECE or _PIECE
     n = int(digits[:head])
     for i in range(head, len(digits), _PIECE):

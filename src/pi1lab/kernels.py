@@ -19,10 +19,7 @@ cancelled before multiplying:
   ``axd`` (of the y coordinate, ``ayd``);
 * ``foot_param``: dot product and squared length share the denominators
   of b - a, which cancel, and ``axd*ayd`` then cancels against the
-  denominators of q - a;
-* ``point_seg_dist_sq``: likewise for cross product and squared length,
-  with ``(axd*ayd)**2``; its endpoint cases compare the unreduced foot
-  parameter with 0 and 1.
+  denominators of q - a.
 
 A positive factor changes no sign, and a reduced pair is unique, so the
 results are those of the unflattened formulas; ``tests/oracles.py`` keeps
@@ -130,35 +127,6 @@ def foot_param(q, a, b):
     den = (vx * vx + vy * vy) * qxd * qyd
     if den == 0:
         raise ZeroDivisionError("rational with zero denominator")
-    g = gcd(num, den)
-    return num // g, den // g
-
-
-def point_seg_dist_sq(q, a, b):
-    """Exact squared distance from q to the closed segment [a, b]."""
-    qxn, qxd, qyn, qyd = q
-    axn, axd, ayn, ayd = a
-    bxn, bxd, byn, byd = b
-    wx = qxn * axd - axn * qxd
-    wy = qyn * ayd - ayn * qyd
-    ux = bxn * axd - axn * bxd
-    uy = byn * ayd - ayn * byd
-    vx = ux * ayd * byd
-    vy = uy * axd * bxd
-    vv = vx * vx + vy * vy
-    if vv == 0:
-        raise ZeroDivisionError("rational with zero denominator")
-    # the foot parameter is dot / (vv * qxd * qyd)
-    dot = (wx * ayd * qyd * vx + wy * axd * qxd * vy) * bxd * byd
-    if dot <= 0:
-        return point_dist_sq(q, a)
-    dd = qxd * qyd
-    if dot >= vv * dd:
-        return point_dist_sq(q, b)
-    # perpendicular case: cross(w, v)^2 / |v|^2, the factor (axd*ayd)^2 cancelled
-    c = wx * qyd * uy * bxd - wy * qxd * ux * byd
-    num = c * c
-    den = dd * dd * vv
     g = gcd(num, den)
     return num // g, den // g
 

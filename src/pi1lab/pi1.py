@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Optional, Sequence
 
 from . import kernels
-from .exactnum import decimal_text, dyadic_sqrt_bounds, rational_decimal, rational_text
+from .exactnum import decimal_text, rational_decimal, rational_text
 from .geometry import ORIGIN, _path, _sup_merge, rat, sup_distance
 from .loops import (
     Loop,
@@ -315,19 +315,31 @@ def stability_radius(loop: Loop) -> Fraction:
        the least distance over all touched pairs is that of an
        index-adjacent pair.
 
+    By step 4 that distance is the perpendicular one, s(M_n)/|D|, and it is
+    read off the width pair (wn, wd) of w(m) in closed form: m*wd*D is
+    (X, Y) = (wd + m**2*wn, m*(wd - wn)), so the squared distance is
+    (Y - n*X)**2 / (4 n**2 (X**2 + Y**2)). Its dyadic floor at 2**-40 is
+    the isqrt of the floor of that quotient times 2**80 (the floor of
+    ``dyadic_sqrt_bounds``), taken on ints. C_m is still read through the
+    handle, as its certificate is the premise of steps 1 to 5; and a
+    distance to the line pD never exceeds the distance to the edge, so a
+    foot off the edge could only shrink rho.
+
     The dyadic floor is monotone, so the least floor over adjacent pairs
     is the floor of the least distance over all pairs, which
     ``tests/oracles.py`` computes as the reference.
     """
     touched = sorted({span[0] for span in _spans(loop)} - {ALPHA})
     n_top = touched[-1] if touched else 2
-    best = Fraction(1, n_top * n_top)
+    space = loop.space
+    floors = []  # floor(distance * 2**40) per adjacent pair
     for n, m in zip(touched, touched[1:]):
-        num, den = kernels.point_seg_dist_sq((1, 2 * n, 1, 2), loop.space.circle(m)._tail_q, ORIGIN._q)
-        lo, _ = dyadic_sqrt_bounds(Fraction(num, den))
-        if lo < best:
-            best = lo
-    return best / 8
+        space.circle(m)  # certified
+        wn, wd = space.profile.pair(m)
+        x, y = wd + m * m * wn, m * (wd - wn)
+        floors.append(isqrt(((y - n * x) ** 2 << 80) // (4 * n * n * (x * x + y * y))))
+    # with no pair, a clearance of 1 leaves 1/N^2
+    return min(Fraction(1, n_top * n_top), Fraction(min(floors, default=1 << 40), 1 << 40)) / 8
 
 
 _GRID = 64
@@ -683,7 +695,7 @@ def probe_isomorphism_roundtrip(count: int, max_len: int, seed: int, space: Spac
             ("width_profile", space.profile.name),
             ("words", str(count)),
             ("max_len", str(max_len)),
-            ("seed", str(seed)),
+            ("seed", decimal_text(seed)),
         ),
         witnesses=tuple(witnesses),
     )

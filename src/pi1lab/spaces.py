@@ -460,12 +460,22 @@ def circle_alpha_hausdorff_sq(space: SpaceHandle, n: int) -> Fraction:
     point (s/n, s) on edge p B_n. Both directed distances are therefore at
     most dist(D_n, alpha), and the first attains it.
 
+    dist(D_n, alpha) is read off D_n's quad (xn, xd, yn, yd): x_D = 1/n +
+    n*w(n) > 0 and y_D = 1 - w(n) < 1 for every width w(n) > 0, so the
+    nearest point of alpha is the foot (0, y_D) when y_D >= 0, at squared
+    distance x_D**2, and p when y_D < 0, at squared distance
+    x_D**2 + y_D**2. Both are exact.
+
     The handle's circle is read when it has one; otherwise the circle is
     built without the handle's certificate, so uncertified profiles still
     get their (FAIL) tables.
     """
     circ = space._circles.get(n) or build_circle(n, space.profile)
-    return Fraction(*kernels.point_seg_dist_sq(circ._tail_q, *ALPHA_SEGMENT.quads()))
+    xn, xd, yn, yd = circ._tail_q
+    if yn >= 0:
+        return Fraction(xn * xn, xd * xd)
+    u, v, d = xn * yd, yn * xd, xd * yd
+    return Fraction(u * u + v * v, d * d)
 
 
 def hausdorff_convergence(space: SpaceHandle, up_to: int) -> ProbeReport:

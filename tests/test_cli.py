@@ -828,6 +828,13 @@ LIMIT_SCRIPTS = {
     "leading-zeros": "space S = Y(5)\nloop c = C(" + "0" * 700 + "5).once\nclassify c\n",
     "long-index": f"space S = Y(5)\nloop c = C({_D1000}).once\n",
 }
+# Command lines with a 700-digit option: a demo seed, and a --upto, which
+# is refused naming it.
+_N700 = "7" * 700
+LIMIT_COMMANDS = {
+    "demo-seed": ["demo", "whitehead", "--seed", _N700, "--out-dir", "{out}"],
+    "hausdorff-upto": ["hausdorff", "--upto", _N700],
+}
 
 
 @pytest.fixture
@@ -874,6 +881,14 @@ class TestIntStringLimit:
         assert got == at_default_limit(capsys, ["run", str(path)])
         assert got[0] == (2 if name == "long-index" else 0)
         assert "Traceback" not in got[2]
+
+    @pytest.mark.parametrize("name", sorted(LIMIT_COMMANDS))
+    def test_long_options(self, capsys, tmp_path, limit_640, name):
+        argv = [a.format(out=tmp_path) for a in LIMIT_COMMANDS[name]]
+        got = run_cli(capsys, argv)
+        assert got == at_default_limit(capsys, argv)
+        assert got[0] == (0 if name == "demo-seed" else 2)
+        assert _N700 in (got[1] if name == "demo-seed" else got[2])
 
 
 class TestModuleEntryPoint:
@@ -1265,7 +1280,7 @@ class TestDemo:
             classes[0] += 1
             return _orig(self, *args)
 
-        for mod in (geometry, spaces, pi1):
+        for mod in (geometry, spaces):
             monkeypatch.setattr(mod, "dyadic_sqrt_bounds", bounds)
         monkeypatch.setattr(geometry, "_fill", fill)
         # in spaces only: a disjointness check's seg_intersect calls the

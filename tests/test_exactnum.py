@@ -44,6 +44,13 @@ class TestDecimalPieces:
         """A script's digits may be any Unicode decimal digits, as ``int`` reads them."""
         assert decimal_int("\u0663" * 700) == int("3" * 700)
 
+    def test_long_text_of_other_characters_refused(self):
+        """``int`` reads a sign "+", spaces and "_" separators, which would
+        cut a long text into pieces that are not whole digits."""
+        for text in ("+" + "1" * 700, " " + "1" * 700, "1_" * 350 + "1", "-" * 701):
+            with pytest.raises(ValueError):
+                decimal_int(text)
+
     def test_rational_text(self):
         for q in (Fraction(-3, 4), Fraction(5), 7, -2, Fraction(1, 10**999), Fraction(-(10**1200) - 1, 3)):
             assert rational_text(q) == str(q)

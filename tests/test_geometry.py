@@ -9,11 +9,11 @@ from oracles import (
     common_refinement,
     hausdorff_distance_sq,
     params,
+    point_seg_dist_sq,
     refine,
     segment_at,
     sqrt_leq_sqrt_plus_sqrt,
 )
-from pi1lab import kernels
 from pi1lab.geometry import (
     DegenerateSegmentError,
     ExactDistance,
@@ -43,8 +43,8 @@ F = Fraction
 
 
 def point_segment_distance_sq(q: Point2, s: Segment) -> Fraction:
-    """Exact squared distance from a point to a closed segment, by the kernel."""
-    return F(*kernels.point_seg_dist_sq(q._q, s.a._q, s.b._q))
+    """Exact squared distance from a point to a closed segment, by the oracle."""
+    return F(*point_seg_dist_sq(q._q, s.a._q, s.b._q))
 
 
 def alpha_updown() -> PLPath:

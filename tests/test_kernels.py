@@ -38,11 +38,6 @@ class TestContracts:
         assert k.foot_param(q("1/2", 5), q(0, 0), q(1, 0)) == (1, 2)
         assert k.foot_param(q(2, 0), q(0, 0), q(1, 0)) == (2, 1)  # unclamped
 
-    def test_point_seg_dist_sq(self):
-        assert k.point_seg_dist_sq(q(0, 0), q(0, 0), q(0, 1)) == (0, 1)
-        assert k.point_seg_dist_sq(q(1, 0), q(0, 0), q(0, 1)) == (1, 1)
-        assert k.point_seg_dist_sq(q(0, 2), q(0, 0), q(0, 1)) == (1, 1)  # clamps to endpoint
-
     def test_seg_intersect_kinds(self):
         assert k.seg_intersect(q(0, 0), q(1, 0), q(0, 1), q(1, 1)) == (k.SEG_NONE,)
         kind, pt = k.seg_intersect(q(0, 0), q(1, 1), q(1, 1), q(2, 0))
@@ -126,8 +121,6 @@ def assert_flat_matches_oracle(pts, tn, td):
         ("point_dist_sq", (a, b)),
         ("lerp", (a, b, tn, td)),
         ("foot_param", (c, a, b)),
-        ("point_seg_dist_sq", (c, a, b)),
-        ("point_seg_dist_sq", (d, a, b)),
         ("_cross_of_diffs", (a, b, c, d)),
         ("seg_intersect", (a, b, c, d)),
     ):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 import oracles
 from oracles import hausdorff_distance_sq
@@ -563,6 +563,10 @@ class TestHausdorffClosedForm:
     # the seed pins the draws, which derandomize alone takes from the source text
     @seed(7)
     @settings(max_examples=200, derandomize=True, deadline=None)
+    # w = 1 puts D_n on the x-axis, where the closed form's two branches meet
+    @example(num=1, den=1, n=2)
+    # w just above 1 puts D_n just below it, nearest to p
+    @example(num=10**8, den=10**8 - 1, n=60)
     def test_random_widths_match_envelope_oracle(self, num, den, n):
         profile = uniform_profile(F(num, den))
         assert circle_alpha_hausdorff_sq(compact_y(profile=profile), n) == oracle_hausdorff_sq(n, profile)
