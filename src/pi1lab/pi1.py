@@ -334,7 +334,7 @@ def stability_radius(loop: Loop) -> Fraction:
     space = loop.space
     floors = []  # floor(distance * 2**40) per adjacent pair
     for n, m in zip(touched, touched[1:]):
-        space.circle(m)  # certified
+        space.circle(m)  # its certificate is the premise of the closed form
         wn, wd = space.profile.pair(m)
         x, y = wd + m * m * wn, m * (wd - wn)
         floors.append(isqrt(((y - n * x) ** 2 << 80) // (4 * n * n * (x * x + y * y))))

@@ -134,8 +134,7 @@ def radius_cpu_s(top):
 
 
 def radius_at_scale(top):
-    """CPU seconds and value of the stability radius of pow10 g2 ... g<top>,
-    each computed in a fresh process."""
+    """``radius_cpu_s(top)``, run in a fresh process."""
     done = subprocess.run(
         [sys.executable, "-c", f"import ci_scale; print(*ci_scale.radius_cpu_s({top}))"],
         capture_output=True, text=True, timeout=120,
@@ -148,7 +147,7 @@ def radius_at_scale(top):
 
 def test_stability_radius_cpu_in_a_fresh_process():
     """At g41, all pairs of touched circles took 2.77 s; at g1000, one
-    general point-to-edge distance per adjacent pair took 13.9 s. The
+    general point-to-edge distance per adjacent pair took 12.2 s. The
     oracle is too slow at g1000, so the value there is pinned as that
     point-to-edge distance gave it."""
     cpu_s, _ = radius_at_scale(41)
