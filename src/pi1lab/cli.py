@@ -20,7 +20,7 @@ to its exit code and its one stderr line. A probe statement calls the run
 of its kind's entry of ``dsl.PROBES`` with the statement's arguments. One-off
 literals are evaluated in the compact space Y with the default width
 profile. PI1LAB_DIGITS sets report decimal places (default 40), from 1 to
-4300; any other value exits 2. The integer options ``--nmax``, ``--upto``
+4300; any other value exits 2. It and the options ``--nmax``, ``--upto``
 and ``--seed`` are read, and printed back, in 600-digit pieces
 (``exactnum``), so no answer depends on the int-string limit.
 

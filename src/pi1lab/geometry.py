@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from . import kernels
-from .exactnum import dyadic_sqrt_bounds, sqrt_decimal
+from .exactnum import dyadic_sqrt_bounds, rational_text, sqrt_decimal
 from .records import Record
 
 
@@ -83,7 +83,7 @@ class Point2(Record):
         return Fraction(n, d)
 
     def __str__(self) -> str:
-        return _quad_str(self._q)
+        return f"({self.x}, {self.y})"
 
 
 def point(x, y) -> Point2:
@@ -101,8 +101,8 @@ def _from_quad(q) -> Point2:
 
 
 def _quad_str(q: tuple) -> str:
-    """The text ``(x, y)`` of the point of a reduced kernel quad."""
-    return f"({Fraction(q[0], q[1])}, {Fraction(q[2], q[3])})"
+    """The text ``(x, y)`` of a reduced kernel quad's point, by ``rational_text``."""
+    return f"({rational_text(Fraction(q[0], q[1]))}, {rational_text(Fraction(q[2], q[3]))})"
 
 
 class Segment(Record):
@@ -205,7 +205,7 @@ def _fill(path: PLPath, ts: tuple, qs: tuple) -> None:
     for n, d in ts[1:]:
         if n * d0 <= n0 * d:
             raise PathInvariantError(
-                f"breakpoint parameters not strictly increasing at t={Fraction(n, d)}"
+                f"breakpoint parameters not strictly increasing at t={rational_text(Fraction(n, d))}"
             )
         n0, d0 = n, d
     path._ts = ts

@@ -57,11 +57,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence, Tuple
 
+from .exactnum import rational_text
 from .geometry import ORIGIN, PLPath, _path, _quad_str, pl_path
 from .records import Record
 from .spaces import (
     ALPHA,
     ALPHA_EDGE,
+    ALPHA_SEGMENT,
     EdgeRef,
     SpaceError,
     SpaceHandle,
@@ -123,7 +125,7 @@ class Violation(Record):
         self.reason = reason
 
     def __str__(self) -> str:
-        return f"piece {self.piece_index} on [{self.t_start}, {self.t_end}]: {self.reason}"
+        return f"piece {self.piece_index} on [{rational_text(self.t_start)}, {rational_text(self.t_end)}]: {self.reason}"
 
 
 def _first_violation(loop: Loop):
@@ -277,7 +279,7 @@ def _refuse(ts, qs, chart, first: int, reason: Optional[str]):
     comps = {ref[0] for ref in chart[first:last] if ref is not None}
     if len(comps) != 1:
         raise InvalidLoopError(
-            f"excursion on [{Fraction(*ts[first])}, {Fraction(*ts[last])}] spans components "
+            f"excursion on [{rational_text(Fraction(*ts[first]))}, {rational_text(Fraction(*ts[last]))}] spans components "
             f"{sorted(map(component_name, comps))}"
         )
     raise InvalidLoopError(reason)
@@ -298,7 +300,7 @@ def standard_f(space: SpaceHandle) -> Loop:
     Charted by construction: both pieces lie on alpha."""
     if not space.has_alpha:
         raise SpaceError("the alpha loop lives in the compact space Y")
-    base, top = ORIGIN._q, space.alpha_segment.b._q
+    base, top = ORIGIN._q, ALPHA_SEGMENT.b._q
     return _charted(_path(((0, 1), (1, 2), (1, 1)), (base, top, base)), space, (ALPHA_EDGE, ALPHA_EDGE))
 
 

@@ -57,7 +57,7 @@ from .loops import (
 )
 from .records import Record
 from .report import ProbeParameterError, ProbeReport, exact_str, report_digits
-from .spaces import ALPHA, ALPHA_EDGE, SpaceHandle, SpaceKind, _edge_quads
+from .spaces import ALPHA, ALPHA_EDGE, ALPHA_SEGMENT, SpaceHandle, SpaceKind, _edge_quads
 from .words import Word, _free_reduce, _word, format_word, reduce_letters
 
 
@@ -104,7 +104,7 @@ def _syllables(spans: Sequence[tuple], ts: Sequence[tuple], kind: SpaceKind) -> 
             if n == ALPHA:
                 raise ClassificationError(
                     "loop leaves the bouquet: excursion into the limit segment "
-                    f"on [{Fraction(*ts[a])}, {Fraction(*ts[b])}]"
+                    f"on [{rational_text(Fraction(*ts[a]))}, {rational_text(Fraction(*ts[b]))}]"
                 )
     return _free_reduce([(n, d) for n, _, _, d in spans if d])
 
@@ -553,7 +553,7 @@ def probe_discreteness_x(
     rho = stability_radius(loop)
     if magnitude >= rho:
         raise ProbeParameterError(
-            f"magnitude {magnitude} is not below the stability radius "
+            f"magnitude {rational_text(magnitude)} is not below the stability radius "
             f"{text(rho, 'stability_radius')}; "
             "the word-stability claim is only certified below the radius"
         )
@@ -736,7 +736,7 @@ def _sample_small_loop(
         # |direction| is the length of its arm, the edge from p to it:
         # exactly 1 for alpha, bracketed above by hi for a circle's edge
         if kind == "alpha" and space.has_alpha:
-            direction = space.alpha_segment.b._q
+            direction = ALPHA_SEGMENT.b._q
             ref = ALPHA_EDGE
             hi = 1
         else:

@@ -13,6 +13,7 @@ import os
 import sys
 from typing import Tuple
 
+from .exactnum import decimal_int, decimal_text
 from .records import Record
 
 PASS = "PASS"
@@ -36,16 +37,16 @@ class ProbeParameterError(Exception):
 
 def report_digits() -> int:
     """Decimal places used in report renderings: DEFAULT_DIGITS, or
-    PI1LAB_DIGITS, an integer from 1 to MAX_REPORT_DIGITS."""
+    PI1LAB_DIGITS, an integer from 1 to MAX_REPORT_DIGITS read by ``decimal_int``."""
     raw = os.environ.get(_DIGITS_ENV)
     if raw is None:
         return DEFAULT_DIGITS
     try:
-        val = int(raw)
+        val = decimal_int(raw)
     except ValueError as exc:
         raise ValueError(f"{_DIGITS_ENV} must be an integer, got {raw!r}") from exc
     if not 1 <= val <= MAX_REPORT_DIGITS:
-        raise ValueError(f"{_DIGITS_ENV} must lie between 1 and {MAX_REPORT_DIGITS}, got {val}")
+        raise ValueError(f"{_DIGITS_ENV} must lie between 1 and {MAX_REPORT_DIGITS}, got {decimal_text(val)}")
     return val
 
 

@@ -208,7 +208,7 @@ def build_circle(n: int, width_profile: WidthProfile = POW10) -> Circle:
         raise SpaceError(f"circle index must be >= 2, got {n}")
     wn, wd = width_profile.pair(n)
     if wn <= 0:
-        raise SpaceConsistencyError(f"width profile {width_profile.name} gave w({n}) = {Fraction(wn, wd)} <= 0")
+        raise SpaceConsistencyError(f"width profile {width_profile.name} gave w({n}) = {rational_text(Fraction(wn, wd))} <= 0")
     nn = n * n
     xn, xd = wd + nn * wn, n * wd
     h = gcd(nn, wd % nn)
@@ -300,12 +300,6 @@ class SpaceHandle(Record):
     @property
     def has_alpha(self) -> bool:
         return self.kind is SpaceKind.COMPACT_Y
-
-    @property
-    def alpha_segment(self) -> Segment:
-        if not self.has_alpha:
-            raise SpaceError("the bouquet X does not contain the limit segment alpha")
-        return ALPHA_SEGMENT
 
     def sibling(self, kind: SpaceKind) -> "SpaceHandle":
         """The same construction viewed as the other space; shares the cache."""

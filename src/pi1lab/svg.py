@@ -13,7 +13,7 @@ from typing import Sequence, Tuple
 
 from .exactnum import rational_decimal
 from .loops import Loop
-from .spaces import SpaceHandle, _edge_quads
+from .spaces import ALPHA_SEGMENT, SpaceHandle, _edge_quads
 
 _STYLE = (
     ".circle{stroke:#555;stroke-width:0.004;fill:none}"
@@ -39,7 +39,7 @@ def _space_segments(space: SpaceHandle, upto: int) -> Tuple[Tuple[str, tuple, tu
     for n in range(2, upto + 1):
         out.extend(("circle", a, b) for a, b in _edge_quads(space.circle(n)))
     if space.has_alpha:
-        out.append(("alpha", *space.alpha_segment.quads()))
+        out.append(("alpha", *ALPHA_SEGMENT.quads()))
     return tuple(out)
 
 

@@ -24,7 +24,17 @@ from pi1lab.loops import realize_word
 from pi1lab.pi1 import stability_radius
 from pi1lab.spaces import CUBE, POW10, bouquet_x, profile_by_name
 from pi1lab.words import parse_word
-from test_cli import HOSTILE, SRC, dsl_docstring_script, main_matches_fresh, readme_script, run_hostile
+from test_cli import (
+    DIST_ROW,
+    HOSTILE,
+    SRC,
+    assert_settings_change_nothing,
+    dsl_docstring_script,
+    limit_rows,
+    main_matches_fresh,
+    readme_script,
+    run_hostile,
+)
 from test_pi1 import (
     assert_crossing_words_match,
     assert_draws_match_oracle,
@@ -100,6 +110,28 @@ def test_main_matches_fresh_processes(capsys, tmp_path, monkeypatch):
         )
         assert (repeated.returncode, repeated.stdout) == (2, b"")
         assert repeated.stderr == b"parse error: line 2, col 1: probe slsc takes 'seed' once\n"
+
+
+# The settings no answer may depend on, each against a run with it unset:
+# the interpreter's int-string limit at 0 (none) and at 640 (the least),
+# and the hash seed at 0 and 1.
+KNOBS = (
+    {"PYTHONINTMAXSTRDIGITS": "0"},
+    {"PYTHONINTMAXSTRDIGITS": "640"},
+    {"PYTHONHASHSEED": "0"},
+    {"PYTHONHASHSEED": "1"},
+)
+
+
+def test_knobs_change_no_byte(tmp_path):
+    """Every row of LIMIT_SCRIPTS and LIMIT_COMMANDS, the dist at 1000
+    places, and the demo at seeds 0, 1, 3 and 7 into one out-dir, each in
+    fresh `python -m pi1lab` processes: each exits with its code, 0 for a
+    demo whose verdict is PASS, and prints the same bytes with the same
+    code under every one of KNOBS as with it unset."""
+    demos = [(["demo", "whitehead", "--seed", str(seed), "--out-dir", str(tmp_path)], {}, 0) for seed in (0, 1, 3, 7)]
+    with deadline(120):
+        assert_settings_change_nothing([*limit_rows(tmp_path), DIST_ROW, *demos], KNOBS, tmp_path)
 
 
 def test_circles_against_oracles(monkeypatch):

@@ -816,25 +816,80 @@ class TestDiscretenessReportBytes:
         )
 
 
-# Inputs whose 1000-digit literals pass the least int-string limit, 640: a
-# points breakpoint, an slsc radius and a uniform width, each with a
-# 1000-digit denominator; a circle index with 700 leading zeros, and a
-# 1000-digit one, which is refused naming it.
+# Scripts whose 1000-digit literals pass the least int-string limit, 640,
+# with the exit code each gives: a points breakpoint, an slsc radius and a
+# uniform width, each with a 1000-digit denominator; a circle index with 700
+# leading zeros, and a 1000-digit one, which is refused naming it. Then
+# refusals whose text holds a value of 700 digits or more: a points
+# breakpoint off the space at x = 1/3 + 1/10^700, points parameters that
+# decrease, a discreteness magnitude past the stability radius, and a
+# negative uniform width.
 _D1000 = "1" + "0" * 999
-LIMIT_SCRIPTS = {
-    "points": f"space S = Y(5)\nloop q = points [(0, 0, 0), (1/2, 0, 1/{_D1000}), (1, 0, 0)]\nclassify q\n",
-    "slsc-radius": f"space S = Y(5)\nprobe slsc radius=1/{_D1000} samples=3\n",
-    "uniform-width": f"space S = Y(5) width=uniform:1/{_D1000}\nloop c = C(2).once\nclassify c\n",
-    "leading-zeros": "space S = Y(5)\nloop c = C(" + "0" * 700 + "5).once\nclassify c\n",
-    "long-index": f"space S = Y(5)\nloop c = C({_D1000}).once\n",
-}
-# Command lines with a 700-digit option: a demo seed, and a --upto, which
-# is refused naming it.
+_D700 = "1" + "0" * 699
 _N700 = "7" * 700
-LIMIT_COMMANDS = {
-    "demo-seed": ["demo", "whitehead", "--seed", _N700, "--out-dir", "{out}"],
-    "hausdorff-upto": ["hausdorff", "--upto", _N700],
+LIMIT_SCRIPTS = {
+    "points": (f"space S = Y(5)\nloop q = points [(0, 0, 0), (1/2, 0, 1/{_D1000}), (1, 0, 0)]\nclassify q\n", 0),
+    "slsc-radius": (f"space S = Y(5)\nprobe slsc radius=1/{_D1000} samples=3\n", 0),
+    "uniform-width": (f"space S = Y(5) width=uniform:1/{_D1000}\nloop c = C(2).once\nclassify c\n", 0),
+    "leading-zeros": ("space S = Y(5)\nloop c = C(" + "0" * 700 + "5).once\nclassify c\n", 0),
+    "long-index": (f"space S = Y(5)\nloop c = C({_D1000}).once\n", 2),
+    "points-off-space": (
+        f"space S = Y(5)\nloop q = points [(0, 0, 0), (1/2, 1{'0' * 699}3/3{'0' * 700}, 1/2), (1, 0, 0)]\n", 1,
+    ),
+    "points-decreasing": (
+        f"space S = Y(5)\nloop q = points [(0, 0, 0), (2/{_D700}, 0, 1/2), (1/{_D700}, 0, 1/2), (1, 0, 0)]\n", 1,
+    ),
+    "magnitude-past-radius": (
+        f"space T = X(5)\nloop c = C(2).once\nprobe discreteness loop=c trials=1 magnitude={_N700}\n", 1,
+    ),
+    "negative-width": (f"space S = Y(5) width=uniform:-1/{_D700}\nloop c = C(2).once\n", 1),
 }
+# Command lines (argv, environment, exit code) with a 700-digit value: a
+# demo seed, a --upto, which is refused naming it, and a PI1LAB_DIGITS,
+# which is refused as out of range.
+LIMIT_COMMANDS = {
+    "demo-seed": (["demo", "whitehead", "--seed", _N700, "--out-dir", "{out}"], {}, 0),
+    "hausdorff-upto": (["hausdorff", "--upto", _N700], {}, 2),
+    "digits-past-range": (["dist", "C(2).once", "alpha.updown"], {"PI1LAB_DIGITS": _N700}, 2),
+}
+# A dist at 1000 places, whose decimals are longer than the limit 640.
+DIST_ROW = (["dist", "C(2).once", "alpha.updown"], {"PI1LAB_DIGITS": "1000"}, 0)
+
+
+def limit_rows(directory) -> list:
+    """The CLI rows (argv, environment, exit code) of LIMIT_SCRIPTS, each
+    written to a file in ``directory``, and of LIMIT_COMMANDS, writing there."""
+    rows = []
+    for name, (text, code) in LIMIT_SCRIPTS.items():
+        path = Path(directory) / f"{name}.pi1"
+        path.write_text(text, encoding="utf-8")
+        rows.append((["run", str(path)], {}, code))
+    for argv, env, code in LIMIT_COMMANDS.values():
+        rows.append(([a.format(out=directory) for a in argv], env, code))
+    return rows
+
+
+def assert_settings_change_nothing(rows, settings, cwd):
+    """Runs each CLI row (argv, environment, exit code) in fresh `python -m
+    pi1lab` processes in ``cwd``: once with every variable that ``settings``
+    names unset, then once under each setting, a dict of variables. Each
+    row must exit with its code, and every setting must give the unset
+    run's exit code, stdout and stderr bytes."""
+    names = {name for setting in settings for name in setting}
+    base = {k: v for k, v in os.environ.items() if k not in names}
+    base["PYTHONPATH"] = SRC
+    for argv, env, code in rows:
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "pi1lab", *argv],
+                capture_output=True, timeout=120, cwd=cwd, env={**base, **env, **setting},
+            )
+            for setting in ({}, *settings)
+        ]
+        label = [a[:80] for a in argv]
+        assert runs[0].returncode == code, (label, runs[0].stderr[-2000:])
+        for setting, run in zip(settings, runs[1:]):
+            assert (run.returncode, run.stdout, run.stderr) == (code, runs[0].stdout, runs[0].stderr), (label, setting)
 
 
 @pytest.fixture
@@ -867,28 +922,36 @@ class TestIntStringLimit:
     written in pieces of at most 600 digits."""
 
     def test_dist_at_1000_places(self, capsys, monkeypatch, limit_640):
-        monkeypatch.setenv("PI1LAB_DIGITS", "1000")
-        argv = ["dist", "C(2).once", "alpha.updown"]
+        argv, env, _ = DIST_ROW
+        monkeypatch.setenv("PI1LAB_DIGITS", env["PI1LAB_DIGITS"])
         code, out, err = run_cli(capsys, argv)
         assert (code, out, err) == at_default_limit(capsys, argv)
         assert code == 0 and len(out.split("\n")[1].split(".")[1]) == 1000
 
+    def test_dist_in_fresh_processes(self, tmp_path):
+        """The dist row at 640; ci_scale.py's knob gate runs every row under every knob."""
+        assert_settings_change_nothing([DIST_ROW], [{"PYTHONINTMAXSTRDIGITS": "640"}], tmp_path)
+
     @pytest.mark.parametrize("name", sorted(LIMIT_SCRIPTS))
     def test_scripts_with_long_literals(self, capsys, tmp_path, limit_640, name):
+        text, want = LIMIT_SCRIPTS[name]
         path = tmp_path / "limit.pi1"
-        path.write_text(LIMIT_SCRIPTS[name], encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         got = run_cli(capsys, ["run", str(path)])
         assert got == at_default_limit(capsys, ["run", str(path)])
-        assert got[0] == (2 if name == "long-index" else 0)
+        assert got[0] == want
         assert "Traceback" not in got[2]
 
     @pytest.mark.parametrize("name", sorted(LIMIT_COMMANDS))
-    def test_long_options(self, capsys, tmp_path, limit_640, name):
-        argv = [a.format(out=tmp_path) for a in LIMIT_COMMANDS[name]]
+    def test_long_options(self, capsys, tmp_path, monkeypatch, limit_640, name):
+        argv, env, want = LIMIT_COMMANDS[name]
+        argv = [a.format(out=tmp_path) for a in argv]
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
         got = run_cli(capsys, argv)
         assert got == at_default_limit(capsys, argv)
-        assert got[0] == (0 if name == "demo-seed" else 2)
-        assert _N700 in (got[1] if name == "demo-seed" else got[2])
+        assert got[0] == want
+        assert _N700 in (got[1] if want == 0 else got[2])
 
 
 class TestModuleEntryPoint:

@@ -11,7 +11,6 @@ from pi1lab.exactnum import dyadic_sqrt_bounds
 from pi1lab.geometry import ORIGIN, PLPath, Segment, sup_distance
 from pi1lab.loops import (
     Loop,
-    _first_violation,
     concatenate,
     concatenate_all,
     constant_loop,
@@ -55,6 +54,7 @@ from pi1lab.spaces import (
     uniform_profile,
 )
 from pi1lab.words import IDENTITY, invert, multiply, parse_word, reduce_letters
+from test_loops import assert_carried
 
 F = Fraction
 
@@ -532,13 +532,6 @@ def demo_corpus(x):
         realize_word(parse_word("g2 g3"), x),
         realize_word(parse_word("g2^2 g5^-1"), x),
     ]
-
-
-def assert_carried(lp):
-    """The loop was built with its chart, and the chart is what locating
-    its path from scratch gives."""
-    assert lp._chart is not None
-    assert lp._chart == _first_violation(Loop(lp.path, lp.space))
 
 
 class TestCarriedCharts:
