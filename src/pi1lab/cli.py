@@ -12,17 +12,18 @@ Subcommands:
     pi1lab render <script>         execute only bindings and render directives
 
 Exit codes: 0 success / all PASS; 2 refused before anything runs (usage,
-``--nmax`` or ``--upto`` outside 2 to ``dsl.MAX_CIRCLE_INDEX``, parse
+``--nmax`` or ``--upto`` outside 2 to ``spaces.MAX_CIRCLE_INDEX``, parse
 errors, script limits, a script that is not UTF-8, ``render`` of a script
-with no render directive, an unknown demo); 1 refused while
-running, or any FAIL verdict. ``main`` is the one place that maps an error
-to its exit code and its one stderr line. A probe statement calls the run
-of its kind's entry of ``dsl.PROBES`` with the statement's arguments. One-off
-literals are evaluated in the compact space Y with the default width
-profile. PI1LAB_DIGITS sets report decimal places (default 40), from 1 to
-4300; any other value exits 2. It and the options ``--nmax``, ``--upto``
-and ``--seed`` are read, and printed back, in 600-digit pieces
-(``exactnum``), so no answer depends on the int-string limit.
+with no render directive, an unknown demo, a demo ``--out-dir`` that is not
+a directory); 1 refused while running, or any FAIL verdict. ``main`` is the
+one place that maps an error to its exit code and its one stderr line.
+``run``, ``render``, ``word`` and ``dist`` import the script runner
+(``runner``), and with it the script language (``dsl``), when they run;
+``demo`` and ``hausdorff`` never load either. PI1LAB_DIGITS sets report
+decimal places (default 40), from 1 to 4300; any other value exits 2. It
+and the options ``--nmax``, ``--upto`` and ``--seed`` are read, and printed
+back, in 600-digit pieces (``exactnum``), so no answer depends on the
+int-string limit.
 
 ``main(argv)`` may be called repeatedly in one process and returns the exit
 code; a usage error or ``--help`` raises ``SystemExit`` as argparse does.
@@ -36,21 +37,12 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from importlib import import_module
+from typing import List, Optional, Tuple
 
-from . import dsl
 from .exactnum import decimal_int, decimal_text
-from .geometry import GeometryError, _path, sup_distance
-from .loops import (
-    Loop,
-    LoopError,
-    concatenate_all,
-    constant_loop,
-    realize_word,
-    reverse,
-    standard_f,
-    standard_fn,
-)
+from .geometry import GeometryError, sup_distance
+from .loops import Loop, LoopError, constant_loop, realize_word, standard_f, standard_fn
 from .pi1 import (
     ProbeParameterError,
     classify,
@@ -61,13 +53,11 @@ from .pi1 import (
 )
 from .report import ProbeReport, exact_str, report_digits
 from .spaces import (
-    Circle,
+    MAX_CIRCLE_INDEX,
     SpaceError,
-    SpaceHandle,
     SpaceKind,
     compact_y,
     hausdorff_convergence,
-    profile_by_name,
     verify_disjointness,
 )
 from .svg import write_scene
@@ -88,166 +78,35 @@ def _dist_text(a: Loop, b: Loop, where: str) -> str:
     return f"dist_sq: {exact_str(d.squared, where)}\ndist_dec({digits}): {d.decimal(digits)}"
 
 
-class _Runner:
-    """Executes a parsed script; collects output text and a verdict flag."""
-
-    def __init__(self):
-        self.spaces: Dict[str, SpaceHandle] = {}
-        # one circle cache per width profile, shared by every space of the script
-        self.circles: Dict[str, Dict[int, Circle]] = {}
-        self.loops: Dict[str, Loop] = {}
-        self.active: Optional[SpaceHandle] = None
-        self.out: List[str] = []
-        self.failed = False
-
-    def emit(self, text: str) -> None:
-        self.out.append(text)
-
-    def emit_report(self, rep: ProbeReport) -> None:
-        self.emit(rep.render().rstrip("\n"))
-        if not rep.passed:
-            self.failed = True
-
-    def eval_expr(self, expr, space: SpaceHandle) -> Loop:
-        if isinstance(expr, dsl.AlphaExpr):
-            return standard_f(space)
-        if isinstance(expr, dsl.CircleExpr):
-            lp = standard_fn(expr.index, space)
-            return reverse(lp) if expr.inverse else lp
-        if isinstance(expr, dsl.ConcatExpr):
-            parts = [
-                self.loops[a] if isinstance(a, str) else self.eval_expr(a, space)
-                for a in expr.args
-            ]
-            return concatenate_all(parts)
-        if isinstance(expr, dsl.WordExpr):
-            return realize_word(expr.word, space)
-        if isinstance(expr, dsl.PointsExpr):
-            return Loop(_path(expr._ts, expr._quads), space)
-        raise TypeError(f"not a loop expression: {expr!r}")
-
-    def run(self, script: dsl.Script) -> int:
-        for st in script.statements:
-            if isinstance(st, dsl.SpaceDecl):
-                profile = profile_by_name(st.width)
-                kind = SpaceKind.BOUQUET_X if st.kind == "X" else SpaceKind.COMPACT_Y
-                circles = self.circles.setdefault(profile.name, {})
-                handle = SpaceHandle(kind, profile, st.hint, circles)
-                self.spaces[st.name] = handle
-                self.active = handle
-            elif isinstance(st, dsl.LoopBinding):
-                self.loops[st.name] = self.eval_expr(st.expr, self.active)
-            elif isinstance(st, dsl.ClassifyStmt):
-                cls = classify(self.loops[st.name])
-                self.emit(f"word: {format_word(cls.word)}")
-            elif isinstance(st, dsl.DistStmt):
-                a, b = self.loops[st.first], self.loops[st.second]
-                self.emit(_dist_text(a, b, f"dist {st.first} {st.second}"))
-            elif isinstance(st, dsl.ProbeStmt):
-                _, _, run = dsl.PROBES[st.kind]
-                self.emit_report(run(self.active, self.loops, **dict(st.args)))
-            elif isinstance(st, dsl.RenderStmt):
-                spaces = []
-                loops = []
-                for name in st.names:
-                    if name in self.spaces:
-                        handle = self.spaces[name]
-                        spaces.append((handle, handle.hint))
-                    else:
-                        loops.append(self.loops[name])
-                write_scene(st.out, spaces, loops)
-                self.emit(f"wrote {st.out}")
-            else:
-                raise TypeError(f"not a statement: {st!r}")
-        return 1 if self.failed else 0
-
-
-# Largest single read of a script, in bytes. A read of n bytes allocates n
-# bytes first: reading a 600-byte script with one read of the whole limit
-# took 30 µs, and in chunks of this size 10 µs (Python 3.11, one core of a
-# 2-vCPU VM).
-_READ_CHUNK = 1 << 16
-
-
-def _read_script(path: str) -> bytes:
-    """The script's first MAX_SCRIPT_BYTES + 1 bytes: enough to tell an
-    over-long script without reading it all."""
-    if path == "-":
-        return _read_limited(sys.stdin.buffer)
-    with open(path, "rb") as fh:
-        return _read_limited(fh)
-
-
-def _read_limited(fh) -> bytes:
-    """The first MAX_SCRIPT_BYTES + 1 bytes of a binary stream, read in
-    chunks of at most _READ_CHUNK bytes until the end or the limit."""
-    limit = dsl.MAX_SCRIPT_BYTES + 1
-    chunks, size = [], 0
-    while size < limit:
-        chunk = fh.read(min(_READ_CHUNK, limit - size))
-        if not chunk:
-            break
-        chunks.append(chunk)
-        size += len(chunk)
-    return b"".join(chunks)
-
-
-def _load_script(path: str) -> dsl.Script:
-    data = _read_script(path)
-    if len(data) > dsl.MAX_SCRIPT_BYTES:
-        raise _Refused(f"script exceeds the limit of {dsl.MAX_SCRIPT_BYTES} bytes")
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _Refused(f"script is not valid UTF-8: {exc}") from None
-    return dsl.parse(text)
-
-
-def _run_script(script: dsl.Script) -> int:
-    """Run a script and print its blocks; on a runtime error, the blocks
-    printed before it, for main to report the error after them."""
-    runner = _Runner()
-    try:
-        code = runner.run(script)
-    except RunError:
-        if runner.out:
-            print("\n\n".join(runner.out))
-        raise
-    if runner.out:
-        print("\n\n".join(runner.out))
-    return code
-
-
 def _cmd_run(args) -> int:
-    return _run_script(_load_script(args.script))
+    from . import runner
 
-
-# The statements that ``render`` runs: the bindings and the render directives.
-_RENDER_STATEMENTS = (dsl.SpaceDecl, dsl.LoopBinding, dsl.RenderStmt)
+    return runner.run_script(runner.load_script(args.script))
 
 
 def _cmd_render(args) -> int:
-    kept = tuple(st for st in _load_script(args.script).statements if isinstance(st, _RENDER_STATEMENTS))
+    from . import dsl, runner
+
+    # the statements that render runs: the bindings and the render directives
+    runs = (dsl.SpaceDecl, dsl.LoopBinding, dsl.RenderStmt)
+    kept = tuple(st for st in runner.load_script(args.script).statements if isinstance(st, runs))
     if not any(isinstance(st, dsl.RenderStmt) for st in kept):
         raise _Refused("script has no render directive")
-    return _run_script(dsl.Script(kept))
-
-
-def _one_off_loops(*literals: str) -> List[Loop]:
-    exprs = dsl.parse_loop_literals(literals)
-    runner = _Runner()
-    space = compact_y()
-    return [runner.eval_expr(expr, space) for expr in exprs]
+    return runner.run_script(dsl.Script(kept))
 
 
 def _cmd_word(args) -> int:
-    (lp,) = _one_off_loops(" ".join(args.literal))
+    from . import runner
+
+    (lp,) = runner.one_off_loops(" ".join(args.literal))
     print(f"word: {format_word(classify(lp).word)}")
     return 0
 
 
 def _cmd_dist(args) -> int:
-    print(_dist_text(*_one_off_loops(args.first, args.second), "dist"))
+    from . import runner
+
+    print(_dist_text(*runner.one_off_loops(args.first, args.second), "dist"))
     return 0
 
 
@@ -313,6 +172,8 @@ def demo_whitehead(nmax: int, seed: int, out_dir: str) -> Tuple[int, str]:
 def _cmd_demo(args) -> int:
     if args.what != "whitehead":
         raise _Refused(f"unknown demo {args.what!r}; try 'whitehead'")
+    if not os.path.isdir(args.out_dir):
+        raise _Refused(f"--out-dir {args.out_dir!r} is not a directory")
     code, text = demo_whitehead(args.nmax, args.seed, args.out_dir)
     print(text)
     return code
@@ -381,23 +242,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         value = getattr(args, option, None)
         if value is not None and value < 2:
             parser.error(f"--{option} {decimal_text(value)} is below 2, the least circle index")
-        if value is not None and value > dsl.MAX_CIRCLE_INDEX:
-            parser.error(f"--{option} {decimal_text(value)} exceeds the limit {dsl.MAX_CIRCLE_INDEX} on circle indices")
+        if value is not None and value > MAX_CIRCLE_INDEX:
+            parser.error(f"--{option} {decimal_text(value)} exceeds the limit {MAX_CIRCLE_INDEX} on circle indices")
     try:
         report_digits()
     except ValueError as exc:
         parser.error(str(exc))
     try:
         return _COMMANDS[args.command](args)
-    except dsl.DslError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
     except _Refused as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # Evaluated only for an error that the clauses above let by: a DslError
+    # comes only from the script commands, which have loaded dsl.
+    except import_module(".dsl", __package__).DslError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

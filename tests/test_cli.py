@@ -954,7 +954,44 @@ class TestIntStringLimit:
         assert _N700 in (got[1] if want == 0 else got[2])
 
 
+# The pi1lab modules that each entry point loads in a fresh process: argv
+# after the interpreter, and the sorted pi1lab entries of sys.modules at the
+# end. The package loads each export on first access, and only run, render,
+# word and dist load the script language (dsl, with runner), so demo and
+# hausdorff compile neither.
+SPACES_MODULES = ["pi1lab", "pi1lab.exactnum", "pi1lab.geometry", "pi1lab.kernels", "pi1lab.records", "pi1lab.report", "pi1lab.spaces"]
+CLI_MODULES = sorted(SPACES_MODULES + ["pi1lab.cli", "pi1lab.loops", "pi1lab.pi1", "pi1lab.svg", "pi1lab.words"])
+ENTRY_POINT_MODULES = {
+    "from-pi1lab-import-spaces": (["-c", "from pi1lab import spaces"], SPACES_MODULES),
+    "import-pi1lab-kernels": (["-c", "import pi1lab.kernels"], ["pi1lab", "pi1lab.kernels"]),
+    "demo-whitehead": (["-m", "pi1lab", "demo", "whitehead"], CLI_MODULES),
+    "hausdorff": (["-m", "pi1lab", "hausdorff", "--upto", "3"], CLI_MODULES),
+    "run": (["-m", "pi1lab", "run", "classify.pi1"], sorted(CLI_MODULES + ["pi1lab.dsl", "pi1lab.runner"])),
+}
+
+
+def loaded_modules(args, cwd):
+    """The exit code and the sorted pi1lab modules of a fresh interpreter
+    run with ``args``, read off its ``-X importtime`` lines: one line for
+    each module it imports, so the pi1lab entries of its sys.modules."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=60
+    )
+    lines = re.findall(r"^import time:.*\| +(pi1lab(?:\.\w+)?)$", done.stderr, flags=re.M)
+    return done.returncode, sorted(lines)
+
+
 class TestModuleEntryPoint:
+    @pytest.mark.parametrize("case", ENTRY_POINT_MODULES)
+    def test_entry_point_loads_only_its_modules(self, tmp_path, case):
+        """Every entry point loaded all thirteen modules: the package
+        imported loops, pi1 and words for its exports, and cli imported dsl
+        for every command."""
+        (tmp_path / "classify.pi1").write_text("space S = Y(5)\nloop f = C(3).once\nclassify f\n", encoding="utf-8")
+        args, modules = ENTRY_POINT_MODULES[case]
+        assert loaded_modules(args, tmp_path) == (0, modules)
+
     def test_python_m_pi1lab(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         fresh = main_matches_fresh(capsys, [["word", "C(4).once"], ["demo", "nope"]])
@@ -1398,6 +1435,28 @@ class TestDemo:
     def test_unknown_demo(self, capsys):
         code, _, err = run_cli(capsys, ["demo", "mystery"])
         assert code == 2 and "unknown demo" in err
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_out_dir_refused_before_any_probe(self, capsys, tmp_path, monkeypatch, kind):
+        """An --out-dir that is not a directory ran every probe, about 0.27 s
+        in a fresh process, and then exited 1 on writing the scene."""
+        out_dir = tmp_path / "no" / "such"
+        if kind == "file":
+            out_dir = tmp_path / "a-file"
+            out_dir.write_text("", encoding="utf-8")
+        ran = []
+        for name in (
+            "verify_disjointness",
+            "hausdorff_convergence",
+            "probe_isomorphism_roundtrip",
+            "probe_nondiscreteness_y",
+            "probe_discreteness_x",
+            "probe_slsc_y",
+        ):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, _orig=getattr(cli, name): ran.append(name) or _orig(*a))
+        got = run_cli(capsys, ["demo", "whitehead", "--out-dir", str(out_dir)])
+        assert got == (2, "", f"error: --out-dir {str(out_dir)!r} is not a directory\n")
+        assert ran == []
 
     def test_small_demo_deterministic(self, tmp_path):
         # nmax must exceed 10 for the nondiscreteness tail to drop below 1/10

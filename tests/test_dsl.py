@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 from test_cli import dsl_docstring_script, readme_script, run_cli
 
-from pi1lab import cli, dsl
+from pi1lab import dsl, runner
 from pi1lab.geometry import GeometryError
 from pi1lab.loops import LoopError, loop_from_breakpoints, standard_fn
 from pi1lab.pi1 import probe_discreteness_x, probe_nondiscreteness_y, probe_slsc_y
@@ -766,7 +766,7 @@ class TestPointsRoute:
             assert got == want
             return
         triples, circles, weight = want
-        loop = _outcome(lambda: cli._Runner().eval_expr(got, self.SPACE))
+        loop = _outcome(lambda: runner._Runner().eval_expr(got, self.SPACE))
         got_triples = tuple(
             (Fraction(*t), Fraction(xn, xd), Fraction(yn, yd)) for t, (xn, xd, yn, yd) in zip(got._ts, got._quads)
         )
@@ -797,8 +797,8 @@ class TestPointsRoute:
             return _orig(cls, *args, **kwargs)
 
         monkeypatch.setattr(Fraction, "__new__", counted)
-        runner = cli._Runner()
-        code = runner.run(dsl.parse(text))
+        script = runner._Runner()
+        code = script.run(dsl.parse(text))
         monkeypatch.undo()
-        assert (code, runner.out) == (0, ["word: g3"])
+        assert (code, script.out) == (0, ["word: g3"])
         assert built == []

@@ -1,6 +1,7 @@
 """Every name that ``pi1lab/__init__.py`` exports has a reader: a module of
 the package other than the one that defines it uses it, or the README names
-it in code. So has every function, class and method that the package
+it in code. Its entry in the export table names the module that defines it,
+and the package attribute is that module's object. So has every function, class and method that the package
 defines: another module or function of the package, a ``perfbench`` script
 or the README's code reads it, and a method is read as an attribute. A name
 that only tests call is surface to delete, or to move into the tests. Every
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import pi1lab
 from pi1lab import cli, dsl
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,14 +28,15 @@ PACKAGE = ROOT / "src" / "pi1lab"
 
 
 def _exports():
-    """(defining module, name) of each name ``__init__`` imports from the package."""
+    """(defining module, name) of each entry of ``__init__``'s ``_EXPORTS``
+    table, which maps an exported name to its module."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    return [
-        (node.module, alias.asname or alias.name)
+    (table,) = [
+        node.value
         for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
-        for alias in node.names
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_EXPORTS" for t in node.targets)
     ]
+    return [(module, name) for name, module in ast.literal_eval(table).items()]
 
 
 def _names(tree, attributes=False):
@@ -73,6 +76,7 @@ EXPORTS = _exports()
 
 def test_exports_found():
     assert len(EXPORTS) > 50
+    assert pi1lab.__all__ == tuple(name for _, name in EXPORTS)
 
 
 @pytest.mark.parametrize("module,name", EXPORTS, ids=[f"{m}.{n}" for m, n in EXPORTS])
@@ -81,14 +85,45 @@ def test_export_has_a_reader(module, name):
     assert readers or name in README_CODE, f"{module}.{name} has no reader in src/pi1lab or README.md"
 
 
+def _bound_at_top(tree):
+    """The names a module's own top-level statements define: functions,
+    classes and assignment targets, not imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("module,name", EXPORTS, ids=[f"{m}.{n}" for m, n in EXPORTS])
+def test_export_is_its_modules_definition(module, name):
+    """An export's table entry names the module that defines it, and the
+    package attribute, loaded on first access, is that module's object."""
+    assert name in _bound_at_top(TREES[module]), f"pi1lab.{module} does not define {name}"
+    assert getattr(pi1lab, name) is getattr(importlib.import_module(f"pi1lab.{module}"), name)
+
+
+def test_unknown_export_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'pi1lab' has no attribute 'no_such_export'"):
+        pi1lab.no_such_export
+
+
 def _definitions():
     """(module, qualified name, name, is a method, read in its module) of
-    each module-level function and class and each method, dunders aside,
-    that ``src/pi1lab`` defines. A read in its own module counts outside the
+    each module-level function and class and each method, dunders aside
+    (``__getattr__`` and ``__init__`` are read by the interpreter), that
+    ``src/pi1lab`` defines. A read in its own module counts outside the
     definition's body only, and a method's reads are attribute reads."""
     found = []
     for module, tree in TREES.items():
-        defs = [(node.name, node, False) for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defs = [
+            (node.name, node, False)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__")
+        ]
         defs += [
             (f"{cls.name}.{node.name}", node, True)
             for cls in tree.body
@@ -263,14 +298,12 @@ def _unread_imports(path):
     return sorted(imported - read)
 
 
-IMPORTING = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
-IMPORTING += sorted((ROOT / "tests").glob("*.py"))
+IMPORTING = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", IMPORTING, ids=[f"{p.parent.name}/{p.name}" for p in IMPORTING])
 def test_imports_are_read(path):
-    """No module imports a name it never reads; ``pi1lab/__init__.py``
-    re-exports, so it is not checked."""
+    """No module imports a name it never reads."""
     assert _unread_imports(path) == []
 
 
