@@ -959,7 +959,15 @@ class TestIntStringLimit:
 # end. The package loads each export on first access, and only run, render,
 # word and dist load the script language (dsl, with runner), so demo and
 # hausdorff compile neither.
-SPACES_MODULES = ["pi1lab", "pi1lab.exactnum", "pi1lab.geometry", "pi1lab.kernels", "pi1lab.records", "pi1lab.report", "pi1lab.spaces"]
+SPACES_MODULES = [
+    "pi1lab",
+    "pi1lab.exactnum",
+    "pi1lab.geometry",
+    "pi1lab.kernels",
+    "pi1lab.records",
+    "pi1lab.report",
+    "pi1lab.spaces",
+]
 CLI_MODULES = sorted(SPACES_MODULES + ["pi1lab.cli", "pi1lab.loops", "pi1lab.pi1", "pi1lab.svg", "pi1lab.words"])
 ENTRY_POINT_MODULES = {
     "from-pi1lab-import-spaces": (["-c", "from pi1lab import spaces"], SPACES_MODULES),
@@ -970,27 +978,22 @@ ENTRY_POINT_MODULES = {
 }
 
 
-def loaded_modules(args, cwd):
-    """The exit code and the sorted pi1lab modules of a fresh interpreter
-    run with ``args``, read off its ``-X importtime`` lines: one line for
-    each module it imports, so the pi1lab entries of its sys.modules."""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=60
-    )
-    lines = re.findall(r"^import time:.*\| +(pi1lab(?:\.\w+)?)$", done.stderr, flags=re.M)
-    return done.returncode, sorted(lines)
-
-
 class TestModuleEntryPoint:
     @pytest.mark.parametrize("case", ENTRY_POINT_MODULES)
     def test_entry_point_loads_only_its_modules(self, tmp_path, case):
-        """Every entry point loaded all thirteen modules: the package
-        imported loops, pi1 and words for its exports, and cli imported dsl
-        for every command."""
+        """The package imported every module its exports live in, loops,
+        pi1 and words among them, on any import, and cli imported dsl for
+        every command. A fresh interpreter's ``-X importtime`` prints a
+        line for each module it imports, so its pi1lab lines are the pi1lab
+        entries of its sys.modules."""
         (tmp_path / "classify.pi1").write_text("space S = Y(5)\nloop f = C(3).once\nclassify f\n", encoding="utf-8")
         args, modules = ENTRY_POINT_MODULES[case]
-        assert loaded_modules(args, tmp_path) == (0, modules)
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60
+        )
+        loaded = re.findall(r"^import time:.*\| +(pi1lab(?:\.\w+)?)$", done.stderr, flags=re.M)
+        assert (done.returncode, sorted(loaded)) == (0, modules)
 
     def test_python_m_pi1lab(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,9 +1,10 @@
 """Every name that ``pi1lab/__init__.py`` exports has a reader: a module of
 the package other than the one that defines it uses it, or the README names
 it in code. Its entry in the export table names the module that defines it,
-and the package attribute is that module's object. So has every function, class and method that the package
-defines: another module or function of the package, a ``perfbench`` script
-or the README's code reads it, and a method is read as an attribute. A name
+and the package attribute is that module's object. Every function, class
+and method that the package defines has a reader too: another module or
+function of the package, a ``perfbench`` script or the README's code reads
+it, and a method is read as an attribute. A name
 that only tests call is surface to delete, or to move into the tests. Every
 parameter with a default has a setter, some call that passes it, and a
 taker, some call that leaves it out: a parameter that nothing passes is a
@@ -87,15 +88,10 @@ def test_export_has_a_reader(module, name):
 
 def _bound_at_top(tree):
     """The names a module's own top-level statements define: functions,
-    classes and assignment targets, not imports."""
-    names = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-    return names
+    classes and assigned names, not imports."""
+    names = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assigned = [node.targets for node in tree.body if isinstance(node, ast.Assign)]
+    return names | {t.id for targets in assigned for t in targets if isinstance(t, ast.Name)}
 
 
 @pytest.mark.parametrize("module,name", EXPORTS, ids=[f"{m}.{n}" for m, n in EXPORTS])
